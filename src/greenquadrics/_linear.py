@@ -41,26 +41,3 @@ def solve_linear(rows, rhs):
         x[c] = M[i][n]
     return x
 
-
-def rank_of(rows) -> int:
-    """Rank of a small exact matrix."""
-    m = len(rows)
-    if m == 0:
-        return 0
-    n = len(rows[0])
-    M = [[Rational(v) for v in row] for row in rows]
-    r = 0
-    for c in range(n):
-        pivot_row = next((i for i in range(r, m) if M[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        M[r], M[pivot_row] = M[pivot_row], M[r]
-        pv = M[r][c]
-        for i in range(r + 1, m):
-            if M[i][c] != 0:
-                f = M[i][c] / pv
-                M[i] = [vi - f * vr for vi, vr in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r

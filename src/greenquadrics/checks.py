@@ -9,7 +9,6 @@ and pytest exercise the same code paths.  Output is a pure function of
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -83,7 +82,7 @@ class CheckResult:
 
 
 def _result(suite, name, failures, total, extra="") -> CheckResult:
-    ok = failures == 0
+    ok = failures == 0 and total > 0
     detail = f"{total - failures}/{total} trials ok"
     if extra:
         detail += f"; {extra}"
@@ -670,14 +669,10 @@ def available_suites() -> list[str]:
 def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[CheckResult]:
     """Run the named suites (all by default) and collect results.
 
-    `trials` overrides each check's default randomized-trial count; the
-    GQ_DEFAULT_TRIALS environment variable does the same when no explicit
-    value is given.  Exhaustive grid components always run in full.
+    `trials` overrides each check's default randomized-trial count.
+    Exhaustive grid components always run in full.  A check that runs no
+    trials at all is reported as a failure, never as a vacuous pass.
     """
-    if trials is None:
-        env = os.environ.get("GQ_DEFAULT_TRIALS")
-        if env:
-            trials = int(env)
     names = available_suites() if not suites else list(suites)
     results = []
     for name in names:

@@ -4,16 +4,21 @@ Subcommands: classify, green, inverses, order, lines, plane, bell, metrics,
 export, check.  Matrices are written `[a,b;c,d]` with rational entries and
 values print exactly (rationals, `p + q*sqrt2`) unless --float is given.
 
-Exit codes: 0 success, 1 usage or literal parse errors, 2 domain errors
-(and failed `check` runs).
+Each literal is parsed once, in the runner of its subcommand; JSON output
+echoes it in canonical form.  `check --trials` defaults to the
+GQ_DEFAULT_TRIALS environment variable, validated the same way.
+
+Exit codes: 0 success; 1 usage or literal parse errors, which include a
+non-positive --trials/--samples/--grid, a bad GQ_DEFAULT_TRIALS and an
+unwritable --out path; 2 domain errors (and failed `check` runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import dataclass, field
 
 from greenquadrics import checks
 from greenquadrics.errors import DomainError, LiteralParseError
@@ -46,7 +51,7 @@ from greenquadrics.semigroup import (
 )
 from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 
-__all__ = ["Command", "parse_command", "run", "main"]
+__all__ = ["run", "main"]
 
 _RELS = ("L", "R", "H", "D", "J")
 _KINDS = ("idempotents", "nilpotents", "section", "generator-lines")
@@ -59,49 +64,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise _UsageError(message)
-
-
-@dataclass(frozen=True)
-class Command:
-    """A parsed invocation; `to_argv` is its canonical printable form and
-    parsing that form again yields an equal Command."""
-
-    name: str
-    args: tuple = field(default_factory=tuple)  # sorted (key, value) pairs
-
-    def arg(self, key, default=None):
-        for k, v in self.args:
-            if k == key:
-                return v
-        return default
-
-    def to_argv(self) -> list[str]:
-        def flag(key, v):
-            text = str(v)
-            # leading '-' would read as an option; use the = form
-            return [f"--{key}={text}"] if text.startswith("-") else [f"--{key}", text]
-
-        argv = [self.name]
-        positional = []
-        for key, value in self.args:
-            if key.startswith("_pos"):
-                positional.append(value)
-                continue
-            if value is True:
-                argv.append(f"--{key}")
-            elif value is False or value is None:
-                continue
-            elif isinstance(value, (list, tuple)):
-                for v in value:
-                    argv.extend(flag(key, v))
-            else:
-                argv.extend(flag(key, value))
-        argv.extend(str(p) for p in positional)
-        return argv
-
-
-def _cmd(name: str, **kwargs) -> Command:
-    return Command(name, tuple(sorted(kwargs.items(), key=lambda kv: kv[0])))
 
 
 def _build_parser() -> _Parser:
@@ -174,132 +136,6 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _require_mat(text: str) -> Mat2:
-    return parse_mat2(text)
-
-
-def parse_command(argv) -> Command:
-    """Parse argv into a canonical Command (literals parsed and re-rendered)."""
-    ns = _build_parser().parse_args(argv)
-    name = ns.command
-    if name == "classify":
-        return _cmd(
-            name,
-            a=format_mat2(_require_mat(ns.a)),
-            **{"lambda": format_rational(parse_rational(ns.lam))},
-            json=ns.json,
-        )
-    if name == "green":
-        return _cmd(
-            name,
-            rel=ns.rel,
-            _pos1=format_mat2(_require_mat(ns.a)),
-            _pos2=format_mat2(_require_mat(ns.b)),
-            json=ns.json,
-        )
-    if name == "inverses":
-        if ns.grid < 1:
-            raise _UsageError("--grid must be at least 1")
-        return _cmd(
-            name,
-            a=format_mat2(_require_mat(ns.a)),
-            grid=ns.grid,
-            json=ns.json,
-            float=ns.as_float,
-        )
-    if name == "order":
-        if ns.report:
-            if len(ns.mats) != 1:
-                raise _UsageError("order --report takes exactly one matrix")
-            return _cmd(
-                name,
-                report=True,
-                _pos1=format_mat2(_require_mat(ns.mats[0])),
-                trials=ns.trials,
-                seed=ns.seed,
-                json=ns.json,
-            )
-        if len(ns.mats) != 2:
-            raise _UsageError("order takes two matrices: X Y")
-        return _cmd(
-            name,
-            report=False,
-            _pos1=format_mat2(_require_mat(ns.mats[0])),
-            _pos2=format_mat2(_require_mat(ns.mats[1])),
-            json=ns.json,
-        )
-    if name == "lines":
-        return _cmd(name, e=format_mat2(_require_mat(ns.e)), json=ns.json)
-    if name == "plane":
-        return _cmd(
-            name,
-            _pos1=format_mat2(_require_mat(ns.b1)),
-            _pos2=format_mat2(_require_mat(ns.b2)),
-            json=ns.json,
-        )
-    if name == "bell":
-        kwargs = {
-            "lambda": format_rational(parse_rational(ns.lam)),
-            "json": ns.json,
-            "float": ns.as_float,
-        }
-        if ns.point is not None:
-            kwargs["point"] = format_mat2(_require_mat(ns.point))
-        else:
-            coords = [parse_quadext(part) for part in ns.coords.split(",")]
-            if len(coords) != 3:
-                raise _UsageError("--from needs three comma-separated coordinates")
-            kwargs["from"] = ",".join(format_quadext(c).replace(" ", "") for c in coords)
-        return _cmd(name, **kwargs)
-    if name == "metrics":
-        return _cmd(
-            name,
-            **{"lambda": format_rational(parse_rational(ns.lam))},
-            json=ns.json,
-            float=ns.as_float,
-        )
-    if name == "export":
-        kwargs = {
-            "kind": ns.kind,
-            "samples": ns.samples,
-            "seed": ns.seed,
-            "format": ns.fmt,
-            "out": ns.out,
-        }
-        if ns.samples < 1:
-            raise _UsageError("--samples must be positive")
-        if ns.kind == "section":
-            if ns.a is None or ns.lam is None:
-                raise _UsageError("export --kind section needs --a and --lambda")
-            kwargs["a"] = format_mat2(_require_mat(ns.a))
-            kwargs["lambda"] = format_rational(parse_rational(ns.lam))
-        elif ns.kind == "generator-lines":
-            if ns.e is None:
-                raise _UsageError("export --kind generator-lines needs --e")
-            kwargs["e"] = format_mat2(_require_mat(ns.e))
-        if ns.z_range is not None:
-            lo, sep, hi = ns.z_range.partition(":")
-            if not sep:
-                raise _UsageError("--z-range must look like LO:HI")
-            try:
-                lo_f, hi_f = float(lo), float(hi)
-            except ValueError as exc:
-                raise _UsageError(f"bad --z-range: {exc}") from None
-            if not lo_f < hi_f:
-                raise _UsageError("--z-range needs LO < HI")
-            kwargs["z-range"] = f"{lo_f!r}:{hi_f!r}"
-        return _cmd(name, **kwargs)
-    if name == "check":
-        return _cmd(
-            name,
-            seed=ns.seed,
-            trials=ns.trials,
-            suite=tuple(ns.suite) if ns.suite else (),
-            json=ns.json,
-        )
-    raise _UsageError(f"unknown command {name!r}")
-
-
 # --- rendering helpers -----------------------------------------------------
 
 
@@ -326,9 +162,9 @@ def _emit(text: str, payload, use_json: bool) -> str:
 # --- command implementations ------------------------------------------------
 
 
-def _run_classify(cmd: Command) -> str:
-    a = parse_mat2(cmd.arg("a"))
-    lam = parse_rational(cmd.arg("lambda"))
+def _run_classify(ns) -> str:
+    a = parse_mat2(ns.a)
+    lam = parse_rational(ns.lam)
     verdict = classify_section(a, lam)
     lines = [verdict.kind.value]
     if verdict.l_rep is not None:
@@ -336,28 +172,27 @@ def _run_classify(cmd: Command) -> str:
         lines.append(f"  R-class rep: {format_mat2(verdict.r_rep)}")
     payload = {
         "command": "classify",
-        "a": cmd.arg("a"),
-        "lambda": cmd.arg("lambda"),
+        "a": format_mat2(a),
+        "lambda": format_rational(lam),
         "kind": verdict.kind.value,
         "l_rep": format_mat2(verdict.l_rep) if verdict.l_rep else None,
         "r_rep": format_mat2(verdict.r_rep) if verdict.r_rep else None,
     }
-    return _emit("\n".join(lines), payload, cmd.arg("json"))
+    return _emit("\n".join(lines), payload, ns.json)
 
 
-def _run_green(cmd: Command) -> str:
-    a = parse_mat2(cmd.arg("_pos1"))
-    b = parse_mat2(cmd.arg("_pos2"))
-    rel = cmd.arg("rel")
-    related = green_eq(rel, a, b)
+def _run_green(ns) -> str:
+    a = parse_mat2(ns.a)
+    b = parse_mat2(ns.b)
+    related = green_eq(ns.rel, a, b)
     payload = {
         "command": "green",
-        "rel": rel,
-        "a": cmd.arg("_pos1"),
-        "b": cmd.arg("_pos2"),
+        "rel": ns.rel,
+        "a": format_mat2(a),
+        "b": format_mat2(b),
         "related": related,
     }
-    return _emit("true" if related else "false", payload, cmd.arg("json"))
+    return _emit("true" if related else "false", payload, ns.json)
 
 
 def _grid_params(k: int):
@@ -372,11 +207,13 @@ def _grid_params(k: int):
     return [Rational(v) for v in vals[:k]]
 
 
-def _run_inverses(cmd: Command) -> str:
-    a = parse_mat2(cmd.arg("a"))
-    as_float = cmd.arg("float")
+def _run_inverses(ns) -> str:
+    k = ns.grid
+    if k < 1:
+        raise _UsageError("--grid must be at least 1")
+    a = parse_mat2(ns.a)
+    as_float = ns.as_float
     chart = inverse_chart(a)
-    k = cmd.arg("grid")
     params = _grid_params(k)
     fmt2 = lambda vec: f"({_fmt_scalar(vec[0], as_float)}, {_fmt_scalar(vec[1], as_float)})"
     lines = [
@@ -397,7 +234,7 @@ def _run_inverses(cmd: Command) -> str:
             )
     payload = {
         "command": "inverses",
-        "a": cmd.arg("a"),
+        "a": format_mat2(a),
         "chart": {
             "d0": [format_rational(v) for v in chart.d0],
             "d1": [format_rational(v) for v in chart.d1],
@@ -406,32 +243,38 @@ def _run_inverses(cmd: Command) -> str:
         },
         "grid": grid_json,
     }
-    return _emit("\n".join(lines), payload, cmd.arg("json"))
+    return _emit("\n".join(lines), payload, ns.json)
 
 
-def _run_order(cmd: Command) -> str:
-    if cmd.arg("report"):
-        a = parse_mat2(cmd.arg("_pos1"))
-        report = order_section_report(a, cmd.arg("trials"), cmd.arg("seed"))
+def _run_order(ns) -> str:
+    if ns.report:
+        if len(ns.mats) != 1:
+            raise _UsageError("order --report takes exactly one matrix")
+        if ns.trials < 1:
+            raise _UsageError("--trials must be positive")
+        a = parse_mat2(ns.mats[0])
+        report = order_section_report(a, ns.trials, ns.seed)
         payload = {"command": "order-report", **report.to_dict()}
-        return _emit(report.to_text(), payload, cmd.arg("json"))
-    x = parse_mat2(cmd.arg("_pos1"))
-    y = parse_mat2(cmd.arg("_pos2"))
+        return _emit(report.to_text(), payload, ns.json)
+    if len(ns.mats) != 2:
+        raise _UsageError("order takes two matrices: X Y")
+    x = parse_mat2(ns.mats[0])
+    y = parse_mat2(ns.mats[1])
     nat = natural_le(x, y)
     mns = minus_le(x, y)
     text = f"natural_le: {str(nat).lower()}\nminus_le:   {str(mns).lower()}"
     payload = {
         "command": "order",
-        "x": cmd.arg("_pos1"),
-        "y": cmd.arg("_pos2"),
+        "x": format_mat2(x),
+        "y": format_mat2(y),
         "natural_le": nat,
         "minus_le": mns,
     }
-    return _emit(text, payload, cmd.arg("json"))
+    return _emit(text, payload, ns.json)
 
 
-def _run_lines(cmd: Command) -> str:
-    e = parse_mat2(cmd.arg("e"))
+def _run_lines(ns) -> str:
+    e = parse_mat2(ns.e)
     out = []
     payload_lines = []
     for family in ("L1", "L2"):
@@ -446,13 +289,13 @@ def _run_lines(cmd: Command) -> str:
                 "direction": format_mat2(g.direction),
             }
         )
-    payload = {"command": "lines", "e": cmd.arg("e"), "lines": payload_lines}
-    return _emit("\n".join(out), payload, cmd.arg("json"))
+    payload = {"command": "lines", "e": format_mat2(e), "lines": payload_lines}
+    return _emit("\n".join(out), payload, ns.json)
 
 
-def _run_plane(cmd: Command) -> str:
-    b1 = parse_mat2(cmd.arg("_pos1"))
-    b2 = parse_mat2(cmd.arg("_pos2"))
+def _run_plane(ns) -> str:
+    b1 = parse_mat2(ns.b1)
+    b2 = parse_mat2(ns.b2)
     verdict = classify_plane(b1, b2)
     if verdict.kind == "not_contained":
         text = "not contained in the singular variety"
@@ -460,19 +303,19 @@ def _run_plane(cmd: Command) -> str:
         text = f"{verdict.kind}-class plane; representative {format_mat2(verdict.rep)}"
     payload = {
         "command": "plane",
-        "b1": cmd.arg("_pos1"),
-        "b2": cmd.arg("_pos2"),
+        "b1": format_mat2(b1),
+        "b2": format_mat2(b2),
         "kind": verdict.kind,
         "rep": format_mat2(verdict.rep) if verdict.rep else None,
     }
-    return _emit(text, payload, cmd.arg("json"))
+    return _emit(text, payload, ns.json)
 
 
-def _run_bell(cmd: Command) -> str:
-    lam = parse_rational(cmd.arg("lambda"))
-    as_float = cmd.arg("float")
-    if cmd.arg("point") is not None:
-        x = parse_mat2(cmd.arg("point"))
+def _run_bell(ns) -> str:
+    lam = parse_rational(ns.lam)
+    as_float = ns.as_float
+    if ns.point is not None:
+        x = parse_mat2(ns.point)
         p = to_bell(x, lam)
         text = "\n".join(
             f"{axis} = {_fmt_scalar(val, as_float)}"
@@ -480,29 +323,31 @@ def _run_bell(cmd: Command) -> str:
         )
         payload = {
             "command": "bell",
-            "lambda": cmd.arg("lambda"),
-            "point": cmd.arg("point"),
+            "lambda": format_rational(lam),
+            "point": format_mat2(x),
             "X": format_quadext(p.X),
             "Y": format_quadext(p.Y),
             "Z": format_quadext(p.Z),
         }
-        return _emit(text, payload, cmd.arg("json"))
-    coords = [parse_quadext(part) for part in cmd.arg("from").split(",")]
+        return _emit(text, payload, ns.json)
+    coords = [parse_quadext(part) for part in ns.coords.split(",")]
+    if len(coords) != 3:
+        raise _UsageError("--from needs three comma-separated coordinates")
     q = from_bell(BellPoint(coords[0], coords[1], coords[2], lam))
     names = ("x1", "x2", "x3", "x4")
     text = "\n".join(f"{n} = {_fmt_scalar(v, as_float)}" for n, v in zip(names, q))
     payload = {
         "command": "bell",
-        "lambda": cmd.arg("lambda"),
-        "from": cmd.arg("from"),
+        "lambda": format_rational(lam),
+        "from": ",".join(format_quadext(c).replace(" ", "") for c in coords),
         **{n: format_quadext(v) for n, v in zip(names, q)},
     }
-    return _emit(text, payload, cmd.arg("json"))
+    return _emit(text, payload, ns.json)
 
 
-def _run_metrics(cmd: Command) -> str:
-    lam = parse_rational(cmd.arg("lambda"))
-    as_float = cmd.arg("float")
+def _run_metrics(ns) -> str:
+    lam = parse_rational(ns.lam)
+    as_float = ns.as_float
     m = hyperboloid_metrics(lam)
     text = "\n".join(
         [
@@ -518,48 +363,78 @@ def _run_metrics(cmd: Command) -> str:
     )
     payload = {
         "command": "metrics",
-        "lambda": cmd.arg("lambda"),
+        "lambda": format_rational(lam),
         "center": format_mat2(m.center),
         "axis_dir": format_mat2(m.axis_dir),
         "radius_sq": format_rational(m.radius_sq),
         "asymptotic_form": [[format_rational(v) for v in row] for row in m.asymptotic_form],
     }
-    return _emit(text, payload, cmd.arg("json"))
+    return _emit(text, payload, ns.json)
 
 
-def _run_export(cmd: Command) -> str:
-    kind = cmd.arg("kind")
+def _run_export(ns) -> str:
+    if ns.samples < 1:
+        raise _UsageError("--samples must be positive")
     kwargs = {}
-    if kind == "section":
-        kwargs["a"] = parse_mat2(cmd.arg("a"))
-        kwargs["lam"] = parse_rational(cmd.arg("lambda"))
-    if kind == "generator-lines":
-        kwargs["e"] = parse_mat2(cmd.arg("e"))
-    z_range = cmd.arg("z-range")
-    if z_range:
-        lo, _, hi = z_range.partition(":")
-        kwargs["z_span"] = (float(lo), float(hi))
-    sample = sample_surface(kind, cmd.arg("samples"), cmd.arg("seed"), **kwargs)
-    out = cmd.arg("out")
-    if cmd.arg("format") == "csv":
-        write_csv(sample, out)
-    else:
-        write_obj(sample, out)
+    if ns.kind == "section":
+        if ns.a is None or ns.lam is None:
+            raise _UsageError("export --kind section needs --a and --lambda")
+        kwargs["a"] = parse_mat2(ns.a)
+        kwargs["lam"] = parse_rational(ns.lam)
+    elif ns.kind == "generator-lines":
+        if ns.e is None:
+            raise _UsageError("export --kind generator-lines needs --e")
+        kwargs["e"] = parse_mat2(ns.e)
+    if ns.z_range is not None:
+        lo, sep, hi = ns.z_range.partition(":")
+        if not sep:
+            raise _UsageError("--z-range must look like LO:HI")
+        try:
+            lo_f, hi_f = float(lo), float(hi)
+        except ValueError as exc:
+            raise _UsageError(f"bad --z-range: {exc}") from None
+        if not lo_f < hi_f:
+            raise _UsageError("--z-range needs LO < HI")
+        kwargs["z_span"] = (lo_f, hi_f)
+    sample = sample_surface(ns.kind, ns.samples, ns.seed, **kwargs)
+    write = write_csv if ns.fmt == "csv" else write_obj
+    try:
+        write(sample, ns.out)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {ns.out}: {exc.strerror or exc}") from None
     return (
         f"wrote {len(sample.points)} points"
         + (f", {len(sample.segments)} segments" if sample.segments else "")
-        + f" to {out}"
+        + f" to {ns.out}"
     )
 
 
-def _run_check(cmd: Command) -> tuple[str, bool]:
-    suites = list(cmd.arg("suite") or ()) or None
-    results = checks.run_checks(suites=suites, seed=cmd.arg("seed"), trials=cmd.arg("trials"))
+def _check_trials(ns):
+    """--trials, else GQ_DEFAULT_TRIALS, else None (each check's default)."""
+    if ns.trials is not None:
+        source, trials = "--trials", ns.trials
+    else:
+        env = os.environ.get("GQ_DEFAULT_TRIALS")
+        if not env:
+            return None
+        source = "GQ_DEFAULT_TRIALS"
+        try:
+            trials = int(env)
+        except ValueError:
+            raise _UsageError(f"{source} must be a positive integer, not {env!r}") from None
+    if trials < 1:
+        raise _UsageError(f"{source} must be positive")
+    return trials
+
+
+def _run_check(ns) -> tuple[str, bool]:
+    trials = _check_trials(ns)
+    results = checks.run_checks(suites=ns.suite, seed=ns.seed, trials=trials)
     ok = all(r.ok for r in results)
-    if cmd.arg("json"):
+    if ns.json:
         payload = {
             "command": "check",
-            "seed": cmd.arg("seed"),
+            "seed": ns.seed,
             "lane": LANE,
             "results": [
                 {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
@@ -588,16 +463,13 @@ _RUNNERS = {
 def run(argv) -> tuple[int, str]:
     """Execute argv; returns (exit_code, output text)."""
     try:
-        cmd = parse_command(argv)
+        ns = _build_parser().parse_args(argv)
+        if ns.command == "check":
+            text, ok = _run_check(ns)
+            return (0 if ok else 2), text
+        return 0, _RUNNERS[ns.command](ns)
     except _UsageError as exc:
         return 1, f"usage error: {exc}"
-    except LiteralParseError as exc:
-        return 1, f"parse error: {exc}"
-    try:
-        if cmd.name == "check":
-            text, ok = _run_check(cmd)
-            return (0 if ok else 2), text
-        return 0, _RUNNERS[cmd.name](cmd)
     except LiteralParseError as exc:
         return 1, f"parse error: {exc}"
     except DomainError as exc:

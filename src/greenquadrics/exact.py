@@ -45,6 +45,18 @@ def rational_sign(x) -> int:
     return 0
 
 
+def _is_digits(s: str) -> bool:
+    # str.isdigit alone also accepts non-ASCII digits such as '²' and '٣'
+    return s.isascii() and s.isdigit()
+
+
+def _to_int(digits: str, offset: int) -> int:
+    try:
+        return int(digits)
+    except ValueError:  # longer than sys.get_int_max_str_digits()
+        raise LiteralParseError(f"integer literal of {len(digits)} digits is too long", offset) from None
+
+
 def parse_rational(text: str, offset: int = 0) -> Rational:
     """Parse `p` or `p/q` with an optional leading minus; q must be > 0."""
     s = text.strip()
@@ -52,16 +64,16 @@ def parse_rational(text: str, offset: int = 0) -> Rational:
         raise LiteralParseError("empty rational literal", offset)
     body = s[1:] if s[0] == "-" else s
     num_part, slash, den_part = body.partition("/")
-    if not num_part.isdigit():
+    if not _is_digits(num_part):
         raise LiteralParseError(f"bad rational literal {s!r}", offset)
-    num = int(num_part)
+    num = _to_int(num_part, offset)
     if s[0] == "-":
         num = -num
     if not slash:
         return Rational(num, 1)
-    if not den_part.isdigit():
+    if not _is_digits(den_part):
         raise LiteralParseError(f"bad denominator in {s!r}", offset)
-    den = int(den_part)
+    den = _to_int(den_part, offset)
     if den == 0:
         raise LiteralParseError(f"zero denominator in {s!r}", offset)
     return Rational(num, den)

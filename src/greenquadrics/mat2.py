@@ -265,7 +265,7 @@ def parse_mat2(text: str) -> Mat2:
         start = i
         if i < n and text[i] == "-":
             i += 1
-        while i < n and (text[i].isdigit() or text[i] == "/"):
+        while i < n and text[i] in "0123456789/":
             i += 1
         if i == start:
             raise LiteralParseError("expected a rational entry", start)

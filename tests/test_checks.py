@@ -23,3 +23,10 @@ def test_results_render_deterministically():
     assert a == b
     c = checks.render_results(checks.run_checks(["exact"], seed=8, trials=40))
     assert a.count("[pass]") == c.count("[pass]")
+
+
+def test_zero_trials_is_not_a_pass():
+    results = checks.run_checks(["exact"], seed=0, trials=0)
+    assert results
+    for r in results:
+        assert not r.ok and r.detail == "0/0 trials ok", r.line()

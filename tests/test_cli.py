@@ -6,7 +6,7 @@ import sys
 import pytest
 from jsonschema import Draft202012Validator
 
-from greenquadrics.cli import main, parse_command, run
+from greenquadrics.cli import main, run
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "schema.json")
 with open(SCHEMA_PATH) as fh:
@@ -102,10 +102,21 @@ class TestExitCodes:
             ["bell", "--lambda", "1", "--from", "1,2"],      # arity of coords
             ["export", "--kind", "section", "--out", "x.csv"],  # missing --a/--lambda
             ["inverses", "--a", "[1,0;0,0]", "--grid", "0"],
+            ["check", "--trials", "0"],
+            ["check", "--trials", "-5"],
+            ["order", "--report", "[1,0;0,1]", "--trials", "-3"],
+            ["order", "--report", "[1,0;0,1]", "--trials", "0"],
+            ["classify", "--a", "[²,0;0,1]", "--lambda", "1"],    # superscript digit
+            ["classify", "--a", "[٣,0;0,1]", "--lambda", "1"],    # Arabic-Indic digit
+            ["classify", "--a", "[1,0;0,1]", "--lambda", "²"],
+            ["bell", "--lambda", "1", "--from", "٣,0,0"],
+            ["classify", "--a", "[" + "9" * 5000 + ",0;0,1]", "--lambda", "1"],  # too long for int()
         ],
     )
     def test_usage_errors_are_one(self, argv):
-        assert run(argv)[0] == 1
+        code, text = run(argv)
+        assert code == 1
+        assert text.startswith(("usage error: ", "parse error: ")) and "\n" not in text
 
     @pytest.mark.parametrize(
         "argv",
@@ -127,35 +138,11 @@ class TestExitCodes:
         assert code == 2 and "domain error" in captured.err
 
 
-class TestCommandRoundTrip:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify", "--a", "[ 1 , 0 ; 0 , 1 ]", "--lambda", "2/2"],
-            ["green", "--rel", "L", "[1,0;0,0]", "[2,0;3,0]"],
-            ["inverses", "--a", "[0,1;0,0]", "--grid", "4", "--json"],
-            ["order", "[1,0;0,0]", "[1,0;0,1]"],
-            ["order", "--report", "[2,0;0,1/2]", "--trials", "50", "--seed", "3"],
-            ["lines", "--e", "[1,0;0,0]"],
-            ["plane", "[1,0;0,0]", "[0,0;1,0]", "--json"],
-            ["bell", "--lambda", "1", "--point", "[1/2,1/2;1/2,1/2]"],
-            ["bell", "--lambda", "3", "--from", "1/2*sqrt2, 0, -1 + 2*sqrt2"],
-            ["metrics", "--lambda", "7/2", "--float"],
-            ["export", "--kind", "idempotents", "--samples", "10", "--seed", "1", "--out", "o.csv"],
-            ["export", "--kind", "section", "--a", "[1,0;0,0]", "--lambda", "1",
-             "--samples", "5", "--seed", "2", "--format", "obj", "--out", "o.obj",
-             "--z-range=-1.5:2.5"],
-            ["check", "--seed", "42", "--suite", "exact", "--suite", "core"],
-        ],
-    )
-    def test_canonical_roundtrip(self, argv):
-        cmd = parse_command(argv)
-        assert parse_command(cmd.to_argv()) == cmd
-
-    def test_canonicalization_normalizes_literals(self):
-        cmd = parse_command(["classify", "--a", "[ 2/4 , 0 ; 0 , 1 ]", "--lambda", "3/3"])
-        assert "--a" in cmd.to_argv() and "[1/2,0;0,1]" in cmd.to_argv()
-        assert "1" in cmd.to_argv()
+class TestLiteralEcho:
+    def test_json_echoes_canonical_literals(self):
+        payload = run_json(["classify", "--a", "[ 2/4 , 0 ; 0 , 1 ]", "--lambda", "3/3"])
+        assert payload["a"] == "[1/2,0;0,1]"
+        assert payload["lambda"] == "1"
 
 
 class TestCheckAndExportCli:
@@ -189,6 +176,19 @@ class TestCheckAndExportCli:
         )
         assert code == 2
 
+    def test_export_to_missing_directory_is_one(self, tmp_path):
+        out = tmp_path / "missing" / "x.csv"
+        code, text = run(["export", "--kind", "idempotents", "--samples", "3", "--out", str(out)])
+        assert code == 1
+        assert text == f"usage error: cannot write {out}: No such file or directory"
+
+    def test_export_onto_directory_leaves_no_temp_file(self, tmp_path):
+        out = tmp_path / "taken"
+        out.mkdir()
+        code, text = run(["export", "--kind", "idempotents", "--samples", "3", "--out", str(out)])
+        assert code == 1 and text.startswith(f"usage error: cannot write {out}: ")
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_trials_env_override(self):
         env = dict(os.environ, GQ_DEFAULT_TRIALS="25")
         proc = subprocess.run(
@@ -199,3 +199,22 @@ class TestCheckAndExportCli:
         )
         assert proc.returncode == 0
         assert "25/25 trials ok" in proc.stdout
+
+    def test_explicit_trials_beat_env(self, monkeypatch):
+        monkeypatch.setenv("GQ_DEFAULT_TRIALS", "abc")
+        code, text = run(["check", "--seed", "1", "--suite", "exact", "--trials", "7"])
+        assert code == 0 and "7/7 trials ok" in text
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-1"])
+    def test_invalid_trials_env_is_one(self, value):
+        env = dict(os.environ, GQ_DEFAULT_TRIALS=value)
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenquadrics", "check", "--seed", "1", "--suite", "exact"],
+            capture_output=True,
+            text=True,
+            env=env,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("usage error: GQ_DEFAULT_TRIALS")

@@ -31,7 +31,7 @@ class TestRationalText:
         r = parse_rational(text)
         assert (r.numerator, r.denominator) == (num, den)
 
-    @pytest.mark.parametrize("bad", ["", "1/0", "1//2", "a", "1/-2", "+3", "2/", "/3"])
+    @pytest.mark.parametrize("bad", ["", "1/0", "1//2", "a", "1/-2", "+3", "2/", "/3", "²", "٣", "1/²"])
     def test_rejects(self, bad):
         with pytest.raises(LiteralParseError):
             parse_rational(bad)
