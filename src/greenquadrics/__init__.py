@@ -3,11 +3,11 @@
 Structure (Green's relations, idempotents, nilpotents, semigroup inverses,
 the natural partial order) and the quadric geometry it traces out in
 4-space (hyperboloid of one sheet, right circular cone, hyperbolic
-paraboloid, punctured plane pairs), all in exact rational arithmetic with
-an optional compiled fast lane.
+paraboloid, punctured plane pairs), all in exact rational arithmetic on
+`fractions.Fraction`.
 """
 
-from greenquadrics.exact import LANE, QuadExt, Rational, SQRT2, to_float
+from greenquadrics.exact import QuadExt, Rational, SQRT2, to_float
 from greenquadrics.green import (
     GreenDescriptor,
     PlaneInVariety,

@@ -14,7 +14,7 @@ from typing import Callable
 
 from greenquadrics import green, quadrics
 from greenquadrics.errors import DegeneratePairingError
-from greenquadrics.exact import LANE, QuadExt, Rational, to_float
+from greenquadrics.exact import QuadExt, Rational, to_float
 from greenquadrics.green import class_plane, classify_plane, green_eq
 from greenquadrics.mat2 import IDENTITY, Mat2, inner, inverse_mat, outer
 from greenquadrics.sampling import (
@@ -689,8 +689,5 @@ def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[Ch
 def render_results(results) -> str:
     lines = [r.line() for r in results]
     failed = sum(1 for r in results if not r.ok)
-    lines.append(
-        f"{len(results) - failed}/{len(results)} checks passed "
-        f"(arithmetic lane: {LANE})"
-    )
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     return "\n".join(lines)

@@ -9,8 +9,10 @@ echoes it in canonical form.  `check --trials` defaults to the
 GQ_DEFAULT_TRIALS environment variable, validated the same way.
 
 Exit codes: 0 success; 1 usage or literal parse errors, which include a
-non-positive --trials/--samples/--grid, a bad GQ_DEFAULT_TRIALS and an
-unwritable --out path; 2 domain errors (and failed `check` runs).
+non-positive --trials/--samples/--grid, a bad GQ_DEFAULT_TRIALS, an
+unwritable --out path and a result too large to print (beyond Python's
+int-to-str digit limit, or beyond the float range under --float); 2 domain
+errors (and failed `check` runs).
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ import os
 import sys
 
 from greenquadrics import checks
-from greenquadrics.errors import DomainError, LiteralParseError
+from greenquadrics.errors import DomainError, LiteralParseError, RenderLimitError
 from greenquadrics.exact import (
-    LANE,
     QuadExt,
     Rational,
     format_quadext,
@@ -435,7 +436,6 @@ def _run_check(ns) -> tuple[str, bool]:
         payload = {
             "command": "check",
             "seed": ns.seed,
-            "lane": LANE,
             "results": [
                 {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
                 for r in results
@@ -472,6 +472,8 @@ def run(argv) -> tuple[int, str]:
         return 1, f"usage error: {exc}"
     except LiteralParseError as exc:
         return 1, f"parse error: {exc}"
+    except RenderLimitError as exc:
+        return 1, f"usage error: {exc}"
     except DomainError as exc:
         return 2, f"domain error: {exc}"
 

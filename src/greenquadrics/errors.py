@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 `DomainError` covers mathematically invalid inputs (the CLI maps these to
-exit code 2); `LiteralParseError` covers malformed text input (exit code 1).
+exit code 2); `LiteralParseError` covers malformed text input and
+`RenderLimitError` an exact result too large to print (both exit code 1).
 """
 
 
@@ -57,3 +58,7 @@ class LiteralParseError(ValueError):
             message = f"{message} (at position {position})"
         super().__init__(message)
         self.position = position
+
+
+class RenderLimitError(ValueError):
+    """An exact value is too large for the requested text or float form."""

@@ -1,9 +1,10 @@
 """Exact scalars: arbitrary-precision rationals and the field Q(sqrt 2).
 
-`Rational` is whichever implementation the kernel selected (compiled or
-`fractions.Fraction`); both are exact and always canonical (gcd 1, positive
+`Rational` is `fractions.Fraction`, always canonical (gcd 1, positive
 denominator).  `QuadExt` is a + b*sqrt2 with rational a, b, the smallest
 field containing every orthonormal-frame coordinate of a rational matrix.
+Exact values are built from `int` and `Fraction` only; a float, a string or
+a `Decimal` is a `TypeError`, never a silent conversion.
 
 Floats appear only in `to_float`, which exporters use; nothing here or in
 the layers above decides anything with floating point.
@@ -11,14 +12,13 @@ the layers above decides anything with floating point.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import isqrt
 
-from greenquadrics._kernel import LANE, Rational
-from greenquadrics.errors import LiteralParseError
+from greenquadrics.errors import LiteralParseError, RenderLimitError
 
 __all__ = [
-    "LANE",
     "Rational",
     "QuadExt",
     "SQRT2",
@@ -30,11 +30,22 @@ __all__ = [
     "to_float",
 ]
 
+Rational = Fraction
+
 _ZERO = Rational(0)
 _ONE = Rational(1)
 
 # sqrt(2) to 50 digits; only to_float consumes this
 _SQRT2_APPROX = Fraction(isqrt(2 * 10**100), 10**50)
+
+
+def _as_rational(x) -> Rational:
+    """`x` as a `Rational`; only `int` and `Fraction` are exact inputs."""
+    if isinstance(x, Rational):
+        return x
+    if isinstance(x, int):
+        return Rational(x)
+    raise TypeError(f"exact arithmetic takes int or Fraction, not {type(x).__name__}")
 
 
 def rational_sign(x) -> int:
@@ -80,9 +91,15 @@ def parse_rational(text: str, offset: int = 0) -> Rational:
 
 
 def format_rational(x) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+    try:
+        if x.denominator == 1:
+            return str(x.numerator)
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:  # an integer longer than sys.get_int_max_str_digits()
+        raise RenderLimitError(
+            f"exact value exceeds the {sys.get_int_max_str_digits()}-digit limit "
+            "for printing an integer"
+        ) from None
 
 
 class QuadExt:
@@ -91,10 +108,8 @@ class QuadExt:
     __slots__ = ("_a", "_b")
 
     def __init__(self, rat_part=0, root2_part=0):
-        self._a = Rational(rat_part) if not isinstance(rat_part, Rational) else rat_part
-        self._b = (
-            Rational(root2_part) if not isinstance(root2_part, Rational) else root2_part
-        )
+        self._a = _as_rational(rat_part)
+        self._b = _as_rational(root2_part)
 
     @property
     def rat_part(self) -> Rational:
@@ -295,10 +310,14 @@ def to_float(x) -> float:
     """Nearest double for rationals; sqrt2 terms use a 50-digit convergent."""
     if isinstance(x, QuadExt):
         if x.root2_part == 0:
-            return to_float(x.rat_part)
-        a = Fraction(x.rat_part.numerator, x.rat_part.denominator)
-        b = Fraction(x.root2_part.numerator, x.root2_part.denominator)
-        return float(a + b * _SQRT2_APPROX)
-    if isinstance(x, (int, float)):
-        return float(x)
-    return x.numerator / x.denominator
+            x = x.rat_part
+        else:
+            x = x.rat_part + x.root2_part * _SQRT2_APPROX
+    try:
+        if isinstance(x, (int, float)):
+            return float(x)
+        return x.numerator / x.denominator
+    except OverflowError:
+        raise RenderLimitError(
+            f"value exceeds the float range (largest double {sys.float_info.max:.6g})"
+        ) from None

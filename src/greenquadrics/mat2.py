@@ -4,6 +4,9 @@ A `Mat2` is immutable, entries row-major (x1, x2, x3, x4) for
 [[x1, x2], [x3, x4]], and doubles as the point (x1, x2, x3, x4) of 4-space
 under the row-major identification.  `a @ b` is the ordinary matrix product
 and every set-level formula in the package reads products that way.
+The entries are a 4-tuple of `fractions.Fraction` and every operation is
+written out on it.  Entries and scalars are `int` or `Fraction`; anything
+else (a float, a string, a `Decimal`) raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -11,9 +14,9 @@ from __future__ import annotations
 from math import gcd, lcm
 from typing import NamedTuple
 
-from greenquadrics import _kernel
 from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
+from greenquadrics.exact import _as_rational as _coerce
 
 __all__ = [
     "Mat2",
@@ -33,14 +36,6 @@ __all__ = [
 ]
 
 _R = Rational
-
-
-def _coerce(x) -> Rational:
-    if isinstance(x, _R):
-        return x
-    if isinstance(x, int):
-        return _R(x)
-    return _R(x)
 
 
 class Vec4(NamedTuple):
@@ -101,24 +96,33 @@ class Mat2:
 
     # arithmetic -----------------------------------------------------------
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        return Mat2._wrap(_kernel.mat_mul(self._e, other._e))
+        a1, a2, a3, a4 = self._e
+        b1, b2, b3, b4 = other._e
+        return Mat2._wrap(
+            (a1 * b1 + a2 * b3, a1 * b2 + a2 * b4, a3 * b1 + a4 * b3, a3 * b2 + a4 * b4)
+        )
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        return Mat2._wrap(_kernel.mat_add(self._e, other._e))
+        a, b = self._e, other._e
+        return Mat2._wrap((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        return Mat2._wrap(_kernel.mat_sub(self._e, other._e))
+        a, b = self._e, other._e
+        return Mat2._wrap((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
 
     def __neg__(self) -> "Mat2":
-        return Mat2._wrap(_kernel.mat_neg(self._e))
+        a = self._e
+        return Mat2._wrap((-a[0], -a[1], -a[2], -a[3]))
 
     def __mul__(self, scalar) -> "Mat2":
-        return Mat2._wrap(_kernel.mat_scale(_coerce(scalar), self._e))
+        c, a = _coerce(scalar), self._e
+        return Mat2._wrap((c * a[0], c * a[1], c * a[2], c * a[3]))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Mat2":
-        return Mat2._wrap(_kernel.mat_scale(_R(1) / _coerce(scalar), self._e))
+        c, a = _R(1) / _coerce(scalar), self._e
+        return Mat2._wrap((c * a[0], c * a[1], c * a[2], c * a[3]))
 
     def transpose(self) -> "Mat2":
         e = self._e
@@ -126,18 +130,22 @@ class Mat2:
 
     # scalar maps ----------------------------------------------------------
     def trace(self) -> Rational:
-        return _kernel.mat_trace(self._e)
+        a = self._e
+        return a[0] + a[3]
 
     def det(self) -> Rational:
-        return _kernel.mat_det(self._e)
+        a = self._e
+        return a[0] * a[3] - a[1] * a[2]
 
     def rank(self) -> int:
-        if _kernel.mat_det(self._e) != 0:
+        a = self._e
+        if a[0] * a[3] - a[1] * a[2] != 0:
             return 2
         return 0 if self.is_zero() else 1
 
     def norm_sq(self) -> Rational:
-        return _kernel.mat_inner(self._e, self._e)
+        a = self._e
+        return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
 
     # predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
@@ -183,7 +191,8 @@ def scalar_summary(a: Mat2) -> ScalarSummary:
 
 def inner(x: Mat2, y: Mat2) -> Rational:
     """Coordinate inner product; equals tr(transpose(x) @ y)."""
-    return _kernel.mat_inner(x.entries, y.entries)
+    a, b = x._e, y._e
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
 
 
 def det_polar(x: Mat2, y: Mat2) -> Rational:

@@ -111,6 +111,10 @@ class TestExitCodes:
             ["classify", "--a", "[1,0;0,1]", "--lambda", "²"],
             ["bell", "--lambda", "1", "--from", "٣,0,0"],
             ["classify", "--a", "[" + "9" * 5000 + ",0;0,1]", "--lambda", "1"],  # too long for int()
+            ["metrics", "--lambda", "7" * 3000],             # radius^2 too long for str()
+            ["metrics", "--lambda", "7" * 3000, "--json"],
+            ["metrics", "--lambda", "7" * 400, "--float"],   # beyond the float range
+            ["metrics", "--lambda", "7" * 400, "--float", "--json"],
         ],
     )
     def test_usage_errors_are_one(self, argv):

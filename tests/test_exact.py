@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -47,6 +48,13 @@ class TestQuadExt:
         p = QuadExt(1, 1)
         q = QuadExt(1, -1)
         assert p * q == QuadExt(-1, 0)
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.5")], ids=repr)
+    def test_rejects_inexact_parts(self, bad):
+        with pytest.raises(TypeError):
+            QuadExt(bad)
+        with pytest.raises(TypeError):
+            QuadExt(1, bad)
 
     def test_inverse_of_sqrt2(self):
         assert SQRT2.inverse() == QuadExt(0, Rational(1, 2))

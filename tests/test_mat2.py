@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -34,12 +36,37 @@ class TestArithmetic:
         assert (n @ n).is_zero()
         assert Mat2(1, 2, 3, 4).transpose() == Mat2(1, 3, 2, 4)
 
+    def test_mul_add_det_trace(self):
+        a = Mat2(1, 2, 3, 4)
+        b = Mat2(0, Rational(1, 2), Rational(-1, 3), 5)
+        assert a @ b == Mat2(Rational(-2, 3), Rational(21, 2), Rational(-4, 3), Rational(43, 2))
+        assert (a.det(), a.trace(), a.norm_sq(), inner(a, a)) == (-2, 5, 30, 30)
+        assert (a + -a).is_zero()
+        assert a - a == a + -a
+        assert (a * Rational(1, 2)).x4 == 2
+
     def test_scalar_ops(self):
         a = Mat2(1, 2, 3, 4)
         assert 2 * a == Mat2(2, 4, 6, 8) == a * 2
         assert a / 2 == Mat2(Rational(1, 2), 1, Rational(3, 2), 2)
         assert a - a == ZERO
         assert -a + a == ZERO
+
+    @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.5")], ids=repr)
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda x: Mat2(x, 0, 0, 1),
+            lambda x: Mat2(1, 0, 0, x),
+            lambda x: Mat2(1, 2, 3, 4) * x,
+            lambda x: x * Mat2(1, 2, 3, 4),
+            lambda x: Mat2(1, 2, 3, 4) / x,
+        ],
+        ids=["entry-first", "entry-last", "mul", "rmul", "div"],
+    )
+    def test_rejects_inexact_scalars(self, build, bad):
+        with pytest.raises(TypeError):
+            build(bad)
 
     @given(mats, mats)
     def test_det_trace_laws(self, a, b):
