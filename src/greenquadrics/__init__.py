@@ -3,8 +3,9 @@
 Structure (Green's relations, idempotents, nilpotents, semigroup inverses,
 the natural partial order) and the quadric geometry it traces out in
 4-space (hyperboloid of one sheet, right circular cone, hyperbolic
-paraboloid, punctured plane pairs), all in exact rational arithmetic on
-`fractions.Fraction`.
+paraboloid, punctured plane pairs), all in exact rational arithmetic:
+scalars are `fractions.Fraction`, matrices integer content over one
+common denominator.
 """
 
 from greenquadrics.exact import QuadExt, Rational, SQRT2, to_float

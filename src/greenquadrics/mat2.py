@@ -4,9 +4,17 @@ A `Mat2` is immutable, entries row-major (x1, x2, x3, x4) for
 [[x1, x2], [x3, x4]], and doubles as the point (x1, x2, x3, x4) of 4-space
 under the row-major identification.  `a @ b` is the ordinary matrix product
 and every set-level formula in the package reads products that way.
-The entries are a 4-tuple of `fractions.Fraction` and every operation is
-written out on it.  Entries and scalars are `int` or `Fraction`; anything
-else (a float, a string, a `Decimal`) raises `TypeError`.
+
+Storage is integer content over one common denominator: a 4-tuple of
+Python ints `_n` and one int `_d > 0` with the matrix equal to `_n / _d`.
+Every result is reduced by a single 5-way gcd, so `gcd(*_n, _d) == 1`
+(the zero matrix is `(0, 0, 0, 0) / 1`) and equal matrices have equal
+fields: equality and hashing are tuple operations.  Arithmetic, `det`,
+`rank` and the other maps are written out on the ints; `Fraction`s are
+built only at the accessors (`entries`, `x1`..`x4`, `rows`, `cols`,
+`as_vec4`) and for the rational scalars a map returns.  Entries and
+scalars are `int` or `Fraction`; anything else (a float, a string, a
+`Decimal`) raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from typing import NamedTuple
 from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
 from greenquadrics.exact import _as_rational as _coerce
+from greenquadrics.exact import _from_ints as _Q
 
 __all__ = [
     "Mat2",
@@ -35,9 +44,6 @@ __all__ = [
     "format_mat2",
 ]
 
-_R = Rational
-
-
 class Vec4(NamedTuple):
     """Row-major coordinates of a matrix in 4-space."""
 
@@ -47,17 +53,45 @@ class Vec4(NamedTuple):
     c4: Rational
 
 
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar."""
+    if isinstance(x, int):
+        return x, 1
+    x = _coerce(x)
+    return x.numerator, x.denominator
+
+
+def _raw(n: tuple, d: int) -> "Mat2":
+    """Wrap content that is already canonical."""
+    m = object.__new__(Mat2)
+    m._n = n
+    m._d = d
+    return m
+
+
+def _canon(n1: int, n2: int, n3: int, n4: int, d: int) -> "Mat2":
+    """The matrix (n1, n2, n3, n4) / d for d > 0, reduced by one gcd."""
+    g = gcd(n1, n2, n3, n4, d)
+    if g == 1:
+        return _raw((n1, n2, n3, n4), d)
+    return _raw((n1 // g, n2 // g, n3 // g, n4 // g), d // g)
+
+
 class Mat2:
-    __slots__ = ("_e",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, x1, x2, x3, x4):
-        self._e = (_coerce(x1), _coerce(x2), _coerce(x3), _coerce(x4))
-
-    @classmethod
-    def _wrap(cls, entries) -> "Mat2":
-        m = cls.__new__(cls)
-        m._e = entries
-        return m
+        x1, x2, x3, x4 = [x if isinstance(x, int) else _coerce(x) for x in (x1, x2, x3, x4)]
+        q1, q2, q3, q4 = x1.denominator, x2.denominator, x3.denominator, x4.denominator
+        d = lcm(q1, q2, q3, q4)
+        # each entry is in lowest terms, so content over the lcm has gcd 1
+        self._n = (
+            x1.numerator * (d // q1),
+            x2.numerator * (d // q2),
+            x3.numerator * (d // q3),
+            x4.numerator * (d // q4),
+        )
+        self._d = d
 
     @classmethod
     def from_vec4(cls, v: Vec4) -> "Mat2":
@@ -65,110 +99,135 @@ class Mat2:
 
     @property
     def x1(self):
-        return self._e[0]
+        return _Q(self._n[0], self._d)
 
     @property
     def x2(self):
-        return self._e[1]
+        return _Q(self._n[1], self._d)
 
     @property
     def x3(self):
-        return self._e[2]
+        return _Q(self._n[2], self._d)
 
     @property
     def x4(self):
-        return self._e[3]
+        return _Q(self._n[3], self._d)
 
     @property
     def entries(self):
-        return self._e
+        n1, n2, n3, n4 = self._n
+        d = self._d
+        return (_Q(n1, d), _Q(n2, d), _Q(n3, d), _Q(n4, d))
 
     def as_vec4(self) -> Vec4:
-        return Vec4(*self._e)
+        return Vec4(*self.entries)
 
     def rows(self):
-        e = self._e
+        e = self.entries
         return (e[0], e[1]), (e[2], e[3])
 
     def cols(self):
-        e = self._e
+        e = self.entries
         return (e[0], e[2]), (e[1], e[3])
 
     # arithmetic -----------------------------------------------------------
     def __matmul__(self, other: "Mat2") -> "Mat2":
-        a1, a2, a3, a4 = self._e
-        b1, b2, b3, b4 = other._e
-        return Mat2._wrap(
-            (a1 * b1 + a2 * b3, a1 * b2 + a2 * b4, a3 * b1 + a4 * b3, a3 * b2 + a4 * b4)
+        a1, a2, a3, a4 = self._n
+        b1, b2, b3, b4 = other._n
+        return _canon(
+            a1 * b1 + a2 * b3,
+            a1 * b2 + a2 * b4,
+            a3 * b1 + a4 * b3,
+            a3 * b2 + a4 * b4,
+            self._d * other._d,
         )
 
     def __add__(self, other: "Mat2") -> "Mat2":
-        a, b = self._e, other._e
-        return Mat2._wrap((a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3]))
+        a1, a2, a3, a4 = self._n
+        b1, b2, b3, b4 = other._n
+        da, db = self._d, other._d
+        if da == db:
+            return _canon(a1 + b1, a2 + b2, a3 + b3, a4 + b4, da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _canon(a1 * sa + b1 * sb, a2 * sa + b2 * sb, a3 * sa + b3 * sb, a4 * sa + b4 * sb, da * sa)
 
     def __sub__(self, other: "Mat2") -> "Mat2":
-        a, b = self._e, other._e
-        return Mat2._wrap((a[0] - b[0], a[1] - b[1], a[2] - b[2], a[3] - b[3]))
+        a1, a2, a3, a4 = self._n
+        b1, b2, b3, b4 = other._n
+        da, db = self._d, other._d
+        if da == db:
+            return _canon(a1 - b1, a2 - b2, a3 - b3, a4 - b4, da)
+        g = gcd(da, db)
+        sa, sb = db // g, da // g
+        return _canon(a1 * sa - b1 * sb, a2 * sa - b2 * sb, a3 * sa - b3 * sb, a4 * sa - b4 * sb, da * sa)
 
     def __neg__(self) -> "Mat2":
-        a = self._e
-        return Mat2._wrap((-a[0], -a[1], -a[2], -a[3]))
+        a1, a2, a3, a4 = self._n
+        return _raw((-a1, -a2, -a3, -a4), self._d)
 
     def __mul__(self, scalar) -> "Mat2":
-        c, a = _coerce(scalar), self._e
-        return Mat2._wrap((c * a[0], c * a[1], c * a[2], c * a[3]))
+        p, q = _parts(scalar)
+        a1, a2, a3, a4 = self._n
+        return _canon(a1 * p, a2 * p, a3 * p, a4 * p, self._d * q)
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar) -> "Mat2":
-        c, a = _R(1) / _coerce(scalar), self._e
-        return Mat2._wrap((c * a[0], c * a[1], c * a[2], c * a[3]))
+        q, p = _parts(scalar)
+        if q == 0:
+            raise ZeroDivisionError("Mat2 division by zero")
+        if q < 0:
+            p, q = -p, -q
+        a1, a2, a3, a4 = self._n
+        return _canon(a1 * p, a2 * p, a3 * p, a4 * p, self._d * q)
 
     def transpose(self) -> "Mat2":
-        e = self._e
-        return Mat2._wrap((e[0], e[2], e[1], e[3]))
+        a1, a2, a3, a4 = self._n
+        return _raw((a1, a3, a2, a4), self._d)
 
     # scalar maps ----------------------------------------------------------
     def trace(self) -> Rational:
-        a = self._e
-        return a[0] + a[3]
+        a = self._n
+        return _Q(a[0] + a[3], self._d)
 
     def det(self) -> Rational:
-        a = self._e
-        return a[0] * a[3] - a[1] * a[2]
+        a1, a2, a3, a4 = self._n
+        d = self._d
+        return _Q(a1 * a4 - a2 * a3, d * d)
 
     def rank(self) -> int:
-        a = self._e
-        if a[0] * a[3] - a[1] * a[2] != 0:
+        a1, a2, a3, a4 = self._n
+        if a1 * a4 != a2 * a3:
             return 2
-        return 0 if self.is_zero() else 1
+        return 1 if a1 or a2 or a3 or a4 else 0
 
     def norm_sq(self) -> Rational:
-        a = self._e
-        return a[0] * a[0] + a[1] * a[1] + a[2] * a[2] + a[3] * a[3]
+        a1, a2, a3, a4 = self._n
+        d = self._d
+        return _Q(a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4, d * d)
 
     # predicates -----------------------------------------------------------
     def is_zero(self) -> bool:
-        e = self._e
-        return not (e[0] or e[1] or e[2] or e[3])
+        a1, a2, a3, a4 = self._n
+        return not (a1 or a2 or a3 or a4)
 
     def is_identity(self) -> bool:
-        e = self._e
-        return e[0] == 1 and e[3] == 1 and not e[1] and not e[2]
+        return self._d == 1 and self._n == (1, 0, 0, 1)
 
     def is_symmetric(self) -> bool:
-        return self._e[1] == self._e[2]
+        return self._n[1] == self._n[2]
 
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
-        return self._e == other._e
+        return self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(self._e)
+        return hash((self._n, self._d))
 
     def __repr__(self):
-        return f"Mat2({', '.join(format_rational(x) for x in self._e)})"
+        return f"Mat2({', '.join(format_rational(x) for x in self.entries)})"
 
     def __str__(self):
         return format_mat2(self)
@@ -191,22 +250,26 @@ def scalar_summary(a: Mat2) -> ScalarSummary:
 
 def inner(x: Mat2, y: Mat2) -> Rational:
     """Coordinate inner product; equals tr(transpose(x) @ y)."""
-    a, b = x._e, y._e
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3]
+    a1, a2, a3, a4 = x._n
+    b1, b2, b3, b4 = y._n
+    return _Q(a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4, x._d * y._d)
 
 
 def det_polar(x: Mat2, y: Mat2) -> Rational:
     """Polarization det(x+y) - det(x) - det(y) of the determinant form."""
-    return (x + y).det() - x.det() - y.det()
+    a1, a2, a3, a4 = x._n
+    b1, b2, b3, b4 = y._n
+    return _Q(a1 * b4 + b1 * a4 - a2 * b3 - b2 * a3, x._d * y._d)
 
 
 def inverse_mat(a: Mat2) -> Mat2:
     """Group inverse (adjugate over determinant); exact."""
-    d = a.det()
-    if d == 0:
+    a1, a2, a3, a4 = a._n
+    det = a1 * a4 - a2 * a3  # det(a) * d^2, so inverse = adj(content) * d / det
+    if det == 0:
         raise SingularMatrixError("matrix is singular; use semigroup inverses")
-    e = a.entries
-    return Mat2(e[3] / d, -e[1] / d, -e[2] / d, e[0] / d)
+    d = a._d if det > 0 else -a._d
+    return _canon(a4 * d, -a2 * d, -a3 * d, a1 * d, abs(det))
 
 
 def outer(col, row) -> Mat2:
@@ -220,24 +283,22 @@ def primitive_direction(a: Mat2) -> Mat2:
     """Integer-entry multiple of `a` with gcd 1, first nonzero entry positive."""
     if a.is_zero():
         raise ValueError("zero matrix has no direction")
-    den = lcm(*(x.denominator for x in a.entries))
-    ints = [x.numerator * (den // x.denominator) for x in a.entries]
-    g = gcd(*ints)
-    ints = [v // g for v in ints]
-    lead = next(v for v in ints if v)
-    if lead < 0:
+    g = gcd(*a._n)
+    ints = [v // g for v in a._n]
+    if next(v for v in ints if v) < 0:
         ints = [-v for v in ints]
-    return Mat2(*ints)
+    return _raw(tuple(ints), 1)
 
 
 def proportional(a: Mat2, b: Mat2) -> bool:
     """True when a and b span the same line through the origin (both nonzero)."""
     if a.is_zero() or b.is_zero():
         return False
-    ae, be = a.entries, b.entries
+    # the denominators scale both sides of each 2x2 minor alike
+    an, bn = a._n, b._n
     for i in range(4):
         for j in range(i + 1, 4):
-            if ae[i] * be[j] != ae[j] * be[i]:
+            if an[i] * bn[j] != an[j] * bn[i]:
                 return False
     return True
 

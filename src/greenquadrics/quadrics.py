@@ -1,19 +1,22 @@
 """Exact affine classification of quadrics in 3 variables.
 
 A quadric is the zero set of t^T Q t + b^T t + c with symmetric rational Q.
-`inertia` computes Sylvester inertia by congruence diagonalization (exact,
-with rank-2 repair when only off-diagonal pivots exist), and
-`classify_quadric` reads the affine type off the inertia and the centered
-constant - no approximate comparison anywhere.
+`inertia` computes Sylvester inertia by fraction-free congruence
+diagonalization on integers (with rank-2 repair when only off-diagonal
+pivots exist), and `classify_quadric` reads the affine type off the
+inertia and the centered constant - no approximate comparison anywhere.
+Inputs are `int` or `Fraction`; a float, a string or a `Decimal` raises
+`TypeError`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from math import gcd
 
-from greenquadrics._linear import solve_linear
+from greenquadrics._linear import integer_row, solve_linear
 from greenquadrics.errors import NotAQuadricError
-from greenquadrics.exact import Rational
+from greenquadrics.exact import _as_rational
 
 __all__ = ["QuadricClass", "inertia", "classify_quadric"]
 
@@ -51,9 +54,18 @@ def inertia(Q) -> tuple[int, int, int]:
     Congruence diagonalization: nonzero diagonal entries serve as pivots;
     when only off-diagonal entries remain, adding one row/column into
     another (a congruence) manufactures the pivot 2*Q[i][j].
+
+    The work is fraction-free.  Q is scaled by the lcm of all its
+    denominators (a positive factor, which keeps the inertia).  Eliminating
+    pivot d replaces the remaining block W by |d| W - sign(d) w w^T, with w
+    the pivot's column: a positive multiple of the rational Schur
+    complement.  The block is then divided by the gcd of its entries.  So
+    the integer block is always a positive multiple of the rational one,
+    and every pivot and sign is the one rational elimination would see.
     """
     n = len(Q)
-    work = [[Rational(Q[i][j]) for j in range(n)] for i in range(n)]
+    flat = integer_row([Q[i][j] for i in range(n) for j in range(n)])
+    work = [flat[i * n : i * n + n] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if work[i][j] != work[j][i]:
@@ -61,14 +73,14 @@ def inertia(Q) -> tuple[int, int, int]:
     active = list(range(n))
     n_pos = n_neg = n_zero = 0
     while active:
-        k = next((i for i in active if work[i][i] != 0), None)
+        k = next((i for i in active if work[i][i]), None)
         if k is None:
             pair = next(
                 (
                     (i, j)
                     for ai, i in enumerate(active)
                     for j in active[ai + 1 :]
-                    if work[i][j] != 0
+                    if work[i][j]
                 ),
                 None,
             )
@@ -76,10 +88,10 @@ def inertia(Q) -> tuple[int, int, int]:
                 n_zero += len(active)
                 break
             i, j = pair
-            for t in range(n):
-                work[i][t] = work[i][t] + work[j][t]
-            for t in range(n):
-                work[t][i] = work[t][i] + work[t][j]
+            for t in active:
+                work[i][t] += work[j][t]
+            for t in active:
+                work[t][i] += work[t][j]
             continue
         d = work[k][k]
         if d > 0:
@@ -87,13 +99,19 @@ def inertia(Q) -> tuple[int, int, int]:
         else:
             n_neg += 1
         active.remove(k)
+        s = 1 if d > 0 else -1
+        d *= s
+        wk = work[k]
         for i in active:
-            f = work[i][k] / d
-            if f != 0:
-                for t in range(n):
-                    work[i][t] = work[i][t] - f * work[k][t]
-                for t in range(n):
-                    work[t][i] = work[t][i] - f * work[t][k]
+            wi, f = work[i], s * wk[i]
+            for t in active:
+                wi[t] = d * wi[t] - f * wk[t]
+        g = gcd(*(work[i][t] for i in active for t in active))
+        if g > 1:
+            for i in active:
+                wi = work[i]
+                for t in active:
+                    wi[t] //= g
     return n_pos, n_neg, n_zero
 
 
@@ -105,9 +123,8 @@ def classify_quadric(Q, b, c) -> QuadricClass:
     paraboloid/parabolic-cylinder family, decided by rank.  The identically
     zero polynomial is rejected.
     """
-    n = len(Q)
-    b = [Rational(v) for v in b]
-    c = Rational(c)
+    b = [_as_rational(v) for v in b]
+    c = _as_rational(c)
     n_pos, n_neg, _ = inertia(Q)
     center = solve_linear([list(row) for row in Q], [-v / 2 for v in b])
     if center is None:

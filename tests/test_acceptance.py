@@ -6,6 +6,7 @@ approximate bounds are the documented float-export guarantees.  Run with
 """
 
 import itertools
+import pathlib
 import subprocess
 import sys
 
@@ -371,6 +372,9 @@ def test_criterion_7_punctured_plane_converse():
     )
 
 
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
+
+
 def _cli(args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "greenquadrics", *args],
@@ -383,11 +387,18 @@ def _cli(args, **kwargs):
 def test_criterion_8_cli_and_export(tmp_path):
     run1 = _cli(["check", "--seed", "42"])
     run2 = _cli(["check", "--seed", "42"])
+    run_json = _cli(["check", "--seed", "42", "--json"])
     reproducible = (
         run1.returncode == 0
         and run2.returncode == 0
         and run1.stdout == run2.stdout
         and run1.stdout.count("[pass]") > 0
+    )
+    # the behaviour contract: output pinned byte for byte in tests/data
+    golden = (
+        run1.stdout == (GOLDEN / "check_seed42.txt").read_text(encoding="utf-8")
+        and run_json.returncode == 0
+        and run_json.stdout == (GOLDEN / "check_seed42.json").read_text(encoding="utf-8")
     )
 
     out = str(tmp_path / "idem.csv")
@@ -425,11 +436,11 @@ def test_criterion_8_cli_and_export(tmp_path):
             codes_ok = False
             break
 
-    ok = reproducible and export_ok and det_ok and codes_ok
+    ok = reproducible and golden and export_ok and det_ok and codes_ok
     report(
         8,
         ok,
-        "check --seed 42 byte-identical across runs; 2000 exported idempotent samples "
+        "check --seed 42 byte-identical across runs and to tests/data (text and --json); 2000 exported idempotent samples "
         "re-read with |det| <= 1e-12 * max(1, |x|^2); exit codes 0/1/2 conform on the "
         "scripted invocation matrix",
     )

@@ -1,4 +1,6 @@
 from decimal import Decimal
+from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -27,6 +29,84 @@ mats = st.tuples(entries, entries, entries, entries).map(
 )
 
 E = Mat2(1, 0, 0, 0)
+
+small = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+small_mats = st.tuples(small, small, small, small).map(lambda t: Mat2(*t))
+nonzero_small = small.filter(bool)
+
+
+def assert_canonical(m):
+    """One storage form: int content over a positive denominator, gcd 1."""
+    assert all(type(v) is int for v in m._n) and type(m._d) is int
+    assert m._d > 0 and gcd(*m._n, m._d) == 1
+    if m.is_zero():
+        assert (m._n, m._d) == ((0, 0, 0, 0), 1)
+
+
+class TestCanonicalForm:
+    @given(small_mats, small_mats, nonzero_small)
+    def test_every_result_is_canonical(self, a, b, s):
+        for m in (a, a @ b, a + b, a - b, -a, a * s, s * a, a / s, a.transpose(),
+                  a * 0, a - a, inverse_mat(a) if a.det() else a):
+            assert_canonical(m)
+        if not a.is_zero():
+            assert_canonical(primitive_direction(a))
+
+    @given(small_mats, small_mats, small_mats, nonzero_small)
+    def test_equal_values_compare_and_hash_equal(self, a, b, c, s):
+        pairs = [
+            ((a @ b) @ c, a @ (b @ c)),
+            (a * 2 / 2, a),
+            (a * s / s, a),
+            ((a + b) - b, a),
+            (a @ b + a @ c, a @ (b + c)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+            assert (x._n, x._d) == (y._n, y._d)
+
+    def test_same_value_from_different_literals(self):
+        routes = [
+            Mat2(Fraction(1, 2), 1, Fraction(3, 2), 2),
+            Mat2(2, 4, 6, 8) / 4,
+            Mat2(Fraction(2, 4), Fraction(6, 6), Fraction(9, 6), Fraction(8, 4)),
+            Mat2(1, 2, 3, 4) * Fraction(1, 2),
+            parse_mat2("[2/4,3/3;6/4,4/2]"),
+        ]
+        for m in routes:
+            assert m == routes[0] and hash(m) == hash(routes[0])
+            assert (m._n, m._d) == ((1, 2, 3, 4), 2)
+
+    @given(small_mats, small_mats, nonzero_small)
+    def test_entries_match_fraction_formulas(self, a, b, s):
+        x, y = a.entries, b.entries
+        assert all(type(v) is Fraction for v in x)
+        assert (a.x1, a.x2, a.x3, a.x4) == x
+        assert a.rows() == ((x[0], x[1]), (x[2], x[3]))
+        assert a.cols() == ((x[0], x[2]), (x[1], x[3]))
+        assert (a @ b).entries == (
+            x[0] * y[0] + x[1] * y[2],
+            x[0] * y[1] + x[1] * y[3],
+            x[2] * y[0] + x[3] * y[2],
+            x[2] * y[1] + x[3] * y[3],
+        )
+        assert (a + b).entries == tuple(p + q for p, q in zip(x, y))
+        assert (a - b).entries == tuple(p - q for p, q in zip(x, y))
+        assert (-a).entries == tuple(-p for p in x)
+        assert (a * s).entries == (s * a).entries == tuple(p * s for p in x)
+        assert (a / s).entries == tuple(p / s for p in x)
+        assert a.transpose().entries == (x[0], x[2], x[1], x[3])
+        assert a.det() == x[0] * x[3] - x[1] * x[2]
+        assert a.trace() == x[0] + x[3]
+        assert a.norm_sq() == sum(p * p for p in x)
+        assert inner(a, b) == sum(p * q for p, q in zip(x, y))
+        assert det_polar(a, b) == (a + b).det() - a.det() - b.det()
+        for v in (a.det(), a.trace(), a.norm_sq(), inner(a, b)):
+            assert type(v) is Fraction
+
+    @given(st.tuples(small, small, small, small))
+    def test_entries_roundtrip(self, t):
+        assert Mat2(*t).entries == t
 
 
 class TestArithmetic:

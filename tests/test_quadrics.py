@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 
 from greenquadrics.errors import NotAQuadricError
@@ -50,6 +52,11 @@ class TestInertia:
         with pytest.raises(ValueError):
             inertia(((R(0), R(1), R(0)), (R(2), R(0), R(0)), (R(0), R(0), R(0))))
 
+    @pytest.mark.parametrize("bad", [0.5, "1/2", Decimal("0.5")], ids=repr)
+    def test_rejects_inexact_entries(self, bad):
+        with pytest.raises(TypeError):
+            inertia(((R(1), R(0), R(0)), (R(0), bad, R(0)), (R(0), R(0), R(1))))
+
 
 class TestClassifyQuadric:
     def test_central_types(self):
@@ -80,6 +87,19 @@ class TestClassifyQuadric:
         assert classify_quadric(diag(1, 0, 0), Z3, R(1)) == QuadricClass.EMPTY
         assert classify_quadric(diag(0, 0, 0), (R(1), R(0), R(0)), R(5)) == QuadricClass.SINGLE_PLANE
         assert classify_quadric(diag(1, 1, 0), Z3, R(0)) == QuadricClass.LINE
+
+    @pytest.mark.parametrize("bad", [-0.25, "-1/4", Decimal("-0.25")], ids=repr)
+    @pytest.mark.parametrize("where", ["Q", "b", "c"])
+    def test_rejects_inexact_coefficients(self, where, bad):
+        Q, b, c = [list(row) for row in diag(1, 1, -1)], list(Z3), R(-1, 4)
+        if where == "Q":
+            Q[2][2] = bad
+        elif where == "b":
+            b[0] = bad
+        else:
+            c = bad
+        with pytest.raises(TypeError):
+            classify_quadric(Q, b, c)
 
     def test_degenerate(self):
         assert classify_quadric(diag(0, 0, 0), Z3, R(3)) == QuadricClass.EMPTY
