@@ -2,9 +2,15 @@
 
 Each check re-derives one of the package's structural identities from
 scratch (exact arithmetic, no tolerances) and reports a pass/fail line.
-The suites double as the library used by the acceptance tests, so the CLI
-and pytest exercise the same code paths.  Output is a pure function of
-(suite selection, seed, trial counts).
+This module holds the only copy of each property check: criteria 1-7 of
+`tests/test_acceptance.py` call the `check_*` functions below with their
+own seeds and trial counts and assert `.ok`, and the test keeps only the
+assertions no check makes.  Output is a pure function of (suite
+selection, seed, trial counts).
+
+Membership in an inverse set or a hyperplane section is always decided by
+the shipped predicates (`inverse_membership`, `section_membership`) and
+compared with an independent one (`is_inverse_pair`, the idempotent test).
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from greenquadrics.sampling import (
     rand_nonzero_rational,
     rand_rank1,
     rand_rational,
+    rand_singular_with_trace,
     rng_for,
 )
 from greenquadrics.sections import (
@@ -39,6 +46,7 @@ from greenquadrics.sections import (
     hyperboloid_metrics,
     quadric_on_chart,
     restrict_quadric,
+    section_membership,
     to_bell,
 )
 from greenquadrics.semigroup import (
@@ -46,6 +54,7 @@ from greenquadrics.semigroup import (
     generator_line,
     idempotent_from_spaces,
     inverse_chart,
+    inverse_membership,
     is_idempotent,
     is_inverse_pair,
     is_nilpotent,
@@ -59,6 +68,16 @@ __all__ = ["CheckResult", "SUITES", "available_suites", "run_checks", "render_re
 
 _HALF = Rational(1, 2)
 _BELL_LEVELS = (Rational(0), Rational(1), Rational(-1), Rational(3, 2), Rational(-3, 2), Rational(7, 2))
+
+# The theorem table: (rank a, lam == 0) -> type of the slice of det = 0.
+_THEOREM_TABLE = {
+    (0, True): SectionClass.FULL_VARIETY,
+    (0, False): SectionClass.EMPTY,
+    (1, True): SectionClass.TWO_PUNCTURED_PLANES,
+    (1, False): SectionClass.HYPERBOLIC_PARABOLOID,
+    (2, True): SectionClass.CONE,
+    (2, False): SectionClass.HYPERBOLOID_ONE_SHEET,
+}
 
 # The classes the theorem table can produce, keyed to the generic classifier.
 _SECTION_TO_QUADRIC = {
@@ -300,7 +319,7 @@ def check_inverse_set_theorem(seed, trials=500, points_per=20):
             x = chart_eval(chart, s, t)
             if not is_inverse_pair(a, x):
                 failures += 1
-            if not ((a @ x).trace() == 1 and x.det() == 0):
+            if not inverse_membership(a, x):
                 failures += 1
     return _result("sets", "chart_points_are_inverses", failures, trials * points_per)
 
@@ -314,8 +333,7 @@ def check_membership_equals_triple_products(seed, trials=20):
     for a in mats:
         for x in grid_matrices(grid):
             total += 1
-            member = (a @ x).trace() == 1 and x.det() == 0
-            if member != is_inverse_pair(a, x):
+            if inverse_membership(a, x) != is_inverse_pair(a, x):
                 failures += 1
     return _result("sets", "section_membership_iff_inverse_pair", failures, total)
 
@@ -383,13 +401,15 @@ def check_line_combinatorics(seed, trials=50):
             expected = None
         if cross != expected:
             failures += 1
+        elif cross is not None and not (is_idempotent(cross) and cross.rank() == 1):
+            failures += 1
     return _result("sets", "generator_line_combinatorics", failures, trials)
 
 
 def check_natural_order_equivalence(seed, trials=10000):
     failures = 0
     total = 0
-    grid = [Mat2(*combo) for combo in _pairs_grid()]
+    grid = list(grid_matrices(grid_values(span=1)))
     for x in grid:
         for y in grid:
             total += 1
@@ -412,12 +432,6 @@ def check_natural_order_equivalence(seed, trials=10000):
         if natural_le(x, y) != minus_le(x, y):
             failures += 1
     return _result("sets", "natural_order_equals_minus_order", failures, total + trials)
-
-
-def _pairs_grid():
-    from itertools import product
-
-    return product((Rational(-1), Rational(0), Rational(1)), repeat=4)
 
 
 def check_nilpotent_cone_identity(seed, trials=2000):
@@ -465,9 +479,9 @@ def check_bell_identity(seed, trials=1000):
     for li, lam in enumerate(_BELL_LEVELS):
         for i in range(trials):
             rng = rng_for(seed, li * trials + i)
-            x = rand_rank1(rng)
+            x = rand_singular_with_trace(rng, lam)
             total += 1
-            if bell_residual(x) != 0:
+            if x.trace() != lam or bell_residual(x) != 0:
                 failures += 1
             y = rand_invertible(rng)
             total += 1
@@ -513,12 +527,12 @@ def check_classifier_agreement(seed, trials=1000):
         rng = rng_for(seed, i)
         h = _random_hyperplane(rng, i)
         verdict = classify_section(h.a, h.lam)
-        if h.a.is_zero():
-            expected = (
-                SectionClass.FULL_VARIETY if h.lam == 0 else SectionClass.EMPTY
-            )
-            if verdict.kind != expected:
-                failures += 1
+        # the rank comes from the stratum: classify_section reads a.rank() itself
+        rank = i % 3
+        if verdict.kind != _THEOREM_TABLE[(rank, h.lam == 0)]:
+            failures += 1
+            continue
+        if rank == 0:
             continue
         generic = classify_affine_quadric(restrict_quadric(h))
         if _SECTION_TO_QUADRIC.get(verdict.kind) != generic:
@@ -578,11 +592,16 @@ def check_inverse_image_law(seed, trials=500):
     for i in range(trials):
         rng = rng_for(seed, i)
         a = rand_invertible(rng)
-        if i % 2 == 0:
+        mode = i % 3
+        if mode == 0:
             x = rand_rank1(rng)
-        else:
+        elif mode == 1:
             x = inverse_mat(a) @ rand_idempotent_rank1(rng)
-        lhs = (a @ x).trace() == 1 and x.det() == 0
+        else:
+            # tr(a x) = 1 with x almost always nonsingular: only det rules x out
+            y = rand_mat(rng, 4, 3)
+            x = inverse_mat(a) @ (y + IDENTITY * ((1 - y.trace()) * _HALF))
+        lhs = section_membership(Hyperplane(a, 1), x)
         ax = a @ x
         rhs = is_idempotent(ax) and ax.rank() == 1
         if lhs != rhs:

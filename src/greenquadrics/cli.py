@@ -18,6 +18,7 @@ errors (and failed `check` runs).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -463,6 +464,11 @@ _RUNNERS = {
 def run(argv) -> tuple[int, str]:
     """Execute argv; returns (exit_code, output text)."""
     try:
+        for arg in itertools.takewhile(lambda a: a != "--", argv):
+            # argparse drops a "--" value from "--opt=--" and stores [] for it
+            name, _, value = arg.partition("=")
+            if name.startswith("--") and value == "--":
+                raise _UsageError(f"argument {name}: expected one argument")
         ns = _build_parser().parse_args(argv)
         if ns.command == "check":
             text, ok = _run_check(ns)

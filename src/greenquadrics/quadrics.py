@@ -16,7 +16,7 @@ from math import gcd
 
 from greenquadrics._linear import integer_row, solve_linear
 from greenquadrics.errors import NotAQuadricError
-from greenquadrics.exact import _as_rational
+from greenquadrics.exact import _as_rational, rational_sign
 
 __all__ = ["QuadricClass", "inertia", "classify_quadric"]
 
@@ -38,14 +38,6 @@ class QuadricClass(Enum):
     LINE = "line"
     POINT = "point"
     EMPTY = "empty"
-
-
-def _sign(x) -> int:
-    if x > 0:
-        return 1
-    if x < 0:
-        return -1
-    return 0
 
 
 def inertia(Q) -> tuple[int, int, int]:
@@ -141,7 +133,7 @@ def classify_quadric(Q, b, c) -> QuadricClass:
         k = k + bi * ti / 2
     if n_neg > n_pos:
         n_pos, n_neg, k = n_neg, n_pos, -k
-    sk = _sign(k)
+    sk = rational_sign(k)
     sig = (n_pos, n_neg)
     if sig == (3, 0):
         return (

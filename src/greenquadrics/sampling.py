@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 from itertools import product
 
-from greenquadrics.exact import Rational
+from greenquadrics.exact import Rational, _as_rational
 from greenquadrics.mat2 import Mat2, outer
 
 __all__ = [
@@ -23,6 +23,7 @@ __all__ = [
     "rand_rank1",
     "rand_idempotent_rank1",
     "rand_nilpotent",
+    "rand_singular_with_trace",
     "grid_values",
     "grid_matrices",
 ]
@@ -89,6 +90,15 @@ def rand_nilpotent(rng: random.Random, span: int = 5) -> Mat2:
     c = _rand_int_vector(rng, span)
     r = (-c[1], c[0])
     return outer(c, r) * rand_nonzero_rational(rng, span, span)
+
+
+def rand_singular_with_trace(rng: random.Random, lam, span: int = 5) -> Mat2:
+    """Random nonzero singular matrix with trace exactly `lam`: a nilpotent
+    at level zero, otherwise `lam` times a rank-1 idempotent."""
+    lam = _as_rational(lam)
+    if lam == 0:
+        return rand_nilpotent(rng, span)
+    return rand_idempotent_rank1(rng, span) * lam
 
 
 def grid_values(span: int = 2, dens: tuple[int, ...] = (1,)) -> list[Rational]:

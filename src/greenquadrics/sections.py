@@ -10,6 +10,9 @@ their agreement.
 Inside P(I; lam) the orthonormal frame with origin (lam/2) I turns the
 slice into X^2 + Y^2 - Z^2 = lam^2 / 2; those coordinates live in Q(sqrt 2)
 and `to_bell`/`from_bell` convert exactly.
+
+Levels lam are `int` or `Fraction`; a float, a string or a `Decimal`
+raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from greenquadrics.errors import (
     ZeroCoefficientError,
     ZeroLambdaError,
 )
-from greenquadrics.exact import QuadExt, Rational, SQRT2
+from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational
 from greenquadrics.green import ProjLine
 from greenquadrics.mat2 import IDENTITY, Mat2, det_polar, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric
@@ -62,7 +65,7 @@ class Hyperplane:
     lam: Rational
 
     def __post_init__(self):
-        object.__setattr__(self, "lam", Rational(self.lam))
+        object.__setattr__(self, "lam", _as_rational(self.lam))
 
 
 def trace_functional(a: Mat2) -> tuple[Rational, Rational, Rational, Rational]:
@@ -131,7 +134,7 @@ def to_bell(x, lam) -> BellPoint:
     Accepts a rational Mat2 or a QuadMat2 (so frame points with sqrt2
     coordinates round-trip).
     """
-    lam = Rational(lam)
+    lam = _as_rational(lam)
     q = _as_quad(x)
     if q.trace() != QuadExt(lam):
         raise NotOnHyperplaneError("trace differs from the frame level")
@@ -260,7 +263,7 @@ def classify_section(a: Mat2, lam) -> SectionVerdict:
     the matrices with row space orthogonal to c, resp. column space
     orthogonal to r.
     """
-    lam = Rational(lam)
+    lam = _as_rational(lam)
     rank = a.rank()
     if rank == 0:
         if lam == 0:
@@ -304,7 +307,7 @@ def hyperboloid_metrics(lam) -> HyperboloidMetrics:
     to the skew-symmetric line, and the asymptotic cone's form never depends
     on lam.
     """
-    lam = Rational(lam)
+    lam = _as_rational(lam)
     return HyperboloidMetrics(
         center=IDENTITY * (lam * _HALF),
         axis_dir=Mat2(0, 1, -1, 0),

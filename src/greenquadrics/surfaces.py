@@ -18,7 +18,7 @@ import tempfile
 from dataclasses import dataclass, field
 
 from greenquadrics.errors import DomainError, UnknownKindError
-from greenquadrics.exact import Rational, to_float
+from greenquadrics.exact import Rational, _as_rational, to_float
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
 from greenquadrics.sampling import rng_for
 from greenquadrics.green import class_plane
@@ -118,7 +118,7 @@ def sample_surface(
     if kind == "section":
         if a is None or lam is None:
             raise DomainError("section sampling needs a coefficient matrix and a level")
-        return _sample_section(a, Rational(lam), n, seed, z_span)
+        return _sample_section(a, _as_rational(lam), n, seed, z_span)
     if kind == "generator-lines":
         if e is None:
             raise DomainError("generator-line sampling needs a base idempotent")

@@ -115,6 +115,9 @@ class TestExitCodes:
             ["metrics", "--lambda", "7" * 3000, "--json"],
             ["metrics", "--lambda", "7" * 400, "--float"],   # beyond the float range
             ["metrics", "--lambda", "7" * 400, "--float", "--json"],
+            ["metrics", "--lambda=--"],                      # argparse would store []
+            ["check", "--suite=--"],
+            ["export", "--kind=idempotents", "--out=--"],
         ],
     )
     def test_usage_errors_are_one(self, argv):

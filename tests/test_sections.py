@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import pytest
 
 from greenquadrics.errors import (
@@ -33,6 +35,7 @@ from greenquadrics.sections import (
     section_membership,
     to_bell,
 )
+from greenquadrics.surfaces import sample_surface
 
 R = Rational
 E = Mat2(1, 0, 0, 0)
@@ -271,6 +274,23 @@ class TestMetrics:
             d = x - center
             assert inner(d, d) == HALF
             assert to_bell(x, R(1)).Z == QuadExt(0)
+
+
+@pytest.mark.parametrize("bad", [0.1, "0", Decimal("0.5")], ids=repr)
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda lam: Hyperplane(IDENTITY, lam),
+        lambda lam: classify_section(IDENTITY, lam),
+        lambda lam: to_bell(E, lam),
+        hyperboloid_metrics,
+        lambda lam: sample_surface("section", 1, 0, a=IDENTITY, lam=lam),
+    ],
+    ids=["Hyperplane", "classify_section", "to_bell", "hyperboloid_metrics", "sample_surface"],
+)
+def test_level_rejects_inexact_values(build, bad):
+    with pytest.raises(TypeError):
+        build(bad)
 
 
 class TestTwoPlanesAreExactlyTheSlice:
