@@ -3,8 +3,16 @@
 `Rational` is `fractions.Fraction`, always canonical (gcd 1, positive
 denominator).  `QuadExt` is a + b*sqrt2 with rational a, b, the smallest
 field containing every orthonormal-frame coordinate of a rational matrix.
-Exact values are built from `int` and `Fraction` only; a float, a string or
-a `Decimal` is a `TypeError`, never a silent conversion.
+It is stored as integer content over one denominator, (p + q*sqrt2) / d
+with ints p, q, d > 0 and gcd(p, q, d) == 1, the design `Mat2` uses: every
+operation reduces its result with one 3-way gcd, equal elements have equal
+fields, and `rat_part`/`root2_part` build `Fraction`s only when read.
+
+The scalar boundary: exact values are built from `int` and `Fraction`
+only; a float, a string or a `Decimal` is a `TypeError`, never a silent
+conversion.  A rational scalar the package returns is exactly a
+`Fraction`, and arithmetic a caller does on it is Python's (a `Fraction`
+plus a float is a float).
 
 Floats appear only in `to_float`, which exporters use; nothing here or in
 the layers above decides anything with floating point.
@@ -46,6 +54,14 @@ def _as_rational(x) -> Rational:
     if isinstance(x, int):
         return Rational(x)
     raise TypeError(f"exact arithmetic takes int or Fraction, not {type(x).__name__}")
+
+
+def _parts(x) -> tuple[int, int]:
+    """(numerator, denominator) of an exact scalar; same inputs as `_as_rational`."""
+    if isinstance(x, int):
+        return x, 1
+    x = _as_rational(x)
+    return x.numerator, x.denominator
 
 
 def _from_ints(num: int, den: int) -> Rational:
@@ -121,35 +137,53 @@ def format_rational(x) -> str:
 
 
 class QuadExt:
-    """Element a + b*sqrt2 of Q(sqrt 2); zero iff both parts are zero."""
+    """Element (p + q*sqrt2) / d of Q(sqrt 2); zero iff p == q == 0.
 
-    __slots__ = ("_a", "_b")
+    Stored as integer content: ints `_p`, `_q` and one `_d > 0` with
+    `gcd(_p, _q, _d) == 1`, so equal elements have equal fields.
+    """
+
+    __slots__ = ("_p", "_q", "_d")
 
     def __init__(self, rat_part=0, root2_part=0):
-        self._a = _as_rational(rat_part)
-        self._b = _as_rational(root2_part)
+        a, e = _parts(rat_part)
+        b, f = _parts(root2_part)
+        if e == f:
+            p, q, d = a, b, e
+        else:
+            # both parts are in lowest terms, so content over the lcm has gcd 1
+            d = e // gcd(e, f) * f
+            p, q = a * (d // e), b * (d // f)
+        self._p = p
+        self._q = q
+        self._d = d
 
     @property
     def rat_part(self) -> Rational:
-        return self._a
+        return _from_ints(self._p, self._d)
 
     @property
     def root2_part(self) -> Rational:
-        return self._b
+        return _from_ints(self._q, self._d)
 
     @staticmethod
     def _coerce(x) -> "QuadExt | None":
         if isinstance(x, QuadExt):
             return x
-        if isinstance(x, (int, Rational)):
-            return QuadExt(Rational(x), _ZERO)
+        if isinstance(x, int):
+            return _raw_quadext(int(x), 0, 1)
+        if isinstance(x, Rational):
+            return _raw_quadext(x.numerator, 0, x.denominator)
         return None
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self._a + o._a, self._b + o._b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _quadext(self._p + o._p, self._q + o._q, d1)
+        return _quadext(self._p * d2 + o._p * d1, self._q * d2 + o._q * d1, d1 * d2)
 
     __radd__ = __add__
 
@@ -157,7 +191,10 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuadExt(self._a - o._a, self._b - o._b)
+        d1, d2 = self._d, o._d
+        if d1 == d2:
+            return _quadext(self._p - o._p, self._q - o._q, d1)
+        return _quadext(self._p * d2 - o._p * d1, self._q * d2 - o._q * d1, d1 * d2)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -169,64 +206,63 @@ class QuadExt:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        # (a + b r)(c + d r) = ac + 2bd + (ad + bc) r  with r^2 = 2
-        a, b, c, d = self._a, self._b, o._a, o._b
-        return QuadExt(a * c + 2 * b * d, a * d + b * c)
+        # (p + q r)(s + t r) = ps + 2qt + (pt + qs) r  with r^2 = 2
+        p, q, s, t = self._p, self._q, o._p, o._q
+        return _quadext(p * s + 2 * q * t, p * t + q * s, self._d * o._d)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        # 1/(a + b r) = (a - b r)/(a^2 - 2 b^2); the norm vanishes only at 0
-        a, b = self._a, self._b
-        norm = a * a - 2 * b * b
+        # d/(p + q r) = d (p - q r)/(p^2 - 2 q^2); the norm vanishes only at 0
+        p, q, d = self._p, self._q, self._d
+        norm = p * p - 2 * q * q
         if norm == 0:
             raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        return QuadExt(a / norm, -b / norm)
+        if norm < 0:
+            d, norm = -d, -norm
+        return _quadext(d * p, -d * q, norm)
 
     def __truediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self * o.inverse()
+        return _divide(self, o)
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o * self.inverse()
+        return _divide(o, self)
 
     def __neg__(self):
-        return QuadExt(-self._a, -self._b)
-
-    def conjugate(self) -> "QuadExt":
-        return QuadExt(self._a, -self._b)
+        return _raw_quadext(-self._p, -self._q, self._d)
 
     def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self._a == o._a and self._b == o._b
+        if isinstance(other, QuadExt):
+            return self._p == other._p and self._q == other._q and self._d == other._d
+        if isinstance(other, int):
+            return self._q == 0 and self._d == 1 and self._p == other
+        if isinstance(other, Rational):
+            return self._q == 0 and self._d == other.denominator and self._p == other.numerator
+        return NotImplemented
 
     def __hash__(self):
-        if self._b == 0:
-            return hash(self._a)
-        return hash((self._a, self._b))
+        if self._q == 0:
+            return hash(_from_ints(self._p, self._d))
+        return hash((self._p, self._q, self._d))
 
     def __bool__(self):
-        return bool(self._a) or bool(self._b)
+        return bool(self._p) or bool(self._q)
 
     def sign(self) -> int:
-        """Exact sign: compares a^2 with 2 b^2 when the parts disagree."""
-        sa, sb = rational_sign(self._a), rational_sign(self._b)
-        if sb == 0:
-            return sa
-        if sa == 0:
-            return sb
-        if sa == sb:
-            return sa
-        # opposite part signs: |a| vs |b| sqrt2 decided by a^2 vs 2 b^2
-        cmp = rational_sign(self._a * self._a - 2 * self._b * self._b)
-        return sa * cmp if cmp != 0 else 0
+        """Exact sign: compares p^2 with 2 q^2 when p and q disagree."""
+        sp, sq = _int_sign(self._p), _int_sign(self._q)
+        if sq == 0 or sp == sq:
+            return sp
+        if sp == 0:
+            return sq
+        # opposite signs: |p| vs |q| sqrt2 decided by p^2 vs 2 q^2, never equal
+        return sp if self._p * self._p > 2 * self._q * self._q else sq
 
     def __lt__(self, other):
         o = self._coerce(other)
@@ -253,7 +289,7 @@ class QuadExt:
         return (self - o).sign() >= 0
 
     def is_rational(self) -> bool:
-        return self._b == 0
+        return self._q == 0
 
     def __float__(self):
         return to_float(self)
@@ -262,7 +298,40 @@ class QuadExt:
         return format_quadext(self)
 
     def __repr__(self):
-        return f"QuadExt({self._a!r}, {self._b!r})"
+        return f"QuadExt({self.rat_part!r}, {self.root2_part!r})"
+
+
+def _int_sign(n: int) -> int:
+    return (n > 0) - (n < 0)
+
+
+def _raw_quadext(p: int, q: int, d: int) -> QuadExt:
+    """Wrap content that is already canonical."""
+    x = object.__new__(QuadExt)
+    x._p = p
+    x._q = q
+    x._d = d
+    return x
+
+
+def _quadext(p: int, q: int, d: int) -> QuadExt:
+    """The element (p + q*sqrt2) / d for d > 0, reduced by one gcd."""
+    g = gcd(p, q, d)
+    if g == 1:
+        return _raw_quadext(p, q, d)
+    return _raw_quadext(p // g, q // g, d // g)
+
+
+def _divide(x: QuadExt, y: QuadExt) -> QuadExt:
+    """x / y as d_y (p_x + q_x r)(p_y - q_y r) / (d_x N(y)), one gcd."""
+    p, q, s, t = x._p, x._q, y._p, y._q
+    norm = s * s - 2 * t * t
+    if norm == 0:
+        raise ZeroDivisionError("division by zero in Q(sqrt2)")
+    e = y._d
+    if norm < 0:
+        e, norm = -e, -norm
+    return _quadext(e * (p * s - 2 * q * t), e * (q * s - p * t), x._d * norm)
 
 
 SQRT2 = QuadExt(0, 1)
@@ -327,10 +396,10 @@ def parse_quadext(text: str) -> QuadExt:
 def to_float(x) -> float:
     """Nearest double for rationals; sqrt2 terms use a 50-digit convergent."""
     if isinstance(x, QuadExt):
-        if x.root2_part == 0:
+        if x._q == 0:
             x = x.rat_part
         else:
-            x = x.rat_part + x.root2_part * _SQRT2_APPROX
+            x = (x._p + x._q * _SQRT2_APPROX) / x._d
     try:
         if isinstance(x, (int, float)):
             return float(x)

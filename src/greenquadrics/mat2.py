@@ -26,6 +26,7 @@ from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
 from greenquadrics.exact import _as_rational as _coerce
 from greenquadrics.exact import _from_ints as _Q
+from greenquadrics.exact import _parts
 
 __all__ = [
     "Mat2",
@@ -51,14 +52,6 @@ class Vec4(NamedTuple):
     c2: Rational
     c3: Rational
     c4: Rational
-
-
-def _parts(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact scalar."""
-    if isinstance(x, int):
-        return x, 1
-    x = _coerce(x)
-    return x.numerator, x.denominator
 
 
 def _raw(n: tuple, d: int) -> "Mat2":
@@ -276,7 +269,16 @@ def outer(col, row) -> Mat2:
     """Rank <= 1 product col . row^T of two 2-vectors."""
     c1, c2 = col
     r1, r2 = row
-    return Mat2(c1 * r1, c1 * r2, c2 * r1, c2 * r2)
+    c1, e1 = _parts(c1)
+    c2, e2 = _parts(c2)
+    r1, f1 = _parts(r1)
+    r2, f2 = _parts(r2)
+    # col = (c1 e2', c2 e1') / lcm(e1, e2) with e1' = e1 / gcd(e1, e2); row alike
+    g = gcd(e1, e2)
+    c1, c2, e = c1 * (e2 // g), c2 * (e1 // g), e1 // g * e2
+    g = gcd(f1, f2)
+    r1, r2, f = r1 * (f2 // g), r2 * (f1 // g), f1 // g * f2
+    return _canon(c1 * r1, c1 * r2, c2 * r1, c2 * r2, e * f)
 
 
 def primitive_direction(a: Mat2) -> Mat2:

@@ -2,7 +2,9 @@
 
 Everything is driven by `random.Random` instances; `derive_seed` gives each
 trial/point index its own child seed so batched work is reproducible (and
-order-independent) for a fixed master seed.
+order-independent) for a fixed master seed.  `rand_mat` and `outer` build a
+`Mat2` straight from integer content with one gcd; `rand_mat` makes the
+same `randint` calls, in the same order, as four `rand_rational` draws.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import random
 from itertools import product
 
 from greenquadrics.exact import Rational, _as_rational
-from greenquadrics.mat2 import Mat2, outer
+from greenquadrics.mat2 import Mat2, _canon, outer
 
 __all__ = [
     "derive_seed",
@@ -51,7 +53,14 @@ def rand_nonzero_rational(rng: random.Random, span: int = 9, max_den: int = 9) -
 
 
 def rand_mat(rng: random.Random, span: int = 9, max_den: int = 9) -> Mat2:
-    return Mat2(*(rand_rational(rng, span, max_den) for _ in range(4)))
+    """Four `rand_rational` entries, drawn in the same order, as integer content."""
+    r = rng.randint
+    n1, d1 = r(-span, span), r(1, max_den)
+    n2, d2 = r(-span, span), r(1, max_den)
+    n3, d3 = r(-span, span), r(1, max_den)
+    n4, d4 = r(-span, span), r(1, max_den)
+    d12, d34 = d1 * d2, d3 * d4
+    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
 
 
 def rand_invertible(rng: random.Random, span: int = 9, max_den: int = 9) -> Mat2:

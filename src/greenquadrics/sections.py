@@ -9,7 +9,15 @@ their agreement.
 
 Inside P(I; lam) the orthonormal frame with origin (lam/2) I turns the
 slice into X^2 + Y^2 - Z^2 = lam^2 / 2; those coordinates live in Q(sqrt 2)
-and `to_bell`/`from_bell` convert exactly.
+and `to_bell`/`from_bell` convert exactly.  For a rational `Mat2` with
+content n / d, `to_bell` reads X = ((n1 - n4) / 2d) sqrt2 (and likewise Y,
+Z) straight from the ints, and `bell_residual` evaluates the frame's four
+squares on the ints with one gcd.
+
+`AffineQuadric3` keeps its public `Q`, `b`, `c`, `origin` and `basis`;
+`evaluate` and `point` clear the chart coordinates t to one denominator and
+run on integer content of the coefficients and of the chart, computed on
+first use (classification never needs it).
 
 Levels lam are `int` or `Fraction`; a float, a string or a `Decimal`
 raises `TypeError`.
@@ -19,6 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from math import lcm
 from typing import NamedTuple
 
 from greenquadrics.errors import (
@@ -26,9 +36,9 @@ from greenquadrics.errors import (
     ZeroCoefficientError,
     ZeroLambdaError,
 )
-from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational
+from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import ProjLine
-from greenquadrics.mat2 import IDENTITY, Mat2, det_polar, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, det_polar, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric
 from greenquadrics.semigroup import rank1_factor
 
@@ -122,12 +132,6 @@ class QuadMat2(NamedTuple):
         return Mat2(*(v.rat_part for v in self))
 
 
-def _as_quad(x) -> QuadMat2:
-    if isinstance(x, QuadMat2):
-        return x
-    return QuadMat2(*(QuadExt(v) for v in x.entries))
-
-
 def to_bell(x, lam) -> BellPoint:
     """Frame coordinates of a point of P(I; lam); exact in Q(sqrt 2).
 
@@ -135,13 +139,25 @@ def to_bell(x, lam) -> BellPoint:
     coordinates round-trip).
     """
     lam = _as_rational(lam)
-    q = _as_quad(x)
-    if q.trace() != QuadExt(lam):
+    if isinstance(x, Mat2):
+        # (x1 - x4)/sqrt2 = ((n1 - n4) / 2d) sqrt2, and likewise Y and Z
+        n1, n2, n3, n4 = x._n
+        d = x._d
+        if (n1 + n4) * lam.denominator != lam.numerator * d:
+            raise NotOnHyperplaneError("trace differs from the frame level")
+        d2 = 2 * d
+        return BellPoint(
+            X=_quadext(0, n1 - n4, d2),
+            Y=_quadext(0, n2 + n3, d2),
+            Z=_quadext(0, n3 - n2, d2),
+            lam=lam,
+        )
+    if x.trace() != QuadExt(lam):
         raise NotOnHyperplaneError("trace differs from the frame level")
     return BellPoint(
-        X=(q.x1 - q.x4) / SQRT2,
-        Y=(q.x2 + q.x3) / SQRT2,
-        Z=(q.x3 - q.x2) / SQRT2,
+        X=(x.x1 - x.x4) / SQRT2,
+        Y=(x.x2 + x.x3) / SQRT2,
+        Z=(x.x3 - x.x2) / SQRT2,
         lam=lam,
     )
 
@@ -164,12 +180,13 @@ def bell_residual(x: Mat2) -> Rational:
     The squares of the frame coordinates are rational, so the value is an
     exact rational.
     """
-    x1, x2, x3, x4 = x.entries
-    d1 = x1 - x4
-    s23 = x2 + x3
-    d32 = x3 - x2
-    lam = x1 + x4
-    return (d1 * d1 + s23 * s23 - d32 * d32 - lam * lam) * _HALF
+    n1, n2, n3, n4 = x._n
+    d1 = n1 - n4
+    s23 = n2 + n3
+    d32 = n3 - n2
+    lam = n1 + n4
+    # each term carries d^2, and the half doubles it
+    return _from_ints(d1 * d1 + s23 * s23 - d32 * d32 - lam * lam, 2 * x._d * x._d)
 
 
 @dataclass(frozen=True)
@@ -183,20 +200,65 @@ class AffineQuadric3:
     origin: Mat2
     basis: tuple  # three Mat2 spanning {v : tr(a v) = 0}
 
+    @cached_property
+    def _poly(self) -> tuple:
+        """(M, C, B, S): the polynomial times M, on ints.
+
+        c = C/M, b_i = B_i/M, and S holds Q_ii and Q_ij + Q_ji (i < j),
+        each over M, in the order 11 22 33 12 13 23.
+        """
+        Q = self.Q
+        coeffs = (
+            self.c, *self.b,
+            Q[0][0], Q[1][1], Q[2][2],
+            Q[0][1] + Q[1][0], Q[0][2] + Q[2][0], Q[1][2] + Q[2][1],
+        )
+        parts = [_parts(v) for v in coeffs]
+        m = lcm(*(den for _, den in parts))
+        ints = [num * (m // den) for num, den in parts]
+        return m, ints[0], tuple(ints[1:4]), tuple(ints[4:])
+
+    @cached_property
+    def _chart(self) -> tuple:
+        """(L, O, B): origin = O/L and basis_i = B_i/L, on ints."""
+        mats = (self.origin, *self.basis)
+        el = lcm(*(m._d for m in mats))
+        o, *b = [tuple(v * (el // m._d) for v in m._n) for m in mats]
+        return el, o, tuple(b)
+
     def evaluate(self, t) -> Rational:
-        """Value of the quadric polynomial at chart coordinates t."""
-        acc = self.c
-        for i in range(3):
-            acc = acc + self.b[i] * t[i]
-            for j in range(3):
-                acc = acc + self.Q[i][j] * t[i] * t[j]
-        return acc
+        """Value of the quadric polynomial at chart coordinates t.
+
+        With t = u/D: (C D^2 + D sum B_i u_i + sum S_ij u_i u_j) / (M D^2).
+        """
+        u1, u2, u3, dd = _clear(t)
+        m, c, (b1, b2, b3), (s11, s22, s33, s12, s13, s23) = self._poly
+        num = (
+            c * dd * dd
+            + dd * (b1 * u1 + b2 * u2 + b3 * u3)
+            + u1 * (s11 * u1 + s12 * u2 + s13 * u3)
+            + u2 * (s22 * u2 + s23 * u3)
+            + s33 * u3 * u3
+        )
+        return _from_ints(num, m * dd * dd)
 
     def point(self, t) -> Mat2:
-        m = self.origin
-        for i in range(3):
-            m = m + self.basis[i] * t[i]
-        return m
+        """origin + sum t_i basis_i, as (O D + sum B_i u_i) / (L D)."""
+        u1, u2, u3, dd = _clear(t)
+        el, o, (b1, b2, b3) = self._chart
+        return _canon(
+            *(o[k] * dd + b1[k] * u1 + b2[k] * u2 + b3[k] * u3 for k in range(4)),
+            el * dd,
+        )
+
+
+def _clear(t) -> tuple[int, int, int, int]:
+    """Chart coordinates t as (u1, u2, u3, D) with t_i = u_i / D, D > 0."""
+    (u1, e1), (u2, e2), (u3, e3) = _parts(t[0]), _parts(t[1]), _parts(t[2])
+    if e1 == e2 == e3:
+        return u1, u2, u3, e1
+    dd = lcm(e1, e2, e3)
+    return u1 * (dd // e1), u2 * (dd // e2), u3 * (dd // e3), dd
 
 
 def quadric_on_chart(origin: Mat2, basis) -> tuple[tuple, tuple, Rational]:

@@ -1,6 +1,7 @@
 import pytest
 
 from greenquadrics import checks
+from greenquadrics.exact import QuadExt
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -30,3 +31,21 @@ def test_zero_trials_is_not_a_pass():
     assert results
     for r in results:
         assert not r.ok and r.detail == "0/0 trials ok", r.line()
+
+
+def test_membership_cap_is_reported():
+    cap = checks._MEMBERSHIP_CAP
+    r = checks.check_membership_equals_triple_products(5, cap + 1)
+    assert r.ok
+    assert r.detail == f"{(cap + 1) * 625}/{(cap + 1) * 625} trials ok; random a capped at {cap} of {cap + 1}"
+    r = checks.check_membership_equals_triple_products(5, 3)
+    assert r.detail == f"{4 * 625}/{4 * 625} trials ok"
+
+
+def test_sign_check_tests_zero(monkeypatch):
+    # a sign() that calls zero positive must fail the check
+    sign = QuadExt.sign
+    monkeypatch.setattr(QuadExt, "sign", lambda self: sign(self) if self else 1)
+    r = checks.check_quadext_sign(42)
+    passed, total = map(int, r.detail.split(" ")[0].split("/"))
+    assert not r.ok and total == 2000 and passed < total

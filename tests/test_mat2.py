@@ -17,6 +17,7 @@ from greenquadrics.mat2 import (
     format_mat2,
     inner,
     inverse_mat,
+    outer,
     parse_mat2,
     primitive_direction,
     proportional,
@@ -186,6 +187,31 @@ class TestScalarMaps:
         s, t = Rational(3), Rational(-2)
         combo = a * s + b * t
         assert combo.det() == s * s * a.det() + s * t * det_polar(a, b) + t * t * b.det()
+
+
+class TestOuter:
+    @given(st.lists(st.one_of(st.integers(-10**20, 10**20), small), min_size=4, max_size=4))
+    def test_matches_entrywise_products(self, v):
+        c1, c2, r1, r2 = v
+        got = outer((c1, c2), (r1, r2))
+        assert_canonical(got)
+        assert got == Mat2(c1 * r1, c1 * r2, c2 * r1, c2 * r2)
+
+    @pytest.mark.parametrize(
+        "col,row",
+        [((1, 2), (3, 4)), ((Fraction(1, 2), Fraction(-2, 3)), (Fraction(3, 5), 7)), ((0, 0), (1, 1))],
+    )
+    def test_examples(self, col, row):
+        c1, c2 = col
+        r1, r2 = row
+        assert outer(col, row) == Mat2(c1 * r1, c1 * r2, c2 * r1, c2 * r2)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", Decimal("0.5")], ids=repr)
+    def test_rejects_inexact_entries(self, bad):
+        with pytest.raises(TypeError):
+            outer((1, bad), (1, 1))
+        with pytest.raises(TypeError):
+            outer((1, 1), (bad, 1))
 
 
 class TestInverse:

@@ -1,4 +1,5 @@
 from decimal import Decimal
+from math import gcd
 
 import pytest
 
@@ -9,7 +10,7 @@ from greenquadrics.errors import (
 )
 from greenquadrics.exact import QuadExt, Rational
 from greenquadrics.green import class_plane, green_eq, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat
+from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
 from greenquadrics.sampling import (
     rand_idempotent_rank1,
@@ -19,6 +20,7 @@ from greenquadrics.sampling import (
     rng_for,
 )
 from greenquadrics.sections import (
+    AffineQuadric3,
     BellPoint,
     Hyperplane,
     QuadMat2,
@@ -110,6 +112,130 @@ class TestBell:
                 lam,
             )
             assert to_bell(from_bell(q), lam) == q
+
+
+def _wide(rng, bits=256):
+    """A rational whose numerator and denominator both have `bits` bits."""
+    num = rng.getrandbits(bits) | (1 << (bits - 1))
+    den = rng.getrandbits(bits) | (1 << (bits - 1))
+    return R(num if rng.random() < 0.5 else -num, den)
+
+
+def _draws(i, rng):
+    """Small entries on even i, 256-bit entries on odd i."""
+    if i % 2:
+        return lambda: _wide(rng)
+    return lambda: rand_rational(rng, 4, 3)
+
+
+def _old_bell_residual(x):
+    # the Fraction formula the integer version replaced
+    x1, x2, x3, x4 = x.entries
+    d1, s23, d32, lam = x1 - x4, x2 + x3, x3 - x2, x1 + x4
+    return (d1 * d1 + s23 * s23 - d32 * d32 - lam * lam) * HALF
+
+
+class TestFrameFromIntegerContent:
+    def test_to_bell_matches_the_quadmat2_branch(self):
+        for i in range(120):
+            rng = rng_for(211, i)
+            draw = _draws(i, rng)
+            x = Mat2(*(draw() for _ in range(4)))
+            lam = x.trace()
+            p = to_bell(x, lam)
+            q = to_bell(QuadMat2(*(QuadExt(v) for v in x.entries)), lam)
+            assert p == q
+            for v in (p.X, p.Y, p.Z):
+                assert v.rat_part == 0 and v._d > 0 and gcd(v._p, v._q, v._d) == 1
+            assert from_bell(p).to_mat2() == x
+            with pytest.raises(NotOnHyperplaneError):
+                to_bell(x, lam + R(1, 3))
+
+    def test_bell_residual_matches_fraction_formula(self):
+        for i in range(200):
+            rng = rng_for(223, i)
+            draw = _draws(i, rng)
+            x = Mat2(*(draw() for _ in range(4))) if i % 4 < 2 else rand_rank1(rng) * draw()
+            got = bell_residual(x)
+            assert type(got) is R and got == _old_bell_residual(x)
+
+
+def _old_evaluate(aq, t):
+    # the Fraction loop `evaluate` replaced
+    acc = aq.c
+    for i in range(3):
+        acc = acc + aq.b[i] * t[i]
+        for j in range(3):
+            acc = acc + aq.Q[i][j] * t[i] * t[j]
+    return acc
+
+
+def _old_point(aq, t):
+    # the Mat2 loop `point` replaced
+    m = aq.origin
+    for i in range(3):
+        m = m + aq.basis[i] * t[i]
+    return m
+
+
+def _chart_coordinates(rng, draw):
+    """int, Fraction, mixed and common-denominator coordinate triples."""
+    return [
+        [rng.randint(-9, 9) for _ in range(3)],
+        [draw() for _ in range(3)],
+        [rng.randint(-9, 9), draw(), rng.randint(-9, 9)],
+        [draw(), 0, R(-1, 3)],
+        [R(k, 7) for k in (rng.randint(-9, 9), 3, -5)],
+    ]
+
+
+class TestChartOnIntegerContent:
+    def test_evaluate_and_point_match_fraction_loops(self):
+        for i in range(80):
+            rng = rng_for(227, i)
+            draw = _draws(i, rng)
+            if i % 2 == 0:
+                a = rand_invertible(rng) if i % 4 == 0 else rand_rank1(rng)
+            elif i % 4 == 1:
+                a = Mat2(*(draw() for _ in range(4)))
+            else:
+                a = outer((draw(), draw()), (draw(), draw()))
+            lam = R(0) if i % 3 == 0 else draw()
+            h = Hyperplane(a, lam)
+            aq = restrict_quadric(h)
+            for t in _chart_coordinates(rng, draw):
+                value, pt = aq.evaluate(t), aq.point(t)
+                assert type(value) is R and value == _old_evaluate(aq, t)
+                assert pt == _old_point(aq, t) and membership(h, pt)
+                assert pt.det() == value
+
+    def test_evaluate_reads_any_q(self):
+        # a hand-built, non-symmetric Q with int and Fraction coefficients
+        aq = AffineQuadric3(
+            Q=((1, 2, 0), (0, R(-3, 4), 3), (5, 0, R(1, 2))),
+            b=(1, 0, R(2, 3)),
+            c=R(-1, 5),
+            origin=Mat2(1, 0, 0, 0),
+            basis=(Mat2(0, 1, 0, 0), Mat2(0, 0, R(1, 2), 0), Mat2(0, 0, 0, 3)),
+        )
+        for t in ([1, 2, 3], [R(1, 2), -1, R(5, 9)], [0, 0, 0]):
+            assert aq.evaluate(t) == _old_evaluate(aq, t)
+            assert aq.point(t) == _old_point(aq, t)
+
+    def test_integer_content_is_built_on_first_use(self):
+        aq = restrict_quadric(Hyperplane(IDENTITY, R(3)))
+        classify_affine_quadric(aq)
+        assert "_poly" not in vars(aq) and "_chart" not in vars(aq)
+        aq.evaluate([1, 2, 3])
+        assert "_poly" in vars(aq) and "_chart" not in vars(aq)
+
+    def test_chart_coordinates_are_strict(self):
+        aq = restrict_quadric(Hyperplane(IDENTITY, R(1)))
+        for bad in ([0.5, 0, 0], [0, "1", 0], [0, 0, Decimal("0.5")]):
+            with pytest.raises(TypeError):
+                aq.evaluate(bad)
+            with pytest.raises(TypeError):
+                aq.point(bad)
 
 
 class TestBellResidual:
