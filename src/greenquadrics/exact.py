@@ -213,14 +213,7 @@ class QuadExt:
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadExt":
-        # d/(p + q r) = d (p - q r)/(p^2 - 2 q^2); the norm vanishes only at 0
-        p, q, d = self._p, self._q, self._d
-        norm = p * p - 2 * q * q
-        if norm == 0:
-            raise ZeroDivisionError("inverse of zero in Q(sqrt2)")
-        if norm < 0:
-            d, norm = -d, -norm
-        return _quadext(d * p, -d * q, norm)
+        return _divide(_raw_quadext(1, 0, 1), self)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -256,7 +249,7 @@ class QuadExt:
 
     def sign(self) -> int:
         """Exact sign: compares p^2 with 2 q^2 when p and q disagree."""
-        sp, sq = _int_sign(self._p), _int_sign(self._q)
+        sp, sq = rational_sign(self._p), rational_sign(self._q)
         if sq == 0 or sp == sq:
             return sp
         if sp == 0:
@@ -301,10 +294,6 @@ class QuadExt:
         return f"QuadExt({self.rat_part!r}, {self.root2_part!r})"
 
 
-def _int_sign(n: int) -> int:
-    return (n > 0) - (n < 0)
-
-
 def _raw_quadext(p: int, q: int, d: int) -> QuadExt:
     """Wrap content that is already canonical."""
     x = object.__new__(QuadExt)
@@ -323,7 +312,10 @@ def _quadext(p: int, q: int, d: int) -> QuadExt:
 
 
 def _divide(x: QuadExt, y: QuadExt) -> QuadExt:
-    """x / y as d_y (p_x + q_x r)(p_y - q_y r) / (d_x N(y)), one gcd."""
+    """x / y as d_y (p_x + q_x r)(p_y - q_y r) / (d_x N(y)), one gcd.
+
+    N(y) = p_y^2 - 2 q_y^2 vanishes only at y = 0, because sqrt2 is irrational.
+    """
     p, q, s, t = x._p, x._q, y._p, y._q
     norm = s * s - 2 * t * t
     if norm == 0:
