@@ -24,13 +24,11 @@ from greenquadrics.green import (
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
-    Vec4,
     ZERO,
     format_mat2,
     inner,
     inverse_mat,
     parse_mat2,
-    scalar_summary,
 )
 from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
 from greenquadrics.sections import (

@@ -48,6 +48,7 @@ from greenquadrics.sections import (
     restrict_quadric,
     section_membership,
     to_bell,
+    trace_functional,
 )
 from greenquadrics.semigroup import (
     chart_eval,
@@ -508,7 +509,8 @@ def check_bell_identity(seed, trials=1000):
                 failures += 1
             y = rand_invertible(rng)
             total += 1
-            if bell_residual(y) == 0:
+            # the frame residual is -2 det everywhere: comparing values, not zeros, sees a scale slip
+            if bell_residual(y) != -2 * y.det():
                 failures += 1
     return _result("sections", "frame_identity_exact", failures, total)
 
@@ -574,9 +576,13 @@ def check_restriction_identity(seed, trials=100, points_per=100):
         rng = rng_for(seed, i)
         h = _random_hyperplane_nonzero_a(rng, i)
         aq = restrict_quadric(h)
+        pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
         for _ in range(points_per):
             t = [rand_rational(rng, 4, 3) for _ in range(3)]
-            if aq.point(t).det() != aq.evaluate(t):
+            x = aq.point(t)
+            # the chart keeps the non-pivot coordinates: read t back from the entries
+            free = [v for k, v in enumerate(x.entries) if k != pivot]
+            if free != t or x.det() != aq.evaluate(t):
                 failures += 1
     return _result("sections", "restriction_identity", failures, trials * points_per)
 

@@ -14,8 +14,10 @@ conversion.  A rational scalar the package returns is exactly a
 `Fraction`, and arithmetic a caller does on it is Python's (a `Fraction`
 plus a float is a float).
 
-Floats appear only in `to_float`, which exporters use; nothing here or in
-the layers above decides anything with floating point.
+Floats come only from `to_float`, which exporters use: `QuadExt` has no
+`float()` conversion and no ordering operators, and `sign()` is its one
+exact comparison.  Nothing here or in the layers above decides anything
+with floating point.
 """
 
 from __future__ import annotations
@@ -257,35 +259,8 @@ class QuadExt:
         # opposite signs: |p| vs |q| sqrt2 decided by p^2 vs 2 q^2, never equal
         return sp if self._p * self._p > 2 * self._q * self._q else sq
 
-    def __lt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() < 0
-
-    def __le__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() <= 0
-
-    def __gt__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() > 0
-
-    def __ge__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return (self - o).sign() >= 0
-
     def is_rational(self) -> bool:
         return self._q == 0
-
-    def __float__(self):
-        return to_float(self)
 
     def __str__(self):
         return format_quadext(self)

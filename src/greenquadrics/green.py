@@ -60,9 +60,6 @@ class ProjLine:
         a, b = self._d
         return ProjLine(Rational(-b), Rational(a))
 
-    def dot(self, other: "ProjLine") -> int:
-        return self._d[0] * other._d[0] + self._d[1] * other._d[1]
-
     def __eq__(self, other):
         if not isinstance(other, ProjLine):
             return NotImplemented
@@ -78,10 +75,6 @@ class ProjLine:
         return f"({self._d[0]},{self._d[1]})"
 
 
-def _line_from_pair(u) -> ProjLine:
-    return ProjLine(u[0], u[1])
-
-
 def rowspace(a: Mat2) -> ProjLine | None:
     """Row space of a rank-1 matrix as a line; None for the zero matrix.
 
@@ -90,15 +83,15 @@ def rowspace(a: Mat2) -> ProjLine | None:
     """
     if a.rank() != 1:
         return None
-    r1, r2 = a.rows()
-    return _line_from_pair(r1 if r1[0] or r1[1] else r2)
+    x1, x2, x3, x4 = a.entries
+    return ProjLine(x1, x2) if x1 or x2 else ProjLine(x3, x4)
 
 
 def colspace(a: Mat2) -> ProjLine | None:
     if a.rank() != 1:
         return None
-    c1, c2 = a.cols()
-    return _line_from_pair(c1 if c1[0] or c1[1] else c2)
+    x1, x2, x3, x4 = a.entries
+    return ProjLine(x1, x3) if x1 or x3 else ProjLine(x2, x4)
 
 
 @dataclass(frozen=True)

@@ -11,16 +11,14 @@ Every result is reduced by a single 5-way gcd, so `gcd(*_n, _d) == 1`
 (the zero matrix is `(0, 0, 0, 0) / 1`) and equal matrices have equal
 fields: equality and hashing are tuple operations.  Arithmetic, `det`,
 `rank` and the other maps are written out on the ints; `Fraction`s are
-built only at the accessors (`entries`, `x1`..`x4`, `rows`, `cols`,
-`as_vec4`) and for the rational scalars a map returns.  Entries and
-scalars are `int` or `Fraction`; anything else (a float, a string, a
-`Decimal`) raises `TypeError`.
+built only at the accessors (`entries`, `x1`..`x4`) and for the rational
+scalars a map returns.  Entries and scalars are `int` or `Fraction`;
+anything else (a float, a string, a `Decimal`) raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
-from typing import NamedTuple
 
 from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
@@ -30,11 +28,8 @@ from greenquadrics.exact import _parts
 
 __all__ = [
     "Mat2",
-    "Vec4",
     "ZERO",
     "IDENTITY",
-    "ScalarSummary",
-    "scalar_summary",
     "inner",
     "det_polar",
     "inverse_mat",
@@ -44,14 +39,6 @@ __all__ = [
     "parse_mat2",
     "format_mat2",
 ]
-
-class Vec4(NamedTuple):
-    """Row-major coordinates of a matrix in 4-space."""
-
-    c1: Rational
-    c2: Rational
-    c3: Rational
-    c4: Rational
 
 
 def _raw(n: tuple, d: int) -> "Mat2":
@@ -86,10 +73,6 @@ class Mat2:
         )
         self._d = d
 
-    @classmethod
-    def from_vec4(cls, v: Vec4) -> "Mat2":
-        return cls(*v)
-
     @property
     def x1(self):
         return _Q(self._n[0], self._d)
@@ -111,17 +94,6 @@ class Mat2:
         n1, n2, n3, n4 = self._n
         d = self._d
         return (_Q(n1, d), _Q(n2, d), _Q(n3, d), _Q(n4, d))
-
-    def as_vec4(self) -> Vec4:
-        return Vec4(*self.entries)
-
-    def rows(self):
-        e = self.entries
-        return (e[0], e[1]), (e[2], e[3])
-
-    def cols(self):
-        e = self.entries
-        return (e[0], e[2]), (e[1], e[3])
 
     # arithmetic -----------------------------------------------------------
     def __matmul__(self, other: "Mat2") -> "Mat2":
@@ -205,12 +177,6 @@ class Mat2:
         a1, a2, a3, a4 = self._n
         return not (a1 or a2 or a3 or a4)
 
-    def is_identity(self) -> bool:
-        return self._d == 1 and self._n == (1, 0, 0, 1)
-
-    def is_symmetric(self) -> bool:
-        return self._n[1] == self._n[2]
-
     def __eq__(self, other):
         if not isinstance(other, Mat2):
             return NotImplemented
@@ -228,17 +194,6 @@ class Mat2:
 
 ZERO = Mat2(0, 0, 0, 0)
 IDENTITY = Mat2(1, 0, 0, 1)
-
-
-class ScalarSummary(NamedTuple):
-    trace: Rational
-    det: Rational
-    rank: int
-    norm_sq: Rational
-
-
-def scalar_summary(a: Mat2) -> ScalarSummary:
-    return ScalarSummary(a.trace(), a.det(), a.rank(), a.norm_sq())
 
 
 def inner(x: Mat2, y: Mat2) -> Rational:

@@ -37,10 +37,9 @@ from greenquadrics.errors import (
     ZeroLambdaError,
 )
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
-from greenquadrics.green import ProjLine
+from greenquadrics.green import colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, det_polar, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric
-from greenquadrics.semigroup import rank1_factor
 
 __all__ = [
     "Hyperplane",
@@ -321,9 +320,9 @@ def classify_section(a: Mat2, lam) -> SectionVerdict:
 
     Theorem-driven table on (rank a, lam == 0).  For rank-1 `a` at level 0
     the slice splits into the L-class and R-class of the representative
-    carried in the verdict (plus the origin): writing a = c . r^T, those are
-    the matrices with row space orthogonal to c, resp. column space
-    orthogonal to r.
+    carried in the verdict (plus the origin): writing a = c . r^T, with c
+    spanning colspace(a) and r rowspace(a), those are the matrices with
+    row space orthogonal to c, resp. column space orthogonal to r.
     """
     lam = _as_rational(lam)
     rank = a.rank()
@@ -337,10 +336,7 @@ def classify_section(a: Mat2, lam) -> SectionVerdict:
         return SectionVerdict(SectionClass.HYPERBOLOID_ONE_SHEET)
     if lam != 0:
         return SectionVerdict(SectionClass.HYPERBOLIC_PARABOLOID)
-    c, r = rank1_factor(a)
-    r_perp = ProjLine(r[0], r[1]).perp().direction
-    c_perp = ProjLine(c[0], c[1]).perp().direction
-    rep = outer(r_perp, c_perp)
+    rep = outer(rowspace(a).perp().direction, colspace(a).perp().direction)
     return SectionVerdict(SectionClass.TWO_PUNCTURED_PLANES, l_rep=rep, r_rep=rep)
 
 

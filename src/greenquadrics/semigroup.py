@@ -10,7 +10,6 @@ parameter pair (s, t).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from greenquadrics._linear import solve_linear
@@ -116,11 +115,6 @@ class InverseChart:
     q0: tuple[Rational, Rational]
     q1: tuple[Rational, Rational]
 
-    def eval(self, s, t) -> Mat2:
-        d = (self.d0[0] + s * self.d1[0], self.d0[1] + s * self.d1[1])
-        q = (self.q0[0] + t * self.q1[0], self.q0[1] + t * self.q1[1])
-        return outer(d, q)
-
 
 def inverse_chart(a: Mat2) -> InverseChart:
     if a.rank() != 1:
@@ -138,7 +132,10 @@ def inverse_chart(a: Mat2) -> InverseChart:
 
 
 def chart_eval(chart: InverseChart, s, t) -> Mat2:
-    return chart.eval(s, t)
+    """The inverse (d0 + s d1)(q0 + t q1)^T at chart parameters (s, t)."""
+    d = (chart.d0[0] + s * chart.d1[0], chart.d0[1] + s * chart.d1[1])
+    q = (chart.q0[0] + t * chart.q1[0], chart.q0[1] + t * chart.q1[1])
+    return outer(d, q)
 
 
 @dataclass(frozen=True)
@@ -262,9 +259,6 @@ class OrderSectionReport:
             "agree_le_vs_section": self.agree_le_vs_section,
             "counterexamples": self.counterexamples,
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     def to_text(self) -> str:
         lines = [

@@ -25,7 +25,7 @@ from greenquadrics.green import class_plane
 from greenquadrics.sections import classify_section, trace_functional
 from greenquadrics.semigroup import generator_line, inverse_chart
 
-__all__ = ["SurfaceSample", "sample_surface", "write_csv", "write_obj", "read_csv_points"]
+__all__ = ["SurfaceSample", "sample_surface", "write_csv", "write_obj"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -42,7 +42,6 @@ class SurfaceSample:
     frame: list = field(default_factory=list)  # (X, Y, Z) or None, per point
     chart: list = field(default_factory=list)  # 3-tuple or None, per point
     segments: list = field(default_factory=list)  # (i, j) index pairs
-    meta: dict = field(default_factory=dict)
 
 
 def _frame_to_ambient(lam: float, X: float, Y: float, Z: float):
@@ -131,7 +130,6 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     rank = a.rank()
     if rank == 0:
         if lam_r != 0:
-            sample.meta["empty"] = True
             return sample
         # the whole variety: random rank-1 outer products at float precision
         for i in range(n):
@@ -145,7 +143,6 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
             )
             sample.frame.append(None)
             sample.chart.append(None)
-        sample.meta["note"] = "full variety; no hyperplane chart"
         return sample
 
     extract = _chart_extractor(a)
@@ -236,7 +233,6 @@ def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
             if j:
                 sample.segments.append((first + j - 1, first + j))
         index += count
-        sample.meta.setdefault("families", []).append(line.family)
     return sample
 
 
@@ -284,16 +280,3 @@ def write_obj(sample: SurfaceSample, path: str) -> None:
             fh.write(f"l {i + 1} {j + 1}\n")
 
     _atomic_write(path, emit)
-
-
-def read_csv_points(path: str) -> list[tuple[float, float, float, float]]:
-    """Ambient points back from a CSV export (validation helper)."""
-    points = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[:4] != ["x1", "x2", "x3", "x4"]:
-            raise ValueError("not a surface CSV")
-        for row in reader:
-            points.append(tuple(float(v) for v in row[:4]))
-    return points

@@ -44,7 +44,7 @@ from greenquadrics.sampling import (
 )
 from greenquadrics.sections import to_bell
 from greenquadrics.semigroup import generator_line, idempotent_from_spaces, is_nilpotent, line_meet
-from greenquadrics.surfaces import read_csv_points
+from surface_csv import read_csv_points
 
 HALF = Rational(1, 2)
 SEED = 2024
@@ -118,7 +118,7 @@ def test_criterion_4_idempotent_surface():
             built += 1
             if not (x.trace() == 1 and x.det() == 0 and x @ x == x):
                 surface_bad += 1
-            if x.is_symmetric():
+            if x == x.transpose():
                 d = x - IDENTITY * HALF
                 if inner(d, d) != HALF:
                     circle_bad += 1

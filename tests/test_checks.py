@@ -1,7 +1,9 @@
+from math import lcm
+
 import pytest
 
-from greenquadrics import checks
-from greenquadrics.exact import QuadExt
+from greenquadrics import checks, sections
+from greenquadrics.exact import QuadExt, _parts
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -49,3 +51,25 @@ def test_sign_check_tests_zero(monkeypatch):
     r = checks.check_quadext_sign(42)
     passed, total = map(int, r.detail.split(" ")[0].split("/"))
     assert not r.ok and total == 2000 and passed < total
+
+
+def test_bell_check_sees_a_scale_slip(monkeypatch):
+    # a residual over 2d instead of 2d^2 is still zero on the variety
+    residual = checks.bell_residual
+    monkeypatch.setattr(checks, "bell_residual", lambda x: residual(x) * x._d)
+    r = checks.check_bell_identity(42, trials=50)
+    assert r.ok is False, r.line()
+
+
+def test_restriction_check_sees_a_chart_clearing_slip(monkeypatch):
+    # scaling u2 by lcm/e3 instead of lcm/e2 moves `point` and `evaluate` alike
+    def clear(t):
+        (u1, e1), (u2, e2), (u3, e3) = (_parts(v) for v in t)
+        if e1 == e2 == e3:
+            return u1, u2, u3, e1
+        dd = lcm(e1, e2, e3)
+        return u1 * (dd // e1), u2 * (dd // e3), u3 * (dd // e3), dd
+
+    monkeypatch.setattr(sections, "_clear", clear)
+    r = checks.check_restriction_identity(42, trials=8, points_per=25)
+    assert r.ok is False, r.line()

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from greenquadrics.errors import DependentBasisError, NotRankOneError
@@ -31,7 +33,8 @@ class TestProjLine:
 
     def test_perp(self):
         assert ProjLine(Rational(1), Rational(0)).perp().direction == (0, 1)
-        assert ProjLine(Rational(3), Rational(4)).perp().dot(ProjLine(Rational(3), Rational(4))) == 0
+        (a, b), (c, d) = ProjLine(Rational(3), Rational(4)).perp().direction, (3, 4)
+        assert a * c + b * d == 0
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
@@ -47,6 +50,34 @@ class TestDescriptor:
         assert d.rowspace.direction == (1, 0) and d.colspace.direction == (2, 3)
         assert descriptor(ZERO).kind == "zero"
         assert descriptor(Mat2(1, 0, 0, 1)).kind == "invertible"
+
+
+def _rank1_fraction_entries(rng, bits, zero_row, zero_col):
+    """Entries c_i r_j of a rank-1 matrix, computed on `Fraction`s."""
+
+    def draw():
+        if bits is None:
+            return rand_nonzero_rational(rng, 4, 3)
+        num = rng.getrandbits(bits) | (1 << (bits - 1))
+        return Fraction(num if rng.random() < 0.5 else -num, rng.getrandbits(bits) | (1 << (bits - 1)))
+
+    c = (Fraction(0) if zero_row else draw(), draw())
+    r = (Fraction(0) if zero_col else draw(), draw())
+    return (c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
+
+
+class TestSpacesFromFirstNonzeroLine:
+    @pytest.mark.parametrize("bits", [None, 256], ids=["small", "256-bit"])
+    @pytest.mark.parametrize("zero_row,zero_col", [(False, False), (True, False), (False, True)])
+    def test_matches_first_nonzero_row_and_column(self, bits, zero_row, zero_col):
+        for i in range(40):
+            x = _rank1_fraction_entries(rng_for(83, i), bits, zero_row, zero_col)
+            a = Mat2(*x)
+            rows = [(x[0], x[1]), (x[2], x[3])]
+            cols = [(x[0], x[2]), (x[1], x[3])]
+            assert rowspace(a) == ProjLine(*next(v for v in rows if any(v)))
+            assert colspace(a) == ProjLine(*next(v for v in cols if any(v)))
+            assert (rows[0] == (0, 0)) == zero_row and (cols[0] == (0, 0)) == zero_col
 
 
 class TestGreenEq:

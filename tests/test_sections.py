@@ -9,7 +9,7 @@ from greenquadrics.errors import (
     ZeroLambdaError,
 )
 from greenquadrics.exact import QuadExt, Rational
-from greenquadrics.green import class_plane, green_eq, rowspace
+from greenquadrics.green import ProjLine, class_plane, green_eq, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
 from greenquadrics.sampling import (
@@ -396,7 +396,7 @@ class TestMetrics:
             from greenquadrics.mat2 import outer
 
             x = outer(u, u) / (u[0] * u[0] + u[1] * u[1])
-            assert x.is_symmetric()
+            assert x == x.transpose()
             d = x - center
             assert inner(d, d) == HALF
             assert to_bell(x, R(1)).Z == QuadExt(0)
@@ -419,18 +419,34 @@ def test_level_rejects_inexact_values(build, bad):
         build(bad)
 
 
+def _two_plane_inputs():
+    """Rank-1 coefficient matrices: small draws, then 256-bit outer products
+    with a zero first row on every third and a zero first column on the next."""
+    for i in range(150):
+        rng = rng_for(149, i)
+        yield rng, rand_rank1(rng)
+    for i in range(6):
+        rng = rng_for(151, i)
+        c, r = (_wide(rng), _wide(rng)), (_wide(rng), _wide(rng))
+        if i % 3 == 1:
+            c = (R(0), c[1])
+        elif i % 3 == 2:
+            r = (R(0), r[1])
+        yield rng, outer(c, r)
+
+
 class TestTwoPlanesAreExactlyTheSlice:
     def test_constructed_members_land_in_the_classes(self):
         from greenquadrics.semigroup import rank1_factor
 
-        for i in range(150):
-            rng = rng_for(149, i)
-            a = rand_rank1(rng)
+        for rng, a in _two_plane_inputs():
             v = classify_section(a, R(0))
             c, r = rank1_factor(a)
+            # the representative as built from the rank factorization
+            ref = outer(ProjLine(*r).perp().direction, ProjLine(*c).perp().direction)
+            assert v.l_rep == v.r_rep == ref
             r_perp = (-r[1], r[0])
             c_perp = (-c[1], c[0])
-            from greenquadrics.mat2 import outer
 
             w = (rand_rational(rng, 4, 3), rand_rational(rng, 4, 3))
             if w == (R(0), R(0)):

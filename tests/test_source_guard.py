@@ -3,9 +3,13 @@
 Every module under src/greenquadrics is parsed with `ast`.  The only
 environment variable the package may read is GQ_DEFAULT_TRIALS (the
 `check --trials` default), and nothing may import a compiled kernel.
+Every name a module exports in `__all__` exists, and the package
+re-exports only names its modules export, so a deletion cannot leave a
+stale export behind.
 """
 
 import ast
+import importlib
 import pathlib
 
 import pytest
@@ -69,3 +73,35 @@ def test_no_compiled_kernel_import(path):
     for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
         parts = name.split(".")
         assert not any(bad in parts for bad in FORBIDDEN_IMPORTS), f"{path.name} imports {name}"
+
+
+def _exports(path) -> bool:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return any(
+        isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for node in tree.body
+    )
+
+
+EXPORTING = [p.stem for p in MODULES if _exports(p)]
+
+
+def test_modules_declare_exports():
+    assert {"exact", "mat2", "green", "sections", "semigroup", "surfaces"} <= set(EXPORTING)
+
+
+@pytest.mark.parametrize("name", EXPORTING)
+def test_every_export_exists(name):
+    module = importlib.import_module(f"greenquadrics.{name}")
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"greenquadrics.{name}.__all__ names missing {missing}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
+    assert imports
+    for node in imports:
+        exported = importlib.import_module(node.module).__all__
+        stale = [alias.name for alias in node.names if alias.name not in exported]
+        assert not stale, f"__init__ imports {stale} that {node.module}.__all__ does not list"
