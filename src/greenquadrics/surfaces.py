@@ -194,17 +194,18 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     # level zero, rank 1: the two class planes through the representative
     verdict = classify_section(a, lam_r)
     rep = verdict.l_rep
-    planes = (class_plane("L", rep), class_plane("R", rep))
+    planes = [
+        [(to_float(u), to_float(v)) for u, v in zip(b1.entries, b2.entries)]
+        for b1, b2 in (class_plane("L", rep), class_plane("R", rep))
+    ]
     for i in range(n):
         rng = rng_for(seed, i)
-        b1, b2 = planes[i % 2]
+        basis = planes[i % 2]
         while True:
             s, t = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
             if max(abs(s), abs(t)) > 1e-3:
                 break
-        b1f = [to_float(v) for v in b1.entries]
-        b2f = [to_float(v) for v in b2.entries]
-        x = tuple(s * u + t * v for u, v in zip(b1f, b2f))
+        x = tuple(s * u + t * v for u, v in basis)
         sample.points.append(x)
         sample.frame.append(None)
         sample.chart.append(extract(x))

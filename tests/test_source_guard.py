@@ -2,7 +2,8 @@
 
 Every module under src/greenquadrics is parsed with `ast`.  The only
 environment variable the package may read is GQ_DEFAULT_TRIALS (the
-`check --trials` default), and nothing may import a compiled kernel.
+`check --trials` default), nothing may import a compiled kernel, and
+nothing imports `random`: every draw comes from `sampling.Stream`.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.
@@ -73,6 +74,12 @@ def test_no_compiled_kernel_import(path):
     for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
         parts = name.split(".")
         assert not any(bad in parts for bad in FORBIDDEN_IMPORTS), f"{path.name} imports {name}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_second_generator(path):
+    for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
+        assert name.split(".")[0] != "random", f"{path.name} imports {name}"
 
 
 def _exports(path) -> bool:
