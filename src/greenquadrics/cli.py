@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import os
 import sys
 
@@ -57,6 +58,7 @@ __all__ = ["run", "main"]
 
 _RELS = ("L", "R", "H", "D", "J")
 _KINDS = ("idempotents", "nilpotents", "section", "generator-lines")
+_Z_LIMIT = 1e150  # largest --z-range magnitude: z*z and HI - LO stay finite
 
 
 class _UsageError(Exception):
@@ -395,20 +397,18 @@ def _run_export(ns) -> str:
             lo_f, hi_f = float(lo), float(hi)
         except ValueError as exc:
             raise _UsageError(f"bad --z-range: {exc}") from None
+        if not all(math.isfinite(v) and abs(v) <= _Z_LIMIT for v in (lo_f, hi_f)):
+            raise _UsageError("--z-range bounds must be finite and at most 1e150 in magnitude")
         if not lo_f < hi_f:
             raise _UsageError("--z-range needs LO < HI")
         kwargs["z_span"] = (lo_f, hi_f)
     sample = sample_surface(ns.kind, ns.samples, ns.seed, **kwargs)
     write = write_csv if ns.fmt == "csv" else write_obj
     try:
-        write(sample, ns.out)
+        points, segments = write(sample, ns.out)
     except OSError as exc:
         raise _UsageError(f"cannot write {ns.out}: {exc.strerror or exc}") from None
-    return (
-        f"wrote {len(sample.points)} points"
-        + (f", {len(sample.segments)} segments" if sample.segments else "")
-        + f" to {ns.out}"
-    )
+    return f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {ns.out}"
 
 
 def _check_trials(ns):

@@ -21,6 +21,7 @@ __all__ = [
     "Stream",
     "derive_seed",
     "rng_for",
+    "uniform_rows",
     "rand_rational",
     "rand_nonzero_rational",
     "rand_mat",
@@ -102,6 +103,28 @@ class Stream:
 
 def rng_for(seed: int, index: int) -> Stream:
     return Stream(derive_seed(seed, index))
+
+
+def uniform_rows(seed: int, start: int, n: int, bounds):
+    """Yield, for each index in [start, start + n), the tuple of draws
+    `rng_for(seed, index).uniform(lo, hi)` for each (lo, hi) in `bounds`.
+
+    One loop instead of a `Stream` per index: the key of index + 1 is the
+    key of index plus _MIX_B (mod 2**63), and the mix is inlined.  Each
+    draw keeps `Stream.uniform`'s expression a + (b - a) * (k * 2**-53).
+    """
+    spans = [(lo, hi - lo) for lo, hi in bounds]
+    key = derive_seed(seed, start)
+    for _ in range(n):
+        s = key
+        row = []
+        for lo, width in spans:
+            s = (s + _GAMMA) & _M64
+            z = ((s ^ (s >> 30)) * _C1) & _M64
+            z = ((z ^ (z >> 27)) * _C2) & _M64
+            row.append(lo + width * (((z ^ (z >> 31)) >> 11) * 2.0**-53))
+        yield tuple(row)
+        key = (key + _MIX_B) & _MASK
 
 
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:

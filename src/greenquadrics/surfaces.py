@@ -7,20 +7,25 @@ level.  Points carry frame coordinates when the ambient hyperplane is
 tr(x) = lam (the orthonormal frame exists there) and chart coordinates
 whenever the coefficient matrix is nonzero, which is what the OBJ writer
 uses.
+
+A sample holds no points.  `sample_surface` does the exact work (inverse,
+chart, class planes, generator lines) up front; `SurfaceSample.rows()`
+regenerates the float rows from `(seed, index)` on every pass, and the
+writers format each row as it comes, so export memory does not grow with
+the sample count.
 """
 
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 import os
 import tempfile
-from dataclasses import dataclass, field
 
 from greenquadrics.errors import DomainError, UnknownKindError
 from greenquadrics.exact import Rational, _as_rational, to_float
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
-from greenquadrics.sampling import rng_for
+from greenquadrics.sampling import rng_for, uniform_rows
 from greenquadrics.green import class_plane
 from greenquadrics.sections import classify_section, trace_functional
 from greenquadrics.semigroup import generator_line, inverse_chart
@@ -30,18 +35,37 @@ __all__ = ["SurfaceSample", "sample_surface", "write_csv", "write_obj"]
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass
 class SurfaceSample:
-    """Float samples of one surface: ambient 4-space points, optional frame
-    (X, Y, Z) and chart coordinates per point, and polyline segments."""
+    """Float samples of one surface, generated on demand.
 
-    kind: str
-    seed: int
-    lam: float | None
-    points: list = field(default_factory=list)
-    frame: list = field(default_factory=list)  # (X, Y, Z) or None, per point
-    chart: list = field(default_factory=list)  # 3-tuple or None, per point
-    segments: list = field(default_factory=list)  # (i, j) index pairs
+    `rows()` yields (point, frame, chart) per sample: the ambient 4-tuple,
+    the frame (X, Y, Z) or None, and the chart 3-tuple or None.  `charted`
+    says whether every point has a chart (decided before sampling), and
+    `line_counts` holds the point count of each generator line, whose
+    consecutive points `segments()` joins.
+    """
+
+    __slots__ = ("kind", "seed", "lam", "charted", "line_counts", "_rows")
+
+    def __init__(self, kind: str, seed: int, lam: float | None, rows, *, charted=True, line_counts=()):
+        self.kind = kind
+        self.seed = seed
+        self.lam = lam
+        self.charted = charted
+        self.line_counts = line_counts
+        self._rows = rows
+
+    def rows(self):
+        """A fresh generator of (point, frame, chart), one per sample."""
+        return self._rows()
+
+    def segments(self):
+        """(i, j) index pairs of consecutive points on each generator line."""
+        first = 0
+        for count in self.line_counts:
+            for j in range(first + 1, first + count):
+                yield j - 1, j
+            first += count
 
 
 def _frame_to_ambient(lam: float, X: float, Y: float, Z: float):
@@ -71,20 +95,21 @@ def _chart_extractor(a: Mat2):
     return extract
 
 
-def _identity_section(sample: SurfaceSample, lam_r: Rational, n: int, seed: int, z_span):
-    """Sample tr(x) = lam slice via the frame equation X^2+Y^2-Z^2 = lam^2/2."""
-    lam = to_float(lam_r)
+def _frames(lam: float, n: int, seed: int, z_span):
+    """Frame points (X, Y, Z) of the tr(x) = lam slice, X^2+Y^2-Z^2 = lam^2/2."""
     lo, hi = z_span if z_span is not None else _default_z_span(lam)
     half_sq = lam * lam / 2.0
-    for i in range(n):
-        rng = rng_for(seed, i)
-        theta = rng.uniform(0.0, 2.0 * math.pi)
-        z = rng.uniform(lo, hi)
+    for theta, z in uniform_rows(seed, 0, n, ((0.0, 2.0 * math.pi), (lo, hi))):
         rho = math.sqrt(half_sq + z * z)
-        X, Y, Z = rho * math.cos(theta), rho * math.sin(theta), z
-        sample.points.append(_frame_to_ambient(lam, X, Y, Z))
-        sample.frame.append((X, Y, Z))
-        sample.chart.append((X, Y, Z))
+        yield rho * math.cos(theta), rho * math.sin(theta), z
+
+
+def _identity_section(kind: str, lam: float, n: int, seed: int, z_span) -> SurfaceSample:
+    def rows():
+        for fr in _frames(lam, n, seed, z_span):
+            yield _frame_to_ambient(lam, *fr), fr, fr
+
+    return SurfaceSample(kind, seed, lam, rows)
 
 
 def sample_surface(
@@ -97,23 +122,20 @@ def sample_surface(
     e: Mat2 | None = None,
     z_span: tuple[float, float] | None = None,
 ) -> SurfaceSample:
-    """Generate `n` float samples of one of the package's surfaces.
+    """Describe `n` float samples of one of the package's surfaces.
 
     kind: "idempotents", "nilpotents", "section" (needs a, lam) or
     "generator-lines" (needs a rank-1 idempotent e).  Deterministic per
-    (seed, index); generator lines also emit polyline segments.
+    (seed, index); generator lines also have polyline segments.  Input
+    errors raise here; the rows are computed only when iterated.
     """
     if n < 1:
         raise DomainError("need at least one sample")
     kind = kind.replace("_", "-").lower()
     if kind == "idempotents":
-        sample = SurfaceSample(kind=kind, seed=seed, lam=1.0)
-        _identity_section(sample, Rational(1), n, seed, z_span)
-        return sample
+        return _identity_section(kind, 1.0, n, seed, z_span)
     if kind == "nilpotents":
-        sample = SurfaceSample(kind=kind, seed=seed, lam=0.0)
-        _identity_section(sample, Rational(0), n, seed, z_span)
-        return sample
+        return _identity_section(kind, 0.0, n, seed, z_span)
     if kind == "section":
         if a is None or lam is None:
             raise DomainError("section sampling needs a coefficient matrix and a level")
@@ -126,51 +148,41 @@ def sample_surface(
 
 
 def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> SurfaceSample:
-    sample = SurfaceSample(kind="section", seed=seed, lam=to_float(lam_r))
+    lam = to_float(lam_r)
     rank = a.rank()
     if rank == 0:
         if lam_r != 0:
-            return sample
-        # the whole variety: random rank-1 outer products at float precision
-        for i in range(n):
-            rng = rng_for(seed, i)
-            phi, psi = rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi)
-            scale = rng.uniform(-3.0, 3.0)
-            c = (math.cos(phi), math.sin(phi))
-            r = (math.cos(psi), math.sin(psi))
-            sample.points.append(
-                (scale * c[0] * r[0], scale * c[0] * r[1], scale * c[1] * r[0], scale * c[1] * r[1])
-            )
-            sample.frame.append(None)
-            sample.chart.append(None)
-        return sample
+            return SurfaceSample("section", seed, lam, lambda: iter(()), charted=False)
+
+        def full_variety():
+            # random rank-1 outer products at float precision
+            bounds = ((0, 2 * math.pi), (0, 2 * math.pi), (-3.0, 3.0))
+            for phi, psi, scale in uniform_rows(seed, 0, n, bounds):
+                c = (math.cos(phi), math.sin(phi))
+                r = (math.cos(psi), math.sin(psi))
+                pt = (scale * c[0] * r[0], scale * c[0] * r[1], scale * c[1] * r[0], scale * c[1] * r[1])
+                yield pt, None, None
+
+        return SurfaceSample("section", seed, lam, full_variety, charted=False)
 
     extract = _chart_extractor(a)
     if rank == 2:
         # x = inv(a) y with y on the identity-coefficient slice at the same level
-        inv = inverse_mat(a)
-        inv_f = [to_float(v) for v in inv.entries]
-        lam = to_float(lam_r)
-        lo, hi = z_span if z_span is not None else _default_z_span(lam)
-        half_sq = lam * lam / 2.0
+        i0, i1, i2, i3 = (to_float(v) for v in inverse_mat(a).entries)
         is_identity = a == IDENTITY
-        for i in range(n):
-            rng = rng_for(seed, i)
-            theta = rng.uniform(0.0, 2.0 * math.pi)
-            z = rng.uniform(lo, hi)
-            rho = math.sqrt(half_sq + z * z)
-            X, Y, Z = rho * math.cos(theta), rho * math.sin(theta), z
-            y = _frame_to_ambient(lam, X, Y, Z)
-            x = (
-                inv_f[0] * y[0] + inv_f[1] * y[2],
-                inv_f[0] * y[1] + inv_f[1] * y[3],
-                inv_f[2] * y[0] + inv_f[3] * y[2],
-                inv_f[2] * y[1] + inv_f[3] * y[3],
-            )
-            sample.points.append(x)
-            sample.frame.append((X, Y, Z) if is_identity else None)
-            sample.chart.append(extract(x))
-        return sample
+
+        def invertible():
+            for fr in _frames(lam, n, seed, z_span):
+                y = _frame_to_ambient(lam, *fr)
+                x = (
+                    i0 * y[0] + i1 * y[2],
+                    i0 * y[1] + i1 * y[3],
+                    i2 * y[0] + i3 * y[2],
+                    i2 * y[1] + i3 * y[3],
+                )
+                yield x, fr if is_identity else None, extract(x)
+
+        return SurfaceSample("section", seed, lam, invertible)
 
     if lam_r != 0:
         # inverse set of a / lam, swept through its bilinear chart
@@ -179,105 +191,116 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
         d1 = [to_float(v) for v in chart.d1]
         q0 = [to_float(v) for v in chart.q0]
         q1 = [to_float(v) for v in chart.q1]
-        for i in range(n):
-            rng = rng_for(seed, i)
-            s = rng.uniform(-3.0, 3.0)
-            t = rng.uniform(-3.0, 3.0)
-            d = (d0[0] + s * d1[0], d0[1] + s * d1[1])
-            q = (q0[0] + t * q1[0], q0[1] + t * q1[1])
-            x = (d[0] * q[0], d[0] * q[1], d[1] * q[0], d[1] * q[1])
-            sample.points.append(x)
-            sample.frame.append(None)
-            sample.chart.append(extract(x))
-        return sample
 
-    # level zero, rank 1: the two class planes through the representative
+        def inverse_set():
+            for s, t in uniform_rows(seed, 0, n, ((-3.0, 3.0), (-3.0, 3.0))):
+                d = (d0[0] + s * d1[0], d0[1] + s * d1[1])
+                q = (q0[0] + t * q1[0], q0[1] + t * q1[1])
+                x = (d[0] * q[0], d[0] * q[1], d[1] * q[0], d[1] * q[1])
+                yield x, None, extract(x)
+
+        return SurfaceSample("section", seed, lam, inverse_set)
+
+    # level zero, rank 1: the two class planes through the representative;
+    # each point redraws until it leaves the origin, so it keeps its own stream
     verdict = classify_section(a, lam_r)
     rep = verdict.l_rep
     planes = [
         [(to_float(u), to_float(v)) for u, v in zip(b1.entries, b2.entries)]
         for b1, b2 in (class_plane("L", rep), class_plane("R", rep))
     ]
-    for i in range(n):
-        rng = rng_for(seed, i)
-        basis = planes[i % 2]
-        while True:
-            s, t = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
-            if max(abs(s), abs(t)) > 1e-3:
-                break
-        x = tuple(s * u + t * v for u, v in basis)
-        sample.points.append(x)
-        sample.frame.append(None)
-        sample.chart.append(extract(x))
-    return sample
+
+    def two_planes():
+        for i in range(n):
+            rng = rng_for(seed, i)
+            basis = planes[i % 2]
+            while True:
+                s, t = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
+                if max(abs(s), abs(t)) > 1e-3:
+                    break
+            x = tuple(s * u + t * v for u, v in basis)
+            yield x, None, extract(x)
+
+    return SurfaceSample("section", seed, lam, two_planes)
 
 
 def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
-    sample = SurfaceSample(kind="generator-lines", seed=seed, lam=1.0)
-    lines = (generator_line("L1", e), generator_line("L2", e))
+    lines = [
+        ([to_float(v) for v in line.base.entries], [to_float(v) for v in line.direction.entries])
+        for line in (generator_line("L1", e), generator_line("L2", e))
+    ]
     counts = (n - n // 2, n // 2)
-    index = 0
-    for line, count in zip(lines, counts):
-        ts = sorted(rng_for(seed, index + j).uniform(-3.0, 3.0) for j in range(count))
-        base = [to_float(v) for v in line.base.entries]
-        dirn = [to_float(v) for v in line.direction.entries]
-        first = index
-        for j, t in enumerate(ts):
-            x = tuple(b + t * d for b, d in zip(base, dirn))
-            lam = x[0] + x[3]
-            X = (x[0] - x[3]) / _SQRT2
-            Y = (x[1] + x[2]) / _SQRT2
-            Z = (x[2] - x[1]) / _SQRT2
-            sample.points.append(x)
-            sample.frame.append((X, Y, Z))
-            sample.chart.append((X, Y, Z))
-            if j:
-                sample.segments.append((first + j - 1, first + j))
-        index += count
-    return sample
+
+    def rows():
+        index = 0
+        for (base, dirn), count in zip(lines, counts):
+            # one line's t values at a time: sorting needs them all
+            ts = sorted(t for (t,) in uniform_rows(seed, index, count, ((-3.0, 3.0),)))
+            for t in ts:
+                x = tuple(b + t * d for b, d in zip(base, dirn))
+                fr = ((x[0] - x[3]) / _SQRT2, (x[1] + x[2]) / _SQRT2, (x[2] - x[1]) / _SQRT2)
+                yield x, fr, fr
+            index += count
+
+    return SurfaceSample("generator-lines", seed, 1.0, rows, line_counts=counts)
 
 
-def _atomic_write(path: str, writer) -> None:
+def _atomic_write(path: str, writer):
     directory = os.path.dirname(os.path.abspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer(fh)
+            written = writer(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+    return written
 
 
-def _fmt(v: float) -> str:
-    return format(v, ".17g")
+def _write_counted(fh, lines) -> int:
+    """Write every line; return how many there were."""
+    counter = itertools.count()
+    # zip draws from `lines` first, so the counter stops at the line count
+    fh.writelines(line for line, _ in zip(lines, counter))
+    return next(counter)
 
 
-def write_csv(sample: SurfaceSample, path: str) -> None:
-    """Columns x1..x4 plus frame X,Y,Z (blank when no frame applies)."""
+_CSV_FULL = "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\r\n"
+_CSV_BARE = "%.17g,%.17g,%.17g,%.17g,,,\r\n"
+
+
+def write_csv(sample: SurfaceSample, path: str) -> tuple[int, int]:
+    """Columns x1..x4 plus frame X,Y,Z (blank when no frame applies).
+
+    Returns (points written, segments the rows trace); a CSV file has no
+    segment records, so the segments are those of the generator lines.
+    """
 
     def emit(fh):
-        out = csv.writer(fh)
-        out.writerow(["x1", "x2", "x3", "x4", "X", "Y", "Z"])
-        for pt, fr in zip(sample.points, sample.frame):
-            row = [_fmt(v) for v in pt]
-            row += [_fmt(v) for v in fr] if fr is not None else ["", "", ""]
-            out.writerow(row)
+        fh.write("x1,x2,x3,x4,X,Y,Z\r\n")
+        return _write_counted(
+            fh,
+            (_CSV_FULL % (pt + fr) if fr is not None else _CSV_BARE % pt for pt, fr, _ in sample.rows()),
+        )
 
-    _atomic_write(path, emit)
+    points = _atomic_write(path, emit)
+    return points, sum(max(count - 1, 0) for count in sample.line_counts)
 
 
-def write_obj(sample: SurfaceSample, path: str) -> None:
-    """`v` records in chart coordinates, `l` records for polyline segments."""
-    if any(ch is None for ch in sample.chart) or not sample.chart:
+def write_obj(sample: SurfaceSample, path: str) -> tuple[int, int]:
+    """`v` records in chart coordinates, `l` records for polyline segments.
+
+    Returns (points written, segments written).
+    """
+    if not sample.charted:
         raise DomainError("surface has no 3-coordinate chart; export CSV instead")
 
     def emit(fh):
         fh.write(f"# greenquadrics {sample.kind} seed={sample.seed}\n")
-        for ch in sample.chart:
-            fh.write(f"v {_fmt(ch[0])} {_fmt(ch[1])} {_fmt(ch[2])}\n")
-        for i, j in sample.segments:
-            fh.write(f"l {i + 1} {j + 1}\n")
+        points = _write_counted(fh, ("v %.17g %.17g %.17g\n" % ch for _, _, ch in sample.rows()))
+        segments = _write_counted(fh, ("l %d %d\n" % (i + 1, j + 1) for i, j in sample.segments()))
+        return points, segments
 
-    _atomic_write(path, emit)
+    return _atomic_write(path, emit)

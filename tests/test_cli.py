@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from greenquadrics.cli import main, run
+from surface_csv import read_csv_points
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "schema.json")
 with open(SCHEMA_PATH) as fh:
@@ -195,6 +197,23 @@ class TestCheckAndExportCli:
         code, text = run(["export", "--kind", "idempotents", "--samples", "3", "--out", str(out)])
         assert code == 1 and text.startswith(f"usage error: cannot write {out}: ")
         assert list(tmp_path.iterdir()) == [out]
+
+    @pytest.mark.parametrize("z_range", ["--z-range=-inf:inf", "--z-range=-1e308:1e308", "--z-range=0:1e300"])
+    def test_export_rejects_unbounded_z_range(self, tmp_path, z_range):
+        out = tmp_path / "x.csv"
+        code, text = run(["export", "--kind", "idempotents", "--samples", "3", z_range, "--out", str(out)])
+        assert code == 1
+        assert text.startswith("usage error: ") and "\n" not in text
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_largest_z_range_rows_are_finite(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _ = run(["export", "--kind", "idempotents", "--samples", "50", "--z-range=-1e150:1e150",
+                       "--out", str(out)])
+        assert code == 0
+        for x in read_csv_points(out):
+            assert all(math.isfinite(v) for v in x)
+            assert abs(x[0] * x[3] - x[1] * x[2]) <= 1e-12 * max(1.0, sum(v * v for v in x))
 
     def test_trials_env_override(self):
         env = dict(os.environ, GQ_DEFAULT_TRIALS="25")

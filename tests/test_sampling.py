@@ -1,8 +1,17 @@
+import math
+
 import pytest
 
 from greenquadrics.checks import _BELL_LEVELS
 from greenquadrics.mat2 import Mat2
-from greenquadrics.sampling import Stream, rand_mat, rand_rational, rand_singular_with_trace, rng_for
+from greenquadrics.sampling import (
+    Stream,
+    rand_mat,
+    rand_rational,
+    rand_singular_with_trace,
+    rng_for,
+    uniform_rows,
+)
 
 
 @pytest.mark.parametrize("lam", _BELL_LEVELS, ids=str)
@@ -83,3 +92,22 @@ def test_trial_draws_do_not_depend_on_other_trials():
             draws(rng_for(11, j))
         assert draws(rng_for(11, 5)) == alone
     assert draws(rng_for(11, 6)) != alone and draws(rng_for(12, 5)) != alone
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
+@pytest.mark.parametrize("start", [0, 25_000])
+@pytest.mark.parametrize(
+    "bounds",
+    [((0, 2 * math.pi), (-1.5, 2.5)), ((-3, 3),), ((-0.25, 0.25),)],
+    ids=["angle-and-span", "three", "quarter"],
+)
+def test_uniform_rows_are_the_per_index_stream_draws(seed, start, bounds):
+    want = []
+    for i in range(start, start + 200):
+        rng = rng_for(seed, i)
+        want.append(tuple(rng.uniform(lo, hi) for lo, hi in bounds))
+    assert list(uniform_rows(seed, start, 200, bounds)) == want
+
+
+def test_uniform_rows_of_no_indices_is_empty():
+    assert list(uniform_rows(5, 0, 0, ((-3.0, 3.0),))) == []

@@ -82,6 +82,18 @@ def test_no_second_generator(path):
         assert name.split(".")[0] != "random", f"{path.name} imports {name}"
 
 
+def test_surfaces_hold_no_point_lists():
+    # export streams its rows; an eager copy of the points must not come back
+    tree = ast.parse((PACKAGE / "surfaces.py").read_text(encoding="utf-8"))
+    imported = {name.split(".")[0] for name in _imported_names(tree)}
+    assert not imported & {"csv", "dataclasses"}, f"surfaces imports {sorted(imported)}"
+    attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "points" not in attrs, "surfaces reads or sets a `points` attribute"
+    from greenquadrics.surfaces import SurfaceSample
+
+    assert not hasattr(SurfaceSample, "points")
+
+
 def _exports(path) -> bool:
     tree = ast.parse(path.read_text(encoding="utf-8"))
     return any(

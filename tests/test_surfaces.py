@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,10 @@ from surface_csv import read_csv_points
 E = Mat2(1, 0, 0, 0)
 
 
+def points(sample):
+    return [pt for pt, _, _ in sample.rows()]
+
+
 def det_rel(pt):
     det = pt[0] * pt[3] - pt[1] * pt[2]
     scale = max(1.0, sum(v * v for v in pt))
@@ -20,8 +25,9 @@ def det_rel(pt):
 class TestSampling:
     def test_idempotents(self):
         s = sample_surface("idempotents", 300, seed=5)
-        assert len(s.points) == 300
-        for pt, fr in zip(s.points, s.frame):
+        rows = list(s.rows())
+        assert len(rows) == 300
+        for pt, fr, _ in rows:
             assert abs(pt[0] + pt[3] - 1.0) < 1e-12
             assert det_rel(pt) < 1e-12
             X, Y, Z = fr
@@ -29,7 +35,7 @@ class TestSampling:
 
     def test_nilpotents(self):
         s = sample_surface("nilpotents", 200, seed=6)
-        for pt in s.points:
+        for pt in points(s):
             assert abs(pt[0] + pt[3]) < 1e-12
             assert det_rel(pt) < 1e-12
             lhs = (pt[1] - pt[2]) ** 2
@@ -39,14 +45,15 @@ class TestSampling:
     def test_deterministic(self):
         s1 = sample_surface("idempotents", 50, seed=9)
         s2 = sample_surface("idempotents", 50, seed=9)
-        assert s1.points == s2.points
-        assert sample_surface("idempotents", 50, seed=10).points != s1.points
+        assert points(s1) == points(s2)
+        assert points(s1) == points(s1)  # every pass regenerates the same rows
+        assert points(sample_surface("idempotents", 50, seed=10)) != points(s1)
 
     def test_section_rank2(self):
         a = Mat2(2, 1, 1, 1)
         s = sample_surface("section", 200, seed=7, a=a, lam=Rational(3, 2))
         af = [2.0, 1.0, 1.0, 1.0]
-        for pt in s.points:
+        for pt in points(s):
             tr = af[0] * pt[0] + af[1] * pt[2] + af[2] * pt[1] + af[3] * pt[3]
             assert abs(tr - 1.5) < 1e-9
             assert det_rel(pt) < 1e-12
@@ -54,7 +61,7 @@ class TestSampling:
     def test_section_rank1_paraboloid(self):
         a = Mat2(1, 2, 1, 2)
         s = sample_surface("section", 150, seed=8, a=a, lam=Rational(1))
-        for pt, ch in zip(s.points, s.chart):
+        for pt, _, ch in s.rows():
             tr = pt[0] + pt[2] * 2 + pt[1] * 1 + pt[3] * 2
             assert abs(tr - 1.0) < 1e-9
             assert det_rel(pt) < 1e-12
@@ -62,29 +69,29 @@ class TestSampling:
 
     def test_section_rank1_level0_planes(self):
         s = sample_surface("section", 100, seed=11, a=E, lam=Rational(0))
-        for pt in s.points:
+        for pt in points(s):
             assert abs(pt[0]) < 1e-12  # tr(e x) = x1
             assert det_rel(pt) < 1e-12
 
     def test_full_variety_and_empty(self):
         s = sample_surface("section", 100, seed=12, a=ZERO, lam=Rational(0))
-        assert len(s.points) == 100
-        for pt in s.points:
+        assert len(points(s)) == 100
+        for pt in points(s):
             assert det_rel(pt) < 1e-12
         empty = sample_surface("section", 10, seed=1, a=ZERO, lam=Rational(1))
-        assert empty.points == []
+        assert points(empty) == []
 
     def test_generator_lines(self):
         s = sample_surface("generator-lines", 40, seed=13, e=E)
-        assert len(s.points) == 40
-        assert len(s.segments) == 38  # two polylines
-        for pt in s.points:
+        assert len(points(s)) == 40
+        assert len(list(s.segments())) == 38  # two polylines
+        for pt in points(s):
             assert abs(pt[0] + pt[3] - 1.0) < 1e-12
             assert det_rel(pt) < 1e-12
 
     def test_z_span(self):
         s = sample_surface("nilpotents", 100, seed=14, z_span=(-0.25, 0.25))
-        for fr in s.frame:
+        for _, fr, _ in s.rows():
             assert -0.25 <= fr[2] <= 0.25
 
     def test_domain_errors(self):
@@ -104,10 +111,10 @@ class TestExport:
     def test_csv_roundtrip(self, tmp_path):
         s = sample_surface("idempotents", 120, seed=15)
         path = str(tmp_path / "pts.csv")
-        write_csv(s, path)
+        assert write_csv(s, path) == (120, 0)
         pts = read_csv_points(path)
         assert len(pts) == 120
-        for got, want in zip(pts, s.points):
+        for got, want in zip(pts, points(s)):
             assert got == pytest.approx(want, abs=0.0)  # 17 digits round-trip
             assert det_rel(got) < 1e-12
 
@@ -123,16 +130,25 @@ class TestExport:
     def test_obj_segments(self, tmp_path):
         s = sample_surface("generator-lines", 10, seed=17, e=E)
         path = str(tmp_path / "lines.obj")
-        write_obj(s, path)
+        assert write_obj(s, path) == (10, 8)
         with open(path) as fh:
             content = fh.read().splitlines()
         assert sum(1 for l in content if l.startswith("v ")) == 10
         assert sum(1 for l in content if l.startswith("l ")) == 8
+        # a CSV has no segment records; it reports the segments its rows trace
+        assert write_csv(s, str(tmp_path / "lines.csv")) == (10, 8)
+
+    def test_empty_section_writes_header_only(self, tmp_path):
+        s = sample_surface("section", 10, seed=1, a=ZERO, lam=Rational(1))
+        path = tmp_path / "empty.csv"
+        assert write_csv(s, str(path)) == (0, 0)
+        assert path.read_bytes() == b"x1,x2,x3,x4,X,Y,Z\r\n"
 
     def test_obj_needs_chart(self, tmp_path):
         s = sample_surface("section", 5, seed=18, a=ZERO, lam=Rational(0))
         with pytest.raises(DomainError):
             write_obj(s, str(tmp_path / "x.obj"))
+        assert os.listdir(tmp_path) == []  # refused before any temp file
 
     def test_atomic_write_leaves_no_temp(self, tmp_path):
         s = sample_surface("idempotents", 5, seed=19)
@@ -144,4 +160,26 @@ class TestExport:
         s = sample_surface("idempotents", 50, seed=20)
         path = str(tmp_path / "p.csv")
         write_csv(s, path)
-        assert read_csv_points(path) == [tuple(pt) for pt in s.points]
+        assert read_csv_points(path) == [tuple(pt) for pt in points(s)]
+
+
+def _export_peak(path, kind, n, **kwargs):
+    """Peak traced bytes of sampling and writing `n` points to CSV."""
+    tracemalloc.start()
+    try:
+        write_csv(sample_surface(kind, n, seed=21, **kwargs), path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "kind,kwargs",
+    [("idempotents", {}), ("section", {"a": Mat2(2, 1, 1, 1), "lam": Rational(3, 2)})],
+    ids=["idempotents", "section-rank2"],
+)
+def test_export_memory_does_not_grow_with_samples(tmp_path, kind, kwargs):
+    path = str(tmp_path / "m.csv")
+    small = _export_peak(path, kind, 1_000, **kwargs)
+    large = _export_peak(path, kind, 10_000, **kwargs)
+    assert large - small <= 64 * 1024, (small, large)
