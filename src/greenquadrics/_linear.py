@@ -4,24 +4,30 @@ solvers and the quadric reducers.
 Both solvers work fraction-free: each input row is cleared of
 denominators by the lcm of its entries, and elimination then runs on
 Python ints, dividing every new row by the gcd of its entries (its
-content) so the integers stay small.  Only `int` and `Fraction` inputs are
-accepted; a float, a string or a `Decimal` raises `TypeError`.
+content) so the integers stay small.  A caller that already holds integer
+content (the order solver builds its rows from `Mat2._n`) passes ints,
+which go through unchanged; only `Fraction` entries are cleared.  Only
+`int` and `Fraction` inputs are accepted; a float, a string or a `Decimal`
+raises `TypeError`.  A solution entry is always exactly a `Fraction`.
 """
 
 from __future__ import annotations
 
 from math import gcd, lcm
 
-from greenquadrics.exact import Rational, _as_rational, _from_ints
+from greenquadrics.exact import Rational, _from_ints, _parts
 
 _ZERO = Rational(0)
 
 
 def integer_row(values) -> list[int]:
-    """`values` times the lcm of their denominators: a row of ints."""
-    xs = [_as_rational(v) for v in values]
-    den = lcm(*(x.denominator for x in xs))
-    return [x.numerator * (den // x.denominator) for x in xs]
+    """`values` times the lcm of their denominators: a row of ints.
+
+    An `int` entry has denominator 1, so a row of ints comes back as is.
+    """
+    parts = [_parts(v) for v in values]
+    den = lcm(*(q for _, q in parts))
+    return [p * (den // q) for p, q in parts]
 
 
 def _primitive(row: list[int]) -> list[int]:

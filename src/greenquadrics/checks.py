@@ -332,12 +332,21 @@ def check_inverse_set_theorem(seed, trials=500, points_per=20):
         rng = rng_for(seed, i)
         a = rand_rank1(rng)
         chart = inverse_chart(a)
+        # (s, t) read back from the point, by the chart's public vectors: x c =
+        # d0 + s d1 and r^T x = q0 + t q1 for c = q0 / |q0|^2, r = d0 / |d0|^2,
+        # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
+        # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
+        read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
         for _ in range(points_per):
             s, t = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
             x = chart_eval(chart, s, t)
-            if not is_inverse_pair(a, x):
-                failures += 1
-            if not inverse_membership(a, x):
+            # one count per point, so a bad chart cannot read below 0/N
+            if not (
+                is_inverse_pair(a, x)
+                and inverse_membership(a, x)
+                and inner(x, read_s) == s
+                and inner(x, read_t) == t
+            ):
                 failures += 1
     return _result("sets", "chart_points_are_inverses", failures, trials * points_per)
 

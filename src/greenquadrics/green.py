@@ -5,6 +5,10 @@ R-equivalence equality of column spaces (zero and invertible matrices each
 forming their own class).  Nontrivial L/R classes are punctured planes
 inside the singular variety, H-classes punctured lines, and every punctured
 plane inside the variety arises this way - `classify_plane` decides which.
+
+Row and column lines are read from the integer content of a `Mat2`
+(`_n`), never from its `Fraction` entries: a line is a direction, so the
+common denominator drops out.
 """
 
 from __future__ import annotations
@@ -34,7 +38,8 @@ __all__ = [
 class ProjLine:
     """A line through the origin of the plane, stored as a primitive
     integer direction with the first nonzero coordinate positive, so that
-    equality of lines is syntactic equality of directions."""
+    equality of lines is syntactic equality of directions.  The two
+    coordinates are `int` or `Fraction`."""
 
     __slots__ = ("_d",)
 
@@ -79,19 +84,22 @@ def rowspace(a: Mat2) -> ProjLine | None:
     """Row space of a rank-1 matrix as a line; None for the zero matrix.
 
     For invertible `a` the row space is the whole plane, also None here:
-    callers branch on rank first.
+    callers branch on rank first.  The line is read from the first nonzero
+    row of the integer content; the common denominator cancels in a
+    direction.
     """
     if a.rank() != 1:
         return None
-    x1, x2, x3, x4 = a.entries
-    return ProjLine(x1, x2) if x1 or x2 else ProjLine(x3, x4)
+    n1, n2, n3, n4 = a._n
+    return ProjLine(n1, n2) if n1 or n2 else ProjLine(n3, n4)
 
 
 def colspace(a: Mat2) -> ProjLine | None:
+    """Column space of a rank-1 matrix, from its first nonzero column."""
     if a.rank() != 1:
         return None
-    x1, x2, x3, x4 = a.entries
-    return ProjLine(x1, x3) if x1 or x3 else ProjLine(x2, x4)
+    n1, n2, n3, n4 = a._n
+    return ProjLine(n1, n3) if n1 or n3 else ProjLine(n2, n4)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from greenquadrics.exact import Rational, _as_rational
+from greenquadrics.exact import Rational, _as_rational, _from_ints
 from greenquadrics.mat2 import Mat2, _canon, outer
 
 __all__ = [
@@ -128,12 +128,12 @@ def uniform_rows(seed: int, start: int, n: int, bounds):
 
 
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
-    return Rational(rng.randint(-span, span), rng.randint(1, max_den))
+    return _from_ints(rng.randint(-span, span), rng.randint(1, max_den))
 
 
 def rand_nonzero_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
     num = rng.randint(1, span) * rng.choice((1, -1))
-    return Rational(num, rng.randint(1, max_den))
+    return _from_ints(num, rng.randint(1, max_den))
 
 
 def rand_mat(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:

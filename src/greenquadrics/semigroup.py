@@ -6,11 +6,20 @@ The inverse set of a rank-1 matrix is charted bilinearly: fixing a rank
 factorization a = c . r^T, the inverses are exactly the products
 (d0 + s d1)(q0 + t q1)^T with r.d0 = q0.c = 1 and r.d1 = q1.c = 0, one per
 parameter pair (s, t).
+
+The order and chart paths compute on the integer content of a `Mat2`
+(`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X factors
+through its pivot P = X[i][j], the first nonzero entry of its first
+nonzero column j: X = C . R^T / P with C column j and R row i of X
+(`_factor`).  `natural_le` builds its system from C, R and P, and
+`inverse_chart` keeps the chart as integer content, which `chart_eval`
+combines with one reduction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 
 from greenquadrics._linear import solve_linear
 from greenquadrics.errors import (
@@ -19,11 +28,12 @@ from greenquadrics.errors import (
     NotRankOneIdempotentError,
     SingularMatrixError,
 )
-from greenquadrics.exact import Rational
+from greenquadrics.exact import Rational, _from_ints, _parts
 from greenquadrics.green import ProjLine, colspace
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
+    _canon,
     format_mat2,
     inverse_mat,
     outer,
@@ -51,8 +61,6 @@ __all__ = [
     "OrderSectionReport",
     "order_section_report",
 ]
-
-_R1 = Rational(1)
 
 
 def is_idempotent(x: Mat2) -> bool:
@@ -87,55 +95,89 @@ def pinv_rank1(a: Mat2) -> Mat2:
     return a.transpose() / a.norm_sq()
 
 
+def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:
+    """(C, R, P) for nonzero rank-1 content n: the pivot P = n[i][j] is the
+    first nonzero entry of the first nonzero column j, C is column j and R
+    row i, so that n = C . R^T / P (R is also the first nonzero row)."""
+    n1, n2, n3, n4 = n
+    if n1:
+        return (n1, n3), (n1, n2), n1
+    if n3:
+        return (n1, n3), (n3, n4), n3
+    if n2:
+        return (n2, n4), (n1, n2), n2
+    return (n2, n4), (n3, n4), n4
+
+
 def rank1_factor(a: Mat2) -> tuple[tuple[Rational, Rational], tuple[Rational, Rational]]:
-    """Vectors (c, r) with a = c . r^T, for rank-1 `a`."""
-    x1, x2, x3, x4 = a.entries
-    if x1 or x3:
-        c = (x1, x3)
-        mu = x2 / x1 if x1 else x4 / x3
-        r = (_R1, mu)
-    else:
-        c = (x2, x4)
-        r = (Rational(0), _R1)
-    return c, r
+    """Vectors (c, r) with a = c . r^T, for rank-1 `a`: c is the first
+    nonzero column of `a` and r has 1 at the pivot."""
+    (c0, c1), (r0, r1), p = _factor(a._n)
+    d = a._d
+    return (_from_ints(c0, d), _from_ints(c1, d)), (_from_ints(r0, p), _from_ints(r1, p))
 
 
-def _perp(vec) -> tuple[Rational, Rational]:
-    line = ProjLine(vec[0], vec[1]).perp()
-    return (Rational(line.direction[0]), Rational(line.direction[1]))
+def _reduced(u: int, v: int, w: int) -> tuple[int, int, int]:
+    """(u, v) / w in lowest terms: smaller content makes `chart_eval` cheaper."""
+    g = gcd(u, v, w)
+    return u // g, v // g, w // g
+
+
+def _perp(u: int, v: int) -> tuple[int, int]:
+    """Primitive integer direction of the line perpendicular to (u, v)."""
+    return ProjLine(-v, u).direction
 
 
 @dataclass(frozen=True)
 class InverseChart:
-    """Bilinear chart (s, t) -> (d0 + s d1)(q0 + t q1)^T of the inverses of `a`."""
+    """Bilinear chart (s, t) -> (d0 + s d1)(q0 + t q1)^T of the inverses of `a`.
+
+    `_ints` holds the same chart as integer content,
+    (D0, D1, E, d1, G0, G1, F, q1) with d0 = (D0, D1) / E and
+    q0 = (G0, G1) / F; d1 and q1 are integer vectors already.
+    """
 
     a: Mat2
     d0: tuple[Rational, Rational]
     d1: tuple[Rational, Rational]
     q0: tuple[Rational, Rational]
     q1: tuple[Rational, Rational]
+    _ints: tuple = field(repr=False, compare=False)
 
 
 def inverse_chart(a: Mat2) -> InverseChart:
+    """The chart of rank-1 `a` for its factorization c = C / d, r = R / P:
+    d0 = r / |r|^2 = R P / |R|^2, q0 = c / |c|^2 = C d / |C|^2."""
     if a.rank() != 1:
         raise NotRankOneError("inverse charts exist for rank-1 matrices only")
-    c, r = rank1_factor(a)
-    rdot = r[0] * r[0] + r[1] * r[1]
-    cdot = c[0] * c[0] + c[1] * c[1]
+    (c0, c1), (r0, r1), p = _factor(a._n)
+    dd0, dd1, e = _reduced(r0 * p, r1 * p, r0 * r0 + r1 * r1)
+    g0, g1, f = _reduced(c0 * a._d, c1 * a._d, c0 * c0 + c1 * c1)
+    d1 = _perp(r0, r1)
+    q1 = _perp(c0, c1)
     return InverseChart(
         a=a,
-        d0=(r[0] / rdot, r[1] / rdot),
-        d1=_perp(r),
-        q0=(c[0] / cdot, c[1] / cdot),
-        q1=_perp(c),
+        d0=(_from_ints(dd0, e), _from_ints(dd1, e)),
+        d1=(Rational(d1[0]), Rational(d1[1])),
+        q0=(_from_ints(g0, f), _from_ints(g1, f)),
+        q1=(Rational(q1[0]), Rational(q1[1])),
+        _ints=(dd0, dd1, e, d1, g0, g1, f, q1),
     )
 
 
 def chart_eval(chart: InverseChart, s, t) -> Mat2:
-    """The inverse (d0 + s d1)(q0 + t q1)^T at chart parameters (s, t)."""
-    d = (chart.d0[0] + s * chart.d1[0], chart.d0[1] + s * chart.d1[1])
-    q = (chart.q0[0] + t * chart.q1[0], chart.q0[1] + t * chart.q1[1])
-    return outer(d, q)
+    """The inverse (d0 + s d1)(q0 + t q1)^T at chart parameters (s, t).
+
+    With s = sn / sd and t = tn / td, d = (D sd + E sn d1) / (E sd) and
+    q = (G td + F tn q1) / (F td): the product is one `_canon` of ints.
+    """
+    dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = chart._ints
+    sn, sd = _parts(s)
+    tn, td = _parts(t)
+    es, ft = e * sn, f * tn
+    x0, x1 = dd0 * sd + es * u0, dd1 * sd + es * u1
+    y0, y1 = g0 * td + ft * v0, g1 * td + ft * v1
+    return _canon(x0 * y0, x0 * y1, x1 * y0, x1 * y1, e * sd * f * td)
 
 
 @dataclass(frozen=True)
@@ -209,7 +251,8 @@ def natural_le(x: Mat2, y: Mat2) -> bool:
     is that of x, with the column space of x inside that of y.
 
     Coincides with the minus order rank(y - x) = rank(y) - rank(x); the
-    agreement is property-tested, the implementation is an exact solve.
+    agreement is property-tested, the implementation is an exact solve on
+    the integer content of x and y (no rank of y - x, no trace test).
     """
     if x == y:
         return True
@@ -222,15 +265,14 @@ def natural_le(x: Mat2, y: Mat2) -> bool:
         return False
     if ry == 1 and colspace(x) != colspace(y):
         return False
-    c, r = rank1_factor(x)
-    # f = c w^T is idempotent iff w.c = 1, and f y = x reduces to y^T w = r
-    yt = y.transpose()
-    rows = [
-        [yt.x1, yt.x2],
-        [yt.x3, yt.x4],
-        [c[0], c[1]],
-    ]
-    return solve_linear(rows, [r[0], r[1], _R1]) is not None
+    # x = c r^T with c = C and r = R / (P dx); f = c w^T is idempotent iff
+    # w.c = 1, and f y = x reduces to y^T w = r.  With y = Y / dy and w
+    # rescaled by P dx: Y^T w = dy R and C.w = P dx, all on ints.
+    (c0, c1), (r0, r1), p = _factor(x._n)
+    y1, y2, y3, y4 = y._n
+    dy = y._d
+    rows = [[y1, y3], [y2, y4], [c0, c1]]
+    return solve_linear(rows, [dy * r0, dy * r1, p * x._d]) is not None
 
 
 def minus_le(x: Mat2, y: Mat2) -> bool:

@@ -22,7 +22,7 @@ import math
 import os
 import tempfile
 
-from greenquadrics.errors import DomainError, UnknownKindError
+from greenquadrics.errors import DomainError, RenderLimitError, UnknownKindError
 from greenquadrics.exact import Rational, _as_rational, to_float
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
 from greenquadrics.sampling import rng_for, uniform_rows
@@ -66,6 +66,17 @@ class SurfaceSample:
             for j in range(first + 1, first + count):
                 yield j - 1, j
             first += count
+
+
+def _coefficients(values) -> list[float]:
+    """`to_float` of each exact coefficient; a nonzero one that rounds to
+    0.0 is an error, since every row it enters would leave the surface."""
+    floats = [to_float(v) for v in values]
+    if any(f == 0.0 and v != 0 for f, v in zip(floats, values)):
+        raise RenderLimitError(
+            f"a nonzero coefficient is below the float range (smallest double {math.ulp(0.0):.6g})"
+        )
+    return floats
 
 
 def _frame_to_ambient(lam: float, X: float, Y: float, Z: float):
@@ -168,7 +179,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     extract = _chart_extractor(a)
     if rank == 2:
         # x = inv(a) y with y on the identity-coefficient slice at the same level
-        i0, i1, i2, i3 = (to_float(v) for v in inverse_mat(a).entries)
+        i0, i1, i2, i3 = _coefficients(inverse_mat(a).entries)
         is_identity = a == IDENTITY
 
         def invertible():
@@ -187,10 +198,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     if lam_r != 0:
         # inverse set of a / lam, swept through its bilinear chart
         chart = inverse_chart(a / lam_r)
-        d0 = [to_float(v) for v in chart.d0]
-        d1 = [to_float(v) for v in chart.d1]
-        q0 = [to_float(v) for v in chart.q0]
-        q1 = [to_float(v) for v in chart.q1]
+        d0, d1, q0, q1 = (_coefficients(v) for v in (chart.d0, chart.d1, chart.q0, chart.q1))
 
         def inverse_set():
             for s, t in uniform_rows(seed, 0, n, ((-3.0, 3.0), (-3.0, 3.0))):
@@ -206,7 +214,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     verdict = classify_section(a, lam_r)
     rep = verdict.l_rep
     planes = [
-        [(to_float(u), to_float(v)) for u, v in zip(b1.entries, b2.entries)]
+        list(zip(_coefficients(b1.entries), _coefficients(b2.entries)))
         for b1, b2 in (class_plane("L", rep), class_plane("R", rep))
     ]
 
@@ -226,7 +234,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
 
 def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
     lines = [
-        ([to_float(v) for v in line.base.entries], [to_float(v) for v in line.direction.entries])
+        (_coefficients(line.base.entries), _coefficients(line.direction.entries))
         for line in (generator_line("L1", e), generator_line("L2", e))
     ]
     counts = (n - n // 2, n // 2)

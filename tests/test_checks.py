@@ -1,8 +1,10 @@
+import inspect
+import textwrap
 from math import lcm
 
 import pytest
 
-from greenquadrics import checks, sections
+from greenquadrics import checks, sections, semigroup
 from greenquadrics.exact import QuadExt, _parts
 
 
@@ -73,3 +75,41 @@ def test_restriction_check_sees_a_chart_clearing_slip(monkeypatch):
     monkeypatch.setattr(sections, "_clear", clear)
     r = checks.check_restriction_identity(42, trials=8, points_per=25)
     assert r.ok is False, r.line()
+
+
+def _mutant(func, old, new):
+    """`func` recompiled from its source with the one text `old` replaced by
+    `new`, in a copy of its module's namespace (the module is untouched)."""
+    src = textwrap.dedent(inspect.getsource(func))
+    assert src.count(old) == 1, f"{old!r} is not in {func.__name__} exactly once"
+    namespace = dict(func.__globals__)
+    exec(compile(src.replace(old, new), f"<mutant of {func.__name__}>", "exec"), namespace)
+    return namespace[func.__name__]
+
+
+def test_order_check_sees_a_dropped_denominator(monkeypatch):
+    # solving Y^T w = R instead of dy R is still exact on integer y
+    mutant = _mutant(semigroup.natural_le, "[dy * r0, dy * r1, ", "[r0, r1, ")
+    monkeypatch.setattr(checks, "natural_le", mutant)
+    r = checks.check_natural_order_equivalence(42, trials=200)
+    assert r.ok is False, r.line()
+
+
+def test_chart_check_sees_swapped_denominators(monkeypatch):
+    # the swapped point (d0 + sn/td d1)(q0 + tn/sd q1)^T is still an inverse
+    mutant = _mutant(
+        semigroup.chart_eval,
+        "sn, sd = _parts(s)\n    tn, td = _parts(t)",
+        "sn, td = _parts(s)\n    tn, sd = _parts(t)",
+    )
+    monkeypatch.setattr(checks, "chart_eval", mutant)
+    r = checks.check_inverse_set_theorem(42, trials=20)
+    assert r.ok is False, r.line()
+
+
+def test_chart_check_counts_each_point_once(monkeypatch):
+    # a scaled point fails every test of the point; the count stays 0/N, not below
+    chart_eval = checks.chart_eval
+    monkeypatch.setattr(checks, "chart_eval", lambda chart, s, t: chart_eval(chart, s, t) * 2)
+    r = checks.check_inverse_set_theorem(42, trials=20)
+    assert r.detail == "0/400 trials ok", r.line()

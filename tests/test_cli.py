@@ -206,6 +206,22 @@ class TestCheckAndExportCli:
         assert text.startswith("usage error: ") and "\n" not in text
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "a,lam",
+        [("[7...7,0;0,1]", "1"), ("[7...7,0;0,0]", "1")],
+        ids=["inverse", "chart"],
+    )
+    def test_export_refuses_a_coefficient_that_underflows(self, tmp_path, a, lam):
+        # 1/77...7 (400 digits) rounds to 0.0: the rows would leave the surface
+        out = tmp_path / "x.csv"
+        argv = ["export", "--kind", "section", f"--a={a.replace('7...7', '7' * 400)}", f"--lambda={lam}"]
+        code, text = run(argv + ["--samples", "3", "--out", str(out)])
+        assert code == 1
+        assert text == (
+            "usage error: a nonzero coefficient is below the float range (smallest double 4.94066e-324)"
+        )
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_largest_z_range_rows_are_finite(self, tmp_path):
         out = tmp_path / "x.csv"
         code, _ = run(["export", "--kind", "idempotents", "--samples", "50", "--z-range=-1e150:1e150",

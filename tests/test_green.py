@@ -68,7 +68,9 @@ def _rank1_fraction_entries(rng, bits, zero_row, zero_col):
 
 class TestSpacesFromFirstNonzeroLine:
     @pytest.mark.parametrize("bits", [None, 256], ids=["small", "256-bit"])
-    @pytest.mark.parametrize("zero_row,zero_col", [(False, False), (True, False), (False, True)])
+    @pytest.mark.parametrize(
+        "zero_row,zero_col", [(False, False), (True, False), (False, True), (True, True)]
+    )
     def test_matches_first_nonzero_row_and_column(self, bits, zero_row, zero_col):
         for i in range(40):
             x = _rank1_fraction_entries(rng_for(83, i), bits, zero_row, zero_col)

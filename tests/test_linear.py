@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from greenquadrics._linear import solve_linear
+from greenquadrics._linear import integer_row, solve_linear
 
 
 def reference_solve(rows, rhs):
@@ -90,6 +90,28 @@ def test_integer_inputs():
     assert solve_linear([[2, 1], [1, 3]], [3, 5]) == [Fraction(4, 5), Fraction(7, 5)]
 
 
+def test_integer_row_passes_ints_through():
+    assert integer_row([3, -4, 0]) == [3, -4, 0]
+    assert integer_row([3, Fraction(1, 2), Fraction(-5, 6)]) == [18, 3, -5]
+    assert all(type(v) is int for v in integer_row([True, Fraction(2, 3)]))
+
+
+@pytest.mark.parametrize(
+    "rows,rhs",
+    [
+        ([[2, 1], [1, 3]], [3, 5]),
+        ([[0, 1, 1]], [3]),
+        ([[0, 0], [0, 0]], [0, 0]),
+        ([[1, Fraction(1, 2)], [4, 2]], [2, 8]),
+        ([[2**300 + 1, 3], [5, 2**256]], [7, -(2**280)]),
+    ],
+)
+def test_solution_entries_are_exactly_fraction(rows, rhs):
+    got = solve_linear(rows, rhs)
+    assert got == reference_solve(rows, rhs)
+    assert all(type(v) is Fraction for v in got)
+
+
 def test_inconsistent_is_none():
     assert solve_linear([[1, 1], [2, 2]], [1, 3]) is None
     assert solve_linear([[0, 0], [1, 0]], [1, 0]) is None
@@ -108,10 +130,14 @@ def test_empty_system():
 @pytest.mark.parametrize("bad", [0.1, "1/3", Decimal("0.5")], ids=repr)
 @pytest.mark.parametrize("where", ["row", "rhs"])
 def test_rejects_inexact_inputs(where, bad):
-    rows, rhs = [[1, 0], [0, 1]], [1, 1]
-    if where == "row":
-        rows[1][0] = bad
-    else:
-        rhs[0] = bad
-    with pytest.raises(TypeError):
-        solve_linear(rows, rhs)
+    # among ints, which pass through uncleared, and among Fractions alike
+    for one in (1, Fraction(1)):
+        rows, rhs = [[one, 0], [0, one]], [one, one]
+        if where == "row":
+            rows[1][0] = bad
+        else:
+            rhs[0] = bad
+        with pytest.raises(TypeError):
+            solve_linear(rows, rhs)
+        with pytest.raises(TypeError):
+            integer_row(rows[1] + rhs)

@@ -1,4 +1,7 @@
+from fractions import Fraction
+
 import pytest
+from test_linear import reference_solve
 
 from greenquadrics.errors import (
     DegeneratePairingError,
@@ -8,7 +11,7 @@ from greenquadrics.errors import (
 )
 from greenquadrics.exact import Rational
 from greenquadrics.green import ProjLine, colspace, green_eq, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner
+from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat
 from greenquadrics.sampling import (
     grid_matrices,
     grid_values,
@@ -358,3 +361,124 @@ class TestOrderAxioms:
             for j in ups:
                 for k in below[j]:
                     assert k in below[i], (mats[i], mats[j], mats[k])
+
+
+def _wide(rng, bits=256):
+    """A nonzero `Fraction` with `bits`-bit numerator and denominator."""
+    num = rng.getrandbits(bits) | (1 << (bits - 1))
+    den = rng.getrandbits(bits) | (1 << (bits - 1))
+    return Fraction(num if rng.random() < 0.5 else -num, den)
+
+
+def _first_nonzero_col(e):
+    return (e[0], e[2]) if e[0] or e[2] else (e[1], e[3])
+
+
+def natural_le_on_fractions(x, y):
+    """`natural_le` as it was before integer content: the factor c . r^T read
+    from the `Fraction` entries (r = 1 at the pivot), the column spaces
+    compared by a cross product, and the system y^T w = r, c.w = 1 solved
+    by the `Fraction` Gauss-Jordan reference of the solver tests."""
+    if x == y or x.is_zero():
+        return True
+    if x.rank() == 2:
+        return False
+    ry = y.rank()
+    if ry == 0:
+        return False
+    x1, x2, x3, x4 = x.entries
+    c = _first_nonzero_col(x.entries)
+    if ry == 1:
+        u, v = _first_nonzero_col(y.entries)
+        if c[0] * v != c[1] * u:
+            return False
+    if x1 or x3:
+        r = (Fraction(1), x2 / x1 if x1 else x4 / x3)
+    else:
+        r = (Fraction(0), Fraction(1))
+    y1, y2, y3, y4 = y.entries
+    return reference_solve([[y1, y3], [y2, y4], list(c)], [r[0], r[1], Fraction(1)]) is not None
+
+
+class TestOrderOnIntegerContent:
+    def test_span1_grid_matches_fraction_solve(self):
+        grid = list(grid_matrices(grid_values(span=1)))
+        assert len(grid) == 81
+        for x in grid:
+            for y in grid:
+                assert natural_le(x, y) == natural_le_on_fractions(x, y), (x, y)
+
+    @pytest.mark.parametrize(
+        "zero_c0,zero_r0",
+        [(False, False), (True, False), (False, True), (True, True)],
+        ids=["X1", "X3", "X2", "X4"],
+    )
+    def test_256_bit_pivot_branches(self, zero_c0, zero_r0):
+        # x = c r^T: c0 = 0 moves the pivot down, r0 = 0 moves it right
+        outcomes = set()
+        for i in range(12):
+            rng = rng_for(211, i)
+            c = (Fraction(0) if zero_c0 else _wide(rng), _wide(rng))
+            r = (Fraction(0) if zero_r0 else _wide(rng), _wide(rng))
+            x = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
+            m = Mat2(*(_wide(rng) for _ in range(4)))
+            k = (inverse_mat(m) @ x).trace()
+            # x <= y for invertible y iff tr(y^-1 x) = 1: y = k m is above x
+            ys = [m * k, m * (k + 1), m]
+            # rank-1 y: the same column space as x (with and without x <= y) or another
+            ys += [x * 1, Mat2(c[0] * r[1], c[0], c[1] * r[1], c[1]), Mat2(_wide(rng), _wide(rng), 0, 0)]
+            for y in ys:
+                got = natural_le(x, y)
+                assert got == natural_le_on_fractions(x, y) == minus_le(x, y), (x, y)
+                outcomes.add((y.rank(), got))
+        assert outcomes == {(2, True), (2, False), (1, True), (1, False)}
+
+
+def chart_eval_on_fractions(chart, s, t):
+    """(d0 + s d1)(q0 + t q1)^T on the chart's public `Fraction` vectors."""
+    d = (chart.d0[0] + s * chart.d1[0], chart.d0[1] + s * chart.d1[1])
+    q = (chart.q0[0] + t * chart.q1[0], chart.q0[1] + t * chart.q1[1])
+    return Mat2(d[0] * q[0], d[0] * q[1], d[1] * q[0], d[1] * q[1])
+
+
+def chart_vectors_on_fractions(a):
+    """d0, d1, q0, q1 of `inverse_chart` as they were computed on `Fraction`s."""
+    x1, x2, x3, x4 = a.entries
+    if x1 or x3:
+        c, r = (x1, x3), (Fraction(1), x2 / x1 if x1 else x4 / x3)
+    else:
+        c, r = (x2, x4), (Fraction(0), Fraction(1))
+    rdot, cdot = r[0] ** 2 + r[1] ** 2, c[0] ** 2 + c[1] ** 2
+
+    def perp(v):
+        return tuple(Fraction(u) for u in ProjLine(v[0], v[1]).perp().direction)
+
+    return (r[0] / rdot, r[1] / rdot), perp(r), (c[0] / cdot, c[1] / cdot), perp(c)
+
+
+class TestChartOnIntegerContent:
+    @pytest.mark.parametrize("bits", [None, 256], ids=["small", "256-bit"])
+    @pytest.mark.parametrize("kind", ["int", "fraction", "mixed"])
+    def test_matches_fraction_formula(self, bits, kind):
+        for i in range(30):
+            rng = rng_for(223, i)
+            if bits is None:
+                a = rand_rank1(rng)
+                s, t = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
+            else:
+                c = (_wide(rng, bits // 2), _wide(rng, bits // 2))
+                r = (_wide(rng, bits // 2), _wide(rng, bits // 2))
+                if i % 3 == 1:
+                    c = (Fraction(0), c[1])
+                elif i % 3 == 2:
+                    r = (Fraction(0), r[1])
+                a = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
+                s, t = _wide(rng, bits), _wide(rng, bits)
+            if kind == "int":
+                s, t = s.numerator, t.numerator
+            elif kind == "mixed":
+                s = s.numerator
+            chart = inverse_chart(a)
+            assert (chart.d0, chart.d1, chart.q0, chart.q1) == chart_vectors_on_fractions(a)
+            assert all(type(v) is Fraction for v in chart.d0 + chart.d1 + chart.q0 + chart.q1)
+            assert chart_eval(chart, s, t) == chart_eval_on_fractions(chart, s, t)

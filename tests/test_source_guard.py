@@ -6,7 +6,8 @@ environment variable the package may read is GQ_DEFAULT_TRIALS (the
 nothing imports `random`: every draw comes from `sampling.Stream`.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
-stale export behind.
+stale export behind.  The order, line and chart paths compute on a
+`Mat2`'s integer content: they read no `Fraction` accessor.
 """
 
 import ast
@@ -92,6 +93,26 @@ def test_surfaces_hold_no_point_lists():
     from greenquadrics.surfaces import SurfaceSample
 
     assert not hasattr(SurfaceSample, "points")
+
+
+# functions that compute on `Mat2._n`/`_d`: each `Fraction` accessor costs a
+# gcd per entry, and the order solver would only clear them back to ints
+CONTENT_PATHS = [
+    ("semigroup", "natural_le"),
+    ("semigroup", "chart_eval"),
+    ("green", "rowspace"),
+    ("green", "colspace"),
+]
+ROUND_TRIP = {"entries", "x1", "x2", "x3", "x4", "rank1_factor"}
+
+
+@pytest.mark.parametrize("module,func", CONTENT_PATHS, ids=lambda v: v)
+def test_content_paths_read_no_fraction_accessor(module, func):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
+    used = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    used |= {n.id for n in ast.walk(body) if isinstance(n, ast.Name)} & {"rank1_factor"}
+    assert not used & ROUND_TRIP, f"{module}.{func} reads {sorted(used & ROUND_TRIP)}"
 
 
 def _exports(path) -> bool:
