@@ -1,5 +1,5 @@
 """Exact elimination for the small rational systems used by the order/meet
-solvers and the quadric reducers.
+solvers, and the integer clearing the quadric classifier shares.
 
 Both solvers work fraction-free: each input row is cleared of
 denominators by the lcm of its entries, and elimination then runs on

@@ -228,10 +228,12 @@ def check_class_plane_membership(seed, trials=1000):
         a = rand_rank1(rng)
         for rel in ("L", "R"):
             b1, b2 = class_plane(rel, a)
-            s, t = rand_rational(rng), rand_rational(rng)
-            x = b1 * s + b2 * t
-            if x.is_zero():
-                continue
+            # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
+            while True:
+                s, t = rand_rational(rng), rand_rational(rng)
+                x = b1 * s + b2 * t
+                if not x.is_zero():
+                    break
             if not green_eq(rel, x, a):
                 failures += 1
     return _result("green", "class_plane_points_stay_in_class", failures, trials)
@@ -242,9 +244,8 @@ def check_d_is_rank(seed, trials=2000):
     for i in range(trials):
         rng = rng_for(seed, i)
         a, b = rand_mat(rng, span=3), rand_mat(rng, span=3)
-        if green_eq("D", a, b) != (a.rank() == b.rank()):
-            failures += 1
-        if green_eq("J", a, b) != green_eq("D", a, b):
+        d = green_eq("D", a, b)
+        if d != (a.rank() == b.rank()) or green_eq("J", a, b) != d:
             failures += 1
     return _result("green", "d_class_is_rank_class", failures, trials)
 
@@ -395,12 +396,8 @@ def check_generator_lines(seed, trials=500):
         g1 = generator_line("L1", e)
         g2 = generator_line("L2", e)
         p1, p2 = g1.point(t), g2.point(t)
-        for p in (p1, p2):
-            if not (is_idempotent(p) and p.rank() == 1):
-                failures += 1
-        if not green_eq("L", p1, e):
-            failures += 1
-        if not green_eq("R", p2, e):
+        on_surface = all(is_idempotent(p) and p.rank() == 1 for p in (p1, p2))
+        if not (on_surface and green_eq("L", p1, e) and green_eq("R", p2, e)):
             failures += 1
     return _result("sets", "generator_lines_lie_on_surface", failures, trials)
 
@@ -411,8 +408,8 @@ def check_line_combinatorics(seed, trials=50):
         rng = rng_for(seed, i)
         e = rand_idempotent_rank1(rng)
         f = rand_idempotent_rank1(rng)
-        if e == f:
-            continue
+        while f == e:  # a redraw, not a skipped trial
+            f = rand_idempotent_rank1(rng)
         same_family_l = line_meet(generator_line("L1", e), generator_line("L1", f))
         same_family_r = line_meet(generator_line("L2", e), generator_line("L2", f))
         if green_eq("L", e, f):
@@ -485,9 +482,7 @@ def check_order_section_reports(seed, trials=10, per_report=200):
         rng = rng_for(seed, 40_000 + i)
         a = rand_invertible(rng)
         report = order_section_report(a, per_report, seed + i)
-        if report.agree_le_vs_inv_section != per_report:
-            failures += 1
-        if report.counterexamples:
+        if report.agree_le_vs_inv_section != per_report or report.counterexamples:
             failures += 1
         if report.agree_le_vs_section != per_report:
             identity_gap += 1
@@ -535,9 +530,7 @@ def check_bell_roundtrip(seed, trials=1000):
         x = x + IDENTITY * shift
         p = to_bell(x, lam)
         back = from_bell(p)
-        if not back.is_rational() or back.to_mat2() != x:
-            failures += 1
-        if to_bell(back, lam) != p:
+        if not back.is_rational() or back.to_mat2() != x or to_bell(back, lam) != p:
             failures += 1
     return _result("sections", "frame_roundtrip_exact", failures, trials)
 
@@ -658,9 +651,7 @@ def check_symmetric_slice(seed, trials=500):
                 break
         x = outer(u, u) / (u[0] * u[0] + u[1] * u[1])
         d = x - center
-        if inner(d, d) != _HALF:
-            failures += 1
-        if to_bell(x, Rational(1)).Z != QuadExt(0):
+        if inner(d, d) != _HALF or to_bell(x, Rational(1)).Z != QuadExt(0):
             failures += 1
     return _result("sections", "symmetric_idempotents_form_radius_circle", failures, trials)
 
@@ -671,11 +662,11 @@ def check_metrics_family(seed, trials=0):
     base = hyperboloid_metrics(levels[0]).asymptotic_form
     for lam in levels:
         m = hyperboloid_metrics(lam)
-        if m.asymptotic_form != base:
-            failures += 1
-        if m.center != IDENTITY * (lam * _HALF):
-            failures += 1
-        if m.radius_sq != lam * lam * _HALF:
+        if (
+            m.asymptotic_form != base
+            or m.center != IDENTITY * (lam * _HALF)
+            or m.radius_sq != lam * lam * _HALF
+        ):
             failures += 1
     return _result("sections", "metrics_family_shares_axis_and_cone", failures, len(levels))
 

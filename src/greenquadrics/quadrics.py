@@ -1,10 +1,15 @@
 """Exact affine classification of quadrics in 3 variables.
 
 A quadric is the zero set of t^T Q t + b^T t + c with symmetric rational Q.
-`inertia` computes Sylvester inertia by fraction-free congruence
-diagonalization on integers (with rank-2 repair when only off-diagonal
-pivots exist), and `classify_quadric` reads the affine type off the
-inertia and the centered constant - no approximate comparison anywhere.
+Both `inertia` and `classify_quadric` run one fraction-free (Bareiss)
+congruence elimination on integers (`_eliminate`, with rank-2 repair when
+only off-diagonal pivots exist).  `inertia` eliminates Q itself.
+`classify_quadric` eliminates the bordered matrix [[2Q, b], [b^T, 2c]],
+cleared to integers, taking pivots from the Q block only: the Q pass gives
+the inertia of Q, a nonzero border entry left against the zero rest of Q
+marks a non-central quadric (no centre solves Q t = -b/2), and otherwise
+the last diagonal entry has the sign of the value at the centre.  No
+linear solve, no `Fraction` and no approximate comparison anywhere.
 Inputs are `int` or `Fraction`; a float, a string or a `Decimal` raises
 `TypeError`.
 """
@@ -12,11 +17,9 @@ Inputs are `int` or `Fraction`; a float, a string or a `Decimal` raises
 from __future__ import annotations
 
 from enum import Enum
-from math import gcd
 
-from greenquadrics._linear import integer_row, solve_linear
+from greenquadrics._linear import integer_row
 from greenquadrics.errors import NotAQuadricError
-from greenquadrics.exact import _as_rational, rational_sign
 
 __all__ = ["QuadricClass", "inertia", "classify_quadric"]
 
@@ -40,44 +43,36 @@ class QuadricClass(Enum):
     EMPTY = "empty"
 
 
-def inertia(Q) -> tuple[int, int, int]:
-    """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
+def _eliminate(work: list[list[int]], n: int) -> tuple[int, int, list[int]]:
+    """Congruence-diagonalize the leading n x n block of the symmetric
+    integer matrix `work` in place: (n_plus, n_minus, indices left).
 
-    Congruence diagonalization: nonzero diagonal entries serve as pivots;
-    when only off-diagonal entries remain, adding one row/column into
-    another (a congruence) manufactures the pivot 2*Q[i][j].
+    Nonzero diagonal entries of the block serve as pivots; when only
+    off-diagonal entries remain, adding one row/column into another (a
+    congruence) manufactures the pivot 2*work[i][j].  Rows and columns past
+    n (a border) are carried along but never pivot.  The indices left are
+    those of the block whose entries inside it all vanish.
 
-    The work is fraction-free.  Q is scaled by the lcm of all its
-    denominators (a positive factor, which keeps the inertia).  Eliminating
-    pivot d replaces the remaining block W by |d| W - sign(d) w w^T, with w
-    the pivot's column: a positive multiple of the rational Schur
-    complement.  The block is then divided by the gcd of its entries.  So
-    the integer block is always a positive multiple of the rational one,
-    and every pivot and sign is the one rational elimination would see.
+    Each step is Bareiss's fraction-free one: pivot d replaces the
+    remaining matrix W by (|d| W - sign(d) w w^T) / p, with w the pivot's
+    column and p the previous pivot's absolute value (1 at first).  By
+    induction W is |D| times the rational Schur complement, D the
+    determinant of the pivots' block, so its entries are minors of the
+    (repaired) input and the division is exact; and every pivot and sign
+    is the one rational elimination would see.
     """
-    n = len(Q)
-    flat = integer_row([Q[i][j] for i in range(n) for j in range(n)])
-    work = [flat[i * n : i * n + n] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if work[i][j] != work[j][i]:
-                raise ValueError("inertia needs a symmetric matrix")
-    active = list(range(n))
-    n_pos = n_neg = n_zero = 0
-    while active:
-        k = next((i for i in active if work[i][i]), None)
+    active = list(range(len(work)))
+    block = active[:n]
+    n_pos = n_neg = 0
+    p = 1
+    while block:
+        k = next((i for i in block if work[i][i]), None)
         if k is None:
             pair = next(
-                (
-                    (i, j)
-                    for ai, i in enumerate(active)
-                    for j in active[ai + 1 :]
-                    if work[i][j]
-                ),
+                ((i, j) for bi, i in enumerate(block) for j in block[bi + 1 :] if work[i][j]),
                 None,
             )
             if pair is None:
-                n_zero += len(active)
                 break
             i, j = pair
             for t in active:
@@ -91,49 +86,87 @@ def inertia(Q) -> tuple[int, int, int]:
         else:
             n_neg += 1
         active.remove(k)
+        block.remove(k)
         s = 1 if d > 0 else -1
         d *= s
         wk = work[k]
-        for i in active:
+        for a, i in enumerate(active):
             wi, f = work[i], s * wk[i]
-            for t in active:
-                wi[t] = d * wi[t] - f * wk[t]
-        g = gcd(*(work[i][t] for i in active for t in active))
-        if g > 1:
-            for i in active:
-                wi = work[i]
-                for t in active:
-                    wi[t] //= g
-    return n_pos, n_neg, n_zero
+            for t in active[a:]:
+                wi[t] = work[t][i] = (d * wi[t] - f * wk[t]) // p
+        p = d
+    return n_pos, n_neg, block
+
+
+def _symmetric(flat: list[int], n: int) -> list[list[int]]:
+    """The n x n rows of `flat`; `ValueError` unless they are symmetric."""
+    work = [flat[i * n : i * n + n] for i in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if work[i][j] != work[j][i]:
+                raise ValueError("a quadratic form needs a symmetric matrix")
+    return work
+
+
+def inertia(Q) -> tuple[int, int, int]:
+    """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
+
+    Q is scaled by the lcm of all its denominators (a positive factor,
+    which keeps the inertia) and eliminated on integers by `_eliminate`;
+    the rows that vanish are the zero part.
+    """
+    n = len(Q)
+    work = _symmetric(integer_row([Q[i][j] for i in range(n) for j in range(n)]), n)
+    n_pos, n_neg, rest = _eliminate(work, n)
+    return n_pos, n_neg, len(rest)
 
 
 def classify_quadric(Q, b, c) -> QuadricClass:
     """Affine class of {t : t^T Q t + b^T t + c = 0} in 3-space.
 
-    Central quadrics (Q t0 = -b/2 solvable) are decided by the inertia of Q
-    and the sign of the value at the center; the non-central residue is the
-    paraboloid/parabolic-cylinder family, decided by rank.  The identically
-    zero polynomial is rejected.
+    The polynomial is cleared to integers by the lcm of its denominators
+    and classified from its bordered matrix (`_classify_bordered`).  A
+    non-symmetric Q raises `ValueError`; the identically zero polynomial is
+    rejected.
     """
-    b = [_as_rational(v) for v in b]
-    c = _as_rational(c)
-    n_pos, n_neg, _ = inertia(Q)
-    center = solve_linear([list(row) for row in Q], [-v / 2 for v in b])
-    if center is None:
+    flat = integer_row([*(Q[i][j] for i in range(3) for j in range(3)), *b, c])
+    q = _symmetric(flat[:9], 3)
+    b1, b2, b3, c = flat[9:]
+    return _classify_bordered(
+        [
+            [2 * q[0][0], 2 * q[0][1], 2 * q[0][2], b1],
+            [2 * q[1][0], 2 * q[1][1], 2 * q[1][2], b2],
+            [2 * q[2][0], 2 * q[2][1], 2 * q[2][2], b3],
+            [b1, b2, b3, 2 * c],
+        ]
+    )
+
+
+def _classify_bordered(work: list[list[int]]) -> QuadricClass:
+    """Affine class of the quadric whose bordered matrix [[2Q, b], [b^T, 2c]],
+    times a positive integer, is the symmetric 4 x 4 `work` (consumed).
+
+    Eliminating the Q block gives the inertia of Q.  Q t = -b/2 has a
+    solution exactly when no border entry survives against the rows of the
+    block that vanished; then the last diagonal entry is a positive
+    multiple of twice the value at the centre, c + b^T t / 2.  Without a
+    centre the quadric is a paraboloid, a parabolic cylinder or a plane,
+    decided by the rank of Q.
+    """
+    n_pos, n_neg, rest = _eliminate(work, 3)
+    if any(work[i][3] for i in rest):
         rank = n_pos + n_neg
         if rank == 2:
-            if (n_pos, n_neg) in ((1, 1),):
+            if (n_pos, n_neg) == (1, 1):
                 return QuadricClass.HYPERBOLIC_PARABOLOID
             return QuadricClass.ELLIPTIC_PARABOLOID
         if rank == 1:
             return QuadricClass.PARABOLIC_CYLINDER
         return QuadricClass.SINGLE_PLANE
-    k = c
-    for bi, ti in zip(b, center):
-        k = k + bi * ti / 2
+    k = work[3][3]
     if n_neg > n_pos:
         n_pos, n_neg, k = n_neg, n_pos, -k
-    sk = rational_sign(k)
+    sk = (k > 0) - (k < 0)
     sig = (n_pos, n_neg)
     if sig == (3, 0):
         return (

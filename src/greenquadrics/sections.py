@@ -14,10 +14,14 @@ content n / d, `to_bell` reads X = ((n1 - n4) / 2d) sqrt2 (and likewise Y,
 Z) straight from the ints, and `bell_residual` evaluates the frame's four
 squares on the ints with one gcd.
 
-`AffineQuadric3` keeps its public `Q`, `b`, `c`, `origin` and `basis`;
-`evaluate` and `point` clear the chart coordinates t to one denominator and
-run on integer content of the coefficients and of the chart, computed on
-first use (classification never needs it).
+`restrict_quadric` charts the hyperplane and restricts det to it on the
+ints of `a` and lam, and `AffineQuadric3` stores that integer content: the
+polynomial over one positive multiplier and the chart over one
+denominator.  `classify_affine_quadric` hands the polynomial's bordered
+integer matrix to the elimination of `quadrics`; `evaluate` and `point`
+clear the chart coordinates t to one denominator and run on the same ints.
+The public `Q`, `b`, `c`, `origin` and `basis` are built as `Fraction`s
+and `Mat2`s on first read.
 
 Levels lam are `int` or `Fraction`; a float, a string or a `Decimal`
 raises `TypeError`.
@@ -27,7 +31,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
 from math import lcm
 from typing import NamedTuple
 
@@ -39,7 +42,7 @@ from greenquadrics.errors import (
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, det_polar, outer
-from greenquadrics.quadrics import QuadricClass, classify_quadric
+from greenquadrics.quadrics import QuadricClass, _classify_bordered
 
 __all__ = [
     "Hyperplane",
@@ -188,42 +191,84 @@ def bell_residual(x: Mat2) -> Rational:
     return _from_ints(d1 * d1 + s23 * s23 - d32 * d32 - lam * lam, 2 * x._d * x._d)
 
 
-@dataclass(frozen=True)
 class AffineQuadric3:
     """det restricted to a rational chart of a hyperplane: the polynomial
-    t^T Q t + b^T t + c together with the chart (origin, basis)."""
+    t^T Q t + b^T t + c together with the chart (origin, basis).
 
-    Q: tuple
-    b: tuple
-    c: Rational
-    origin: Mat2
-    basis: tuple  # three Mat2 spanning {v : tr(a v) = 0}
+    The quadric is stored as integer content: `_poly` = (M, C, B, S), the
+    polynomial times M > 0 (c = C/M, b_i = B_i/M, and S holds Q_ii and
+    Q_ij + Q_ji, i < j, each over M, in the order 11 22 33 12 13 23), and
+    `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L.  The
+    public `Q`, `b`, `c`, `origin` and `basis` are built from it on first
+    read; classification, `evaluate` and `point` never need them.  Built
+    by hand, the quadric keeps the given fields and clears them to the
+    same content once.
+    """
 
-    @cached_property
-    def _poly(self) -> tuple:
-        """(M, C, B, S): the polynomial times M, on ints.
+    __slots__ = ("_poly", "_chart", "_Q", "_b", "_c", "_origin", "_basis")
 
-        c = C/M, b_i = B_i/M, and S holds Q_ii and Q_ij + Q_ji (i < j),
-        each over M, in the order 11 22 33 12 13 23.
-        """
-        Q = self.Q
+    def __init__(self, Q, b, c, origin: Mat2, basis):
+        self._Q, self._b, self._c = Q, b, c
+        self._origin, self._basis = origin, basis  # three Mat2 spanning {v : tr(a v) = 0}
         coeffs = (
-            self.c, *self.b,
+            c, *b,
             Q[0][0], Q[1][1], Q[2][2],
             Q[0][1] + Q[1][0], Q[0][2] + Q[2][0], Q[1][2] + Q[2][1],
         )
         parts = [_parts(v) for v in coeffs]
         m = lcm(*(den for _, den in parts))
         ints = [num * (m // den) for num, den in parts]
-        return m, ints[0], tuple(ints[1:4]), tuple(ints[4:])
+        self._poly = (m, ints[0], tuple(ints[1:4]), tuple(ints[4:]))
+        mats = (origin, *basis)
+        el = lcm(*(v._d for v in mats))
+        o, *vs = [tuple(v * (el // mat._d) for v in mat._n) for mat in mats]
+        self._chart = (el, o, tuple(vs))
 
-    @cached_property
-    def _chart(self) -> tuple:
-        """(L, O, B): origin = O/L and basis_i = B_i/L, on ints."""
-        mats = (self.origin, *self.basis)
-        el = lcm(*(m._d for m in mats))
-        o, *b = [tuple(v * (el // m._d) for v in m._n) for m in mats]
-        return el, o, tuple(b)
+    @classmethod
+    def _from_content(cls, poly: tuple, chart: tuple) -> "AffineQuadric3":
+        aq = object.__new__(cls)
+        aq._poly, aq._chart = poly, chart
+        aq._Q = aq._b = aq._c = aq._origin = aq._basis = None
+        return aq
+
+    @property
+    def Q(self) -> tuple:
+        if self._Q is None:
+            m, _, _, (s11, s22, s33, s12, s13, s23) = self._poly
+            q12, q13, q23 = (_from_ints(v, 2 * m) for v in (s12, s13, s23))
+            self._Q = (
+                (_from_ints(s11, m), q12, q13),
+                (q12, _from_ints(s22, m), q23),
+                (q13, q23, _from_ints(s33, m)),
+            )
+        return self._Q
+
+    @property
+    def b(self) -> tuple:
+        if self._b is None:
+            m, _, bs, _ = self._poly
+            self._b = tuple(_from_ints(v, m) for v in bs)
+        return self._b
+
+    @property
+    def c(self) -> Rational:
+        if self._c is None:
+            self._c = _from_ints(self._poly[1], self._poly[0])
+        return self._c
+
+    @property
+    def origin(self) -> Mat2:
+        if self._origin is None:
+            el, o, _ = self._chart
+            self._origin = _canon(*o, el)
+        return self._origin
+
+    @property
+    def basis(self) -> tuple:
+        if self._basis is None:
+            el, _, vs = self._chart
+            self._basis = tuple(_canon(*v, el) for v in vs)
+        return self._basis
 
     def evaluate(self, t) -> Rational:
         """Value of the quadric polynomial at chart coordinates t.
@@ -274,29 +319,65 @@ def quadric_on_chart(origin: Mat2, basis) -> tuple[tuple, tuple, Rational]:
     return Q, b, c
 
 
-_UNIT = (Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1))
+# position pairs of det x = x1 x4 - x2 x3, entries row-major from 0
+_OTHER_PAIR = ((1, 2), (0, 3), (0, 3), (1, 2))
+# index into S of the product t_i t_j
+_S_INDEX = ((0, 3, 4), (3, 1, 5), (4, 5, 2))
 
 
 def restrict_quadric(h: Hyperplane) -> AffineQuadric3:
-    """Chart the hyperplane rationally and restrict det to it.
+    """Chart the hyperplane rationally and restrict det to it, on ints.
 
-    The chart origin is (lam / w_i) E_i for the first nonzero coefficient
-    w_i of the trace functional; the basis vectors are E_j - (w_j / w_i) E_i.
+    With a = n/d, tr(a x) = (W . x)/d for W = (n1, n3, n2, n4).  The chart
+    keeps the entries x_j off the pivot p (the first nonzero W_p) as the
+    coordinates t and solves for x_p: over L = ld |W_p| (lam = ln/ld),
+    L x_p = sign(W_p) (ln d - ld sum_j W_j x_j).  So the origin is
+    (lam / w_p) E_p and the basis vectors are E_j - (w_j / w_p) E_p.  In
+    det x = x1 x4 - x2 x3 the entry x_q paired with x_p and the other pair
+    x_r, x_s are coordinates, so L det x = sigma ((L x_p) x_q - L x_r x_s),
+    with sigma = +1 when p is on the diagonal and -1 off it: the polynomial
+    over M = L, with C = 0, is read off the chart content.
     """
-    w = trace_functional(h.a)
-    pivot = next((i for i in range(4) if w[i] != 0), None)
-    if pivot is None:
+    n1, n2, n3, n4 = h.a._n
+    w = (n1, n3, n2, n4)
+    p = next((i for i in range(4) if w[i]), None)
+    if p is None:
         raise ZeroCoefficientError("zero coefficient matrix has no hyperplane chart")
-    origin = _UNIT[pivot] * (h.lam / w[pivot])
-    basis = tuple(
-        _UNIT[j] - _UNIT[pivot] * (w[j] / w[pivot]) for j in range(4) if j != pivot
-    )
-    Q, b, c = quadric_on_chart(origin, basis)
-    return AffineQuadric3(Q=Q, b=b, c=c, origin=origin, basis=basis)
+    ln, ld = _parts(h.lam)
+    sp = 1 if w[p] > 0 else -1
+    el = ld * w[p] * sp
+    free = [j for j in range(4) if j != p]
+    origin = [0, 0, 0, 0]
+    origin[p] = sp * ln * h.a._d
+    basis = []
+    for j in free:
+        v = [0, 0, 0, 0]
+        v[j] = el
+        v[p] = -sp * ld * w[j]
+        basis.append(tuple(v))
+    sigma = 1 if p in (0, 3) else -1
+    kq = free.index(3 - p)
+    kr, ks = (free.index(j) for j in _OTHER_PAIR[p])
+    b = [0, 0, 0]
+    b[kq] = sigma * origin[p]
+    s = [0] * 6
+    for k in range(3):
+        s[_S_INDEX[kq][k]] = sigma * basis[k][p]
+    s[_S_INDEX[kr][ks]] = -sigma * el
+    return AffineQuadric3._from_content((el, 0, tuple(b), tuple(s)), (el, tuple(origin), tuple(basis)))
 
 
 def classify_affine_quadric(q: AffineQuadric3) -> QuadricClass:
-    return classify_quadric(q.Q, q.b, q.c)
+    """Affine class of the quadric, from its integer content alone."""
+    _, c, (b1, b2, b3), (s11, s22, s33, s12, s13, s23) = q._poly
+    return _classify_bordered(
+        [
+            [2 * s11, s12, s13, b1],
+            [s12, 2 * s22, s23, b2],
+            [s13, s23, 2 * s33, b3],
+            [b1, b2, b3, 2 * c],
+        ]
+    )
 
 
 class SectionClass(Enum):

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from greenquadrics import checks, sections, semigroup
+from greenquadrics import checks, quadrics, sections, semigroup
 from greenquadrics.exact import QuadExt, _parts
 
 
@@ -113,3 +113,43 @@ def test_chart_check_counts_each_point_once(monkeypatch):
     monkeypatch.setattr(checks, "chart_eval", lambda chart, s, t: chart_eval(chart, s, t) * 2)
     r = checks.check_inverse_set_theorem(42, trials=20)
     assert r.detail == "0/400 trials ok", r.line()
+
+
+def test_line_check_counts_each_trial_once(monkeypatch):
+    # a doubled line point fails both idempotence tests; the count stays 0/N, not below
+    generator_line = checks.generator_line
+
+    class Doubled:
+        def __init__(self, family, e):
+            self.line = generator_line(family, e)
+
+        def point(self, t):
+            return self.line.point(t) * 2
+
+    monkeypatch.setattr(checks, "generator_line", Doubled)
+    r = checks.check_generator_lines(42, trials=50)
+    assert r.detail == "0/50 trials ok", r.line()
+
+
+def _section_checks_with(monkeypatch, mutant):
+    monkeypatch.setattr(quadrics, "_classify_bordered", mutant)
+    monkeypatch.setattr(sections, "_classify_bordered", mutant)
+    return (
+        checks.check_classifier_agreement(42, trials=60),
+        checks.check_affine_invariance(42, trials=60),
+    )
+
+
+def test_section_checks_see_a_flipped_centre_sign(monkeypatch):
+    # the sign of the border residue swaps one sheet for two and ellipsoids for empty sets
+    mutant = _mutant(quadrics._classify_bordered, "k = work[3][3]", "k = -work[3][3]")
+    table, _ = _section_checks_with(monkeypatch, mutant)
+    assert table.ok is False, table.line()
+
+
+def test_section_checks_see_a_dropped_centre_test(monkeypatch):
+    # without the non-central test a paraboloid reads as a centred quadric
+    mutant = _mutant(quadrics._classify_bordered, "if any(work[i][3] for i in rest):", "if False:")
+    table, invariance = _section_checks_with(monkeypatch, mutant)
+    assert table.ok is False, table.line()
+    assert invariance.ok is False, invariance.line()

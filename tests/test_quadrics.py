@@ -2,9 +2,10 @@ from decimal import Decimal
 
 import pytest
 
+from greenquadrics._linear import solve_linear
 from greenquadrics.errors import NotAQuadricError
-from greenquadrics.exact import Rational
-from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
+from greenquadrics.exact import Rational, _as_rational, rational_sign
+from greenquadrics.quadrics import QuadricClass, _eliminate, classify_quadric, inertia
 from greenquadrics.sampling import rng_for
 
 R = Rational
@@ -163,3 +164,141 @@ class TestInertiaOracle:
                 continue
             Q = tuple(tuple(u[r] * u[s] for s in range(3)) for r in range(3))
             assert inertia(Q) == eigen_sign_counts(Q) == (1, 0, 2)
+
+
+def _old_classify_quadric(Q, b, c):
+    # the centre-solve classifier the bordered elimination replaced
+    b = [_as_rational(v) for v in b]
+    c = _as_rational(c)
+    n_pos, n_neg, _ = inertia(Q)
+    center = solve_linear([list(row) for row in Q], [-v / 2 for v in b])
+    if center is None:
+        rank = n_pos + n_neg
+        if rank == 2:
+            if (n_pos, n_neg) in ((1, 1),):
+                return QuadricClass.HYPERBOLIC_PARABOLOID
+            return QuadricClass.ELLIPTIC_PARABOLOID
+        if rank == 1:
+            return QuadricClass.PARABOLIC_CYLINDER
+        return QuadricClass.SINGLE_PLANE
+    k = c
+    for bi, ti in zip(b, center):
+        k = k + bi * ti / 2
+    if n_neg > n_pos:
+        n_pos, n_neg, k = n_neg, n_pos, -k
+    sk = rational_sign(k)
+    sig = (n_pos, n_neg)
+    if sig == (3, 0):
+        return (
+            QuadricClass.ELLIPSOID
+            if sk < 0
+            else QuadricClass.POINT
+            if sk == 0
+            else QuadricClass.EMPTY
+        )
+    if sig == (2, 1):
+        if sk < 0:
+            return QuadricClass.HYPERBOLOID_ONE_SHEET
+        if sk == 0:
+            return QuadricClass.CONE
+        return QuadricClass.HYPERBOLOID_TWO_SHEETS
+    if sig == (2, 0):
+        return (
+            QuadricClass.ELLIPTIC_CYLINDER
+            if sk < 0
+            else QuadricClass.LINE
+            if sk == 0
+            else QuadricClass.EMPTY
+        )
+    if sig == (1, 1):
+        return (
+            QuadricClass.INTERSECTING_PLANES if sk == 0 else QuadricClass.HYPERBOLIC_CYLINDER
+        )
+    if sig == (1, 0):
+        return (
+            QuadricClass.PARALLEL_PLANES
+            if sk < 0
+            else QuadricClass.COINCIDENT_PLANES
+            if sk == 0
+            else QuadricClass.EMPTY
+        )
+    if sk == 0:
+        raise NotAQuadricError("identically zero polynomial")
+    return QuadricClass.EMPTY
+
+
+def _random_polynomial(rng):
+    """(Q, b, c) with numerators of span 1-3, about a third of the entries
+    forced to zero, half of the draws with denominators up to 3."""
+    span = rng.randint(1, 3)
+    dens = rng.randint(1, 3) if rng.random() < 0.5 else 1
+
+    def entry():
+        if rng.random() < 1 / 3:
+            return R(0)
+        return R(rng.randint(-span, span), rng.randint(1, dens))
+
+    q11, q22, q33, q12, q13, q23 = (entry() for _ in range(6))
+    Q = ((q11, q12, q13), (q12, q22, q23), (q13, q23, q33))
+    return Q, tuple(entry() for _ in range(3)), entry()
+
+
+class TestBorderedAgainstCentreSolve:
+    def test_agrees_on_random_polynomials(self):
+        seen = set()
+        for i in range(20_000):
+            Q, b, c = _random_polynomial(rng_for(331, i))
+            try:
+                expected = _old_classify_quadric(Q, b, c)
+            except NotAQuadricError:
+                with pytest.raises(NotAQuadricError):
+                    classify_quadric(Q, b, c)
+                continue
+            assert classify_quadric(Q, b, c) == expected, (Q, b, c)
+            seen.add(expected)
+        assert seen == set(QuadricClass)
+
+    def test_zero_polynomial_and_asymmetric_q(self):
+        for Q, b, c in ((diag(0, 0, 0), Z3, R(0)), (diag(0, 0, 0), (0, 0, 0), 0)):
+            with pytest.raises(NotAQuadricError):
+                classify_quadric(Q, b, c)
+            with pytest.raises(NotAQuadricError):
+                _old_classify_quadric(Q, b, c)
+        Q = ((R(1), R(1), R(0)), (R(0), R(1), R(0)), (R(0), R(0), R(-1)))
+        with pytest.raises(ValueError):
+            classify_quadric(Q, Z3, R(1))
+
+
+def _det(m):
+    # Laplace expansion along the first row, on ints
+    if len(m) == 1:
+        return m[0][0]
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+class TestBareissDivision:
+    def test_last_entry_is_the_determinant(self):
+        # with the leading block eliminated, the last entry is D times the
+        # Schur complement det(m) / D, D the signed product of the pivots: an
+        # inexact division would miss it
+        repaired_first = 0
+        for i in range(3000):
+            rng = rng_for(337, i)
+            n = 3 + i % 3
+            m = [[0] * n for _ in range(n)]
+            for r in range(n):
+                for c in range(r, n):
+                    if rng.random() >= 1 / 3:
+                        m[r][c] = m[c][r] = rng.randint(-9, 9) * 2 ** rng.randint(0, 40)
+            work = [row[:] for row in m]
+            n_pos, n_neg, rest = _eliminate(work, n - 1)
+            if rest:
+                continue
+            # a block with no diagonal pivot starts with the rank-2 repair
+            repaired_first += all(m[r][r] == 0 for r in range(n - 1))
+            assert work[n - 1][n - 1] * (-1) ** n_neg == _det(m), m
+        assert repaired_first > 50

@@ -36,6 +36,7 @@ from greenquadrics.sections import (
     restrict_quadric,
     section_membership,
     to_bell,
+    trace_functional,
 )
 from greenquadrics.surfaces import sample_surface
 
@@ -189,19 +190,42 @@ def _chart_coordinates(rng, draw):
     ]
 
 
+def _chart_hyperplanes():
+    """80 hyperplanes of rank 1 and 2, small and 256-bit, at level 0 and not,
+    each with its generator and draw."""
+    for i in range(80):
+        rng = rng_for(227, i)
+        draw = _draws(i, rng)
+        if i % 2 == 0:
+            a = rand_invertible(rng) if i % 4 == 0 else rand_rank1(rng)
+        elif i % 4 == 1:
+            a = Mat2(*(draw() for _ in range(4)))
+        else:
+            a = outer((draw(), draw()), (draw(), draw()))
+        lam = R(0) if i % 3 == 0 else draw()
+        yield rng, draw, Hyperplane(a, lam)
+
+
+_UNIT = (Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1))
+
+
+def _old_restrict_quadric(h):
+    # the Fraction chart and polarization `restrict_quadric` replaced
+    w = trace_functional(h.a)
+    pivot = next((i for i in range(4) if w[i] != 0), None)
+    if pivot is None:
+        raise ZeroCoefficientError("zero coefficient matrix has no hyperplane chart")
+    origin = _UNIT[pivot] * (h.lam / w[pivot])
+    basis = tuple(
+        _UNIT[j] - _UNIT[pivot] * (w[j] / w[pivot]) for j in range(4) if j != pivot
+    )
+    Q, b, c = quadric_on_chart(origin, basis)
+    return AffineQuadric3(Q=Q, b=b, c=c, origin=origin, basis=basis)
+
+
 class TestChartOnIntegerContent:
     def test_evaluate_and_point_match_fraction_loops(self):
-        for i in range(80):
-            rng = rng_for(227, i)
-            draw = _draws(i, rng)
-            if i % 2 == 0:
-                a = rand_invertible(rng) if i % 4 == 0 else rand_rank1(rng)
-            elif i % 4 == 1:
-                a = Mat2(*(draw() for _ in range(4)))
-            else:
-                a = outer((draw(), draw()), (draw(), draw()))
-            lam = R(0) if i % 3 == 0 else draw()
-            h = Hyperplane(a, lam)
+        for rng, draw, h in _chart_hyperplanes():
             aq = restrict_quadric(h)
             for t in _chart_coordinates(rng, draw):
                 value, pt = aq.evaluate(t), aq.point(t)
@@ -222,12 +246,28 @@ class TestChartOnIntegerContent:
             assert aq.evaluate(t) == _old_evaluate(aq, t)
             assert aq.point(t) == _old_point(aq, t)
 
-    def test_integer_content_is_built_on_first_use(self):
+    def test_fields_match_the_fraction_chart(self):
+        for rng, draw, h in _chart_hyperplanes():
+            aq, ref = restrict_quadric(h), _old_restrict_quadric(h)
+            assert aq.Q == ref.Q and aq.b == ref.b and aq.c == ref.c
+            assert all(type(v) is R for v in (*aq.Q[0], *aq.Q[1], *aq.Q[2], *aq.b, aq.c))
+            assert aq.origin == ref.origin and aq.basis == ref.basis
+            assert classify_affine_quadric(aq) == classify_affine_quadric(ref)
+            for t in _chart_coordinates(rng, draw):
+                assert aq.evaluate(t) == ref.evaluate(t)
+                assert aq.point(t) == ref.point(t)
+
+    def test_fraction_fields_are_built_on_first_read(self):
         aq = restrict_quadric(Hyperplane(IDENTITY, R(3)))
         classify_affine_quadric(aq)
-        assert "_poly" not in vars(aq) and "_chart" not in vars(aq)
         aq.evaluate([1, 2, 3])
-        assert "_poly" in vars(aq) and "_chart" not in vars(aq)
+        aq.point([1, 2, 3])
+        fields = ("_Q", "_b", "_c", "_origin", "_basis")
+        assert all(getattr(aq, f) is None for f in fields)
+        Q = aq.Q
+        assert aq._Q is Q and aq.Q is Q
+        assert all(getattr(aq, f) is None for f in fields[1:])
+        assert aq.origin is aq._origin is not None
 
     def test_chart_coordinates_are_strict(self):
         aq = restrict_quadric(Hyperplane(IDENTITY, R(1)))

@@ -7,7 +7,9 @@ nothing imports `random`: every draw comes from `sampling.Stream`.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.  The order, line and chart paths compute on a
-`Mat2`'s integer content: they read no `Fraction` accessor.
+`Mat2`'s integer content: they read no `Fraction` accessor.  The
+quadric classifier eliminates its bordered matrix and solves no linear
+system.
 """
 
 import ast
@@ -95,15 +97,19 @@ def test_surfaces_hold_no_point_lists():
     assert not hasattr(SurfaceSample, "points")
 
 
-# functions that compute on `Mat2._n`/`_d`: each `Fraction` accessor costs a
-# gcd per entry, and the order solver would only clear them back to ints
+# functions that compute on integer content (`Mat2._n`/`_d`, the chart and
+# polynomial ints of `AffineQuadric3`): each `Fraction` accessor costs a gcd
+# per entry, and the solvers would only clear them back to ints
 CONTENT_PATHS = [
     ("semigroup", "natural_le"),
     ("semigroup", "chart_eval"),
     ("green", "rowspace"),
     ("green", "colspace"),
+    ("sections", "restrict_quadric"),
+    ("sections", "classify_affine_quadric"),
 ]
-ROUND_TRIP = {"entries", "x1", "x2", "x3", "x4", "rank1_factor"}
+ROUND_TRIP = {"entries", "x1", "x2", "x3", "x4", "Q", "b", "c", "origin", "basis"}
+FRACTION_HELPERS = {"rank1_factor", "trace_functional", "quadric_on_chart", "classify_quadric"}
 
 
 @pytest.mark.parametrize("module,func", CONTENT_PATHS, ids=lambda v: v)
@@ -111,8 +117,15 @@ def test_content_paths_read_no_fraction_accessor(module, func):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
     used = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used |= {n.id for n in ast.walk(body) if isinstance(n, ast.Name)} & {"rank1_factor"}
-    assert not used & ROUND_TRIP, f"{module}.{func} reads {sorted(used & ROUND_TRIP)}"
+    used &= ROUND_TRIP
+    used |= {n.id for n in ast.walk(body) if isinstance(n, ast.Name)} & FRACTION_HELPERS
+    assert not used, f"{module}.{func} reads {sorted(used)}"
+
+
+def test_quadrics_solve_no_linear_system():
+    tree = ast.parse((PACKAGE / "quadrics.py").read_text(encoding="utf-8"))
+    names = set(_imported_names(tree))
+    assert not any(name.split(".")[-1] == "solve_linear" for name in names), sorted(names)
 
 
 def _exports(path) -> bool:
