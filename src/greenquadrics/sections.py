@@ -198,18 +198,18 @@ class AffineQuadric3:
     The quadric is stored as integer content: `_poly` = (M, C, B, S), the
     polynomial times M > 0 (c = C/M, b_i = B_i/M, and S holds Q_ii and
     Q_ij + Q_ji, i < j, each over M, in the order 11 22 33 12 13 23), and
-    `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L.  The
-    public `Q`, `b`, `c`, `origin` and `basis` are built from it on first
-    read; classification, `evaluate` and `point` never need them.  Built
-    by hand, the quadric keeps the given fields and clears them to the
-    same content once.
+    `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L (three
+    vectors spanning {v : tr(a v) = 0}).  The public `Q`, `b`, `c`,
+    `origin` and `basis` are built from it on first read; classification,
+    `evaluate` and `point` never need them.  Built by hand, the quadric
+    keeps the given fields and clears them to the same content once.
     """
 
     __slots__ = ("_poly", "_chart", "_Q", "_b", "_c", "_origin", "_basis")
 
     def __init__(self, Q, b, c, origin: Mat2, basis):
         self._Q, self._b, self._c = Q, b, c
-        self._origin, self._basis = origin, basis  # three Mat2 spanning {v : tr(a v) = 0}
+        self._origin, self._basis = origin, basis
         coeffs = (
             c, *b,
             Q[0][0], Q[1][1], Q[2][2],

@@ -245,6 +245,10 @@ class TestChartOnIntegerContent:
         for t in ([1, 2, 3], [R(1, 2), -1, R(5, 9)], [0, 0, 0]):
             assert aq.evaluate(t) == _old_evaluate(aq, t)
             assert aq.point(t) == _old_point(aq, t)
+        # the given fields are kept, and the class is that of the polynomial
+        assert aq.Q[1][0] == 0 and aq.b == (1, 0, R(2, 3))
+        sym = tuple(tuple((aq.Q[i][j] + aq.Q[j][i]) * HALF for j in range(3)) for i in range(3))
+        assert classify_affine_quadric(aq) == classify_quadric(sym, aq.b, aq.c)
 
     def test_fields_match_the_fraction_chart(self):
         for rng, draw, h in _chart_hyperplanes():
