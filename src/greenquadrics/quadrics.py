@@ -1,16 +1,19 @@
 """Exact affine classification of quadrics in 3 variables.
 
 A quadric is the zero set of t^T Q t + b^T t + c with symmetric rational Q.
-Both `inertia` and `classify_quadric` run one fraction-free (Bareiss)
+Both `inertia` and `classify_content` run one fraction-free (Bareiss)
 congruence elimination on integers (`_eliminate`, with rank-2 repair when
 only off-diagonal pivots exist).  `inertia` eliminates Q itself.
-`classify_quadric` eliminates the bordered matrix [[2Q, b], [b^T, 2c]],
-cleared to integers, taking pivots from the Q block only: the Q pass gives
-the inertia of Q, a nonzero border entry left against the zero rest of Q
-marks a non-central quadric (no centre solves Q t = -b/2), and otherwise
-the last diagonal entry has the sign of the value at the centre.  No
+`classify_content` eliminates the bordered matrix [[2Q, b], [b^T, 2c]] of
+a quadric's integer content, taking pivots from the Q block only: the Q
+pass gives the inertia of Q, a nonzero border entry left against the zero
+rest of Q marks a non-central quadric (no centre solves Q t = -b/2), and
+otherwise the last diagonal entry has the sign of the value at the centre.
+`classify_quadric` clears (Q, b, c) to that content, and
+`sections.classify_affine_quadric` passes the content it stores.  No
 linear solve, no `Fraction` and no approximate comparison anywhere.
-Inputs are `int` or `Fraction`; a float, a string or a `Decimal` raises
+Inputs of `inertia` and `classify_quadric` are `int` or `Fraction`, those
+of `classify_content` are `int`; a float, a string or a `Decimal` raises
 `TypeError`.
 """
 
@@ -21,7 +24,7 @@ from enum import Enum
 from greenquadrics._linear import integer_row
 from greenquadrics.errors import NotAQuadricError
 
-__all__ = ["QuadricClass", "inertia", "classify_quadric"]
+__all__ = ["QuadricClass", "inertia", "classify_quadric", "classify_content"]
 
 
 class QuadricClass(Enum):
@@ -125,34 +128,43 @@ def classify_quadric(Q, b, c) -> QuadricClass:
     """Affine class of {t : t^T Q t + b^T t + c = 0} in 3-space.
 
     The polynomial is cleared to integers by the lcm of its denominators
-    and classified from its bordered matrix (`_classify_bordered`).  A
+    and classified from that content (`classify_content`).  A
     non-symmetric Q raises `ValueError`; the identically zero polynomial is
     rejected.
     """
     flat = integer_row([*(Q[i][j] for i in range(3) for j in range(3)), *b, c])
     q = _symmetric(flat[:9], 3)
-    b1, b2, b3, c = flat[9:]
-    return _classify_bordered(
-        [
-            [2 * q[0][0], 2 * q[0][1], 2 * q[0][2], b1],
-            [2 * q[1][0], 2 * q[1][1], 2 * q[1][2], b2],
-            [2 * q[2][0], 2 * q[2][1], 2 * q[2][2], b3],
-            [b1, b2, b3, 2 * c],
-        ]
+    return classify_content(
+        flat[12],
+        flat[9:12],
+        (q[0][0], q[1][1], q[2][2], 2 * q[0][1], 2 * q[0][2], 2 * q[1][2]),
     )
 
 
-def _classify_bordered(work: list[list[int]]) -> QuadricClass:
-    """Affine class of the quadric whose bordered matrix [[2Q, b], [b^T, 2c]],
-    times a positive integer, is the symmetric 4 x 4 `work` (consumed).
+def classify_content(c: int, b, s) -> QuadricClass:
+    """Affine class of the quadric whose polynomial, times a positive
+    integer, has the integer content c, b = (b1, b2, b3) and
+    s = (Q11, Q22, Q33, 2 Q12, 2 Q13, 2 Q23).
 
-    Eliminating the Q block gives the inertia of Q.  Q t = -b/2 has a
-    solution exactly when no border entry survives against the rows of the
-    block that vanished; then the last diagonal entry is a positive
-    multiple of twice the value at the centre, c + b^T t / 2.  Without a
-    centre the quadric is a paraboloid, a parabolic cylinder or a plane,
-    decided by the rank of Q.
+    The bordered matrix [[2Q, b], [b^T, 2c]] of that content is eliminated
+    with pivots from the Q block only, which gives the inertia of Q.
+    Q t = -b/2 has a solution exactly when no border entry survives
+    against the rows of the block that vanished; then the last diagonal
+    entry is a positive multiple of twice the value at the centre,
+    c + b^T t / 2.  Without a centre the quadric is a paraboloid, a
+    parabolic cylinder or a plane, decided by the rank of Q.  Every entry
+    must be an `int` (`TypeError` otherwise).
     """
+    b1, b2, b3 = b
+    s11, s22, s33, s12, s13, s23 = s
+    if not all(type(v) is int for v in (c, b1, b2, b3, s11, s22, s33, s12, s13, s23)):
+        raise TypeError("classify_content takes the integer content of a quadric")
+    work = [
+        [2 * s11, s12, s13, b1],
+        [s12, 2 * s22, s23, b2],
+        [s13, s23, 2 * s33, b3],
+        [b1, b2, b3, 2 * c],
+    ]
     n_pos, n_neg, rest = _eliminate(work, 3)
     if any(work[i][3] for i in rest):
         rank = n_pos + n_neg

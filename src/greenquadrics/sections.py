@@ -17,9 +17,9 @@ squares on the ints with one gcd.
 `restrict_quadric` charts the hyperplane and restricts det to it on the
 ints of `a` and lam, and `AffineQuadric3` stores that integer content: the
 polynomial over one positive multiplier and the chart over one
-denominator.  `classify_affine_quadric` hands the polynomial's bordered
-integer matrix to the elimination of `quadrics`; `evaluate` and `point`
-clear the chart coordinates t to one denominator and run on the same ints.
+denominator.  `classify_affine_quadric` hands the polynomial's content
+to `quadrics.classify_content`; `evaluate` and `point` clear the chart
+coordinates t to one denominator and run on the same ints.
 The public `Q`, `b`, `c`, `origin` and `basis` are built as `Fraction`s
 and `Mat2`s on first read.
 
@@ -42,7 +42,7 @@ from greenquadrics.errors import (
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, det_polar, outer
-from greenquadrics.quadrics import QuadricClass, _classify_bordered
+from greenquadrics.quadrics import QuadricClass, classify_content
 
 __all__ = [
     "Hyperplane",
@@ -369,15 +369,7 @@ def restrict_quadric(h: Hyperplane) -> AffineQuadric3:
 
 def classify_affine_quadric(q: AffineQuadric3) -> QuadricClass:
     """Affine class of the quadric, from its integer content alone."""
-    _, c, (b1, b2, b3), (s11, s22, s33, s12, s13, s23) = q._poly
-    return _classify_bordered(
-        [
-            [2 * s11, s12, s13, b1],
-            [s12, 2 * s22, s23, b2],
-            [s13, s23, 2 * s33, b3],
-            [b1, b2, b3, 2 * c],
-        ]
-    )
+    return classify_content(*q._poly[1:])
 
 
 class SectionClass(Enum):

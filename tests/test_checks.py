@@ -132,8 +132,8 @@ def test_line_check_counts_each_trial_once(monkeypatch):
 
 
 def _section_checks_with(monkeypatch, mutant):
-    monkeypatch.setattr(quadrics, "_classify_bordered", mutant)
-    monkeypatch.setattr(sections, "_classify_bordered", mutant)
+    monkeypatch.setattr(quadrics, "classify_content", mutant)
+    monkeypatch.setattr(sections, "classify_content", mutant)
     return (
         checks.check_classifier_agreement(42, trials=60),
         checks.check_affine_invariance(42, trials=60),
@@ -142,14 +142,14 @@ def _section_checks_with(monkeypatch, mutant):
 
 def test_section_checks_see_a_flipped_centre_sign(monkeypatch):
     # the sign of the border residue swaps one sheet for two and ellipsoids for empty sets
-    mutant = _mutant(quadrics._classify_bordered, "k = work[3][3]", "k = -work[3][3]")
+    mutant = _mutant(quadrics.classify_content, "k = work[3][3]", "k = -work[3][3]")
     table, _ = _section_checks_with(monkeypatch, mutant)
     assert table.ok is False, table.line()
 
 
 def test_section_checks_see_a_dropped_centre_test(monkeypatch):
     # without the non-central test a paraboloid reads as a centred quadric
-    mutant = _mutant(quadrics._classify_bordered, "if any(work[i][3] for i in rest):", "if False:")
+    mutant = _mutant(quadrics.classify_content, "if any(work[i][3] for i in rest):", "if False:")
     table, invariance = _section_checks_with(monkeypatch, mutant)
     assert table.ok is False, table.line()
     assert invariance.ok is False, invariance.line()

@@ -1,11 +1,12 @@
 from decimal import Decimal
+from math import gcd
 
 import pytest
 
 from greenquadrics._linear import solve_linear
 from greenquadrics.errors import NotAQuadricError
 from greenquadrics.exact import Rational, _as_rational, rational_sign
-from greenquadrics.quadrics import QuadricClass, _eliminate, classify_quadric, inertia
+from greenquadrics.quadrics import QuadricClass, _eliminate, classify_content, classify_quadric, inertia
 from greenquadrics.sampling import rng_for
 
 R = Rational
@@ -268,6 +269,28 @@ class TestBorderedAgainstCentreSolve:
         with pytest.raises(ValueError):
             classify_quadric(Q, Z3, R(1))
 
+
+    def test_content_is_the_cleared_polynomial(self):
+        # s holds Q_ii and 2 Q_ij; any positive multiple of the content keeps the class
+        for i in range(500):
+            Q, b, c = _random_polynomial(rng_for(347, i))
+            flat = [Q[0][0], Q[1][1], Q[2][2], 2 * Q[0][1], 2 * Q[0][2], 2 * Q[1][2], *b, c]
+            m = 1
+            for v in flat:
+                m = m * R(v).denominator // gcd(m, R(v).denominator)
+            s11, s22, s33, s12, s13, s23, b1, b2, b3, cc = (int(v * m * (1 + i % 3)) for v in flat)
+            try:
+                expected = classify_quadric(Q, b, c)
+            except NotAQuadricError:
+                with pytest.raises(NotAQuadricError):
+                    classify_content(cc, (b1, b2, b3), (s11, s22, s33, s12, s13, s23))
+                continue
+            assert classify_content(cc, (b1, b2, b3), (s11, s22, s33, s12, s13, s23)) == expected
+
+    @pytest.mark.parametrize("bad", [R(1, 2), R(1), 0.5, True], ids=repr)
+    def test_content_takes_only_ints(self, bad):
+        with pytest.raises(TypeError):
+            classify_content(-1, (0, 0, 0), (1, 1, bad, 0, 0, 0))
 
 def _det(m):
     # Laplace expansion along the first row, on ints

@@ -112,14 +112,36 @@ ROUND_TRIP = {"entries", "x1", "x2", "x3", "x4", "Q", "b", "c", "origin", "basis
 FRACTION_HELPERS = {"rank1_factor", "trace_functional", "quadric_on_chart", "classify_quadric"}
 
 
+def _fraction_reads(body) -> set[str]:
+    """The `Fraction` accessors and helpers a function body uses.  The
+    helpers count as an attribute (`semigroup.rank1_factor(x)`) and as a
+    bare name alike."""
+    attrs = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    return (attrs & ROUND_TRIP) | ((attrs | names) & FRACTION_HELPERS)
+
+
 @pytest.mark.parametrize("module,func", CONTENT_PATHS, ids=lambda v: v)
 def test_content_paths_read_no_fraction_accessor(module, func):
     tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
     body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
-    used = {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used &= ROUND_TRIP
-    used |= {n.id for n in ast.walk(body) if isinstance(n, ast.Name)} & FRACTION_HELPERS
+    used = _fraction_reads(body)
     assert not used, f"{module}.{func} reads {sorted(used)}"
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        ("def f(x): return semigroup.rank1_factor(x)", {"rank1_factor"}),
+        ("def f(x): return rank1_factor(x)", {"rank1_factor"}),
+        ("def f(q): return quadrics.classify_quadric(q.Q, q.b, q.c)", {"classify_quadric", "Q", "b", "c"}),
+        ("def f(x): return x.entries", {"entries"}),
+        ("def f(x, Q): return x._n, Q", set()),
+    ],
+    ids=["attribute-helper", "name-helper", "attribute-classifier", "accessor", "content"],
+)
+def test_fraction_reads_sees_both_forms(src, expected):
+    assert _fraction_reads(ast.parse(src).body[0]) == expected
 
 
 def test_quadrics_solve_no_linear_system():
