@@ -4,10 +4,12 @@ Every trial or sample point draws from its own `Stream`: a counter-based
 SplitMix64 generator (Steele, Lea & Flood, OOPSLA 2014) keyed by
 `derive_seed(seed, index)`.  Building one is a single int store, not a
 624-word Mersenne Twister seeding, and each trial is replayable from its
-`(seed, index)` alone, whatever else was drawn before it.  `rand_mat` and
-`outer` build a `Mat2` straight from integer content with one gcd;
-`rand_mat` makes the same `randint` calls, in the same order, as four
-`rand_rational` draws.
+`(seed, index)` alone, whatever else was drawn before it.  Each sampler
+takes all the bounded draws of one attempt from one `Stream.offsets`
+batch (one 64-bit output at the default spans) and builds its `Mat2`
+straight from integer content with one gcd.  A rejected attempt (a zero
+vector, a zero pairing) redraws the whole batch, which keeps the result
+uniform over the accepted draws.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from itertools import product
 
 from greenquadrics.exact import Rational, _as_rational, _from_ints
-from greenquadrics.mat2 import Mat2, _canon, outer
+from greenquadrics.mat2 import Mat2, _canon
 
 __all__ = [
     "Stream",
@@ -39,7 +41,8 @@ _MIX_B = 1442695040888963407
 _MASK = (1 << 63) - 1
 
 _GAMMA = 0x9E3779B97F4A7C15
-_M64 = (1 << 64) - 1
+_TWO64 = 1 << 64
+_M64 = _TWO64 - 1
 _C1 = 0xBF58476D1CE4E5B9
 _C2 = 0x94D049BB133111EB
 
@@ -49,12 +52,12 @@ def derive_seed(seed: int, index: int) -> int:
 
 
 class Stream:
-    """SplitMix64 stream: draw j is the finaliser of key + j*gamma (mod 2**64).
+    """SplitMix64 stream: output j is the finaliser of key + j*gamma (mod 2**64).
 
-    Each method inlines the mix (a second method call per draw would cost
-    as much as the draw).  `randint` and `choice` map one 64-bit output onto
-    n values by multiply-high, a + (z*n >> 64), for n up to 2**64; `random`
-    keeps the top 53 bits.
+    Each method inlines the mix (a second method call per output would cost
+    as much as the output).  `offsets` splits one output into several
+    bounded draws; `uniform` keeps the top 53 bits of one output;
+    `getrandbits` concatenates outputs.
     """
 
     __slots__ = ("_s",)
@@ -62,25 +65,35 @@ class Stream:
     def __init__(self, key: int):
         self._s = key & _M64
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform int in [a, b]; needs a <= b."""
-        s = self._s = (self._s + _GAMMA) & _M64
-        z = ((s ^ (s >> 30)) * _C1) & _M64
-        z = ((z ^ (z >> 27)) * _C2) & _M64
-        return a + (((z ^ (z >> 31)) * (b - a + 1)) >> 64)
+    def offsets(self, *sizes: int) -> list[int]:
+        """One offset in [0, n) for each size n >= 1, several from one output.
 
-    def choice(self, seq):
-        s = self._s = (self._s + _GAMMA) & _M64
-        z = ((s ^ (s >> 30)) * _C1) & _M64
-        z = ((z ^ (z >> 27)) * _C2) & _M64
-        return seq[((z ^ (z >> 31)) * len(seq)) >> 64]
-
-    def random(self) -> float:
-        """Float in [0, 1) on the 2**-53 grid."""
-        s = self._s = (self._s + _GAMMA) & _M64
-        z = ((s ^ (s >> 30)) * _C1) & _M64
-        z = ((z ^ (z >> 27)) * _C2) & _M64
-        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
+        Batched ranged draws (Brackett-Rozinsky & Lemire, Softw. Pract. Exper.
+        2024): an output z gives the offset z*n >> 64 and carries the low
+        word z*n mod 2**64 on to the next size.  A fresh output is taken
+        whenever the product of the sizes drawn from the current one would
+        pass 2**64, so every span is valid and `offsets(1 << 64)` is the
+        output itself.  The offsets drawn from one output, read as one
+        mixed-radix number, are exactly the multiply-high draw z*P >> 64
+        of their product P: each tuple has probability within a factor
+        1 +- P/2**64 of 1/P.
+        """
+        s = self._s
+        out = []
+        room = 0  # 2**64 // (product of the sizes drawn from z)
+        for n in sizes:
+            if n > room:
+                s = (s + _GAMMA) & _M64
+                z = ((s ^ (s >> 30)) * _C1) & _M64
+                z = ((z ^ (z >> 27)) * _C2) & _M64
+                z ^= z >> 31
+                room = _TWO64
+            room //= n
+            z *= n
+            out.append(z >> 64)
+            z &= _M64
+        self._s = s
+        return out
 
     def uniform(self, a: float, b: float) -> float:
         s = self._s = (self._s + _GAMMA) & _M64
@@ -128,23 +141,30 @@ def uniform_rows(seed: int, start: int, n: int, bounds):
 
 
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
-    return _from_ints(rng.randint(-span, span), rng.randint(1, max_den))
+    """num/den with num in [-span, span] and den in [1, max_den]."""
+    n, d = rng.offsets(2 * span + 1, max_den)
+    return _from_ints(n - span, d + 1)
 
 
 def rand_nonzero_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
-    num = rng.randint(1, span) * rng.choice((1, -1))
-    return _from_ints(num, rng.randint(1, max_den))
+    """num/den with 0 < |num| <= span and den in [1, max_den]."""
+    k, d = rng.offsets(2 * span, max_den)
+    return _from_ints(k + 1 if k < span else span - 1 - k, d + 1)
 
 
 def rand_mat(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
-    """Four `rand_rational` entries, drawn in the same order, as integer content."""
-    r = rng.randint
-    n1, d1 = r(-span, span), r(1, max_den)
-    n2, d2 = r(-span, span), r(1, max_den)
-    n3, d3 = r(-span, span), r(1, max_den)
-    n4, d4 = r(-span, span), r(1, max_den)
+    """Four `rand_rational` entries, row-major, from one batch of offsets."""
+    w = 2 * span + 1
+    n1, d1, n2, d2, n3, d3, n4, d4 = rng.offsets(w, max_den, w, max_den, w, max_den, w, max_den)
+    d1, d2, d3, d4 = d1 + 1, d2 + 1, d3 + 1, d4 + 1
     d12, d34 = d1 * d2, d3 * d4
-    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
+    return _canon(
+        (n1 - span) * d2 * d34,
+        (n2 - span) * d1 * d34,
+        (n3 - span) * d4 * d12,
+        (n4 - span) * d3 * d12,
+        d12 * d34,
+    )
 
 
 def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
@@ -155,34 +175,51 @@ def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
 
 
 def _rand_int_vector(rng: Stream, span: int) -> tuple[int, int]:
+    """Nonzero integer 2-vector with entries in [-span, span]."""
+    w = 2 * span + 1
     while True:
-        v = (rng.randint(-span, span), rng.randint(-span, span))
-        if v != (0, 0):
-            return v
+        a, b = rng.offsets(w, w)
+        if a != span or b != span:
+            return a - span, b - span
 
 
 def rand_rank1(rng: Stream, span: int = 5) -> Mat2:
-    """Random rank-1 matrix: integer c . r^T scaled by a nonzero rational."""
-    c = _rand_int_vector(rng, span)
-    r = _rand_int_vector(rng, span)
-    return outer(c, r) * rand_nonzero_rational(rng, span, span)
+    """Random rank-1 matrix c . r^T * n/d: nonzero integer vectors c, r with
+    entries in [-span, span], 0 < |n| <= span, d in [1, span]."""
+    w = 2 * span + 1
+    while True:
+        c1, c2, r1, r2, k, d = rng.offsets(w, w, w, w, 2 * span, span)
+        c1, c2, r1, r2 = c1 - span, c2 - span, r1 - span, r2 - span
+        if (c1 or c2) and (r1 or r2):
+            n = k + 1 if k < span else span - 1 - k
+            return _canon(c1 * r1 * n, c1 * r2 * n, c2 * r1 * n, c2 * r2 * n, d + 1)
 
 
 def rand_idempotent_rank1(rng: Stream, span: int = 5) -> Mat2:
-    """Random rank-1 idempotent u . v^T / (v . u) with non-orthogonal u, v."""
+    """Random rank-1 idempotent u . v^T / (v . u): integer vectors with
+    entries in [-span, span] and a nonzero pairing."""
+    w = 2 * span + 1
     while True:
-        u = _rand_int_vector(rng, span)
-        v = _rand_int_vector(rng, span)
-        pairing = u[0] * v[0] + u[1] * v[1]
-        if pairing:
-            return outer(u, v) / pairing
+        u1, u2, v1, v2 = rng.offsets(w, w, w, w)
+        u1, u2, v1, v2 = u1 - span, u2 - span, v1 - span, v2 - span
+        p = u1 * v1 + u2 * v2
+        if p:
+            if p < 0:
+                u1, u2, p = -u1, -u2, -p
+            return _canon(u1 * v1, u1 * v2, u2 * v1, u2 * v2, p)
 
 
 def rand_nilpotent(rng: Stream, span: int = 5) -> Mat2:
-    """Random nonzero square-zero matrix c . r^T with r . c = 0."""
-    c = _rand_int_vector(rng, span)
-    r = (-c[1], c[0])
-    return outer(c, r) * rand_nonzero_rational(rng, span, span)
+    """Random nonzero square-zero matrix c . r^T * n/d with r = (-c2, c1):
+    c a nonzero integer vector in [-span, span]^2, 0 < |n| <= span and
+    d in [1, span]."""
+    w = 2 * span + 1
+    while True:
+        c1, c2, k, d = rng.offsets(w, w, 2 * span, span)
+        c1, c2 = c1 - span, c2 - span
+        if c1 or c2:
+            n = k + 1 if k < span else span - 1 - k
+            return _canon(-c1 * c2 * n, c1 * c1 * n, -c2 * c2 * n, c2 * c1 * n, d + 1)
 
 
 def rand_singular_with_trace(rng: Stream, lam, span: int = 5) -> Mat2:

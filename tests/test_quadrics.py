@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from draws import randint
 from greenquadrics._linear import solve_linear
 from greenquadrics.errors import NotAQuadricError
 from greenquadrics.exact import Rational, _as_rational, rational_sign
@@ -32,13 +33,13 @@ class TestInertia:
         # inertia is invariant under T^T Q T for invertible T
         for i in range(100):
             rng = rng_for(73, i)
-            Q = [[R(rng.randint(-4, 4)) for _ in range(3)] for _ in range(3)]
+            Q = [[R(randint(rng, -4, 4)) for _ in range(3)] for _ in range(3)]
             for r in range(3):
                 for c in range(r + 1, 3):
                     Q[c][r] = Q[r][c]
             Q = tuple(tuple(row) for row in Q)
             while True:
-                T = [[R(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
+                T = [[R(randint(rng, -3, 3)) for _ in range(3)] for _ in range(3)]
                 det3 = (
                     T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
                     - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
@@ -151,7 +152,7 @@ class TestInertiaOracle:
     def test_matches_descartes_counts(self):
         for i in range(400):
             rng = rng_for(127, i)
-            vals = [R(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(6)]
+            vals = [R(randint(rng, -9, 9), randint(rng, 1, 4)) for _ in range(6)]
             a, b, c, e, f, g = vals
             Q = ((a, b, c), (b, e, f), (c, f, g))
             assert inertia(Q) == eigen_sign_counts(Q), Q
@@ -160,7 +161,7 @@ class TestInertiaOracle:
         # force singular forms: outer squares u u^T have inertia (1,0,2)
         for i in range(100):
             rng = rng_for(131, i)
-            u = [R(rng.randint(-5, 5)) for _ in range(3)]
+            u = [R(randint(rng, -5, 5)) for _ in range(3)]
             if not any(u):
                 continue
             Q = tuple(tuple(u[r] * u[s] for s in range(3)) for r in range(3))
@@ -231,13 +232,13 @@ def _old_classify_quadric(Q, b, c):
 def _random_polynomial(rng):
     """(Q, b, c) with numerators of span 1-3, about a third of the entries
     forced to zero, half of the draws with denominators up to 3."""
-    span = rng.randint(1, 3)
-    dens = rng.randint(1, 3) if rng.random() < 0.5 else 1
+    span = randint(rng, 1, 3)
+    dens = randint(rng, 1, 3) if rng.uniform(0.0, 1.0) < 0.5 else 1
 
     def entry():
-        if rng.random() < 1 / 3:
+        if rng.uniform(0.0, 1.0) < 1 / 3:
             return R(0)
-        return R(rng.randint(-span, span), rng.randint(1, dens))
+        return R(randint(rng, -span, span), randint(rng, 1, dens))
 
     q11, q22, q33, q12, q13, q23 = (entry() for _ in range(6))
     Q = ((q11, q12, q13), (q12, q22, q23), (q13, q23, q33))
@@ -315,8 +316,8 @@ class TestBareissDivision:
             m = [[0] * n for _ in range(n)]
             for r in range(n):
                 for c in range(r, n):
-                    if rng.random() >= 1 / 3:
-                        m[r][c] = m[c][r] = rng.randint(-9, 9) * 2 ** rng.randint(0, 40)
+                    if rng.uniform(0.0, 1.0) >= 1 / 3:
+                        m[r][c] = m[c][r] = randint(rng, -9, 9) * 2 ** randint(rng, 0, 40)
             work = [row[:] for row in m]
             n_pos, n_neg, rest = _eliminate(work, n - 1)
             if rest:

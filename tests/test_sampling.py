@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -7,7 +8,7 @@ from greenquadrics.mat2 import Mat2
 from greenquadrics.sampling import (
     Stream,
     rand_mat,
-    rand_rational,
+    rand_nonzero_rational,
     rand_singular_with_trace,
     rng_for,
     uniform_rows,
@@ -23,15 +24,26 @@ def test_singular_with_trace_is_exact(lam):
         assert x.trace() == lam
 
 
+def test_nonzero_rational_takes_every_value_and_never_zero():
+    want = {Fraction(n, d) for n in (-3, -2, -1, 1, 2, 3) for d in (1, 2)}
+    assert {rand_nonzero_rational(rng_for(41, i), 3, 2) for i in range(1000)} == want
+
+
+def _decode_mat(rng, span, max_den):
+    w = 2 * span + 1
+    draws = rng.offsets(w, max_den, w, max_den, w, max_den, w, max_den)
+    return Mat2(*(Fraction(n - span, d + 1) for n, d in zip(draws[::2], draws[1::2])))
+
+
 @pytest.mark.parametrize("span,max_den", [(9, 9), (4, 3), (3, 2), (1, 1), (4, 4), (10**6, 10**6)])
-def test_rand_mat_is_four_rand_rational_draws(span, max_den):
+def test_rand_mat_is_one_batch_of_offsets(span, max_den):
     for i in range(300):
         rng = rng_for(37, i)
         twin = rng_for(37, i)
         got = rand_mat(rng, span, max_den)
-        want = Mat2(*(rand_rational(twin, span, max_den) for _ in range(4)))
+        want = _decode_mat(twin, span, max_den)
         assert got == want and (got._n, got._d) == (want._n, want._d)
-        # the same draws were consumed
+        # the same outputs were consumed
         assert rng.getrandbits(64) == twin.getrandbits(64)
 
 
@@ -44,18 +56,60 @@ def test_rand_mat_is_four_rand_rational_draws(span, max_den):
 )
 def test_stream_matches_splitmix64_reference(key, want):
     rng = Stream(key)
-    assert [rng.getrandbits(64) for _ in want] == want
+    assert [rng.offsets(1 << 64)[0] for _ in want] == want
+    rng = Stream(key)
+    assert rng.offsets(*[1 << 64] * len(want)) == want
 
 
-def test_randint_stays_in_range_and_hits_every_value():
+def test_offsets_stay_in_range_and_hit_every_value():
+    sizes = (19, 9) * 4
     rng = rng_for(3, 0)
-    seen = {rng.randint(-9, 9) for _ in range(2000)}
-    assert seen == set(range(-9, 10))
+    seen = [set() for _ in sizes]
+    for _ in range(3000):
+        for k, x in enumerate(rng.offsets(*sizes)):
+            seen[k].add(x)
+    assert seen == [set(range(n)) for n in sizes]
 
 
-def test_choice_hits_every_element():
-    rng = rng_for(3, 1)
-    assert {rng.choice((1, -1)) for _ in range(200)} == {1, -1}
+@pytest.mark.parametrize(
+    "sizes",
+    [(19, 9) * 4, (1 << 32, 1 << 32), (3, 5, 7, 11, 13), ((1 << 64) // 9, 9), (1 << 64,), (1, 1, 1)],
+    ids=["mat", "two-words", "primes", "floor", "whole", "ones"],
+)
+def test_offsets_of_one_output_are_one_multiply_high_draw(sizes):
+    # a product up to 2**64 takes one output z, and the offsets, read as a
+    # mixed-radix number, are z * product >> 64
+    product = math.prod(sizes)
+    for i in range(200):
+        rng, twin = rng_for(13, i), rng_for(13, i)
+        got = rng.offsets(*sizes)
+        (z,) = twin.offsets(1 << 64)
+        index = 0
+        for n, x in zip(sizes, got):
+            index = index * n + x
+        assert index == (z * product) >> 64
+        assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+@pytest.mark.parametrize(
+    "sizes,outputs",
+    [
+        ((1 << 32, 1 << 32), 1),
+        ((274177, 67280421310721), 2),
+        ((1 << 64, 1), 1),
+        ((1 << 64, 2), 2),
+        ((2, 1 << 63, 2), 2),
+        ((10**6, 10**6, 10**6, 10**6), 2),
+    ],
+    ids=["exactly-2**64", "2**64+1", "2**64-then-1", "2**65", "carry-then-fresh", "wide-dens"],
+)
+def test_offsets_take_a_fresh_output_past_two_to_the_64(sizes, outputs):
+    # 274177 * 67280421310721 == 2**64 + 1
+    rng, twin = rng_for(17, 0), rng_for(17, 0)
+    rng.offsets(*sizes)
+    for _ in range(outputs):
+        twin.getrandbits(64)
+    assert rng.getrandbits(64) == twin.getrandbits(64)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 3.0), (2.5, 2.75)])
@@ -63,13 +117,6 @@ def test_uniform_stays_in_half_open_range(a, b):
     rng = rng_for(5, 0)
     for _ in range(5000):
         assert a <= rng.uniform(a, b) < b
-
-
-def test_random_is_on_the_53_bit_grid():
-    rng = rng_for(5, 1)
-    for _ in range(1000):
-        u = rng.random()
-        assert 0.0 <= u < 1.0 and (u * 2**53).is_integer()
 
 
 @pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 128, 256])
@@ -84,7 +131,7 @@ def test_getrandbits_width(k):
 
 def test_trial_draws_do_not_depend_on_other_trials():
     def draws(rng):
-        return [rng.randint(-9, 9), rng.uniform(-3.0, 3.0), rng.getrandbits(100), rng.choice("abc")]
+        return [rng.offsets(19, 9, 19), rng.uniform(-3.0, 3.0), rng.getrandbits(100), rng.offsets(1 << 40, 1 << 40)]
 
     alone = draws(rng_for(11, 5))
     for before in ([], [0, 1, 2], [9, 4, 6, 5]):

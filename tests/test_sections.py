@@ -3,6 +3,7 @@ from math import gcd
 
 import pytest
 
+from draws import randint
 from greenquadrics.errors import (
     NotOnHyperplaneError,
     ZeroCoefficientError,
@@ -65,7 +66,7 @@ class TestMembership:
         for i in range(100):
             rng = rng_for(79, i)
             a = rand_invertible(rng)
-            lam = R(rng.randint(1, 5), rng.randint(1, 3))
+            lam = R(randint(rng, 1, 5), randint(rng, 1, 3))
             h = Hyperplane(a, lam)
             x = rand_rank1(rng)
             assert membership(h, x) == membership(normalize(h), x)
@@ -119,7 +120,7 @@ def _wide(rng, bits=256):
     """A rational whose numerator and denominator both have `bits` bits."""
     num = rng.getrandbits(bits) | (1 << (bits - 1))
     den = rng.getrandbits(bits) | (1 << (bits - 1))
-    return R(num if rng.random() < 0.5 else -num, den)
+    return R(num if rng.uniform(0.0, 1.0) < 0.5 else -num, den)
 
 
 def _draws(i, rng):
@@ -182,11 +183,11 @@ def _old_point(aq, t):
 def _chart_coordinates(rng, draw):
     """int, Fraction, mixed and common-denominator coordinate triples."""
     return [
-        [rng.randint(-9, 9) for _ in range(3)],
+        [randint(rng, -9, 9) for _ in range(3)],
         [draw() for _ in range(3)],
-        [rng.randint(-9, 9), draw(), rng.randint(-9, 9)],
+        [randint(rng, -9, 9), draw(), randint(rng, -9, 9)],
         [draw(), 0, R(-1, 3)],
-        [R(k, 7) for k in (rng.randint(-9, 9), 3, -5)],
+        [R(k, 7) for k in (randint(rng, -9, 9), 3, -5)],
     ]
 
 
@@ -434,7 +435,7 @@ class TestMetrics:
         for i in range(200):
             rng = rng_for(113, i)
             while True:
-                u = (rng.randint(-6, 6), rng.randint(-6, 6))
+                u = (randint(rng, -6, 6), randint(rng, -6, 6))
                 if u != (0, 0):
                     break
             from greenquadrics.mat2 import outer

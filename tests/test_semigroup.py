@@ -367,7 +367,7 @@ def _wide(rng, bits=256):
     """A nonzero `Fraction` with `bits`-bit numerator and denominator."""
     num = rng.getrandbits(bits) | (1 << (bits - 1))
     den = rng.getrandbits(bits) | (1 << (bits - 1))
-    return Fraction(num if rng.random() < 0.5 else -num, den)
+    return Fraction(num if rng.uniform(0.0, 1.0) < 0.5 else -num, den)
 
 
 def _first_nonzero_col(e):
