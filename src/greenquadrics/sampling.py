@@ -75,8 +75,8 @@ class Stream:
         pass 2**64, so every span is valid and `offsets(1 << 64)` is the
         output itself.  The offsets drawn from one output, read as one
         mixed-radix number, are exactly the multiply-high draw z*P >> 64
-        of their product P: each tuple has probability within a factor
-        1 +- P/2**64 of 1/P.
+        of their product P, so the bias is at most P/2**64 per output:
+        each tuple has probability within a factor 1 +- P/2**64 of 1/P.
         """
         s = self._s
         out = []
@@ -153,7 +153,8 @@ def rand_nonzero_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Ratio
 
 
 def rand_mat(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
-    """Four `rand_rational` entries, row-major, from one batch of offsets."""
+    """Four entries with the law of `rand_rational`, row-major, drawn as
+    (num, den) offset pairs from one batch."""
     w = 2 * span + 1
     n1, d1, n2, d2, n3, d3, n4, d4 = rng.offsets(w, max_den, w, max_den, w, max_den, w, max_den)
     d1, d2, d3, d4 = d1 + 1, d2 + 1, d3 + 1, d4 + 1
