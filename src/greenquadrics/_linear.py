@@ -1,14 +1,13 @@
-"""Exact elimination for the small rational systems used by the order/meet
-solvers, and the integer clearing the quadric classifier shares.
+"""Exact elimination for the small rational systems of `line_meet`, and
+the integer clearing the quadric classifier shares.
 
-Both solvers work fraction-free: each input row is cleared of
+The solver works fraction-free: each input row is cleared of
 denominators by the lcm of its entries, and elimination then runs on
 Python ints, dividing every new row by the gcd of its entries (its
-content) so the integers stay small.  A caller that already holds integer
-content (the order solver builds its rows from `Mat2._n`) passes ints,
-which go through unchanged; only `Fraction` entries are cleared.  Only
-`int` and `Fraction` inputs are accepted; a float, a string or a `Decimal`
-raises `TypeError`.  A solution entry is always exactly a `Fraction`.
+content) so the integers stay small.  Integer entries go through
+unchanged; only `Fraction` entries are cleared.  Only `int` and
+`Fraction` inputs are accepted; a float, a string or a `Decimal` raises
+`TypeError`.  A solution entry is always exactly a `Fraction`.
 """
 
 from __future__ import annotations

@@ -11,9 +11,10 @@ The order and chart paths compute on the integer content of a `Mat2`
 (`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X factors
 through its pivot P = X[i][j], the first nonzero entry of its first
 nonzero column j: X = C . R^T / P with C column j and R row i of X
-(`_factor`).  `natural_le` builds its system from C, R and P, and
-`inverse_chart` keeps the chart as integer content, which `chart_eval`
-combines with one reduction.
+(`_factor`).  `natural_le` builds a 3x2 integer system from C, R and P
+and decides whether it has a solution from its minors, without solving
+it; `inverse_chart` keeps the chart as integer content, which
+`chart_eval` combines with one reduction.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from greenquadrics.errors import (
     SingularMatrixError,
 )
 from greenquadrics.exact import Rational, _from_ints, _parts
-from greenquadrics.green import ProjLine, colspace
+from greenquadrics.green import ProjLine
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
@@ -251,8 +252,10 @@ def natural_le(x: Mat2, y: Mat2) -> bool:
     is that of x, with the column space of x inside that of y.
 
     Coincides with the minus order rank(y - x) = rank(y) - rank(x); the
-    agreement is property-tested, the implementation is an exact solve on
-    the integer content of x and y (no rank of y - x, no trace test).
+    agreement is property-tested.  The implementation decides whether an
+    integer system built from the content of x and y has a solution, by
+    its 2x2 and 3x3 minors (Rouche-Capelli): no elimination, no rank of
+    y - x, no trace test.
     """
     if x == y:
         return True
@@ -260,19 +263,26 @@ def natural_le(x: Mat2, y: Mat2) -> bool:
         return True
     if x.rank() == 2:
         return False
-    ry = y.rank()
-    if ry == 0:
-        return False
-    if ry == 1 and colspace(x) != colspace(y):
-        return False
     # x = c r^T with c = C and r = R / (P dx); f = c w^T is idempotent iff
     # w.c = 1, and f y = x reduces to y^T w = r.  With y = Y / dy and w
-    # rescaled by P dx: Y^T w = dy R and C.w = P dx, all on ints.
+    # rescaled by P dx, the rows (Y1, Y3 | b1), (Y2, Y4 | b2), (C0, C1 | b3)
+    # of Y^T w = dy R, C.w = P dx are all ints.
     (c0, c1), (r0, r1), p = _factor(x._n)
     y1, y2, y3, y4 = y._n
-    dy = y._d
-    rows = [[y1, y3], [y2, y4], [c0, c1]]
-    return solve_linear(rows, [dy * r0, dy * r1, p * x._d]) is not None
+    b1, b2, b3 = y._d * r0, y._d * r1, p * x._d
+    m12 = y1 * y4 - y3 * y2
+    if m12:
+        # y invertible: the first two rows have rank 2, so the system is
+        # consistent iff the 3x3 augmented determinant vanishes
+        return b1 * (y2 * c1 - y4 * c0) - b2 * (y1 * c1 - y3 * c0) + b3 * m12 == 0
+    # y of rank <= 1: both its columns must lie on C (the column spaces
+    # agree), so every row is a multiple of (C0, C1 | b3), and the system is
+    # consistent iff each right-hand side is the same multiple, read off a
+    # nonzero entry of C.  A zero y fails here too, since dy R is nonzero.
+    if c0 * y3 != c1 * y1 or c0 * y4 != c1 * y2:
+        return False
+    u, v, w = (y1, y2, c0) if c0 else (y3, y4, c1)
+    return u * b3 == b1 * w and v * b3 == b2 * w
 
 
 def minus_le(x: Mat2, y: Mat2) -> bool:

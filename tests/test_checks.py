@@ -89,7 +89,25 @@ def _mutant(func, old, new):
 
 def test_order_check_sees_a_dropped_denominator(monkeypatch):
     # solving Y^T w = R instead of dy R is still exact on integer y
-    mutant = _mutant(semigroup.natural_le, "[dy * r0, dy * r1, ", "[r0, r1, ")
+    mutant = _mutant(semigroup.natural_le, "b1, b2, b3 = y._d * r0, y._d * r1, ", "b1, b2, b3 = r0, r1, ")
+    monkeypatch.setattr(checks, "natural_le", mutant)
+    r = checks.check_natural_order_equivalence(42, trials=200)
+    assert r.ok is False, r.line()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("- b2 * (y1 * c1 - y3 * c0)", "+ b2 * (y1 * c1 - y3 * c0)"),
+        ("return u * b3 == b1 * w and v * b3 == b2 * w", "return True"),
+        ("if c0 * y3 != c1 * y1 or c0 * y4 != c1 * y2:", "if False:"),
+    ],
+    ids=["cofactor-sign", "no-proportionality", "no-column-minors"],
+)
+def test_order_check_sees_a_minor_slip(monkeypatch, old, new):
+    # one branch of the decision by minors: invertible y, rank-1 y right-hand
+    # side, rank-1 y column spaces
+    mutant = _mutant(semigroup.natural_le, old, new)
     monkeypatch.setattr(checks, "natural_le", mutant)
     r = checks.check_natural_order_equivalence(42, trials=200)
     assert r.ok is False, r.line()

@@ -9,7 +9,7 @@ re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.  The order, line and chart paths compute on a
 `Mat2`'s integer content: they read no `Fraction` accessor.  The
 quadric classifier eliminates its bordered matrix and solves no linear
-system.
+system, and the natural order is decided by minors, not by a solve.
 """
 
 import ast
@@ -148,6 +148,17 @@ def test_quadrics_solve_no_linear_system():
     tree = ast.parse((PACKAGE / "quadrics.py").read_text(encoding="utf-8"))
     names = set(_imported_names(tree))
     assert not any(name.split(".")[-1] == "solve_linear" for name in names), sorted(names)
+
+
+def test_natural_le_decides_by_minors():
+    # the order is decided from the minors of its integer system: no solve,
+    # no projective line, no gcd
+    tree = ast.parse((PACKAGE / "semigroup.py").read_text(encoding="utf-8"))
+    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "natural_le")
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    used = names & {"solve_linear", "colspace", "ProjLine", "gcd"}
+    assert not used, f"semigroup.natural_le uses {sorted(used)}"
 
 
 def _exports(path) -> bool:
