@@ -13,8 +13,11 @@ through its pivot P = X[i][j], the first nonzero entry of its first
 nonzero column j: X = C . R^T / P with C column j and R row i of X
 (`_factor`).  `natural_le` builds a 3x2 integer system from C, R and P
 and decides whether it has a solution from its minors, without solving
-it; `inverse_chart` keeps the chart as integer content, which
-`chart_eval` combines with one reduction.
+it.  `minus_le` decides rank(y - x) = rank y - rank x by cases on the two
+ranks, with one determinant identity on the content of x and y and no
+`Mat2` for y - x.  `inverse_chart` keeps the chart as integer content,
+which `chart_eval` combines with one reduction; the chart's `Fraction`
+vectors are built only when read.
 """
 
 from __future__ import annotations
@@ -49,7 +52,6 @@ __all__ = [
     "is_inverse_pair",
     "inverse_membership",
     "pinv_rank1",
-    "rank1_factor",
     "InverseChart",
     "inverse_chart",
     "chart_eval",
@@ -110,14 +112,6 @@ def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:
     return (n2, n4), (n3, n4), n4
 
 
-def rank1_factor(a: Mat2) -> tuple[tuple[Rational, Rational], tuple[Rational, Rational]]:
-    """Vectors (c, r) with a = c . r^T, for rank-1 `a`: c is the first
-    nonzero column of `a` and r has 1 at the pivot."""
-    (c0, c1), (r0, r1), p = _factor(a._n)
-    d = a._d
-    return (_from_ints(c0, d), _from_ints(c1, d)), (_from_ints(r0, p), _from_ints(r1, p))
-
-
 def _reduced(u: int, v: int, w: int) -> tuple[int, int, int]:
     """(u, v) / w in lowest terms: smaller content makes `chart_eval` cheaper."""
     g = gcd(u, v, w)
@@ -129,21 +123,71 @@ def _perp(u: int, v: int) -> tuple[int, int]:
     return ProjLine(-v, u).direction
 
 
-@dataclass(frozen=True)
 class InverseChart:
     """Bilinear chart (s, t) -> (d0 + s d1)(q0 + t q1)^T of the inverses of `a`.
 
-    `_ints` holds the same chart as integer content,
+    The chart is stored as integer content: `_ints` holds
     (D0, D1, E, d1, G0, G1, F, q1) with d0 = (D0, D1) / E and
-    q0 = (G0, G1) / F; d1 and q1 are integer vectors already.
+    q0 = (G0, G1) / F; d1 and q1 are integer vectors already.  The public
+    `Fraction` vectors `d0`, `d1`, `q0`, `q1` are built from it on first
+    read; `chart_eval` never needs them.  A chart is immutable, and since
+    `a` determines it, charts are equal (and hash alike) when their `a` are.
     """
 
-    a: Mat2
-    d0: tuple[Rational, Rational]
-    d1: tuple[Rational, Rational]
-    q0: tuple[Rational, Rational]
-    q1: tuple[Rational, Rational]
-    _ints: tuple = field(repr=False, compare=False)
+    __slots__ = ("a", "_ints", "_vectors")
+
+    def __init__(self, a: Mat2, ints: tuple):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "_ints", ints)
+        object.__setattr__(self, "_vectors", None)
+
+    def _fractions(self) -> tuple:
+        if self._vectors is None:
+            dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = self._ints
+            vectors = (
+                (_from_ints(dd0, e), _from_ints(dd1, e)),
+                (Rational(u0), Rational(u1)),
+                (_from_ints(g0, f), _from_ints(g1, f)),
+                (Rational(v0), Rational(v1)),
+            )
+            object.__setattr__(self, "_vectors", vectors)
+        return self._vectors
+
+    @property
+    def d0(self) -> tuple[Rational, Rational]:
+        return self._fractions()[0]
+
+    @property
+    def d1(self) -> tuple[Rational, Rational]:
+        return self._fractions()[1]
+
+    @property
+    def q0(self) -> tuple[Rational, Rational]:
+        return self._fractions()[2]
+
+    @property
+    def q1(self) -> tuple[Rational, Rational]:
+        return self._fractions()[3]
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"InverseChart is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"InverseChart is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if not isinstance(other, InverseChart):
+            return NotImplemented
+        return self.a == other.a
+
+    def __hash__(self):
+        return hash(self.a)
+
+    def __repr__(self):
+        return (
+            f"InverseChart(a={self.a!r}, d0={self.d0!r}, d1={self.d1!r}, "
+            f"q0={self.q0!r}, q1={self.q1!r})"
+        )
 
 
 def inverse_chart(a: Mat2) -> InverseChart:
@@ -154,16 +198,7 @@ def inverse_chart(a: Mat2) -> InverseChart:
     (c0, c1), (r0, r1), p = _factor(a._n)
     dd0, dd1, e = _reduced(r0 * p, r1 * p, r0 * r0 + r1 * r1)
     g0, g1, f = _reduced(c0 * a._d, c1 * a._d, c0 * c0 + c1 * c1)
-    d1 = _perp(r0, r1)
-    q1 = _perp(c0, c1)
-    return InverseChart(
-        a=a,
-        d0=(_from_ints(dd0, e), _from_ints(dd1, e)),
-        d1=(Rational(d1[0]), Rational(d1[1])),
-        q0=(_from_ints(g0, f), _from_ints(g1, f)),
-        q1=(Rational(q1[0]), Rational(q1[1])),
-        _ints=(dd0, dd1, e, d1, g0, g1, f, q1),
-    )
+    return InverseChart(a, (dd0, dd1, e, _perp(r0, r1), g0, g1, f, _perp(c0, c1)))
 
 
 def chart_eval(chart: InverseChart, s, t) -> Mat2:
@@ -286,8 +321,23 @@ def natural_le(x: Mat2, y: Mat2) -> bool:
 
 
 def minus_le(x: Mat2, y: Mat2) -> bool:
-    """Minus order: rank(y - x) = rank(y) - rank(x)."""
-    return (y - x).rank() == y.rank() - x.rank()
+    """Minus order: rank(y - x) = rank(y) - rank(x), decided on content.
+
+    With k = rank y - rank x: k <= 0 needs y - x = 0, and a zero x is below
+    every y.  Otherwise rank y = 2, rank x = 1, and y - x = (dx Y - dy X) /
+    (dx dy) has rank 1 iff det(dx Y - dy X) = dx^2 det Y - dx dy polar(X, Y)
+    + dy^2 det X vanishes; with det X = 0 that is dx det Y = dy polar(X, Y).
+    No idempotent and no system of `natural_le`: the orders stay independent.
+    """
+    rx = x.rank()
+    k = y.rank() - rx
+    if k <= 0:
+        return k == 0 and x == y
+    if rx == 0:
+        return True
+    x1, x2, x3, x4 = x._n
+    y1, y2, y3, y4 = y._n
+    return x._d * (y1 * y4 - y2 * y3) == y._d * (x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3)
 
 
 @dataclass

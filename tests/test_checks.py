@@ -113,6 +113,25 @@ def test_order_check_sees_a_minor_slip(monkeypatch, old, new):
     assert r.ok is False, r.line()
 
 
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("return k == 0 and x == y", "return k == 0"),
+        ("return x._d * (y1 * y4", "return (y1 * y4"),
+        ("- x2 * y3 - y2 * x3)", "+ x2 * y3 - y2 * x3)"),
+        ("if rx == 0:", "if False:"),
+    ],
+    ids=["equal-rank-not-equal", "dropped-denominator", "polar-sign", "no-zero-case"],
+)
+def test_order_check_sees_a_minus_order_slip(monkeypatch, old, new):
+    # one branch of the minus order by rank cases: equal ranks, the
+    # determinant identity (its scale and its polar form) and a zero x
+    mutant = _mutant(semigroup.minus_le, old, new)
+    monkeypatch.setattr(checks, "minus_le", mutant)
+    r = checks.check_natural_order_equivalence(42, trials=200)
+    assert r.ok is False, r.line()
+
+
 def test_chart_check_sees_swapped_denominators(monkeypatch):
     # the swapped point (d0 + sn/td d1)(q0 + tn/sd q1)^T is still an inverse
     mutant = _mutant(

@@ -482,11 +482,11 @@ def _two_plane_inputs():
 
 class TestTwoPlanesAreExactlyTheSlice:
     def test_constructed_members_land_in_the_classes(self):
-        from greenquadrics.semigroup import rank1_factor
+        from test_semigroup import rank1_factor_on_fractions
 
         for rng, a in _two_plane_inputs():
             v = classify_section(a, R(0))
-            c, r = rank1_factor(a)
+            c, r = rank1_factor_on_fractions(a)
             # the representative as built from the rank factorization
             ref = outer(ProjLine(*r).perp().direction, ProjLine(*c).perp().direction)
             assert v.l_rep == v.r_rep == ref

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from test_linear import reference_solve
 
+from greenquadrics import semigroup
 from greenquadrics.errors import (
     DegeneratePairingError,
     NotRankOneError,
@@ -22,6 +23,7 @@ from greenquadrics.sampling import (
     rng_for,
 )
 from greenquadrics.semigroup import (
+    InverseChart,
     chart_eval,
     generator_line,
     idempotent_from_spaces,
@@ -35,7 +37,6 @@ from greenquadrics.semigroup import (
     natural_le,
     order_section_report,
     pinv_rank1,
-    rank1_factor,
 )
 
 E = Mat2(1, 0, 0, 0)
@@ -121,7 +122,7 @@ class TestCharts:
     def test_normalizations(self):
         for i in range(200):
             a = rand_rank1(rng_for(31, i))
-            c, r = rank1_factor(a)
+            c, r = rank1_factor_on_fractions(a)
             chart = inverse_chart(a)
             assert r[0] * chart.d0[0] + r[1] * chart.d0[1] == 1
             assert r[0] * chart.d1[0] + r[1] * chart.d1[1] == 0
@@ -441,13 +442,18 @@ def chart_eval_on_fractions(chart, s, t):
     return Mat2(d[0] * q[0], d[0] * q[1], d[1] * q[0], d[1] * q[1])
 
 
-def chart_vectors_on_fractions(a):
-    """d0, d1, q0, q1 of `inverse_chart` as they were computed on `Fraction`s."""
+def rank1_factor_on_fractions(a):
+    """Vectors (c, r) with a = c . r^T, for rank-1 `a`: c is the first
+    nonzero column of `a` and r has 1 at the pivot."""
     x1, x2, x3, x4 = a.entries
     if x1 or x3:
-        c, r = (x1, x3), (Fraction(1), x2 / x1 if x1 else x4 / x3)
-    else:
-        c, r = (x2, x4), (Fraction(0), Fraction(1))
+        return (x1, x3), (Fraction(1), x2 / x1 if x1 else x4 / x3)
+    return (x2, x4), (Fraction(0), Fraction(1))
+
+
+def chart_vectors_on_fractions(a):
+    """d0, d1, q0, q1 of `inverse_chart` as they were computed on `Fraction`s."""
+    c, r = rank1_factor_on_fractions(a)
     rdot, cdot = r[0] ** 2 + r[1] ** 2, c[0] ** 2 + c[1] ** 2
 
     def perp(v):
@@ -482,3 +488,116 @@ class TestChartOnIntegerContent:
             assert (chart.d0, chart.d1, chart.q0, chart.q1) == chart_vectors_on_fractions(a)
             assert all(type(v) is Fraction for v in chart.d0 + chart.d1 + chart.q0 + chart.q1)
             assert chart_eval(chart, s, t) == chart_eval_on_fractions(chart, s, t)
+
+
+class TestChartSurface:
+    def _charts(self):
+        for i in range(20):
+            yield inverse_chart(rand_rank1(rng_for(227, i)))
+
+    def test_equal_a_give_equal_charts(self):
+        for chart in self._charts():
+            twin = inverse_chart(Mat2(*chart.a.entries))
+            assert twin == chart and hash(twin) == hash(chart)
+            assert len({chart, twin}) == 1
+            # reading the vectors of one side changes neither equality nor hash
+            assert chart.d0 and twin == chart and hash(twin) == hash(chart)
+
+    def test_different_a_give_unequal_charts(self):
+        charts = list(self._charts())
+        for chart in charts:
+            other = inverse_chart(chart.a * 2)
+            assert other != chart and other.q0 != chart.q0
+        assert len(set(charts)) == len({c.a for c in charts})
+        assert inverse_chart(E) != E
+
+    @pytest.mark.parametrize("name", ["a", "d0", "d1", "q0", "q1", "_ints", "extra"])
+    def test_fields_cannot_be_assigned(self, name):
+        chart = inverse_chart(N)
+        with pytest.raises(AttributeError):
+            setattr(chart, name, None)
+        with pytest.raises(AttributeError):
+            delattr(chart, name)
+        assert chart.a == N and chart_eval(chart, 2, 7) == Mat2(2, 14, 1, 7)
+
+    def test_chart_and_eval_build_no_fraction(self, monkeypatch):
+        def refuse(num, den):
+            raise AssertionError("a Fraction was built")
+
+        inputs = []
+        for i in range(30):
+            rng = rng_for(229, i)
+            inputs.append((rand_rank1(rng), rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)))
+        expected = [chart_eval(inverse_chart(a), s, t) for a, s, t in inputs]
+        monkeypatch.setattr(semigroup, "_from_ints", refuse)
+        got = [chart_eval(inverse_chart(a), s, t) for a, s, t in inputs]
+        assert got == expected
+        assert isinstance(inverse_chart(E), InverseChart)
+        with pytest.raises(AssertionError, match="Fraction was built"):
+            inverse_chart(E).d0
+
+
+def minus_le_by_difference(x, y):
+    """The minus order read off its definition: the rank of y - x."""
+    return (y - x).rank() == y.rank() - x.rank()
+
+
+class TestMinusOrderOnIntegerContent:
+    def test_span1_grid(self):
+        grid = list(grid_matrices(grid_values(span=1)))
+        assert len(grid) == 81
+        for x in grid:
+            for y in grid:
+                assert minus_le(x, y) == minus_le_by_difference(x, y), (x, y)
+
+    def test_half_grid(self):
+        vals = (Rational(0), HALF, -HALF, Rational(1), Rational(-1))
+        grid = list(grid_matrices(vals))
+        assert len(grid) == 625
+        bad = [(x, y) for x in grid for y in grid if minus_le(x, y) != minus_le_by_difference(x, y)]
+        assert not bad, bad[:5]
+
+    def test_seeded_strata(self):
+        # every branch: k <= 0 (equal and unequal), zero x, and the
+        # determinant identity both ways
+        outcomes = set()
+        for i in range(1500):
+            rng = rng_for(233, i)
+            mode = i % 6
+            if mode == 0:
+                x, y = rand_rank1(rng), rand_invertible(rng)
+            elif mode == 1:
+                y = rand_invertible(rng)
+                x = rand_idempotent_rank1(rng) @ y
+            elif mode == 2:
+                y = rand_rank1(rng) if i % 12 == 2 else rand_invertible(rng)
+                x = y * rand_rational(rng, 3, 2)
+            elif mode == 3:
+                y = rand_rank1(rng) if i % 12 == 3 else rand_invertible(rng)
+                x = Mat2(*y.entries)
+            elif mode == 4:
+                x, y = ZERO, rand_rank1(rng) if i % 12 == 4 else rand_invertible(rng)
+            else:
+                x, y = rand_rank1(rng) if i % 12 == 5 else rand_invertible(rng), ZERO
+            got = minus_le(x, y)
+            assert got == minus_le_by_difference(x, y), (x, y)
+            outcomes.add((x.rank(), y.rank(), got))
+        assert outcomes >= {
+            (1, 2, True), (1, 2, False), (2, 2, True), (2, 2, False), (1, 1, True), (1, 1, False),
+            (0, 1, True), (0, 2, True), (1, 0, False), (2, 0, False),
+        }
+
+    def test_256_bit_pairs(self):
+        outcomes = set()
+        for i in range(40):
+            rng = rng_for(239, i)
+            c, r = (_wide(rng), _wide(rng)), (_wide(rng), _wide(rng))
+            x = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
+            m = Mat2(*(_wide(rng) for _ in range(4)))
+            k = (inverse_mat(m) @ x).trace()
+            # for invertible y, x <= y iff tr(y^-1 x) = 1: k m is above x
+            for y in (m * k, m, x * _wide(rng), Mat2(*(_wide(rng) for _ in range(4)))):
+                got = minus_le(x, y)
+                assert got == minus_le_by_difference(x, y), (x, y)
+                outcomes.add((y.rank(), got))
+        assert outcomes == {(2, True), (2, False), (1, False)}

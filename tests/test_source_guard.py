@@ -9,7 +9,9 @@ re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.  The order, line and chart paths compute on a
 `Mat2`'s integer content: they read no `Fraction` accessor.  The
 quadric classifier eliminates its bordered matrix and solves no linear
-system, and the natural order is decided by minors, not by a solve.
+system, the natural order is decided by minors, not by a solve, the
+minus order forms no difference y - x, and the inverse chart builds no
+`Fraction`.
 """
 
 import ast
@@ -60,6 +62,11 @@ def _imported_names(tree):
             yield from (f"{node.module}.{alias.name}" for alias in node.names)
 
 
+def _function(module, name):
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+
+
 def test_package_has_modules():
     assert PACKAGE.is_dir() and len(MODULES) > 5
 
@@ -102,6 +109,8 @@ def test_surfaces_hold_no_point_lists():
 # per entry, and the solvers would only clear them back to ints
 CONTENT_PATHS = [
     ("semigroup", "natural_le"),
+    ("semigroup", "minus_le"),
+    ("semigroup", "inverse_chart"),
     ("semigroup", "chart_eval"),
     ("green", "rowspace"),
     ("green", "colspace"),
@@ -123,9 +132,7 @@ def _fraction_reads(body) -> set[str]:
 
 @pytest.mark.parametrize("module,func", CONTENT_PATHS, ids=lambda v: v)
 def test_content_paths_read_no_fraction_accessor(module, func):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == func)
-    used = _fraction_reads(body)
+    used = _fraction_reads(_function(module, func))
     assert not used, f"{module}.{func} reads {sorted(used)}"
 
 
@@ -153,12 +160,44 @@ def test_quadrics_solve_no_linear_system():
 def test_natural_le_decides_by_minors():
     # the order is decided from the minors of its integer system: no solve,
     # no projective line, no gcd
-    tree = ast.parse((PACKAGE / "semigroup.py").read_text(encoding="utf-8"))
-    body = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "natural_le")
+    body = _function("semigroup", "natural_le")
     names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
     names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     used = names & {"solve_linear", "colspace", "ProjLine", "gcd"}
     assert not used, f"semigroup.natural_le uses {sorted(used)}"
+
+
+def _subtracts(body, left: str, right: str) -> bool:
+    """Whether `body` has a subtraction `left - right` of two bare names."""
+    return any(
+        isinstance(n, ast.BinOp)
+        and isinstance(n.op, ast.Sub)
+        and isinstance(n.left, ast.Name)
+        and isinstance(n.right, ast.Name)
+        and (n.left.id, n.right.id) == (left, right)
+        for n in ast.walk(body)
+    )
+
+
+def test_subtracts_sees_the_difference():
+    assert _subtracts(ast.parse("def f(x, y): return (y - x).rank()").body[0], "y", "x")
+    assert not _subtracts(ast.parse("def f(x, y): return y.rank() - x.rank()").body[0], "y", "x")
+
+
+def test_minus_le_forms_no_difference():
+    # the minus order is decided on the content of x and y: y - x would cost
+    # a gcd of the denominators and a 5-way reduction only to take its rank
+    body = _function("semigroup", "minus_le")
+    assert not _subtracts(body, "y", "x") and not _subtracts(body, "x", "y")
+
+
+def test_inverse_chart_builds_no_fraction():
+    # the chart's Fraction vectors are built on first read, not by the chart
+    body = _function("semigroup", "inverse_chart")
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    used = names & {"_from_ints", "Rational"}
+    assert not used, f"semigroup.inverse_chart uses {sorted(used)}"
 
 
 def _exports(path) -> bool:
