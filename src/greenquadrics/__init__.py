@@ -6,62 +6,44 @@ the natural partial order) and the quadric geometry it traces out in
 paraboloid, punctured plane pairs), all in exact rational arithmetic:
 scalars are `fractions.Fraction`, matrices integer content over one
 common denominator.
+
+The public names below resolve on first use (PEP 562): importing the
+package loads none of its modules, and `greenquadrics.Mat2` imports
+`greenquadrics.mat2` when it is first read.
 """
 
-from greenquadrics.exact import QuadExt, Rational, SQRT2, to_float
-from greenquadrics.green import (
-    GreenDescriptor,
-    PlaneInVariety,
-    ProjLine,
-    class_plane,
-    classify_plane,
-    colspace,
-    descriptor,
-    green_eq,
-    h_class_line,
-    rowspace,
-)
-from greenquadrics.mat2 import (
-    IDENTITY,
-    Mat2,
-    ZERO,
-    format_mat2,
-    inner,
-    inverse_mat,
-    parse_mat2,
-)
-from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
-from greenquadrics.sections import (
-    AffineQuadric3,
-    BellPoint,
-    Hyperplane,
-    SectionClass,
-    SectionVerdict,
-    bell_residual,
-    classify_affine_quadric,
-    classify_section,
-    from_bell,
-    hyperboloid_metrics,
-    restrict_quadric,
-    to_bell,
-)
-from greenquadrics.semigroup import (
-    GeneratorLine,
-    InverseChart,
-    chart_eval,
-    generator_line,
-    idempotent_from_spaces,
-    inverse_chart,
-    inverse_membership,
-    is_idempotent,
-    is_inverse_pair,
-    is_nilpotent,
-    line_meet,
-    minus_le,
-    natural_le,
-    order_section_report,
-    pinv_rank1,
-)
-from greenquadrics.surfaces import SurfaceSample, sample_surface, write_csv, write_obj
+from importlib import import_module
 
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "exact": "QuadExt Rational SQRT2 to_float",
+    "green": "GreenDescriptor PlaneInVariety ProjLine class_plane classify_plane colspace "
+    "descriptor green_eq h_class_line rowspace",
+    "mat2": "IDENTITY Mat2 ZERO format_mat2 inner inverse_mat parse_mat2",
+    "quadrics": "QuadricClass classify_quadric inertia",
+    "sections": "AffineQuadric3 BellPoint Hyperplane SectionClass SectionVerdict bell_residual "
+    "classify_affine_quadric classify_section from_bell hyperboloid_metrics restrict_quadric to_bell",
+    "semigroup": "GeneratorLine InverseChart chart_eval generator_line idempotent_from_spaces "
+    "inverse_chart inverse_membership is_idempotent is_inverse_pair is_nilpotent line_meet "
+    "minus_le natural_le order_section_report pinv_rank1",
+    "surfaces": "SurfaceSample sample_surface write_csv write_obj",
+}
+
+# public name -> the module that defines it
+_SOURCE = {name: f"greenquadrics.{module}" for module, names in _EXPORTS.items() for name in names.split()}
+
+__all__ = list(_SOURCE)
+
+
+def __getattr__(name):
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_SOURCE})

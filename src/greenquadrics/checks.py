@@ -15,8 +15,7 @@ compared with an independent one (`is_inverse_pair`, the idempotent test).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 from greenquadrics import green, quadrics
 from greenquadrics.errors import DegeneratePairingError
@@ -90,8 +89,7 @@ _SECTION_TO_QUADRIC = {
 }
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     suite: str
     name: str
     ok: bool
@@ -670,7 +668,7 @@ def check_metrics_family(seed, trials=0):
     return _result("sections", "metrics_family_shares_axis_and_cone", failures, len(levels))
 
 
-SUITES: dict[str, list[Callable]] = {
+SUITES: dict[str, list] = {
     "exact": [check_rational_canonical, check_quadext_field, check_quadext_sign],
     "core": [
         check_cayley_hamilton,

@@ -8,6 +8,9 @@ Each literal is parsed once, in the runner of its subcommand; JSON output
 echoes it in canonical form.  `check --trials` defaults to the
 GQ_DEFAULT_TRIALS environment variable, validated the same way.
 
+Each runner imports the modules it uses, so starting `gq` loads only the
+parser and `greenquadrics.errors`.
+
 Exit codes: 0 success; 1 usage or literal parse errors, which include a
 non-positive --trials/--samples/--grid, a bad GQ_DEFAULT_TRIALS, an
 unwritable --out path and a result too large to print (beyond Python's
@@ -15,48 +18,19 @@ int-to-str digit limit, or beyond the float range under --float); 2 domain
 errors (and failed `check` runs).
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
-import json
 import math
 import os
 import sys
 
-from greenquadrics import checks
 from greenquadrics.errors import DomainError, LiteralParseError, RenderLimitError
-from greenquadrics.exact import (
-    QuadExt,
-    Rational,
-    format_quadext,
-    format_rational,
-    parse_quadext,
-    parse_rational,
-    to_float,
-)
-from greenquadrics.green import classify_plane, green_eq
-from greenquadrics.mat2 import Mat2, format_mat2, parse_mat2
-from greenquadrics.sections import (
-    BellPoint,
-    classify_section,
-    from_bell,
-    hyperboloid_metrics,
-    to_bell,
-)
-from greenquadrics.semigroup import (
-    chart_eval,
-    generator_line,
-    inverse_chart,
-    minus_le,
-    natural_le,
-    order_section_report,
-)
-from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 
 __all__ = ["run", "main"]
 
 _RELS = ("L", "R", "H", "D", "J")
+# the keys of `checks.SUITES`, spelled out so that parsing loads no check
+_SUITES = ("exact", "core", "green", "sets", "sections")
 _KINDS = ("idempotents", "nilpotents", "section", "generator-lines")
 _Z_LIMIT = 1e150  # largest --z-range magnitude: z*z and HI - LO stay finite
 
@@ -134,7 +108,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("check", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int)
-    p.add_argument("--suite", action="append", choices=checks.available_suites())
+    p.add_argument("--suite", action="append", choices=_SUITES)
     p.add_argument("--json", action="store_true")
 
     return parser
@@ -144,6 +118,8 @@ def _build_parser() -> _Parser:
 
 
 def _fmt_scalar(x, as_float: bool) -> str:
+    from greenquadrics.exact import QuadExt, format_quadext, format_rational, to_float
+
     if as_float:
         return repr(to_float(x))
     if isinstance(x, QuadExt):
@@ -151,7 +127,10 @@ def _fmt_scalar(x, as_float: bool) -> str:
     return format_rational(x)
 
 
-def _fmt_mat(m: Mat2, as_float: bool) -> str:
+def _fmt_mat(m, as_float: bool) -> str:
+    from greenquadrics.exact import to_float
+    from greenquadrics.mat2 import format_mat2
+
     if not as_float:
         return format_mat2(m)
     return "[" + ",".join(repr(to_float(v)) for v in m.entries) + "]"
@@ -159,6 +138,8 @@ def _fmt_mat(m: Mat2, as_float: bool) -> str:
 
 def _emit(text: str, payload, use_json: bool) -> str:
     if use_json:
+        import json
+
         return json.dumps(payload, indent=2)
     return text
 
@@ -167,6 +148,10 @@ def _emit(text: str, payload, use_json: bool) -> str:
 
 
 def _run_classify(ns) -> str:
+    from greenquadrics.exact import format_rational, parse_rational
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.sections import classify_section
+
     a = parse_mat2(ns.a)
     lam = parse_rational(ns.lam)
     verdict = classify_section(a, lam)
@@ -186,6 +171,9 @@ def _run_classify(ns) -> str:
 
 
 def _run_green(ns) -> str:
+    from greenquadrics.green import green_eq
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+
     a = parse_mat2(ns.a)
     b = parse_mat2(ns.b)
     related = green_eq(ns.rel, a, b)
@@ -200,6 +188,8 @@ def _run_green(ns) -> str:
 
 
 def _grid_params(k: int):
+    from greenquadrics.exact import Rational
+
     # 0, 1, -1, 2, -2, ... first k values
     vals = [0]
     step = 1
@@ -212,6 +202,10 @@ def _grid_params(k: int):
 
 
 def _run_inverses(ns) -> str:
+    from greenquadrics.exact import format_rational
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.semigroup import chart_eval, inverse_chart
+
     k = ns.grid
     if k < 1:
         raise _UsageError("--grid must be at least 1")
@@ -251,6 +245,9 @@ def _run_inverses(ns) -> str:
 
 
 def _run_order(ns) -> str:
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.semigroup import minus_le, natural_le, order_section_report
+
     if ns.report:
         if len(ns.mats) != 1:
             raise _UsageError("order --report takes exactly one matrix")
@@ -278,6 +275,9 @@ def _run_order(ns) -> str:
 
 
 def _run_lines(ns) -> str:
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.semigroup import generator_line
+
     e = parse_mat2(ns.e)
     out = []
     payload_lines = []
@@ -298,6 +298,9 @@ def _run_lines(ns) -> str:
 
 
 def _run_plane(ns) -> str:
+    from greenquadrics.green import classify_plane
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+
     b1 = parse_mat2(ns.b1)
     b2 = parse_mat2(ns.b2)
     verdict = classify_plane(b1, b2)
@@ -316,6 +319,10 @@ def _run_plane(ns) -> str:
 
 
 def _run_bell(ns) -> str:
+    from greenquadrics.exact import format_quadext, format_rational, parse_quadext, parse_rational
+    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.sections import BellPoint, from_bell, to_bell
+
     lam = parse_rational(ns.lam)
     as_float = ns.as_float
     if ns.point is not None:
@@ -350,6 +357,10 @@ def _run_bell(ns) -> str:
 
 
 def _run_metrics(ns) -> str:
+    from greenquadrics.exact import format_rational, parse_rational
+    from greenquadrics.mat2 import format_mat2
+    from greenquadrics.sections import hyperboloid_metrics
+
     lam = parse_rational(ns.lam)
     as_float = ns.as_float
     m = hyperboloid_metrics(lam)
@@ -377,6 +388,10 @@ def _run_metrics(ns) -> str:
 
 
 def _run_export(ns) -> str:
+    from greenquadrics.exact import parse_rational
+    from greenquadrics.mat2 import parse_mat2
+    from greenquadrics.surfaces import sample_surface, write_csv, write_obj
+
     if ns.samples < 1:
         raise _UsageError("--samples must be positive")
     kwargs = {}
@@ -430,6 +445,10 @@ def _check_trials(ns):
 
 
 def _run_check(ns) -> tuple[str, bool]:
+    import json
+
+    from greenquadrics import checks
+
     trials = _check_trials(ns)
     results = checks.run_checks(suites=ns.suite, seed=ns.seed, trials=trials)
     ok = all(r.ok for r in results)

@@ -13,8 +13,8 @@ common denominator drops out.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from greenquadrics.errors import DependentBasisError, NotRankOneError
 from greenquadrics.exact import Rational
@@ -102,8 +102,7 @@ def colspace(a: Mat2) -> ProjLine | None:
     return ProjLine(n1, n3) if n1 or n3 else ProjLine(n2, n4)
 
 
-@dataclass(frozen=True)
-class GreenDescriptor:
+class GreenDescriptor(NamedTuple):
     """D-class of a matrix plus, for rank 1, the row/column lines that pin
     down its L- and R-classes."""
 
@@ -158,8 +157,7 @@ def class_plane(rel: str, a: Mat2) -> tuple[Mat2, Mat2]:
     raise ValueError("class planes are defined for rel 'L' or 'R'")
 
 
-@dataclass(frozen=True)
-class PuncturedLine:
+class PuncturedLine(NamedTuple):
     """The set {t . direction : t != 0}; the shape of a nontrivial H-class."""
 
     direction: Mat2
@@ -178,8 +176,7 @@ def h_class_line(a: Mat2) -> PuncturedLine:
     return PuncturedLine(a)
 
 
-@dataclass(frozen=True)
-class PlaneInVariety:
+class PlaneInVariety(NamedTuple):
     """Verdict for a plane spanned by two independent matrices: an L-class
     plane (common row space), an R-class plane (common column space), or not
     contained in the singular variety at all."""

@@ -29,7 +29,6 @@ raises `TypeError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import lcm
 from typing import NamedTuple
@@ -69,15 +68,33 @@ __all__ = [
 _HALF = Rational(1, 2)
 
 
-@dataclass(frozen=True)
 class Hyperplane:
-    """The affine 3-space {x : tr(a x) = lam}."""
+    """The affine 3-space {x : tr(a x) = lam}; `lam` is coerced to a
+    `Rational` (an int or `Fraction`, never a float).  Immutable; equal
+    when `a` and `lam` are."""
 
-    a: Mat2
-    lam: Rational
+    __slots__ = ("a", "lam")
 
-    def __post_init__(self):
-        object.__setattr__(self, "lam", _as_rational(self.lam))
+    def __init__(self, a: Mat2, lam):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "lam", _as_rational(lam))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Hyperplane is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"Hyperplane is immutable: cannot delete {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a and self.lam == other.lam
+
+    def __hash__(self):
+        return hash((self.a, self.lam))
+
+    def __repr__(self):
+        return f"Hyperplane(a={self.a!r}, lam={self.lam!r})"
 
 
 def trace_functional(a: Mat2) -> tuple[Rational, Rational, Rational, Rational]:
@@ -101,8 +118,7 @@ def normalize(h: Hyperplane) -> Hyperplane:
     return Hyperplane(h.a / h.lam, Rational(1))
 
 
-@dataclass(frozen=True)
-class BellPoint:
+class BellPoint(NamedTuple):
     """Coordinates in the orthonormal frame of P(I; lam); exact in Q(sqrt2)."""
 
     X: QuadExt
@@ -381,8 +397,7 @@ class SectionClass(Enum):
     TWO_PUNCTURED_PLANES = "two punctured planes plus origin"
 
 
-@dataclass(frozen=True)
-class SectionVerdict:
+class SectionVerdict(NamedTuple):
     kind: SectionClass
     l_rep: Mat2 | None = None
     r_rep: Mat2 | None = None
@@ -413,8 +428,7 @@ def classify_section(a: Mat2, lam) -> SectionVerdict:
     return SectionVerdict(SectionClass.TWO_PUNCTURED_PLANES, l_rep=rep, r_rep=rep)
 
 
-@dataclass(frozen=True)
-class HyperboloidMetrics:
+class HyperboloidMetrics(NamedTuple):
     """Center, rotation axis direction, squared principal radius and the
     frame quadratic form of the asymptotic cone of the level-lam slice."""
 

@@ -22,8 +22,8 @@ vectors are built only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import gcd
+from typing import NamedTuple
 
 from greenquadrics._linear import solve_linear
 from greenquadrics.errors import (
@@ -216,8 +216,7 @@ def chart_eval(chart: InverseChart, s, t) -> Mat2:
     return _canon(x0 * y0, x0 * y1, x1 * y0, x1 * y1, e * sd * f * td)
 
 
-@dataclass(frozen=True)
-class GeneratorLine:
+class GeneratorLine(NamedTuple):
     """A line base + t . direction of rank-1 idempotents on the idempotent
     surface; family L1 stays inside the L-class of the base, L2 inside the
     R-class."""
@@ -340,17 +339,36 @@ def minus_le(x: Mat2, y: Mat2) -> bool:
     return x._d * (y1 * y4 - y2 * y3) == y._d * (x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3)
 
 
-@dataclass
 class OrderSectionReport:
     """Per-trial agreement between the natural order below a nonsingular `a`
-    and membership in the two trace-1 sections (of a and of its inverse)."""
+    and membership in the two trace-1 sections (of a and of its inverse).
+    `order_section_report` fills in the counts and counterexamples."""
 
-    a: Mat2
-    trials: int
-    seed: int
-    agree_le_vs_inv_section: int = 0
-    agree_le_vs_section: int = 0
-    counterexamples: list = field(default_factory=list)
+    __slots__ = ("a", "trials", "seed", "agree_le_vs_inv_section", "agree_le_vs_section", "counterexamples")
+
+    def __init__(self, a: Mat2, trials: int, seed: int, agree_le_vs_inv_section: int = 0,
+                 agree_le_vs_section: int = 0, counterexamples: list | None = None):
+        self.a = a
+        self.trials = trials
+        self.seed = seed
+        self.agree_le_vs_inv_section = agree_le_vs_inv_section
+        self.agree_le_vs_section = agree_le_vs_section
+        self.counterexamples = [] if counterexamples is None else counterexamples
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    __hash__ = None  # mutable
+
+    def __repr__(self):
+        return "OrderSectionReport(" + ", ".join(
+            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
+        ) + ")"
 
     def to_dict(self) -> dict:
         return {

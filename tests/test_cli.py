@@ -147,6 +147,40 @@ class TestExitCodes:
         assert code == 2 and "domain error" in captured.err
 
 
+class TestPinnedOutput:
+    """Output that must stay byte-identical across internal refactors."""
+
+    def test_suite_choices_are_the_check_suites(self):
+        from greenquadrics import checks, cli
+
+        assert cli._SUITES == tuple(checks.SUITES)
+
+    def test_unknown_suite_lists_the_choices(self):
+        expected = (
+            "usage error: argument --suite: invalid choice: 'nope' "
+            "(choose from 'exact', 'core', 'green', 'sets', 'sections')"
+        )
+        assert run(["check", "--suite", "nope"]) == (1, expected)
+        proc = subprocess.run(
+            [sys.executable, "-m", "greenquadrics", "check", "--suite", "nope"], capture_output=True, text=True
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected + "\n")
+
+    def test_order_report_text(self):
+        assert run_ok(["order", "--report", "[2,1/3;-1,5]", "--trials=200", "--seed=9"]) == (
+            "order/section agreement below a = [2,1/3;-1,5] (200 trials, seed 9)\n"
+            "  x <= a  vs  x in SP(inv(a);1): 200/200\n"
+            "  x <= a  vs  x in SP(a;1):      66/200\n"
+            "  no counterexamples to the inverse-section identity"
+        )
+
+    def test_order_report_json(self):
+        assert run_ok(["order", "--report", "[2,1/3;-1,5]", "--trials=200", "--seed=9", "--json"]) == (
+            '{\n  "command": "order-report",\n  "a": "[2,1/3;-1,5]",\n  "trials": 200,\n  "seed": 9,\n'
+            '  "agree_le_vs_inv_section": 200,\n  "agree_le_vs_section": 66,\n  "counterexamples": []\n}'
+        )
+
+
 class TestLiteralEcho:
     def test_json_echoes_canonical_literals(self):
         payload = run_json(["classify", "--a", "[ 2/4 , 0 ; 0 , 1 ]", "--lambda", "3/3"])

@@ -6,7 +6,8 @@ environment variable the package may read is GQ_DEFAULT_TRIALS (the
 nothing imports `random`: every draw comes from `sampling.Stream`.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
-stale export behind.  The order, line and chart paths compute on a
+stale export behind.  Importing the CLI loads no math module, and nothing
+imports `dataclasses`.  The order, line and chart paths compute on a
 `Mat2`'s integer content: they read no `Fraction` accessor.  The
 quadric classifier eliminates its bordered matrix and solves no linear
 system, the natural order is decided by minors, not by a solve, the
@@ -16,7 +17,10 @@ minus order forms no difference y - x, and the inverse chart builds no
 
 import ast
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -208,7 +212,8 @@ def _exports(path) -> bool:
     )
 
 
-EXPORTING = [p.stem for p in MODULES if _exports(p)]
+# the package's own `__all__` is checked by test_package_imports_only_exported_names
+EXPORTING = [p.stem for p in MODULES if p.stem != "__init__" and _exports(p)]
 
 
 def test_modules_declare_exports():
@@ -223,10 +228,31 @@ def test_every_export_exists(name):
 
 
 def test_package_imports_only_exported_names():
-    tree = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
-    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom)]
-    assert imports
-    for node in imports:
-        exported = importlib.import_module(node.module).__all__
-        stale = [alias.name for alias in node.names if alias.name not in exported]
-        assert not stale, f"__init__ imports {stale} that {node.module}.__all__ does not list"
+    # the package resolves its names lazily, from one map of name -> module
+    import greenquadrics
+
+    assert greenquadrics.__all__ == list(greenquadrics._SOURCE)
+    for name, path in greenquadrics._SOURCE.items():
+        module = importlib.import_module(path)
+        assert name in module.__all__, f"greenquadrics.{name} is not in {path}.__all__"
+        assert getattr(greenquadrics, name) is getattr(module, name)
+    assert getattr(greenquadrics, "LANE", None) is None
+
+
+def test_cli_import_loads_no_math():
+    # a command loads the modules it runs, inside its runner; `-S` keeps
+    # site hooks from loading modules on their own
+    code = "import sys, greenquadrics.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    ours = {name for name in loaded if name.split(".")[0] == "greenquadrics"}
+    assert ours == {"greenquadrics", "greenquadrics.cli", "greenquadrics.errors"}
+    assert not loaded & {"dataclasses", "inspect", "fractions"}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_dataclasses(path):
+    # `dataclasses` loads `inspect`: about 10 ms of every start
+    for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
+        assert name.split(".")[0] != "dataclasses", f"{path.name} imports {name}"
