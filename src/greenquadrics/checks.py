@@ -8,6 +8,13 @@ own seeds and trial counts and assert `.ok`, and the test keeps only the
 assertions no check makes.  Output is a pure function of (suite
 selection, seed, trial counts).
 
+A check is a stream of cases and a predicate `holds(*case) -> bool`, and
+`_tally` is the only code that counts: one count per case, one failure per
+case at most.  A case is one seeded trial, one point of a trial, or one
+point of an exhaustive grid; a redraw inside a trial is not a trial.  The
+cases draw from the streams `_streams` keys by (seed, index); the
+predicates draw nothing.
+
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
 compared with an independent one (`is_inverse_pair`, the idempotent test).
@@ -15,6 +22,9 @@ compared with an independent one (`is_inverse_pair`, the idempotent test).
 
 from __future__ import annotations
 
+from functools import partial
+from itertools import chain, product
+from math import gcd
 from typing import NamedTuple
 
 from greenquadrics import green, quadrics
@@ -100,45 +110,56 @@ class CheckResult(NamedTuple):
         return f"[{mark}] {self.suite}/{self.name}: {self.detail}"
 
 
-def _result(suite, name, failures, total, extra="") -> CheckResult:
-    ok = failures == 0 and total > 0
+def _streams(seed, trials, first=0):
+    """(i, the stream keyed (seed, first + i)) for each trial i."""
+    return ((i, rng_for(seed, first + i)) for i in range(trials))
+
+
+def _draws(seed, trials, *samplers):
+    """One case per trial: each sampler's value, drawn in order from the trial's stream."""
+    return (tuple(draw(rng) for draw in samplers) for _, rng in _streams(seed, trials))
+
+
+def _tally(suite, name, cases, holds, extra="") -> CheckResult:
+    """The one trial counter: one count per case, one failure per case at
+    most.  A check that ran no case fails."""
+    total = failures = 0
+    for case in cases:
+        total += 1
+        if not holds(*case):
+            failures += 1
     detail = f"{total - failures}/{total} trials ok"
     if extra:
         detail += f"; {extra}"
-    return CheckResult(suite, name, ok, detail)
+    return CheckResult(suite, name, failures == 0 and total > 0, detail)
+
+
+# a chart parameter (s or t) of the inverse-set and generator-line checks
+_chart_coord = partial(rand_rational, span=6, max_den=4)
 
 
 # --- exact ---------------------------------------------------------------
 
 
 def check_rational_canonical(seed, trials=2000):
-    from math import gcd
+    def holds(a, b):
+        results = (a + b, a - b, a * b, a / b)
+        return all(v.denominator > 0 and gcd(abs(v.numerator), v.denominator) == 1 for v in results)
 
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rational(rng)
-        b = rand_nonzero_rational(rng)
-        for v in (a + b, a - b, a * b, a / b):
-            if v.denominator <= 0 or gcd(abs(v.numerator), v.denominator) != 1:
-                failures += 1
-    return _result("exact", "rational_canonical_form", failures, trials)
+    cases = _draws(seed, trials, rand_rational, rand_nonzero_rational)
+    return _tally("exact", "rational_canonical_form", cases, holds)
 
 
 def check_quadext_field(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        p = QuadExt(rand_rational(rng), rand_rational(rng))
-        q = QuadExt(rand_rational(rng), rand_rational(rng))
-        r = QuadExt(rand_rational(rng), rand_rational(rng))
-        ok = (p * q) * r == p * (q * r)
-        ok = ok and p * (q + r) == p * q + p * r
-        if p:
-            ok = ok and p * p.inverse() == QuadExt(1)
-        if not ok:
-            failures += 1
-    return _result("exact", "quadext_field_axioms", failures, trials)
+    def holds(p, q, r):
+        if (p * q) * r != p * (q * r) or p * (q + r) != p * q + p * r:
+            return False
+        return not p or p * p.inverse() == QuadExt(1)
+
+    def quadext(rng):
+        return QuadExt(rand_rational(rng), rand_rational(rng))
+
+    return _tally("exact", "quadext_field_axioms", _draws(seed, trials, quadext, quadext, quadext), holds)
 
 
 def _root2_sign(a, b) -> int:
@@ -156,343 +177,264 @@ def check_quadext_sign(seed, trials=2000):
     """Every trial compares `sign()` with an expected sign: the float's away
     from zero, and an exact decision on the parts within 1e-6 of it (zero
     included, which must give 0)."""
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a, b = rand_rational(rng), rand_rational(rng)
+
+    def holds(a, b):
         p = QuadExt(a, b)
         f = to_float(p)
-        if abs(f) > 1e-6:
-            expected = 1 if f > 0 else -1
-        else:
-            expected = _root2_sign(a, b)
-        if p.sign() != expected:
-            failures += 1
-    return _result("exact", "quadext_sign_float_bridge", failures, trials)
+        expected = (1 if f > 0 else -1) if abs(f) > 1e-6 else _root2_sign(a, b)
+        return p.sign() == expected
+
+    cases = _draws(seed, trials, rand_rational, rand_rational)
+    return _tally("exact", "quadext_sign_float_bridge", cases, holds)
 
 
 # --- core ----------------------------------------------------------------
 
 
 def check_cayley_hamilton(seed, trials=10000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_mat(rng)
-        ch = a @ a - a * a.trace() + IDENTITY * a.det()
-        if not ch.is_zero():
-            failures += 1
-    return _result("core", "cayley_hamilton", failures, trials)
+    def holds(a):
+        return (a @ a - a * a.trace() + IDENTITY * a.det()).is_zero()
+
+    return _tally("core", "cayley_hamilton", _draws(seed, trials, rand_mat), holds)
 
 
 def check_det_trace_laws(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a, b = rand_mat(rng), rand_mat(rng)
-        if (a @ b).det() != a.det() * b.det():
-            failures += 1
-        elif (a @ b).trace() != (b @ a).trace():
-            failures += 1
-    return _result("core", "det_multiplicative_trace_commutes", failures, trials)
+    def holds(a, b):
+        return (a @ b).det() == a.det() * b.det() and (a @ b).trace() == (b @ a).trace()
+
+    return _tally("core", "det_multiplicative_trace_commutes", _draws(seed, trials, rand_mat, rand_mat), holds)
 
 
 def check_inner_vs_trace(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        x, y = rand_mat(rng), rand_mat(rng)
-        if inner(x, y) != (x.transpose() @ y).trace():
-            failures += 1
-    return _result("core", "inner_product_equals_trace_form", failures, trials)
+    def holds(x, y):
+        return inner(x, y) == (x.transpose() @ y).trace()
+
+    return _tally("core", "inner_product_equals_trace_form", _draws(seed, trials, rand_mat, rand_mat), holds)
 
 
 def check_traceless_singular_squares_to_zero(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        x = rand_nilpotent(rng)
-        if x.trace() != 0 or x.det() != 0 or not (x @ x).is_zero():
-            failures += 1
-    return _result("core", "traceless_singular_is_square_zero", failures, trials)
+    def holds(x):
+        return x.trace() == 0 and x.det() == 0 and (x @ x).is_zero()
+
+    return _tally("core", "traceless_singular_is_square_zero", _draws(seed, trials, rand_nilpotent), holds)
 
 
 # --- green ---------------------------------------------------------------
 
 
 def check_class_plane_membership(seed, trials=1000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rank1(rng)
-        for rel in ("L", "R"):
-            b1, b2 = class_plane(rel, a)
-            # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
-            while True:
-                s, t = rand_rational(rng), rand_rational(rng)
-                x = b1 * s + b2 * t
-                if not x.is_zero():
-                    break
-            if not green_eq(rel, x, a):
-                failures += 1
-    return _result("green", "class_plane_points_stay_in_class", failures, trials)
+    def cases():
+        for _, rng in _streams(seed, trials):
+            a = rand_rank1(rng)
+            points = []
+            for rel in ("L", "R"):
+                b1, b2 = class_plane(rel, a)
+                # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
+                while True:
+                    s, t = rand_rational(rng), rand_rational(rng)
+                    x = b1 * s + b2 * t
+                    if not x.is_zero():
+                        break
+                points.append(x)
+            yield a, *points
+
+    def holds(a, x_l, x_r):
+        return green_eq("L", x_l, a) and green_eq("R", x_r, a)
+
+    return _tally("green", "class_plane_points_stay_in_class", cases(), holds)
 
 
 def check_d_is_rank(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a, b = rand_mat(rng, span=3), rand_mat(rng, span=3)
+    def holds(a, b):
         d = green_eq("D", a, b)
-        if d != (a.rank() == b.rank()) or green_eq("J", a, b) != d:
-            failures += 1
-    return _result("green", "d_class_is_rank_class", failures, trials)
+        return d == (a.rank() == b.rank()) and green_eq("J", a, b) == d
+
+    narrow = partial(rand_mat, span=3)
+    return _tally("green", "d_class_is_rank_class", _draws(seed, trials, narrow, narrow), holds)
 
 
 def check_plane_classification_roundtrip(seed, trials=500):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rank1(rng)
-        rel = "L" if i % 2 == 0 else "R"
-        b1, b2 = class_plane(rel, a)
-        # random invertible change of basis inside the plane
-        while True:
-            al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
-            if al * de - be * ga != 0:
-                break
-        v1 = b1 * al + b2 * be
-        v2 = b1 * ga + b2 * de
+    def cases():
+        for i, rng in _streams(seed, trials):
+            a = rand_rank1(rng)
+            rel = "L" if i % 2 == 0 else "R"
+            b1, b2 = class_plane(rel, a)
+            # random invertible change of basis inside the plane
+            while True:
+                al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
+                if al * de - be * ga != 0:
+                    break
+            yield a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
+
+    def holds(a, rel, v1, v2):
         verdict = classify_plane(v1, v2)
-        if verdict.kind != rel or not green_eq(rel, verdict.rep, a):
-            failures += 1
-    return _result("green", "plane_classification_roundtrip", failures, trials)
+        return verdict.kind == rel and green_eq(rel, verdict.rep, a)
+
+    return _tally("green", "plane_classification_roundtrip", cases(), holds)
 
 
 def check_h_class_is_punctured_line(seed, trials=500):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rank1(rng)
+    def holds(a, t, b):
         line = green.h_class_line(a)
-        t = rand_nonzero_rational(rng)
-        if not green_eq("H", line.point(t), a):
-            failures += 1
-            continue
-        b = rand_rank1(rng)
-        if green_eq("H", b, a) != line.contains(b):
-            failures += 1
-    return _result("green", "h_class_is_punctured_line", failures, trials)
+        return green_eq("H", line.point(t), a) and green_eq("H", b, a) == line.contains(b)
+
+    cases = _draws(seed, trials, rand_rank1, rand_nonzero_rational, rand_rank1)
+    return _tally("green", "h_class_is_punctured_line", cases, holds)
 
 
 # --- sets ----------------------------------------------------------------
 
 
-def _rank1_idem_grid_values():
-    return grid_values(span=2, dens=(1, 2))
+def _grid_then_draws(seed, trials):
+    """Every matrix of the small grid, then `trials` wider draws: one matrix per case."""
+    grid = ((x,) for x in grid_matrices(grid_values(span=2, dens=(1, 2))))
+    return chain(grid, _draws(seed, trials, partial(rand_mat, span=4, max_den=4)))
 
 
 def check_rank1_idempotent_characterization(seed, trials=10000):
-    failures = 0
-    total = 0
-    for x in grid_matrices(_rank1_idem_grid_values()):
-        total += 1
-        lhs = is_idempotent(x) and x.rank() == 1
-        rhs = x.trace() == 1 and x.det() == 0
-        if lhs != rhs:
-            failures += 1
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        x = rand_mat(rng, span=4, max_den=4)
-        lhs = is_idempotent(x) and x.rank() == 1
-        rhs = x.trace() == 1 and x.det() == 0
-        if lhs != rhs:
-            failures += 1
-    return _result("sets", "rank1_idempotent_iff_trace1_det0", failures, total + trials)
+    def holds(x):
+        return (is_idempotent(x) and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
+
+    return _tally("sets", "rank1_idempotent_iff_trace1_det0", _grid_then_draws(seed, trials), holds)
 
 
 def check_nilpotent_characterization(seed, trials=10000):
-    failures = 0
-    total = 0
-    for x in grid_matrices(_rank1_idem_grid_values()):
-        total += 1
-        if is_nilpotent(x) != (x.trace() == 0 and x.det() == 0):
-            failures += 1
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        x = rand_mat(rng, span=4, max_den=4)
-        if is_nilpotent(x) != (x.trace() == 0 and x.det() == 0):
-            failures += 1
-    return _result("sets", "nilpotent_iff_trace0_det0", failures, total + trials)
+    def holds(x):
+        return is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
+
+    return _tally("sets", "nilpotent_iff_trace0_det0", _grid_then_draws(seed, trials), holds)
 
 
 def check_inverse_set_theorem(seed, trials=500, points_per=20):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rank1(rng)
-        chart = inverse_chart(a)
-        # (s, t) read back from the point, by the chart's public vectors: x c =
-        # d0 + s d1 and r^T x = q0 + t q1 for c = q0 / |q0|^2, r = d0 / |d0|^2,
-        # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
-        # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
-        read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
-        for _ in range(points_per):
-            s, t = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
-            x = chart_eval(chart, s, t)
-            # one count per point, so a bad chart cannot read below 0/N
-            if not (
-                is_inverse_pair(a, x)
-                and inverse_membership(a, x)
-                and inner(x, read_s) == s
-                and inner(x, read_t) == t
-            ):
-                failures += 1
-    return _result("sets", "chart_points_are_inverses", failures, trials * points_per)
+    def cases():
+        for _, rng in _streams(seed, trials):
+            a = rand_rank1(rng)
+            chart = inverse_chart(a)
+            # (s, t) read back from the point, by the chart's public vectors: x c =
+            # d0 + s d1 and r^T x = q0 + t q1 for c = q0 / |q0|^2, r = d0 / |d0|^2,
+            # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
+            # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
+            read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
+            for _ in range(points_per):
+                yield a, chart, read_s, read_t, _chart_coord(rng), _chart_coord(rng)
+
+    def holds(a, chart, read_s, read_t, s, t):
+        x = chart_eval(chart, s, t)
+        return is_inverse_pair(a, x) and inverse_membership(a, x) and inner(x, read_s) == s and inner(x, read_t) == t
+
+    return _tally("sets", "chart_points_are_inverses", cases(), holds)
 
 
 _MEMBERSHIP_CAP = 200
 
 
 def check_membership_equals_triple_products(seed, trials=20):
-    failures = 0
-    total = 0
     extra = ""
     if trials > _MEMBERSHIP_CAP:  # each trial sweeps the full 5^4 grid
         extra = f"random a capped at {_MEMBERSHIP_CAP} of {trials}"
         trials = _MEMBERSHIP_CAP
-    grid = grid_values(span=2)
-    mats = [Mat2(1, 0, 0, 0)] + [rand_rank1(rng_for(seed, 10_000 + i)) for i in range(trials)]
-    for a in mats:
-        for x in grid_matrices(grid):
-            total += 1
-            if inverse_membership(a, x) != is_inverse_pair(a, x):
-                failures += 1
-    return _result("sets", "section_membership_iff_inverse_pair", failures, total, extra)
+    mats = [Mat2(1, 0, 0, 0)] + [rand_rank1(rng) for _, rng in _streams(seed, trials, 10_000)]
+
+    def holds(a, x):
+        return inverse_membership(a, x) == is_inverse_pair(a, x)
+
+    cases = product(mats, grid_matrices(grid_values(span=2)))
+    return _tally("sets", "section_membership_iff_inverse_pair", cases, holds, extra)
 
 
 def check_chart_bijectivity(seed, trials=500):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_rank1(rng)
+    def holds(a, s1, t1, s2, t2):
         chart = inverse_chart(a)
-        s1, t1 = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
-        s2, t2 = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
-        same_params = (s1, t1) == (s2, t2)
         same_point = chart_eval(chart, s1, t1) == chart_eval(chart, s2, t2)
-        if same_point != same_params:
-            failures += 1
-    return _result("sets", "chart_is_injective", failures, trials)
+        return same_point == ((s1, t1) == (s2, t2))
+
+    cases = _draws(seed, trials, rand_rank1, _chart_coord, _chart_coord, _chart_coord, _chart_coord)
+    return _tally("sets", "chart_is_injective", cases, holds)
 
 
 def check_generator_lines(seed, trials=500):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        e = rand_idempotent_rank1(rng)
-        t = rand_rational(rng, 6, 4)
-        g1 = generator_line("L1", e)
-        g2 = generator_line("L2", e)
-        p1, p2 = g1.point(t), g2.point(t)
+    def holds(e, t):
+        p1, p2 = generator_line("L1", e).point(t), generator_line("L2", e).point(t)
         on_surface = all(is_idempotent(p) and p.rank() == 1 for p in (p1, p2))
-        if not (on_surface and green_eq("L", p1, e) and green_eq("R", p2, e)):
-            failures += 1
-    return _result("sets", "generator_lines_lie_on_surface", failures, trials)
+        return on_surface and green_eq("L", p1, e) and green_eq("R", p2, e)
+
+    cases = _draws(seed, trials, rand_idempotent_rank1, _chart_coord)
+    return _tally("sets", "generator_lines_lie_on_surface", cases, holds)
 
 
 def check_line_combinatorics(seed, trials=50):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        e = rand_idempotent_rank1(rng)
-        f = rand_idempotent_rank1(rng)
-        while f == e:  # a redraw, not a skipped trial
+    def cases():
+        for _, rng in _streams(seed, trials):
+            e = rand_idempotent_rank1(rng)
             f = rand_idempotent_rank1(rng)
-        same_family_l = line_meet(generator_line("L1", e), generator_line("L1", f))
-        same_family_r = line_meet(generator_line("L2", e), generator_line("L2", f))
-        if green_eq("L", e, f):
-            # same L-class: the L1 lines coincide, no unique meet
-            if same_family_l is not None:
-                failures += 1
-        elif same_family_l is not None:
-            failures += 1
-        if green_eq("R", e, f):
-            if same_family_r is not None:
-                failures += 1
-        elif same_family_r is not None:
-            failures += 1
+            while f == e:  # a redraw, not a skipped trial
+                f = rand_idempotent_rank1(rng)
+            yield e, f
+
+    def holds(e, f):
+        # same family: the lines coincide (e, f in one class) or miss, never a unique meet
+        for family in ("L1", "L2"):
+            if line_meet(generator_line(family, e), generator_line(family, f)) is not None:
+                return False
         # opposite families: unique meet exactly when the pairing is regular
         cross = line_meet(generator_line("L1", e), generator_line("L2", f))
         try:
             expected = idempotent_from_spaces(green.colspace(f), green.rowspace(e))
         except DegeneratePairingError:
             expected = None
-        if cross != expected:
-            failures += 1
-        elif cross is not None and not (is_idempotent(cross) and cross.rank() == 1):
-            failures += 1
-    return _result("sets", "generator_line_combinatorics", failures, trials)
+        return cross == expected and (cross is None or (is_idempotent(cross) and cross.rank() == 1))
+
+    return _tally("sets", "generator_line_combinatorics", cases(), holds)
 
 
 def check_natural_order_equivalence(seed, trials=10000):
-    failures = 0
-    total = 0
+    def draws():
+        for i, rng in _streams(seed, trials):
+            mode = i % 4
+            if mode == 0:
+                yield rand_mat(rng, 3, 2), rand_mat(rng, 3, 2)
+            elif mode == 1:
+                yield rand_rank1(rng), rand_invertible(rng)
+            elif mode == 2:
+                y = rand_invertible(rng)
+                yield rand_idempotent_rank1(rng) @ y, y
+            else:
+                y = rand_rank1(rng)
+                yield y * rand_rational(rng, 3, 2), y
+
+    def holds(x, y):
+        return natural_le(x, y) == minus_le(x, y)
+
     grid = list(grid_matrices(grid_values(span=1)))
-    for x in grid:
-        for y in grid:
-            total += 1
-            if natural_le(x, y) != minus_le(x, y):
-                failures += 1
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        mode = i % 4
-        if mode == 0:
-            x, y = rand_mat(rng, 3, 2), rand_mat(rng, 3, 2)
-        elif mode == 1:
-            x, y = rand_rank1(rng), rand_invertible(rng)
-        elif mode == 2:
-            y = rand_invertible(rng)
-            f = rand_idempotent_rank1(rng)
-            x = f @ y
-        else:
-            y = rand_rank1(rng)
-            x = y * rand_rational(rng, 3, 2)
-        if natural_le(x, y) != minus_le(x, y):
-            failures += 1
-    return _result("sets", "natural_order_equals_minus_order", failures, total + trials)
+    cases = chain(product(grid, grid), draws())
+    return _tally("sets", "natural_order_equals_minus_order", cases, holds)
 
 
 def check_nilpotent_cone_identity(seed, trials=2000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        x = rand_nilpotent(rng)
-        lhs = (x.x2 - x.x3) ** 2
-        if lhs != x.norm_sq():
-            failures += 1
-    return _result("sets", "nilpotent_cone_45_degree_identity", failures, trials)
+    def holds(x):
+        return (x.x2 - x.x3) ** 2 == x.norm_sq()
+
+    return _tally("sets", "nilpotent_cone_45_degree_identity", _draws(seed, trials, rand_nilpotent), holds)
 
 
 def check_order_section_reports(seed, trials=10, per_report=200):
-    failures = 0
-    identity_gap = 0
-    for i in range(trials):
-        rng = rng_for(seed, 40_000 + i)
-        a = rand_invertible(rng)
-        report = order_section_report(a, per_report, seed + i)
-        if report.agree_le_vs_inv_section != per_report or report.counterexamples:
-            failures += 1
-        if report.agree_le_vs_section != per_report:
-            identity_gap += 1
-    report_i = order_section_report(IDENTITY, per_report, seed)
-    if report_i.agree_le_vs_section != per_report or report_i.agree_le_vs_inv_section != per_report:
-        failures += 1
-    return _result(
+    reports = [
+        order_section_report(rand_invertible(rng), per_report, seed + i) for i, rng in _streams(seed, trials, 40_000)
+    ]
+    identity = order_section_report(IDENTITY, per_report, seed)
+    identity_gap = sum(r.agree_le_vs_section != per_report for r in reports)
+
+    def holds(report):
+        # below the identity the two sections coincide, so both columns agree
+        if report is identity:
+            return report.agree_le_vs_section == per_report == report.agree_le_vs_inv_section
+        return report.agree_le_vs_inv_section == per_report and not report.counterexamples
+
+    return _tally(
         "sets",
         "order_below_a_is_inverse_section",
-        failures,
-        trials + 1,
+        ((r,) for r in [*reports, identity]),
+        holds,
         extra=f"literal-section disagreement on {identity_gap}/{trials} generic a (expected)",
     )
 
@@ -501,37 +443,31 @@ def check_order_section_reports(seed, trials=10, per_report=200):
 
 
 def check_bell_identity(seed, trials=1000):
-    failures = 0
-    total = 0
-    for li, lam in enumerate(_BELL_LEVELS):
-        for i in range(trials):
-            rng = rng_for(seed, li * trials + i)
-            x = rand_singular_with_trace(rng, lam)
-            total += 1
-            if x.trace() != lam or bell_residual(x) != 0:
-                failures += 1
-            y = rand_invertible(rng)
-            total += 1
+    def cases():
+        for li, lam in enumerate(_BELL_LEVELS):
+            for _, rng in _streams(seed, trials, li * trials):
+                yield rand_singular_with_trace(rng, lam), lam
+                yield rand_invertible(rng), None
+
+    def holds(x, lam):
+        if lam is None:
             # the frame residual is -2 det everywhere: comparing values, not zeros, sees a scale slip
-            if bell_residual(y) != -2 * y.det():
-                failures += 1
-    return _result("sections", "frame_identity_exact", failures, total)
+            return bell_residual(x) == -2 * x.det()
+        return x.trace() == lam and bell_residual(x) == 0
+
+    return _tally("sections", "frame_identity_exact", cases(), holds)
 
 
 def check_bell_roundtrip(seed, trials=1000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        lam = rand_rational(rng, 4, 3)
-        x = rand_mat(rng, 4, 3)
+    def holds(lam, x):
         # project onto the hyperplane trace = lam
-        shift = (lam - x.trace()) * _HALF
-        x = x + IDENTITY * shift
+        x = x + IDENTITY * ((lam - x.trace()) * _HALF)
         p = to_bell(x, lam)
         back = from_bell(p)
-        if not back.is_rational() or back.to_mat2() != x or to_bell(back, lam) != p:
-            failures += 1
-    return _result("sections", "frame_roundtrip_exact", failures, trials)
+        return back.is_rational() and back.to_mat2() == x and to_bell(back, lam) == p
+
+    cases = _draws(seed, trials, partial(rand_rational, span=4, max_den=3), partial(rand_mat, span=4, max_den=3))
+    return _tally("sections", "frame_roundtrip_exact", cases, holds)
 
 
 def _random_hyperplane(rng, stratum) -> Hyperplane:
@@ -548,22 +484,15 @@ def _random_hyperplane(rng, stratum) -> Hyperplane:
 
 
 def check_classifier_agreement(seed, trials=1000):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        h = _random_hyperplane(rng, i)
+    def holds(h, rank):
         verdict = classify_section(h.a, h.lam)
-        # the rank comes from the stratum: classify_section reads a.rank() itself
-        rank = i % 3
         if verdict.kind != _THEOREM_TABLE[(rank, h.lam == 0)]:
-            failures += 1
-            continue
-        if rank == 0:
-            continue
-        generic = classify_affine_quadric(restrict_quadric(h))
-        if _SECTION_TO_QUADRIC.get(verdict.kind) != generic:
-            failures += 1
-    return _result("sections", "table_matches_generic_classifier", failures, trials)
+            return False
+        return rank == 0 or _SECTION_TO_QUADRIC.get(verdict.kind) == classify_affine_quadric(restrict_quadric(h))
+
+    # the rank comes from the stratum: classify_section reads a.rank() itself
+    cases = ((_random_hyperplane(rng, i), i % 3) for i, rng in _streams(seed, trials))
+    return _tally("sections", "table_matches_generic_classifier", cases, holds)
 
 
 def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
@@ -572,100 +501,96 @@ def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
 
 
 def check_restriction_identity(seed, trials=100, points_per=100):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        h = _random_hyperplane_nonzero_a(rng, i)
-        aq = restrict_quadric(h)
-        pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
-        for _ in range(points_per):
-            t = [rand_rational(rng, 4, 3) for _ in range(3)]
-            x = aq.point(t)
-            # the chart keeps the non-pivot coordinates: read t back from the entries
-            free = [v for k, v in enumerate(x.entries) if k != pivot]
-            if free != t or x.det() != aq.evaluate(t):
-                failures += 1
-    return _result("sections", "restriction_identity", failures, trials * points_per)
+    def cases():
+        for i, rng in _streams(seed, trials):
+            h = _random_hyperplane_nonzero_a(rng, i)
+            aq = restrict_quadric(h)
+            pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
+            for _ in range(points_per):
+                yield aq, pivot, [rand_rational(rng, 4, 3) for _ in range(3)]
+
+    def holds(aq, pivot, t):
+        x = aq.point(t)
+        # the chart keeps the non-pivot coordinates: read t back from the entries
+        free = [v for k, v in enumerate(x.entries) if k != pivot]
+        return free == t and x.det() == aq.evaluate(t)
+
+    return _tally("sections", "restriction_identity", cases(), holds)
 
 
 def check_affine_invariance(seed, trials=200):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        h = _random_hyperplane_nonzero_a(rng, i)
+    def cases():
+        for i, rng in _streams(seed, trials):
+            h = _random_hyperplane_nonzero_a(rng, i)
+            # rechart: new origin on the plane, new basis an invertible mix
+            while True:
+                T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
+                det3 = (
+                    T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
+                    - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
+                    + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
+                )
+                if det3 != 0:
+                    break
+            yield h, T, [rand_rational(rng, 2, 2) for _ in range(3)]
+
+    def holds(h, T, shift):
         aq = restrict_quadric(h)
         base_class = classify_affine_quadric(aq)
         # the theorem table is the oracle for the class itself
         table_class = _SECTION_TO_QUADRIC[classify_section(h.a, h.lam).kind]
-        # rechart: new origin on the plane, new basis an invertible mix
-        while True:
-            T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
-            det3 = (
-                T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
-                - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
-                + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
-            )
-            if det3 != 0:
-                break
-        shift = [rand_rational(rng, 2, 2) for _ in range(3)]
-        new_origin = aq.point(shift)
         new_basis = tuple(
-            aq.basis[0] * T[0][j] + aq.basis[1] * T[1][j] + aq.basis[2] * T[2][j]
-            for j in range(3)
+            aq.basis[0] * T[0][j] + aq.basis[1] * T[1][j] + aq.basis[2] * T[2][j] for j in range(3)
         )
-        Q, b, c = quadric_on_chart(new_origin, new_basis)
-        if base_class != table_class or quadrics.classify_quadric(Q, b, c) != base_class:
-            failures += 1
-    return _result("sections", "affine_invariance_of_class", failures, trials)
+        Q, b, c = quadric_on_chart(aq.point(shift), new_basis)
+        return base_class == table_class and quadrics.classify_quadric(Q, b, c) == base_class
+
+    return _tally("sections", "affine_invariance_of_class", cases(), holds)
 
 
 def check_inverse_image_law(seed, trials=500):
-    failures = 0
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        a = rand_invertible(rng)
-        mode = i % 3
-        if mode == 0:
-            x = rand_rank1(rng)
-        elif mode == 1:
-            x = inverse_mat(a) @ rand_idempotent_rank1(rng)
-        else:
-            # tr(a x) = 1 with x almost always nonsingular: only det rules x out
-            y = rand_mat(rng, 4, 3)
-            x = inverse_mat(a) @ (y + IDENTITY * ((1 - y.trace()) * _HALF))
-        lhs = section_membership(Hyperplane(a, 1), x)
+    def cases():
+        for i, rng in _streams(seed, trials):
+            a = rand_invertible(rng)
+            mode = i % 3
+            if mode == 0:
+                x = rand_rank1(rng)
+            elif mode == 1:
+                x = inverse_mat(a) @ rand_idempotent_rank1(rng)
+            else:
+                # tr(a x) = 1 with x almost always nonsingular: only det rules x out
+                y = rand_mat(rng, 4, 3)
+                x = inverse_mat(a) @ (y + IDENTITY * ((1 - y.trace()) * _HALF))
+            yield a, x
+
+    def holds(a, x):
         ax = a @ x
-        rhs = is_idempotent(ax) and ax.rank() == 1
-        if lhs != rhs:
-            failures += 1
-    return _result("sections", "section_is_inverse_image_of_idempotents", failures, trials)
+        return section_membership(Hyperplane(a, 1), x) == (is_idempotent(ax) and ax.rank() == 1)
+
+    return _tally("sections", "section_is_inverse_image_of_idempotents", cases(), holds)
 
 
 def check_symmetric_slice(seed, trials=500):
     center = hyperboloid_metrics(Rational(1)).center
-    failures = 0
-    for i in range(trials):
-        u = _rand_int_vector(rng_for(seed, i), 5)
+
+    def holds(u):
         x = outer(u, u) / (u[0] * u[0] + u[1] * u[1])
         d = x - center
-        if inner(d, d) != _HALF or to_bell(x, Rational(1)).Z != QuadExt(0):
-            failures += 1
-    return _result("sections", "symmetric_idempotents_form_radius_circle", failures, trials)
+        return inner(d, d) == _HALF and to_bell(x, Rational(1)).Z == QuadExt(0)
+
+    cases = _draws(seed, trials, partial(_rand_int_vector, span=5))
+    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases, holds)
 
 
 def check_metrics_family(seed, trials=0):
-    failures = 0
     levels = [Rational(0), Rational(1), Rational(3), Rational(5), Rational(-7, 2)]
     base = hyperboloid_metrics(levels[0]).asymptotic_form
-    for lam in levels:
+
+    def holds(lam):
         m = hyperboloid_metrics(lam)
-        if (
-            m.asymptotic_form != base
-            or m.center != IDENTITY * (lam * _HALF)
-            or m.radius_sq != lam * lam * _HALF
-        ):
-            failures += 1
-    return _result("sections", "metrics_family_shares_axis_and_cone", failures, len(levels))
+        return m.asymptotic_form == base and m.center == IDENTITY * (lam * _HALF) and m.radius_sq == lam * lam * _HALF
+
+    return _tally("sections", "metrics_family_shares_axis_and_cone", ((lam,) for lam in levels), holds)
 
 
 SUITES: dict[str, list] = {

@@ -7,25 +7,27 @@ factorization a = c . r^T, the inverses are exactly the products
 (d0 + s d1)(q0 + t q1)^T with r.d0 = q0.c = 1 and r.d1 = q1.c = 0, one per
 parameter pair (s, t).
 
-The order and chart paths compute on the integer content of a `Mat2`
-(`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X factors
-through its pivot P = X[i][j], the first nonzero entry of its first
-nonzero column j: X = C . R^T / P with C column j and R row i of X
+The order, chart and line paths compute on the integer content of a
+`Mat2` (`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X
+factors through its pivot P = X[i][j], the first nonzero entry of its
+first nonzero column j: X = C . R^T / P with C column j and R row i of X
 (`_factor`).  `natural_le` builds a 3x2 integer system from C, R and P
 and decides whether it has a solution from its minors, without solving
-it.  `minus_le` decides rank(y - x) = rank y - rank x by cases on the two
-ranks, with one determinant identity on the content of x and y and no
-`Mat2` for y - x.  `inverse_chart` keeps the chart as integer content,
-which `chart_eval` combines with one reduction; the chart's `Fraction`
-vectors are built only when read.
+it.  `minus_le` decides rank(y - x) = rank y - rank x by cases on the
+two ranks, with one determinant identity on the content of x and y and
+no `Mat2` for y - x.  `inverse_chart` keeps the chart as integer
+content, which `chart_eval` combines with one reduction; the chart's
+`Fraction` vectors are built only when read.  `line_meet` decides
+whether two lines meet by the 3x3 minors of their integer system and
+reads the meet off a 2x2 minor by Cramer's rule.
 """
 
 from __future__ import annotations
 
+from itertools import combinations
 from math import gcd
 from typing import NamedTuple
 
-from greenquadrics._linear import solve_linear
 from greenquadrics.errors import (
     DegeneratePairingError,
     NotRankOneError,
@@ -255,16 +257,26 @@ def generator_line(family: str, e: Mat2) -> GeneratorLine:
 def line_meet(g1: GeneratorLine, g2: GeneratorLine) -> Mat2 | None:
     """Unique common point of two generator lines, or None.
 
-    Coincident lines also return None: they have no unique meet.
+    Coincident lines also return None: they have no unique meet.  The meet
+    solves s d1 - t d2 = b2 - b1 on content, with d1 = D1 / e, d2 = D2 / e'
+    and b2 - b1 = N / n: once the directions are not proportional, [D1 | D2]
+    has rank 2, so the integer system [D1 | D2 | N] is consistent iff its
+    four 3x3 minors vanish (Rouche-Capelli), and s = e S / n for the S that
+    Cramer's rule reads off the first nonzero 2x2 minor of [D1 | D2].
     """
     if proportional(g1.direction, g2.direction):
         return None
     diff = g2.base - g1.base
-    rows = [[g1.direction.entries[i], -g2.direction.entries[i]] for i in range(4)]
-    sol = solve_linear(rows, list(diff.entries))
-    if sol is None:
-        return None
-    return g1.point(sol[0])
+    rows = tuple(zip(g1.direction._n, g2.direction._n, diff._n))
+    for k in range(4):
+        (p1, q1, r1), (p2, q2, r2), (p3, q3, r3) = rows[:k] + rows[k + 1 :]
+        if p1 * (q2 * r3 - q3 * r2) - p2 * (q1 * r3 - q3 * r1) + p3 * (q1 * r2 - q2 * r1):
+            return None
+    for (p1, q1, r1), (p2, q2, r2) in combinations(rows, 2):
+        m = p1 * q2 - p2 * q1
+        if m:
+            return g1.point(_from_ints((r1 * q2 - r2 * q1) * g1.direction._d, m * diff._d))
+    raise AssertionError("directions that are not proportional have a nonzero 2x2 minor")
 
 
 def idempotent_from_spaces(col: ProjLine, row: ProjLine) -> Mat2:

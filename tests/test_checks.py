@@ -6,6 +6,7 @@ import pytest
 
 from greenquadrics import checks, quadrics, sections, semigroup
 from greenquadrics.exact import QuadExt, _parts
+from greenquadrics.mat2 import Mat2
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -166,6 +167,46 @@ def test_line_check_counts_each_trial_once(monkeypatch):
     monkeypatch.setattr(checks, "generator_line", Doubled)
     r = checks.check_generator_lines(42, trials=50)
     assert r.detail == "0/50 trials ok", r.line()
+
+
+def test_line_combinatorics_counts_each_trial_once(monkeypatch):
+    # a meet on every pair fails all three line tests; the count stays 0/N, not below
+    monkeypatch.setattr(checks, "line_meet", lambda g1, g2: Mat2(1, 0, 0, 0))
+    r = checks.check_line_combinatorics(42)
+    assert r.detail == "0/50 trials ok", r.line()
+
+
+def test_rational_check_counts_each_trial_once(monkeypatch):
+    # a value whose every result is 2/4 fails all four tests of a trial; the count stays 0/N
+    class Unreduced:
+        numerator, denominator = 2, 4
+
+        def __add__(self, other):
+            return self
+
+        __sub__ = __mul__ = __truediv__ = __add__
+
+    monkeypatch.setattr(checks, "rand_rational", lambda rng: Unreduced())
+    r = checks.check_rational_canonical(42, trials=100)
+    assert r.detail == "0/100 trials ok", r.line()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("if p1 * (q2 * r3", "if False and p1 * (q2 * r3"),
+        ("(r1 * q2 - r2 * q1)", "(r1 * q2 + r2 * q1)"),
+        ("m * diff._d", "m"),
+    ],
+    ids=["no-minor-test", "cramer-numerator", "dropped-denominator"],
+)
+def test_line_check_sees_a_meet_slip(monkeypatch, old, new):
+    # one branch of the meet by minors: the consistency test, the Cramer
+    # numerator of s and the denominator of b2 - b1 it is scaled by
+    mutant = _mutant(semigroup.line_meet, old, new)
+    monkeypatch.setattr(checks, "line_meet", mutant)
+    r = checks.check_line_combinatorics(42)
+    assert r.ok is False, r.line()
 
 
 def _section_checks_with(monkeypatch, mutant):

@@ -4,11 +4,11 @@ from math import gcd
 import pytest
 
 from draws import randint
-from greenquadrics._linear import solve_linear
 from greenquadrics.errors import NotAQuadricError
 from greenquadrics.exact import Rational, _as_rational, rational_sign
 from greenquadrics.quadrics import QuadricClass, _eliminate, classify_content, classify_quadric, inertia
 from greenquadrics.sampling import rng_for
+from test_linear import reference_solve
 
 R = Rational
 Z3 = (R(0), R(0), R(0))
@@ -173,7 +173,7 @@ def _old_classify_quadric(Q, b, c):
     b = [_as_rational(v) for v in b]
     c = _as_rational(c)
     n_pos, n_neg, _ = inertia(Q)
-    center = solve_linear([list(row) for row in Q], [-v / 2 for v in b])
+    center = reference_solve([list(row) for row in Q], [-v / 2 for v in b])
     if center is None:
         rank = n_pos + n_neg
         if rank == 2:

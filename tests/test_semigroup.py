@@ -18,11 +18,13 @@ from greenquadrics.sampling import (
     grid_values,
     rand_idempotent_rank1,
     rand_invertible,
+    rand_nonzero_rational,
     rand_rank1,
     rand_rational,
     rng_for,
 )
 from greenquadrics.semigroup import (
+    GeneratorLine,
     InverseChart,
     chart_eval,
     generator_line,
@@ -203,6 +205,35 @@ class TestLineMeet:
             except DegeneratePairingError:
                 expected = None
             assert got == expected
+
+    def test_matches_fraction_solve(self):
+        # pairs from both families, small entries so that lines of one class
+        # and degenerate pairings occur; every other trial scales a direction
+        # by a rational, which leaves the line as it is but its content not 1
+        met = missed = 0
+        for i in range(300):
+            rng = rng_for(59, i)
+            e, f = rand_idempotent_rank1(rng, span=2), rand_idempotent_rank1(rng, span=2)
+            for fam1, fam2 in (("L1", "L1"), ("L1", "L2"), ("L2", "L1"), ("L2", "L2")):
+                g1, g2 = generator_line(fam1, e), generator_line(fam2, f)
+                if i % 2:
+                    g1 = GeneratorLine(g1.base, g1.direction * rand_nonzero_rational(rng), fam1)
+                got = line_meet(g1, g2)
+                assert got == line_meet_on_fractions(g1, g2), (g1, g2)
+                met += got is not None
+                missed += got is None
+        assert met > 100 and missed > 100
+
+
+def line_meet_on_fractions(g1, g2):
+    """The meet by `reference_solve` on `Fraction` entries; None when the
+    directions are proportional (no unique meet) or the lines miss."""
+    a, b = g1.direction.entries, g2.direction.entries
+    if all(a[i] * b[j] == a[j] * b[i] for i in range(4) for j in range(i + 1, 4)):
+        return None
+    diff = [q - p for p, q in zip(g1.base.entries, g2.base.entries)]
+    sol = reference_solve([[a[i], -b[i]] for i in range(4)], diff)
+    return None if sol is None else g1.point(sol[0])
 
 
 class TestIdempotentFromSpaces:

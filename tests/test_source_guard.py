@@ -10,9 +10,10 @@ stale export behind.  Importing the CLI loads no math module, and nothing
 imports `dataclasses`.  The order, line and chart paths compute on a
 `Mat2`'s integer content: they read no `Fraction` accessor.  The
 quadric classifier eliminates its bordered matrix and solves no linear
-system, the natural order is decided by minors, not by a solve, the
-minus order forms no difference y - x, and the inverse chart builds no
-`Fraction`.
+system, the natural order and the meet of two lines are decided by
+minors, not by a solve, the minus order forms no difference y - x, and
+the inverse chart builds no `Fraction`.  In the check suites only one
+helper counts trials and only one keys a seeded stream.
 """
 
 import ast
@@ -116,6 +117,7 @@ CONTENT_PATHS = [
     ("semigroup", "minus_le"),
     ("semigroup", "inverse_chart"),
     ("semigroup", "chart_eval"),
+    ("semigroup", "line_meet"),
     ("green", "rowspace"),
     ("green", "colspace"),
     ("sections", "restrict_quadric"),
@@ -169,6 +171,62 @@ def test_natural_le_decides_by_minors():
     names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     used = names & {"solve_linear", "colspace", "ProjLine", "gcd"}
     assert not used, f"semigroup.natural_le uses {sorted(used)}"
+
+
+def test_line_meet_decides_by_minors():
+    # the meet is decided from the minors of its integer system: no solve,
+    # no projective line
+    body = _function("semigroup", "line_meet")
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    used = names & {"solve_linear", "colspace", "ProjLine"}
+    assert not used, f"semigroup.line_meet uses {sorted(used)}"
+
+
+COUNTERS = {"failures", "total"}
+
+
+def _counting(body) -> set[str]:
+    """What a function body does that only the trial counter and the stream
+    helper may: augment or bind a counter, call `_result` or `rng_for`."""
+    found = set()
+    for n in ast.walk(body):
+        if isinstance(n, ast.AugAssign):
+            found.add("augmented assignment")
+        elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store) and n.id in COUNTERS:
+            found.add(n.id)
+        elif isinstance(n, ast.Call):
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            if name in ("_result", "rng_for"):
+                found.add(name)
+    return found
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        ("def f(): failures = 0", {"failures"}),
+        ("def f(n): n += 1", {"augmented assignment"}),
+        ("def f(): return sampling.rng_for(0, 1)", {"rng_for"}),
+        ("def f(): return _result('s', 'n', 0, 1)", {"_result"}),
+        ("def f(seed): return _tally('s', 'n', _draws(seed, 3, rand_mat), holds)", set()),
+    ],
+    ids=["counter", "augmented", "stream", "result", "tally"],
+)
+def test_counting_sees_each_form(src, expected):
+    assert _counting(ast.parse(src).body[0]) == expected
+
+
+def test_checks_count_only_in_the_tally():
+    # one count per case is a rule of `_tally`, not of 29 loops: a check
+    # yields its cases and a predicate, and keys no stream itself
+    tree = ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))
+    counting = {n.name: _counting(n) for n in tree.body if isinstance(n, ast.FunctionDef)}
+    names = [name for name in counting if name.startswith("check_")]
+    assert len(names) == 29
+    for name in names:
+        assert not counting[name], f"checks.{name}: {sorted(counting[name])}"
+    assert {name for name, used in counting.items() if used} == {"_tally", "_streams"}
 
 
 def _subtracts(body, left: str, right: str) -> bool:
