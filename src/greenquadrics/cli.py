@@ -394,6 +394,8 @@ def _run_export(ns) -> str:
 
     if ns.samples < 1:
         raise _UsageError("--samples must be positive")
+    if os.path.isdir(ns.out) or ns.out.endswith(("/", os.sep)):
+        raise _UsageError(f"cannot write {ns.out}: it names a directory")
     kwargs = {}
     if ns.kind == "section":
         if ns.a is None or ns.lam is None:

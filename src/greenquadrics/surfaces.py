@@ -12,7 +12,7 @@ A sample holds no points.  `sample_surface` does the exact work (inverse,
 chart, class planes, generator lines) up front; `SurfaceSample.rows()`
 regenerates the float rows from `(seed, index)` on every pass, and the
 writers format each row as it comes, so export memory does not grow with
-the sample count.
+the sample count for any kind, generator lines (drawn in order) included.
 """
 
 from __future__ import annotations
@@ -233,6 +233,12 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
 
 
 def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
+    """Each line's `t` values come ascending, one at a time, from the joint
+    law of sorted uniforms (Bentley & Saxe, ACM TOMS 6(3), 1980): with k
+    falling from the line's count to 1, `cur *= (1 - u)**(1/k)` walks down
+    the largest of k uniforms on [0, 1], and `t = 3 - 6*cur` runs up [-3, 3].
+    Row i of a line draws `u` from (seed, first row of the line + i), but its
+    `t` depends on every earlier row: a row replays with its line, not alone."""
     lines = [
         (_coefficients(line.base.entries), _coefficients(line.direction.entries))
         for line in (generator_line("L1", e), generator_line("L2", e))
@@ -242,9 +248,10 @@ def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
     def rows():
         index = 0
         for (base, dirn), count in zip(lines, counts):
-            # one line's t values at a time: sorting needs them all
-            ts = sorted(t for (t,) in uniform_rows(seed, index, count, ((-3.0, 3.0),)))
-            for t in ts:
+            cur = 1.0
+            for k, (u,) in zip(range(count, 0, -1), uniform_rows(seed, index, count, ((0.0, 1.0),))):
+                cur *= (1.0 - u) ** (1.0 / k)
+                t = 3.0 - 6.0 * cur
                 x = tuple(b + t * d for b, d in zip(base, dirn))
                 fr = ((x[0] - x[3]) / _SQRT2, (x[1] + x[2]) / _SQRT2, (x[2] - x[1]) / _SQRT2)
                 yield x, fr, fr

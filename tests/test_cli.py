@@ -225,12 +225,16 @@ class TestCheckAndExportCli:
         assert code == 1
         assert text == f"usage error: cannot write {out}: No such file or directory"
 
-    def test_export_onto_directory_leaves_no_temp_file(self, tmp_path):
-        out = tmp_path / "taken"
-        out.mkdir()
-        code, text = run(["export", "--kind", "idempotents", "--samples", "3", "--out", str(out)])
-        assert code == 1 and text.startswith(f"usage error: cannot write {out}: ")
-        assert list(tmp_path.iterdir()) == [out]
+    def test_export_onto_directory_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # refused before any sampling: `dir`, `dir/` and a new `name/`
+        monkeypatch.setattr("greenquadrics.surfaces.sample_surface", None)
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        for out in (str(taken), str(taken) + os.sep, str(tmp_path / "new") + os.sep):
+            code, text = run(["export", "--kind", "idempotents", "--samples", "3", "--out", out])
+            assert (code, text) == (1, f"usage error: cannot write {out}: it names a directory")
+        assert list(tmp_path.iterdir()) == [taken]
+        assert list(taken.iterdir()) == []
 
     @pytest.mark.parametrize("z_range", ["--z-range=-inf:inf", "--z-range=-1e308:1e308", "--z-range=0:1e300"])
     def test_export_rejects_unbounded_z_range(self, tmp_path, z_range):

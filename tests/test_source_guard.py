@@ -104,6 +104,9 @@ def test_surfaces_hold_no_point_lists():
     assert not imported & {"csv", "dataclasses"}, f"surfaces imports {sorted(imported)}"
     attrs = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "points" not in attrs, "surfaces reads or sets a `points` attribute"
+    # generator lines are drawn in order: a sort would hold a line's points
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "sorted" not in names and "sort" not in attrs, "surfaces sorts"
     from greenquadrics.surfaces import SurfaceSample
 
     assert not hasattr(SurfaceSample, "points")

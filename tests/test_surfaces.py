@@ -1,3 +1,4 @@
+import math
 import os
 import tracemalloc
 
@@ -6,6 +7,7 @@ import pytest
 from greenquadrics.errors import DomainError, UnknownKindError
 from greenquadrics.exact import Rational
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO
+from greenquadrics.sampling import rng_for
 from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 from surface_csv import read_csv_points
 
@@ -20,6 +22,14 @@ def det_rel(pt):
     det = pt[0] * pt[3] - pt[1] * pt[2]
     scale = max(1.0, sum(v * v for v in pt))
     return abs(det) / scale
+
+
+def line_ts(sample):
+    """Each generator line's `t`, read off its points: through E = [1,0;0,0],
+    L1 is E + t*[0,0;1,0] and L2 is E + t*[0,1;0,0]."""
+    rows = points(sample)
+    first = sample.line_counts[0]
+    return [[pt[2] for pt in rows[:first]], [pt[1] for pt in rows[first:]]]
 
 
 class TestSampling:
@@ -88,6 +98,37 @@ class TestSampling:
         for pt in points(s):
             assert abs(pt[0] + pt[3] - 1.0) < 1e-12
             assert det_rel(pt) < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 257])
+    def test_generator_lines_come_in_order(self, n):
+        s = sample_surface("generator-lines", n, seed=22, e=E)
+        assert s.line_counts == (n - n // 2, n // 2)
+        assert len(list(s.segments())) == max(n - 2, 0)
+        rows = points(s)
+        assert rows == points(sample_surface("generator-lines", n, seed=22, e=E))
+        for ts in line_ts(s):
+            assert all(-3.0 <= a <= b <= 3.0 for a, b in zip(ts, ts[1:] + [3.0]))
+        assert all(det_rel(pt) < 1e-12 for pt in rows)
+
+    def test_generator_lines_draw_keys(self):
+        # row i of a line takes its u from (seed, first row of the line + i)
+        s = sample_surface("generator-lines", 9, seed=23, e=E)
+        first = 0
+        for ts, count in zip(line_ts(s), s.line_counts):
+            cur, want = 1.0, []
+            for i in range(count):
+                cur *= (1.0 - rng_for(23, first + i).uniform(0.0, 1.0)) ** (1.0 / (count - i))
+                want.append(3.0 - 6.0 * cur)
+            assert ts == want
+            first += count
+
+    def test_generator_line_t_is_uniform(self):
+        # Kolmogorov-Smirnov distance to Uniform(-3, 3), 1 % critical value
+        n = 25_000
+        for ts in line_ts(sample_surface("generator-lines", 2 * n, seed=1, e=E)):
+            cdf = [(t + 3.0) / 6.0 for t in ts]
+            d = max(max((i + 1) / n - c, c - i / n) for i, c in enumerate(cdf))
+            assert d <= 1.63 / math.sqrt(n), d
 
     def test_z_span(self):
         s = sample_surface("nilpotents", 100, seed=14, z_span=(-0.25, 0.25))
@@ -163,23 +204,41 @@ class TestExport:
         assert read_csv_points(path) == [tuple(pt) for pt in points(s)]
 
 
-def _export_peak(path, kind, n, **kwargs):
-    """Peak traced bytes of sampling and writing `n` points to CSV."""
+def _export_peak(path, write, kind, n, **kwargs):
+    """Peak traced bytes of sampling and writing `n` points with `write`."""
     tracemalloc.start()
     try:
-        write_csv(sample_surface(kind, n, seed=21, **kwargs), path)
+        write(sample_surface(kind, n, seed=21, **kwargs), path)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 @pytest.mark.parametrize(
-    "kind,kwargs",
-    [("idempotents", {}), ("section", {"a": Mat2(2, 1, 1, 1), "lam": Rational(3, 2)})],
-    ids=["idempotents", "section-rank2"],
+    "write,kind,kwargs",
+    [
+        (write_csv, "idempotents", {}),
+        (write_csv, "section", {"a": Mat2(2, 1, 1, 1), "lam": Rational(3, 2)}),
+        (write_csv, "generator-lines", {"e": E}),
+        (write_obj, "generator-lines", {"e": E}),
+        (write_csv, "nilpotents", {}),
+        (write_csv, "section", {"a": Mat2(1, 2, 1, 2), "lam": Rational(1)}),
+        (write_csv, "section", {"a": E, "lam": Rational(0)}),
+        (write_csv, "section", {"a": ZERO, "lam": Rational(0)}),
+    ],
+    ids=[
+        "idempotents",
+        "section-rank2",
+        "generator-lines-csv",
+        "generator-lines-obj",
+        "nilpotents",
+        "section-rank1-chart",
+        "section-rank1-planes",
+        "section-rank0",
+    ],
 )
-def test_export_memory_does_not_grow_with_samples(tmp_path, kind, kwargs):
-    path = str(tmp_path / "m.csv")
-    small = _export_peak(path, kind, 1_000, **kwargs)
-    large = _export_peak(path, kind, 10_000, **kwargs)
+def test_export_memory_does_not_grow_with_samples(tmp_path, write, kind, kwargs):
+    path = str(tmp_path / "m.out")
+    small = _export_peak(path, write, kind, 1_000, **kwargs)
+    large = _export_peak(path, write, kind, 10_000, **kwargs)
     assert large - small <= 64 * 1024, (small, large)
