@@ -15,6 +15,30 @@ point of an exhaustive grid; a redraw inside a trial is not a trial.  The
 cases draw from the streams `_streams` keys by (seed, index); the
 predicates draw nothing.
 
+Five checks test a polynomial identity, and they certify it on a grid
+instead of sampling it: Cayley-Hamilton, det(ab) = det a det b with
+tr(ab) = tr(ba), inner = trace form, the restriction identity and the
+invertible half of the frame identity (`bell_residual(x) == -2 det x`).
+By the Combinatorial Nullstellensatz (Alon, Combin. Probab. Comput. 8,
+1999), a polynomial of degree at most t_i in each variable x_i that
+vanishes on a grid S_1 x ... x S_n with |S_i| > t_i is zero.  Each of these
+checks runs such a grid in full (`sampling.CERTIFICATE_VALUES`: 3 values
+per variable of degree 2, 2 per variable of degree 1), then a seeded tail
+of `trials` draws with 64-bit numerators and denominators, which a fault
+of low degree d escapes with probability of order d / 2**63 per draw
+(Schwartz, J. ACM 27(4), 1980; DeMillo & Lipton, Inf. Process. Lett.
+7(4), 1978).  The certificate covers the formula the code evaluates on
+the grid, not the code: the code clears denominators, takes gcds and
+branches, so the grid values have distinct denominators and both signs to
+run those paths, and the tail covers what a grid cannot see.  The chart
+of `restrict_quadric` has constant term 0 on every hyperplane, so the
+restriction identity is certified in a second chart of each plane too,
+recentred off det = 0, where the constant term is not 0.  The checks
+with rank branches (the two orders, membership, the idempotent and
+nilpotent characterizations) stay sampled.  The predicates of the
+certified checks are module-level (`cayley_hamilton_holds` and the four
+after it), and the tier-1 tests call them on their own inputs.
+
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
 compared with an independent one (`is_inverse_pair`, the idempotent test).
@@ -33,6 +57,7 @@ from greenquadrics.exact import QuadExt, Rational, rational_sign, to_float
 from greenquadrics.green import class_plane, classify_plane, green_eq
 from greenquadrics.mat2 import IDENTITY, Mat2, inner, inverse_mat, outer
 from greenquadrics.sampling import (
+    CERTIFICATE_VALUES,
     _rand_int_vector,
     grid_matrices,
     grid_values,
@@ -44,9 +69,12 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
+    rand_wide_mat,
+    rand_wide_rational,
     rng_for,
 )
 from greenquadrics.sections import (
+    AffineQuadric3,
     Hyperplane,
     SectionClass,
     bell_residual,
@@ -75,9 +103,21 @@ from greenquadrics.semigroup import (
     order_section_report,
 )
 
-__all__ = ["CheckResult", "SUITES", "available_suites", "run_checks", "render_results"]
+__all__ = [
+    "CheckResult",
+    "SUITES",
+    "available_suites",
+    "run_checks",
+    "render_results",
+    "cayley_hamilton_holds",
+    "det_trace_laws_hold",
+    "inner_is_trace_form",
+    "restriction_holds",
+    "frame_residual_holds",
+]
 
 _HALF = Rational(1, 2)
+_TAIL = 200  # default wide tail of a certified check
 _BELL_LEVELS = (Rational(0), Rational(1), Rational(-1), Rational(3, 2), Rational(-3, 2), Rational(7, 2))
 
 # The theorem table: (rank a, lam == 0) -> type of the slice of det = 0.
@@ -104,6 +144,7 @@ class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str
+    certified: int = 0  # grid points of a certificate; 0 for a check that only samples
 
     def line(self) -> str:
         mark = "pass" if self.ok else "FAIL"
@@ -115,23 +156,34 @@ def _streams(seed, trials, first=0):
     return ((i, rng_for(seed, first + i)) for i in range(trials))
 
 
-def _draws(seed, trials, *samplers):
+def _draws(seed, trials, *samplers, first=0):
     """One case per trial: each sampler's value, drawn in order from the trial's stream."""
-    return (tuple(draw(rng) for draw in samplers) for _, rng in _streams(seed, trials))
+    return (tuple(draw(rng) for draw in samplers) for _, rng in _streams(seed, trials, first))
 
 
-def _tally(suite, name, cases, holds, extra="") -> CheckResult:
+def _tally(suite, name, cases, holds, extra="", certified=0) -> CheckResult:
     """The one trial counter: one count per case, one failure per case at
-    most.  A check that ran no case fails."""
+    most.  A check that ran no case fails; a failing one names the index of
+    its first failing case.  A certified check's cases start with its
+    `certified` grid points."""
     total = failures = 0
+    first = None
     for case in cases:
-        total += 1
         if not holds(*case):
+            if not failures:
+                first = total
             failures += 1
+        total += 1
     detail = f"{total - failures}/{total} trials ok"
     if extra:
         detail += f"; {extra}"
-    return CheckResult(suite, name, failures == 0 and total > 0, detail)
+    if failures:
+        detail += f"; first failure at case {first}"
+    return CheckResult(suite, name, failures == 0 and total > 0, detail, certified)
+
+
+def _certificate(points, wide) -> str:
+    return f"{points} grid points certify the identity, {wide} sampled at 64 bits"
 
 
 # a chart parameter (s or t) of the inverse-set and generator-line checks
@@ -191,25 +243,42 @@ def check_quadext_sign(seed, trials=2000):
 # --- core ----------------------------------------------------------------
 
 
-def check_cayley_hamilton(seed, trials=10000):
-    def holds(a):
-        return (a @ a - a * a.trace() + IDENTITY * a.det()).is_zero()
-
-    return _tally("core", "cayley_hamilton", _draws(seed, trials, rand_mat), holds)
+def cayley_hamilton_holds(a) -> bool:
+    """a^2 - tr(a) a + det(a) I = 0: degree 2 in each entry."""
+    return (a @ a - a * a.trace() + IDENTITY * a.det()).is_zero()
 
 
-def check_det_trace_laws(seed, trials=2000):
-    def holds(a, b):
-        return (a @ b).det() == a.det() * b.det() and (a @ b).trace() == (b @ a).trace()
+def det_trace_laws_hold(a, b) -> bool:
+    """det(ab) = det a det b and tr(ab) = tr(ba): degree 1 in each of the 8 entries."""
+    ab = a @ b
+    return ab.det() == a.det() * b.det() and ab.trace() == (b @ a).trace()
 
-    return _tally("core", "det_multiplicative_trace_commutes", _draws(seed, trials, rand_mat, rand_mat), holds)
+
+def inner_is_trace_form(x, y) -> bool:
+    """<x, y> = tr(x^T y): degree 1 in each of the 8 entries."""
+    return inner(x, y) == (x.transpose() @ y).trace()
 
 
-def check_inner_vs_trace(seed, trials=2000):
-    def holds(x, y):
-        return inner(x, y) == (x.transpose() @ y).trace()
+def _certified(suite, name, holds, degree, count, seed, trials):
+    """An identity of `degree` in each entry of its `count` matrices: its
+    certificate grid in full, then `trials` draws at 64 bits."""
+    values = CERTIFICATE_VALUES[degree]
+    points = len(values) ** (4 * count)
+    grid = product(grid_matrices(values), repeat=count)
+    wide = _draws(seed, trials, *(rand_wide_mat,) * count)
+    return _tally(suite, name, chain(grid, wide), holds, _certificate(points, trials), points)
 
-    return _tally("core", "inner_product_equals_trace_form", _draws(seed, trials, rand_mat, rand_mat), holds)
+
+def check_cayley_hamilton(seed, trials=_TAIL):
+    return _certified("core", "cayley_hamilton", cayley_hamilton_holds, 2, 1, seed, trials)
+
+
+def check_det_trace_laws(seed, trials=_TAIL):
+    return _certified("core", "det_multiplicative_trace_commutes", det_trace_laws_hold, 1, 2, seed, trials)
+
+
+def check_inner_vs_trace(seed, trials=_TAIL):
+    return _certified("core", "inner_product_equals_trace_form", inner_is_trace_form, 1, 2, seed, trials)
 
 
 def check_traceless_singular_squares_to_zero(seed, trials=2000):
@@ -442,20 +511,33 @@ def check_order_section_reports(seed, trials=10, per_report=200):
 # --- sections ------------------------------------------------------------
 
 
+def frame_residual_holds(x) -> bool:
+    """bell_residual(x) = -2 det x: degree 2 in each entry.  Comparing values,
+    not zeros, sees a scale slip that the singular slices cannot."""
+    return bell_residual(x) == -2 * x.det()
+
+
 def check_bell_identity(seed, trials=1000):
-    def cases():
+    """The frame residual certified on its grid, with a wide tail of at most
+    the default `_TAIL` draws; and `trials` sampled singular matrices per
+    level, each the first draw of the stream keyed (seed, level * trials + i)."""
+
+    def singular():
         for li, lam in enumerate(_BELL_LEVELS):
             for _, rng in _streams(seed, trials, li * trials):
                 yield rand_singular_with_trace(rng, lam), lam
-                yield rand_invertible(rng), None
 
-    def holds(x, lam):
+    def holds(x, lam=None):
         if lam is None:
-            # the frame residual is -2 det everywhere: comparing values, not zeros, sees a scale slip
-            return bell_residual(x) == -2 * x.det()
+            return frame_residual_holds(x)
         return x.trace() == lam and bell_residual(x) == 0
 
-    return _tally("sections", "frame_identity_exact", cases(), holds)
+    values, sampled, tail = CERTIFICATE_VALUES[2], len(_BELL_LEVELS) * trials, min(trials, _TAIL)
+    points = len(values) ** 4
+    grid = product(grid_matrices(values), repeat=1)
+    wide = _draws(seed, tail, rand_wide_mat, first=sampled)
+    note = f"{_certificate(points, tail)}, {sampled} at the default width"
+    return _tally("sections", "frame_identity_exact", chain(grid, wide, singular()), holds, note, points)
 
 
 def check_bell_roundtrip(seed, trials=1000):
@@ -500,22 +582,42 @@ def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
     return _random_hyperplane(rng, (1, 2, 4, 5)[i % 4])
 
 
-def check_restriction_identity(seed, trials=100, points_per=100):
+def restriction_holds(aq, pivot, t) -> bool:
+    """The chart point of t moves the origin's non-pivot entries by t, and
+    its det is the restricted quadric at t: degree at most 2 in each chart
+    coordinate, since det is a product of two affine forms in each."""
+    x = aq.point(t)
+    free = tuple(v for k, v in enumerate((x - aq.origin).entries) if k != pivot)
+    return free == tuple(t) and x.det() == aq.evaluate(t)
+
+
+def check_restriction_identity(seed, trials=100, points_per=2):
+    """`trials` random hyperplanes, each in two charts.  The chart of
+    `restrict_quadric` has constant term 0: its 27-point grid, then
+    `points_per` 64-bit points drawn from the plane's stream.  The same basis
+    recentred at the first grid point off det = 0 has a nonzero constant
+    term, so its 27-point grid certifies that term too."""
+    grid = tuple(product(CERTIFICATE_VALUES[2], repeat=3))
+
     def cases():
         for i, rng in _streams(seed, trials):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
             pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
+            for t in grid:
+                yield aq, pivot, t
             for _ in range(points_per):
-                yield aq, pivot, [rand_rational(rng, 4, 3) for _ in range(3)]
+                yield aq, pivot, [rand_wide_rational(rng) for _ in range(3)]
+            # det vanishes on no hyperplane, so by the certificate it is
+            # nonzero at some point of the grid
+            origin = next(x for x in map(aq.point, grid) if x.det())
+            recentred = AffineQuadric3(*quadric_on_chart(origin, aq.basis), origin, aq.basis)
+            for t in grid:
+                yield recentred, pivot, t
 
-    def holds(aq, pivot, t):
-        x = aq.point(t)
-        # the chart keeps the non-pivot coordinates: read t back from the entries
-        free = [v for k, v in enumerate(x.entries) if k != pivot]
-        return free == t and x.det() == aq.evaluate(t)
-
-    return _tally("sections", "restriction_identity", cases(), holds)
+    points = 2 * len(grid) * trials
+    note = f"{_certificate(points, points_per * trials)}; two charts per plane, one with a nonzero constant term"
+    return _tally("sections", "restriction_identity", cases(), restriction_holds, note, points)
 
 
 def check_affine_invariance(seed, trials=200):
@@ -639,9 +741,11 @@ def available_suites() -> list[str]:
 def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[CheckResult]:
     """Run the named suites (all by default) and collect results.
 
-    `trials` overrides each check's default randomized-trial count.
-    Exhaustive grid components always run in full.  A check that runs no
-    trials at all is reported as a failure, never as a vacuous pass.
+    `trials` overrides each check's default randomized-trial count: for
+    a certified check, its 64-bit tail (its hyperplanes for
+    `restriction_identity`).  Exhaustive grids and certificate grids always
+    run in full.  A check that runs no trials at all is reported as a
+    failure, never as a vacuous pass.
     """
     names = available_suites() if not suites else list(suites)
     results = []

@@ -459,7 +459,7 @@ def _run_check(ns) -> tuple[str, bool]:
             "command": "check",
             "seed": ns.seed,
             "results": [
-                {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail}
+                {"suite": r.suite, "name": r.name, "ok": r.ok, "detail": r.detail, "certified": r.certified}
                 for r in results
             ],
             "passed": sum(1 for r in results if r.ok),

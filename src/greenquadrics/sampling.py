@@ -10,6 +10,13 @@ batch (one 64-bit output at the default spans) and builds its `Mat2`
 straight from integer content with one gcd.  A rejected attempt (a zero
 vector, a zero pairing) redraws the whole batch, which keeps the result
 uniform over the accepted draws.
+
+The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
+trials of the certified checks: numerators of a random sign and
+denominators of exactly 64 bits each, one `Stream.getrandbits` output per
+integer.  `CERTIFICATE_VALUES` holds the values per variable of those
+checks' exhaustive grids, sized by the degree of the identity in each
+variable.
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ __all__ = [
     "rand_idempotent_rank1",
     "rand_nilpotent",
     "rand_singular_with_trace",
+    "rand_wide_rational",
+    "rand_wide_mat",
     "grid_values",
     "grid_matrices",
+    "CERTIFICATE_VALUES",
 ]
 
 _MIX_A = 6364136223846793005
@@ -241,3 +251,36 @@ def grid_values(span: int = 2, dens: tuple[int, ...] = (1,)) -> list[Rational]:
 def grid_matrices(values):
     """Every Mat2 with entries drawn from `values` (use on small sets only)."""
     return (Mat2(*combo) for combo in product(values, repeat=4))
+
+
+_WIDE_BITS = 64  # width of each numerator and denominator of a wide draw
+_WIDE_TOP = 1 << (_WIDE_BITS - 1)
+
+
+def _wide_parts(rng: Stream) -> tuple[int, int]:
+    """(numerator, denominator), each of exactly `_WIDE_BITS` bits: the top
+    bit of the first draw is the sign and is then set, and the denominator's
+    top bit is set."""
+    n = rng.getrandbits(_WIDE_BITS)
+    return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), rng.getrandbits(_WIDE_BITS) | _WIDE_TOP
+
+
+def rand_wide_rational(rng: Stream) -> Rational:
+    """A random-sign numerator over a denominator, each of exactly 64 bits, reduced."""
+    return _from_ints(*_wide_parts(rng))
+
+
+def rand_wide_mat(rng: Stream) -> Mat2:
+    """Four entries with the law of `rand_wide_rational`, row-major."""
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (_wide_parts(rng) for _ in range(4))
+    d12, d34 = d1 * d2, d3 * d4
+    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
+
+
+# Values per variable of a certificate grid, by the degree of the identity in
+# that variable: one more value than the degree, distinct denominators and
+# both signs, so that the grid runs the clearing code and not only the formula.
+CERTIFICATE_VALUES = {
+    1: (Rational(-3, 2), Rational(5, 7)),
+    2: (Rational(-2), Rational(1, 3), Rational(5, 7)),
+}

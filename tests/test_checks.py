@@ -4,9 +4,10 @@ from math import lcm
 
 import pytest
 
-from greenquadrics import checks, quadrics, sections, semigroup
+from greenquadrics import checks, mat2, quadrics, sections, semigroup
 from greenquadrics.exact import QuadExt, _parts
 from greenquadrics.mat2 import Mat2
+from greenquadrics.sampling import CERTIFICATE_VALUES, grid_matrices, grid_values
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -150,7 +151,7 @@ def test_chart_check_counts_each_point_once(monkeypatch):
     chart_eval = checks.chart_eval
     monkeypatch.setattr(checks, "chart_eval", lambda chart, s, t: chart_eval(chart, s, t) * 2)
     r = checks.check_inverse_set_theorem(42, trials=20)
-    assert r.detail == "0/400 trials ok", r.line()
+    assert r.detail == "0/400 trials ok; first failure at case 0", r.line()
 
 
 def test_line_check_counts_each_trial_once(monkeypatch):
@@ -166,14 +167,14 @@ def test_line_check_counts_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(checks, "generator_line", Doubled)
     r = checks.check_generator_lines(42, trials=50)
-    assert r.detail == "0/50 trials ok", r.line()
+    assert r.detail == "0/50 trials ok; first failure at case 0", r.line()
 
 
 def test_line_combinatorics_counts_each_trial_once(monkeypatch):
     # a meet on every pair fails all three line tests; the count stays 0/N, not below
     monkeypatch.setattr(checks, "line_meet", lambda g1, g2: Mat2(1, 0, 0, 0))
     r = checks.check_line_combinatorics(42)
-    assert r.detail == "0/50 trials ok", r.line()
+    assert r.detail == "0/50 trials ok; first failure at case 0", r.line()
 
 
 def test_rational_check_counts_each_trial_once(monkeypatch):
@@ -188,7 +189,7 @@ def test_rational_check_counts_each_trial_once(monkeypatch):
 
     monkeypatch.setattr(checks, "rand_rational", lambda rng: Unreduced())
     r = checks.check_rational_canonical(42, trials=100)
-    assert r.detail == "0/100 trials ok", r.line()
+    assert r.detail == "0/100 trials ok; first failure at case 0", r.line()
 
 
 @pytest.mark.parametrize(
@@ -234,3 +235,74 @@ def test_section_checks_see_a_dropped_centre_test(monkeypatch):
     table, invariance = _section_checks_with(monkeypatch, mutant)
     assert table.ok is False, table.line()
     assert invariance.ok is False, invariance.line()
+
+
+# --- the certified checks at their default plan ----------------------------
+
+# subtracting over unequal denominators scales each side by its own
+# denominator: only entries with mixed denominators reach the slip
+_SUB_SLIP = ("sa, sb = db // g, da // g", "sa, sb = da // g, db // g")
+
+
+def test_cayley_hamilton_check_sees_a_subtraction_clearing_slip(monkeypatch):
+    monkeypatch.setattr(Mat2, "__sub__", _mutant(Mat2.__sub__, *_SUB_SLIP))
+    # an integer grid has one denominator per matrix and misses the slip
+    assert all(checks.cayley_hamilton_holds(a) for a in grid_matrices(grid_values(span=1)))
+    r = checks.check_cayley_hamilton(42)
+    assert r.ok is False, r.line()
+
+
+def test_det_trace_check_sees_swapped_product_terms(monkeypatch):
+    # the (1,1) and (1,2) entries of a @ b take each other's a2 term
+    mutant = _mutant(
+        Mat2.__matmul__,
+        "a1 * b1 + a2 * b3,\n        a1 * b2 + a2 * b4,",
+        "a1 * b1 + a2 * b4,\n        a1 * b2 + a2 * b3,",
+    )
+    monkeypatch.setattr(Mat2, "__matmul__", mutant)
+    r = checks.check_det_trace_laws(42)
+    assert r.ok is False, r.line()
+
+
+def test_inner_check_sees_a_denominator_slip(monkeypatch):
+    # x's denominator squared in place of x's times y's: equal denominators hide it
+    monkeypatch.setattr(checks, "inner", _mutant(mat2.inner, "x._d * y._d", "x._d * x._d"))
+    r = checks.check_inner_vs_trace(42)
+    assert r.ok is False, r.line()
+
+
+def test_restriction_check_sees_an_evaluation_clearing_slip(monkeypatch):
+    # the linear term over D^2 instead of D: integer chart points hide it
+    mutant = _mutant(sections.AffineQuadric3.evaluate, "+ dd * (b1 * u1", "+ (b1 * u1")
+    monkeypatch.setattr(sections.AffineQuadric3, "evaluate", mutant)
+    r = checks.check_restriction_identity(42)
+    assert r.ok is False, r.line()
+
+
+def test_restriction_check_sees_a_constant_term_slip(monkeypatch):
+    # the constant term over D instead of D^2: the chart of every plane has
+    # constant term 0, and only the recentred one reaches the slip
+    mutant = _mutant(sections.AffineQuadric3.evaluate, "c * dd * dd", "c * dd")
+    monkeypatch.setattr(sections.AffineQuadric3, "evaluate", mutant)
+    r = checks.check_restriction_identity(42)
+    assert r.ok is False, r.line()
+    # 26 of the 27 recentred grid points of each plane have a denominator
+    assert r.detail.startswith("3000/5600 trials ok"), r.line()
+
+
+def test_frame_check_sees_a_dropped_half(monkeypatch):
+    # twice the residual is still zero on every singular slice: only the
+    # certified -2 det identity sees it
+    monkeypatch.setattr(checks, "bell_residual", _mutant(sections.bell_residual, "2 * x._d * x._d", "x._d * x._d"))
+    r = checks.check_bell_identity(42)
+    assert r.ok is False, r.line()
+
+
+def test_a_fail_line_names_its_first_failing_case(monkeypatch):
+    monkeypatch.setattr(Mat2, "__sub__", _mutant(Mat2.__sub__, *_SUB_SLIP))
+    r = checks.check_cayley_hamilton(42)
+    first = next(i for i, a in enumerate(grid_matrices(CERTIFICATE_VALUES[2])) if not checks.cayley_hamilton_holds(a))
+    assert r.line().endswith(f"; first failure at case {first}"), r.line()
+    assert r.detail.count("first failure") == 1
+    monkeypatch.undo()
+    assert "first failure" not in checks.check_cayley_hamilton(42).line()

@@ -198,6 +198,11 @@ class TestCheckAndExportCli:
         payload = run_json(["check", "--seed", "1", "--suite", "exact", "--trials", "20"])
         assert payload["passed"] == payload["total"] == 3
 
+    def test_check_json_counts_certified_points(self):
+        payload = run_json(["check", "--seed", "1", "--suite", "core", "--trials", "5"])
+        assert [r["certified"] for r in payload["results"]] == [81, 256, 256, 0]
+        assert payload["results"][0]["detail"] == "86/86 trials ok; 81 grid points certify the identity, 5 sampled at 64 bits"
+
     def test_check_reproducible_in_process(self):
         a = run(["check", "--seed", "5", "--suite", "green", "--trials", "60"])
         b = run(["check", "--seed", "5", "--suite", "green", "--trials", "60"])

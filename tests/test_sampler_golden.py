@@ -25,6 +25,8 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
+    rand_wide_mat,
+    rand_wide_rational,
     rng_for,
 )
 
@@ -39,6 +41,8 @@ SAMPLERS = {
     "rand_idempotent_rank1": rand_idempotent_rank1,
     "rand_nilpotent": rand_nilpotent,
     "rand_singular_with_trace(lam=3/2)": lambda rng: rand_singular_with_trace(rng, Rational(3, 2)),
+    "rand_wide_rational": rand_wide_rational,
+    "rand_wide_mat": rand_wide_mat,
 }
 CASES = dict(line.split(" → ") for line in GOLDEN.read_text(encoding="utf-8").splitlines())
 

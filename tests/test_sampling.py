@@ -1,15 +1,21 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from greenquadrics.checks import _BELL_LEVELS
 from greenquadrics.mat2 import Mat2
 from greenquadrics.sampling import (
+    CERTIFICATE_VALUES,
     Stream,
+    _wide_parts,
+    grid_matrices,
     rand_mat,
     rand_nonzero_rational,
     rand_singular_with_trace,
+    rand_wide_mat,
+    rand_wide_rational,
     rng_for,
     uniform_rows,
 )
@@ -158,3 +164,43 @@ def test_uniform_rows_are_the_per_index_stream_draws(seed, start, bounds):
 
 def test_uniform_rows_of_no_indices_is_empty():
     assert list(uniform_rows(5, 0, 0, ((-3.0, 3.0),))) == []
+
+
+def test_wide_parts_have_exact_widths_and_both_signs():
+    parts = [_wide_parts(rng_for(19, i)) for i in range(300)]
+    assert all(abs(n).bit_length() == 64 and d.bit_length() == 64 for n, d in parts)
+    assert {n > 0 for n, _ in parts} == {True, False}
+
+
+def test_wide_parts_take_one_getrandbits_per_integer():
+    rng, twin = rng_for(23, 4), rng_for(23, 4)
+    n, d = _wide_parts(rng)
+    raw_n, raw_d = twin.getrandbits(64), twin.getrandbits(64)
+    top = 1 << 63
+    assert abs(n) == raw_n | top and (n > 0) == bool(raw_n & top) and d == raw_d | top
+    assert rng.getrandbits(64) == twin.getrandbits(64)
+
+
+def test_wide_draws_replay_from_seed_and_index():
+    def draws(seed, i):
+        rng = rng_for(seed, i)
+        return rand_wide_mat(rng), rand_wide_rational(rng)
+
+    alone = draws(42, 7)
+    for j in (0, 6, 8):
+        draws(42, j)
+    assert draws(42, 7) == alone
+    assert draws(42, 8) != alone and draws(43, 7) != alone
+    # the matrix is the four rationals of the same draws, row-major
+    rng = rng_for(42, 7)
+    assert alone[0] == Mat2(*(Fraction(*_wide_parts(rng)) for _ in range(4)))
+
+
+@pytest.mark.parametrize("degree,count", [(1, 1), (1, 2), (2, 1)])
+def test_certificate_grids_are_complete_and_mix_denominators(degree, count):
+    values = CERTIFICATE_VALUES[degree]
+    assert len(values) == degree + 1
+    assert len({v.denominator for v in values}) == len(values) and min(values) < 0 < max(values)
+    points = list(product(grid_matrices(values), repeat=count))
+    assert len(points) == len(set(points)) == len(values) ** (4 * count)
+    assert all(len(p) == count and set(x for m in p for x in m.entries) <= set(values) for p in points)
