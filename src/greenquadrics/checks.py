@@ -15,29 +15,45 @@ point of an exhaustive grid; a redraw inside a trial is not a trial.  The
 cases draw from the streams `_streams` keys by (seed, index); the
 predicates draw nothing.
 
-Five checks test a polynomial identity, and they certify it on a grid
-instead of sampling it: Cayley-Hamilton, det(ab) = det a det b with
-tr(ab) = tr(ba), inner = trace form, the restriction identity and the
-invertible half of the frame identity (`bell_residual(x) == -2 det x`).
-By the Combinatorial Nullstellensatz (Alon, Combin. Probab. Comput. 8,
-1999), a polynomial of degree at most t_i in each variable x_i that
-vanishes on a grid S_1 x ... x S_n with |S_i| > t_i is zero.  Each of these
-checks runs such a grid in full (`sampling.CERTIFICATE_VALUES`: 3 values
-per variable of degree 2, 2 per variable of degree 1), then a seeded tail
-of `trials` draws with 64-bit numerators and denominators, which a fault
-of low degree d escapes with probability of order d / 2**63 per draw
-(Schwartz, J. ACM 27(4), 1980; DeMillo & Lipton, Inf. Process. Lett.
-7(4), 1978).  The certificate covers the formula the code evaluates on
-the grid, not the code: the code clears denominators, takes gcds and
-branches, so the grid values have distinct denominators and both signs to
-run those paths, and the tail covers what a grid cannot see.  The chart
-of `restrict_quadric` has constant term 0 on every hyperplane, so the
-restriction identity is certified in a second chart of each plane too,
-recentred off det = 0, where the constant term is not 0.  The checks
-with rank branches (the two orders, membership, the idempotent and
-nilpotent characterizations) stay sampled.  The predicates of the
-certified checks are module-level (`cayley_hamilton_holds` and the four
-after it), and the tier-1 tests call them on their own inputs.
+Eight checks test polynomial identities, and they certify them on a grid
+instead of sampling them.  The degree in each variable sets the grid:
+
+- Cayley-Hamilton: degree 2 in each entry of a, 3^4 = 81 points;
+- det(ab) = det a det b with tr(ab) = tr(ba), and inner = trace form:
+  degree 1 in each of the 8 entries of the pair, 2^8 = 256 points each;
+- the invertible half of the frame identity (`bell_residual(x) ==
+  -2 det x`): degree 2 in each entry, 81 points;
+- the frame round trip: degree 1 in lam and in each entry of x, 2^5 = 32;
+- the Q(sqrt 2) field axioms: degree 2 in each rational part of p (the
+  inverse, once the norm of p is cleared) and 1 in each part of q and r,
+  3^2 x 2^4 = 144 points;
+- the restriction identity: degree 2 in each chart coordinate, 3^3 = 27
+  points in each of two charts of each sampled hyperplane;
+- the inverse-set chart (a x a = a, x a x = x, tr(a x) = 1, det x = 0 and
+  reading s and t back, at x = (d0 + s d1)(q0 + t q1)^T): degree 2 in s and
+  in t, 3^2 = 9 points per sampled rank-1 a.
+
+The last two certify every chart point of each sampled hyperplane or a,
+not every hyperplane or a: those stay sampled.  By the Combinatorial
+Nullstellensatz (Alon, Combin. Probab. Comput. 8, 1999), a polynomial of
+degree at most t_i in each variable x_i that vanishes on a grid
+S_1 x ... x S_n with |S_i| > t_i is zero.  Each check runs such a grid in
+full (`sampling.CERTIFICATE_VALUES`: 3 values per variable of degree 2, 2
+per variable of degree 1), then a seeded tail of draws with 64-bit
+numerators and denominators, which a fault of low degree d escapes with
+probability of order d / 2**63 per draw (Schwartz, J. ACM 27(4), 1980;
+DeMillo & Lipton, Inf. Process. Lett. 7(4), 1978).  `_certified` builds
+the grid and the tail of all eight.  The certificate covers the formula
+the code evaluates on the grid, not the code: the code clears
+denominators, takes gcds and branches, so the grid values have distinct
+denominators and both signs to run those paths, and the tail covers what
+a grid cannot see.  The chart of `restrict_quadric` has constant term 0 on
+every hyperplane, so the restriction identity is certified in a second
+chart of each plane too, recentred off det = 0, where the constant term
+is not 0.  The checks with rank branches (the two orders, membership, the
+idempotent and nilpotent characterizations) stay sampled.  Seven of the
+predicates are module-level (`cayley_hamilton_holds` and the six after it
+in `__all__`), and the tier-1 tests call them on their own inputs.
 
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
@@ -47,8 +63,8 @@ compared with an independent one (`is_inverse_pair`, the idempotent test).
 from __future__ import annotations
 
 from functools import partial
-from itertools import chain, product
-from math import gcd
+from itertools import chain, product, repeat
+from math import gcd, prod
 from typing import NamedTuple
 
 from greenquadrics import green, quadrics
@@ -112,8 +128,10 @@ __all__ = [
     "cayley_hamilton_holds",
     "det_trace_laws_hold",
     "inner_is_trace_form",
+    "quadext_field_holds",
     "restriction_holds",
     "frame_residual_holds",
+    "frame_roundtrip_holds",
 ]
 
 _HALF = Rational(1, 2)
@@ -156,16 +174,21 @@ def _streams(seed, trials, first=0):
     return ((i, rng_for(seed, first + i)) for i in range(trials))
 
 
+def _seeded(seed, trials, first=0):
+    """The streams of `_streams`, without their indices."""
+    return (rng for _, rng in _streams(seed, trials, first))
+
+
 def _draws(seed, trials, *samplers, first=0):
     """One case per trial: each sampler's value, drawn in order from the trial's stream."""
-    return (tuple(draw(rng) for draw in samplers) for _, rng in _streams(seed, trials, first))
+    return (tuple(draw(rng) for draw in samplers) for rng in _seeded(seed, trials, first))
 
 
 def _tally(suite, name, cases, holds, extra="", certified=0) -> CheckResult:
     """The one trial counter: one count per case, one failure per case at
     most.  A check that ran no case fails; a failing one names the index of
-    its first failing case.  A certified check's cases start with its
-    `certified` grid points."""
+    its first failing case.  `certified` is the number of those cases that
+    are points of a certificate's grid."""
     total = failures = 0
     first = None
     for case in cases:
@@ -182,11 +205,43 @@ def _tally(suite, name, cases, holds, extra="", certified=0) -> CheckResult:
     return CheckResult(suite, name, failures == 0 and total > 0, detail, certified)
 
 
-def _certificate(points, wide) -> str:
+def _note(points, wide) -> str:
     return f"{points} grid points certify the identity, {wide} sampled at 64 bits"
 
 
-# a chart parameter (s or t) of the inverse-set and generator-line checks
+def _scalar(degree):
+    """A rational variable of an identity of `degree` in it: its grid values
+    and its 64-bit sampler."""
+    return CERTIFICATE_VALUES[degree], rand_wide_rational
+
+
+def _matrix(degree):
+    """A matrix variable of an identity of `degree` in each entry: every
+    matrix on its grid values, and its 64-bit sampler."""
+    return tuple(grid_matrices(CERTIFICATE_VALUES[degree])), rand_wide_mat
+
+
+def _grid_size(variables) -> int:
+    return prod(len(values) for values, _ in variables)
+
+
+def _certified(variables, rngs):
+    """The cases of a certificate: every point of the grid of `variables`
+    (one value per variable), then one 64-bit point drawn from each stream
+    of `rngs`."""
+    grid = product(*(values for values, _ in variables))
+    tail = (tuple(draw(rng) for _, draw in variables) for rng in rngs)
+    return chain(grid, tail)
+
+
+def _identity_check(suite, name, holds, variables, seed, trials):
+    """A certificate with one 64-bit point per trial, each from the trial's stream."""
+    points = _grid_size(variables)
+    cases = _certified(variables, _seeded(seed, trials))
+    return _tally(suite, name, cases, holds, _note(points, trials), points)
+
+
+# a chart parameter (s or t) of the injectivity and generator-line checks
 _chart_coord = partial(rand_rational, span=6, max_den=4)
 
 
@@ -202,16 +257,24 @@ def check_rational_canonical(seed, trials=2000):
     return _tally("exact", "rational_canonical_form", cases, holds)
 
 
-def check_quadext_field(seed, trials=2000):
-    def holds(p, q, r):
-        if (p * q) * r != p * (q * r) or p * (q + r) != p * q + p * r:
-            return False
-        return not p or p * p.inverse() == QuadExt(1)
+def quadext_field_holds(p, q, r) -> bool:
+    """(pq)r = p(qr), p(q + r) = pq + pr and p p^-1 = 1 for p != 0: degree
+    at most 2 in each rational part of p (p p^-1 = 1 once the norm of p is
+    cleared) and 1 in each part of q and r."""
+    if (p * q) * r != p * (q * r) or p * (q + r) != p * q + p * r:
+        return False
+    return not p or p * p.inverse() == QuadExt(1)
 
-    def quadext(rng):
-        return QuadExt(rand_rational(rng), rand_rational(rng))
 
-    return _tally("exact", "quadext_field_axioms", _draws(seed, trials, quadext, quadext, quadext), holds)
+def check_quadext_field(seed, trials=_TAIL):
+    """The parts of p on the degree-2 values, those of q and r on the
+    degree-1 values: 9 x 16 grid points, then `trials` 64-bit triples."""
+    variables = (_scalar(2),) * 2 + (_scalar(1),) * 4
+
+    def holds(a, b, c, d, e, f):
+        return quadext_field_holds(QuadExt(a, b), QuadExt(c, d), QuadExt(e, f))
+
+    return _identity_check("exact", "quadext_field_axioms", holds, variables, seed, trials)
 
 
 def _root2_sign(a, b) -> int:
@@ -259,26 +322,18 @@ def inner_is_trace_form(x, y) -> bool:
     return inner(x, y) == (x.transpose() @ y).trace()
 
 
-def _certified(suite, name, holds, degree, count, seed, trials):
-    """An identity of `degree` in each entry of its `count` matrices: its
-    certificate grid in full, then `trials` draws at 64 bits."""
-    values = CERTIFICATE_VALUES[degree]
-    points = len(values) ** (4 * count)
-    grid = product(grid_matrices(values), repeat=count)
-    wide = _draws(seed, trials, *(rand_wide_mat,) * count)
-    return _tally(suite, name, chain(grid, wide), holds, _certificate(points, trials), points)
-
-
 def check_cayley_hamilton(seed, trials=_TAIL):
-    return _certified("core", "cayley_hamilton", cayley_hamilton_holds, 2, 1, seed, trials)
+    return _identity_check("core", "cayley_hamilton", cayley_hamilton_holds, (_matrix(2),), seed, trials)
 
 
 def check_det_trace_laws(seed, trials=_TAIL):
-    return _certified("core", "det_multiplicative_trace_commutes", det_trace_laws_hold, 1, 2, seed, trials)
+    variables = (_matrix(1),) * 2
+    return _identity_check("core", "det_multiplicative_trace_commutes", det_trace_laws_hold, variables, seed, trials)
 
 
 def check_inner_vs_trace(seed, trials=_TAIL):
-    return _certified("core", "inner_product_equals_trace_form", inner_is_trace_form, 1, 2, seed, trials)
+    variables = (_matrix(1),) * 2
+    return _identity_check("core", "inner_product_equals_trace_form", inner_is_trace_form, variables, seed, trials)
 
 
 def check_traceless_singular_squares_to_zero(seed, trials=2000):
@@ -374,7 +429,12 @@ def check_nilpotent_characterization(seed, trials=10000):
     return _tally("sets", "nilpotent_iff_trace0_det0", _grid_then_draws(seed, trials), holds)
 
 
-def check_inverse_set_theorem(seed, trials=500, points_per=20):
+def check_inverse_set_theorem(seed, trials=500, points_per=1):
+    """`trials` sampled rank-1 a.  Each test of a chart point has degree at
+    most 2 in s and in t, so per a the 3 x 3 (s, t) grid certifies it for
+    every (s, t); then `points_per` 64-bit points from the stream of a."""
+    variables = (_scalar(2),) * 2
+
     def cases():
         for _, rng in _streams(seed, trials):
             a = rand_rank1(rng)
@@ -384,14 +444,16 @@ def check_inverse_set_theorem(seed, trials=500, points_per=20):
             # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
             # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
             read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
-            for _ in range(points_per):
-                yield a, chart, read_s, read_t, _chart_coord(rng), _chart_coord(rng)
+            for s, t in _certified(variables, repeat(rng, points_per)):
+                yield a, chart, read_s, read_t, s, t
 
     def holds(a, chart, read_s, read_t, s, t):
         x = chart_eval(chart, s, t)
         return is_inverse_pair(a, x) and inverse_membership(a, x) and inner(x, read_s) == s and inner(x, read_t) == t
 
-    return _tally("sets", "chart_points_are_inverses", cases(), holds)
+    points = _grid_size(variables) * trials
+    note = f"{_note(points, points_per * trials)}; the grid covers every (s, t) of each of {trials} sampled a"
+    return _tally("sets", "chart_points_are_inverses", cases(), holds, note, points)
 
 
 _MEMBERSHIP_CAP = 200
@@ -532,24 +594,25 @@ def check_bell_identity(seed, trials=1000):
             return frame_residual_holds(x)
         return x.trace() == lam and bell_residual(x) == 0
 
-    values, sampled, tail = CERTIFICATE_VALUES[2], len(_BELL_LEVELS) * trials, min(trials, _TAIL)
-    points = len(values) ** 4
-    grid = product(grid_matrices(values), repeat=1)
-    wide = _draws(seed, tail, rand_wide_mat, first=sampled)
-    note = f"{_certificate(points, tail)}, {sampled} at the default width"
-    return _tally("sections", "frame_identity_exact", chain(grid, wide, singular()), holds, note, points)
+    variables, sampled, tail = (_matrix(2),), len(_BELL_LEVELS) * trials, min(trials, _TAIL)
+    points = _grid_size(variables)
+    cases = chain(_certified(variables, _seeded(seed, tail, sampled)), singular())
+    note = f"{_note(points, tail)}, {sampled} at the default width"
+    return _tally("sections", "frame_identity_exact", cases, holds, note, points)
 
 
-def check_bell_roundtrip(seed, trials=1000):
-    def holds(lam, x):
-        # project onto the hyperplane trace = lam
-        x = x + IDENTITY * ((lam - x.trace()) * _HALF)
-        p = to_bell(x, lam)
-        back = from_bell(p)
-        return back.is_rational() and back.to_mat2() == x and to_bell(back, lam) == p
+def frame_roundtrip_holds(lam, x) -> bool:
+    """x projected onto trace = lam goes to the frame and back unchanged, and
+    so does its frame point: degree 1 in lam and in each entry of x."""
+    x = x + IDENTITY * ((lam - x.trace()) * _HALF)
+    p = to_bell(x, lam)
+    back = from_bell(p)
+    return back.is_rational() and back.to_mat2() == x and to_bell(back, lam) == p
 
-    cases = _draws(seed, trials, partial(rand_rational, span=4, max_den=3), partial(rand_mat, span=4, max_den=3))
-    return _tally("sections", "frame_roundtrip_exact", cases, holds)
+
+def check_bell_roundtrip(seed, trials=_TAIL):
+    variables = (_scalar(1), _matrix(1))
+    return _identity_check("sections", "frame_roundtrip_exact", frame_roundtrip_holds, variables, seed, trials)
 
 
 def _random_hyperplane(rng, stratum) -> Hyperplane:
@@ -597,17 +660,16 @@ def check_restriction_identity(seed, trials=100, points_per=2):
     `points_per` 64-bit points drawn from the plane's stream.  The same basis
     recentred at the first grid point off det = 0 has a nonzero constant
     term, so its 27-point grid certifies that term too."""
-    grid = tuple(product(CERTIFICATE_VALUES[2], repeat=3))
+    variables = (_scalar(2),) * 3
+    grid = tuple(_certified(variables, ()))
 
     def cases():
         for i, rng in _streams(seed, trials):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
             pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
-            for t in grid:
+            for t in _certified(variables, repeat(rng, points_per)):
                 yield aq, pivot, t
-            for _ in range(points_per):
-                yield aq, pivot, [rand_wide_rational(rng) for _ in range(3)]
             # det vanishes on no hyperplane, so by the certificate it is
             # nonzero at some point of the grid
             origin = next(x for x in map(aq.point, grid) if x.det())
@@ -616,7 +678,7 @@ def check_restriction_identity(seed, trials=100, points_per=2):
                 yield recentred, pivot, t
 
     points = 2 * len(grid) * trials
-    note = f"{_certificate(points, points_per * trials)}; two charts per plane, one with a nonzero constant term"
+    note = f"{_note(points, points_per * trials)}; two charts per plane, one with a nonzero constant term"
     return _tally("sections", "restriction_identity", cases(), restriction_holds, note, points)
 
 
@@ -743,9 +805,10 @@ def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[Ch
 
     `trials` overrides each check's default randomized-trial count: for
     a certified check, its 64-bit tail (its hyperplanes for
-    `restriction_identity`).  Exhaustive grids and certificate grids always
-    run in full.  A check that runs no trials at all is reported as a
-    failure, never as a vacuous pass.
+    `restriction_identity`, its sampled a for `chart_points_are_inverses`).
+    Exhaustive grids and certificate grids always run in full.  A check
+    that runs no case at all is reported as a failure, never as a vacuous
+    pass.
     """
     names = available_suites() if not suites else list(suites)
     results = []

@@ -33,10 +33,14 @@ def test_results_render_deterministically():
 
 
 def test_zero_trials_is_not_a_pass():
+    # a certificate's grid runs in full at any trial count; a sampled check runs nothing
     results = checks.run_checks(["exact"], seed=0, trials=0)
-    assert results
+    assert any(not r.certified for r in results)
     for r in results:
-        assert not r.ok and r.detail == "0/0 trials ok", r.line()
+        if r.certified:
+            assert r.ok and r.detail.startswith(f"{r.certified}/{r.certified} trials ok;"), r.line()
+        else:
+            assert not r.ok and r.detail == "0/0 trials ok", r.line()
 
 
 def test_membership_cap_is_reported():
@@ -151,7 +155,8 @@ def test_chart_check_counts_each_point_once(monkeypatch):
     chart_eval = checks.chart_eval
     monkeypatch.setattr(checks, "chart_eval", lambda chart, s, t: chart_eval(chart, s, t) * 2)
     r = checks.check_inverse_set_theorem(42, trials=20)
-    assert r.detail == "0/400 trials ok; first failure at case 0", r.line()
+    note = "180 grid points certify the identity, 20 sampled at 64 bits; the grid covers every (s, t) of each of 20 sampled a"
+    assert r.detail == f"0/200 trials ok; {note}; first failure at case 0", r.line()
 
 
 def test_line_check_counts_each_trial_once(monkeypatch):
@@ -296,6 +301,35 @@ def test_frame_check_sees_a_dropped_half(monkeypatch):
     monkeypatch.setattr(checks, "bell_residual", _mutant(sections.bell_residual, "2 * x._d * x._d", "x._d * x._d"))
     r = checks.check_bell_identity(42)
     assert r.ok is False, r.line()
+
+
+def test_quadext_check_sees_a_sum_over_one_denominator(monkeypatch):
+    # a sum over d1 instead of d1 d2 is right whenever d2 = 1
+    monkeypatch.setattr(QuadExt, "__add__", _mutant(QuadExt.__add__, "o._q * d1, d1 * d2)", "o._q * d1, d1)"))
+    r = checks.check_quadext_field(42)
+    assert r.ok is False, r.line()
+
+
+def test_frame_roundtrip_check_sees_a_swapped_coordinate(monkeypatch):
+    # Y from x2 - x3 is still rational, and right whenever x3 = 0
+    monkeypatch.setattr(checks, "to_bell", _mutant(sections.to_bell, "Y=_quadext(0, n2 + n3", "Y=_quadext(0, n2 - n3"))
+    r = checks.check_bell_roundtrip(42)
+    assert r.ok is False, r.line()
+
+
+def test_chart_check_sees_one_denominator_twice(monkeypatch):
+    # s's denominator in place of t's: right whenever the two are equal, as
+    # on the diagonal of the grid
+    monkeypatch.setattr(checks, "chart_eval", _mutant(semigroup.chart_eval, "f * td)", "f * sd)"))
+    r = checks.check_inverse_set_theorem(42)
+    assert r.ok is False, r.line()
+
+
+def test_newly_certified_checks_pass_across_seeds():
+    for seed in range(6):
+        for check in (checks.check_quadext_field, checks.check_inverse_set_theorem, checks.check_bell_roundtrip):
+            r = check(seed)
+            assert r.ok and r.certified, r.line()
 
 
 def test_a_fail_line_names_its_first_failing_case(monkeypatch):

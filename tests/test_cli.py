@@ -199,9 +199,17 @@ class TestCheckAndExportCli:
         assert payload["passed"] == payload["total"] == 3
 
     def test_check_json_counts_certified_points(self):
-        payload = run_json(["check", "--seed", "1", "--suite", "core", "--trials", "5"])
-        assert [r["certified"] for r in payload["results"]] == [81, 256, 256, 0]
-        assert payload["results"][0]["detail"] == "86/86 trials ok; 81 grid points certify the identity, 5 sampled at 64 bits"
+        # per suite: each result's grid points, and which result's line to read
+        for suite, certified, first in [
+            ("exact", [0, 144, 0], 1),
+            ("core", [81, 256, 256, 0], 0),
+            ("sections", [81, 32, 0, 270, 0, 0, 0, 0], 1),
+        ]:
+            payload = run_json(["check", "--seed", "1", "--suite", suite, "--trials", "5"])
+            assert [r["certified"] for r in payload["results"]] == certified, suite
+            points = certified[first]
+            detail = f"{points + 5}/{points + 5} trials ok; {points} grid points certify the identity, 5 sampled at 64 bits"
+            assert payload["results"][first]["detail"] == detail
 
     def test_check_reproducible_in_process(self):
         a = run(["check", "--seed", "5", "--suite", "green", "--trials", "60"])
