@@ -51,8 +51,8 @@ a grid cannot see.  The chart of `restrict_quadric` has constant term 0 on
 every hyperplane, so the restriction identity is certified in a second
 chart of each plane too, recentred off det = 0, where the constant term
 is not 0.  The checks with rank branches (the two orders, membership, the
-idempotent and nilpotent characterizations) stay sampled.  Seven of the
-predicates are module-level (`cayley_hamilton_holds` and the six after it
+idempotent and nilpotent characterizations) stay sampled.  Ten of the
+predicates are module-level (`cayley_hamilton_holds` and the nine after it
 in `__all__`), and the tier-1 tests call them on their own inputs.
 
 Membership in an inverse set or a hyperplane section is always decided by
@@ -90,10 +90,10 @@ from greenquadrics.sampling import (
     rng_for,
 )
 from greenquadrics.sections import (
-    AffineQuadric3,
     Hyperplane,
     SectionClass,
     bell_residual,
+    chart_pivot,
     classify_affine_quadric,
     classify_section,
     from_bell,
@@ -102,7 +102,6 @@ from greenquadrics.sections import (
     restrict_quadric,
     section_membership,
     to_bell,
-    trace_functional,
 )
 from greenquadrics.semigroup import (
     chart_eval,
@@ -132,6 +131,9 @@ __all__ = [
     "restriction_holds",
     "frame_residual_holds",
     "frame_roundtrip_holds",
+    "idempotent_characterization_holds",
+    "nilpotent_characterization_holds",
+    "nilpotent_cone_holds",
 ]
 
 _HALF = Rational(1, 2)
@@ -415,18 +417,24 @@ def _grid_then_draws(seed, trials):
     return chain(grid, _draws(seed, trials, partial(rand_mat, span=4, max_den=4)))
 
 
-def check_rank1_idempotent_characterization(seed, trials=10000):
-    def holds(x):
-        return (is_idempotent(x) and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
+def idempotent_characterization_holds(x) -> bool:
+    """x is a rank-1 idempotent exactly when tr x = 1 and det x = 0."""
+    return (is_idempotent(x) and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
 
-    return _tally("sets", "rank1_idempotent_iff_trace1_det0", _grid_then_draws(seed, trials), holds)
+
+def nilpotent_characterization_holds(x) -> bool:
+    """x is nilpotent exactly when tr x = 0 and det x = 0."""
+    return is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
+
+
+def check_rank1_idempotent_characterization(seed, trials=10000):
+    cases = _grid_then_draws(seed, trials)
+    return _tally("sets", "rank1_idempotent_iff_trace1_det0", cases, idempotent_characterization_holds)
 
 
 def check_nilpotent_characterization(seed, trials=10000):
-    def holds(x):
-        return is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
-
-    return _tally("sets", "nilpotent_iff_trace0_det0", _grid_then_draws(seed, trials), holds)
+    cases = _grid_then_draws(seed, trials)
+    return _tally("sets", "nilpotent_iff_trace0_det0", cases, nilpotent_characterization_holds)
 
 
 def check_inverse_set_theorem(seed, trials=500, points_per=1):
@@ -541,11 +549,14 @@ def check_natural_order_equivalence(seed, trials=10000):
     return _tally("sets", "natural_order_equals_minus_order", cases, holds)
 
 
-def check_nilpotent_cone_identity(seed, trials=2000):
-    def holds(x):
-        return (x.x2 - x.x3) ** 2 == x.norm_sq()
+def nilpotent_cone_holds(x) -> bool:
+    """(x2 - x3)^2 = |x|^2 for nilpotent x: the 45-degree cone."""
+    return (x.x2 - x.x3) ** 2 == x.norm_sq()
 
-    return _tally("sets", "nilpotent_cone_45_degree_identity", _draws(seed, trials, rand_nilpotent), holds)
+
+def check_nilpotent_cone_identity(seed, trials=2000):
+    cases = _draws(seed, trials, rand_nilpotent)
+    return _tally("sets", "nilpotent_cone_45_degree_identity", cases, nilpotent_cone_holds)
 
 
 def check_order_section_reports(seed, trials=10, per_report=200):
@@ -667,13 +678,13 @@ def check_restriction_identity(seed, trials=100, points_per=2):
         for i, rng in _streams(seed, trials):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
-            pivot = next(k for k, w in enumerate(trace_functional(h.a)) if w)
+            pivot = chart_pivot(h.a)
             for t in _certified(variables, repeat(rng, points_per)):
                 yield aq, pivot, t
             # det vanishes on no hyperplane, so by the certificate it is
             # nonzero at some point of the grid
             origin = next(x for x in map(aq.point, grid) if x.det())
-            recentred = AffineQuadric3(*quadric_on_chart(origin, aq.basis), origin, aq.basis)
+            recentred = quadric_on_chart(origin, aq.basis)
             for t in grid:
                 yield recentred, pivot, t
 
@@ -706,8 +717,8 @@ def check_affine_invariance(seed, trials=200):
         new_basis = tuple(
             aq.basis[0] * T[0][j] + aq.basis[1] * T[1][j] + aq.basis[2] * T[2][j] for j in range(3)
         )
-        Q, b, c = quadric_on_chart(aq.point(shift), new_basis)
-        return base_class == table_class and quadrics.classify_quadric(Q, b, c) == base_class
+        recharted = quadric_on_chart(aq.point(shift), new_basis)
+        return base_class == table_class and classify_affine_quadric(recharted) == base_class
 
     return _tally("sections", "affine_invariance_of_class", cases(), holds)
 

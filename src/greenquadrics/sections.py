@@ -15,9 +15,10 @@ Z) straight from the ints, and `bell_residual` evaluates the frame's four
 squares on the ints with one gcd.
 
 `restrict_quadric` charts the hyperplane and restricts det to it on the
-ints of `a` and lam, and `AffineQuadric3` stores that integer content: the
-polynomial over one positive multiplier and the chart over one
-denominator.  `classify_affine_quadric` hands the polynomial's content
+ints of `a` and lam, `quadric_on_chart` expands det on any other chart by
+polarization of its ints, and `AffineQuadric3` stores that integer
+content: the polynomial over one positive multiplier and the chart over
+one denominator.  `classify_affine_quadric` hands the polynomial's content
 to `quadrics.classify_content`; `evaluate` and `point` clear the chart
 coordinates t to one denominator and run on the same ints.
 The public `Q`, `b`, `c`, `origin` and `basis` are built as `Fraction`s
@@ -40,7 +41,7 @@ from greenquadrics.errors import (
 )
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, _canon, det_polar, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, outer
 from greenquadrics.quadrics import QuadricClass, classify_content
 
 __all__ = [
@@ -53,10 +54,10 @@ __all__ = [
     "membership",
     "section_membership",
     "normalize",
-    "trace_functional",
     "to_bell",
     "from_bell",
     "bell_residual",
+    "chart_pivot",
     "quadric_on_chart",
     "restrict_quadric",
     "classify_affine_quadric",
@@ -95,12 +96,6 @@ class Hyperplane:
 
     def __repr__(self):
         return f"Hyperplane(a={self.a!r}, lam={self.lam!r})"
-
-
-def trace_functional(a: Mat2) -> tuple[Rational, Rational, Rational, Rational]:
-    """Coefficients w with tr(a x) = w . (x1, x2, x3, x4)."""
-    e = a.entries
-    return (e[0], e[2], e[1], e[3])
 
 
 def membership(h: Hyperplane, x: Mat2) -> bool:
@@ -211,41 +206,21 @@ class AffineQuadric3:
     """det restricted to a rational chart of a hyperplane: the polynomial
     t^T Q t + b^T t + c together with the chart (origin, basis).
 
-    The quadric is stored as integer content: `_poly` = (M, C, B, S), the
-    polynomial times M > 0 (c = C/M, b_i = B_i/M, and S holds Q_ii and
-    Q_ij + Q_ji, i < j, each over M, in the order 11 22 33 12 13 23), and
-    `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L (three
+    The quadric is its integer content, and it is built only from that
+    content (`restrict_quadric`, `quadric_on_chart`): `_poly` = (M, C, B,
+    S), the polynomial times M > 0 (c = C/M, b_i = B_i/M, and S holds Q_ii
+    and Q_ij + Q_ji, i < j, each over M, in the order 11 22 33 12 13 23),
+    and `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L (three
     vectors spanning {v : tr(a v) = 0}).  The public `Q`, `b`, `c`,
-    `origin` and `basis` are built from it on first read; classification,
-    `evaluate` and `point` never need them.  Built by hand, the quadric
-    keeps the given fields and clears them to the same content once.
+    `origin` and `basis` are built from it on first read and kept;
+    classification, `evaluate` and `point` never need them.
     """
 
     __slots__ = ("_poly", "_chart", "_Q", "_b", "_c", "_origin", "_basis")
 
-    def __init__(self, Q, b, c, origin: Mat2, basis):
-        self._Q, self._b, self._c = Q, b, c
-        self._origin, self._basis = origin, basis
-        coeffs = (
-            c, *b,
-            Q[0][0], Q[1][1], Q[2][2],
-            Q[0][1] + Q[1][0], Q[0][2] + Q[2][0], Q[1][2] + Q[2][1],
-        )
-        parts = [_parts(v) for v in coeffs]
-        m = lcm(*(den for _, den in parts))
-        ints = [num * (m // den) for num, den in parts]
-        self._poly = (m, ints[0], tuple(ints[1:4]), tuple(ints[4:]))
-        mats = (origin, *basis)
-        el = lcm(*(v._d for v in mats))
-        o, *vs = [tuple(v * (el // mat._d) for v in mat._n) for mat in mats]
-        self._chart = (el, o, tuple(vs))
-
-    @classmethod
-    def _from_content(cls, poly: tuple, chart: tuple) -> "AffineQuadric3":
-        aq = object.__new__(cls)
-        aq._poly, aq._chart = poly, chart
-        aq._Q = aq._b = aq._c = aq._origin = aq._basis = None
-        return aq
+    def __init__(self, poly: tuple, chart: tuple):
+        self._poly, self._chart = poly, chart
+        self._Q = self._b = self._c = self._origin = self._basis = None
 
     @property
     def Q(self) -> tuple:
@@ -321,18 +296,42 @@ def _clear(t) -> tuple[int, int, int, int]:
     return u1 * (dd // e1), u2 * (dd // e2), u3 * (dd // e3), dd
 
 
-def quadric_on_chart(origin: Mat2, basis) -> tuple[tuple, tuple, Rational]:
-    """Expand det(origin + sum t_i basis_i) into (Q, b, c) by polarization."""
-    c = origin.det()
-    b = tuple(det_polar(origin, v) for v in basis)
-    Q = tuple(
-        tuple(
-            basis[i].det() if i == j else det_polar(basis[i], basis[j]) * _HALF
-            for j in range(3)
-        )
-        for i in range(3)
-    )
-    return Q, b, c
+def _det(x) -> int:
+    return x[0] * x[3] - x[1] * x[2]
+
+
+def _polar(x, y) -> int:
+    """det(x + y) - det x - det y of two integer 4-vectors."""
+    return x[0] * y[3] + y[0] * x[3] - x[1] * y[2] - y[1] * x[2]
+
+
+def quadric_on_chart(origin: Mat2, basis) -> AffineQuadric3:
+    """det restricted to the chart origin + sum t_i basis_i, on its content.
+
+    Over L = lcm of the denominators, origin = O / L and basis_i = B_i / L,
+    and L^2 det = det O + sum_i t_i polar(O, B_i) + sum_i t_i^2 det B_i +
+    sum_{i<j} t_i t_j polar(B_i, B_j): the polynomial over M = L^2.
+    """
+    mats = (origin, *basis)
+    el = lcm(*(m._d for m in mats))
+    o, b1, b2, b3 = (tuple(v * (el // m._d) for v in m._n) for m in mats)
+    s = (_det(b1), _det(b2), _det(b3), _polar(b1, b2), _polar(b1, b3), _polar(b2, b3))
+    poly = (el * el, _det(o), (_polar(o, b1), _polar(o, b2), _polar(o, b3)), s)
+    return AffineQuadric3(poly, (el, o, (b1, b2, b3)))
+
+
+def chart_pivot(a: Mat2) -> int:
+    """The coordinate a chart of {x : tr(a x) = lam} solves for.
+
+    With a = n / d, tr(a x) = (W . x) / d for W = (n1, n3, n2, n4); the
+    pivot is the index of the first nonzero W_p, and the chart coordinates
+    are the other three entries of x.
+    """
+    n1, n2, n3, n4 = a._n
+    for p, w in enumerate((n1, n3, n2, n4)):
+        if w:
+            return p
+    raise ZeroCoefficientError("zero coefficient matrix has no hyperplane chart")
 
 
 # position pairs of det x = x1 x4 - x2 x3, entries row-major from 0
@@ -356,9 +355,7 @@ def restrict_quadric(h: Hyperplane) -> AffineQuadric3:
     """
     n1, n2, n3, n4 = h.a._n
     w = (n1, n3, n2, n4)
-    p = next((i for i in range(4) if w[i]), None)
-    if p is None:
-        raise ZeroCoefficientError("zero coefficient matrix has no hyperplane chart")
+    p = chart_pivot(h.a)
     ln, ld = _parts(h.lam)
     sp = 1 if w[p] > 0 else -1
     el = ld * w[p] * sp
@@ -380,7 +377,7 @@ def restrict_quadric(h: Hyperplane) -> AffineQuadric3:
     for k in range(3):
         s[_S_INDEX[kq][k]] = sigma * basis[k][p]
     s[_S_INDEX[kr][ks]] = -sigma * el
-    return AffineQuadric3._from_content((el, 0, tuple(b), tuple(s)), (el, tuple(origin), tuple(basis)))
+    return AffineQuadric3((el, 0, tuple(b), tuple(s)), (el, tuple(origin), tuple(basis)))
 
 
 def classify_affine_quadric(q: AffineQuadric3) -> QuadricClass:

@@ -125,71 +125,39 @@ def _perp(u: int, v: int) -> tuple[int, int]:
     return ProjLine(-v, u).direction
 
 
-class InverseChart:
+class InverseChart(NamedTuple):
     """Bilinear chart (s, t) -> (d0 + s d1)(q0 + t q1)^T of the inverses of `a`.
 
-    The chart is stored as integer content: `_ints` holds
+    A record of `a` and the chart's integer content: `content` is
     (D0, D1, E, d1, G0, G1, F, q1) with d0 = (D0, D1) / E and
     q0 = (G0, G1) / F; d1 and q1 are integer vectors already.  The public
-    `Fraction` vectors `d0`, `d1`, `q0`, `q1` are built from it on first
-    read; `chart_eval` never needs them.  A chart is immutable, and since
-    `a` determines it, charts are equal (and hash alike) when their `a` are.
+    `Fraction` vectors `d0`, `d1`, `q0`, `q1` are built from it on each
+    read; `chart_eval` never needs them.  Since `a` determines the content,
+    charts are equal (and hash alike) when their `a` are.
     """
 
-    __slots__ = ("a", "_ints", "_vectors")
-
-    def __init__(self, a: Mat2, ints: tuple):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "_ints", ints)
-        object.__setattr__(self, "_vectors", None)
-
-    def _fractions(self) -> tuple:
-        if self._vectors is None:
-            dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = self._ints
-            vectors = (
-                (_from_ints(dd0, e), _from_ints(dd1, e)),
-                (Rational(u0), Rational(u1)),
-                (_from_ints(g0, f), _from_ints(g1, f)),
-                (Rational(v0), Rational(v1)),
-            )
-            object.__setattr__(self, "_vectors", vectors)
-        return self._vectors
+    a: Mat2
+    content: tuple
 
     @property
     def d0(self) -> tuple[Rational, Rational]:
-        return self._fractions()[0]
+        dd0, dd1, e = self.content[:3]
+        return _from_ints(dd0, e), _from_ints(dd1, e)
 
     @property
     def d1(self) -> tuple[Rational, Rational]:
-        return self._fractions()[1]
+        u0, u1 = self.content[3]
+        return Rational(u0), Rational(u1)
 
     @property
     def q0(self) -> tuple[Rational, Rational]:
-        return self._fractions()[2]
+        g0, g1, f = self.content[4:7]
+        return _from_ints(g0, f), _from_ints(g1, f)
 
     @property
     def q1(self) -> tuple[Rational, Rational]:
-        return self._fractions()[3]
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"InverseChart is immutable: cannot assign {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"InverseChart is immutable: cannot delete {name!r}")
-
-    def __eq__(self, other):
-        if not isinstance(other, InverseChart):
-            return NotImplemented
-        return self.a == other.a
-
-    def __hash__(self):
-        return hash(self.a)
-
-    def __repr__(self):
-        return (
-            f"InverseChart(a={self.a!r}, d0={self.d0!r}, d1={self.d1!r}, "
-            f"q0={self.q0!r}, q1={self.q1!r})"
-        )
+        v0, v1 = self.content[7]
+        return Rational(v0), Rational(v1)
 
 
 def inverse_chart(a: Mat2) -> InverseChart:
@@ -209,7 +177,7 @@ def chart_eval(chart: InverseChart, s, t) -> Mat2:
     With s = sn / sd and t = tn / td, d = (D sd + E sn d1) / (E sd) and
     q = (G td + F tn q1) / (F td): the product is one `_canon` of ints.
     """
-    dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = chart._ints
+    dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = chart.content
     sn, sd = _parts(s)
     tn, td = _parts(t)
     es, ft = e * sn, f * tn

@@ -27,7 +27,7 @@ from greenquadrics.exact import Rational, _as_rational, to_float
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
 from greenquadrics.sampling import rng_for, uniform_rows
 from greenquadrics.green import class_plane
-from greenquadrics.sections import classify_section, trace_functional
+from greenquadrics.sections import chart_pivot, classify_section
 from greenquadrics.semigroup import generator_line, inverse_chart
 
 __all__ = ["SurfaceSample", "sample_surface", "write_csv", "write_obj"]
@@ -45,12 +45,11 @@ class SurfaceSample:
     consecutive points `segments()` joins.
     """
 
-    __slots__ = ("kind", "seed", "lam", "charted", "line_counts", "_rows")
+    __slots__ = ("kind", "seed", "charted", "line_counts", "_rows")
 
-    def __init__(self, kind: str, seed: int, lam: float | None, rows, *, charted=True, line_counts=()):
+    def __init__(self, kind: str, seed: int, rows, *, charted=True, line_counts=()):
         self.kind = kind
         self.seed = seed
-        self.lam = lam
         self.charted = charted
         self.line_counts = line_counts
         self._rows = rows
@@ -96,8 +95,7 @@ def _default_z_span(lam: float) -> tuple[float, float]:
 def _chart_extractor(a: Mat2):
     """Chart coordinates in the hyperplane of `a` are the non-pivot ambient
     coordinates (the chart basis is unit vectors corrected along the pivot)."""
-    w = trace_functional(a)
-    pivot = next(i for i in range(4) if w[i] != 0)
+    pivot = chart_pivot(a)
     keep = [i for i in range(4) if i != pivot]
 
     def extract(pt):
@@ -120,7 +118,7 @@ def _identity_section(kind: str, lam: float, n: int, seed: int, z_span) -> Surfa
         for fr in _frames(lam, n, seed, z_span):
             yield _frame_to_ambient(lam, *fr), fr, fr
 
-    return SurfaceSample(kind, seed, lam, rows)
+    return SurfaceSample(kind, seed, rows)
 
 
 def sample_surface(
@@ -163,7 +161,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     rank = a.rank()
     if rank == 0:
         if lam_r != 0:
-            return SurfaceSample("section", seed, lam, lambda: iter(()), charted=False)
+            return SurfaceSample("section", seed, lambda: iter(()), charted=False)
 
         def full_variety():
             # random rank-1 outer products at float precision
@@ -174,7 +172,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
                 pt = (scale * c[0] * r[0], scale * c[0] * r[1], scale * c[1] * r[0], scale * c[1] * r[1])
                 yield pt, None, None
 
-        return SurfaceSample("section", seed, lam, full_variety, charted=False)
+        return SurfaceSample("section", seed, full_variety, charted=False)
 
     extract = _chart_extractor(a)
     if rank == 2:
@@ -193,7 +191,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
                 )
                 yield x, fr if is_identity else None, extract(x)
 
-        return SurfaceSample("section", seed, lam, invertible)
+        return SurfaceSample("section", seed, invertible)
 
     if lam_r != 0:
         # inverse set of a / lam, swept through its bilinear chart
@@ -207,7 +205,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
                 x = (d[0] * q[0], d[0] * q[1], d[1] * q[0], d[1] * q[1])
                 yield x, None, extract(x)
 
-        return SurfaceSample("section", seed, lam, inverse_set)
+        return SurfaceSample("section", seed, inverse_set)
 
     # level zero, rank 1: the two class planes through the representative;
     # each point redraws until it leaves the origin, so it keeps its own stream
@@ -229,7 +227,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
             x = tuple(s * u + t * v for u, v in basis)
             yield x, None, extract(x)
 
-    return SurfaceSample("section", seed, lam, two_planes)
+    return SurfaceSample("section", seed, two_planes)
 
 
 def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
@@ -257,7 +255,7 @@ def _sample_generator_lines(e: Mat2, n: int, seed: int) -> SurfaceSample:
                 yield x, fr, fr
             index += count
 
-    return SurfaceSample("generator-lines", seed, 1.0, rows, line_counts=counts)
+    return SurfaceSample("generator-lines", seed, rows, line_counts=counts)
 
 
 def _atomic_write(path: str, writer):

@@ -5,7 +5,8 @@ and `OrderSectionReport` (which `order_section_report` fills in) are
 `__slots__` classes.  Each keeps the repr text, equality and hashing of
 the dataclass it replaced, and a frozen record refuses assignment.  A
 `NamedTuple` record also equals the plain tuple of its fields and can be
-iterated (README discloses this).
+iterated (README discloses this).  `semigroup.InverseChart` is a
+`NamedTuple` record of `a` and its integer content.
 """
 
 from fractions import Fraction
@@ -110,6 +111,14 @@ def test_named_tuple_records_equal_their_field_tuple():
     assert verdict == (sections.SectionClass.CONE, None, None)
     kind, l_rep, r_rep = verdict
     assert kind is sections.SectionClass.CONE and l_rep is None is r_rep
+
+
+def test_inverse_chart_is_a_record_of_a_and_its_content():
+    chart = semigroup.inverse_chart(A)
+    a, content = chart
+    assert a == A and chart == (A, content) and hash(chart) == hash((A, content))
+    with pytest.raises(AttributeError):
+        chart.content = ()
 
 
 class TestHyperplane:

@@ -1,5 +1,6 @@
 from decimal import Decimal
 from math import gcd
+from typing import NamedTuple
 
 import pytest
 
@@ -12,7 +13,7 @@ from greenquadrics.errors import (
 )
 from greenquadrics.exact import QuadExt, Rational
 from greenquadrics.green import ProjLine, class_plane, green_eq, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, det_polar, inner, inverse_mat, outer
 from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
 from greenquadrics.sampling import (
     rand_idempotent_rank1,
@@ -22,7 +23,6 @@ from greenquadrics.sampling import (
     rng_for,
 )
 from greenquadrics.sections import (
-    AffineQuadric3,
     BellPoint,
     Hyperplane,
     QuadMat2,
@@ -38,7 +38,6 @@ from greenquadrics.sections import (
     restrict_quadric,
     section_membership,
     to_bell,
-    trace_functional,
 )
 from greenquadrics.surfaces import sample_surface
 
@@ -207,6 +206,42 @@ def _chart_hyperplanes():
 _UNIT = (Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(0, 0, 0, 1))
 
 
+def trace_functional(a):
+    """Coefficients w with tr(a x) = w . (x1, x2, x3, x4), read off the entries."""
+    e = a.entries
+    return (e[0], e[2], e[1], e[3])
+
+
+def reference_quadric_on_chart(origin, basis):
+    """(Q, b, c) of det(origin + sum t_i basis_i) by polarization on
+    `Fraction`s: the expansion `quadric_on_chart` replaced."""
+    c = origin.det()
+    b = tuple(det_polar(origin, v) for v in basis)
+    Q = tuple(
+        tuple(basis[i].det() if i == j else det_polar(basis[i], basis[j]) * HALF for j in range(3))
+        for i in range(3)
+    )
+    return Q, b, c
+
+
+class FractionChart(NamedTuple):
+    """A chart and the restriction of det to it, as `Fraction`s and `Mat2`s."""
+
+    Q: tuple
+    b: tuple
+    c: Rational
+    origin: Mat2
+    basis: tuple
+
+
+def _fraction_chart(origin, basis):
+    return FractionChart(*reference_quadric_on_chart(origin, basis), origin, basis)
+
+
+def _fields(aq):
+    return FractionChart(aq.Q, aq.b, aq.c, aq.origin, aq.basis)
+
+
 def _old_restrict_quadric(h):
     # the Fraction chart and polarization `restrict_quadric` replaced
     w = trace_functional(h.a)
@@ -217,8 +252,24 @@ def _old_restrict_quadric(h):
     basis = tuple(
         _UNIT[j] - _UNIT[pivot] * (w[j] / w[pivot]) for j in range(4) if j != pivot
     )
-    Q, b, c = quadric_on_chart(origin, basis)
-    return AffineQuadric3(Q=Q, b=b, c=c, origin=origin, basis=basis)
+    return _fraction_chart(origin, basis)
+
+
+def _invertible_mix(draw):
+    """A 3x3 matrix of draws with nonzero determinant, redrawn until it has one."""
+    while True:
+        T = [[draw() for _ in range(3)] for _ in range(3)]
+        det3 = (
+            T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
+            - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
+            + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
+        )
+        if det3 != 0:
+            return T
+
+
+def _mixed(basis, T):
+    return tuple(basis[0] * T[0][j] + basis[1] * T[1][j] + basis[2] * T[2][j] for j in range(3))
 
 
 class TestChartOnIntegerContent:
@@ -231,33 +282,29 @@ class TestChartOnIntegerContent:
                 assert pt == _old_point(aq, t) and membership(h, pt)
                 assert pt.det() == value
 
-    def test_evaluate_reads_any_q(self):
-        # a hand-built, non-symmetric Q with int and Fraction coefficients
-        aq = AffineQuadric3(
-            Q=((1, 2, 0), (0, R(-3, 4), 3), (5, 0, R(1, 2))),
-            b=(1, 0, R(2, 3)),
-            c=R(-1, 5),
-            origin=Mat2(1, 0, 0, 0),
-            basis=(Mat2(0, 1, 0, 0), Mat2(0, 0, R(1, 2), 0), Mat2(0, 0, 0, 3)),
-        )
-        for t in ([1, 2, 3], [R(1, 2), -1, R(5, 9)], [0, 0, 0]):
-            assert aq.evaluate(t) == _old_evaluate(aq, t)
-            assert aq.point(t) == _old_point(aq, t)
-        # the given fields are kept, and the class is that of the polynomial
-        assert aq.Q[1][0] == 0 and aq.b == (1, 0, R(2, 3))
-        sym = tuple(tuple((aq.Q[i][j] + aq.Q[j][i]) * HALF for j in range(3)) for i in range(3))
-        assert classify_affine_quadric(aq) == classify_quadric(sym, aq.b, aq.c)
-
     def test_fields_match_the_fraction_chart(self):
         for rng, draw, h in _chart_hyperplanes():
             aq, ref = restrict_quadric(h), _old_restrict_quadric(h)
-            assert aq.Q == ref.Q and aq.b == ref.b and aq.c == ref.c
+            assert _fields(aq) == ref
             assert all(type(v) is R for v in (*aq.Q[0], *aq.Q[1], *aq.Q[2], *aq.b, aq.c))
-            assert aq.origin == ref.origin and aq.basis == ref.basis
-            assert classify_affine_quadric(aq) == classify_affine_quadric(ref)
+            assert classify_affine_quadric(aq) == classify_quadric(ref.Q, ref.b, ref.c)
             for t in _chart_coordinates(rng, draw):
-                assert aq.evaluate(t) == ref.evaluate(t)
-                assert aq.point(t) == ref.point(t)
+                assert aq.evaluate(t) == _old_evaluate(ref, t)
+                assert aq.point(t) == _old_point(ref, t)
+
+    def test_quadric_on_chart_matches_the_fraction_polarization(self):
+        # the chart of each plane, and the plane recharted: a new origin on
+        # it and an invertible mix of the basis, small and 256-bit
+        for rng, draw, h in _chart_hyperplanes():
+            aq = restrict_quadric(h)
+            shifted = aq.point([draw() for _ in range(3)])
+            for origin, basis in ((aq.origin, aq.basis), (shifted, _mixed(aq.basis, _invertible_mix(draw)))):
+                got, ref = quadric_on_chart(origin, basis), _fraction_chart(origin, basis)
+                assert _fields(got) == ref
+                assert classify_affine_quadric(got) == classify_quadric(ref.Q, ref.b, ref.c)
+                for t in _chart_coordinates(rng, draw):
+                    assert got.evaluate(t) == _old_evaluate(ref, t)
+                    assert got.point(t) == _old_point(ref, t)
 
     def test_fraction_fields_are_built_on_first_read(self):
         aq = restrict_quadric(Hyperplane(IDENTITY, R(3)))
@@ -343,21 +390,11 @@ class TestRestriction:
             lam = rand_rational(rng, 3, 2) if i % 3 else R(0)
             aq = restrict_quadric(Hyperplane(a, lam))
             base = classify_affine_quadric(aq)
-            while True:
-                T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
-                det3 = (
-                    T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
-                    - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
-                    + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
-                )
-                if det3 != 0:
-                    break
+            T = _invertible_mix(lambda: rand_rational(rng, 2, 2))
             origin = aq.point([rand_rational(rng, 2, 2) for _ in range(3)])
-            basis = tuple(
-                aq.basis[0] * T[0][j] + aq.basis[1] * T[1][j] + aq.basis[2] * T[2][j]
-                for j in range(3)
-            )
-            Q, b, c = quadric_on_chart(origin, basis)
+            # the generic classifier on the Fraction polarization: a route
+            # independent of the content the package classifies
+            Q, b, c = reference_quadric_on_chart(origin, _mixed(aq.basis, T))
             assert classify_quadric(Q, b, c) == base
 
 

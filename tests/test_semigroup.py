@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from test_linear import reference_solve
 
-from greenquadrics import semigroup
+from greenquadrics import checks, semigroup
 from greenquadrics.errors import (
     DegeneratePairingError,
     NotRankOneError,
@@ -60,8 +60,8 @@ class TestPredicates:
 
     def test_characterizations_on_grid(self):
         for x in grid_matrices(grid_values(span=2, dens=(1, 2))):
-            assert (is_idempotent(x) and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
-            assert is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
+            assert checks.idempotent_characterization_holds(x)
+            assert checks.nilpotent_characterization_holds(x)
 
 
 class TestInversePairs:

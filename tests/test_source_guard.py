@@ -124,9 +124,14 @@ CONTENT_PATHS = [
     ("green", "rowspace"),
     ("green", "colspace"),
     ("sections", "restrict_quadric"),
+    ("sections", "quadric_on_chart"),
     ("sections", "classify_affine_quadric"),
 ]
 ROUND_TRIP = {"entries", "x1", "x2", "x3", "x4", "Q", "b", "c", "origin", "basis"}
+# `quadric_on_chart` runs on content too, but no other content path may call
+# it: `restrict_quadric` reads its sparse polynomial off the chart, and the
+# general polarization of the same chart classifies about 3x slower on
+# 256-bit planes
 FRACTION_HELPERS = {"rank1_factor", "trace_functional", "quadric_on_chart", "classify_quadric"}
 
 
