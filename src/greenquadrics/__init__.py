@@ -18,15 +18,14 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "exact": "QuadExt Rational SQRT2 to_float",
-    "green": "GreenDescriptor PlaneInVariety ProjLine class_plane classify_plane colspace "
-    "descriptor green_eq h_class_line rowspace",
+    "green": "PlaneInVariety ProjLine class_plane classify_plane colspace green_eq h_class_line rowspace",
     "mat2": "IDENTITY Mat2 ZERO format_mat2 inner inverse_mat parse_mat2",
-    "quadrics": "QuadricClass classify_quadric inertia",
+    "quadrics": "QuadricClass",
     "sections": "AffineQuadric3 BellPoint Hyperplane SectionClass SectionVerdict bell_residual "
     "classify_affine_quadric classify_section from_bell hyperboloid_metrics restrict_quadric to_bell",
     "semigroup": "GeneratorLine InverseChart chart_eval generator_line idempotent_from_spaces "
     "inverse_chart inverse_membership is_idempotent is_inverse_pair is_nilpotent line_meet "
-    "minus_le natural_le order_section_report pinv_rank1",
+    "minus_le natural_le order_section_report",
     "surfaces": "SurfaceSample sample_surface write_csv write_obj",
 }
 

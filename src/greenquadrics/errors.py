@@ -34,10 +34,6 @@ class NotOnHyperplaneError(DomainError):
     """Point does not lie on the stated trace hyperplane."""
 
 
-class ZeroLambdaError(DomainError):
-    """Hyperplane normalization requires a nonzero level."""
-
-
 class ZeroCoefficientError(DomainError):
     """Hyperplane operations require a nonzero coefficient matrix."""
 

@@ -22,12 +22,10 @@ from greenquadrics.mat2 import Mat2, det_polar, outer, proportional
 
 __all__ = [
     "ProjLine",
-    "GreenDescriptor",
     "PuncturedLine",
     "PlaneInVariety",
     "rowspace",
     "colspace",
-    "descriptor",
     "green_eq",
     "class_plane",
     "h_class_line",
@@ -100,24 +98,6 @@ def colspace(a: Mat2) -> ProjLine | None:
         return None
     n1, n2, n3, n4 = a._n
     return ProjLine(n1, n3) if n1 or n3 else ProjLine(n2, n4)
-
-
-class GreenDescriptor(NamedTuple):
-    """D-class of a matrix plus, for rank 1, the row/column lines that pin
-    down its L- and R-classes."""
-
-    kind: str  # "zero" | "rank_one" | "invertible"
-    rowspace: ProjLine | None = None
-    colspace: ProjLine | None = None
-
-
-def descriptor(a: Mat2) -> GreenDescriptor:
-    r = a.rank()
-    if r == 0:
-        return GreenDescriptor("zero")
-    if r == 2:
-        return GreenDescriptor("invertible")
-    return GreenDescriptor("rank_one", rowspace(a), colspace(a))
 
 
 def green_eq(rel: str, a: Mat2, b: Mat2) -> bool:

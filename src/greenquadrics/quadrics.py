@@ -1,30 +1,26 @@
 """Exact affine classification of quadrics in 3 variables.
 
 A quadric is the zero set of t^T Q t + b^T t + c with symmetric rational Q.
-Both `inertia` and `classify_content` run one fraction-free (Bareiss)
-congruence elimination on integers (`_eliminate`, with rank-2 repair when
-only off-diagonal pivots exist).  `inertia` eliminates Q itself.
-`classify_content` eliminates the bordered matrix [[2Q, b], [b^T, 2c]] of
-a quadric's integer content, taking pivots from the Q block only: the Q
-pass gives the inertia of Q, a nonzero border entry left against the zero
-rest of Q marks a non-central quadric (no centre solves Q t = -b/2), and
-otherwise the last diagonal entry has the sign of the value at the centre.
-`classify_quadric` clears (Q, b, c) to that content, and
-`sections.classify_affine_quadric` passes the content it stores.  No
-linear solve, no `Fraction` and no approximate comparison anywhere.
-Inputs of `inertia` and `classify_quadric` are `int` or `Fraction`, those
-of `classify_content` are `int`; a float, a string or a `Decimal` raises
-`TypeError`.
+`classify_content` takes the polynomial's integer content (any positive
+multiple of it) and runs one fraction-free (Bareiss) congruence
+elimination (`_eliminate`, with rank-2 repair when only off-diagonal
+pivots exist) on the bordered matrix [[2Q, b], [b^T, 2c]], taking pivots
+from the Q block only: the Q pass gives the inertia of Q, a nonzero border
+entry left against the zero rest of Q marks a non-central quadric (no
+centre solves Q t = -b/2), and otherwise the last diagonal entry has the
+sign of the value at the centre.  `sections.classify_affine_quadric`
+passes the content an `AffineQuadric3` stores.  No linear solve, no
+`Fraction` and no approximate comparison anywhere; every entry is an
+`int`, and anything else raises `TypeError`.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 
-from greenquadrics._linear import integer_row
 from greenquadrics.errors import NotAQuadricError
 
-__all__ = ["QuadricClass", "inertia", "classify_quadric", "classify_content"]
+__all__ = ["QuadricClass", "classify_content"]
 
 
 class QuadricClass(Enum):
@@ -99,46 +95,6 @@ def _eliminate(work: list[list[int]], n: int) -> tuple[int, int, list[int]]:
                 wi[t] = work[t][i] = (d * wi[t] - f * wk[t]) // p
         p = d
     return n_pos, n_neg, block
-
-
-def _symmetric(flat: list[int], n: int) -> list[list[int]]:
-    """The n x n rows of `flat`; `ValueError` unless they are symmetric."""
-    work = [flat[i * n : i * n + n] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if work[i][j] != work[j][i]:
-                raise ValueError("a quadratic form needs a symmetric matrix")
-    return work
-
-
-def inertia(Q) -> tuple[int, int, int]:
-    """Sylvester inertia (n_plus, n_minus, n_zero) of a symmetric matrix.
-
-    Q is scaled by the lcm of all its denominators (a positive factor,
-    which keeps the inertia) and eliminated on integers by `_eliminate`;
-    the rows that vanish are the zero part.
-    """
-    n = len(Q)
-    work = _symmetric(integer_row([Q[i][j] for i in range(n) for j in range(n)]), n)
-    n_pos, n_neg, rest = _eliminate(work, n)
-    return n_pos, n_neg, len(rest)
-
-
-def classify_quadric(Q, b, c) -> QuadricClass:
-    """Affine class of {t : t^T Q t + b^T t + c = 0} in 3-space.
-
-    The polynomial is cleared to integers by the lcm of its denominators
-    and classified from that content (`classify_content`).  A
-    non-symmetric Q raises `ValueError`; the identically zero polynomial is
-    rejected.
-    """
-    flat = integer_row([*(Q[i][j] for i in range(3) for j in range(3)), *b, c])
-    q = _symmetric(flat[:9], 3)
-    return classify_content(
-        flat[12],
-        flat[9:12],
-        (q[0][0], q[1][1], q[2][2], 2 * q[0][1], 2 * q[0][2], 2 * q[1][2]),
-    )
 
 
 def classify_content(c: int, b, s) -> QuadricClass:

@@ -21,8 +21,7 @@ content: the polynomial over one positive multiplier and the chart over
 one denominator.  `classify_affine_quadric` hands the polynomial's content
 to `quadrics.classify_content`; `evaluate` and `point` clear the chart
 coordinates t to one denominator and run on the same ints.
-The public `Q`, `b`, `c`, `origin` and `basis` are built as `Fraction`s
-and `Mat2`s on first read.
+The public `origin` and `basis` are built as `Mat2`s on first read.
 
 Levels lam are `int` or `Fraction`; a float, a string or a `Decimal`
 raises `TypeError`.
@@ -34,11 +33,7 @@ from enum import Enum
 from math import lcm
 from typing import NamedTuple
 
-from greenquadrics.errors import (
-    NotOnHyperplaneError,
-    ZeroCoefficientError,
-    ZeroLambdaError,
-)
+from greenquadrics.errors import NotOnHyperplaneError, ZeroCoefficientError
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, outer
@@ -53,7 +48,6 @@ __all__ = [
     "AffineQuadric3",
     "membership",
     "section_membership",
-    "normalize",
     "to_bell",
     "from_bell",
     "bell_residual",
@@ -104,13 +98,6 @@ def membership(h: Hyperplane, x: Mat2) -> bool:
 
 def section_membership(h: Hyperplane, x: Mat2) -> bool:
     return x.det() == 0 and membership(h, x)
-
-
-def normalize(h: Hyperplane) -> Hyperplane:
-    """Rescale to level 1: P(a; lam) = P(a/lam; 1) for lam != 0."""
-    if h.lam == 0:
-        raise ZeroLambdaError("cannot normalize a level-zero hyperplane")
-    return Hyperplane(h.a / h.lam, Rational(1))
 
 
 class BellPoint(NamedTuple):
@@ -211,41 +198,17 @@ class AffineQuadric3:
     S), the polynomial times M > 0 (c = C/M, b_i = B_i/M, and S holds Q_ii
     and Q_ij + Q_ji, i < j, each over M, in the order 11 22 33 12 13 23),
     and `_chart` = (L, O, B), with origin = O/L and basis_i = B_i/L (three
-    vectors spanning {v : tr(a v) = 0}).  The public `Q`, `b`, `c`,
-    `origin` and `basis` are built from it on first read and kept;
-    classification, `evaluate` and `point` never need them.
+    vectors spanning {v : tr(a v) = 0}).  The polynomial is read only
+    through its content: `classify_affine_quadric`, `evaluate` and
+    `point` use it, and no `Fraction` Q, b or c is kept.  The public
+    `origin` and `basis` are built from the chart on first read and kept.
     """
 
-    __slots__ = ("_poly", "_chart", "_Q", "_b", "_c", "_origin", "_basis")
+    __slots__ = ("_poly", "_chart", "_origin", "_basis")
 
     def __init__(self, poly: tuple, chart: tuple):
         self._poly, self._chart = poly, chart
-        self._Q = self._b = self._c = self._origin = self._basis = None
-
-    @property
-    def Q(self) -> tuple:
-        if self._Q is None:
-            m, _, _, (s11, s22, s33, s12, s13, s23) = self._poly
-            q12, q13, q23 = (_from_ints(v, 2 * m) for v in (s12, s13, s23))
-            self._Q = (
-                (_from_ints(s11, m), q12, q13),
-                (q12, _from_ints(s22, m), q23),
-                (q13, q23, _from_ints(s33, m)),
-            )
-        return self._Q
-
-    @property
-    def b(self) -> tuple:
-        if self._b is None:
-            m, _, bs, _ = self._poly
-            self._b = tuple(_from_ints(v, m) for v in bs)
-        return self._b
-
-    @property
-    def c(self) -> Rational:
-        if self._c is None:
-            self._c = _from_ints(self._poly[1], self._poly[0])
-        return self._c
+        self._origin = self._basis = None
 
     @property
     def origin(self) -> Mat2:

@@ -53,7 +53,6 @@ __all__ = [
     "is_nilpotent",
     "is_inverse_pair",
     "inverse_membership",
-    "pinv_rank1",
     "InverseChart",
     "inverse_chart",
     "chart_eval",
@@ -91,13 +90,6 @@ def inverse_membership(a: Mat2, x: Mat2) -> bool:
     if a.rank() != 1:
         raise NotRankOneError("inverse-set membership is for rank-1 matrices")
     return (a @ x).trace() == 1 and x.det() == 0
-
-
-def pinv_rank1(a: Mat2) -> Mat2:
-    """The particular inverse a^T / <a, a> of a rank-1 matrix."""
-    if a.rank() != 1:
-        raise NotRankOneError("particular inverse defined for rank 1 only")
-    return a.transpose() / a.norm_sq()
 
 
 def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:

@@ -157,7 +157,6 @@ def sample_surface(
 
 
 def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> SurfaceSample:
-    lam = to_float(lam_r)
     rank = a.rank()
     if rank == 0:
         if lam_r != 0:
@@ -177,6 +176,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     extract = _chart_extractor(a)
     if rank == 2:
         # x = inv(a) y with y on the identity-coefficient slice at the same level
+        lam = to_float(lam_r)
         i0, i1, i2, i3 = _coefficients(inverse_mat(a).entries)
         is_identity = a == IDENTITY
 

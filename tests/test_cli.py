@@ -273,6 +273,18 @@ class TestCheckAndExportCli:
         )
         assert list(tmp_path.iterdir()) == []
 
+    def test_export_of_an_empty_section_needs_no_float(self, tmp_path):
+        # a zero `a` at level 10^400 has no points, so the level is never
+        # made a float; an invertible `a` at that level still needs it
+        out = tmp_path / "x.csv"
+        tail = ["--lambda=1" + "0" * 400, "--samples", "3", "--out", str(out)]
+        code, text = run(["export", "--kind", "section", "--a=[0,0;0,0]", *tail])
+        assert (code, text) == (0, f"wrote 0 points to {out}")
+        out.unlink()
+        code, text = run(["export", "--kind", "section", "--a=[1,0;0,1]", *tail])
+        assert (code, text) == (1, "usage error: value exceeds the float range (largest double 1.79769e+308)")
+        assert list(tmp_path.iterdir()) == []
+
     def test_export_largest_z_range_rows_are_finite(self, tmp_path):
         out = tmp_path / "x.csv"
         code, _ = run(["export", "--kind", "idempotents", "--samples", "50", "--z-range=-1e150:1e150",

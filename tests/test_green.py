@@ -9,7 +9,6 @@ from greenquadrics.green import (
     class_plane,
     classify_plane,
     colspace,
-    descriptor,
     green_eq,
     h_class_line,
     rowspace,
@@ -39,17 +38,6 @@ class TestProjLine:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             ProjLine(Rational(0), Rational(0))
-
-
-class TestDescriptor:
-    def test_examples(self):
-        d = descriptor(E)
-        assert d.kind == "rank_one"
-        assert d.rowspace.direction == (1, 0) and d.colspace.direction == (1, 0)
-        d = descriptor(Mat2(2, 0, 3, 0))
-        assert d.rowspace.direction == (1, 0) and d.colspace.direction == (2, 3)
-        assert descriptor(ZERO).kind == "zero"
-        assert descriptor(Mat2(1, 0, 0, 1)).kind == "invertible"
 
 
 def _rank1_fraction_entries(rng, bits, zero_row, zero_col):

@@ -6,7 +6,8 @@ and `OrderSectionReport` (which `order_section_report` fills in) are
 the dataclass it replaced, and a frozen record refuses assignment.  A
 `NamedTuple` record also equals the plain tuple of its fields and can be
 iterated (README discloses this).  `semigroup.InverseChart` is a
-`NamedTuple` record of `a` and its integer content.
+`NamedTuple` record of `a` and its integer content.  `GreenDescriptor`
+left the package with `green.descriptor`, which no package code called.
 """
 
 from fractions import Fraction
@@ -20,16 +21,6 @@ A = Mat2(1, 2, 2, 4)
 
 # (factory, repr printed by the dataclass records, a field name)
 FROZEN = {
-    "GreenDescriptor": (
-        lambda: green.descriptor(A),
-        "GreenDescriptor(kind='rank_one', rowspace=ProjLine(1, 2), colspace=ProjLine(1, 2))",
-        "kind",
-    ),
-    "GreenDescriptor-invertible": (
-        lambda: green.descriptor(IDENTITY),
-        "GreenDescriptor(kind='invertible', rowspace=None, colspace=None)",
-        "rowspace",
-    ),
     "PuncturedLine": (lambda: green.h_class_line(A), "PuncturedLine(direction=Mat2(1, 2, 2, 4))", "direction"),
     "PlaneInVariety": (
         lambda: green.classify_plane(Mat2(1, 0, 0, 0), Mat2(0, 1, 0, 0)),

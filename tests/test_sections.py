@@ -6,15 +6,11 @@ import pytest
 
 from draws import randint
 from greenquadrics import checks
-from greenquadrics.errors import (
-    NotOnHyperplaneError,
-    ZeroCoefficientError,
-    ZeroLambdaError,
-)
+from greenquadrics.errors import NotOnHyperplaneError, ZeroCoefficientError
 from greenquadrics.exact import QuadExt, Rational
 from greenquadrics.green import ProjLine, class_plane, green_eq, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, det_polar, inner, inverse_mat, outer
-from greenquadrics.quadrics import QuadricClass, classify_quadric, inertia
+from greenquadrics.quadrics import QuadricClass
 from greenquadrics.sampling import (
     rand_idempotent_rank1,
     rand_invertible,
@@ -33,13 +29,13 @@ from greenquadrics.sections import (
     from_bell,
     hyperboloid_metrics,
     membership,
-    normalize,
     quadric_on_chart,
     restrict_quadric,
     section_membership,
     to_bell,
 )
 from greenquadrics.surfaces import sample_surface
+from test_quadrics import _old_classify_quadric, eigen_sign_counts
 
 R = Rational
 E = Mat2(1, 0, 0, 0)
@@ -53,23 +49,6 @@ class TestMembership:
         assert section_membership(h, Mat2(HALF, HALF, HALF, HALF))
         assert not membership(h, IDENTITY)
         assert section_membership(Hyperplane(E, R(1)), Mat2(1, 2, 3, 6))
-
-    def test_normalize(self):
-        h = normalize(Hyperplane(IDENTITY, R(2)))
-        assert h.a == IDENTITY * HALF and h.lam == 1
-        h = normalize(Hyperplane(E, R(-1)))
-        assert h.a == -E and h.lam == 1
-        with pytest.raises(ZeroLambdaError):
-            normalize(Hyperplane(E, R(0)))
-
-    def test_normalize_preserves_membership(self):
-        for i in range(100):
-            rng = rng_for(79, i)
-            a = rand_invertible(rng)
-            lam = R(randint(rng, 1, 5), randint(rng, 1, 3))
-            h = Hyperplane(a, lam)
-            x = rand_rank1(rng)
-            assert membership(h, x) == membership(normalize(h), x)
 
 
 class TestBell:
@@ -238,8 +217,25 @@ def _fraction_chart(origin, basis):
     return FractionChart(*reference_quadric_on_chart(origin, basis), origin, basis)
 
 
-def _fields(aq):
-    return FractionChart(aq.Q, aq.b, aq.c, aq.origin, aq.basis)
+def _matches(aq, ref):
+    """Whether `aq` holds the reference chart and M times its polynomial,
+    M > 0 the multiplier of `aq._poly`, all of it as ints."""
+    m, c, b, s = aq._poly
+    (q11, q12, q13), (_, q22, q23), (_, _, q33) = ref.Q
+    ref_s = (q11, q22, q33, 2 * q12, 2 * q13, 2 * q23)
+    return (
+        all(type(v) is int for v in (m, c, *b, *s))
+        and m > 0
+        and (c, b, s) == (ref.c * m, tuple(v * m for v in ref.b), tuple(v * m for v in ref_s))
+        and (aq.origin, aq.basis) == (ref.origin, ref.basis)
+    )
+
+
+def _form(aq):
+    """M Q of `aq`'s content as a symmetric matrix: the signature of Q."""
+    _, _, _, (s11, s22, s33, s12, s13, s23) = aq._poly
+    q12, q13, q23 = (R(v, 2) for v in (s12, s13, s23))
+    return ((R(s11), q12, q13), (q12, R(s22), q23), (q13, q23, R(s33)))
 
 
 def _old_restrict_quadric(h):
@@ -275,19 +271,18 @@ def _mixed(basis, T):
 class TestChartOnIntegerContent:
     def test_evaluate_and_point_match_fraction_loops(self):
         for rng, draw, h in _chart_hyperplanes():
-            aq = restrict_quadric(h)
+            aq, ref = restrict_quadric(h), _old_restrict_quadric(h)
             for t in _chart_coordinates(rng, draw):
                 value, pt = aq.evaluate(t), aq.point(t)
-                assert type(value) is R and value == _old_evaluate(aq, t)
-                assert pt == _old_point(aq, t) and membership(h, pt)
+                assert type(value) is R and value == _old_evaluate(ref, t)
+                assert pt == _old_point(ref, t) and membership(h, pt)
                 assert pt.det() == value
 
     def test_fields_match_the_fraction_chart(self):
         for rng, draw, h in _chart_hyperplanes():
             aq, ref = restrict_quadric(h), _old_restrict_quadric(h)
-            assert _fields(aq) == ref
-            assert all(type(v) is R for v in (*aq.Q[0], *aq.Q[1], *aq.Q[2], *aq.b, aq.c))
-            assert classify_affine_quadric(aq) == classify_quadric(ref.Q, ref.b, ref.c)
+            assert _matches(aq, ref)
+            assert classify_affine_quadric(aq) == _old_classify_quadric(ref.Q, ref.b, ref.c)
             for t in _chart_coordinates(rng, draw):
                 assert aq.evaluate(t) == _old_evaluate(ref, t)
                 assert aq.point(t) == _old_point(ref, t)
@@ -300,23 +295,23 @@ class TestChartOnIntegerContent:
             shifted = aq.point([draw() for _ in range(3)])
             for origin, basis in ((aq.origin, aq.basis), (shifted, _mixed(aq.basis, _invertible_mix(draw)))):
                 got, ref = quadric_on_chart(origin, basis), _fraction_chart(origin, basis)
-                assert _fields(got) == ref
-                assert classify_affine_quadric(got) == classify_quadric(ref.Q, ref.b, ref.c)
+                assert _matches(got, ref)
+                assert classify_affine_quadric(got) == _old_classify_quadric(ref.Q, ref.b, ref.c)
                 for t in _chart_coordinates(rng, draw):
                     assert got.evaluate(t) == _old_evaluate(ref, t)
                     assert got.point(t) == _old_point(ref, t)
 
     def test_fraction_fields_are_built_on_first_read(self):
+        # the polynomial stays content; only the chart has `Mat2` fields
         aq = restrict_quadric(Hyperplane(IDENTITY, R(3)))
+        assert type(aq).__slots__ == ("_poly", "_chart", "_origin", "_basis")
         classify_affine_quadric(aq)
         aq.evaluate([1, 2, 3])
         aq.point([1, 2, 3])
-        fields = ("_Q", "_b", "_c", "_origin", "_basis")
-        assert all(getattr(aq, f) is None for f in fields)
-        Q = aq.Q
-        assert aq._Q is Q and aq.Q is Q
-        assert all(getattr(aq, f) is None for f in fields[1:])
-        assert aq.origin is aq._origin is not None
+        assert aq._origin is None and aq._basis is None
+        origin = aq.origin
+        assert aq._origin is origin and aq.origin is origin and aq._basis is None
+        assert aq.basis is aq._basis is not None
 
     def test_chart_coordinates_are_strict(self):
         aq = restrict_quadric(Hyperplane(IDENTITY, R(1)))
@@ -353,14 +348,14 @@ class TestRestriction:
     def test_identity_coefficient_signature(self):
         for lam in (R(1), R(-2), R(7, 2)):
             aq = restrict_quadric(Hyperplane(IDENTITY, lam))
-            np_, nm, nz = inertia(aq.Q)
+            np_, nm, nz = eigen_sign_counts(_form(aq))
             assert nz == 0 and {np_, nm} == {1, 2}
 
     def test_rank1_level1_is_paraboloid_chart(self):
         aq = restrict_quadric(Hyperplane(E, R(1)))
-        np_, nm, nz = inertia(aq.Q)
+        np_, nm, nz = eigen_sign_counts(_form(aq))
         assert (np_, nm, nz) == (1, 1, 1)
-        assert any(v != 0 for v in aq.b)
+        assert any(aq._poly[2])
         assert classify_affine_quadric(aq) == QuadricClass.HYPERBOLIC_PARABOLOID
 
     def test_rank1_level0_is_plane_pair(self):
@@ -392,10 +387,10 @@ class TestRestriction:
             base = classify_affine_quadric(aq)
             T = _invertible_mix(lambda: rand_rational(rng, 2, 2))
             origin = aq.point([rand_rational(rng, 2, 2) for _ in range(3)])
-            # the generic classifier on the Fraction polarization: a route
-            # independent of the content the package classifies
+            # the centre-solve classifier on the Fraction polarization: a
+            # route independent of the content the package classifies
             Q, b, c = reference_quadric_on_chart(origin, _mixed(aq.basis, T))
-            assert classify_quadric(Q, b, c) == base
+            assert _old_classify_quadric(Q, b, c) == base
 
 
 class TestClassifySection:

@@ -38,7 +38,6 @@ from greenquadrics.semigroup import (
     minus_le,
     natural_le,
     order_section_report,
-    pinv_rank1,
 )
 
 E = Mat2(1, 0, 0, 0)
@@ -90,23 +89,6 @@ class TestInversePairs:
             assert inverse_membership(a, x) and is_inverse_pair(a, x)
             y = rand_rank1(rng)
             assert inverse_membership(a, y) == is_inverse_pair(a, y)
-
-
-class TestPinv:
-    def test_examples(self):
-        assert pinv_rank1(E) == E
-        assert pinv_rank1(N) == Mat2(0, 0, 1, 0)
-        q = Rational(1, 4)
-        assert pinv_rank1(Mat2(1, 1, 1, 1)) == Mat2(q, q, q, q)
-
-    def test_is_inverse(self):
-        for i in range(100):
-            a = rand_rank1(rng_for(29, i))
-            assert is_inverse_pair(a, pinv_rank1(a))
-
-    def test_rank_errors(self):
-        with pytest.raises(NotRankOneError):
-            pinv_rank1(IDENTITY)
 
 
 class TestCharts:

@@ -13,7 +13,9 @@ quadric classifier eliminates its bordered matrix and solves no linear
 system, the natural order and the meet of two lines are decided by
 minors, not by a solve, the minus order forms no difference y - x, and
 the inverse chart builds no `Fraction`.  In the check suites only one
-helper counts trials and only one keys a seeded stream.
+helper counts trials and only one keys a seeded stream.  Every module-level
+`def` and `class` is named by some package code: a name that only tests
+reach is deleted, not kept as a second door.
 """
 
 import ast
@@ -169,6 +171,8 @@ def test_quadrics_solve_no_linear_system():
     tree = ast.parse((PACKAGE / "quadrics.py").read_text(encoding="utf-8"))
     names = set(_imported_names(tree))
     assert not any(name.split(".")[-1] == "solve_linear" for name in names), sorted(names)
+    # nor clears `Fraction`s: it takes integer content only
+    assert not any("_linear" in name.split(".") for name in names), sorted(names)
 
 
 def test_natural_le_decides_by_minors():
@@ -322,3 +326,59 @@ def test_no_dataclasses(path):
     # `dataclasses` loads `inspect`: about 10 ms of every start
     for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
         assert name.split(".")[0] != "dataclasses", f"{path.name} imports {name}"
+
+
+# `_linear.integer_row` has no package caller since the classifier lost its
+# `Fraction` door, but the benchmark's tracer imports every module of its
+# `linear` layer, so the module and its one function stay until that layer
+# leaves the benchmark
+UNREACHED_EXEMPT = {"_linear.integer_row"}
+
+
+def _unreached(package) -> set[str]:
+    """`module.name` of each module-level `def` or `class` under `package`
+    that no package code outside its own body names, as an `ast.Name` or an
+    `ast.Attribute`.  An import is not a use, and neither is a string in
+    `__all__`; a dunder such as the package's `__getattr__` is called by
+    Python itself and is not counted."""
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(package.rglob("*.py"))}
+
+    def named(node) -> list[str]:
+        return [
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+        ]
+
+    uses = {}
+    for tree in trees.values():
+        for name in named(tree):
+            uses[name] = uses.get(name, 0) + 1
+    return {
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and uses.get(node.name, 0) == named(node).count(node.name)
+    }
+
+
+def test_unreached_sees_each_form(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "__all__ = ['dead']\n"
+        "def dead(): return dead()\n"
+        "def called(): pass\n"
+        "class Read: pass\n"
+        "def helper(): pass\n"
+        "def user(): return called(), m.helper\n"
+        "def __getattr__(name): pass\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "b.py").write_text("from a import Read, dead\nx = Read\n", encoding="utf-8")
+    assert _unreached(tmp_path) == {"a.dead", "a.user"}
+
+
+def test_every_definition_is_reached():
+    # a name only tests reach is a second door to an algorithm: delete it
+    assert _unreached(PACKAGE) == UNREACHED_EXEMPT
