@@ -5,15 +5,16 @@ export, check.  Matrices are written `[a,b;c,d]` with rational entries and
 values print exactly (rationals, `p + q*sqrt2`) unless --float is given.
 
 Each literal is parsed once, in the runner of its subcommand; JSON output
-echoes it in canonical form.  `check --trials` defaults to the
-GQ_DEFAULT_TRIALS environment variable, validated the same way.
+echoes it in canonical form.  Every count (--grid, --samples, --trials) is
+read by one argparse type, `_count`, and argv is the only input: the CLI
+reads no environment variable.
 
 Each runner imports the modules it uses, so starting `gq` loads only the
 parser and `greenquadrics.errors`.
 
 Exit codes: 0 success; 1 usage or literal parse errors, which include a
-non-positive --trials/--samples/--grid, a bad GQ_DEFAULT_TRIALS, an
-unwritable --out path and a result too large to print (beyond Python's
+non-positive or non-integer --trials/--samples/--grid, an unwritable
+--out path and a result too large to print (beyond Python's
 int-to-str digit limit, or beyond the float range under --float); 2 domain
 errors (and failed `check` runs).
 """
@@ -43,6 +44,25 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); usage errors are exit 1
         raise _UsageError(message)
 
+    def parse_args(self, args, namespace=None):
+        for arg in itertools.takewhile(lambda a: a != "--", args):
+            # argparse drops a "--" value from "--opt=--" and stores [] for it
+            name, _, value = arg.partition("=")
+            if name.startswith("--") and value == "--":
+                self.error(f"argument {name}: expected one argument")
+        return super().parse_args(args, namespace)
+
+
+def _count(text: str) -> int:
+    """The type of every count option: a positive integer, read by `int()`."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
+
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="gq", description=__doc__.splitlines()[0])
@@ -61,14 +81,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("inverses", help="bilinear chart of the inverses of a rank-1 matrix")
     p.add_argument("--a", required=True, metavar="MAT")
-    p.add_argument("--grid", type=int, default=3, metavar="K")
+    p.add_argument("--grid", type=_count, default=3, metavar="K")
     p.add_argument("--json", action="store_true")
     p.add_argument("--float", dest="as_float", action="store_true")
 
     p = sub.add_parser("order", help="natural/minus order verdicts, or a section report")
     p.add_argument("mats", nargs="*", metavar="MAT")
     p.add_argument("--report", action="store_true", help="sample the order/section agreement below MAT")
-    p.add_argument("--trials", type=int, default=200)
+    p.add_argument("--trials", type=_count, default=200)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
 
@@ -99,7 +119,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", metavar="MAT")
     p.add_argument("--lambda", dest="lam", metavar="RAT")
     p.add_argument("--e", metavar="MAT")
-    p.add_argument("--samples", type=int, default=2000)
+    p.add_argument("--samples", type=_count, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", dest="fmt", choices=("csv", "obj"), default="csv")
     p.add_argument("--out", required=True, metavar="PATH")
@@ -107,7 +127,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("check", help="run the seeded property suites")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int)
+    p.add_argument("--trials", type=_count)
     p.add_argument("--suite", action="append", choices=_SUITES)
     p.add_argument("--json", action="store_true")
 
@@ -207,8 +227,6 @@ def _run_inverses(ns) -> str:
     from greenquadrics.semigroup import chart_eval, inverse_chart
 
     k = ns.grid
-    if k < 1:
-        raise _UsageError("--grid must be at least 1")
     a = parse_mat2(ns.a)
     as_float = ns.as_float
     chart = inverse_chart(a)
@@ -251,8 +269,6 @@ def _run_order(ns) -> str:
     if ns.report:
         if len(ns.mats) != 1:
             raise _UsageError("order --report takes exactly one matrix")
-        if ns.trials < 1:
-            raise _UsageError("--trials must be positive")
         a = parse_mat2(ns.mats[0])
         report = order_section_report(a, ns.trials, ns.seed)
         payload = {"command": "order-report", **report.to_dict()}
@@ -392,8 +408,6 @@ def _run_export(ns) -> str:
     from greenquadrics.mat2 import parse_mat2
     from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 
-    if ns.samples < 1:
-        raise _UsageError("--samples must be positive")
     if os.path.isdir(ns.out) or ns.out.endswith(("/", os.sep)):
         raise _UsageError(f"cannot write {ns.out}: it names a directory")
     kwargs = {}
@@ -428,31 +442,12 @@ def _run_export(ns) -> str:
     return f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {ns.out}"
 
 
-def _check_trials(ns):
-    """--trials, else GQ_DEFAULT_TRIALS, else None (each check's default)."""
-    if ns.trials is not None:
-        source, trials = "--trials", ns.trials
-    else:
-        env = os.environ.get("GQ_DEFAULT_TRIALS")
-        if not env:
-            return None
-        source = "GQ_DEFAULT_TRIALS"
-        try:
-            trials = int(env)
-        except ValueError:
-            raise _UsageError(f"{source} must be a positive integer, not {env!r}") from None
-    if trials < 1:
-        raise _UsageError(f"{source} must be positive")
-    return trials
-
-
 def _run_check(ns) -> tuple[str, bool]:
     import json
 
     from greenquadrics import checks
 
-    trials = _check_trials(ns)
-    results = checks.run_checks(suites=ns.suite, seed=ns.seed, trials=trials)
+    results = checks.run_checks(suites=ns.suite, seed=ns.seed, trials=ns.trials)
     ok = all(r.ok for r in results)
     if ns.json:
         payload = {
@@ -482,11 +477,6 @@ _RUNNERS = {
 def run(argv) -> tuple[int, str]:
     """Execute argv; returns (exit_code, output text)."""
     try:
-        for arg in itertools.takewhile(lambda a: a != "--", argv):
-            # argparse drops a "--" value from "--opt=--" and stores [] for it
-            name, _, value = arg.partition("=")
-            if name.startswith("--") and value == "--":
-                raise _UsageError(f"argument {name}: expected one argument")
         ns = _build_parser().parse_args(argv)
         if ns.command == "check":
             text, ok = _run_check(ns)

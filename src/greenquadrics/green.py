@@ -102,7 +102,6 @@ def colspace(a: Mat2) -> ProjLine | None:
 
 def green_eq(rel: str, a: Mat2, b: Mat2) -> bool:
     """Test a Green's relation: rel is one of L, R, H, D, J."""
-    rel = rel.upper()
     ra, rb = a.rank(), b.rank()
     if rel in ("D", "J"):
         return ra == rb
@@ -127,7 +126,6 @@ def class_plane(rel: str, a: Mat2) -> tuple[Mat2, Mat2]:
     """
     if a.rank() != 1:
         raise NotRankOneError("class planes exist only for rank-1 matrices")
-    rel = rel.upper()
     if rel == "L":
         r = rowspace(a).direction
         return outer((1, 0), r), outer((0, 1), r)

@@ -97,6 +97,27 @@ def _eliminate(work: list[list[int]], n: int) -> tuple[int, int, list[int]]:
     return n_pos, n_neg, block
 
 
+_Q = QuadricClass
+# the class of a quadric by the inertia (n_pos, n_neg) of Q, n_pos >= n_neg:
+# without a centre, a paraboloid, a parabolic cylinder or a plane
+_NONCENTRAL = {
+    (2, 0): _Q.ELLIPTIC_PARABOLOID,
+    (1, 1): _Q.HYPERBOLIC_PARABOLOID,
+    (1, 0): _Q.PARABOLIC_CYLINDER,
+    (0, 0): _Q.SINGLE_PLANE,
+}
+# with a centre, by the sign of k (negative, zero, positive), k a positive
+# multiple of the value at the centre; None is the zero polynomial
+_CENTRAL = {
+    (3, 0): (_Q.ELLIPSOID, _Q.POINT, _Q.EMPTY),
+    (2, 1): (_Q.HYPERBOLOID_ONE_SHEET, _Q.CONE, _Q.HYPERBOLOID_TWO_SHEETS),
+    (2, 0): (_Q.ELLIPTIC_CYLINDER, _Q.LINE, _Q.EMPTY),
+    (1, 1): (_Q.HYPERBOLIC_CYLINDER, _Q.INTERSECTING_PLANES, _Q.HYPERBOLIC_CYLINDER),
+    (1, 0): (_Q.PARALLEL_PLANES, _Q.COINCIDENT_PLANES, _Q.EMPTY),
+    (0, 0): (_Q.EMPTY, None, _Q.EMPTY),
+}
+
+
 def classify_content(c: int, b, s) -> QuadricClass:
     """Affine class of the quadric whose polynomial, times a positive
     integer, has the integer content c, b = (b1, b2, b3) and
@@ -107,9 +128,9 @@ def classify_content(c: int, b, s) -> QuadricClass:
     Q t = -b/2 has a solution exactly when no border entry survives
     against the rows of the block that vanished; then the last diagonal
     entry is a positive multiple of twice the value at the centre,
-    c + b^T t / 2.  Without a centre the quadric is a paraboloid, a
-    parabolic cylinder or a plane, decided by the rank of Q.  Every entry
-    must be an `int` (`TypeError` otherwise).
+    c + b^T t / 2.  The class is read off `_NONCENTRAL` or `_CENTRAL` by
+    the inertia, with its signs swapped so that n_pos >= n_neg.  Every
+    entry must be an `int` (`TypeError` otherwise).
     """
     b1, b2, b3 = b
     s11, s22, s33, s12, s13, s23 = s
@@ -122,55 +143,12 @@ def classify_content(c: int, b, s) -> QuadricClass:
         [b1, b2, b3, 2 * c],
     ]
     n_pos, n_neg, rest = _eliminate(work, 3)
-    if any(work[i][3] for i in rest):
-        rank = n_pos + n_neg
-        if rank == 2:
-            if (n_pos, n_neg) == (1, 1):
-                return QuadricClass.HYPERBOLIC_PARABOLOID
-            return QuadricClass.ELLIPTIC_PARABOLOID
-        if rank == 1:
-            return QuadricClass.PARABOLIC_CYLINDER
-        return QuadricClass.SINGLE_PLANE
     k = work[3][3]
     if n_neg > n_pos:
         n_pos, n_neg, k = n_neg, n_pos, -k
-    sk = (k > 0) - (k < 0)
-    sig = (n_pos, n_neg)
-    if sig == (3, 0):
-        return (
-            QuadricClass.ELLIPSOID
-            if sk < 0
-            else QuadricClass.POINT
-            if sk == 0
-            else QuadricClass.EMPTY
-        )
-    if sig == (2, 1):
-        if sk < 0:
-            return QuadricClass.HYPERBOLOID_ONE_SHEET
-        if sk == 0:
-            return QuadricClass.CONE
-        return QuadricClass.HYPERBOLOID_TWO_SHEETS
-    if sig == (2, 0):
-        return (
-            QuadricClass.ELLIPTIC_CYLINDER
-            if sk < 0
-            else QuadricClass.LINE
-            if sk == 0
-            else QuadricClass.EMPTY
-        )
-    if sig == (1, 1):
-        return (
-            QuadricClass.INTERSECTING_PLANES if sk == 0 else QuadricClass.HYPERBOLIC_CYLINDER
-        )
-    if sig == (1, 0):
-        return (
-            QuadricClass.PARALLEL_PLANES
-            if sk < 0
-            else QuadricClass.COINCIDENT_PLANES
-            if sk == 0
-            else QuadricClass.EMPTY
-        )
-    # Q = 0 and b = 0: a constant
-    if sk == 0:
+    if any(work[i][3] for i in rest):
+        return _NONCENTRAL[n_pos, n_neg]
+    kind = _CENTRAL[n_pos, n_neg][(k > 0) - (k < 0) + 1]
+    if kind is None:
         raise NotAQuadricError("identically zero polynomial")
-    return QuadricClass.EMPTY
+    return kind

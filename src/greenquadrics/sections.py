@@ -120,9 +120,6 @@ class QuadMat2(NamedTuple):
     def trace(self) -> QuadExt:
         return self.x1 + self.x4
 
-    def det(self) -> QuadExt:
-        return self.x1 * self.x4 - self.x2 * self.x3
-
     def is_rational(self) -> bool:
         return all(v.is_rational() for v in self)
 

@@ -201,7 +201,6 @@ def generator_line(family: str, e: Mat2) -> GeneratorLine:
     spaces are one-dimensional for rank-1 idempotent e, and every point of
     the line is again a rank-1 idempotent.
     """
-    family = family.upper()
     if family not in ("L1", "L2"):
         raise ValueError("family must be 'L1' or 'L2'")
     if e.rank() != 1 or not is_idempotent(e):
@@ -311,46 +310,21 @@ def minus_le(x: Mat2, y: Mat2) -> bool:
     return x._d * (y1 * y4 - y2 * y3) == y._d * (x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3)
 
 
-class OrderSectionReport:
+class OrderSectionReport(NamedTuple):
     """Per-trial agreement between the natural order below a nonsingular `a`
     and membership in the two trace-1 sections (of a and of its inverse).
-    `order_section_report` fills in the counts and counterexamples."""
+    `order_section_report` builds it once, from its counts; the list of
+    counterexamples keeps it unhashable."""
 
-    __slots__ = ("a", "trials", "seed", "agree_le_vs_inv_section", "agree_le_vs_section", "counterexamples")
-
-    def __init__(self, a: Mat2, trials: int, seed: int, agree_le_vs_inv_section: int = 0,
-                 agree_le_vs_section: int = 0, counterexamples: list | None = None):
-        self.a = a
-        self.trials = trials
-        self.seed = seed
-        self.agree_le_vs_inv_section = agree_le_vs_inv_section
-        self.agree_le_vs_section = agree_le_vs_section
-        self.counterexamples = [] if counterexamples is None else counterexamples
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    __hash__ = None  # mutable
-
-    def __repr__(self):
-        return "OrderSectionReport(" + ", ".join(
-            f"{name}={value!r}" for name, value in zip(self.__slots__, self._values())
-        ) + ")"
+    a: Mat2
+    trials: int
+    seed: int
+    agree_le_vs_inv_section: int
+    agree_le_vs_section: int
+    counterexamples: list
 
     def to_dict(self) -> dict:
-        return {
-            "a": format_mat2(self.a),
-            "trials": self.trials,
-            "seed": self.seed,
-            "agree_le_vs_inv_section": self.agree_le_vs_inv_section,
-            "agree_le_vs_section": self.agree_le_vs_section,
-            "counterexamples": self.counterexamples,
-        }
+        return {**self._asdict(), "a": format_mat2(self.a)}
 
     def to_text(self) -> str:
         lines = [
@@ -379,7 +353,8 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
     if a.det() == 0:
         raise SingularMatrixError("order/section report needs a nonsingular a")
     ainv = inverse_mat(a)
-    report = OrderSectionReport(a=a, trials=trials, seed=seed)
+    agree_inv = agree = 0
+    counterexamples = []
     for i in range(trials):
         rng = rng_for(seed, i)
         stratum = i % 3
@@ -393,9 +368,9 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
         in_section = (a @ x).trace() == 1 and x.det() == 0
         in_inv_section = (ainv @ x).trace() == 1 and x.det() == 0
         if le == in_inv_section:
-            report.agree_le_vs_inv_section += 1
-        elif len(report.counterexamples) < 10:
-            report.counterexamples.append(
+            agree_inv += 1
+        elif len(counterexamples) < 10:
+            counterexamples.append(
                 {
                     "x": format_mat2(x),
                     "natural_le": le,
@@ -404,5 +379,5 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
                 }
             )
         if le == in_section:
-            report.agree_le_vs_section += 1
-    return report
+            agree += 1
+    return OrderSectionReport(a, trials, seed, agree_inv, agree, counterexamples)

@@ -140,7 +140,6 @@ def sample_surface(
     """
     if n < 1:
         raise DomainError("need at least one sample")
-    kind = kind.replace("_", "-").lower()
     if kind == "idempotents":
         return _identity_section(kind, 1.0, n, seed, z_span)
     if kind == "nilpotents":
@@ -176,8 +175,7 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     extract = _chart_extractor(a)
     if rank == 2:
         # x = inv(a) y with y on the identity-coefficient slice at the same level
-        lam = to_float(lam_r)
-        i0, i1, i2, i3 = _coefficients(inverse_mat(a).entries)
+        lam, i0, i1, i2, i3 = _coefficients((lam_r, *inverse_mat(a).entries))
         is_identity = a == IDENTITY
 
         def invertible():

@@ -2,13 +2,15 @@
 LiteralParseError, and `cli.run` maps every literal to exit 0, 1 or 2,
 with a nonzero exit printing one `usage error:`, `parse error:` or
 `domain error:` line.  Every slot is also fed rationals just past either
-end of the float range."""
+end of the float range.  The count slots are fuzzed at the argument
+parser, where any text gives a positive `int` or one usage error, and run
+end to end only on small integers, so that no example starts a long run."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from greenquadrics.cli import run
+from greenquadrics.cli import _build_parser, _UsageError, run
 from greenquadrics.errors import LiteralParseError
 from greenquadrics.exact import parse_quadext, parse_rational
 from greenquadrics.mat2 import parse_mat2
@@ -49,6 +51,8 @@ TEMPLATES = {
     "export-lambda-rank1": [*_EXPORT, "--kind=section", "--a=[1,2;2,4]", "--lambda={}"],
     "export-lambda-invertible": [*_EXPORT, "--kind=section", "--a=[2,1;1,3]", "--lambda={}"],
     "export-z-range": [*_EXPORT, "--kind=idempotents", "--z-range=-1:{}"],
+    "check-seed": ["check", "--suite=exact", "--trials=1", "--seed={}"],
+    "order-seed": ["order", "--report", "--trials=2", "--seed={}", "--", "[2,1;1,3]"],
 }
 
 # 10^k and 1/10^k for k = 300..400: rationals on both sides of the float range
@@ -72,3 +76,41 @@ def test_cli_exit_codes(template, literal, out_path):
     if code:
         assert text.startswith(("usage error:", "parse error:", "domain error:")), (argv, code, text)
         assert "\n" not in text, (argv, code, text)
+
+
+# Each count slot, keyed by its test id: a template and the parsed attribute.
+COUNT_SLOTS = {
+    "inverses-grid": (["inverses", "--a=[1,0;0,0]", "--grid={}"], "grid"),
+    "export-samples": ([*_EXPORT, "--kind=idempotents", "--samples={}"], "samples"),
+    "order-trials": (["order", "--report", "--trials={}", "--", "[2,1;1,3]"], "trials"),
+    "check-trials": (["check", "--suite=exact", "--trials={}"], "trials"),
+}
+
+# integer text about 10^400 in size, of either sign
+huge_integer = st.builds(
+    lambda sign, k: sign + "1" + "0" * k, st.sampled_from(["", "+", "-"]), st.integers(300, 400)
+)
+
+
+@pytest.mark.parametrize("template,dest", COUNT_SLOTS.values(), ids=COUNT_SLOTS)
+@given(text=st.one_of(literal_text, huge_integer))
+def test_count_slots_parse_to_a_positive_int(template, dest, text):
+    argv = [arg.format(text, out="x.csv") for arg in template]
+    try:
+        value = getattr(_build_parser().parse_args(argv), dest)
+    except _UsageError as exc:
+        assert "\n" not in str(exc), (argv, exc)
+    else:
+        assert type(value) is int and value >= 1, (argv, value)
+
+
+@pytest.mark.parametrize("template,dest", COUNT_SLOTS.values(), ids=COUNT_SLOTS)
+@settings(deadline=None)
+@given(count=st.integers(-3, 10))
+def test_count_slots_run_small_counts(template, dest, count, out_path):
+    argv = [arg.format(count, out=out_path) for arg in template]
+    code, text = run(argv)
+    if count < 1:
+        assert (code, text) == (1, f"usage error: argument --{dest}: must be positive, not {count}")
+    else:
+        assert code == 0, (argv, text)

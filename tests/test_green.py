@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from greenquadrics.errors import DependentBasisError, NotRankOneError
+from greenquadrics.errors import DependentBasisError, NotRankOneError, UnknownKindError
 from greenquadrics.exact import Rational
 from greenquadrics.green import (
     ProjLine,
@@ -15,6 +15,8 @@ from greenquadrics.green import (
 )
 from greenquadrics.mat2 import Mat2, ZERO
 from greenquadrics.sampling import rand_nonzero_rational, rand_rank1, rand_rational, rng_for
+from greenquadrics.semigroup import generator_line
+from greenquadrics.surfaces import sample_surface
 
 E = Mat2(1, 0, 0, 0)
 
@@ -115,6 +117,23 @@ class TestClassPlane:
             class_plane("L", ZERO)
         with pytest.raises(NotRankOneError):
             class_plane("R", Mat2(1, 0, 0, 1))
+
+
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: green_eq("l", E, E), ValueError),
+        (lambda: class_plane("r", E), ValueError),
+        (lambda: generator_line("l1", E), ValueError),
+        (lambda: sample_surface("generator_lines", 3, 0, e=E), UnknownKindError),
+        (lambda: sample_surface("Idempotents", 3, 0), UnknownKindError),
+    ],
+    ids=["green_eq", "class_plane", "generator_line", "sample_surface-underscore", "sample_surface-case"],
+)
+def test_names_have_one_spelling(call, error):
+    # a relation, family or kind is accepted only as the CLI's choices spell it
+    with pytest.raises(error):
+        call()
 
 
 class TestHClassLine:

@@ -1,9 +1,12 @@
 """Static guards over the package source: one arithmetic lane, no hidden knobs.
 
-Every module under src/greenquadrics is parsed with `ast`.  The only
-environment variable the package may read is GQ_DEFAULT_TRIALS (the
-`check --trials` default), nothing may import a compiled kernel, and
-nothing imports `random`: every draw comes from `sampling.Stream`.
+Every module under src/greenquadrics is parsed with `ast`.  The package
+reads no environment variable, nothing may import a compiled kernel, and
+nothing imports `random`: every draw comes from `sampling.Stream`.  Every
+CLI count (`--grid`, `--samples`, both `--trials`) is read by the one
+argparse type `_count`, and only a `--seed` is a plain `int`; a name
+argument (a Green relation, a line family, a surface kind) has one
+spelling, and no library function folds its case.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.  Importing the CLI loads no math module, and nothing
@@ -29,7 +32,7 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "greenquadrics"
 MODULES = sorted(PACKAGE.rglob("*.py"))
-ALLOWED_ENV = {"GQ_DEFAULT_TRIALS"}
+ALLOWED_ENV = set()
 FORBIDDEN_IMPORTS = ("_kernel", "_cyquad", "Cython")
 
 
@@ -79,7 +82,7 @@ def test_package_has_modules():
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
-def test_only_default_trials_is_read_from_the_environment(path):
+def test_package_reads_no_environment(path):
     keys, refs = _env_reads(ast.parse(path.read_text(encoding="utf-8")))
     # every environ/getenv reference is a read with a literal, allowed key
     assert len(keys) == refs, f"{path.name}: environment accessed other than by a literal key"
@@ -97,6 +100,50 @@ def test_no_compiled_kernel_import(path):
 def test_no_second_generator(path):
     for name in _imported_names(ast.parse(path.read_text(encoding="utf-8"))):
         assert name.split(".")[0] != "random", f"{path.name} imports {name}"
+
+
+def _add_arguments(tree):
+    """(option, type name) of each `add_argument` call that has a `type=`."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            for kw in node.keywords:
+                if kw.arg == "type":
+                    yield node.args[0].value, kw.value.id
+
+
+def test_counts_have_one_parser():
+    # a count is checked once, by its argparse type: no runner compares one
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    assert sorted(_add_arguments(tree)) == [
+        ("--grid", "_count"),
+        ("--samples", "_count"),
+        *[("--seed", "int")] * 3,
+        *[("--trials", "_count")] * 2,
+    ]
+    compared = {
+        n.attr
+        for cmp in ast.walk(tree)
+        if isinstance(cmp, ast.Compare)
+        for n in ast.walk(cmp)
+        if isinstance(n, ast.Attribute)
+    }
+    assert not compared & {"grid", "samples", "trials"}, sorted(compared)
+
+
+NAME_ARGUMENTS = [
+    ("green", "green_eq"),
+    ("green", "class_plane"),
+    ("semigroup", "generator_line"),
+    ("surfaces", "sample_surface"),
+]
+
+
+@pytest.mark.parametrize("module,func", NAME_ARGUMENTS, ids=lambda v: v)
+def test_names_are_not_folded(module, func):
+    body = _function(module, func)
+    calls = {n.func.attr for n in ast.walk(body) if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)}
+    used = calls & {"upper", "lower", "casefold", "replace", "title", "capitalize"}
+    assert not used, f"{module}.{func} calls {sorted(used)}"
 
 
 def test_surfaces_hold_no_point_lists():
