@@ -9,11 +9,11 @@ assertions no check makes.  Output is a pure function of (suite
 selection, seed, trial counts).
 
 A check is a stream of cases and a predicate `holds(*case) -> bool`, and
-`_tally` is the only code that counts: one count per case, one failure per
-case at most.  A case is one seeded trial, one point of a trial, or one
-point of an exhaustive grid; a redraw inside a trial is not a trial.  The
-cases draw from the streams `_streams` keys by (seed, index); the
-predicates draw nothing.
+`_tally` is the only code that counts: one count per case and predicate,
+one failure per case at most.  A case is one seeded trial, one point of a
+trial, or one point of an exhaustive grid; a redraw inside a trial is not
+a trial.  The cases draw from the streams `_streams` keys by (seed,
+index); the predicates draw nothing.
 
 Eight checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -50,10 +50,31 @@ denominators and both signs to run those paths, and the tail covers what
 a grid cannot see.  The chart of `restrict_quadric` has constant term 0 on
 every hyperplane, so the restriction identity is certified in a second
 chart of each plane too, recentred off det = 0, where the constant term
-is not 0.  The checks with rank branches (the two orders, membership, the
-idempotent and nilpotent characterizations) stay sampled.  Ten of the
-predicates are module-level (`cayley_hamilton_holds` and the nine after it
-in `__all__`), and the tier-1 tests call them on their own inputs.
+is not 0.  Ten of the predicates are module-level (`cayley_hamilton_holds`
+and the nine after it in `__all__`), and the tier-1 tests call them on
+their own inputs.
+
+Three checks with rank branches certify only the half of their claim that
+lies on a variety, on grids of its polynomial charts (5 values per
+variable of degree 4), and sample the other half:
+
+- the rank-1 idempotent characterization, on the two charts of
+  `_idempotent_charts`: degree 4 in s and 2 in t, 15 points, and 2 in u,
+  3 points;
+- the nilpotent characterization, on k (p, q)^T (q, -p): degree 2 in k
+  and 4 in p and in q, 75 points;
+- the order check's below half, x = e y for every rank-1 idempotent e on
+  the same charts, at each sampled invertible y of one stratum: 18 points
+  per y.
+
+A grid certifies only the tests that should vanish.  A branch that rests
+on something being nonzero (x != 0, rank y = 2, the pivot of `_factor`) is
+fixed by construction or reached by the sampled cases, and the docstrings
+of `_characterizations` and `check_natural_order_equivalence` name each
+one.  The two characterizations share their cases: one pass decides both
+predicates on each case, and a `run_checks` call keeps its results for
+the second check (`_shared_passes`).  `section_membership_iff_inverse_pair`
+stays sampled.
 
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
@@ -62,6 +83,7 @@ compared with an independent one (`is_inverse_pair`, the idempotent test).
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from functools import partial
 from itertools import chain, product, repeat
 from math import gcd, prod
@@ -186,25 +208,38 @@ def _draws(seed, trials, *samplers, first=0):
     return (tuple(draw(rng) for draw in samplers) for rng in _seeded(seed, trials, first))
 
 
-def _tally(suite, name, cases, holds, extra="", certified=0) -> CheckResult:
+def _tally(suite, name, cases, holds, extra="", certified=0):
     """The one trial counter: one count per case, one failure per case at
     most.  A check that ran no case fails; a failing one names the index of
     its first failing case.  `certified` is the number of those cases that
-    are points of a certificate's grid."""
-    total = failures = 0
-    first = None
+    are points of a certificate's grid.
+
+    Checks that share their cases pass tuples instead, one entry per
+    predicate of `name`, `holds`, `extra` and `certified`: every predicate
+    is decided on every case of one pass and counted on its own, and a
+    tuple of results comes back in the same order."""
+    shared = type(holds) is tuple
+    if not shared:
+        name, holds, extra, certified = (name,), (holds,), (extra,), (certified,)
+    counts = tuple([0, 0] for _ in holds)  # failures, index of the first
+    tests = tuple(zip(holds, counts))
+    total = 0
     for case in cases:
-        if not holds(*case):
-            if not failures:
-                first = total
-            failures += 1
+        for test, count in tests:
+            if not test(*case):
+                if not count[0]:
+                    count[1] = total
+                count[0] += 1
         total += 1
-    detail = f"{total - failures}/{total} trials ok"
-    if extra:
-        detail += f"; {extra}"
-    if failures:
-        detail += f"; first failure at case {first}"
-    return CheckResult(suite, name, failures == 0 and total > 0, detail, certified)
+    results = []
+    for name_k, (failures, first), extra_k, certified_k in zip(name, counts, extra, certified):
+        detail = f"{total - failures}/{total} trials ok"
+        if extra_k:
+            detail += f"; {extra_k}"
+        if failures:
+            detail += f"; first failure at case {first}"
+        results.append(CheckResult(suite, name_k, failures == 0 and total > 0, detail, certified_k))
+    return tuple(results) if shared else results[0]
 
 
 def _note(points, wide) -> str:
@@ -411,10 +446,24 @@ def check_h_class_is_punctured_line(seed, trials=500):
 # --- sets ----------------------------------------------------------------
 
 
-def _grid_then_draws(seed, trials):
-    """Every matrix of the small grid, then `trials` wider draws: one matrix per case."""
-    grid = ((x,) for x in grid_matrices(grid_values(span=2, dens=(1, 2))))
-    return chain(grid, _draws(seed, trials, partial(rand_mat, span=4, max_den=4)))
+def _idempotent_charts() -> tuple:
+    """Every rank-1 idempotent lies on one of two charts, each never 0 and
+    with trace 1 and det 0 identically: e(s, t) = (1, s)^T (1 - st, t) when
+    its column space is not the x2 axis, [[0, 0], [u, 1]] when it is.  The
+    entries of e(s, t) have degree at most 2 in s and 1 in t, so the tests
+    of a product of two charted factors have degree at most 4 in s and 2
+    in t: s runs over the degree-4 values, t and u over the degree-2 ones."""
+    quartic, quadratic = CERTIFICATE_VALUES[4], CERTIFICATE_VALUES[2]
+    first = (Mat2(1 - s * t, t, s * (1 - s * t), s * t) for s, t in product(quartic, quadratic))
+    return (*first, *(Mat2(0, 0, u, 1) for u in quadratic))
+
+
+def _nilpotent_chart() -> tuple:
+    """Every nilpotent is k (p, q)^T (q, -p) = k [[pq, -p^2], [q^2, -pq]];
+    x^2, tr x and det x have degree at most 2 in k and 4 in p and in q."""
+    quartic = CERTIFICATE_VALUES[4]
+    points = product(CERTIFICATE_VALUES[2], quartic, quartic)
+    return tuple(Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q) for k, p, q in points)
 
 
 def idempotent_characterization_holds(x) -> bool:
@@ -427,14 +476,56 @@ def nilpotent_characterization_holds(x) -> bool:
     return is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
 
 
+# The results of a pass that several checks share, kept for the `run_checks`
+# call in progress only (None outside one), so that a check of that run
+# reads its result instead of repeating the pass.  A module-level cache
+# would outlive the call and hand a monkeypatched predicate the result of
+# the unpatched one.
+_shared_passes: ContextVar[dict | None] = ContextVar("_shared_passes", default=None)
+
+
+def _characterizations(seed, trials):
+    """Both characterizations, decided on every case of one shared pass, one
+    matrix per case: every matrix with entries in {-2, ..., 2} / {1, 2},
+    `trials` wider draws, then the grids of the idempotent charts and of
+    the nilpotent chart.  Off the
+    variety both sides of each characterization are false and the sampled
+    cases test that half; on it, every test that should hold (x^2 = x with
+    tr x = 1 and det x = 0, or x^2 = 0 with tr x = det x = 0) is a
+    polynomial in the chart parameters of the degree the charts give, so
+    each chart grid certifies it at every point of its chart.  The rank-1
+    test rests on x != 0 as well, which the idempotent charts fix by
+    construction.  Each check's result is the same whether it runs alone
+    or after the other in one `run_checks` call."""
+    memo = _shared_passes.get()
+    if memo is not None and (seed, trials) in memo:
+        return memo[seed, trials]
+    idempotents, nilpotents = _idempotent_charts(), _nilpotent_chart()
+    grid = grid_matrices(grid_values(span=2, dens=(1, 2)))
+    draws = (rand_mat(rng, 4, 4) for rng in _seeded(seed, trials))
+    cases = ((x,) for x in chain(grid, draws, idempotents, nilpotents))
+    results = _tally(
+        "sets",
+        ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0"),
+        cases,
+        (idempotent_characterization_holds, nilpotent_characterization_holds),
+        (
+            f"{len(idempotents)} grid points certify the rank-1 idempotents on two charts",
+            f"{len(nilpotents)} grid points certify the nilpotents on one chart",
+        ),
+        (len(idempotents), len(nilpotents)),
+    )
+    if memo is not None:
+        memo[seed, trials] = results
+    return results
+
+
 def check_rank1_idempotent_characterization(seed, trials=10000):
-    cases = _grid_then_draws(seed, trials)
-    return _tally("sets", "rank1_idempotent_iff_trace1_det0", cases, idempotent_characterization_holds)
+    return _characterizations(seed, trials)[0]
 
 
 def check_nilpotent_characterization(seed, trials=10000):
-    cases = _grid_then_draws(seed, trials)
-    return _tally("sets", "nilpotent_iff_trace0_det0", cases, nilpotent_characterization_holds)
+    return _characterizations(seed, trials)[1]
 
 
 def check_inverse_set_theorem(seed, trials=500, points_per=1):
@@ -526,7 +617,38 @@ def check_line_combinatorics(seed, trials=50):
     return _tally("sets", "generator_line_combinatorics", cases(), holds)
 
 
-def check_natural_order_equivalence(seed, trials=10000):
+def check_natural_order_equivalence(seed, trials=1000):
+    """The natural and minus orders agree on every pair of the 81 matrices
+    with entries in {-1, 0, 1}, then on `trials` sampled pairs, one per
+    trial in turn from four strata with denominators up to 9:
+
+    0. two matrices with denominators 1 and 2 (mostly of equal rank 2);
+    1. a rank-1 x against an invertible y;
+    2. lam e y against an invertible y, for a rank-1 idempotent e: below
+       y exactly when lam is 0 or 1, so one step off the below half;
+    3. lam y against a rank-1 y, below exactly when lam is 0 or 1.
+
+    Each trial of stratum 2 then certifies the below half at its y: for
+    every rank-1 idempotent e, x = e y is below y in both orders.  On the
+    grids of `_idempotent_charts` the tests that should hold are rank x = 1
+    through det x = 0, `natural_le`'s 3x3 augmented determinant and
+    `minus_le`'s dx det Y = dy polar(X, Y).  On x = e(s, t) y they have
+    degree at most 4 in s and 2 in t, and at most 2 in u on the second
+    chart.  The branches that rest on something nonzero are fixed by
+    construction or sampled:
+
+    - x != 0 and x != y: the charts are never 0, y is invertible and x
+      has rank 1;
+    - rank y = 2, the nonzero 2x2 minor of `natural_le`: y is drawn
+      invertible;
+    - the pivot of `_factor`: the entry x1 = (1 - st) y1 + t y3 on the first
+      chart, and the entry x3 = u y1 + y3 on the second, whose first row is
+      0, wherever they are nonzero; a pivot in the second column needs a
+      zero first column, which the pairs of the small grid and the sampled
+      pairs reach.
+    """
+    charts = _idempotent_charts()
+
     def draws():
         for i, rng in _streams(seed, trials):
             mode = i % 4
@@ -536,7 +658,9 @@ def check_natural_order_equivalence(seed, trials=10000):
                 yield rand_rank1(rng), rand_invertible(rng)
             elif mode == 2:
                 y = rand_invertible(rng)
-                yield rand_idempotent_rank1(rng) @ y, y
+                yield rand_idempotent_rank1(rng) @ y * rand_rational(rng, 3, 2), y
+                for e in charts:
+                    yield e @ y, y
             else:
                 y = rand_rank1(rng)
                 yield y * rand_rational(rng, 3, 2), y
@@ -546,7 +670,10 @@ def check_natural_order_equivalence(seed, trials=10000):
 
     grid = list(grid_matrices(grid_values(span=1)))
     cases = chain(product(grid, grid), draws())
-    return _tally("sets", "natural_order_equals_minus_order", cases, holds)
+    below = (trials + 1) // 4  # trials of stratum 2
+    points = len(charts) * below
+    note = f"{points} grid points certify e y <= y for every rank-1 idempotent e at each of {below} sampled invertible y"
+    return _tally("sets", "natural_order_equals_minus_order", cases, holds, note, points)
 
 
 def nilpotent_cone_holds(x) -> bool:
@@ -816,21 +943,28 @@ def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[Ch
 
     `trials` overrides each check's default randomized-trial count: for
     a certified check, its 64-bit tail (its hyperplanes for
-    `restriction_identity`, its sampled a for `chart_points_are_inverses`).
+    `restriction_identity`, its sampled a for `chart_points_are_inverses`),
+    and for `natural_order_equals_minus_order` its sampled pairs, a
+    quarter of which carry a certificate grid at their invertible y.
     Exhaustive grids and certificate grids always run in full.  A check
     that runs no case at all is reported as a failure, never as a vacuous
-    pass.
+    pass.  Checks that share a pass (the two characterizations) run it
+    once per call.
     """
     names = available_suites() if not suites else list(suites)
     results = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown suite {name!r}; choose from {available_suites()}")
-        for fn in SUITES[name]:
-            if trials is None:
-                results.append(fn(seed))
-            else:
-                results.append(fn(seed, trials))
+    token = _shared_passes.set({})
+    try:
+        for name in names:
+            if name not in SUITES:
+                raise ValueError(f"unknown suite {name!r}; choose from {available_suites()}")
+            for fn in SUITES[name]:
+                if trials is None:
+                    results.append(fn(seed))
+                else:
+                    results.append(fn(seed, trials))
+    finally:
+        _shared_passes.reset(token)
     return results
 
 

@@ -6,17 +6,18 @@ values print exactly (rationals, `p + q*sqrt2`) unless --float is given.
 
 Each literal is parsed once, in the runner of its subcommand; JSON output
 echoes it in canonical form.  Every count (--grid, --samples, --trials) is
-read by one argparse type, `_count`, and argv is the only input: the CLI
-reads no environment variable.
+read by one argparse type, `_count`, and every --seed by `_seed`; both
+take ASCII digits only, as the literals do.  argv is the only input: the
+CLI reads no environment variable.
 
 Each runner imports the modules it uses, so starting `gq` loads only the
 parser and `greenquadrics.errors`.
 
 Exit codes: 0 success; 1 usage or literal parse errors, which include a
-non-positive or non-integer --trials/--samples/--grid, an unwritable
---out path and a result too large to print (beyond Python's
-int-to-str digit limit, or beyond the float range under --float); 2 domain
-errors (and failed `check` runs).
+non-positive or non-integer --trials/--samples/--grid, a non-integer
+--seed, an unwritable --out path and a result too large to print (beyond
+Python's int-to-str digit limit, or beyond the float range under
+--float); 2 domain errors (and failed `check` runs).
 """
 
 import argparse
@@ -53,15 +54,28 @@ class _Parser(argparse.ArgumentParser):
         return super().parse_args(args, namespace)
 
 
+def _integer(text: str, kind: str) -> int:
+    """`text` read as an integer: ASCII digits, as in the literals, with an
+    optional leading '-'."""
+    if text.isascii() and text.removeprefix("-").isdigit():
+        try:
+            return int(text)
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise argparse.ArgumentTypeError(f"must be {kind}, not {text!r}")
+
+
 def _count(text: str) -> int:
-    """The type of every count option: a positive integer, read by `int()`."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}") from None
+    """The type of every count option: a positive integer."""
+    value = _integer(text, "a positive integer")
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be positive, not {value}")
     return value
+
+
+def _seed(text: str) -> int:
+    """The type of every --seed: an integer of either sign."""
+    return _integer(text, "an integer")
 
 
 def _build_parser() -> _Parser:
@@ -89,7 +103,7 @@ def _build_parser() -> _Parser:
     p.add_argument("mats", nargs="*", metavar="MAT")
     p.add_argument("--report", action="store_true", help="sample the order/section agreement below MAT")
     p.add_argument("--trials", type=_count, default=200)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("lines", help="generating lines of the idempotent surface through e")
@@ -120,13 +134,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--lambda", dest="lam", metavar="RAT")
     p.add_argument("--e", metavar="MAT")
     p.add_argument("--samples", type=_count, default=2000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--format", dest="fmt", choices=("csv", "obj"), default="csv")
     p.add_argument("--out", required=True, metavar="PATH")
     p.add_argument("--z-range", dest="z_range", metavar="LO:HI")
 
     p = sub.add_parser("check", help="run the seeded property suites")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_count)
     p.add_argument("--suite", action="append", choices=_SUITES)
     p.add_argument("--json", action="store_true")

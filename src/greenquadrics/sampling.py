@@ -283,4 +283,5 @@ def rand_wide_mat(rng: Stream) -> Mat2:
 CERTIFICATE_VALUES = {
     1: (Rational(-3, 2), Rational(5, 7)),
     2: (Rational(-2), Rational(1, 3), Rational(5, 7)),
+    4: (Rational(-2), Rational(1, 3), Rational(5, 7), Rational(-3, 4), Rational(6, 5)),
 }

@@ -166,7 +166,8 @@ def test_criterion_5_nilpotent_cone():
     ]
     report(
         5,
-        f"x^2=0 iff tr=0 and det=0 on the exhaustive grid and 10000 random matrices; "
+        f"x^2=0 iff tr=0 and det=0 on the exhaustive grid, 10000 random matrices and "
+        f"the 75-point grid that certifies it on the nilpotent chart k(p,q)^T(q,-p); "
         f"45-degree cone identity (x2-x3)^2 = |x|^2 exact on the {grid_nilpotents} "
         f"nonzero grid nilpotents and 2000 random ones",
         results,
@@ -176,12 +177,14 @@ def test_criterion_5_nilpotent_cone():
 
 def test_criterion_6_natural_order():
     results = [
-        checks.check_natural_order_equivalence(SEED + 8, trials=10000),
+        checks.check_natural_order_equivalence(SEED + 8, trials=1000),
         checks.check_order_section_reports(SEED + 9, trials=10, per_report=200),
     ]
     report(
         6,
-        "natural order == minus order on 81^2 grid pairs and 10000 random pairs; "
+        "natural order == minus order on 81^2 grid pairs and 1000 sampled pairs, with "
+        "e y <= y in both orders certified for every rank-1 idempotent e at 250 sampled "
+        "invertible y; "
         "below-a set equals SP(inv(a);1) on 10 reports x 200 trials with zero "
         "counterexamples, and equals the literal SP(a;1) exactly on a = I",
         results,

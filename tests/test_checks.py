@@ -97,7 +97,7 @@ def test_order_check_sees_a_dropped_denominator(monkeypatch):
     # solving Y^T w = R instead of dy R is still exact on integer y
     mutant = _mutant(semigroup.natural_le, "b1, b2, b3 = y._d * r0, y._d * r1, ", "b1, b2, b3 = r0, r1, ")
     monkeypatch.setattr(checks, "natural_le", mutant)
-    r = checks.check_natural_order_equivalence(42, trials=200)
+    r = checks.check_natural_order_equivalence(42)
     assert r.ok is False, r.line()
 
 
@@ -115,7 +115,7 @@ def test_order_check_sees_a_minor_slip(monkeypatch, old, new):
     # side, rank-1 y column spaces
     mutant = _mutant(semigroup.natural_le, old, new)
     monkeypatch.setattr(checks, "natural_le", mutant)
-    r = checks.check_natural_order_equivalence(42, trials=200)
+    r = checks.check_natural_order_equivalence(42)
     assert r.ok is False, r.line()
 
 
@@ -134,7 +134,61 @@ def test_order_check_sees_a_minus_order_slip(monkeypatch, old, new):
     # determinant identity (its scale and its polar form) and a zero x
     mutant = _mutant(semigroup.minus_le, old, new)
     monkeypatch.setattr(checks, "minus_le", mutant)
-    r = checks.check_natural_order_equivalence(42, trials=200)
+    r = checks.check_natural_order_equivalence(42)
+    assert r.ok is False, r.line()
+
+
+_CHARACTERIZATIONS = ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0")
+
+
+def _characterizations_in_a_run():
+    return [r for r in checks.run_checks(["sets"], seed=42, trials=300) if r.name in _CHARACTERIZATIONS]
+
+
+def _characterizations_alone():
+    return [
+        checks.check_rank1_idempotent_characterization(42, 300),
+        checks.check_nilpotent_characterization(42, 300),
+    ]
+
+
+def test_shared_pass_equals_each_check_alone(monkeypatch):
+    fused = _characterizations_in_a_run()
+    assert fused == _characterizations_alone() and all(r.ok for r in fused), fused
+    # the pass lives for one run: a predicate patched after it is seen by the next run
+    monkeypatch.setattr(checks, "is_nilpotent", lambda x: x.det() == 0)
+    fused = _characterizations_in_a_run()
+    assert fused == _characterizations_alone(), fused
+    assert fused[0].ok and not fused[1].ok, fused
+    assert checks._shared_passes.get() is None
+
+
+def test_chart_grids_lie_on_their_varieties():
+    idempotents, nilpotents = checks._idempotent_charts(), checks._nilpotent_chart()
+    assert len(idempotents) == 5 * 3 + 3 and len(nilpotents) == 3 * 5 * 5
+    assert all(semigroup.is_idempotent(e) and e.rank() == 1 for e in idempotents)
+    # the second chart holds the idempotents whose column space is the x2 axis
+    assert [e.x1 == e.x2 == 0 for e in idempotents].count(True) == 3
+    assert all(semigroup.is_nilpotent(x) and not x.is_zero() for x in nilpotents)
+
+
+@pytest.mark.parametrize(
+    "name,func,old,new",
+    [
+        ("is_idempotent", semigroup.is_idempotent, "return x @ x == x", "return (x @ x).trace() == x.trace()"),
+        ("is_idempotent", semigroup.is_idempotent, "return x @ x == x", "return x @ x == x * x.trace()"),
+        ("is_nilpotent", semigroup.is_nilpotent, "return (x @ x).is_zero()", "return (x @ x).trace() == 0"),
+        ("is_nilpotent", semigroup.is_nilpotent, "return (x @ x).is_zero()", "return x.det() == 0"),
+        ("idempotent_characterization_holds", checks.idempotent_characterization_holds, "x.rank() == 1", "x.rank() <= 1"),
+        ("idempotent_characterization_holds", checks.idempotent_characterization_holds, " and x.rank() == 1", ""),
+    ],
+    ids=["idempotent-trace-only", "idempotent-times-trace", "nilpotent-trace-only", "nilpotent-det-only", "rank-at-most-1", "no-rank-test"],
+)
+def test_characterization_checks_see_a_predicate_slip(monkeypatch, name, func, old, new):
+    # each slip is patched at the binding the check reads, and fails the check of its predicate
+    monkeypatch.setattr(checks, name, _mutant(func, old, new))
+    check = checks.check_nilpotent_characterization if "nilpotent" in name else checks.check_rank1_idempotent_characterization
+    r = check(42)
     assert r.ok is False, r.line()
 
 

@@ -2,12 +2,13 @@
 LiteralParseError, and `cli.run` maps every literal to exit 0, 1 or 2,
 with a nonzero exit printing one `usage error:`, `parse error:` or
 `domain error:` line.  Every slot is also fed rationals just past either
-end of the float range.  The count slots are fuzzed at the argument
-parser, where any text gives a positive `int` or one usage error, and run
-end to end only on small integers, so that no example starts a long run."""
+end of the float range.  The count and seed slots are fuzzed at the
+argument parser, where any text gives an `int` read from ASCII digits (a
+positive one for a count) or one usage error; the counts run end to end
+only on small integers, so that no example starts a long run."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from greenquadrics.cli import _build_parser, _UsageError, run
@@ -51,6 +52,9 @@ TEMPLATES = {
     "export-lambda-rank1": [*_EXPORT, "--kind=section", "--a=[1,2;2,4]", "--lambda={}"],
     "export-lambda-invertible": [*_EXPORT, "--kind=section", "--a=[2,1;1,3]", "--lambda={}"],
     "export-z-range": [*_EXPORT, "--kind=idempotents", "--z-range=-1:{}"],
+    "export-e": [*_EXPORT, "--kind=generator-lines", "--e={}"],
+    "export-seed": [*_EXPORT, "--kind=idempotents", "--seed={}"],
+    "bell-point": ["bell", "--lambda=1", "--point={}"],
     "check-seed": ["check", "--suite=exact", "--trials=1", "--seed={}"],
     "order-seed": ["order", "--report", "--trials=2", "--seed={}", "--", "[2,1;1,3]"],
 }
@@ -92,16 +96,50 @@ huge_integer = st.builds(
 )
 
 
+# Each seed slot, keyed by its test id.
+SEED_SLOTS = {
+    "order-seed": ["order", "--report", "--seed={}", "--", "[2,1;1,3]"],
+    "export-seed": [*_EXPORT, "--kind=idempotents", "--seed={}"],
+    "check-seed": ["check", "--seed={}"],
+}
+
+
+def _parsed(template, dest, text):
+    return getattr(_build_parser().parse_args([arg.format(text, out="x.csv") for arg in template]), dest)
+
+
 @pytest.mark.parametrize("template,dest", COUNT_SLOTS.values(), ids=COUNT_SLOTS)
 @given(text=st.one_of(literal_text, huge_integer))
+# text that int() reads but a literal does not: a non-ASCII digit, a digit
+# separator, a plus sign, surrounding space
+@example(text="٣")
+@example(text="1_0")
+@example(text="+3")
+@example(text=" 3")
 def test_count_slots_parse_to_a_positive_int(template, dest, text):
-    argv = [arg.format(text, out="x.csv") for arg in template]
     try:
-        value = getattr(_build_parser().parse_args(argv), dest)
+        value = _parsed(template, dest, text)
     except _UsageError as exc:
-        assert "\n" not in str(exc), (argv, exc)
+        assert "\n" not in str(exc), (text, exc)
     else:
-        assert type(value) is int and value >= 1, (argv, value)
+        assert type(value) is int and value >= 1 and text.isascii() and text.isdigit(), (text, value)
+
+
+@pytest.mark.parametrize("template", SEED_SLOTS.values(), ids=SEED_SLOTS)
+@given(text=st.one_of(literal_text, huge_integer))
+@example(text="٣")
+@example(text="1_0")
+@example(text="+3")
+@example(text=" 3")
+@example(text="-0")
+def test_seed_slots_parse_to_an_int(template, text):
+    try:
+        value = _parsed(template, "seed", text)
+    except _UsageError as exc:
+        assert "\n" not in str(exc), (text, exc)
+    else:
+        digits = text.removeprefix("-")
+        assert type(value) is int and digits.isascii() and digits.isdigit(), (text, value)
 
 
 @pytest.mark.parametrize("template,dest", COUNT_SLOTS.values(), ids=COUNT_SLOTS)

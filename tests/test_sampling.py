@@ -196,7 +196,7 @@ def test_wide_draws_replay_from_seed_and_index():
     assert alone[0] == Mat2(*(Fraction(*_wide_parts(rng)) for _ in range(4)))
 
 
-@pytest.mark.parametrize("degree,count", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("degree,count", [(1, 1), (1, 2), (2, 1), (4, 1)])
 def test_certificate_grids_are_complete_and_mix_denominators(degree, count):
     values = CERTIFICATE_VALUES[degree]
     assert len(values) == degree + 1

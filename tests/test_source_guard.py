@@ -112,12 +112,12 @@ def _add_arguments(tree):
 
 
 def test_counts_have_one_parser():
-    # a count is checked once, by its argparse type: no runner compares one
+    # a count or a seed is checked once, by its argparse type: no runner compares one
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     assert sorted(_add_arguments(tree)) == [
         ("--grid", "_count"),
         ("--samples", "_count"),
-        *[("--seed", "int")] * 3,
+        *[("--seed", "_seed")] * 3,
         *[("--trials", "_count")] * 2,
     ]
     compared = {
@@ -127,7 +127,7 @@ def test_counts_have_one_parser():
         for n in ast.walk(cmp)
         if isinstance(n, ast.Attribute)
     }
-    assert not compared & {"grid", "samples", "trials"}, sorted(compared)
+    assert not compared & {"grid", "samples", "trials", "seed"}, sorted(compared)
 
 
 NAME_ARGUMENTS = [
