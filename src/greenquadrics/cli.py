@@ -17,7 +17,9 @@ Exit codes: 0 success; 1 usage or literal parse errors, which include a
 non-positive or non-integer --trials/--samples/--grid, a non-integer
 --seed, an unwritable --out path and a result too large to print (beyond
 Python's int-to-str digit limit, or beyond the float range under
---float); 2 domain errors (and failed `check` runs).
+--float) or nonzero and too small for a double under --float; 2 domain
+errors (and failed `check` runs).  An error is one line: a path in it
+shows each character that does not print as its escape.
 """
 
 import argparse
@@ -152,22 +154,34 @@ def _build_parser() -> _Parser:
 
 
 def _fmt_scalar(x, as_float: bool) -> str:
-    from greenquadrics.exact import QuadExt, format_quadext, format_rational, to_float
+    from greenquadrics.exact import QuadExt, format_quadext, format_rational
 
     if as_float:
-        return repr(to_float(x))
+        return _fmt_floats((x,))
     if isinstance(x, QuadExt):
         return format_quadext(x)
     return format_rational(x)
 
 
 def _fmt_mat(m, as_float: bool) -> str:
-    from greenquadrics.exact import to_float
     from greenquadrics.mat2 import format_mat2
 
     if not as_float:
         return format_mat2(m)
-    return "[" + ",".join(repr(to_float(v)) for v in m.entries) + "]"
+    return "[" + _fmt_floats(m.entries) + "]"
+
+
+def _fmt_floats(values) -> str:
+    """The doubles of `values`, comma-separated; export's conversion, so a
+    nonzero value below the float range is refused, not printed as 0.0."""
+    from greenquadrics.surfaces import _coefficients
+
+    return ",".join(map(repr, _coefficients(values)))
+
+
+def _shown(path: str) -> str:
+    """`path` on one line: a character that does not print is escaped."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
 
 
 def _emit(text: str, payload, use_json: bool) -> str:
@@ -423,7 +437,14 @@ def _run_export(ns) -> str:
     from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 
     if os.path.isdir(ns.out) or ns.out.endswith(("/", os.sep)):
-        raise _UsageError(f"cannot write {ns.out}: it names a directory")
+        raise _UsageError(f"cannot write {_shown(ns.out)}: it names a directory")
+    # argv cannot carry a NUL or a lone surrogate; `run` can
+    try:
+        name = os.fsencode(ns.out)
+    except UnicodeEncodeError as exc:
+        raise _UsageError(f"cannot write {_shown(ns.out)}: {exc.reason}") from None
+    if b"\0" in name:
+        raise _UsageError(f"cannot write {_shown(ns.out)}: it holds a NUL character")
     kwargs = {}
     if ns.kind == "section":
         if ns.a is None or ns.lam is None:
@@ -452,8 +473,8 @@ def _run_export(ns) -> str:
     try:
         points, segments = write(sample, ns.out)
     except OSError as exc:
-        raise _UsageError(f"cannot write {ns.out}: {exc.strerror or exc}") from None
-    return f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {ns.out}"
+        raise _UsageError(f"cannot write {_shown(ns.out)}: {exc.strerror or exc}") from None
+    return f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {_shown(ns.out)}"
 
 
 def _run_check(ns) -> tuple[str, bool]:

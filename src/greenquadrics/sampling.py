@@ -11,6 +11,14 @@ straight from integer content with one gcd.  A rejected attempt (a zero
 vector, a zero pairing) redraws the whole batch, which keeps the result
 uniform over the accepted draws.
 
+`uniform_rows` draws the float rows of export from the same streams
+without building one: the keys of up to `_LANES` consecutive indices sit
+in the 128-bit lanes of one int (a SWAR layout; Lamport, CACM 18(8),
+1975), and each step of SplitMix64 is one big-int operation over all the
+lanes.  A lane value and both multipliers are below 2**64, so no product
+carries into the next lane; the words are read back little-endian, and
+the draws are bit-identical to `Stream.uniform`.
+
 The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
 trials of the certified checks: numerators of a random sign and
 denominators of exactly 64 bits each, one `Stream.getrandbits` output per
@@ -21,6 +29,8 @@ variable.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from itertools import product
 
 from greenquadrics.exact import Rational, _as_rational, _from_ints
@@ -128,26 +138,61 @@ def rng_for(seed: int, index: int) -> Stream:
     return Stream(derive_seed(seed, index))
 
 
+_LANES = 512  # rows whose keys `uniform_rows` mixes in one pass
+_LANE_BITS = 128
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _lanes(words) -> int:
+    """One int holding each word in its own 128-bit lane, the first lowest."""
+    lanes = array("Q", bytes(16 * len(words)))
+    lanes[::2] = array("Q", words)
+    if _BIG_ENDIAN:
+        lanes.byteswap()
+    return int.from_bytes(lanes.tobytes(), "little")
+
+
+_ONES = _lanes([1] * _LANES)
+_RAMP = _lanes(range(_LANES))
+
+
 def uniform_rows(seed: int, start: int, n: int, bounds):
     """Yield, for each index in [start, start + n), the tuple of draws
-    `rng_for(seed, index).uniform(lo, hi)` for each (lo, hi) in `bounds`.
+    `rng_for(seed, index).uniform(lo, hi)` for each of the one or more
+    (lo, hi) in `bounds`.
 
-    One loop instead of a `Stream` per index: the key of index + 1 is the
-    key of index plus _MIX_B (mod 2**63), and the mix is inlined.  Each
-    draw keeps `Stream.uniform`'s expression a + (b - a) * (k * 2**-53).
+    Lane i of one int (bits 128i to 128i + 127) holds the key of index
+    start + i, which is the key of start plus i*_MIX_B (mod 2**63), below
+    2**72 before its mask; a call mixes min(n, `_LANES`) lanes at a time.
+    Every lane value is masked below 2**64 before it is multiplied by `_C1`
+    or `_C2` (both below 2**64), so a product fits its lane.  That mask
+    also drops the bits that each xor-shift brought down from the lane
+    above.  After the last xor-shift, bits 64 to 96 of a lane are zero, so
+    the low word of `>> 11` is the top 53 bits of the lane's output.  The
+    words are read back through `int.to_bytes(..., "little")` into an
+    `array("Q")`, byte-swapped on a big-endian machine, and each draw
+    keeps `Stream.uniform`'s expression a + (b - a) * (k * 2**-53).
     """
     spans = [(lo, hi - lo) for lo, hi in bounds]
     key = derive_seed(seed, start)
-    for _ in range(n):
-        s = key
-        row = []
-        for lo, width in spans:
-            s = (s + _GAMMA) & _M64
-            z = ((s ^ (s >> 30)) * _C1) & _M64
-            z = ((z ^ (z >> 27)) * _C2) & _M64
-            row.append(lo + width * (((z ^ (z >> 31)) >> 11) * 2.0**-53))
-        yield tuple(row)
-        key = (key + _MIX_B) & _MASK
+    while n > 0:
+        m = min(n, _LANES)
+        ones = _ONES >> (_LANE_BITS * (_LANES - m))
+        m64 = _M64 * ones
+        keys = (key * ones + _MIX_B * (_RAMP & m64)) & (_MASK * ones)
+        gamma = _GAMMA * ones
+        columns = []
+        for j, (lo, width) in enumerate(spans, 1):
+            s = (keys + j * gamma) & m64
+            z = ((s ^ (s >> 30)) & m64) * _C1 & m64
+            z = ((z ^ (z >> 27)) & m64) * _C2 & m64
+            words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(16 * m, "little"))
+            if _BIG_ENDIAN:
+                words.byteswap()
+            columns.append([lo + width * (k * 2.0**-53) for k in words[::2]])
+        yield from zip(*columns)
+        key = (key + m * _MIX_B) & _MASK
+        n -= m
 
 
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:

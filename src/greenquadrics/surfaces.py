@@ -13,6 +13,9 @@ chart, class planes, generator lines) up front; `SurfaceSample.rows()`
 regenerates the float rows from `(seed, index)` on every pass, and the
 writers format each row as it comes, so export memory does not grow with
 the sample count for any kind, generator lines (drawn in order) included.
+The draws of `sampling.uniform_rows` come one chunk at a time: at most
+`sampling._LANES` rows of floats and a few lane ints of 8 to 16 KB are
+held, whatever the sample count.
 """
 
 from __future__ import annotations
@@ -69,7 +72,8 @@ class SurfaceSample:
 
 def _coefficients(values) -> list[float]:
     """`to_float` of each exact coefficient; a nonzero one that rounds to
-    0.0 is an error, since every row it enters would leave the surface."""
+    0.0 is an error, since every row it enters would leave the surface.
+    The CLI's `--float` output converts through here too."""
     floats = [to_float(v) for v in values]
     if any(f == 0.0 and v != 0 for f, v in zip(floats, values)):
         raise RenderLimitError(

@@ -252,6 +252,15 @@ class TestCheckAndExportCli:
         assert list(tmp_path.iterdir()) == [taken]
         assert list(taken.iterdir()) == []
 
+    def test_export_to_a_nul_path_leaves_no_temp_file(self, tmp_path, monkeypatch):
+        # only the Python entry point can pass a NUL; it is refused before sampling
+        monkeypatch.setattr("greenquadrics.surfaces.sample_surface", None)
+        out = str(tmp_path / "a\x00b.csv")
+        code, text = run(["export", "--kind=idempotents", "--samples=3", f"--out={out}"])
+        shown = out.replace("\x00", "\\x00")
+        assert (code, text) == (1, f"usage error: cannot write {shown}: it holds a NUL character")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("z_range", ["--z-range=-inf:inf", "--z-range=-1e308:1e308", "--z-range=0:1e300"])
     def test_export_rejects_unbounded_z_range(self, tmp_path, z_range):
         out = tmp_path / "x.csv"
@@ -281,6 +290,21 @@ class TestCheckAndExportCli:
             "usage error: a nonzero coefficient is below the float range (smallest double 4.94066e-324)"
         )
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bell", "--lambda=1", "--point=[1,1/1" + "0" * 400 + ";0,0]", "--float"],
+            ["metrics", "--lambda=1/1" + "0" * 400, "--float"],
+        ],
+        ids=["bell-scalar", "metrics-matrix"],
+    )
+    def test_float_refuses_a_value_that_underflows(self, argv):
+        # Y = 10^-400 sqrt2 / 2 and a centre entry of 10^-400 / 2 are not 0.0
+        assert run(argv) == (
+            1,
+            "usage error: a nonzero coefficient is below the float range (smallest double 4.94066e-324)",
+        )
 
     def test_export_of_an_empty_section_needs_no_float(self, tmp_path):
         # a zero `a` at level 10^400 has no points, so the level is never

@@ -3,10 +3,12 @@
 tests/data/export_golden.sha256 holds one line `argv → sha256` per case:
 each surface kind in CSV and OBJ, `--z-range`, and every `section`
 sampler branch, all at `--samples 257 --seed 11` (odd, so the two
-generator lines get unequal point counts).  The test re-runs each argv
-with `--out` in a temporary directory and compares the file's hash.  A
-case is named by its kind, its sampler branch and its format, for
-example `section-two-planes-csv`.
+generator lines get unequal point counts), and an idempotents CSV and a
+generator-lines OBJ at `--samples 2500`, past one chunk of
+`sampling.uniform_rows`' lanes.  The test re-runs each argv with `--out`
+in a temporary directory and compares the file's hash.  A case is named
+by its kind, its sampler branch, its sample count when that is not 257,
+and its format, for example `section-two-planes-csv`.
 """
 
 import hashlib
@@ -21,8 +23,12 @@ GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "export_golden.sha25
 CASES = [line.split(" → ") for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
 
 
+def _options(argv: str) -> dict[str, str]:
+    return dict(arg[2:].split("=", 1) for arg in argv.split()[1:])
+
+
 def _case_id(argv: str) -> str:
-    opts = dict(arg[2:].split("=", 1) for arg in argv.split()[1:])
+    opts = _options(argv)
     parts = [opts["kind"]]
     if opts["kind"] == "section":
         rank = parse_mat2(opts["a"]).rank()
@@ -32,6 +38,8 @@ def _case_id(argv: str) -> str:
             parts.append("invertible" if rank == 2 else "full-variety")
     if "z-range" in opts:
         parts.append("z-range")
+    if opts["samples"] != "257":
+        parts.append(opts["samples"])
     return "-".join([*parts, opts["format"]])
 
 
@@ -43,8 +51,9 @@ assert len(set(IDS)) == len(IDS), IDS
 def test_export_bytes_match_golden(argv, digest, tmp_path):
     out = tmp_path / "surface"
     code, text = run(argv.split() + [f"--out={out}"])
-    segments = ", 255 segments" if "generator-lines" in argv else ""
-    assert (code, text) == (0, f"wrote 257 points{segments} to {out}")
+    n = int(_options(argv)["samples"])
+    segments = f", {n - 2} segments" if "generator-lines" in argv else ""
+    assert (code, text) == (0, f"wrote {n} points{segments} to {out}")
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

@@ -7,6 +7,8 @@ argument parser, where any text gives an `int` read from ASCII digits (a
 positive one for a count) or one usage error; the counts run end to end
 only on small integers, so that no example starts a long run."""
 
+import os
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -36,7 +38,7 @@ def test_parsers_raise_only_literal_errors(parse, text):
 # `--opt=VALUE` form and positionals follow `--`, so a literal is never read
 # as an option.  The `export-` templates fuzz the values export turns into
 # floats: the level of an empty, a rank-1 and an invertible section, and
-# the upper end of a z range.
+# the upper end of a z range; `export-out` fuzzes the file name.
 _EXPORT = ["export", "--samples=3", "--out={out}"]
 TEMPLATES = {
     "classify": ["classify", "--a={}", "--lambda=1"],
@@ -57,7 +59,16 @@ TEMPLATES = {
     "bell-point": ["bell", "--lambda=1", "--point={}"],
     "check-seed": ["check", "--suite=exact", "--trials=1", "--seed={}"],
     "order-seed": ["order", "--report", "--trials=2", "--seed={}", "--", "[2,1;1,3]"],
+    "export-out": ["export", "--kind=idempotents", "--samples=3", "--out={dir}/{}"],
 }
+
+# File names for `--out`, joined under the fuzz directory: no `/`, and the
+# names no file can have (empty, `.`, `..`, a NUL, over 255 characters).
+file_names = st.one_of(
+    st.sampled_from(["", ".", "..", "a\x00b.csv", "x" * 256]),
+    st.text(st.characters(exclude_characters="/")),
+    st.text(st.characters(exclude_characters="/"), min_size=256, max_size=300),
+)
 
 # 10^k and 1/10^k for k = 300..400: rationals on both sides of the float range
 near_float_range = st.builds(
@@ -70,16 +81,22 @@ def out_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "x.csv")
 
 
-@pytest.mark.parametrize("template", TEMPLATES.values(), ids=TEMPLATES)
+@pytest.mark.parametrize("slot,template", TEMPLATES.items(), ids=TEMPLATES)
 @settings(max_examples=60, deadline=None)
-@given(literal=st.one_of(literal_text, near_float_range))
-def test_cli_exit_codes(template, literal, out_path):
-    argv = [arg.format(literal, out=out_path) for arg in template]
+@given(data=st.data())
+def test_cli_exit_codes(slot, template, data, out_path):
+    texts = file_names if slot == "export-out" else st.one_of(literal_text, near_float_range)
+    literal = data.draw(texts, label="literal")
+    directory, name = os.path.split(out_path)
+    before = set(os.listdir(directory))
+    argv = [arg.format(literal, out=out_path, dir=directory) for arg in template]
     code, text = run(argv)
     assert code in (0, 1, 2), (argv, code, text)
     if code:
         assert text.startswith(("usage error:", "parse error:", "domain error:")), (argv, code, text)
         assert "\n" not in text, (argv, code, text)
+    # a run writes its own file or nothing: no temp file is left behind
+    assert set(os.listdir(directory)) - before <= {name, literal}, argv
 
 
 # Each count slot, keyed by its test id: a template and the parsed attribute.

@@ -8,6 +8,7 @@ from greenquadrics.checks import _BELL_LEVELS
 from greenquadrics.mat2 import Mat2
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
+    _LANES,
     Stream,
     _wide_parts,
     grid_matrices,
@@ -147,19 +148,31 @@ def test_trial_draws_do_not_depend_on_other_trials():
     assert draws(rng_for(11, 6)) != alone and draws(rng_for(12, 5)) != alone
 
 
-@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3])
-@pytest.mark.parametrize("start", [0, 25_000])
+# Row counts on both sides of one and two chunks of lanes.  Keys wrap past
+# 2**63 about every 6.4 rows (_MIX_B is about 0.16 * 2**63); the start
+# 2**64 - 5 also runs the index itself past 2**64 inside the first chunk.
+ROW_COUNTS = (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3)
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**40 + 3, -7, 2**64 + 3])
+@pytest.mark.parametrize("start", [0, 25_000, 2**64 - 5])
 @pytest.mark.parametrize(
     "bounds",
-    [((0, 2 * math.pi), (-1.5, 2.5)), ((-3, 3),), ((-0.25, 0.25),)],
-    ids=["angle-and-span", "three", "quarter"],
+    [
+        ((0, 2 * math.pi), (-1.5, 2.5)),
+        ((-3, 3),),
+        ((-0.25, 0.25),),
+        ((0, 2 * math.pi), (0, 2 * math.pi), (-3.0, 3.0)),
+    ],
+    ids=["angle-and-span", "three", "quarter", "two-angles-and-scale"],
 )
 def test_uniform_rows_are_the_per_index_stream_draws(seed, start, bounds):
     want = []
-    for i in range(start, start + 200):
+    for i in range(start, start + max(ROW_COUNTS)):
         rng = rng_for(seed, i)
         want.append(tuple(rng.uniform(lo, hi) for lo, hi in bounds))
-    assert list(uniform_rows(seed, start, 200, bounds)) == want
+    for n in ROW_COUNTS:
+        assert list(uniform_rows(seed, start, n, bounds)) == want[:n], n
 
 
 def test_uniform_rows_of_no_indices_is_empty():

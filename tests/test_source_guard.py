@@ -15,7 +15,8 @@ imports `dataclasses`.  The order, line and chart paths compute on a
 quadric classifier eliminates its bordered matrix and solves no linear
 system, the natural order and the meet of two lines are decided by
 minors, not by a solve, the minus order forms no difference y - x, and
-the inverse chart builds no `Fraction`.  In the check suites only one
+the inverse chart builds no `Fraction`, and `uniform_rows` builds no
+`Stream`.  In the check suites only one
 helper counts trials and only one keys a seeded stream.  Every module-level
 `def` and `class` is named by some package code: a name that only tests
 reach is deleted, not kept as a second door.
@@ -310,6 +311,16 @@ def test_minus_le_forms_no_difference():
     # a gcd of the denominators and a 5-way reduction only to take its rank
     body = _function("semigroup", "minus_le")
     assert not _subtracts(body, "y", "x") and not _subtracts(body, "x", "y")
+
+
+def test_uniform_rows_build_no_stream():
+    # export rows are mixed many keys per big int; a `Stream` per row would
+    # bring back the scalar loop as a second path to the same draws
+    body = _function("sampling", "uniform_rows")
+    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
+    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
+    used = names & {"Stream", "rng_for"}
+    assert not used, f"sampling.uniform_rows uses {sorted(used)}"
 
 
 def test_inverse_chart_builds_no_fraction():
