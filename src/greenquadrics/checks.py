@@ -851,22 +851,28 @@ def check_affine_invariance(seed, trials=200):
 
 
 def check_inverse_image_law(seed, trials=500):
+    # the two built strata are x = inv(a) y for a known y; the check also
+    # asks a x == y, so an inverse that is off by a factor cannot move them
+    # off the section unseen
     def cases():
         for i, rng in _streams(seed, trials):
             a = rand_invertible(rng)
             mode = i % 3
             if mode == 0:
-                x = rand_rank1(rng)
-            elif mode == 1:
-                x = inverse_mat(a) @ rand_idempotent_rank1(rng)
+                yield a, rand_rank1(rng), None
+                continue
+            if mode == 1:
+                y = rand_idempotent_rank1(rng)
             else:
                 # tr(a x) = 1 with x almost always nonsingular: only det rules x out
                 y = rand_mat(rng, 4, 3)
-                x = inverse_mat(a) @ (y + IDENTITY * ((1 - y.trace()) * _HALF))
-            yield a, x
+                y = y + IDENTITY * ((1 - y.trace()) * _HALF)
+            yield a, inverse_mat(a) @ y, y
 
-    def holds(a, x):
+    def holds(a, x, y):
         ax = a @ x
+        if y is not None and ax != y:
+            return False
         return section_membership(Hyperplane(a, 1), x) == (is_idempotent(ax) and ax.rank() == 1)
 
     return _tally("sections", "section_is_inverse_image_of_idempotents", cases(), holds)

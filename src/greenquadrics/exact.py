@@ -72,8 +72,10 @@ def _from_ints(num: int, den: int) -> Rational:
     One gcd and a direct fill of `Fraction`'s two slots (`_numerator`,
     `_denominator`, unchanged since Python 3.10): this skips the type
     dispatch of `Fraction(num, den)`, about two thirds of its cost, on the
-    path every `Mat2` scalar and accessor takes.  `tests/test_exact.py`
-    checks it against `Fraction(num, den)`.
+    path the `Mat2` accessors and sums of products take.  A scalar whose
+    factors are known is instead reduced by gcds of those factors, which
+    are half the size of their product, and filled by `_from_lowest`.
+    `tests/test_exact.py` checks both against `Fraction(num, den)`.
     """
     g = gcd(num, den)
     if den < 0:
@@ -81,6 +83,15 @@ def _from_ints(num: int, den: int) -> Rational:
     r = object.__new__(Fraction)
     r._numerator = num // g
     r._denominator = den // g
+    return r
+
+
+def _from_lowest(num: int, den: int) -> Rational:
+    """`num / den` as a `Rational` for ints already in lowest terms with
+    den > 0: the fill of `_from_ints` without its gcd."""
+    r = object.__new__(Fraction)
+    r._numerator = num
+    r._denominator = den
     return r
 
 

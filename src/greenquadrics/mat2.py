@@ -7,13 +7,17 @@ and every set-level formula in the package reads products that way.
 
 Storage is integer content over one common denominator: a 4-tuple of
 Python ints `_n` and one int `_d > 0` with the matrix equal to `_n / _d`.
-Every result is reduced by a single 5-way gcd, so `gcd(*_n, _d) == 1`
-(the zero matrix is `(0, 0, 0, 0) / 1`) and equal matrices have equal
-fields: equality and hashing are tuple operations.  Arithmetic, `det`,
-`rank` and the other maps are written out on the ints; `Fraction`s are
-built only at the accessors (`entries`, `x1`..`x4`) and for the rational
-scalars a map returns.  Entries and scalars are `int` or `Fraction`;
-anything else (a float, a string, a `Decimal`) raises `TypeError`.
+Every result is in lowest terms, `gcd(*_n, _d) == 1` (the zero matrix is
+`(0, 0, 0, 0) / 1`), so equal matrices have equal fields: equality and
+hashing are tuple operations.  A sum of products is reduced by one 5-way
+gcd (`_canon`).  A result whose factors are known is reduced by gcds of
+those factors before they are multiplied (Henrici's rule): `inverse_mat`
+and `det` here, the chart points of `semigroup`.  Each such gcd runs on
+numbers half the size of the product's.  Arithmetic, `det`, `rank` and
+the other maps are written out on the ints; `Fraction`s are built only at
+the accessors (`entries`, `x1`..`x4`) and for the rational scalars a map
+returns.  Entries and scalars are `int` or `Fraction`; anything else (a
+float, a string, a `Decimal`) raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
 from greenquadrics.exact import _as_rational as _coerce
 from greenquadrics.exact import _from_ints as _Q
+from greenquadrics.exact import _from_lowest
 from greenquadrics.exact import _parts
 
 __all__ = [
@@ -157,9 +162,17 @@ class Mat2:
         return _Q(a[0] + a[3], self._d)
 
     def det(self) -> Rational:
+        # gcd(num, d^2) = g h with g = gcd(num, d) and h = gcd(num / g, d),
+        # which divides g: two gcds with d, none with d^2
         a1, a2, a3, a4 = self._n
         d = self._d
-        return _Q(a1 * a4 - a2 * a3, d * d)
+        num = a1 * a4 - a2 * a3
+        g = gcd(num, d)
+        if g == 1:
+            return _from_lowest(num, d * d)
+        num //= g
+        h = gcd(num, g)
+        return _from_lowest(num // h, d // g * (d // h))
 
     def rank(self) -> int:
         a1, a2, a3, a4 = self._n
@@ -211,13 +224,26 @@ def det_polar(x: Mat2, y: Mat2) -> Rational:
 
 
 def inverse_mat(a: Mat2) -> Mat2:
-    """Group inverse (adjugate over determinant); exact."""
+    """Group inverse (adjugate over determinant); exact.
+
+    With a = c A / d for the content c = gcd(a1..a4) and g = gcd(d, det A),
+    the inverse is adj(A) (d / g) / (c det A / g), already in lowest terms:
+    adj(A) is primitive, gcd(c, d) = 1 and d / g is prime to det A / g.
+    """
     a1, a2, a3, a4 = a._n
-    det = a1 * a4 - a2 * a3  # det(a) * d^2, so inverse = adj(content) * d / det
+    c = gcd(a1, a2, a3, a4) or 1  # the zero matrix goes on to det == 0
+    if c != 1:
+        a1, a2, a3, a4 = a1 // c, a2 // c, a3 // c, a4 // c
+    det = a1 * a4 - a2 * a3
     if det == 0:
         raise SingularMatrixError("matrix is singular; use semigroup inverses")
-    d = a._d if det > 0 else -a._d
-    return _canon(a4 * d, -a2 * d, -a3 * d, a1 * d, abs(det))
+    d = a._d
+    g = gcd(d, det)
+    if g != 1:
+        d, det = d // g, det // g
+    if det < 0:
+        d, det = -d, -det
+    return _raw((a4 * d, -a2 * d, -a3 * d, a1 * d), c * det)
 
 
 def outer(col, row) -> Mat2:

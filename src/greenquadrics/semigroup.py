@@ -16,10 +16,12 @@ and decides whether it has a solution from its minors, without solving
 it.  `minus_le` decides rank(y - x) = rank y - rank x by cases on the
 two ranks, with one determinant identity on the content of x and y and
 no `Mat2` for y - x.  `inverse_chart` keeps the chart as integer
-content, which `chart_eval` combines with one reduction; the chart's
-`Fraction` vectors are built only when read.  `line_meet` decides
-whether two lines meet by the 3x3 minors of their integer system and
-reads the meet off a 2x2 minor by Cramer's rule.
+content, put in lowest terms by the gcds of R and C alone, and
+`chart_eval` reduces its outer product by gcds of its two factors, never
+of the four products: a result whose factors are known is reduced by gcds
+of those factors.  The chart's `Fraction` vectors are built only when
+read.  `line_meet` decides whether two lines meet by the 3x3 minors of
+their integer system and reads the meet off a 2x2 minor by Cramer's rule.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from greenquadrics.green import ProjLine
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
-    _canon,
+    _raw,
     format_mat2,
     inverse_mat,
     outer,
@@ -106,15 +108,10 @@ def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:
     return (n2, n4), (n3, n4), n4
 
 
-def _reduced(u: int, v: int, w: int) -> tuple[int, int, int]:
-    """(u, v) / w in lowest terms: smaller content makes `chart_eval` cheaper."""
-    g = gcd(u, v, w)
-    return u // g, v // g, w // g
-
-
 def _perp(u: int, v: int) -> tuple[int, int]:
-    """Primitive integer direction of the line perpendicular to (u, v)."""
-    return ProjLine(-v, u).direction
+    """The direction (-v, u) perpendicular to a primitive (u, v), first
+    nonzero entry positive: the `ProjLine` direction of that line."""
+    return (v, -u) if v > 0 or (v == 0 and u < 0) else (-v, u)
 
 
 class InverseChart(NamedTuple):
@@ -154,20 +151,38 @@ class InverseChart(NamedTuple):
 
 def inverse_chart(a: Mat2) -> InverseChart:
     """The chart of rank-1 `a` for its factorization c = C / d, r = R / P:
-    d0 = r / |r|^2 = R P / |R|^2, q0 = c / |c|^2 = C d / |C|^2."""
+    d0 = r / |r|^2 = R P / |R|^2, q0 = c / |c|^2 = C d / |C|^2.
+
+    Both are put in lowest terms through the gcds of R and C.  With
+    R = k R' and C = m C' for primitive R', C': P is an entry of R, so
+    d0 = R' (P / k) / |R'|^2 with P / k an entry of R', prime to |R'|^2;
+    and q0 = C' d / (m |C'|^2), reduced by h = gcd(d, m |C'|^2).
+    """
     if a.rank() != 1:
         raise NotRankOneError("inverse charts exist for rank-1 matrices only")
     (c0, c1), (r0, r1), p = _factor(a._n)
-    dd0, dd1, e = _reduced(r0 * p, r1 * p, r0 * r0 + r1 * r1)
-    g0, g1, f = _reduced(c0 * a._d, c1 * a._d, c0 * c0 + c1 * c1)
-    return InverseChart(a, (dd0, dd1, e, _perp(r0, r1), g0, g1, f, _perp(c0, c1)))
+    k = gcd(r0, r1)
+    r0, r1, p = r0 // k, r1 // k, p // k
+    m = gcd(c0, c1)
+    c0, c1 = c0 // m, c1 // m
+    f = m * (c0 * c0 + c1 * c1)
+    d = a._d
+    h = gcd(d, f)
+    if h != 1:
+        d, f = d // h, f // h
+    return InverseChart(
+        a, (r0 * p, r1 * p, r0 * r0 + r1 * r1, _perp(r0, r1), c0 * d, c1 * d, f, _perp(c0, c1))
+    )
 
 
 def chart_eval(chart: InverseChart, s, t) -> Mat2:
     """The inverse (d0 + s d1)(q0 + t q1)^T at chart parameters (s, t).
 
     With s = sn / sd and t = tn / td, d = (D sd + E sn d1) / (E sd) and
-    q = (G td + F tn q1) / (F td): the product is one `_canon` of ints.
+    q = (G td + F tn q1) / (F td): the point is the outer product x y^T of
+    two integer vectors over one denominator.  The gcd of its four entries
+    is gcd(x) gcd(y), so the point is reduced by gcd(den, gcd(x) gcd(y)),
+    taken as gcd(x, den) and then gcd(y, den / gcd(x, den)).
     """
     dd0, dd1, e, (u0, u1), g0, g1, f, (v0, v1) = chart.content
     sn, sd = _parts(s)
@@ -175,7 +190,14 @@ def chart_eval(chart: InverseChart, s, t) -> Mat2:
     es, ft = e * sn, f * tn
     x0, x1 = dd0 * sd + es * u0, dd1 * sd + es * u1
     y0, y1 = g0 * td + ft * v0, g1 * td + ft * v1
-    return _canon(x0 * y0, x0 * y1, x1 * y0, x1 * y1, e * sd * f * td)
+    den = (e * sd) * (f * td)
+    g = gcd(x0, x1, den)
+    if g != 1:
+        x0, x1, den = x0 // g, x1 // g, den // g
+    g = gcd(y0, y1, den)
+    if g != 1:
+        y0, y1, den = y0 // g, y1 // g, den // g
+    return _raw((x0 * y0, x0 * y1, x1 * y0, x1 * y1), den)
 
 
 class GeneratorLine(NamedTuple):

@@ -379,6 +379,31 @@ def test_chart_check_sees_one_denominator_twice(monkeypatch):
     assert r.ok is False, r.line()
 
 
+def test_inverse_image_check_sees_an_inverse_off_by_its_content(monkeypatch):
+    # adj(a / c) d / det(a / c) is c inv(a): still an inverse's direction, and
+    # a x stays on the same line as the idempotent or trace-1 y it was built from
+    monkeypatch.setattr(checks, "inverse_mat", _mutant(mat2.inverse_mat, "c * det)", "det)"))
+    r = checks.check_inverse_image_law(42)
+    assert r.ok is False, r.line()
+
+
+def test_det_checks_see_a_skipped_second_gcd(monkeypatch):
+    # without h = gcd(num / g, d) a determinant such as 4 / 4 stays 2 / 2
+    monkeypatch.setattr(Mat2, "det", _mutant(Mat2.det, "h = gcd(num, g)", "h = 1"))
+    r = checks.check_det_trace_laws(42)
+    assert r.ok is False, r.line()
+
+
+@pytest.mark.parametrize("factor", ["x0, x1", "y0, y1"], ids=["row-factor", "column-factor"])
+def test_chart_check_sees_a_dropped_factor_gcd(monkeypatch, factor):
+    # a point reduced by one factor's gcd only has the right value in the
+    # wrong storage form, so it compares unequal to the same inverse
+    mutant = _mutant(semigroup.chart_eval, f"g = gcd({factor}, den)", "g = 1")
+    monkeypatch.setattr(checks, "chart_eval", mutant)
+    r = checks.check_inverse_set_theorem(42)
+    assert r.ok is False, r.line()
+
+
 def test_newly_certified_checks_pass_across_seeds():
     for seed in range(6):
         for check in (checks.check_quadext_field, checks.check_inverse_set_theorem, checks.check_bell_roundtrip):

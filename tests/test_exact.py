@@ -18,7 +18,7 @@ from greenquadrics.exact import (
     parse_rational,
     to_float,
 )
-from greenquadrics.exact import _from_ints
+from greenquadrics.exact import _from_ints, _from_lowest
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(
     lambda f: Rational(f.numerator, f.denominator)
@@ -149,6 +149,17 @@ class TestFromInts:
     @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
     def test_matches_fraction(self, num, den):
         got, want = _from_ints(num, den), Fraction(num, den)
+        assert type(got) is Fraction
+        assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+        assert got == want and hash(got) == hash(want)
+        assert got + 1 == want + 1 and format_rational(got) == format_rational(want)
+
+
+class TestFromLowest:
+    @given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30).filter(bool))
+    def test_matches_fraction(self, num, den):
+        want = Fraction(num, den)
+        got = _from_lowest(want.numerator, want.denominator)
         assert type(got) is Fraction
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         assert got == want and hash(got) == hash(want)

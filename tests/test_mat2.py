@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from greenquadrics import checks
@@ -168,6 +168,9 @@ class TestScalarMaps:
             (Mat2(0, 1, 0, 0), 0, 0, 1, 1),
             (Mat2(2, 0, 3, 0), 2, 0, 1, 13),
             (ZERO, 0, 0, 0, 0),
+            # det 40 / 25 and 4 / 4: reduced by gcd(num, d), then by gcd(num / g, d)
+            (Mat2(6, 4, 2, 8) / 5, Rational(14, 5), Rational(8, 5), 2, Rational(24, 5)),
+            (Mat2(1, 1, 1, 5) / 2, 3, 1, 2, 7),
         ],
     )
     def test_summary(self, m, trace, det, rank, norm_sq):
@@ -215,10 +218,15 @@ class TestInverse:
         assert inverse_mat(IDENTITY) == IDENTITY
         assert inverse_mat(Mat2(2, 0, 0, Rational(1, 2))) == Mat2(Rational(1, 2), 0, 0, 2)
         assert inverse_mat(Mat2(1, 1, 0, 1)) == Mat2(1, -1, 0, 1)
+        # content 2, and content 2 over a denominator 5 that divides det 10
+        assert inverse_mat(Mat2(6, 4, 2, 8)) == Mat2(8, -4, -2, 6) / 40
+        assert inverse_mat(Mat2(6, 4, 2, 8) / 5) == Mat2(8, -4, -2, 6) / 8
 
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            inverse_mat(E)
+        # the zero matrix has content gcd(0, 0, 0, 0) = 0, nothing to divide by
+        for a in (E, ZERO):
+            with pytest.raises(SingularMatrixError):
+                inverse_mat(a)
 
     @given(mats)
     def test_two_sided(self, a):
@@ -271,3 +279,71 @@ class TestLiterals:
     @given(mats)
     def test_roundtrip(self, a):
         assert parse_mat2(format_mat2(a)) == a
+
+
+# 2^12 3^8 5^5 7^4 11^3 13^2: a random int shares one of these primes with it
+# more often than not, so a denominator carrying it shares factors with det A
+SMOOTH = 2**12 * 3**8 * 5**5 * 7**4 * 11**3 * 13**2
+# a search for one example that reaches a branch: seeded, no shrinking, no database
+REACH = settings(database=None, derandomize=True, phases=[Phase.generate])
+
+
+@st.composite
+def factored_mats(draw, bits):
+    """Matrices k A / d with `bits`-bit entries in A, built so that the
+    numerators often carry a common factor k and the denominator d often
+    shares factors with det A."""
+    n = draw(st.lists(st.integers(-(2**bits), 2**bits), min_size=4, max_size=4))
+    k = draw(st.sampled_from([1, 6, SMOOTH]) | st.integers(1, 2 ** (bits // 2)))
+    det = n[0] * n[3] - n[1] * n[2]
+    shared = draw(st.sampled_from([1, gcd(det, SMOOTH), abs(det)]))
+    d = draw(st.integers(1, 2**bits)) * (shared or 1)
+    return Mat2(*(Fraction(k * v, d) for v in n))
+
+
+def _content_det(a):
+    a1, a2, a3, a4 = a._n
+    return a1 * a4 - a2 * a3
+
+
+def _primitive_det(a):
+    c = gcd(*a._n)
+    a1, a2, a3, a4 = (v // c for v in a._n)
+    return a1 * a4 - a2 * a3
+
+
+# the gcds `inverse_mat` and `det` reduce by; each test below must reach
+# every one of them at a value other than 1
+REDUCTION_BRANCHES = {
+    "inverse-content": lambda a: _content_det(a) != 0 and gcd(*a._n) > 1,
+    "inverse-gcd-d-det": lambda a: _content_det(a) != 0 and gcd(a._d, _primitive_det(a)) > 1,
+    "det-gcd-num-d": lambda a: gcd(_content_det(a), a._d) > 1,
+    "det-gcd-num/g-d": lambda a: (g := gcd(_content_det(a), a._d)) > 1 and gcd(_content_det(a) // g, a._d) > 1,
+}
+
+
+class TestReductionByFactors:
+    """`inverse_mat` and `det` reduce by gcds of known factors, not one gcd
+    of the products: each result must still be canonical and equal to its
+    `Fraction` formula."""
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("branch", sorted(REDUCTION_BRANCHES))
+    def test_strategy_reaches_branch(self, bits, branch):
+        find(factored_mats(bits), REDUCTION_BRANCHES[branch], settings=REACH)
+
+    @given(st.sampled_from([64, 256]).flatmap(factored_mats))
+    def test_det_and_inverse_match_fraction_formulas(self, a):
+        x1, x2, x3, x4 = a.entries
+        det = x1 * x4 - x2 * x3
+        got = a.det()
+        assert type(got) is Fraction and got.denominator > 0
+        assert gcd(got.numerator, got.denominator) == 1
+        assert (got.numerator, got.denominator) == (det.numerator, det.denominator)
+        if det == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse_mat(a)
+            return
+        inv = inverse_mat(a)
+        assert_canonical(inv)
+        assert inv.entries == (x4 / det, -x2 / det, -x3 / det, x1 / det)

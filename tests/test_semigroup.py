@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
+from hypothesis import find, given
+from hypothesis import strategies as st
 from test_linear import reference_solve
+from test_mat2 import REACH, SMOOTH, assert_canonical
 
 from greenquadrics import checks, semigroup
 from greenquadrics.errors import (
@@ -501,6 +505,109 @@ class TestChartOnIntegerContent:
             assert (chart.d0, chart.d1, chart.q0, chart.q1) == chart_vectors_on_fractions(a)
             assert all(type(v) is Fraction for v in chart.d0 + chart.d1 + chart.q0 + chart.q1)
             assert chart_eval(chart, s, t) == chart_eval_on_fractions(chart, s, t)
+
+
+def _pair(bits):
+    ints = st.integers(-(2**bits), 2**bits)
+    return st.tuples(ints, ints).filter(any)
+
+
+def _scale(bits):
+    return st.sampled_from([1, 6, SMOOTH]) | st.integers(1, 2 ** (bits // 2))
+
+
+@st.composite
+def factored_rank1(draw, bits):
+    """Rank-1 matrices (k c)(m r)^T / d with `bits`-bit c and r, built so
+    that the row and column factors often carry common factors and d often
+    shares factors with |c|^2."""
+    (c0, c1), (r0, r1) = draw(_pair(bits)), draw(_pair(bits))
+    k, m = draw(_scale(bits)), draw(_scale(bits))
+    shared = draw(st.sampled_from([1, SMOOTH, c0 * c0 + c1 * c1]))
+    d = draw(st.integers(1, 2**bits)) * shared
+    return Mat2(*(Fraction(k * u * m * v, d) for u in (c0, c1) for v in (r0, r1)))
+
+
+@st.composite
+def chart_params(draw, bits):
+    """A chart parameter: an int, or a `bits`-bit fraction whose
+    denominator often carries the small primes of `SMOOTH`."""
+    num = draw(st.integers(-(2**bits), 2**bits))
+    if draw(st.booleans()):
+        return num
+    return Fraction(num, draw(st.integers(1, 2**bits)) * draw(st.sampled_from([1, SMOOTH])))
+
+
+def chart_cases(bits):
+    return st.tuples(factored_rank1(bits), chart_params(bits), chart_params(bits))
+
+
+def _first_nonzero(*vectors):
+    return next(v for v in vectors if any(v))
+
+
+def _factor_gcds(a):
+    """gcd(R), gcd(C) and gcd(d, gcd(C) |C'|^2) of `inverse_chart`, for the
+    first nonzero row R and column C of the content of `a`."""
+    n1, n2, n3, n4 = a._n
+    r = _first_nonzero((n1, n2), (n3, n4))
+    c = _first_nonzero((n1, n3), (n2, n4))
+    m = gcd(*c)
+    return gcd(*r), m, gcd(a._d, m * ((c[0] // m) ** 2 + (c[1] // m) ** 2))
+
+
+def _eval_gcds(a, s, t):
+    """gcd(x, den) and gcd(y, den / gcd(x, den)) of `chart_eval`: x and y are
+    the point's two factors d0 + s d1 and q0 + t q1 over E sd and F td."""
+    chart = inverse_chart(a)
+    s, t = Fraction(s), Fraction(t)
+    e, f = chart.content[2], chart.content[6]
+    den = e * s.denominator * f * t.denominator
+    x = [v * e * s.denominator for v in (chart.d0[0] + s * chart.d1[0], chart.d0[1] + s * chart.d1[1])]
+    y = [v * f * t.denominator for v in (chart.q0[0] + t * chart.q1[0], chart.q0[1] + t * chart.q1[1])]
+    gx = gcd(*(int(v) for v in x), den)
+    return gx, gcd(*(int(v) for v in y), den // gx)
+
+
+# the gcds `inverse_chart` and `chart_eval` reduce by; each must be reached
+# at a value other than 1
+CHART_BRANCHES = {
+    "chart-gcd-R": lambda case: _factor_gcds(case[0])[0] > 1,
+    "chart-gcd-C": lambda case: _factor_gcds(case[0])[1] > 1,
+    "chart-gcd-d-C": lambda case: _factor_gcds(case[0])[2] > 1,
+    "eval-gcd-x": lambda case: _eval_gcds(*case)[0] > 1,
+    "eval-gcd-y": lambda case: _eval_gcds(*case)[1] > 1,
+    "eval-gcd-x-and-y": lambda case: min(_eval_gcds(*case)) > 1,
+}
+
+
+def _lowest_content(v):
+    """A `Fraction` 2-vector as ints over one denominator, in lowest terms."""
+    den = lcm(v[0].denominator, v[1].denominator)
+    return int(v[0] * den), int(v[1] * den), den
+
+
+class TestChartReductionByFactors:
+    """`inverse_chart` and `chart_eval` reduce by gcds of the chart's and
+    the point's factors, not of their products: the content must still be
+    in lowest terms and every point canonical and equal to its `Fraction`
+    formula."""
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    @pytest.mark.parametrize("branch", sorted(CHART_BRANCHES))
+    def test_strategy_reaches_branch(self, bits, branch):
+        find(chart_cases(bits), CHART_BRANCHES[branch], settings=REACH)
+
+    @given(st.sampled_from([64, 256]).flatmap(chart_cases))
+    def test_content_and_points_match_fraction_formulas(self, case):
+        a, s, t = case
+        chart = inverse_chart(a)
+        d0, d1, q0, q1 = chart_vectors_on_fractions(a)
+        assert chart.content == (*_lowest_content(d0), tuple(map(int, d1)), *_lowest_content(q0), tuple(map(int, q1)))
+        x = chart_eval(chart, s, t)
+        assert_canonical(x)
+        assert x == chart_eval_on_fractions(chart, s, t)
+        assert is_inverse_pair(a, x)
 
 
 class TestChartSurface:
