@@ -13,7 +13,9 @@ A check is a stream of cases and a predicate `holds(*case) -> bool`, and
 one failure per case at most.  A case is one seeded trial, one point of a
 trial, or one point of an exhaustive grid; a redraw inside a trial is not
 a trial.  The cases draw from the streams `_streams` keys by (seed,
-index); the predicates draw nothing.
+index); the predicates draw nothing.  An exception raised while a case is
+drawn or decided fails that check alone, on its own line, and the run
+goes on; so a check draws and builds in its case stream, not before it.
 
 Eight checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -160,6 +162,9 @@ __all__ = [
 
 _HALF = Rational(1, 2)
 _TAIL = 200  # default wide tail of a certified check
+_CHART_TAIL = 1  # 64-bit chart points per sampled a
+_PLANE_TAIL = 2  # 64-bit chart points per sampled hyperplane
+_REPORT_TRIALS = 200  # sampled x of each order/section report
 _BELL_LEVELS = (Rational(0), Rational(1), Rational(-1), Rational(3, 2), Rational(-3, 2), Rational(7, 2))
 
 # The theorem table: (rank a, lam == 0) -> type of the slice of det = 0.
@@ -203,16 +208,19 @@ def _seeded(seed, trials, first=0):
     return (rng for _, rng in _streams(seed, trials, first))
 
 
-def _draws(seed, trials, *samplers, first=0):
+def _draws(seed, trials, *samplers):
     """One case per trial: each sampler's value, drawn in order from the trial's stream."""
-    return (tuple(draw(rng) for draw in samplers) for rng in _seeded(seed, trials, first))
+    return (tuple(draw(rng) for draw in samplers) for rng in _seeded(seed, trials))
 
 
 def _tally(suite, name, cases, holds, extra="", certified=0):
     """The one trial counter: one count per case, one failure per case at
     most.  A check that ran no case fails; a failing one names the index of
     its first failing case.  `certified` is the number of those cases that
-    are points of a certificate's grid.
+    are points of a certificate's grid; `extra` may be a function of no
+    argument, called after the last case.  An exception while case i is
+    drawn or decided fails the check after i cases, with `case i raised E`
+    (one `try` around the loop costs nothing per case).
 
     Checks that share their cases pass tuples instead, one entry per
     predicate of `name`, `holds`, `extra` and `certified`: every predicate
@@ -221,24 +229,33 @@ def _tally(suite, name, cases, holds, extra="", certified=0):
     shared = type(holds) is tuple
     if not shared:
         name, holds, extra, certified = (name,), (holds,), (extra,), (certified,)
-    counts = tuple([0, 0] for _ in holds)  # failures, index of the first
+    counts = tuple([0, 0, -1] for _ in holds)  # failures, index of the first, of the last
     tests = tuple(zip(holds, counts))
-    total = 0
-    for case in cases:
-        for test, count in tests:
-            if not test(*case):
-                if not count[0]:
-                    count[1] = total
-                count[0] += 1
-        total += 1
+    total, raised = 0, ""
+    try:
+        for case in cases:
+            for test, count in tests:
+                if not test(*case):
+                    if not count[0]:
+                        count[1] = total
+                    count[0] += 1
+                    count[2] = total
+            total += 1
+    except Exception as exc:
+        raised = f"case {total} raised {type(exc).__name__}"
     results = []
-    for name_k, (failures, first), extra_k, certified_k in zip(name, counts, extra, certified):
+    for name_k, (failures, first, last), extra_k, certified_k in zip(name, counts, extra, certified):
+        if raised and last == total:  # a predicate that failed on the case that raised
+            failures -= 1
         detail = f"{total - failures}/{total} trials ok"
+        extra_k = extra_k() if callable(extra_k) else extra_k
         if extra_k:
             detail += f"; {extra_k}"
         if failures:
             detail += f"; first failure at case {first}"
-        results.append(CheckResult(suite, name_k, failures == 0 and total > 0, detail, certified_k))
+        if raised:
+            detail += f"; {raised}"
+        results.append(CheckResult(suite, name_k, not (failures or raised) and total > 0, detail, certified_k))
     return tuple(results) if shared else results[0]
 
 
@@ -487,16 +504,15 @@ _shared_passes: ContextVar[dict | None] = ContextVar("_shared_passes", default=N
 def _characterizations(seed, trials):
     """Both characterizations, decided on every case of one shared pass, one
     matrix per case: every matrix with entries in {-2, ..., 2} / {1, 2},
-    `trials` wider draws, then the grids of the idempotent charts and of
-    the nilpotent chart.  Off the
-    variety both sides of each characterization are false and the sampled
-    cases test that half; on it, every test that should hold (x^2 = x with
-    tr x = 1 and det x = 0, or x^2 = 0 with tr x = det x = 0) is a
-    polynomial in the chart parameters of the degree the charts give, so
-    each chart grid certifies it at every point of its chart.  The rank-1
-    test rests on x != 0 as well, which the idempotent charts fix by
-    construction.  Each check's result is the same whether it runs alone
-    or after the other in one `run_checks` call."""
+    `trials` wider draws, then the grids of the idempotent charts and of the
+    nilpotent chart.  Off the variety both sides of each characterization
+    are false and the sampled cases test that half; on it, every test that
+    should hold (x^2 = x with tr x = 1 and det x = 0, or x^2 = 0 with tr x =
+    det x = 0) is a polynomial in the chart parameters of the degree the
+    charts give, so each chart grid certifies it at every point of its
+    chart.  The rank-1 test rests on x != 0 as well, which the idempotent
+    charts fix by construction.  Each check's result is the same whether it
+    runs alone or after the other in one `run_checks` call."""
     memo = _shared_passes.get()
     if memo is not None and (seed, trials) in memo:
         return memo[seed, trials]
@@ -528,10 +544,10 @@ def check_nilpotent_characterization(seed, trials=10000):
     return _characterizations(seed, trials)[1]
 
 
-def check_inverse_set_theorem(seed, trials=500, points_per=1):
+def check_inverse_set_theorem(seed, trials=500):
     """`trials` sampled rank-1 a.  Each test of a chart point has degree at
     most 2 in s and in t, so per a the 3 x 3 (s, t) grid certifies it for
-    every (s, t); then `points_per` 64-bit points from the stream of a."""
+    every (s, t); then `_CHART_TAIL` 64-bit points from the stream of a."""
     variables = (_scalar(2),) * 2
 
     def cases():
@@ -543,7 +559,7 @@ def check_inverse_set_theorem(seed, trials=500, points_per=1):
             # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
             # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
             read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
-            for s, t in _certified(variables, repeat(rng, points_per)):
+            for s, t in _certified(variables, repeat(rng, _CHART_TAIL)):
                 yield a, chart, read_s, read_t, s, t
 
     def holds(a, chart, read_s, read_t, s, t):
@@ -551,7 +567,7 @@ def check_inverse_set_theorem(seed, trials=500, points_per=1):
         return is_inverse_pair(a, x) and inverse_membership(a, x) and inner(x, read_s) == s and inner(x, read_t) == t
 
     points = _grid_size(variables) * trials
-    note = f"{_note(points, points_per * trials)}; the grid covers every (s, t) of each of {trials} sampled a"
+    note = f"{_note(points, _CHART_TAIL * trials)}; the grid covers every (s, t) of each of {trials} sampled a"
     return _tally("sets", "chart_points_are_inverses", cases(), holds, note, points)
 
 
@@ -563,12 +579,13 @@ def check_membership_equals_triple_products(seed, trials=20):
     if trials > _MEMBERSHIP_CAP:  # each trial sweeps the full 5^4 grid
         extra = f"random a capped at {_MEMBERSHIP_CAP} of {trials}"
         trials = _MEMBERSHIP_CAP
-    mats = [Mat2(1, 0, 0, 0)] + [rand_rank1(rng) for _, rng in _streams(seed, trials, 10_000)]
+    grid = tuple(grid_matrices(grid_values(span=2)))
+    draws = (rand_rank1(rng) for rng in _seeded(seed, trials, 10_000))
 
     def holds(a, x):
         return inverse_membership(a, x) == is_inverse_pair(a, x)
 
-    cases = product(mats, grid_matrices(grid_values(span=2)))
+    cases = ((a, x) for a in chain([Mat2(1, 0, 0, 0)], draws) for x in grid)
     return _tally("sets", "section_membership_iff_inverse_pair", cases, holds, extra)
 
 
@@ -686,26 +703,28 @@ def check_nilpotent_cone_identity(seed, trials=2000):
     return _tally("sets", "nilpotent_cone_45_degree_identity", cases, nilpotent_cone_holds)
 
 
-def check_order_section_reports(seed, trials=10, per_report=200):
-    reports = [
-        order_section_report(rand_invertible(rng), per_report, seed + i) for i, rng in _streams(seed, trials, 40_000)
-    ]
-    identity = order_section_report(IDENTITY, per_report, seed)
-    identity_gap = sum(r.agree_le_vs_section != per_report for r in reports)
+def check_order_section_reports(seed, trials=10):
+    """`trials` reports at sampled invertible a, then one at a = I, built in
+    the case stream."""
+    gaps = []  # whether the literal section disagrees, per generic a
 
-    def holds(report):
+    def cases():
+        for i, rng in _streams(seed, trials, 40_000):
+            report = order_section_report(rand_invertible(rng), _REPORT_TRIALS, seed + i)
+            gaps.append(report.agree_le_vs_section != _REPORT_TRIALS)
+            yield report, False
+        yield order_section_report(IDENTITY, _REPORT_TRIALS, seed), True
+
+    def holds(report, identity):
         # below the identity the two sections coincide, so both columns agree
-        if report is identity:
-            return report.agree_le_vs_section == per_report == report.agree_le_vs_inv_section
-        return report.agree_le_vs_inv_section == per_report and not report.counterexamples
+        if identity:
+            return report.agree_le_vs_section == _REPORT_TRIALS == report.agree_le_vs_inv_section
+        return report.agree_le_vs_inv_section == _REPORT_TRIALS and not report.counterexamples
 
-    return _tally(
-        "sets",
-        "order_below_a_is_inverse_section",
-        ((r,) for r in [*reports, identity]),
-        holds,
-        extra=f"literal-section disagreement on {identity_gap}/{trials} generic a (expected)",
-    )
+    def note():
+        return f"literal-section disagreement on {sum(gaps)}/{trials} generic a (expected)"
+
+    return _tally("sets", "order_below_a_is_inverse_section", cases(), holds, note)
 
 
 # --- sections ------------------------------------------------------------
@@ -792,10 +811,10 @@ def restriction_holds(aq, pivot, t) -> bool:
     return free == tuple(t) and x.det() == aq.evaluate(t)
 
 
-def check_restriction_identity(seed, trials=100, points_per=2):
+def check_restriction_identity(seed, trials=100):
     """`trials` random hyperplanes, each in two charts.  The chart of
     `restrict_quadric` has constant term 0: its 27-point grid, then
-    `points_per` 64-bit points drawn from the plane's stream.  The same basis
+    `_PLANE_TAIL` 64-bit points drawn from the plane's stream.  The same basis
     recentred at the first grid point off det = 0 has a nonzero constant
     term, so its 27-point grid certifies that term too."""
     variables = (_scalar(2),) * 3
@@ -806,7 +825,7 @@ def check_restriction_identity(seed, trials=100, points_per=2):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
             pivot = chart_pivot(h.a)
-            for t in _certified(variables, repeat(rng, points_per)):
+            for t in _certified(variables, repeat(rng, _PLANE_TAIL)):
                 yield aq, pivot, t
             # det vanishes on no hyperplane, so by the certificate it is
             # nonzero at some point of the grid
@@ -816,7 +835,7 @@ def check_restriction_identity(seed, trials=100, points_per=2):
                 yield recentred, pivot, t
 
     points = 2 * len(grid) * trials
-    note = f"{_note(points, points_per * trials)}; two charts per plane, one with a nonzero constant term"
+    note = f"{_note(points, _PLANE_TAIL * trials)}; two charts per plane, one with a nonzero constant term"
     return _tally("sections", "restriction_identity", cases(), restriction_holds, note, points)
 
 
@@ -954,8 +973,8 @@ def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[Ch
     quarter of which carry a certificate grid at their invertible y.
     Exhaustive grids and certificate grids always run in full.  A check
     that runs no case at all is reported as a failure, never as a vacuous
-    pass.  Checks that share a pass (the two characterizations) run it
-    once per call.
+    pass, and so is a check that raises, on its own line.  Checks that
+    share a pass (the two characterizations) run it once per call.
     """
     names = available_suites() if not suites else list(suites)
     results = []
@@ -964,11 +983,7 @@ def run_checks(suites=None, seed: int = 0, trials: int | None = None) -> list[Ch
         for name in names:
             if name not in SUITES:
                 raise ValueError(f"unknown suite {name!r}; choose from {available_suites()}")
-            for fn in SUITES[name]:
-                if trials is None:
-                    results.append(fn(seed))
-                else:
-                    results.append(fn(seed, trials))
+            results.extend(fn(seed) if trials is None else fn(seed, trials) for fn in SUITES[name])
     finally:
         _shared_passes.reset(token)
     return results

@@ -9,7 +9,8 @@ takes all the bounded draws of one attempt from one `Stream.offsets`
 batch (one 64-bit output at the default spans) and builds its `Mat2`
 straight from integer content with one gcd.  A rejected attempt (a zero
 vector, a zero pairing) redraws the whole batch, which keeps the result
-uniform over the accepted draws.
+uniform over the accepted draws.  The mix is written in `Stream.offsets`
+and `uniform_rows` only: every scalar draw goes through `offsets`.
 
 `uniform_rows` draws the float rows of export from the same streams
 without building one: the keys of up to `_LANES` consecutive indices sit
@@ -21,10 +22,9 @@ the draws are bit-identical to `Stream.uniform`.
 
 The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
 trials of the certified checks: numerators of a random sign and
-denominators of exactly 64 bits each, one `Stream.getrandbits` output per
-integer.  `CERTIFICATE_VALUES` holds the values per variable of those
-checks' exhaustive grids, sized by the degree of the identity in each
-variable.
+denominators of exactly 64 bits each, one output per integer.
+`CERTIFICATE_VALUES` holds the values per variable of those checks'
+exhaustive grids, sized by the degree of the identity in each variable.
 """
 
 from __future__ import annotations
@@ -74,10 +74,9 @@ def derive_seed(seed: int, index: int) -> int:
 class Stream:
     """SplitMix64 stream: output j is the finaliser of key + j*gamma (mod 2**64).
 
-    Each method inlines the mix (a second method call per output would cost
-    as much as the output).  `offsets` splits one output into several
-    bounded draws; `uniform` keeps the top 53 bits of one output;
-    `getrandbits` concatenates outputs.
+    `offsets` holds the only scalar copy of the mix: it splits one output
+    into several bounded draws, `offsets(2**64)` is the output itself, and
+    `uniform` keeps the top 53 bits of one output as `offsets(2**53)`.
     """
 
     __slots__ = ("_s",)
@@ -116,22 +115,8 @@ class Stream:
         return out
 
     def uniform(self, a: float, b: float) -> float:
-        s = self._s = (self._s + _GAMMA) & _M64
-        z = ((s ^ (s >> 30)) * _C1) & _M64
-        z = ((z ^ (z >> 27)) * _C2) & _M64
-        return a + (b - a) * (((z ^ (z >> 31)) >> 11) * 2.0**-53)
-
-    def getrandbits(self, k: int) -> int:
-        """k random bits: ceil(k/64) outputs, the first most significant."""
-        words = -(-k // 64)
-        s, x = self._s, 0
-        for _ in range(words):
-            s = (s + _GAMMA) & _M64
-            z = ((s ^ (s >> 30)) * _C1) & _M64
-            z = ((z ^ (z >> 27)) * _C2) & _M64
-            x = (x << 64) | (z ^ (z >> 31))
-        self._s = s
-        return x >> (64 * words - k)
+        # z * 2**53 >> 64 is z >> 11, the top 53 bits of one output
+        return a + (b - a) * (self.offsets(1 << 53)[0] * 2.0**-53)
 
 
 def rng_for(seed: int, index: int) -> Stream:
@@ -298,16 +283,15 @@ def grid_matrices(values):
     return (Mat2(*combo) for combo in product(values, repeat=4))
 
 
-_WIDE_BITS = 64  # width of each numerator and denominator of a wide draw
-_WIDE_TOP = 1 << (_WIDE_BITS - 1)
+_WIDE_TOP = 1 << 63  # the top bit of one output
 
 
 def _wide_parts(rng: Stream) -> tuple[int, int]:
-    """(numerator, denominator), each of exactly `_WIDE_BITS` bits: the top
-    bit of the first draw is the sign and is then set, and the denominator's
-    top bit is set."""
-    n = rng.getrandbits(_WIDE_BITS)
-    return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), rng.getrandbits(_WIDE_BITS) | _WIDE_TOP
+    """(numerator, denominator), each of exactly 64 bits and one output: the
+    top bit of the first output is the sign and is then set, and the
+    denominator's top bit is set."""
+    n, d = rng.offsets(_TWO64, _TWO64)
+    return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), d | _WIDE_TOP
 
 
 def rand_wide_rational(rng: Stream) -> Rational:

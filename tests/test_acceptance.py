@@ -178,7 +178,7 @@ def test_criterion_5_nilpotent_cone():
 def test_criterion_6_natural_order():
     results = [
         checks.check_natural_order_equivalence(SEED + 8, trials=1000),
-        checks.check_order_section_reports(SEED + 9, trials=10, per_report=200),
+        checks.check_order_section_reports(SEED + 9, trials=10),
     ]
     report(
         6,

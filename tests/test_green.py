@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from draws import wide
 
 from greenquadrics.errors import DependentBasisError, NotRankOneError, UnknownKindError
 from greenquadrics.exact import Rational
@@ -48,8 +49,7 @@ def _rank1_fraction_entries(rng, bits, zero_row, zero_col):
     def draw():
         if bits is None:
             return rand_nonzero_rational(rng, 4, 3)
-        num = rng.getrandbits(bits) | (1 << (bits - 1))
-        return Fraction(num if rng.uniform(0.0, 1.0) < 0.5 else -num, rng.getrandbits(bits) | (1 << (bits - 1)))
+        return wide(rng, bits)
 
     c = (Fraction(0) if zero_row else draw(), draw())
     r = (Fraction(0) if zero_col else draw(), draw())

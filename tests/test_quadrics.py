@@ -14,12 +14,11 @@ from math import lcm
 import pytest
 
 from draws import randint
-from greenquadrics import quadrics
+from faults import BY_ID, install
 from greenquadrics.errors import NotAQuadricError
 from greenquadrics.exact import Rational, _as_rational, rational_sign
 from greenquadrics.quadrics import QuadricClass, _eliminate, classify_content
 from greenquadrics.sampling import rng_for
-from test_checks import _mutant
 from test_linear import reference_solve
 
 R = Rational
@@ -334,8 +333,7 @@ class TestBorderedAgainstCentreSolve:
         # an elimination that counts each pivot into the other sign would
         # agree with a reference whose signature came from `_eliminate`; the
         # Descartes signature of `_old_classify_quadric` tells them apart
-        mutant = _mutant(_eliminate, "if d > 0:", "if d < 0:")
-        monkeypatch.setattr(quadrics, "_eliminate", mutant)
+        install(monkeypatch, BY_ID["eliminate-pivot-sign"])
         for i in range(20_000):
             Q, b, c = _random_polynomial(rng_for(331, i))
             try:

@@ -51,7 +51,7 @@ def test_rand_mat_is_one_batch_of_offsets(span, max_den):
         want = _decode_mat(twin, span, max_den)
         assert got == want and (got._n, got._d) == (want._n, want._d)
         # the same outputs were consumed
-        assert rng.getrandbits(64) == twin.getrandbits(64)
+        assert rng.offsets(1 << 64) == twin.offsets(1 << 64)
 
 
 @pytest.mark.parametrize(
@@ -95,7 +95,7 @@ def test_offsets_of_one_output_are_one_multiply_high_draw(sizes):
         for n, x in zip(sizes, got):
             index = index * n + x
         assert index == (z * product) >> 64
-        assert rng.getrandbits(64) == twin.getrandbits(64)
+        assert rng.offsets(1 << 64) == twin.offsets(1 << 64)
 
 
 @pytest.mark.parametrize(
@@ -114,9 +114,8 @@ def test_offsets_take_a_fresh_output_past_two_to_the_64(sizes, outputs):
     # 274177 * 67280421310721 == 2**64 + 1
     rng, twin = rng_for(17, 0), rng_for(17, 0)
     rng.offsets(*sizes)
-    for _ in range(outputs):
-        twin.getrandbits(64)
-    assert rng.getrandbits(64) == twin.getrandbits(64)
+    twin.offsets(*[1 << 64] * outputs)
+    assert rng.offsets(1 << 64) == twin.offsets(1 << 64)
 
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (-3.0, 3.0), (2.5, 2.75)])
@@ -126,19 +125,9 @@ def test_uniform_stays_in_half_open_range(a, b):
         assert a <= rng.uniform(a, b) < b
 
 
-@pytest.mark.parametrize("k", [0, 1, 63, 64, 65, 128, 256])
-def test_getrandbits_width(k):
-    rng = rng_for(7, k)
-    draws = [rng.getrandbits(k) for _ in range(200)]
-    assert all(0 <= x and x.bit_length() <= k for x in draws)
-    if k >= 64:
-        # the top bit is set on some draw, so no word is lost at the front
-        assert any(x.bit_length() == k for x in draws)
-
-
 def test_trial_draws_do_not_depend_on_other_trials():
     def draws(rng):
-        return [rng.offsets(19, 9, 19), rng.uniform(-3.0, 3.0), rng.getrandbits(100), rng.offsets(1 << 40, 1 << 40)]
+        return [rng.offsets(19, 9, 19), rng.uniform(-3.0, 3.0), rng.offsets(1 << 64), rng.offsets(1 << 40, 1 << 40)]
 
     alone = draws(rng_for(11, 5))
     for before in ([], [0, 1, 2], [9, 4, 6, 5]):
@@ -186,12 +175,13 @@ def test_wide_parts_have_exact_widths_and_both_signs():
 
 
 def test_wide_parts_take_one_getrandbits_per_integer():
+    # one 64-bit output per integer, the numerator's first
     rng, twin = rng_for(23, 4), rng_for(23, 4)
     n, d = _wide_parts(rng)
-    raw_n, raw_d = twin.getrandbits(64), twin.getrandbits(64)
+    raw_n, raw_d = twin.offsets(1 << 64, 1 << 64)
     top = 1 << 63
     assert abs(n) == raw_n | top and (n > 0) == bool(raw_n & top) and d == raw_d | top
-    assert rng.getrandbits(64) == twin.getrandbits(64)
+    assert rng.offsets(1 << 64) == twin.offsets(1 << 64)
 
 
 def test_wide_draws_replay_from_seed_and_index():

@@ -4,7 +4,7 @@ from typing import NamedTuple
 
 import pytest
 
-from draws import randint
+from draws import randint, wide
 from greenquadrics import checks
 from greenquadrics.errors import NotOnHyperplaneError, ZeroCoefficientError
 from greenquadrics.exact import QuadExt, Rational
@@ -91,17 +91,10 @@ class TestBell:
             assert to_bell(from_bell(q), lam) == q
 
 
-def _wide(rng, bits=256):
-    """A rational whose numerator and denominator both have `bits` bits."""
-    num = rng.getrandbits(bits) | (1 << (bits - 1))
-    den = rng.getrandbits(bits) | (1 << (bits - 1))
-    return R(num if rng.uniform(0.0, 1.0) < 0.5 else -num, den)
-
-
 def _draws(i, rng):
     """Small entries on even i, 256-bit entries on odd i."""
     if i % 2:
-        return lambda: _wide(rng)
+        return lambda: wide(rng)
     return lambda: rand_rational(rng, 4, 3)
 
 
@@ -501,7 +494,7 @@ def _two_plane_inputs():
         yield rng, rand_rank1(rng)
     for i in range(6):
         rng = rng_for(151, i)
-        c, r = (_wide(rng), _wide(rng)), (_wide(rng), _wide(rng))
+        c, r = (wide(rng), wide(rng)), (wide(rng), wide(rng))
         if i % 3 == 1:
             c = (R(0), c[1])
         elif i % 3 == 2:

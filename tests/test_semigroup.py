@@ -4,6 +4,7 @@ from math import gcd, lcm
 import pytest
 from hypothesis import find, given
 from hypothesis import strategies as st
+from draws import wide
 from test_linear import reference_solve
 from test_mat2 import REACH, SMOOTH, assert_canonical
 
@@ -381,13 +382,6 @@ class TestOrderAxioms:
                     assert k in below[i], (mats[i], mats[j], mats[k])
 
 
-def _wide(rng, bits=256):
-    """A nonzero `Fraction` with `bits`-bit numerator and denominator."""
-    num = rng.getrandbits(bits) | (1 << (bits - 1))
-    den = rng.getrandbits(bits) | (1 << (bits - 1))
-    return Fraction(num if rng.uniform(0.0, 1.0) < 0.5 else -num, den)
-
-
 def _first_nonzero_col(e):
     return (e[0], e[2]) if e[0] or e[2] else (e[1], e[3])
 
@@ -436,15 +430,15 @@ class TestOrderOnIntegerContent:
         outcomes = set()
         for i in range(12):
             rng = rng_for(211, i)
-            c = (Fraction(0) if zero_c0 else _wide(rng), _wide(rng))
-            r = (Fraction(0) if zero_r0 else _wide(rng), _wide(rng))
+            c = (Fraction(0) if zero_c0 else wide(rng), wide(rng))
+            r = (Fraction(0) if zero_r0 else wide(rng), wide(rng))
             x = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
-            m = Mat2(*(_wide(rng) for _ in range(4)))
+            m = Mat2(*(wide(rng) for _ in range(4)))
             k = (inverse_mat(m) @ x).trace()
             # x <= y for invertible y iff tr(y^-1 x) = 1: y = k m is above x
             ys = [m * k, m * (k + 1), m]
             # rank-1 y: the same column space as x (with and without x <= y) or another
-            ys += [x * 1, Mat2(c[0] * r[1], c[0], c[1] * r[1], c[1]), Mat2(_wide(rng), _wide(rng), 0, 0)]
+            ys += [x * 1, Mat2(c[0] * r[1], c[0], c[1] * r[1], c[1]), Mat2(wide(rng), wide(rng), 0, 0)]
             for y in ys:
                 got = natural_le(x, y)
                 assert got == natural_le_on_fractions(x, y) == minus_le(x, y), (x, y)
@@ -489,14 +483,14 @@ class TestChartOnIntegerContent:
                 a = rand_rank1(rng)
                 s, t = rand_rational(rng, 6, 4), rand_rational(rng, 6, 4)
             else:
-                c = (_wide(rng, bits // 2), _wide(rng, bits // 2))
-                r = (_wide(rng, bits // 2), _wide(rng, bits // 2))
+                c = (wide(rng, bits // 2), wide(rng, bits // 2))
+                r = (wide(rng, bits // 2), wide(rng, bits // 2))
                 if i % 3 == 1:
                     c = (Fraction(0), c[1])
                 elif i % 3 == 2:
                     r = (Fraction(0), r[1])
                 a = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
-                s, t = _wide(rng, bits), _wide(rng, bits)
+                s, t = wide(rng, bits), wide(rng, bits)
             if kind == "int":
                 s, t = s.numerator, t.numerator
             elif kind == "mixed":
@@ -711,12 +705,12 @@ class TestMinusOrderOnIntegerContent:
         outcomes = set()
         for i in range(40):
             rng = rng_for(239, i)
-            c, r = (_wide(rng), _wide(rng)), (_wide(rng), _wide(rng))
+            c, r = (wide(rng), wide(rng)), (wide(rng), wide(rng))
             x = Mat2(c[0] * r[0], c[0] * r[1], c[1] * r[0], c[1] * r[1])
-            m = Mat2(*(_wide(rng) for _ in range(4)))
+            m = Mat2(*(wide(rng) for _ in range(4)))
             k = (inverse_mat(m) @ x).trace()
             # for invertible y, x <= y iff tr(y^-1 x) = 1: k m is above x
-            for y in (m * k, m, x * _wide(rng), Mat2(*(_wide(rng) for _ in range(4)))):
+            for y in (m * k, m, x * wide(rng), Mat2(*(wide(rng) for _ in range(4)))):
                 got = minus_le(x, y)
                 assert got == minus_le_by_difference(x, y), (x, y)
                 outcomes.add((y.rank(), got))

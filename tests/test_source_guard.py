@@ -15,8 +15,9 @@ imports `dataclasses`.  The order, line and chart paths compute on a
 quadric classifier eliminates its bordered matrix and solves no linear
 system, the natural order and the meet of two lines are decided by
 minors, not by a solve, the minus order forms no difference y - x, and
-the inverse chart builds no `Fraction`, and `uniform_rows` builds no
-`Stream`.  In the check suites only one
+the inverse chart builds no `Fraction`, `uniform_rows` builds no
+`Stream`, and SplitMix64 is mixed in `Stream.offsets` and `uniform_rows`
+only.  In the check suites only one
 helper counts trials and only one keys a seeded stream.  Every module-level
 `def` and `class` is named by some package code: a name that only tests
 reach is deleted, not kept as a second door.
@@ -321,6 +322,16 @@ def test_uniform_rows_build_no_stream():
     names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
     used = names & {"Stream", "rng_for"}
     assert not used, f"sampling.uniform_rows uses {sorted(used)}"
+
+
+def test_splitmix64_is_written_twice():
+    # the scalar mix of `Stream.offsets`, which every scalar draw goes
+    # through, and the lane mix of `uniform_rows`: a third copy would have
+    # to be kept bit-identical to them by hand
+    tree = ast.parse((PACKAGE / "sampling.py").read_text(encoding="utf-8"))
+    functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
+    mixing = {f.name for f in functions if any(isinstance(n, ast.Name) and n.id == "_C1" for n in ast.walk(f))}
+    assert mixing == {"offsets", "uniform_rows"}
 
 
 def test_inverse_chart_builds_no_fraction():
