@@ -98,7 +98,6 @@ from greenquadrics.green import class_plane, classify_plane, green_eq
 from greenquadrics.mat2 import IDENTITY, Mat2, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
-    _rand_int_vector,
     grid_matrices,
     grid_values,
     rand_idempotent_rank1,
@@ -199,18 +198,13 @@ class CheckResult(NamedTuple):
 
 
 def _streams(seed, trials, first=0):
-    """(i, the stream keyed (seed, first + i)) for each trial i."""
-    return ((i, rng_for(seed, first + i)) for i in range(trials))
-
-
-def _seeded(seed, trials, first=0):
-    """The streams of `_streams`, without their indices."""
-    return (rng for _, rng in _streams(seed, trials, first))
+    """The stream keyed (seed, first + i) for each trial i."""
+    return (rng_for(seed, first + i) for i in range(trials))
 
 
 def _draws(seed, trials, *samplers):
     """One case per trial: each sampler's value, drawn in order from the trial's stream."""
-    return (tuple(draw(rng) for draw in samplers) for rng in _seeded(seed, trials))
+    return (tuple(draw(rng) for draw in samplers) for rng in _streams(seed, trials))
 
 
 def _tally(suite, name, cases, holds, extra="", certified=0):
@@ -291,7 +285,7 @@ def _certified(variables, rngs):
 def _identity_check(suite, name, holds, variables, seed, trials):
     """A certificate with one 64-bit point per trial, each from the trial's stream."""
     points = _grid_size(variables)
-    cases = _certified(variables, _seeded(seed, trials))
+    cases = _certified(variables, _streams(seed, trials))
     return _tally(suite, name, cases, holds, _note(points, trials), points)
 
 
@@ -342,10 +336,21 @@ def _root2_sign(a, b) -> int:
     return sa if a * a > 2 * b * b else sb
 
 
+def _near_root2(rng):
+    """(a, b) = +-(p/q, -1) for one of the convergents p/q of sqrt2 from 1393/985
+    on, which lie on both sides of sqrt2: |a + b sqrt2| < 4e-7."""
+    k, s = rng.offsets(4, 2)
+    p, q = 1393, 985
+    for _ in range(k):
+        p, q = p + 2 * q, p + q
+    return (Rational(p, q), Rational(-1)) if s else (Rational(-p, q), Rational(1))
+
+
 def check_quadext_sign(seed, trials=2000):
     """Every trial compares `sign()` with an expected sign: the float's away
     from zero, and an exact decision on the parts within 1e-6 of it (zero
-    included, which must give 0)."""
+    included, which must give 0).  Small parts come that near only at 0, so
+    every eighth trial is a near-miss of `_near_root2`, of opposite parts."""
 
     def holds(a, b):
         p = QuadExt(a, b)
@@ -353,8 +358,11 @@ def check_quadext_sign(seed, trials=2000):
         expected = (1 if f > 0 else -1) if abs(f) > 1e-6 else _root2_sign(a, b)
         return p.sign() == expected
 
-    cases = _draws(seed, trials, rand_rational, rand_rational)
-    return _tally("exact", "quadext_sign_float_bridge", cases, holds)
+    def cases():
+        for i, rng in enumerate(_streams(seed, trials)):
+            yield _near_root2(rng) if i % 8 == 0 else (rand_rational(rng), rand_rational(rng))
+
+    return _tally("exact", "quadext_sign_float_bridge", cases(), holds)
 
 
 # --- core ----------------------------------------------------------------
@@ -402,7 +410,7 @@ def check_traceless_singular_squares_to_zero(seed, trials=2000):
 
 def check_class_plane_membership(seed, trials=1000):
     def cases():
-        for _, rng in _streams(seed, trials):
+        for rng in _streams(seed, trials):
             a = rand_rank1(rng)
             points = []
             for rel in ("L", "R"):
@@ -433,7 +441,7 @@ def check_d_is_rank(seed, trials=2000):
 
 def check_plane_classification_roundtrip(seed, trials=500):
     def cases():
-        for i, rng in _streams(seed, trials):
+        for i, rng in enumerate(_streams(seed, trials)):
             a = rand_rank1(rng)
             rel = "L" if i % 2 == 0 else "R"
             b1, b2 = class_plane(rel, a)
@@ -518,7 +526,7 @@ def _characterizations(seed, trials):
         return memo[seed, trials]
     idempotents, nilpotents = _idempotent_charts(), _nilpotent_chart()
     grid = grid_matrices(grid_values(span=2, dens=(1, 2)))
-    draws = (rand_mat(rng, 4, 4) for rng in _seeded(seed, trials))
+    draws = (rand_mat(rng, 4, 4) for rng in _streams(seed, trials))
     cases = ((x,) for x in chain(grid, draws, idempotents, nilpotents))
     results = _tally(
         "sets",
@@ -551,7 +559,7 @@ def check_inverse_set_theorem(seed, trials=500):
     variables = (_scalar(2),) * 2
 
     def cases():
-        for _, rng in _streams(seed, trials):
+        for rng in _streams(seed, trials):
             a = rand_rank1(rng)
             chart = inverse_chart(a)
             # (s, t) read back from the point, by the chart's public vectors: x c =
@@ -580,7 +588,7 @@ def check_membership_equals_triple_products(seed, trials=20):
         extra = f"random a capped at {_MEMBERSHIP_CAP} of {trials}"
         trials = _MEMBERSHIP_CAP
     grid = tuple(grid_matrices(grid_values(span=2)))
-    draws = (rand_rank1(rng) for rng in _seeded(seed, trials, 10_000))
+    draws = (rand_rank1(rng) for rng in _streams(seed, trials, 10_000))
 
     def holds(a, x):
         return inverse_membership(a, x) == is_inverse_pair(a, x)
@@ -611,7 +619,7 @@ def check_generator_lines(seed, trials=500):
 
 def check_line_combinatorics(seed, trials=50):
     def cases():
-        for _, rng in _streams(seed, trials):
+        for rng in _streams(seed, trials):
             e = rand_idempotent_rank1(rng)
             f = rand_idempotent_rank1(rng)
             while f == e:  # a redraw, not a skipped trial
@@ -667,7 +675,7 @@ def check_natural_order_equivalence(seed, trials=1000):
     charts = _idempotent_charts()
 
     def draws():
-        for i, rng in _streams(seed, trials):
+        for i, rng in enumerate(_streams(seed, trials)):
             mode = i % 4
             if mode == 0:
                 yield rand_mat(rng, 3, 2), rand_mat(rng, 3, 2)
@@ -709,7 +717,7 @@ def check_order_section_reports(seed, trials=10):
     gaps = []  # whether the literal section disagrees, per generic a
 
     def cases():
-        for i, rng in _streams(seed, trials, 40_000):
+        for i, rng in enumerate(_streams(seed, trials, 40_000)):
             report = order_section_report(rand_invertible(rng), _REPORT_TRIALS, seed + i)
             gaps.append(report.agree_le_vs_section != _REPORT_TRIALS)
             yield report, False
@@ -743,7 +751,7 @@ def check_bell_identity(seed, trials=1000):
 
     def singular():
         for li, lam in enumerate(_BELL_LEVELS):
-            for _, rng in _streams(seed, trials, li * trials):
+            for rng in _streams(seed, trials, li * trials):
                 yield rand_singular_with_trace(rng, lam), lam
 
     def holds(x, lam=None):
@@ -753,7 +761,7 @@ def check_bell_identity(seed, trials=1000):
 
     variables, sampled, tail = (_matrix(2),), len(_BELL_LEVELS) * trials, min(trials, _TAIL)
     points = _grid_size(variables)
-    cases = chain(_certified(variables, _seeded(seed, tail, sampled)), singular())
+    cases = chain(_certified(variables, _streams(seed, tail, sampled)), singular())
     note = f"{_note(points, tail)}, {sampled} at the default width"
     return _tally("sections", "frame_identity_exact", cases, holds, note, points)
 
@@ -793,7 +801,7 @@ def check_classifier_agreement(seed, trials=1000):
         return rank == 0 or _SECTION_TO_QUADRIC.get(verdict.kind) == classify_affine_quadric(restrict_quadric(h))
 
     # the rank comes from the stratum: classify_section reads a.rank() itself
-    cases = ((_random_hyperplane(rng, i), i % 3) for i, rng in _streams(seed, trials))
+    cases = ((_random_hyperplane(rng, i), i % 3) for i, rng in enumerate(_streams(seed, trials)))
     return _tally("sections", "table_matches_generic_classifier", cases, holds)
 
 
@@ -821,7 +829,7 @@ def check_restriction_identity(seed, trials=100):
     grid = tuple(_certified(variables, ()))
 
     def cases():
-        for i, rng in _streams(seed, trials):
+        for i, rng in enumerate(_streams(seed, trials)):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
             pivot = chart_pivot(h.a)
@@ -841,7 +849,7 @@ def check_restriction_identity(seed, trials=100):
 
 def check_affine_invariance(seed, trials=200):
     def cases():
-        for i, rng in _streams(seed, trials):
+        for i, rng in enumerate(_streams(seed, trials)):
             h = _random_hyperplane_nonzero_a(rng, i)
             # rechart: new origin on the plane, new basis an invertible mix
             while True:
@@ -874,7 +882,7 @@ def check_inverse_image_law(seed, trials=500):
     # asks a x == y, so an inverse that is off by a factor cannot move them
     # off the section unseen
     def cases():
-        for i, rng in _streams(seed, trials):
+        for i, rng in enumerate(_streams(seed, trials)):
             a = rand_invertible(rng)
             mode = i % 3
             if mode == 0:
@@ -898,15 +906,22 @@ def check_inverse_image_law(seed, trials=500):
 
 
 def check_symmetric_slice(seed, trials=500):
+    """u u^T / |u|^2 for rational u != 0, whose entries mostly have different denominators."""
     center = hyperboloid_metrics(Rational(1)).center
+
+    def cases():
+        for rng in _streams(seed, trials):
+            u = (0, 0)
+            while not any(u):  # a redraw, not a skipped trial
+                u = rand_rational(rng, 5, 4), rand_rational(rng, 5, 4)
+            yield (u,)
 
     def holds(u):
         x = outer(u, u) / (u[0] * u[0] + u[1] * u[1])
         d = x - center
         return inner(d, d) == _HALF and to_bell(x, Rational(1)).Z == QuadExt(0)
 
-    cases = _draws(seed, trials, partial(_rand_int_vector, span=5))
-    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases, holds)
+    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases(), holds)
 
 
 def check_metrics_family(seed, trials=0):

@@ -102,20 +102,15 @@ def colspace(a: Mat2) -> ProjLine | None:
 
 def green_eq(rel: str, a: Mat2, b: Mat2) -> bool:
     """Test a Green's relation: rel is one of L, R, H, D, J."""
-    ra, rb = a.rank(), b.rank()
-    if rel in ("D", "J"):
-        return ra == rb
-    if rel == "H":
-        return green_eq("L", a, b) and green_eq("R", a, b)
-    if rel == "L":
-        if ra != rb:
-            return False
-        return ra != 1 or rowspace(a) == rowspace(b)
-    if rel == "R":
-        if ra != rb:
-            return False
-        return ra != 1 or colspace(a) == colspace(b)
-    raise ValueError(f"unknown Green relation {rel!r}")
+    if rel not in ("L", "R", "H", "D", "J"):
+        raise ValueError(f"unknown Green relation {rel!r}")
+    rank = a.rank()
+    if rank != b.rank():
+        return False
+    # D = J is the rank; off rank 1 each class of a rank is one L, R and H class
+    if rel in ("D", "J") or rank != 1:
+        return True
+    return (rel == "R" or rowspace(a) == rowspace(b)) and (rel == "L" or colspace(a) == colspace(b))
 
 
 def class_plane(rel: str, a: Mat2) -> tuple[Mat2, Mat2]:

@@ -14,8 +14,10 @@ gcd (`_canon`).  A result whose factors are known is reduced by gcds of
 those factors before they are multiplied (Henrici's rule): `inverse_mat`
 and `det` here, the chart points of `semigroup`.  Each such gcd runs on
 numbers half the size of the product's.  Arithmetic, `det`, `rank` and
-the other maps are written out on the ints; `Fraction`s are built only at
-the accessors (`entries`, `x1`..`x4`) and for the rational scalars a map
+the other maps are written out on the ints, and the polar form of det once
+(`_polar`, which `det_polar`, `semigroup.minus_le` and
+`sections.quadric_on_chart` read); `Fraction`s are built only at the
+accessors (`entries`, `x1`..`x4`) and for the rational scalars a map
 returns.  Entries and scalars are `int` or `Fraction`; anything else (a
 float, a string, a `Decimal`) raises `TypeError`.
 """
@@ -216,11 +218,16 @@ def inner(x: Mat2, y: Mat2) -> Rational:
     return _Q(a1 * b1 + a2 * b2 + a3 * b3 + a4 * b4, x._d * y._d)
 
 
+def _polar(x: tuple, y: tuple) -> int:
+    """det(x + y) - det x - det y of two integer 4-tuples: the polar form on content."""
+    x1, x2, x3, x4 = x
+    y1, y2, y3, y4 = y
+    return x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3
+
+
 def det_polar(x: Mat2, y: Mat2) -> Rational:
     """Polarization det(x+y) - det(x) - det(y) of the determinant form."""
-    a1, a2, a3, a4 = x._n
-    b1, b2, b3, b4 = y._n
-    return _Q(a1 * b4 + b1 * a4 - a2 * b3 - b2 * a3, x._d * y._d)
+    return _Q(_polar(x._n, y._n), x._d * y._d)
 
 
 def inverse_mat(a: Mat2) -> Mat2:

@@ -215,15 +215,6 @@ def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
             return m
 
 
-def _rand_int_vector(rng: Stream, span: int) -> tuple[int, int]:
-    """Nonzero integer 2-vector with entries in [-span, span]."""
-    w = 2 * span + 1
-    while True:
-        a, b = rng.offsets(w, w)
-        if a != span or b != span:
-            return a - span, b - span
-
-
 def rand_rank1(rng: Stream, span: int = 5) -> Mat2:
     """Random rank-1 matrix c . r^T * n/d: nonzero integer vectors c, r with
     entries in [-span, span], 0 < |n| <= span, d in [1, span]."""

@@ -36,7 +36,7 @@ from typing import NamedTuple
 from greenquadrics.errors import NotOnHyperplaneError, ZeroCoefficientError
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, _canon, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _polar, outer
 from greenquadrics.quadrics import QuadricClass, classify_content
 
 __all__ = [
@@ -258,11 +258,6 @@ def _clear(t) -> tuple[int, int, int, int]:
 
 def _det(x) -> int:
     return x[0] * x[3] - x[1] * x[2]
-
-
-def _polar(x, y) -> int:
-    """det(x + y) - det x - det y of two integer 4-vectors."""
-    return x[0] * y[3] + y[0] * x[3] - x[1] * y[2] - y[1] * x[2]
 
 
 def quadric_on_chart(origin: Mat2, basis) -> AffineQuadric3:

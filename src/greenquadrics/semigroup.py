@@ -41,6 +41,7 @@ from greenquadrics.green import ProjLine
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
+    _polar,
     _raw,
     format_mat2,
     inverse_mat,
@@ -327,9 +328,8 @@ def minus_le(x: Mat2, y: Mat2) -> bool:
         return k == 0 and x == y
     if rx == 0:
         return True
-    x1, x2, x3, x4 = x._n
     y1, y2, y3, y4 = y._n
-    return x._d * (y1 * y4 - y2 * y3) == y._d * (x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3)
+    return x._d * (y1 * y4 - y2 * y3) == y._d * _polar(x._n, y._n)
 
 
 class OrderSectionReport(NamedTuple):

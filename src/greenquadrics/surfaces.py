@@ -24,6 +24,7 @@ import itertools
 import math
 import os
 import tempfile
+from operator import itemgetter
 
 from greenquadrics.errors import DomainError, RenderLimitError, UnknownKindError
 from greenquadrics.exact import Rational, _as_rational, to_float
@@ -100,12 +101,7 @@ def _chart_extractor(a: Mat2):
     """Chart coordinates in the hyperplane of `a` are the non-pivot ambient
     coordinates (the chart basis is unit vectors corrected along the pivot)."""
     pivot = chart_pivot(a)
-    keep = [i for i in range(4) if i != pivot]
-
-    def extract(pt):
-        return (pt[keep[0]], pt[keep[1]], pt[keep[2]])
-
-    return extract
+    return itemgetter(*(i for i in range(4) if i != pivot))
 
 
 def _frames(lam: float, n: int, seed: int, z_span):

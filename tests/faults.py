@@ -3,19 +3,26 @@
 Sayward, IEEE Computer 11(4), 1978).
 
 A row names its target as a module of the package and a qualified name,
-one exact-text patch `old -> new` of the target's source, the bindings the
-mutant is installed at (a `from ... import` copy of a name is a binding of
-its own), the `check_*` functions to run with their trial counts (`None`
-for the default), the result names that must FAIL (and no other result
-of those runs), and why the fault is worth a row.  `install` recompiles the target with the patch in a copy of
-its module's namespace and puts it at every binding behind a call counter,
-so a missed binding shows as a mutant that never ran, not as one killed.
-A row that no check kills stays in the table with no result to fail, so
-its test fails once a check kills it; it is never deleted.
+one exact-text patch `old -> new` of the target's source, the `check_*`
+functions to run with their trial counts (`None` for the default), the
+result names that must FAIL (and no other result of those runs), and why
+the fault is worth a row.  `install` recompiles the target with the patch
+in a copy of its module's namespace and puts it, behind a call counter,
+at every attribute that holds the target: the globals of each loaded
+module of the package (a `from ... import` copy of a name included) and
+the attributes of each class those modules define (an alias such as
+`QuadExt.__radd__ = __add__` included).  The scan cannot see a reference
+captured in a `partial`, a default argument or a container, nor a module
+loaded after `install`; the call counter shows a row whose runs never
+reach the mutant, so a binding it misses shows as a mutant that never
+ran, not as one killed.  Every row is killed: a fault that no check kills
+is a `FOUND:` line of CHANGES.md and a stronger check, and its row is
+never deleted.
 """
 
 import importlib
 import inspect
+import sys
 import textwrap
 from typing import NamedTuple
 
@@ -25,15 +32,14 @@ class Fault(NamedTuple):
     target: str  # "module.qualname" under greenquadrics
     old: str
     new: str
-    bindings: tuple
     runs: tuple  # (check function name, trials or None)
     fails: tuple  # result names that must FAIL
     why: str
 
 
-def _rows(target, bindings, runs, fails, *patches):
+def _rows(target, runs, fails, *patches):
     """One row per (id, old, new, why) patch of one target."""
-    return [Fault(name, target, old, new, bindings, runs, fails, why) for name, old, new, why in patches]
+    return [Fault(name, target, old, new, runs, fails, why) for name, old, new, why in patches]
 
 
 # (runs, fails) of the rows that share them
@@ -56,10 +62,9 @@ _FRAME = (("check_bell_identity", None),), ("frame_identity_exact",)
 _ROUNDTRIP = (("check_bell_roundtrip", None),), ("frame_roundtrip_exact",)
 _FIELD = (("check_quadext_field", None),), ("quadext_field_axioms",)
 _SIGN = (("check_quadext_sign", None),), ("quadext_sign_float_bridge",)
-_CLASSIFY = ("quadrics.classify_content", "sections.classify_content")
 
 FAULTS = [
-    *_rows("semigroup.natural_le", ("checks.natural_le",), *_ORDER,
+    *_rows("semigroup.natural_le", *_ORDER,
         ("natural-le-dropped-denominator", "b1, b2, b3 = y._d * r0, y._d * r1, ", "b1, b2, b3 = r0, r1, ",
          "solving Y^T w = R instead of dy R is still exact on integer y"),
         ("natural-le-cofactor-sign", "- b2 * (y1 * c1 - y3 * c0)", "+ b2 * (y1 * c1 - y3 * c0)",
@@ -68,21 +73,22 @@ FAULTS = [
          "the rank-1 y branch without its right-hand side test"),
         ("natural-le-no-column-minors", "if c0 * y3 != c1 * y1 or c0 * y4 != c1 * y2:", "if False:",
          "the rank-1 y branch without its column-space test")),
-    *_rows("semigroup.minus_le", ("checks.minus_le",), *_ORDER,
+    *_rows("semigroup.minus_le", *_ORDER,
         ("minus-le-equal-rank-not-equal", "return k == 0 and x == y", "return k == 0", "equal ranks: below iff equal"),
         ("minus-le-dropped-denominator", "return x._d * (y1 * y4", "return (y1 * y4", "the scale of the det identity"),
-        ("minus-le-polar-sign", "- x2 * y3 - y2 * x3)", "+ x2 * y3 - y2 * x3)", "the polar form of the det identity"),
         ("minus-le-no-zero-case", "if rx == 0:", "if False:", "a zero x is below everything")),
-    *_rows("semigroup.is_idempotent", ("checks.is_idempotent",), *_IDEMPOTENTS,
+    *_rows("mat2._polar", *_ORDER,
+        ("minus-le-polar-sign", "- x2 * y3 - y2 * x3", "+ x2 * y3 - y2 * x3", "the polar form of the det identity")),
+    *_rows("semigroup.is_idempotent", *_IDEMPOTENTS,
         ("idempotent-trace-only", "return x @ x == x", "return (x @ x).trace() == x.trace()", "x^2, x equal in trace"),
         ("idempotent-times-trace", "return x @ x == x", "return x @ x == x * x.trace()", "x^2 = tr(x) x at rank 1")),
-    *_rows("semigroup.is_nilpotent", ("checks.is_nilpotent",), *_NILPOTENTS,
+    *_rows("semigroup.is_nilpotent", *_NILPOTENTS,
         ("nilpotent-trace-only", "return (x @ x).is_zero()", "return (x @ x).trace() == 0", "x^2 traceless only"),
         ("nilpotent-det-only", "return (x @ x).is_zero()", "return x.det() == 0", "singular is not nilpotent")),
-    *_rows("checks.idempotent_characterization_holds", ("checks.idempotent_characterization_holds",), *_IDEMPOTENTS,
+    *_rows("checks.idempotent_characterization_holds", *_IDEMPOTENTS,
         ("rank-at-most-1", "x.rank() == 1", "x.rank() <= 1", "the zero matrix is idempotent of rank 0"),
         ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped")),
-    *_rows("semigroup.chart_eval", ("checks.chart_eval",), *_CHART,
+    *_rows("semigroup.chart_eval", *_CHART,
         ("chart-swapped-denominators", "sn, sd = _parts(s)\n    tn, td = _parts(t)",
          "sn, td = _parts(s)\n    tn, sd = _parts(t)",
          "the swapped point (d0 + sn/td d1)(q0 + tn/sd q1)^T is still an inverse"),
@@ -92,59 +98,57 @@ FAULTS = [
          "a point reduced by one factor's gcd only is the right value in the wrong storage form"),
         ("chart-column-factor-gcd", "g = gcd(y0, y1, den)", "g = 1",
          "a point reduced by one factor's gcd only is the right value in the wrong storage form")),
-    *_rows("semigroup.line_meet", ("checks.line_meet",), *_LINES,
+    *_rows("semigroup.line_meet", *_LINES,
         ("meet-no-minor-test", "if p1 * (q2 * r3", "if False and p1 * (q2 * r3", "the consistency test of the meet"),
         ("meet-cramer-numerator", "(r1 * q2 - r2 * q1)", "(r1 * q2 + r2 * q1)", "the Cramer numerator of s"),
         ("meet-dropped-denominator", "m * diff._d", "m", "the denominator of b2 - b1 that s is scaled by")),
-    *_rows("quadrics.classify_content", _CLASSIFY, *_SECTIONS,
+    *_rows("quadrics.classify_content", *_SECTIONS,
         ("classify-centre-sign", "k = work[3][3]", "k = -work[3][3]",
          "the border residue's sign swaps one sheet for two; the invariance check sees it through the table"),
         ("classify-no-centre-test", "if any(work[i][3] for i in rest):", "if False:",
          "without the non-central test a paraboloid reads as a centred quadric")),
-    *_rows("quadrics._eliminate", ("quadrics._eliminate",), *_SECTIONS,
+    *_rows("quadrics._eliminate", *_SECTIONS,
         ("eliminate-pivot-sign", "if d > 0:", "if d < 0:", "each pivot counted into the other sign")),
-    *_rows("mat2.Mat2.__sub__", ("mat2.Mat2.__sub__",), *_CAYLEY,
+    *_rows("mat2.Mat2.__sub__", *_CAYLEY,
         ("sub-clearing-slip", "sa, sb = db // g, da // g", "sa, sb = da // g, db // g",
          "each side scaled by its own denominator: only mixed denominators reach it")),
-    *_rows("mat2.Mat2.__matmul__", ("mat2.Mat2.__matmul__",), *_DET_TRACE,
+    *_rows("mat2.Mat2.__matmul__", *_DET_TRACE,
         ("matmul-swapped-terms", "a1 * b1 + a2 * b3,\n        a1 * b2 + a2 * b4,",
          "a1 * b1 + a2 * b4,\n        a1 * b2 + a2 * b3,", "the (1,1) and (1,2) entries swap their a2 terms")),
-    *_rows("mat2.Mat2.det", ("mat2.Mat2.det",), *_DET_TRACE,
+    *_rows("mat2.Mat2.det", *_DET_TRACE,
         ("det-skipped-second-gcd", "h = gcd(num, g)", "h = 1", "without h = gcd(num / g, d) 4 / 4 stays 2 / 2")),
-    *_rows("mat2.inner", ("checks.inner",), *_INNER,
+    *_rows("mat2.inner", *_INNER,
         ("inner-denominator", "x._d * y._d", "x._d * x._d", "x's denominator squared: equal denominators hide it")),
-    *_rows("mat2.inverse_mat", ("checks.inverse_mat",), *_INVERSE_IMAGE,
+    *_rows("mat2.inverse_mat", *_INVERSE_IMAGE,
         ("inverse-off-by-content", "c * det)", "det)", "c inv(a) is still an inverse's direction: a x == y sees it")),
-    *_rows("sections.section_membership", ("checks.section_membership",), *_INVERSE_IMAGE,
+    *_rows("sections.section_membership", *_INVERSE_IMAGE,
         ("section-membership-no-det", "x.det() == 0 and ", "", "without det = 0 the section is the whole plane")),
-    *_rows("sections.AffineQuadric3.evaluate", ("sections.AffineQuadric3.evaluate",), *_RESTRICTION,
+    *_rows("sections.AffineQuadric3.evaluate", *_RESTRICTION,
         ("evaluate-linear-term", "+ dd * (b1 * u1", "+ (b1 * u1", "the linear term over D^2: integer points hide it"),
         ("evaluate-no-s12", "s11 * u1 + s12 * u2 + s13 * u3", "s11 * u1 + s13 * u3", "one cross term dropped"),
         ("evaluate-constant-term", "c * dd * dd", "c * dd", "constant term over D: only a recentred chart has one")),
-    *_rows("sections.AffineQuadric3.point", ("sections.AffineQuadric3.point",), *_RESTRICTION,
+    *_rows("sections.AffineQuadric3.point", *_RESTRICTION,
         ("point-no-denominator", "o[k] * dd + ", "o[k] + ", "the origin not scaled by D: integer points hide it")),
-    *_rows("sections._clear", ("sections._clear",), *_CLEAR,
+    *_rows("sections._clear", *_CLEAR,
         ("clear-slip", "u2 * (dd // e2)", "u2 * (dd // e3)", "u2 scaled by lcm/e3 moves `point` and `evaluate` alike")),
-    *_rows("sections.bell_residual", ("checks.bell_residual",), *_FRAME,
+    *_rows("sections.bell_residual", *_FRAME,
         ("bell-dropped-half", "2 * x._d * x._d", "x._d * x._d",
          "twice the residual is zero on every singular slice: only -2 det x sees it"),
         ("bell-scale-slip", "2 * x._d * x._d", "2 * x._d", "a residual over 2d is still zero on the variety")),
-    *_rows("sections.to_bell", ("checks.to_bell",), *_ROUNDTRIP,
+    *_rows("sections.to_bell", *_ROUNDTRIP,
         ("to-bell-swapped-coordinate", "Y=_quadext(0, n2 + n3", "Y=_quadext(0, n2 - n3",
          "Y from x2 - x3 is still rational, and right whenever x3 = 0")),
-    *_rows("exact.QuadExt.__add__", ("exact.QuadExt.__add__",), *_FIELD,
+    *_rows("exact.QuadExt.__add__", *_FIELD,
         ("quadext-sum-one-denominator", "o._q * d1, d1 * d2)", "o._q * d1, d1)", "right whenever d2 = 1")),
-    *_rows("exact.QuadExt.sign", ("exact.QuadExt.sign",), *_SIGN,
+    *_rows("exact.QuadExt.sign", *_SIGN,
         ("sign-zero-positive", "return sp\n", "return sp or 1\n", "zero called positive"),
         ("sign-p2-vs-q2", "> 2 * self._q * self._q", "> self._q * self._q", "|p| against |q| instead of |q| sqrt 2")),
-    *_rows("exact._divide", ("exact._divide",), (("check_bell_roundtrip", None), ("check_quadext_field", None)),
+    *_rows("exact._divide", (("check_bell_roundtrip", None), ("check_quadext_field", None)),
         ("frame_roundtrip_exact", "quadext_field_axioms"),
         ("divide-no-sign-flip", "e, norm = -e, -norm", "norm = -norm", "a negative norm made positive, its sign lost")),
-    # a survivor: no check of the default plan meets an `outer` of mixed denominators
-    *_rows("mat2.outer", ("checks.outer", "green.outer", "sections.outer", "semigroup.outer"),
-        (("check_inverse_set_theorem", None),), (),
+    *_rows("mat2.outer", (("check_symmetric_slice", None),), ("symmetric_idempotents_form_radius_circle",),
         ("outer-swapped-scale", "c1 * (e2 // g), c2 * (e1 // g)", "c1 * (e1 // g), c2 * (e2 // g)",
-         "each column entry scaled by its own denominator; survives, see the FOUND line of CHANGES.md")),
+         "each column entry scaled by its own denominator: only a column of mixed denominators sees it")),
 ]
 
 BY_ID = {fault.id: fault for fault in FAULTS}
@@ -169,15 +173,27 @@ def _mutant(func, old, new):
     return namespace[func.__name__]
 
 
+def _holders(target):
+    """(owner, name) of every attribute that is `target`: among the globals
+    of each loaded module of the package and the attributes of each class
+    those modules define."""
+    modules = [m for name, m in list(sys.modules.items()) if name.partition(".")[0] == "greenquadrics"]
+    classes = (v for m in modules for v in vars(m).values() if isinstance(v, type) and v.__module__ == m.__name__)
+    owners = dict.fromkeys([*modules, *classes])
+    return [(owner, name) for owner in owners for name, value in vars(owner).items() if value is target]
+
+
 def install(monkeypatch, fault):
-    """Put the mutant of `fault` at each of its bindings; return its call count, a one-item list."""
-    mutant = _mutant(getattr(*_resolve(fault.target)), fault.old, fault.new)
+    """Put the mutant of `fault` at every attribute that holds its target;
+    return its call count, a one-item list."""
+    target = getattr(*_resolve(fault.target))
+    mutant = _mutant(target, fault.old, fault.new)
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return mutant(*args, **kwargs)
 
-    for binding in fault.bindings:
-        monkeypatch.setattr(*_resolve(binding), counted)
+    for owner, name in _holders(target):
+        monkeypatch.setattr(owner, name, counted)
     return calls

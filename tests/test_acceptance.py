@@ -25,8 +25,6 @@ each followed by the lines of the checks it ran.
 """
 
 import pathlib
-import subprocess
-import sys
 
 from greenquadrics import checks
 from greenquadrics.errors import DegeneratePairingError, DependentBasisError
@@ -44,6 +42,7 @@ from greenquadrics.sampling import (
 )
 from greenquadrics.sections import to_bell
 from greenquadrics.semigroup import generator_line, idempotent_from_spaces, is_nilpotent, line_meet
+from cli_process import run_gq
 from surface_csv import read_csv_points
 
 HALF = Rational(1, 2)
@@ -228,19 +227,10 @@ def test_criterion_7_punctured_plane_converse():
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data"
 
 
-def _cli(args, **kwargs):
-    return subprocess.run(
-        [sys.executable, "-m", "greenquadrics", *args],
-        capture_output=True,
-        text=True,
-        **kwargs,
-    )
-
-
 def test_criterion_8_cli_and_export(tmp_path):
     # the behaviour contract: output pinned byte for byte in tests/data
-    run_text = _cli(["check", "--seed", "42"])
-    run_json = _cli(["check", "--seed", "42", "--json"])
+    run_text = run_gq(["check", "--seed", "42"])
+    run_json = run_gq(["check", "--seed", "42", "--json"])
     golden = (
         run_text.returncode == 0
         and run_text.stdout.count("[pass]") > 0
@@ -250,7 +240,7 @@ def test_criterion_8_cli_and_export(tmp_path):
     )
 
     out = str(tmp_path / "idem.csv")
-    export = _cli(
+    export = run_gq(
         ["export", "--kind", "idempotents", "--samples", "2000", "--seed", "42", "--out", out]
     )
     export_ok = export.returncode == 0
@@ -279,7 +269,7 @@ def test_criterion_8_cli_and_export(tmp_path):
     ]
     codes_ok = True
     for args, want in matrix:
-        got = _cli(args).returncode
+        got = run_gq(args).returncode
         if got != want:
             codes_ok = False
             break

@@ -1,9 +1,11 @@
 import inspect
+import sys
 
 import pytest
-from faults import BY_ID, FAULTS, install
+from faults import BY_ID, FAULTS, _resolve, install
 
 from greenquadrics import checks, cli, semigroup
+from greenquadrics.exact import rational_sign
 from greenquadrics.mat2 import Mat2
 from greenquadrics.sampling import CERTIFICATE_VALUES, grid_matrices, grid_values
 
@@ -148,7 +150,34 @@ def test_fault_table_names_checks_and_results_of_the_suites():
     assert len(BY_ID) == len(FAULTS)
     for fault in FAULTS:
         assert {name for name, _ in fault.runs} <= functions, fault.id
-        assert set(fault.fails) <= names, fault.id
+        assert fault.fails and set(fault.fails) <= names, fault.id
+
+
+def test_install_leaves_no_binding_of_its_target(monkeypatch):
+    # each `from ... import` copy and each class alias such as
+    # `QuadExt.__radd__ = __add__` holds the mutant, read here by `getattr`
+    modules = [m for name, m in list(sys.modules.items()) if name.startswith("greenquadrics.")]
+    classes = [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass) if c.__module__ == m.__name__]
+    for fault in {fault.target: fault for fault in FAULTS}.values():
+        target = getattr(*_resolve(fault.target))
+        install(monkeypatch, fault)
+        left = [(owner, name) for owner in modules + classes for name in dir(owner) if getattr(owner, name) is target]
+        assert not left, (fault.target, left)
+        monkeypatch.undo()
+
+
+def test_sign_check_decides_opposite_parts_exactly(monkeypatch):
+    # small parts come within 1e-6 of 0 only at 0; the near-misses of
+    # `_near_root2` reach the a^2 vs 2 b^2 branch
+    root2_sign, opposite = checks._root2_sign, []
+
+    def counted(a, b):
+        opposite.append(rational_sign(a) * rational_sign(b) < 0)
+        return root2_sign(a, b)
+
+    monkeypatch.setattr(checks, "_root2_sign", counted)
+    assert checks.check_quadext_sign(42).ok
+    assert sum(opposite) == 2000 // 8
 
 
 def test_every_check_takes_a_seed_and_a_trial_count():

@@ -1,13 +1,12 @@
 import json
 import math
 import os
-import subprocess
-import sys
 
 import pytest
 from jsonschema import Draft202012Validator
 
 from greenquadrics.cli import main, run
+from cli_process import run_gq
 from surface_csv import read_csv_points
 
 SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "schema.json")
@@ -144,6 +143,29 @@ class TestExitCodes:
     def test_domain_errors_are_two(self, argv):
         assert run(argv)[0] == 2
 
+    @pytest.mark.parametrize(
+        "argv,code,text",
+        [
+            (["order", "--report"], 1, "usage error: order --report takes exactly one matrix"),
+            (["order", "--report", "[1,0;0,1]", "[2,0;0,1]"], 1,
+             "usage error: order --report takes exactly one matrix"),
+            (["export", "--kind", "generator-lines", "--out", "x.csv"], 1,
+             "usage error: export --kind generator-lines needs --e"),
+            (["export", "--kind", "idempotents", "--z-range=1", "--out", "x.csv"], 1,
+             "usage error: --z-range must look like LO:HI"),
+            (["export", "--kind", "idempotents", "--z-range=1:1", "--out", "x.csv"], 1,
+             "usage error: --z-range needs LO < HI"),
+            (["plane", "[1,0;0,1]", "[0,1;0,0]"], 0, "not contained in the singular variety"),
+            (["bell", "--lambda", "1", "--from", "sqrt2+2*sqrt2,0,0"], 1,
+             "parse error: two sqrt2 terms in 'sqrt2+2*sqrt2'"),
+            (["bell", "--lambda", "1", "--from", "1+2,0,0"], 1, "parse error: two rational terms in '1+2'"),
+        ],
+        ids=["report-of-none", "report-of-two", "lines-without-e", "z-range-without-colon", "z-range-empty",
+             "plane-off-the-variety", "two-sqrt2-terms", "two-rational-terms"],
+    )
+    def test_one_line_of_each_branch(self, argv, code, text):
+        assert run(argv) == (code, text)
+
     def test_main_prints_to_stderr_on_error(self, capsys):
         code = main(["lines", "--e", "[1,0;0,1]"])
         captured = capsys.readouterr()
@@ -164,9 +186,7 @@ class TestPinnedOutput:
             "(choose from 'exact', 'core', 'green', 'sets', 'sections')"
         )
         assert run(["check", "--suite", "nope"]) == (1, expected)
-        proc = subprocess.run(
-            [sys.executable, "-m", "greenquadrics", "check", "--suite", "nope"], capture_output=True, text=True
-        )
+        proc = run_gq(["check", "--suite", "nope"])
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", expected + "\n")
 
     def test_order_report_text(self):
@@ -331,11 +351,6 @@ class TestCheckAndExportCli:
         # argv is the only input: the variable that once set the default
         # number of trials changes nothing
         env = dict(os.environ, GQ_DEFAULT_TRIALS="25")
-        proc = subprocess.run(
-            [sys.executable, "-m", "greenquadrics", "check", "--seed", "1", "--suite", "exact"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
+        proc = run_gq(["check", "--seed", "1", "--suite", "exact"], env=env)
         assert proc.returncode == 0 and proc.stderr == ""
         assert proc.stdout.startswith("[pass] exact/rational_canonical_form: 2000/2000 trials ok\n")

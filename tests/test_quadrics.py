@@ -271,22 +271,6 @@ def _random_polynomial(rng):
     return Q, tuple(entry() for _ in range(3)), entry()
 
 
-def _random_polynomial(rng):
-    """(Q, b, c) with numerators of span 1-3, about a third of the entries
-    forced to zero, half of the draws with denominators up to 3."""
-    span = randint(rng, 1, 3)
-    dens = randint(rng, 1, 3) if rng.uniform(0.0, 1.0) < 0.5 else 1
-
-    def entry():
-        if rng.uniform(0.0, 1.0) < 1 / 3:
-            return R(0)
-        return R(randint(rng, -span, span), randint(rng, 1, dens))
-
-    q11, q22, q33, q12, q13, q23 = (entry() for _ in range(6))
-    Q = ((q11, q12, q13), (q12, q22, q23), (q13, q23, q33))
-    return Q, tuple(entry() for _ in range(3)), entry()
-
-
 class TestBorderedAgainstCentreSolve:
     def test_agrees_on_random_polynomials(self):
         seen = set()

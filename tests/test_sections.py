@@ -486,6 +486,26 @@ def test_level_rejects_inexact_values(build, bad):
         build(bad)
 
 
+_ROOT2 = QuadExt(0, 1)
+
+
+@pytest.mark.parametrize(
+    "call,error,message",
+    [
+        (lambda: IDENTITY / 0, ZeroDivisionError, "Mat2 division by zero"),
+        (lambda: QuadMat2(_ROOT2, QuadExt(0), QuadExt(0), QuadExt(1)).to_mat2(), ValueError,
+         "entries carry sqrt2 parts"),
+        (lambda: to_bell(QuadMat2(_ROOT2, QuadExt(0), QuadExt(0), -_ROOT2), R(1)), NotOnHyperplaneError,
+         "trace differs from the frame level"),
+    ],
+    ids=["Mat2-by-zero", "to_mat2-of-sqrt2", "to_bell-of-QuadMat2-off-level"],
+)
+def test_error_paths_say_one_line(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert str(exc.value) == message
+
+
 def _two_plane_inputs():
     """Rank-1 coefficient matrices: small draws, then 256-bit outer products
     with a zero first row on every third and a zero first column on the next."""
