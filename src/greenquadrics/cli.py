@@ -11,7 +11,16 @@ take ASCII digits only, as the literals do.  argv is the only input: the
 CLI reads no environment variable.
 
 Each runner imports the modules it uses, so starting `gq` loads only the
-parser and `greenquadrics.errors`.
+parser and `greenquadrics.errors`, and returns `(text, record)`: the text,
+and a dict of the exact values themselves (`Mat2`, `Fraction`, `QuadExt`,
+bools, ints, strings, None, lists) keyed as docs/schema.json names them;
+`export` has no record.  `_exact` is the one writer of an exact value:
+text without --float goes through it, and under --json `run` encodes the
+record with `json.dumps(record, default=_exact)`.  The text is built
+before that choice, so --json refuses what the text refuses: `metrics
+--float --json` at a level past the float range exits 1, as `metrics
+--float` does.  `check` exits 2 when its record counts fewer passes than
+checks.
 
 Exit codes: 0 success; 1 usage or literal parse errors, which include a
 non-positive or non-integer --trials/--samples/--grid, a non-integer
@@ -153,30 +162,34 @@ def _build_parser() -> _Parser:
 # --- rendering helpers -----------------------------------------------------
 
 
-def _fmt_scalar(x, as_float: bool) -> str:
+def _exact(v) -> str:
+    """The one writer of an exact value: a `Mat2` as `[a,b;c,d]`, a
+    `QuadExt` as `p + q*sqrt2`, a rational as `p/q`.  `run` passes it to
+    `json.dumps` as `default`, and text without --float goes through it.
+    Past the int-to-str digit limit the format functions raise
+    `RenderLimitError` (exit 1), where `str` would raise a bare `ValueError`."""
     from greenquadrics.exact import QuadExt, format_quadext, format_rational
+    from greenquadrics.mat2 import Mat2, format_mat2
 
-    if as_float:
-        return _fmt_floats((x,))
-    if isinstance(x, QuadExt):
-        return format_quadext(x)
-    return format_rational(x)
+    if isinstance(v, Mat2):
+        return format_mat2(v)
+    if isinstance(v, QuadExt):
+        return format_quadext(v)
+    return format_rational(v)
 
 
-def _fmt_mat(m, as_float: bool) -> str:
-    from greenquadrics.mat2 import format_mat2
-
+def _show(v, as_float: bool) -> str:
+    """`v` as text: `_exact`, or under --float its doubles, comma-separated
+    and bracketed for a matrix.  Export's conversion, so a nonzero value
+    below the float range is refused, not printed as 0.0."""
     if not as_float:
-        return format_mat2(m)
-    return "[" + _fmt_floats(m.entries) + "]"
+        return _exact(v)
+    from greenquadrics.exact import _coefficients
+    from greenquadrics.mat2 import Mat2
 
-
-def _fmt_floats(values) -> str:
-    """The doubles of `values`, comma-separated; export's conversion, so a
-    nonzero value below the float range is refused, not printed as 0.0."""
-    from greenquadrics.surfaces import _coefficients
-
-    return ",".join(map(repr, _coefficients(values)))
+    if isinstance(v, Mat2):
+        return "[" + ",".join(map(repr, _coefficients(v.entries))) + "]"
+    return repr(_coefficients((v,))[0])
 
 
 def _shown(path: str) -> str:
@@ -184,20 +197,12 @@ def _shown(path: str) -> str:
     return "".join(c if c.isprintable() else repr(c)[1:-1] for c in path)
 
 
-def _emit(text: str, payload, use_json: bool) -> str:
-    if use_json:
-        import json
-
-        return json.dumps(payload, indent=2)
-    return text
-
-
 # --- command implementations ------------------------------------------------
 
 
-def _run_classify(ns) -> str:
-    from greenquadrics.exact import format_rational, parse_rational
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+def _run_classify(ns):
+    from greenquadrics.exact import parse_rational
+    from greenquadrics.mat2 import parse_mat2
     from greenquadrics.sections import classify_section
 
     a = parse_mat2(ns.a)
@@ -205,102 +210,61 @@ def _run_classify(ns) -> str:
     verdict = classify_section(a, lam)
     lines = [verdict.kind.value]
     if verdict.l_rep is not None:
-        lines.append(f"  L-class rep: {format_mat2(verdict.l_rep)}")
-        lines.append(f"  R-class rep: {format_mat2(verdict.r_rep)}")
-    payload = {
-        "command": "classify",
-        "a": format_mat2(a),
-        "lambda": format_rational(lam),
-        "kind": verdict.kind.value,
-        "l_rep": format_mat2(verdict.l_rep) if verdict.l_rep else None,
-        "r_rep": format_mat2(verdict.r_rep) if verdict.r_rep else None,
-    }
-    return _emit("\n".join(lines), payload, ns.json)
+        lines.append(f"  L-class rep: {_exact(verdict.l_rep)}")
+        lines.append(f"  R-class rep: {_exact(verdict.r_rep)}")
+    # the verdict's fields in their order, the kind by its name
+    record = {"command": "classify", "a": a, "lambda": lam, **verdict._asdict(), "kind": verdict.kind.value}
+    return "\n".join(lines), record
 
 
-def _run_green(ns) -> str:
+def _run_green(ns):
     from greenquadrics.green import green_eq
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.mat2 import parse_mat2
 
     a = parse_mat2(ns.a)
     b = parse_mat2(ns.b)
     related = green_eq(ns.rel, a, b)
-    payload = {
-        "command": "green",
-        "rel": ns.rel,
-        "a": format_mat2(a),
-        "b": format_mat2(b),
-        "related": related,
-    }
-    return _emit("true" if related else "false", payload, ns.json)
+    record = {"command": "green", "rel": ns.rel, "a": a, "b": b, "related": related}
+    return str(related).lower(), record
 
 
 def _grid_params(k: int):
+    """The first k of 0, 1, -1, 2, -2, ..."""
     from greenquadrics.exact import Rational
 
-    # 0, 1, -1, 2, -2, ... first k values
-    vals = [0]
-    step = 1
-    while len(vals) < k:
-        vals.append(step)
-        if len(vals) < k:
-            vals.append(-step)
-        step += 1
-    return [Rational(v) for v in vals[:k]]
+    return [Rational((i + 1) // 2 if i % 2 else -(i // 2)) for i in range(k)]
 
 
-def _run_inverses(ns) -> str:
-    from greenquadrics.exact import format_rational
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+def _run_inverses(ns):
+    from greenquadrics.mat2 import parse_mat2
     from greenquadrics.semigroup import chart_eval, inverse_chart
 
     k = ns.grid
     a = parse_mat2(ns.a)
-    as_float = ns.as_float
     chart = inverse_chart(a)
     params = _grid_params(k)
-    fmt2 = lambda vec: f"({_fmt_scalar(vec[0], as_float)}, {_fmt_scalar(vec[1], as_float)})"
+    vectors = {"d0": chart.d0, "d1": chart.d1, "q0": chart.q0, "q1": chart.q1}
+    grid = [{"s": s, "t": t, "x": chart_eval(chart, s, t)} for s in params for t in params]
+    shown = {name: "(" + ", ".join(_show(v, ns.as_float) for v in pair) + ")" for name, pair in vectors.items()}
     lines = [
-        f"inverses of {format_mat2(a)}: x(s,t) = (d0 + s d1)(q0 + t q1)^T",
-        f"  d0 = {fmt2(chart.d0)}  d1 = {fmt2(chart.d1)}",
-        f"  q0 = {fmt2(chart.q0)}  q1 = {fmt2(chart.q1)}",
+        f"inverses of {_exact(a)}: x(s,t) = (d0 + s d1)(q0 + t q1)^T",
+        f"  d0 = {shown['d0']}  d1 = {shown['d1']}",
+        f"  q0 = {shown['q0']}  q1 = {shown['q1']}",
         f"  {k}x{k} grid:",
+        *(f"    s={_exact(p['s'])} t={_exact(p['t'])}: {_show(p['x'], ns.as_float)}" for p in grid),
     ]
-    grid_json = []
-    for s in params:
-        for t in params:
-            x = chart_eval(chart, s, t)
-            lines.append(
-                f"    s={format_rational(s)} t={format_rational(t)}: {_fmt_mat(x, as_float)}"
-            )
-            grid_json.append(
-                {"s": format_rational(s), "t": format_rational(t), "x": format_mat2(x)}
-            )
-    payload = {
-        "command": "inverses",
-        "a": format_mat2(a),
-        "chart": {
-            "d0": [format_rational(v) for v in chart.d0],
-            "d1": [format_rational(v) for v in chart.d1],
-            "q0": [format_rational(v) for v in chart.q0],
-            "q1": [format_rational(v) for v in chart.q1],
-        },
-        "grid": grid_json,
-    }
-    return _emit("\n".join(lines), payload, ns.json)
+    return "\n".join(lines), {"command": "inverses", "a": a, "chart": vectors, "grid": grid}
 
 
-def _run_order(ns) -> str:
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+def _run_order(ns):
+    from greenquadrics.mat2 import parse_mat2
     from greenquadrics.semigroup import minus_le, natural_le, order_section_report
 
     if ns.report:
         if len(ns.mats) != 1:
             raise _UsageError("order --report takes exactly one matrix")
-        a = parse_mat2(ns.mats[0])
-        report = order_section_report(a, ns.trials, ns.seed)
-        payload = {"command": "order-report", **report.to_dict()}
-        return _emit(report.to_text(), payload, ns.json)
+        report = order_section_report(parse_mat2(ns.mats[0]), ns.trials, ns.seed)
+        return report.to_text(), {"command": "order-report", **report._asdict()}
     if len(ns.mats) != 2:
         raise _UsageError("order takes two matrices: X Y")
     x = parse_mat2(ns.mats[0])
@@ -308,42 +272,23 @@ def _run_order(ns) -> str:
     nat = natural_le(x, y)
     mns = minus_le(x, y)
     text = f"natural_le: {str(nat).lower()}\nminus_le:   {str(mns).lower()}"
-    payload = {
-        "command": "order",
-        "x": format_mat2(x),
-        "y": format_mat2(y),
-        "natural_le": nat,
-        "minus_le": mns,
-    }
-    return _emit(text, payload, ns.json)
+    return text, {"command": "order", "x": x, "y": y, "natural_le": nat, "minus_le": mns}
 
 
-def _run_lines(ns) -> str:
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+def _run_lines(ns):
+    from greenquadrics.mat2 import parse_mat2
     from greenquadrics.semigroup import generator_line
 
     e = parse_mat2(ns.e)
-    out = []
-    payload_lines = []
-    for family in ("L1", "L2"):
-        g = generator_line(family, e)
-        out.append(
-            f"{family}: base {format_mat2(g.base)} + t * {format_mat2(g.direction)}"
-        )
-        payload_lines.append(
-            {
-                "family": family,
-                "base": format_mat2(g.base),
-                "direction": format_mat2(g.direction),
-            }
-        )
-    payload = {"command": "lines", "e": format_mat2(e), "lines": payload_lines}
-    return _emit("\n".join(out), payload, ns.json)
+    found = [generator_line(family, e) for family in ("L1", "L2")]
+    text = "\n".join(f"{g.family}: base {_exact(g.base)} + t * {_exact(g.direction)}" for g in found)
+    lines = [{"family": g.family, "base": g.base, "direction": g.direction} for g in found]
+    return text, {"command": "lines", "e": e, "lines": lines}
 
 
-def _run_plane(ns) -> str:
+def _run_plane(ns):
     from greenquadrics.green import classify_plane
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+    from greenquadrics.mat2 import parse_mat2
 
     b1 = parse_mat2(ns.b1)
     b2 = parse_mat2(ns.b2)
@@ -351,87 +296,47 @@ def _run_plane(ns) -> str:
     if verdict.kind == "not_contained":
         text = "not contained in the singular variety"
     else:
-        text = f"{verdict.kind}-class plane; representative {format_mat2(verdict.rep)}"
-    payload = {
-        "command": "plane",
-        "b1": format_mat2(b1),
-        "b2": format_mat2(b2),
-        "kind": verdict.kind,
-        "rep": format_mat2(verdict.rep) if verdict.rep else None,
-    }
-    return _emit(text, payload, ns.json)
+        text = f"{verdict.kind}-class plane; representative {_exact(verdict.rep)}"
+    return text, {"command": "plane", "b1": b1, "b2": b2, "kind": verdict.kind, "rep": verdict.rep}
 
 
-def _run_bell(ns) -> str:
-    from greenquadrics.exact import format_quadext, format_rational, parse_quadext, parse_rational
-    from greenquadrics.mat2 import format_mat2, parse_mat2
+def _run_bell(ns):
+    from greenquadrics.exact import parse_quadext, parse_rational
+    from greenquadrics.mat2 import parse_mat2
     from greenquadrics.sections import BellPoint, from_bell, to_bell
 
     lam = parse_rational(ns.lam)
-    as_float = ns.as_float
     if ns.point is not None:
         x = parse_mat2(ns.point)
         p = to_bell(x, lam)
-        text = "\n".join(
-            f"{axis} = {_fmt_scalar(val, as_float)}"
-            for axis, val in (("X", p.X), ("Y", p.Y), ("Z", p.Z))
-        )
-        payload = {
-            "command": "bell",
-            "lambda": format_rational(lam),
-            "point": format_mat2(x),
-            "X": format_quadext(p.X),
-            "Y": format_quadext(p.Y),
-            "Z": format_quadext(p.Z),
-        }
-        return _emit(text, payload, ns.json)
-    coords = [parse_quadext(part) for part in ns.coords.split(",")]
-    if len(coords) != 3:
-        raise _UsageError("--from needs three comma-separated coordinates")
-    q = from_bell(BellPoint(coords[0], coords[1], coords[2], lam))
-    names = ("x1", "x2", "x3", "x4")
-    text = "\n".join(f"{n} = {_fmt_scalar(v, as_float)}" for n, v in zip(names, q))
-    payload = {
-        "command": "bell",
-        "lambda": format_rational(lam),
-        "from": ",".join(format_quadext(c).replace(" ", "") for c in coords),
-        **{n: format_quadext(v) for n, v in zip(names, q)},
-    }
-    return _emit(text, payload, ns.json)
+        values = {"X": p.X, "Y": p.Y, "Z": p.Z}
+        record = {"command": "bell", "lambda": lam, "point": x, **values}
+    else:
+        coords = [parse_quadext(part) for part in ns.coords.split(",")]
+        if len(coords) != 3:
+            raise _UsageError("--from needs three comma-separated coordinates")
+        values = from_bell(BellPoint(*coords, lam))._asdict()
+        written = ",".join(_exact(c).replace(" ", "") for c in coords)
+        record = {"command": "bell", "lambda": lam, "from": written, **values}
+    text = "\n".join(f"{name} = {_show(v, ns.as_float)}" for name, v in values.items())
+    return text, record
 
 
-def _run_metrics(ns) -> str:
-    from greenquadrics.exact import format_rational, parse_rational
-    from greenquadrics.mat2 import format_mat2
+def _run_metrics(ns):
+    from greenquadrics.exact import parse_rational
     from greenquadrics.sections import hyperboloid_metrics
 
     lam = parse_rational(ns.lam)
-    as_float = ns.as_float
     m = hyperboloid_metrics(lam)
-    text = "\n".join(
-        [
-            f"center:     {_fmt_mat(m.center, as_float)}",
-            f"axis dir:   {_fmt_mat(m.axis_dir, as_float)}",
-            f"radius^2:   {_fmt_scalar(m.radius_sq, as_float)}",
-            "asymptotic form (frame): "
-            + " ".join(
-                "[" + ",".join(format_rational(v) for v in row) + "]"
-                for row in m.asymptotic_form
-            ),
-        ]
+    form = " ".join("[" + ",".join(map(_exact, row)) + "]" for row in m.asymptotic_form)
+    text = (
+        f"center:     {_show(m.center, ns.as_float)}\naxis dir:   {_show(m.axis_dir, ns.as_float)}\n"
+        f"radius^2:   {_show(m.radius_sq, ns.as_float)}\nasymptotic form (frame): {form}"
     )
-    payload = {
-        "command": "metrics",
-        "lambda": format_rational(lam),
-        "center": format_mat2(m.center),
-        "axis_dir": format_mat2(m.axis_dir),
-        "radius_sq": format_rational(m.radius_sq),
-        "asymptotic_form": [[format_rational(v) for v in row] for row in m.asymptotic_form],
-    }
-    return _emit(text, payload, ns.json)
+    return text, {"command": "metrics", "lambda": lam, **m._asdict()}
 
 
-def _run_export(ns) -> str:
+def _run_export(ns):
     from greenquadrics.exact import parse_rational
     from greenquadrics.mat2 import parse_mat2
     from greenquadrics.surfaces import sample_surface, write_csv, write_obj
@@ -474,26 +379,22 @@ def _run_export(ns) -> str:
         points, segments = write(sample, ns.out)
     except OSError as exc:
         raise _UsageError(f"cannot write {_shown(ns.out)}: {exc.strerror or exc}") from None
-    return f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {_shown(ns.out)}"
+    text = f"wrote {points} points" + (f", {segments} segments" if segments else "") + f" to {_shown(ns.out)}"
+    return text, None
 
 
-def _run_check(ns) -> tuple[str, bool]:
-    import json
-
+def _run_check(ns):
     from greenquadrics import checks
 
     results = checks.run_checks(suites=ns.suite, seed=ns.seed, trials=ns.trials)
-    ok = all(r.ok for r in results)
-    if ns.json:
-        payload = {
-            "command": "check",
-            "seed": ns.seed,
-            "results": [r._asdict() for r in results],
-            "passed": sum(1 for r in results if r.ok),
-            "total": len(results),
-        }
-        return json.dumps(payload, indent=2), ok
-    return checks.render_results(results), ok
+    record = {
+        "command": "check",
+        "seed": ns.seed,
+        "results": [r._asdict() for r in results],
+        "passed": sum(1 for r in results if r.ok),
+        "total": len(results),
+    }
+    return checks.render_results(results), record
 
 
 _RUNNERS = {
@@ -506,6 +407,7 @@ _RUNNERS = {
     "bell": _run_bell,
     "metrics": _run_metrics,
     "export": _run_export,
+    "check": _run_check,
 }
 
 
@@ -513,16 +415,17 @@ def run(argv) -> tuple[int, str]:
     """Execute argv; returns (exit_code, output text)."""
     try:
         ns = _build_parser().parse_args(argv)
-        if ns.command == "check":
-            text, ok = _run_check(ns)
-            return (0 if ok else 2), text
-        return 0, _RUNNERS[ns.command](ns)
-    except _UsageError as exc:
+        text, record = _RUNNERS[ns.command](ns)
+        if getattr(ns, "json", False):
+            import json
+
+            text = json.dumps(record, indent=2, default=_exact)
+        # a failed `check` run is the one result that exits 2
+        return (2 if record and record.get("passed", 0) < record.get("total", 0) else 0), text
+    except (_UsageError, RenderLimitError) as exc:
         return 1, f"usage error: {exc}"
     except LiteralParseError as exc:
         return 1, f"parse error: {exc}"
-    except RenderLimitError as exc:
-        return 1, f"usage error: {exc}"
     except DomainError as exc:
         return 2, f"domain error: {exc}"
 

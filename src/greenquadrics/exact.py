@@ -14,17 +14,18 @@ conversion.  A rational scalar the package returns is exactly a
 `Fraction`, and arithmetic a caller does on it is Python's (a `Fraction`
 plus a float is a float).
 
-Floats come only from `to_float`, which exporters use: `QuadExt` has no
-`float()` conversion and no ordering operators, and `sign()` is its one
-exact comparison.  Nothing here or in the layers above decides anything
-with floating point.
+Floats come only from `to_float`, which export and `gq --float` reach
+through `_coefficients` (it refuses a nonzero value that rounds to 0.0).
+`QuadExt` has no `float()` conversion and no ordering operators, and
+`sign()` is its one exact comparison.  Nothing here or in the layers
+above decides anything with floating point.
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, ulp
 
 from greenquadrics.errors import LiteralParseError, RenderLimitError
 
@@ -386,3 +387,15 @@ def to_float(x) -> float:
         raise RenderLimitError(
             f"value exceeds the float range (largest double {sys.float_info.max:.6g})"
         ) from None
+
+
+def _coefficients(values) -> list[float]:
+    """`to_float` of each exact value; a nonzero one that rounds to 0.0 is
+    an error: an exported row it enters would leave its surface, and
+    `--float` output would print a nonzero value as 0.0."""
+    floats = [to_float(v) for v in values]
+    if any(f == 0.0 and v != 0 for f, v in zip(floats, values)):
+        raise RenderLimitError(
+            f"a nonzero coefficient is below the float range (smallest double {ulp(0.0):.6g})"
+        )
+    return floats

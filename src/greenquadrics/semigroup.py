@@ -345,9 +345,6 @@ class OrderSectionReport(NamedTuple):
     agree_le_vs_section: int
     counterexamples: list
 
-    def to_dict(self) -> dict:
-        return {**self._asdict(), "a": format_mat2(self.a)}
-
     def to_text(self) -> str:
         lines = [
             f"order/section agreement below a = {format_mat2(self.a)} "

@@ -26,8 +26,8 @@ import os
 import tempfile
 from operator import itemgetter
 
-from greenquadrics.errors import DomainError, RenderLimitError, UnknownKindError
-from greenquadrics.exact import Rational, _as_rational, to_float
+from greenquadrics.errors import DomainError, UnknownKindError
+from greenquadrics.exact import Rational, _as_rational, _coefficients
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
 from greenquadrics.sampling import rng_for, uniform_rows
 from greenquadrics.green import class_plane
@@ -69,18 +69,6 @@ class SurfaceSample:
             for j in range(first + 1, first + count):
                 yield j - 1, j
             first += count
-
-
-def _coefficients(values) -> list[float]:
-    """`to_float` of each exact coefficient; a nonzero one that rounds to
-    0.0 is an error, since every row it enters would leave the surface.
-    The CLI's `--float` output converts through here too."""
-    floats = [to_float(v) for v in values]
-    if any(f == 0.0 and v != 0 for f, v in zip(floats, values)):
-        raise RenderLimitError(
-            f"a nonzero coefficient is below the float range (smallest double {math.ulp(0.0):.6g})"
-        )
-    return floats
 
 
 def _frame_to_ambient(lam: float, X: float, Y: float, Z: float):

@@ -1,12 +1,18 @@
-"""`python -m greenquadrics` in a child process, importing the package from
-this checkout's `src` whatever the parent's `PYTHONPATH`."""
+"""Helpers for tests of the `gq` front end: `python -m greenquadrics` in a
+child process, importing the package from this checkout's `src` whatever
+the parent's `PYTHONPATH`, and the validator of docs/schema.json."""
 
+import json
 import os
 import pathlib
 import subprocess
 import sys
 
-SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+from jsonschema import Draft202012Validator
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = str(ROOT / "src")
+VALIDATOR = Draft202012Validator(json.loads((ROOT / "docs" / "schema.json").read_text(encoding="utf-8")))
 
 
 def run_gq(args, env=None, **kwargs):

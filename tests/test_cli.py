@@ -6,12 +6,8 @@ import pytest
 from jsonschema import Draft202012Validator
 
 from greenquadrics.cli import main, run
-from cli_process import run_gq
+from cli_process import VALIDATOR, run_gq
 from surface_csv import read_csv_points
-
-SCHEMA_PATH = os.path.join(os.path.dirname(__file__), "..", "docs", "schema.json")
-with open(SCHEMA_PATH) as fh:
-    VALIDATOR = Draft202012Validator(json.load(fh))
 
 
 def test_schema_document_is_valid():
@@ -325,6 +321,21 @@ class TestCheckAndExportCli:
             1,
             "usage error: a nonzero coefficient is below the float range (smallest double 4.94066e-324)",
         )
+
+    def test_float_needs_no_exact_text(self):
+        # radius^2 of the level (10^2500 + 1) / 10^2500 has 5000-digit terms,
+        # past the digit limit, while its double is 0.5: --float prints it,
+        # and only output that writes the exact value refuses
+        n = 10**2500
+        argv = ["metrics", f"--lambda={n + 1}/{n}"]
+        assert run(argv + ["--float"]) == (
+            0,
+            "center:     [0.5,0.0,0.0,0.5]\naxis dir:   [0.0,1.0,-1.0,0.0]\nradius^2:   0.5\n"
+            "asymptotic form (frame): [1,0,0] [0,1,0] [0,0,-1]",
+        )
+        for mode in ([], ["--json"], ["--float", "--json"]):
+            code, text = run(argv + mode)
+            assert code == 1 and text.startswith("usage error: exact value exceeds the "), mode
 
     def test_export_of_an_empty_section_needs_no_float(self, tmp_path):
         # a zero `a` at level 10^400 has no points, so the level is never

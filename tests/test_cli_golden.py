@@ -20,14 +20,12 @@ import pathlib
 import re
 
 import pytest
-from jsonschema import Draft202012Validator
 
 from greenquadrics.cli import run
+from cli_process import VALIDATOR
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-GOLDEN = ROOT / "tests" / "data" / "cli_golden.sha256"
+GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "cli_golden.sha256"
 CASES = [line.split(" → ") for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
-VALIDATOR = Draft202012Validator(json.loads((ROOT / "docs" / "schema.json").read_text(encoding="utf-8")))
 
 
 def _case_id(argv: str) -> str:

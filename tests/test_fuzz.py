@@ -2,11 +2,15 @@
 LiteralParseError, and `cli.run` maps every literal to exit 0, 1 or 2,
 with a nonzero exit printing one `usage error:`, `parse error:` or
 `domain error:` line.  Every slot is also fed rationals just past either
-end of the float range.  The count and seed slots are fuzzed at the
-argument parser, where any text gives an `int` read from ASCII digits (a
-positive one for a count) or one usage error; the counts run end to end
-only on small integers, so that no example starts a long run."""
+end of the float range.  A template other than export's also draws its
+output mode (text or `--json`, either under `--float` for the commands
+that take it), and an exit-0 `--json` document matches docs/schema.json.
+The count and seed slots are fuzzed at the argument parser, where any
+text gives an `int` read from ASCII digits (a positive one for a count)
+or one usage error; the counts run end to end only on small integers, so
+that no example starts a long run."""
 
+import json
 import os
 
 import pytest
@@ -17,6 +21,7 @@ from greenquadrics.cli import _build_parser, _UsageError, run
 from greenquadrics.errors import LiteralParseError
 from greenquadrics.exact import parse_quadext, parse_rational
 from greenquadrics.mat2 import parse_mat2
+from cli_process import VALIDATOR
 
 # text shaped like the literals, so that fuzzing also reaches valid values
 literal_text = st.one_of(
@@ -76,6 +81,17 @@ near_float_range = st.builds(
 )
 
 
+def _modes(slot):
+    """The output options a template is fuzzed under: none for export, text
+    or `--json` for a verdict, and either under `--float` where it applies."""
+    if slot.startswith("export"):
+        return [[]]
+    modes = [[], ["--json"]]
+    if slot in ("inverses", "bell", "bell-point", "metrics"):
+        modes += [["--float"], ["--float", "--json"]]
+    return modes
+
+
 @pytest.fixture(scope="module")
 def out_path(tmp_path_factory):
     return str(tmp_path_factory.mktemp("fuzz") / "x.csv")
@@ -87,14 +103,18 @@ def out_path(tmp_path_factory):
 def test_cli_exit_codes(slot, template, data, out_path):
     texts = file_names if slot == "export-out" else st.one_of(literal_text, near_float_range)
     literal = data.draw(texts, label="literal")
+    mode = data.draw(st.sampled_from(_modes(slot)), label="mode")
     directory, name = os.path.split(out_path)
     before = set(os.listdir(directory))
-    argv = [arg.format(literal, out=out_path, dir=directory) for arg in template]
+    command, *rest = (arg.format(literal, out=out_path, dir=directory) for arg in template)
+    argv = [command, *mode, *rest]
     code, text = run(argv)
     assert code in (0, 1, 2), (argv, code, text)
     if code:
         assert text.startswith(("usage error:", "parse error:", "domain error:")), (argv, code, text)
         assert "\n" not in text, (argv, code, text)
+    elif "--json" in mode:
+        VALIDATOR.validate(json.loads(text))
     # a run writes its own file or nothing: no temp file is left behind
     assert set(os.listdir(directory)) - before <= {name, literal}, argv
 

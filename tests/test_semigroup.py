@@ -300,7 +300,7 @@ class TestOrderSectionReport:
             report = order_section_report(a, 90, seed=2 + i)
             assert report.agree_le_vs_inv_section == 90
             assert not report.counterexamples
-            payload = report.to_dict()
+            payload = report._asdict()
             assert set(payload) >= {
                 "trials",
                 "agree_le_vs_inv_section",
@@ -316,7 +316,7 @@ class TestOrderSectionReport:
         a = Mat2(2, 1, 1, 1)
         r1 = order_section_report(a, 30, seed=9)
         r2 = order_section_report(a, 30, seed=9)
-        assert r1.to_dict() == r2.to_dict()
+        assert r1._asdict() == r2._asdict()
 
 
 class TestNilpotentCone:

@@ -9,9 +9,11 @@ argument (a Green relation, a line family, a surface kind) has one
 spelling, and no library function folds its case.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
-stale export behind.  Importing the CLI loads no math module, and nothing
-imports `dataclasses`.  The order, line and chart paths compute on a
-`Mat2`'s integer content: they read no `Fraction` accessor.  The
+stale export behind.  Importing the CLI loads no math module, `--float`
+output loads no export module, the CLI writes exact values in `_exact`
+only and encodes JSON once, and nothing imports `dataclasses`.  The
+order, line and chart paths compute on a `Mat2`'s integer content: they
+read no `Fraction` accessor.  The
 quadric classifier eliminates its bordered matrix and solves no linear
 system, the natural order and the meet of two lines are decided by
 minors, not by a solve, the minus order forms no difference y - x, and
@@ -388,6 +390,62 @@ def test_cli_import_loads_no_math():
     ours = {name for name in loaded if name.split(".")[0] == "greenquadrics"}
     assert ours == {"greenquadrics", "greenquadrics.cli", "greenquadrics.errors"}
     assert not loaded & {"dataclasses", "inspect", "fractions"}
+
+
+def test_cli_float_loads_no_sampler():
+    # --float converts through `exact._coefficients`: a command that prints
+    # four doubles does not load the export modules
+    code = (
+        "import sys; from greenquadrics.cli import run; "
+        "assert run(['metrics', '--lambda=3', '--float'])[0] == 0; print(' '.join(sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True, env=env, check=True)
+    loaded = set(proc.stdout.split())
+    assert "greenquadrics.sections" in loaded
+    assert not loaded & {"greenquadrics.surfaces", "greenquadrics.sampling"}
+
+
+FORMATTERS = {"format_mat2", "format_rational", "format_quadext"}
+
+
+def _spelled(node):
+    """The name a node reads or imports: a bare name, an attribute, or the
+    last part of an imported name; None for any other node."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name.split(".")[-1]
+    return None
+
+
+@pytest.mark.parametrize(
+    "src,expected",
+    [
+        ("format_mat2(a)", ["format_mat2", "a"]),
+        ("mat2.format_rational(x)", ["mat2", "format_rational", "x"]),
+        ("from greenquadrics.exact import format_quadext as q", ["format_quadext"]),
+        ("import greenquadrics.exact", ["exact"]),
+    ],
+    ids=["name", "attribute", "from-import", "import"],
+)
+def test_spelled_sees_each_form(src, expected):
+    assert sorted(filter(None, map(_spelled, ast.walk(ast.parse(src))))) == sorted(expected)
+
+
+def test_cli_writes_exact_values_in_one_place():
+    # every runner hands its exact values to `_exact`, for text and JSON
+    # alike, and `run` encodes the one record a runner returns
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    encoder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_exact")
+    inside = set(map(id, ast.walk(encoder)))
+    outside = {_spelled(n) for n in ast.walk(tree) if id(n) not in inside}
+    assert not outside & FORMATTERS, sorted(outside & FORMATTERS)
+    assert {_spelled(n) for n in ast.walk(encoder)} >= FORMATTERS
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _spelled(n.func) == "dumps"]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
