@@ -16,7 +16,8 @@ and a dict of the exact values themselves (`Mat2`, `Fraction`, `QuadExt`,
 bools, ints, strings, None, lists) keyed as docs/schema.json names them;
 `export` has no record.  `_exact` is the one writer of an exact value:
 text without --float goes through it, and under --json `run` encodes the
-record with `json.dumps(record, default=_exact)`.  The text is built
+record with `json.dumps(record, default=_exact)`; the library returns
+values, so `_run_order` also writes the order report.  The text is built
 before that choice, so --json refuses what the text refuses: `metrics
 --float --json` at a level past the float range exits 1, as `metrics
 --float` does.  `check` exits 2 when its record counts fewer passes than
@@ -96,48 +97,37 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("classify", help="affine type of a variety slice")
     p.add_argument("--a", required=True, metavar="MAT")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RAT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("green", help="test a Green relation between two matrices")
     p.add_argument("--rel", required=True, choices=_RELS)
     p.add_argument("a", metavar="MAT_A")
     p.add_argument("b", metavar="MAT_B")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("inverses", help="bilinear chart of the inverses of a rank-1 matrix")
     p.add_argument("--a", required=True, metavar="MAT")
     p.add_argument("--grid", type=_count, default=3, metavar="K")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", dest="as_float", action="store_true")
 
     p = sub.add_parser("order", help="natural/minus order verdicts, or a section report")
     p.add_argument("mats", nargs="*", metavar="MAT")
     p.add_argument("--report", action="store_true", help="sample the order/section agreement below MAT")
     p.add_argument("--trials", type=_count, default=200)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("lines", help="generating lines of the idempotent surface through e")
     p.add_argument("--e", required=True, metavar="MAT")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("plane", help="is span{b1,b2} minus 0 an L- or R-class?")
     p.add_argument("b1", metavar="MAT_B1")
     p.add_argument("b2", metavar="MAT_B2")
-    p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("bell", help="convert between ambient and frame coordinates")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RAT")
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--point", metavar="MAT")
     g.add_argument("--from", dest="coords", metavar="X,Y,Z")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", dest="as_float", action="store_true")
 
     p = sub.add_parser("metrics", help="center/axis/radius of the trace-level slices")
     p.add_argument("--lambda", dest="lam", required=True, metavar="RAT")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--float", dest="as_float", action="store_true")
 
     p = sub.add_parser("export", help="sample a surface to CSV or OBJ")
     p.add_argument("--kind", required=True, choices=_KINDS)
@@ -154,8 +144,13 @@ def _build_parser() -> _Parser:
     p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--trials", type=_count)
     p.add_argument("--suite", action="append", choices=_SUITES)
-    p.add_argument("--json", action="store_true")
 
+    # the output flags, each added last so that it stays last in the help
+    for name, p in sub.choices.items():
+        if name != "export":
+            p.add_argument("--json", action="store_true")
+        if name in ("inverses", "bell", "metrics"):
+            p.add_argument("--float", dest="as_float", action="store_true")
     return parser
 
 
@@ -263,8 +258,19 @@ def _run_order(ns):
     if ns.report:
         if len(ns.mats) != 1:
             raise _UsageError("order --report takes exactly one matrix")
-        report = order_section_report(parse_mat2(ns.mats[0]), ns.trials, ns.seed)
-        return report.to_text(), {"command": "order-report", **report._asdict()}
+        r = order_section_report(parse_mat2(ns.mats[0]), ns.trials, ns.seed)
+        lines = [
+            f"order/section agreement below a = {_exact(r.a)} ({r.trials} trials, seed {r.seed})",
+            f"  x <= a  vs  x in SP(inv(a);1): {r.agree_le_vs_inv_section}/{r.trials}",
+            f"  x <= a  vs  x in SP(a;1):      {r.agree_le_vs_section}/{r.trials}",
+        ]
+        if r.counterexamples:
+            lines.append(f"  counterexamples (<= {len(r.counterexamples)} shown):")
+            # the dict's repr with x written by `_exact`; `{{` would print braces
+            lines += (f"    { {**cex, 'x': _exact(cex['x'])} }" for cex in r.counterexamples)
+        else:
+            lines.append("  no counterexamples to the inverse-section identity")
+        return "\n".join(lines), {"command": "order-report", **r._asdict()}
     if len(ns.mats) != 2:
         raise _UsageError("order takes two matrices: X Y")
     x = parse_mat2(ns.mats[0])

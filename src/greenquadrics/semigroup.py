@@ -43,7 +43,6 @@ from greenquadrics.mat2 import (
     Mat2,
     _polar,
     _raw,
-    format_mat2,
     inverse_mat,
     outer,
     primitive_direction,
@@ -336,7 +335,8 @@ class OrderSectionReport(NamedTuple):
     """Per-trial agreement between the natural order below a nonsingular `a`
     and membership in the two trace-1 sections (of a and of its inverse).
     `order_section_report` builds it once, from its counts; the list of
-    counterexamples keeps it unhashable."""
+    counterexamples (each a dict of its `Mat2` x and three verdicts) keeps
+    it unhashable.  The CLI writes it as text."""
 
     a: Mat2
     trials: int
@@ -344,21 +344,6 @@ class OrderSectionReport(NamedTuple):
     agree_le_vs_inv_section: int
     agree_le_vs_section: int
     counterexamples: list
-
-    def to_text(self) -> str:
-        lines = [
-            f"order/section agreement below a = {format_mat2(self.a)} "
-            f"({self.trials} trials, seed {self.seed})",
-            f"  x <= a  vs  x in SP(inv(a);1): {self.agree_le_vs_inv_section}/{self.trials}",
-            f"  x <= a  vs  x in SP(a;1):      {self.agree_le_vs_section}/{self.trials}",
-        ]
-        if self.counterexamples:
-            lines.append(f"  counterexamples (<= {len(self.counterexamples)} shown):")
-            for cex in self.counterexamples:
-                lines.append(f"    {cex}")
-        else:
-            lines.append("  no counterexamples to the inverse-section identity")
-        return "\n".join(lines)
 
 
 def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
@@ -391,7 +376,7 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
         elif len(counterexamples) < 10:
             counterexamples.append(
                 {
-                    "x": format_mat2(x),
+                    "x": x,
                     "natural_le": le,
                     "in_section": in_section,
                     "in_inv_section": in_inv_section,

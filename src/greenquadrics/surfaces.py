@@ -13,7 +13,8 @@ chart, class planes, generator lines) up front; `SurfaceSample.rows()`
 regenerates the float rows from `(seed, index)` on every pass, and the
 writers format each row as it comes, so export memory does not grow with
 the sample count for any kind, generator lines (drawn in order) included.
-The draws of `sampling.uniform_rows` come one chunk at a time: at most
+Every kind draws its floats through `sampling.uniform_rows`, one chunk at
+a time, and keeps each row as drawn (none is redrawn): at most
 `sampling._LANES` rows of floats and a few lane ints of 8 to 16 KB are
 held, whatever the sample count.
 """
@@ -29,7 +30,7 @@ from operator import itemgetter
 from greenquadrics.errors import DomainError, UnknownKindError
 from greenquadrics.exact import Rational, _as_rational, _coefficients
 from greenquadrics.mat2 import IDENTITY, Mat2, inverse_mat
-from greenquadrics.sampling import rng_for, uniform_rows
+from greenquadrics.sampling import uniform_rows
 from greenquadrics.green import class_plane
 from greenquadrics.sections import chart_pivot, classify_section
 from greenquadrics.semigroup import generator_line, inverse_chart
@@ -193,8 +194,8 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
 
         return SurfaceSample("section", seed, inverse_set)
 
-    # level zero, rank 1: the two class planes through the representative;
-    # each point redraws until it leaves the origin, so it keeps its own stream
+    # level zero, rank 1: the two class planes through the representative,
+    # alternating; the origin lies on this slice, so no draw is refused
     verdict = classify_section(a, lam_r)
     rep = verdict.l_rep
     planes = [
@@ -203,14 +204,8 @@ def _sample_section(a: Mat2, lam_r: Rational, n: int, seed: int, z_span) -> Surf
     ]
 
     def two_planes():
-        for i in range(n):
-            rng = rng_for(seed, i)
-            basis = planes[i % 2]
-            while True:
-                s, t = rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0)
-                if max(abs(s), abs(t)) > 1e-3:
-                    break
-            x = tuple(s * u + t * v for u, v in basis)
+        for i, (s, t) in enumerate(uniform_rows(seed, 0, n, ((-3.0, 3.0), (-3.0, 3.0)))):
+            x = tuple(s * u + t * v for u, v in planes[i % 2])
             yield x, None, extract(x)
 
     return SurfaceSample("section", seed, two_planes)

@@ -199,6 +199,39 @@ class TestPinnedOutput:
             '  "agree_le_vs_inv_section": 200,\n  "agree_le_vs_section": 66,\n  "counterexamples": []\n}'
         )
 
+    def test_order_report_counterexamples(self, monkeypatch):
+        # the identity holds, so no real run prints a counterexample: an order
+        # that says yes to every x makes five, one line per dict in text
+        monkeypatch.setattr("greenquadrics.semigroup.natural_le", lambda x, y: True)
+        argv = ["order", "--report", "[2,1;1,1]", "--trials=7", "--seed=3"]
+        rows = [
+            ("[0,0;6/5,4/5]", False),
+            ("[1/5,-2/5;-1,2]", True),
+            ("[0,-25;0,-5]", False),
+            ("[1/3,-1;-2/3,2]", True),
+            ("[20,8;-20/3,-8/3]", False),
+        ]
+        assert run_ok(argv) == (
+            "order/section agreement below a = [2,1;1,1] (7 trials, seed 3)\n"
+            "  x <= a  vs  x in SP(inv(a);1): 2/7\n"
+            "  x <= a  vs  x in SP(a;1):      2/7\n"
+            "  counterexamples (<= 5 shown):\n"
+            "    {'x': '[0,0;6/5,4/5]', 'natural_le': True, 'in_section': False, 'in_inv_section': False}\n"
+            "    {'x': '[1/5,-2/5;-1,2]', 'natural_le': True, 'in_section': True, 'in_inv_section': False}\n"
+            "    {'x': '[0,-25;0,-5]', 'natural_le': True, 'in_section': False, 'in_inv_section': False}\n"
+            "    {'x': '[1/3,-1;-2/3,2]', 'natural_le': True, 'in_section': True, 'in_inv_section': False}\n"
+            "    {'x': '[20,8;-20/3,-8/3]', 'natural_le': True, 'in_section': False, 'in_inv_section': False}"
+        )
+        cexs = ",".join(
+            f'\n    {{\n      "x": "{x}",\n      "natural_le": true,\n      "in_section": {str(s).lower()},\n'
+            '      "in_inv_section": false\n    }'
+            for x, s in rows
+        )
+        assert run_ok(argv + ["--json"]) == (
+            '{\n  "command": "order-report",\n  "a": "[2,1;1,1]",\n  "trials": 7,\n  "seed": 3,\n'
+            f'  "agree_le_vs_inv_section": 2,\n  "agree_le_vs_section": 2,\n  "counterexamples": [{cexs}\n  ]\n}}'
+        )
+
 
 class TestLiteralEcho:
     def test_json_echoes_canonical_literals(self):

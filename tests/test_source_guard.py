@@ -10,19 +10,20 @@ spelling, and no library function folds its case.
 Every name a module exports in `__all__` exists, and the package
 re-exports only names its modules export, so a deletion cannot leave a
 stale export behind.  Importing the CLI loads no math module, `--float`
-output loads no export module, the CLI writes exact values in `_exact`
-only and encodes JSON once, and nothing imports `dataclasses`.  The
-order, line and chart paths compute on a `Mat2`'s integer content: they
-read no `Fraction` accessor.  The
-quadric classifier eliminates its bordered matrix and solves no linear
-system, the natural order and the meet of two lines are decided by
-minors, not by a solve, the minus order forms no difference y - x, and
-the inverse chart builds no `Fraction`, `uniform_rows` builds no
-`Stream`, and SplitMix64 is mixed in `Stream.offsets` and `uniform_rows`
-only.  In the check suites only one
-helper counts trials and only one keys a seeded stream.  Every module-level
-`def` and `class` is named by some package code: a name that only tests
-reach is deleted, not kept as a second door.
+output loads no export module, the package writes exact values in
+`cli._exact` only and encodes JSON once, and nothing imports
+`dataclasses`.  The order, line and chart paths compute on a `Mat2`'s
+integer content: they read no `Fraction` accessor.  The quadric
+classifier eliminates its bordered matrix and solves no linear system,
+the minus order forms no difference y - x, and SplitMix64 is mixed in
+`Stream.offsets` and `uniform_rows` only.  One table, `NAME_GUARDS`,
+lists the names a function or module may not use: the natural order and
+the meet of two lines are decided by minors, not by a solve, the inverse
+chart builds no `Fraction`, and neither `uniform_rows` nor export builds
+a `Stream`.  In the check suites only one helper counts trials and only
+one keys a seeded stream.  Every module-level `def` and `class` is named
+by some package code: a name that only tests reach is deleted, not kept
+as a second door.
 """
 
 import ast
@@ -226,24 +227,33 @@ def test_quadrics_solve_no_linear_system():
     assert not any("_linear" in name.split(".") for name in names), sorted(names)
 
 
-def test_natural_le_decides_by_minors():
+# (module, function, names its body may not use); function None is the
+# whole module
+NAME_GUARDS = [
     # the order is decided from the minors of its integer system: no solve,
     # no projective line, no gcd
-    body = _function("semigroup", "natural_le")
-    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used = names & {"solve_linear", "colspace", "ProjLine", "gcd"}
-    assert not used, f"semigroup.natural_le uses {sorted(used)}"
-
-
-def test_line_meet_decides_by_minors():
+    ("semigroup", "natural_le", {"solve_linear", "colspace", "ProjLine", "gcd"}),
     # the meet is decided from the minors of its integer system: no solve,
     # no projective line
-    body = _function("semigroup", "line_meet")
-    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used = names & {"solve_linear", "colspace", "ProjLine"}
-    assert not used, f"semigroup.line_meet uses {sorted(used)}"
+    ("semigroup", "line_meet", {"solve_linear", "colspace", "ProjLine"}),
+    # export rows are mixed many keys per big int; a `Stream` per row would
+    # bring back the scalar loop as a second path to the same draws
+    ("sampling", "uniform_rows", {"Stream", "rng_for"}),
+    # every export draw goes through the lanes of `uniform_rows`
+    ("surfaces", None, {"Stream", "rng_for"}),
+    # the chart's Fraction vectors are built on first read, not by the chart
+    ("semigroup", "inverse_chart", {"_from_ints", "Rational"}),
+]
+
+
+@pytest.mark.parametrize("module,func,forbidden", NAME_GUARDS, ids=[f"{m}-{f or 'module'}" for m, f, _ in NAME_GUARDS])
+def test_body_uses_no_forbidden_name(module, func, forbidden):
+    if func is None:
+        body = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    else:
+        body = _function(module, func)
+    used = {_spelled(n) for n in ast.walk(body)} & forbidden
+    assert not used, f"{module}.{func or '*'} uses {sorted(used)}"
 
 
 COUNTERS = {"failures", "total"}
@@ -316,16 +326,6 @@ def test_minus_le_forms_no_difference():
     assert not _subtracts(body, "y", "x") and not _subtracts(body, "x", "y")
 
 
-def test_uniform_rows_build_no_stream():
-    # export rows are mixed many keys per big int; a `Stream` per row would
-    # bring back the scalar loop as a second path to the same draws
-    body = _function("sampling", "uniform_rows")
-    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used = names & {"Stream", "rng_for"}
-    assert not used, f"sampling.uniform_rows uses {sorted(used)}"
-
-
 def test_splitmix64_is_written_twice():
     # the scalar mix of `Stream.offsets`, which every scalar draw goes
     # through, and the lane mix of `uniform_rows`: a third copy would have
@@ -334,15 +334,6 @@ def test_splitmix64_is_written_twice():
     functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
     mixing = {f.name for f in functions if any(isinstance(n, ast.Name) and n.id == "_C1" for n in ast.walk(f))}
     assert mixing == {"offsets", "uniform_rows"}
-
-
-def test_inverse_chart_builds_no_fraction():
-    # the chart's Fraction vectors are built on first read, not by the chart
-    body = _function("semigroup", "inverse_chart")
-    names = {n.id for n in ast.walk(body) if isinstance(n, ast.Name)}
-    names |= {n.attr for n in ast.walk(body) if isinstance(n, ast.Attribute)}
-    used = names & {"_from_ints", "Rational"}
-    assert not used, f"semigroup.inverse_chart uses {sorted(used)}"
 
 
 def _exports(path) -> bool:
@@ -436,13 +427,18 @@ def test_spelled_sees_each_form(src, expected):
 
 
 def test_cli_writes_exact_values_in_one_place():
-    # every runner hands its exact values to `_exact`, for text and JSON
-    # alike, and `run` encodes the one record a runner returns
+    # `exact` and `mat2` define the format functions and `cli._exact` is
+    # their one caller: the library returns values, every runner hands its
+    # exact values to `_exact`, for text and JSON alike, and `run` encodes
+    # the one record a runner returns
     tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
     encoder = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_exact")
     inside = set(map(id, ast.walk(encoder)))
-    outside = {_spelled(n) for n in ast.walk(tree) if id(n) not in inside}
-    assert not outside & FORMATTERS, sorted(outside & FORMATTERS)
+    for path in MODULES:
+        if path.stem not in ("exact", "mat2"):
+            nodes = ast.walk(tree if path.stem == "cli" else ast.parse(path.read_text(encoding="utf-8")))
+            outside = {_spelled(n) for n in nodes if id(n) not in inside}
+            assert not outside & FORMATTERS, (path.name, sorted(outside & FORMATTERS))
     assert {_spelled(n) for n in ast.walk(encoder)} >= FORMATTERS
     calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call) and _spelled(n.func) == "dumps"]
     assert len(calls) == 1
