@@ -12,10 +12,16 @@ A check is a stream of cases and a predicate `holds(*case) -> bool`, and
 `_tally` is the only code that counts: one count per case and predicate,
 one failure per case at most.  A case is one seeded trial, one point of a
 trial, or one point of an exhaustive grid; a redraw inside a trial is not
-a trial.  The cases draw from the streams `_streams` keys by (seed,
-index); the predicates draw nothing.  An exception raised while a case is
-drawn or decided fails that check alone, on its own line, and the run
-goes on; so a check draws and builds in its case stream, not before it.
+a trial.  The cases draw from the streams keyed by (seed, index); the
+predicates draw nothing.  A trial that draws a fixed tuple of samplers
+takes it from `_draws`, which mixes the streams of 512 trials at once
+(`sampling.lane_draws`) and falls back to each trial's own stream when a
+first attempt is rejected or a sampler has no lane form; the stratified
+loops, which choose their samplers by trial, take `_streams`.  An
+exception raised while a case is drawn or decided fails that check
+alone, on its own line, and the run goes on; so a check draws and builds
+in its case stream, not before it (the lanes build each trial's values
+as it is yielded).
 
 Eight checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -87,7 +93,7 @@ from __future__ import annotations
 
 from contextvars import ContextVar
 from functools import partial
-from itertools import chain, product, repeat
+from itertools import chain, product
 from math import gcd, prod
 from typing import NamedTuple
 
@@ -100,6 +106,7 @@ from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
     grid_values,
+    lane_draws,
     rand_idempotent_rank1,
     rand_invertible,
     rand_mat,
@@ -197,14 +204,17 @@ class CheckResult(NamedTuple):
         return f"[{mark}] {self.suite}/{self.name}: {self.detail}"
 
 
-def _streams(seed, trials, first=0):
-    """The stream keyed (seed, first + i) for each trial i."""
-    return (rng_for(seed, first + i) for i in range(trials))
+def _streams(seed, trials):
+    """The stream keyed (seed, i) for each trial i."""
+    return (rng_for(seed, i) for i in range(trials))
 
 
-def _draws(seed, trials, *samplers):
-    """One case per trial: each sampler's value, drawn in order from the trial's stream."""
-    return (tuple(draw(rng) for draw in samplers) for rng in _streams(seed, trials))
+def _draws(seed, trials, *samplers, first=0):
+    """One case per trial: each sampler's value, drawn in order from the
+    stream keyed (seed, first + i) of trial i, through the lanes of
+    `lane_draws` (a sampler without a lane form draws on the trial's
+    stream itself)."""
+    return lane_draws(seed, first, trials, samplers)
 
 
 def _tally(suite, name, cases, holds, extra="", certified=0):
@@ -273,19 +283,26 @@ def _grid_size(variables) -> int:
     return prod(len(values) for values, _ in variables)
 
 
-def _certified(variables, rngs):
+def _certified(variables, tail):
     """The cases of a certificate: every point of the grid of `variables`
-    (one value per variable), then one 64-bit point drawn from each stream
-    of `rngs`."""
-    grid = product(*(values for values, _ in variables))
-    tail = (tuple(draw(rng) for _, draw in variables) for rng in rngs)
-    return chain(grid, tail)
+    (one value per variable), then the 64-bit points of `tail`."""
+    return chain(product(*(values for values, _ in variables)), tail)
+
+
+def _wide_draws(variables, seed, trials, first=0):
+    """One 64-bit point of `variables` per trial, each from the trial's stream."""
+    return _draws(seed, trials, *(draw for _, draw in variables), first=first)
+
+
+def _wide_points(variables, rng, count):
+    """`count` 64-bit points of `variables` drawn in turn from `rng`."""
+    return (tuple(draw(rng) for _, draw in variables) for _ in range(count))
 
 
 def _identity_check(suite, name, holds, variables, seed, trials):
     """A certificate with one 64-bit point per trial, each from the trial's stream."""
     points = _grid_size(variables)
-    cases = _certified(variables, _streams(seed, trials))
+    cases = _certified(variables, _wide_draws(variables, seed, trials))
     return _tally(suite, name, cases, holds, _note(points, trials), points)
 
 
@@ -526,8 +543,8 @@ def _characterizations(seed, trials):
         return memo[seed, trials]
     idempotents, nilpotents = _idempotent_charts(), _nilpotent_chart()
     grid = grid_matrices(grid_values(span=2, dens=(1, 2)))
-    draws = (rand_mat(rng, 4, 4) for rng in _streams(seed, trials))
-    cases = ((x,) for x in chain(grid, draws, idempotents, nilpotents))
+    draws = _draws(seed, trials, partial(rand_mat, span=4, max_den=4))
+    cases = chain(((x,) for x in grid), draws, ((x,) for x in chain(idempotents, nilpotents)))
     results = _tally(
         "sets",
         ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0"),
@@ -567,7 +584,7 @@ def check_inverse_set_theorem(seed, trials=500):
             # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
             # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
             read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
-            for s, t in _certified(variables, repeat(rng, _CHART_TAIL)):
+            for s, t in _certified(variables, _wide_points(variables, rng, _CHART_TAIL)):
                 yield a, chart, read_s, read_t, s, t
 
     def holds(a, chart, read_s, read_t, s, t):
@@ -588,7 +605,7 @@ def check_membership_equals_triple_products(seed, trials=20):
         extra = f"random a capped at {_MEMBERSHIP_CAP} of {trials}"
         trials = _MEMBERSHIP_CAP
     grid = tuple(grid_matrices(grid_values(span=2)))
-    draws = (rand_rank1(rng) for rng in _streams(seed, trials, 10_000))
+    draws = (a for (a,) in _draws(seed, trials, rand_rank1, first=10_000))
 
     def holds(a, x):
         return inverse_membership(a, x) == is_inverse_pair(a, x)
@@ -717,8 +734,8 @@ def check_order_section_reports(seed, trials=10):
     gaps = []  # whether the literal section disagrees, per generic a
 
     def cases():
-        for i, rng in enumerate(_streams(seed, trials, 40_000)):
-            report = order_section_report(rand_invertible(rng), _REPORT_TRIALS, seed + i)
+        for i, (a,) in enumerate(_draws(seed, trials, rand_invertible, first=40_000)):
+            report = order_section_report(a, _REPORT_TRIALS, seed + i)
             gaps.append(report.agree_le_vs_section != _REPORT_TRIALS)
             yield report, False
         yield order_section_report(IDENTITY, _REPORT_TRIALS, seed), True
@@ -751,8 +768,8 @@ def check_bell_identity(seed, trials=1000):
 
     def singular():
         for li, lam in enumerate(_BELL_LEVELS):
-            for rng in _streams(seed, trials, li * trials):
-                yield rand_singular_with_trace(rng, lam), lam
+            for (x,) in _draws(seed, trials, partial(rand_singular_with_trace, lam=lam), first=li * trials):
+                yield x, lam
 
     def holds(x, lam=None):
         if lam is None:
@@ -761,7 +778,7 @@ def check_bell_identity(seed, trials=1000):
 
     variables, sampled, tail = (_matrix(2),), len(_BELL_LEVELS) * trials, min(trials, _TAIL)
     points = _grid_size(variables)
-    cases = chain(_certified(variables, _streams(seed, tail, sampled)), singular())
+    cases = chain(_certified(variables, _wide_draws(variables, seed, tail, sampled)), singular())
     note = f"{_note(points, tail)}, {sampled} at the default width"
     return _tally("sections", "frame_identity_exact", cases, holds, note, points)
 
@@ -833,7 +850,7 @@ def check_restriction_identity(seed, trials=100):
             h = _random_hyperplane_nonzero_a(rng, i)
             aq = restrict_quadric(h)
             pivot = chart_pivot(h.a)
-            for t in _certified(variables, repeat(rng, _PLANE_TAIL)):
+            for t in _certified(variables, _wide_points(variables, rng, _PLANE_TAIL)):
                 yield aq, pivot, t
             # det vanishes on no hyperplane, so by the certificate it is
             # nonzero at some point of the grid

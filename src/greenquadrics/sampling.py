@@ -9,16 +9,25 @@ takes all the bounded draws of one attempt from one `Stream.offsets`
 batch (one 64-bit output at the default spans) and builds its `Mat2`
 straight from integer content with one gcd.  A rejected attempt (a zero
 vector, a zero pairing) redraws the whole batch, which keeps the result
-uniform over the accepted draws.  The mix is written in `Stream.offsets`
-and `uniform_rows` only: every scalar draw goes through `offsets`.
+uniform over the accepted draws.  That batch is the sampler's lane form:
+the sizes of its one `offsets` call, and a builder from those offsets to
+the value (None for a rejected attempt); the scalar call draws the same
+batch from a `Stream`.
 
-`uniform_rows` draws the float rows of export from the same streams
-without building one: the keys of up to `_LANES` consecutive indices sit
-in the 128-bit lanes of one int (a SWAR layout; Lamport, CACM 18(8),
-1975), and each step of SplitMix64 is one big-int operation over all the
-lanes.  A lane value and both multipliers are below 2**64, so no product
-carries into the next lane; the words are read back little-endian, and
-the draws are bit-identical to `Stream.uniform`.
+The mix is written twice: in `Stream.offsets`, for scalar draws, and in
+`_lane_offsets`, which draws the same outputs without building a
+`Stream`.  There the keys of up to `_LANES` consecutive indices sit in
+the 128-bit lanes of one int (a SWAR layout; Lamport, CACM 18(8), 1975),
+each step of SplitMix64 is one big-int operation over all the lanes, and
+each offset a lane-wise multiply-high.  Every lane value and multiplier
+is below 2**64, so no product carries into the next lane, and the
+offsets are bit-identical to those of `Stream.offsets`.  Two readers
+share it: `uniform_rows` draws the float rows of export, and
+`lane_draws` the tuples of samplers that most checks draw per trial.  An
+index whose first attempt some builder rejects, and every index of a
+tuple with a sampler that has no lane form (a lambda, a replaced
+sampler), is drawn by the samplers themselves on its own `Stream`, so a
+tuple is the scalar one either way.
 
 The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
 trials of the certified checks: numerators of a random sign and
@@ -31,7 +40,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from itertools import product
+from functools import lru_cache, partial
+from itertools import accumulate, product
 
 from greenquadrics.exact import Rational, _as_rational, _from_ints
 from greenquadrics.mat2 import Mat2, _canon
@@ -41,6 +51,7 @@ __all__ = [
     "derive_seed",
     "rng_for",
     "uniform_rows",
+    "lane_draws",
     "rand_rational",
     "rand_nonzero_rational",
     "rand_mat",
@@ -123,7 +134,7 @@ def rng_for(seed: int, index: int) -> Stream:
     return Stream(derive_seed(seed, index))
 
 
-_LANES = 512  # rows whose keys `uniform_rows` mixes in one pass
+_LANES = 512  # streams whose outputs `_lane_offsets` mixes in one pass
 _LANE_BITS = 128
 _BIG_ENDIAN = sys.byteorder == "big"
 
@@ -141,25 +152,45 @@ _ONES = _lanes([1] * _LANES)
 _RAMP = _lanes(range(_LANES))
 
 
-def uniform_rows(seed: int, start: int, n: int, bounds):
-    """Yield, for each index in [start, start + n), the tuple of draws
-    `rng_for(seed, index).uniform(lo, hi)` for each of the one or more
-    (lo, hi) in `bounds`.
+def _low_words(lanes: int, m: int) -> array:
+    """The low 64-bit word of each of the first `m` lanes of `lanes`."""
+    words = array("Q", lanes.to_bytes(16 * m, "little"))
+    if _BIG_ENDIAN:
+        words.byteswap()
+    return words[::2]
 
-    Lane i of one int (bits 128i to 128i + 127) holds the key of index
-    start + i, which is the key of start plus i*_MIX_B (mod 2**63), below
-    2**72 before its mask; a call mixes min(n, `_LANES`) lanes at a time.
-    Every lane value is masked below 2**64 before it is multiplied by `_C1`
-    or `_C2` (both below 2**64), so a product fits its lane.  That mask
-    also drops the bits that each xor-shift brought down from the lane
-    above.  After the last xor-shift, bits 64 to 96 of a lane are zero, so
-    the low word of `>> 11` is the top 53 bits of the lane's output.  The
-    words are read back through `int.to_bytes(..., "little")` into an
-    `array("Q")`, byte-swapped on a big-endian machine, and each draw
-    keeps `Stream.uniform`'s expression a + (b - a) * (k * 2**-53).
+
+def _lane_offsets(seed: int, first: int, n: int, calls):
+    """Yield, for each block of up to `_LANES` consecutive indices from
+    `first` to `first + n`, the offsets that `rng_for(seed, index)` returns
+    for the calls `offsets(*sizes)`, one per `sizes` of `calls`, in turn:
+    one array per offset, item i for index i of the block.
+
+    The outputs follow `Stream.offsets`' rule, which depends on the sizes
+    alone: each call starts a fresh output, and so does a size whose
+    product with the sizes already drawn from the current output would
+    pass 2**64.  Lane i of one int (bits 128i to 128i + 127) holds the key
+    of index i of the block, which is the key of its first index plus
+    i*_MIX_B (mod 2**63), below 2**72 before its mask.  Each lane value is
+    masked below 2**64 before it is multiplied by `_C1` or `_C2` (both
+    below 2**64) or by a size (at most 2**64), so a product fits its lane;
+    that mask also drops the bits that each xor-shift brought down from
+    the lane above.  An offset is the high word of z*n, read as the low
+    word of each lane of z*n >> 64, and the low word z*n mod 2**64 carries
+    on to the next size, as in `offsets`.  The words are read back
+    through `int.to_bytes(..., "little")` into an `array("Q")`,
+    byte-swapped on a big-endian machine.
     """
-    spans = [(lo, hi - lo) for lo, hi in bounds]
-    key = derive_seed(seed, start)
+    plan = []  # (number of the output, the sizes drawn from it)
+    for sizes in calls:
+        room = 0
+        for size in sizes:
+            if size > room:
+                plan.append((len(plan) + 1, []))
+                room = _TWO64
+            room //= size
+            plan[-1][1].append(size)
+    key = derive_seed(seed, first)
     while n > 0:
         m = min(n, _LANES)
         ones = _ONES >> (_LANE_BITS * (_LANES - m))
@@ -167,48 +198,174 @@ def uniform_rows(seed: int, start: int, n: int, bounds):
         keys = (key * ones + _MIX_B * (_RAMP & m64)) & (_MASK * ones)
         gamma = _GAMMA * ones
         columns = []
-        for j, (lo, width) in enumerate(spans, 1):
+        for j, sizes in plan:
             s = (keys + j * gamma) & m64
             z = ((s ^ (s >> 30)) & m64) * _C1 & m64
             z = ((z ^ (z >> 27)) & m64) * _C2 & m64
-            words = array("Q", ((z ^ (z >> 31)) >> 11).to_bytes(16 * m, "little"))
-            if _BIG_ENDIAN:
-                words.byteswap()
-            columns.append([lo + width * (k * 2.0**-53) for k in words[::2]])
-        yield from zip(*columns)
+            z ^= z >> 31
+            for size in sizes:
+                z = (z & m64) * size
+                columns.append(_low_words(z >> 64, m))
+        yield columns
         key = (key + m * _MIX_B) & _MASK
         n -= m
 
 
+def uniform_rows(seed: int, start: int, n: int, bounds):
+    """Yield, for each index in [start, start + n), the tuple of draws
+    `rng_for(seed, index).uniform(lo, hi)` for each of the one or more
+    (lo, hi) in `bounds`: one offset of 2**53 per draw, from the lanes of
+    `_lane_offsets`, each draw keeping `Stream.uniform`'s expression
+    a + (b - a) * (k * 2**-53)."""
+    spans = [(lo, hi - lo) for lo, hi in bounds]
+    for columns in _lane_offsets(seed, start, n, [(1 << 53,)] * len(spans)):
+        yield from zip(*([lo + width * (k * 2.0**-53) for k in ks] for (lo, width), ks in zip(spans, columns)))
+
+
+# The lane form of a sampler is (sizes, build): the sizes of the one
+# `offsets` call of an attempt, and a function from those offsets to the
+# value, or None when the attempt is rejected.  Each factory below takes
+# its sampler's parameters after `rng`, with the same defaults, and the
+# scalar sampler is `_draw` of its form (`rand_invertible` loops over
+# `rand_mat`, and the wide samplers read their outputs through
+# `_wide_parts`), so both paths share one decoding.
+# A form is built once per parameters; `typed` keeps 1, 1.0 and True
+# apart, so a float parameter still fails as it would uncached.
+_cached = lru_cache(maxsize=256, typed=True)
+
+
+def _draw(rng: Stream, form):
+    """The value of the first attempt on `rng` that the builder of `form`
+    accepts, each attempt one `offsets` call."""
+    sizes, build = form
+    while (value := build(rng.offsets(*sizes))) is None:
+        pass
+    return value
+
+
+@_cached
+def _rational_form(span: int = 9, max_den: int = 9):
+    def build(offsets):
+        n, d = offsets
+        return _from_ints(n - span, d + 1)
+
+    return (2 * span + 1, max_den), build
+
+
+@_cached
+def _nonzero_rational_form(span: int = 9, max_den: int = 9):
+    def build(offsets):
+        k, d = offsets
+        return _from_ints(k + 1 if k < span else span - 1 - k, d + 1)
+
+    return (2 * span, max_den), build
+
+
+@_cached
+def _mat_form(span: int = 9, max_den: int = 9):
+    def build(offsets):
+        n1, d1, n2, d2, n3, d3, n4, d4 = offsets
+        d1, d2, d3, d4 = d1 + 1, d2 + 1, d3 + 1, d4 + 1
+        d12, d34 = d1 * d2, d3 * d4
+        return _canon(
+            (n1 - span) * d2 * d34,
+            (n2 - span) * d1 * d34,
+            (n3 - span) * d4 * d12,
+            (n4 - span) * d3 * d12,
+            d12 * d34,
+        )
+
+    w = 2 * span + 1
+    return (w, max_den) * 4, build
+
+
+@_cached
+def _invertible_form(span: int = 9, max_den: int = 9):
+    sizes, mat = _mat_form(span, max_den)
+
+    def build(offsets):
+        m = mat(offsets)
+        return m if m.det() != 0 else None
+
+    return sizes, build
+
+
+@_cached
+def _rank1_form(span: int = 5):
+    def build(offsets):
+        c1, c2, r1, r2, k, d = offsets
+        c1, c2, r1, r2 = c1 - span, c2 - span, r1 - span, r2 - span
+        if (c1 or c2) and (r1 or r2):
+            n = k + 1 if k < span else span - 1 - k
+            return _canon(c1 * r1 * n, c1 * r2 * n, c2 * r1 * n, c2 * r2 * n, d + 1)
+        return None
+
+    w = 2 * span + 1
+    return (w, w, w, w, 2 * span, span), build
+
+
+@_cached
+def _idempotent_rank1_form(span: int = 5):
+    def build(offsets):
+        u1, u2, v1, v2 = offsets
+        u1, u2, v1, v2 = u1 - span, u2 - span, v1 - span, v2 - span
+        p = u1 * v1 + u2 * v2
+        if not p:
+            return None
+        if p < 0:
+            u1, u2, p = -u1, -u2, -p
+        return _canon(u1 * v1, u1 * v2, u2 * v1, u2 * v2, p)
+
+    return (2 * span + 1,) * 4, build
+
+
+@_cached
+def _nilpotent_form(span: int = 5):
+    def build(offsets):
+        c1, c2, k, d = offsets
+        c1, c2 = c1 - span, c2 - span
+        if c1 or c2:
+            n = k + 1 if k < span else span - 1 - k
+            return _canon(-c1 * c2 * n, c1 * c1 * n, -c2 * c2 * n, c2 * c1 * n, d + 1)
+        return None
+
+    w = 2 * span + 1
+    return (w, w, 2 * span, span), build
+
+
+@_cached
+def _singular_with_trace_form(lam, span: int = 5):
+    lam = _as_rational(lam)
+    if lam == 0:
+        return _nilpotent_form(span)
+    sizes, idempotent = _idempotent_rank1_form(span)
+
+    def build(offsets):
+        e = idempotent(offsets)
+        return None if e is None else e * lam
+
+    return sizes, build
+
+
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
     """num/den with num in [-span, span] and den in [1, max_den]."""
-    n, d = rng.offsets(2 * span + 1, max_den)
-    return _from_ints(n - span, d + 1)
+    return _draw(rng, _rational_form(span, max_den))
 
 
 def rand_nonzero_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
     """num/den with 0 < |num| <= span and den in [1, max_den]."""
-    k, d = rng.offsets(2 * span, max_den)
-    return _from_ints(k + 1 if k < span else span - 1 - k, d + 1)
+    return _draw(rng, _nonzero_rational_form(span, max_den))
 
 
 def rand_mat(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
     """Four entries with the law of `rand_rational`, row-major, drawn as
     (num, den) offset pairs from one batch."""
-    w = 2 * span + 1
-    n1, d1, n2, d2, n3, d3, n4, d4 = rng.offsets(w, max_den, w, max_den, w, max_den, w, max_den)
-    d1, d2, d3, d4 = d1 + 1, d2 + 1, d3 + 1, d4 + 1
-    d12, d34 = d1 * d2, d3 * d4
-    return _canon(
-        (n1 - span) * d2 * d34,
-        (n2 - span) * d1 * d34,
-        (n3 - span) * d4 * d12,
-        (n4 - span) * d3 * d12,
-        d12 * d34,
-    )
+    return _draw(rng, _mat_form(span, max_den))
 
 
 def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
+    """`rand_mat`, redrawn while its det is 0 (a loop over `rand_mat` calls,
+    whose ratio `perfbench` reports as the acceptance rate)."""
     while True:
         m = rand_mat(rng, span, max_den)
         if m.det() != 0:
@@ -218,49 +375,26 @@ def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
 def rand_rank1(rng: Stream, span: int = 5) -> Mat2:
     """Random rank-1 matrix c . r^T * n/d: nonzero integer vectors c, r with
     entries in [-span, span], 0 < |n| <= span, d in [1, span]."""
-    w = 2 * span + 1
-    while True:
-        c1, c2, r1, r2, k, d = rng.offsets(w, w, w, w, 2 * span, span)
-        c1, c2, r1, r2 = c1 - span, c2 - span, r1 - span, r2 - span
-        if (c1 or c2) and (r1 or r2):
-            n = k + 1 if k < span else span - 1 - k
-            return _canon(c1 * r1 * n, c1 * r2 * n, c2 * r1 * n, c2 * r2 * n, d + 1)
+    return _draw(rng, _rank1_form(span))
 
 
 def rand_idempotent_rank1(rng: Stream, span: int = 5) -> Mat2:
     """Random rank-1 idempotent u . v^T / (v . u): integer vectors with
     entries in [-span, span] and a nonzero pairing."""
-    w = 2 * span + 1
-    while True:
-        u1, u2, v1, v2 = rng.offsets(w, w, w, w)
-        u1, u2, v1, v2 = u1 - span, u2 - span, v1 - span, v2 - span
-        p = u1 * v1 + u2 * v2
-        if p:
-            if p < 0:
-                u1, u2, p = -u1, -u2, -p
-            return _canon(u1 * v1, u1 * v2, u2 * v1, u2 * v2, p)
+    return _draw(rng, _idempotent_rank1_form(span))
 
 
 def rand_nilpotent(rng: Stream, span: int = 5) -> Mat2:
     """Random nonzero square-zero matrix c . r^T * n/d with r = (-c2, c1):
     c a nonzero integer vector in [-span, span]^2, 0 < |n| <= span and
     d in [1, span]."""
-    w = 2 * span + 1
-    while True:
-        c1, c2, k, d = rng.offsets(w, w, 2 * span, span)
-        c1, c2 = c1 - span, c2 - span
-        if c1 or c2:
-            n = k + 1 if k < span else span - 1 - k
-            return _canon(-c1 * c2 * n, c1 * c1 * n, -c2 * c2 * n, c2 * c1 * n, d + 1)
+    return _draw(rng, _nilpotent_form(span))
 
 
 def rand_singular_with_trace(rng: Stream, lam, span: int = 5) -> Mat2:
     """Random nonzero singular matrix with trace exactly `lam`: a nilpotent
     at level zero, otherwise `lam` times a rank-1 idempotent."""
-    lam = _as_rational(lam)
-    if lam == 0:
-        return rand_nilpotent(rng, span)
-    return rand_idempotent_rank1(rng, span) * lam
+    return _draw(rng, _singular_with_trace_form(lam, span))
 
 
 def grid_values(span: int = 2, dens: tuple[int, ...] = (1,)) -> list[Rational]:
@@ -277,12 +411,22 @@ def grid_matrices(values):
 _WIDE_TOP = 1 << 63  # the top bit of one output
 
 
-def _wide_parts(rng: Stream) -> tuple[int, int]:
-    """(numerator, denominator), each of exactly 64 bits and one output: the
-    top bit of the first output is the sign and is then set, and the
-    denominator's top bit is set."""
-    n, d = rng.offsets(_TWO64, _TWO64)
+def _wide_pair(n: int, d: int) -> tuple[int, int]:
+    """(numerator, denominator) of exactly 64 bits each from two outputs:
+    the top bit of the first is the sign and is then set, and the top bit
+    of the second is set."""
     return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), d | _WIDE_TOP
+
+
+def _wide_parts(rng: Stream) -> tuple[int, int]:
+    """`_wide_pair` of the next two outputs of `rng`."""
+    return _wide_pair(*rng.offsets(_TWO64, _TWO64))
+
+
+def _wide_mat(parts) -> Mat2:
+    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = parts
+    d12, d34 = d1 * d2, d3 * d4
+    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
 
 
 def rand_wide_rational(rng: Stream) -> Rational:
@@ -292,9 +436,74 @@ def rand_wide_rational(rng: Stream) -> Rational:
 
 def rand_wide_mat(rng: Stream) -> Mat2:
     """Four entries with the law of `rand_wide_rational`, row-major."""
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = (_wide_parts(rng) for _ in range(4))
-    d12, d34 = d1 * d2, d3 * d4
-    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
+    return _wide_mat([_wide_parts(rng) for _ in range(4)])
+
+
+# A size of 2**64 takes a whole output, so the outputs of the wide samplers'
+# calls are those of one call with all their sizes.
+def _wide_rational_form():
+    return (_TWO64,) * 2, lambda offsets: _from_ints(*_wide_pair(*offsets))
+
+
+def _wide_mat_form():
+    return (_TWO64,) * 8, lambda o: _wide_mat([_wide_pair(o[k], o[k + 1]) for k in range(0, 8, 2)])
+
+
+_FORMS = {
+    rand_rational: _rational_form,
+    rand_nonzero_rational: _nonzero_rational_form,
+    rand_mat: _mat_form,
+    rand_invertible: _invertible_form,
+    rand_rank1: _rank1_form,
+    rand_idempotent_rank1: _idempotent_rank1_form,
+    rand_nilpotent: _nilpotent_form,
+    rand_singular_with_trace: _singular_with_trace_form,
+    rand_wide_rational: _wide_rational_form,
+    rand_wide_mat: _wide_mat_form,
+}
+
+
+def _lane_form(sampler):
+    """The lane form of `sampler` called on a stream alone: a sampler of
+    this module or a `partial` of one; None for any other callable."""
+    args, kwargs = (), {}
+    if isinstance(sampler, partial):
+        sampler, args, kwargs = sampler.func, sampler.args, sampler.keywords
+    factory = _FORMS.get(sampler)
+    return None if factory is None else factory(*args, **kwargs)
+
+
+def lane_draws(seed: int, first: int, n: int, samplers):
+    """Yield, for each index in [first, first + n), the tuple of the values
+    of `samplers` drawn in turn from one stream `rng_for(seed, index)`.
+
+    When every sampler has a lane form, each block of `_LANES` indices draws
+    the first attempt of every sampler through `_lane_offsets` and builds
+    the values of one index as it is yielded.  An index whose first attempt
+    some builder rejects, and every index when some sampler has no lane
+    form (a lambda, a replaced or wrapped sampler), is drawn by the samplers
+    themselves on its own stream, so every tuple is the scalar one."""
+    forms = [_lane_form(s) for s in samplers]
+
+    def scalar(index):
+        rng = rng_for(seed, index)
+        return tuple(s(rng) for s in samplers)
+
+    if None in forms:
+        yield from map(scalar, range(first, first + n))
+        return
+    ends = list(accumulate(len(sizes) for sizes, _ in forms))
+    cuts = list(zip(forms, [0, *ends], ends))
+    index = first
+    for columns in _lane_offsets(seed, first, n, [sizes for sizes, _ in forms]):
+        # lazy maps: the values of an index are built as it is yielded
+        for case in zip(*(map(build, zip(*columns[a:b])) for (_, build), a, b in cuts)):
+            for value in case:
+                if value is None:
+                    case = scalar(index)
+                    break
+            yield case
+            index += 1
 
 
 # Values per variable of a certificate grid, by the degree of the identity in

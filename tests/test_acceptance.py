@@ -29,7 +29,7 @@ import pathlib
 from greenquadrics import checks
 from greenquadrics.errors import DegeneratePairingError, DependentBasisError
 from greenquadrics.exact import QuadExt, Rational
-from greenquadrics.green import ProjLine, classify_plane, colspace, rowspace
+from greenquadrics.green import ProjLine, class_plane, classify_plane, colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, inner
 from greenquadrics.sampling import (
     grid_matrices,
@@ -37,6 +37,8 @@ from greenquadrics.sampling import (
     rand_idempotent_rank1,
     rand_mat,
     rand_nonzero_rational,
+    rand_rank1,
+    rand_rational,
     rand_singular_with_trace,
     rng_for,
 )
@@ -190,20 +192,34 @@ def test_criterion_6_natural_order():
     )
 
 
+def _class_plane(rng, i):
+    """A basis of the L or R class plane of a `rand_rank1` a, rebased by a
+    random invertible 2x2: a plane the polarization test must call contained."""
+    b1, b2 = class_plane("L" if i % 2 else "R", rand_rank1(rng))
+    while True:
+        al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
+        if al * de - be * ga != 0:
+            return b1 * al + b2 * be, b1 * ga + b2 * de
+
+
 def test_criterion_7_punctured_plane_converse():
     results = [checks.check_plane_classification_roundtrip(SEED + 11, trials=500)]
-    sampling_bad = outside_seen = 0
+    # every fifth plane is a rebased class plane, the others random pairs,
+    # which are almost never contained: both verdicts meet det sampling
+    sampling_bad = contained_seen = outside_seen = 0
     i = 0
-    while outside_seen < 500:
+    while contained_seen < 100 or outside_seen < 500:
         rng = rng_for(SEED + 12, i)
+        b1, b2 = _class_plane(rng, i) if i % 5 == 0 else (rand_mat(rng, 4, 3), rand_mat(rng, 4, 3))
         i += 1
-        b1, b2 = rand_mat(rng, 4, 3), rand_mat(rng, 4, 3)
         try:
             verdict = classify_plane(b1, b2)
         except DependentBasisError:
             continue
         contained = verdict.kind != "not_contained"
-        if not contained:
+        if contained:
+            contained_seen += 1
+        else:
             outside_seen += 1
         # polarization verdict vs 100-point sampling, both directions
         sampled_all_zero = True
@@ -217,10 +233,10 @@ def test_criterion_7_punctured_plane_converse():
     report(
         7,
         f"500 rebased class planes classify back to their class and representative; "
-        f"polarization test agrees with 100-point det sampling on {i} planes, "
-        f"{outside_seen} of them not contained",
+        f"polarization test agrees with 100-point det sampling on {contained_seen} contained "
+        f"and {outside_seen} not contained planes",
         results,
-        ok=sampling_bad == 0,
+        ok=sampling_bad == 0 and contained_seen >= 100 and outside_seen >= 500,
     )
 
 

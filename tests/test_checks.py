@@ -1,5 +1,7 @@
 import inspect
 import sys
+import tracemalloc
+from functools import partial
 
 import pytest
 from faults import BY_ID, FAULTS, _resolve, install
@@ -7,7 +9,14 @@ from faults import BY_ID, FAULTS, _resolve, install
 from greenquadrics import checks, cli, semigroup
 from greenquadrics.exact import rational_sign
 from greenquadrics.mat2 import Mat2
-from greenquadrics.sampling import CERTIFICATE_VALUES, grid_matrices, grid_values
+from greenquadrics.sampling import (
+    CERTIFICATE_VALUES,
+    grid_matrices,
+    grid_values,
+    rand_mat,
+    rand_nonzero_rational,
+    rand_rational,
+)
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -131,6 +140,33 @@ def test_rational_check_counts_each_trial_once(monkeypatch):
     monkeypatch.setattr(checks, "rand_rational", lambda rng: Unreduced())
     r = checks.check_rational_canonical(42, trials=100)
     assert r.detail == "0/100 trials ok; first failure at case 0", r.line()
+
+
+def _draws_peak(trials, samplers) -> int:
+    """Peak traced bytes of consuming the cases of `_draws` one at a time."""
+    tracemalloc.start()
+    try:
+        for _ in checks._draws(1, trials, *samplers):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "samplers",
+    [(partial(rand_mat, span=4, max_den=4),), (rand_rational, rand_nonzero_rational)],
+    ids=["characterization", "rational-pair"],
+)
+def test_draws_memory_does_not_grow_with_trials(samplers):
+    # the lanes hold one block of offsets at a time, whatever the trial
+    # count.  Samplers that reject are left out: the scalar redraws of
+    # their rejected indices fill CPython's free lists by a few KB per
+    # thousand trials until a collection empties them, which is bounded
+    # but not flat
+    small = _draws_peak(2_000, samplers)
+    large = _draws_peak(20_000, samplers)
+    assert large - small < 64 * 1024, (small, large)
 
 
 # --- the fault table --------------------------------------------------------

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from draws import wide
 
+from greenquadrics import checks
 from greenquadrics.errors import DependentBasisError, NotRankOneError, UnknownKindError
 from greenquadrics.exact import Rational
 from greenquadrics.green import (
@@ -170,18 +171,9 @@ class TestClassifyPlane:
             classify_plane(E, ZERO)
 
     def test_roundtrip_randomized(self):
-        for i in range(200):
-            rng = rng_for(17, i)
-            a = rand_rank1(rng)
-            rel = "L" if i % 2 else "R"
-            b1, b2 = class_plane(rel, a)
-            while True:
-                al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
-                if al * de - be * ga != 0:
-                    break
-            verdict = classify_plane(b1 * al + b2 * be, b1 * ga + b2 * de)
-            assert verdict.kind == rel
-            assert green_eq(rel, verdict.rep, a)
+        # the property is the check's; this runs it at a seed of its own
+        r = checks.check_plane_classification_roundtrip(17, trials=200)
+        assert r.ok and r.detail == "200/200 trials ok", r.line()
 
     def test_polarization_matches_sampling(self):
         for i in range(100):

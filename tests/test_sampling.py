@@ -1,19 +1,28 @@
 import math
 from fractions import Fraction
+from functools import partial
 from itertools import product
 
 import pytest
 
+from greenquadrics import checks, sampling
 from greenquadrics.checks import _BELL_LEVELS
 from greenquadrics.mat2 import Mat2
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     _LANES,
     Stream,
+    _lane_form,
     _wide_parts,
     grid_matrices,
+    lane_draws,
+    rand_idempotent_rank1,
+    rand_invertible,
     rand_mat,
+    rand_nilpotent,
     rand_nonzero_rational,
+    rand_rank1,
+    rand_rational,
     rand_singular_with_trace,
     rand_wide_mat,
     rand_wide_rational,
@@ -207,3 +216,88 @@ def test_certificate_grids_are_complete_and_mix_denominators(degree, count):
     points = list(product(grid_matrices(values), repeat=count))
     assert len(points) == len(set(points)) == len(values) ** (4 * count)
     assert all(len(p) == count and set(x for m in p for x in m.entries) <= set(values) for p in points)
+
+
+# --- lane draws ---------------------------------------------------------------
+
+_COORD = checks._chart_coord
+# each sampler with a lane form alone, then the tuples the checks draw
+LANE_CASES = {
+    "rand_rational": (rand_rational,),
+    "rand_nonzero_rational": (rand_nonzero_rational,),
+    "rand_mat": (rand_mat,),
+    "rand_mat(4, 4)": (partial(rand_mat, span=4, max_den=4),),
+    "rand_invertible": (rand_invertible,),
+    "rand_rank1": (rand_rank1,),
+    "rand_idempotent_rank1": (rand_idempotent_rank1,),
+    "rand_nilpotent": (rand_nilpotent,),
+    "rand_singular_with_trace(0)": (partial(rand_singular_with_trace, lam=Fraction(0)),),
+    "rand_singular_with_trace(-3/2)": (partial(rand_singular_with_trace, lam=Fraction(-3, 2)),),
+    "rand_wide_rational": (rand_wide_rational,),
+    "rand_wide_mat": (rand_wide_mat,),
+    "rational_canonical_form": (rand_rational, rand_nonzero_rational),
+    "d_class_is_rank_class": (partial(rand_mat, span=3),) * 2,
+    "h_class_is_punctured_line": (rand_rank1, rand_nonzero_rational, rand_rank1),
+    "chart_is_injective": (rand_rank1, _COORD, _COORD, _COORD, _COORD),
+    "generator_lines_lie_on_surface": (rand_idempotent_rank1, _COORD),
+    "quadext_field_axioms": (rand_wide_rational,) * 6,
+    "det_multiplicative_trace_commutes": (rand_wide_mat, rand_wide_mat),
+    "frame_roundtrip_exact": (rand_wide_rational, rand_wide_mat),
+    # no lane form: every index takes the scalar path
+    "lambda": (lambda rng: rand_mat(rng, 4, 3),),
+    "lambda-in-a-tuple": (rand_rank1, lambda rng: rand_rational(rng, 2, 2)),
+}
+LANE_COUNTS = (1, _LANES - 1, _LANES, _LANES + 1, 1300)
+
+
+def _scalar_draws(seed, first, n, samplers):
+    """The reference: each sampler in turn on the one stream of each index."""
+    cases = []
+    for index in range(first, first + n):
+        rng = rng_for(seed, index)
+        cases.append(tuple(s(rng) for s in samplers))
+    return cases
+
+
+@pytest.mark.parametrize("first", [0, 10_000, 40_000])
+@pytest.mark.parametrize("name", LANE_CASES)
+def test_lane_draws_are_the_scalar_draws(name, first):
+    samplers = LANE_CASES[name]
+    want = _scalar_draws(3, first, max(LANE_COUNTS), samplers)
+    for n in LANE_COUNTS:
+        got = list(lane_draws(3, first, n, samplers))
+        assert got == want[:n], n
+        # the same integer content, not only equal values
+        assert [str(c) for c in got] == [str(c) for c in want[:n]], n
+
+
+def test_every_lane_form_is_tested():
+    lane = {s.func if isinstance(s, partial) else s for case in LANE_CASES.values() for s in case}
+    assert {s for s in sampling._FORMS} <= lane
+    assert [_lane_form(s) for s in LANE_CASES["lambda"]] == [None]
+
+
+@pytest.mark.parametrize("sampler", [rand_invertible, rand_rank1, rand_idempotent_rank1, rand_nilpotent])
+def test_lane_draws_redraw_a_rejected_first_attempt(sampler):
+    # the whole tuple of an index whose first attempt the builder rejects is
+    # drawn by the samplers on its own stream: the rational after it then
+    # comes from the outputs after the second attempt, not the lanes'
+    sizes, build = _lane_form(sampler)
+    index = next(i for i in range(1, 100_000) if build(rng_for(5, i).offsets(*sizes)) is None)
+    samplers = (sampler, rand_rational)
+    assert list(lane_draws(5, index - 1, 3, samplers)) == _scalar_draws(5, index - 1, 3, samplers)
+
+
+def test_lane_draws_follow_a_replaced_sampler():
+    calls = []
+
+    def replaced(rng):
+        calls.append(rng)
+        return "x"
+
+    assert list(lane_draws(9, 4, 3, (rand_rank1, replaced))) == [(rand_rank1(rng_for(9, i)), "x") for i in (4, 5, 6)]
+    assert len(calls) == 3
+
+
+def test_lane_draws_of_no_indices_are_empty():
+    assert list(lane_draws(5, 0, 0, (rand_mat,))) == []

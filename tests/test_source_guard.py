@@ -16,11 +16,11 @@ output loads no export module, the package writes exact values in
 integer content: they read no `Fraction` accessor.  The quadric
 classifier eliminates its bordered matrix and solves no linear system,
 the minus order forms no difference y - x, and SplitMix64 is mixed in
-`Stream.offsets` and `uniform_rows` only.  One table, `NAME_GUARDS`,
+`Stream.offsets` and the lane helper `_lane_offsets` only.  One table, `NAME_GUARDS`,
 lists the names a function or module may not use: the natural order and
 the meet of two lines are decided by minors, not by a solve, the inverse
-chart builds no `Fraction`, and neither `uniform_rows` nor export builds
-a `Stream`.  In the check suites only one helper counts trials and only
+chart builds no `Fraction`, and neither the lane helper, `uniform_rows`
+nor export builds a `Stream`.  In the check suites only one helper counts trials and only
 one keys a seeded stream.  Every module-level `def` and `class` is named
 by some package code: a name that only tests reach is deleted, not kept
 as a second door.
@@ -236,8 +236,9 @@ NAME_GUARDS = [
     # the meet is decided from the minors of its integer system: no solve,
     # no projective line
     ("semigroup", "line_meet", {"solve_linear", "colspace", "ProjLine"}),
-    # export rows are mixed many keys per big int; a `Stream` per row would
-    # bring back the scalar loop as a second path to the same draws
+    # lanes mix many keys per big int; a `Stream` per row would bring back
+    # the scalar loop as a second path to the same draws
+    ("sampling", "_lane_offsets", {"Stream", "rng_for"}),
     ("sampling", "uniform_rows", {"Stream", "rng_for"}),
     # every export draw goes through the lanes of `uniform_rows`
     ("surfaces", None, {"Stream", "rng_for"}),
@@ -328,12 +329,13 @@ def test_minus_le_forms_no_difference():
 
 def test_splitmix64_is_written_twice():
     # the scalar mix of `Stream.offsets`, which every scalar draw goes
-    # through, and the lane mix of `uniform_rows`: a third copy would have
-    # to be kept bit-identical to them by hand
+    # through, and the lane mix of `_lane_offsets`, which `uniform_rows` and
+    # `lane_draws` share: a third copy would have to be kept bit-identical
+    # to them by hand
     tree = ast.parse((PACKAGE / "sampling.py").read_text(encoding="utf-8"))
     functions = (n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef))
     mixing = {f.name for f in functions if any(isinstance(n, ast.Name) and n.id == "_C1" for n in ast.walk(f))}
-    assert mixing == {"offsets", "uniform_rows"}
+    assert mixing == {"offsets", "_lane_offsets"}
 
 
 def _exports(path) -> bool:
