@@ -17,7 +17,8 @@ loaded after `install`; the call counter shows a row whose runs never
 reach the mutant, so a binding it misses shows as a mutant that never
 ran, not as one killed.  Every row is killed: a fault that no check kills
 is a `FOUND:` line of CHANGES.md and a stronger check, and its row is
-never deleted.
+never deleted.  `tests/kill_matrix.py` runs every row against every check
+of a full seed-42 run.
 """
 
 import importlib
@@ -62,6 +63,27 @@ _FRAME = (("check_bell_identity", None),), ("frame_identity_exact",)
 _ROUNDTRIP = (("check_bell_roundtrip", None),), ("frame_roundtrip_exact",)
 _FIELD = (("check_quadext_field", None),), ("quadext_field_axioms",)
 _SIGN = (("check_quadext_sign", None),), ("quadext_sign_float_bridge",)
+_NORM = (
+    (("check_nilpotent_cone_identity", None), ("check_inverse_set_theorem", None)),
+    ("nilpotent_cone_45_degree_identity", "chart_points_are_inverses"),
+)
+# (check, result) of the checks that read row and column spaces, in the
+# order in which the faults of `green` reach more of them
+_SPACE_CHECKS = (
+    ("check_class_plane_membership", "class_plane_points_stay_in_class"),
+    ("check_plane_classification_roundtrip", "plane_classification_roundtrip"),
+    ("check_h_class_is_punctured_line", "h_class_is_punctured_line"),
+    ("check_generator_lines", "generator_lines_lie_on_surface"),
+    ("check_line_combinatorics", "generator_line_combinatorics"),
+    ("check_classifier_agreement", "table_matches_generic_classifier"),
+    ("check_affine_invariance", "affine_invariance_of_class"),
+)
+
+
+def _spaces(n):
+    """(runs, fails) of the first `n` checks of `_SPACE_CHECKS`."""
+    return tuple((check, None) for check, _ in _SPACE_CHECKS[:n]), tuple(name for _, name in _SPACE_CHECKS[:n])
+
 
 FAULTS = [
     *_rows("semigroup.natural_le", *_ORDER,
@@ -149,6 +171,28 @@ FAULTS = [
     *_rows("mat2.outer", (("check_symmetric_slice", None),), ("symmetric_idempotents_form_radius_circle",),
         ("outer-swapped-scale", "c1 * (e2 // g), c2 * (e1 // g)", "c1 * (e1 // g), c2 * (e2 // g)",
          "each column entry scaled by its own denominator: only a column of mixed denominators sees it")),
+    *_rows("mat2.Mat2.norm_sq", *_NORM,
+        ("norm-cross-term", "a2 * a2 + a3 * a3", "a2 * a3 + a3 * a2", "2 x2 x3 in place of x2^2 + x3^2"),
+        ("norm-no-d-squared", "d * d)", "d)", "|x|^2 over d: right on integer matrices")),
+    *_rows("exact._from_ints", *_DET_TRACE,
+        ("from-ints-no-gcd", "g = gcd(num, den)", "g = 1", "an unreduced value: equal values compare unequal")),
+    *_rows("green.green_eq", (("check_d_is_rank", None),), ("d_class_is_rank_class",),
+        ("green-eq-no-rank-test", "if rank != b.rank():", "if False:", "D and J without the rank test")),
+    *_rows("green.PuncturedLine.contains", (("check_h_class_is_punctured_line", None),), ("h_class_is_punctured_line",),
+        ("punctured-line-any-nonzero", "return proportional(x, self.direction)", "return not x.is_zero()",
+         "every nonzero matrix on the line")),
+    *_rows("green.class_plane", *_spaces(2),
+        ("class-plane-l-reads-columns", "r = rowspace(a).direction", "r = colspace(a).direction",
+         "the L plane spanned from the column space")),
+    *_rows("green.green_eq", *_spaces(4),
+        ("green-eq-l-reads-columns", "rowspace(a) == rowspace(b)", "colspace(a) == colspace(b)",
+         "L decided by column spaces, the same test as R")),
+    *_rows("green.colspace", *_spaces(5),
+        ("colspace-reads-rows", "ProjLine(n1, n3) if n1 or n3 else ProjLine(n2, n4)",
+         "ProjLine(n1, n2) if n1 or n2 else ProjLine(n3, n4)", "the column space read from the rows")),
+    *_rows("green.rowspace", *_spaces(7),
+        ("rowspace-second-row-first", "ProjLine(n1, n2) if n1 or n2 else ProjLine(n3, n4)",
+         "ProjLine(n3, n4) if n1 or n2 else ProjLine(n1, n2)", "the second row read when the first is nonzero")),
 ]
 
 BY_ID = {fault.id: fault for fault in FAULTS}

@@ -1,0 +1,59 @@
+"""The kill matrix: every row of the fault table against a full seed-42 run.
+
+For each row of `faults.FAULTS`, install the row's mutant, run
+`checks.run_checks(seed=42)` (every check of `gq check --seed 42`, not
+only the row's own), undo the mutant, and print the mutant's call count
+and the names of the results that FAIL.  Exit 1 if some row survives (no
+result fails) or its mutant never ran: a mutant that no run reaches is not
+a kill.  The name does not start with `test_`, so pytest does not collect
+it.  Run from the root of the repository:
+
+    PYTHONPATH=src:tests python tests/kill_matrix.py
+"""
+
+import sys
+import time
+
+from faults import FAULTS, install
+
+from greenquadrics import checks
+
+
+class UndoList(list):
+    """The one method of pytest's `monkeypatch` that `install` calls, with
+    each replaced attribute kept in a plain list for `undo`."""
+
+    def setattr(self, owner, name, value):
+        self.append((owner, name, vars(owner)[name]))
+        setattr(owner, name, value)
+
+    def undo(self):
+        while self:
+            setattr(*self.pop())
+
+
+def main() -> int:
+    start = time.perf_counter()
+    kills = {r.name: 0 for r in checks.run_checks(seed=42)}
+    bad = []
+    for fault in FAULTS:
+        undo = UndoList()
+        try:
+            calls = install(undo, fault)
+            failed = [r.name for r in checks.run_checks(seed=42) if not r.ok]
+        finally:
+            undo.undo()
+        for name in failed:
+            kills[name] += 1
+        if not failed or not calls[0]:
+            bad.append(fault.id)
+        print(f"{fault.id}: {calls[0]} calls; FAIL {', '.join(failed) or '(none: survived)'}")
+    print(f"{len(FAULTS)} rows, {len(FAULTS) - len(bad)} killed by a mutant that ran, in {time.perf_counter() - start:.1f} s")
+    print(f"checks that kill no row: {', '.join(name for name, n in kills.items() if not n) or '(none)'}")
+    if bad:
+        print(f"survived or never ran: {', '.join(bad)}")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
