@@ -23,7 +23,7 @@ alone, on its own line, and the run goes on; so a check draws and builds
 in its case stream, not before it (the lanes build each trial's values
 as it is yielded).
 
-Eight checks test polynomial identities, and they certify them on a grid
+Eleven checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
 
 - Cayley-Hamilton: degree 2 in each entry of a, 3^4 = 81 points;
@@ -32,6 +32,13 @@ instead of sampling them.  The degree in each variable sets the grid:
 - the invertible half of the frame identity (`bell_residual(x) ==
   -2 det x`): degree 2 in each entry, 81 points;
 - the frame round trip: degree 1 in lam and in each entry of x, 2^5 = 32;
+- x^2 = 0 with tr x = det x = 0, and the 45-degree cone identity
+  (x2 - x3)^2 = |x|^2, on the nilpotent chart x = k (p, q)^T (q, -p)
+  (`_NILPOTENT_CHART`): degree 2 in k and 4 in p and in q, 3 x 5^2 = 75
+  points each;
+- the symmetric slice of the idempotents, x = u u^T / |u|^2 at squared
+  distance 1/2 from I/2 with frame coordinate Z = 0: cleared by |u|^4,
+  degree 4 in u1 and in u2, 5^2 = 25 points, every one with u != 0;
 - the Q(sqrt 2) field axioms: degree 2 in each rational part of p (the
   inverse, once the norm of p is cleared) and 1 in each part of q and r,
   3^2 x 2^4 = 144 points;
@@ -46,12 +53,12 @@ not every hyperplane or a: those stay sampled.  By the Combinatorial
 Nullstellensatz (Alon, Combin. Probab. Comput. 8, 1999), a polynomial of
 degree at most t_i in each variable x_i that vanishes on a grid
 S_1 x ... x S_n with |S_i| > t_i is zero.  Each check runs such a grid in
-full (`sampling.CERTIFICATE_VALUES`: 3 values per variable of degree 2, 2
-per variable of degree 1), then a seeded tail of draws with 64-bit
-numerators and denominators, which a fault of low degree d escapes with
-probability of order d / 2**63 per draw (Schwartz, J. ACM 27(4), 1980;
+full (`sampling.CERTIFICATE_VALUES`: 5 values per variable of degree 4,
+3 per variable of degree 2, 2 per variable of degree 1), then a seeded
+tail of draws with 64-bit numerators and denominators, which a fault of
+low degree d escapes with probability of order d / 2**63 per draw (Schwartz, J. ACM 27(4), 1980;
 DeMillo & Lipton, Inf. Process. Lett. 7(4), 1978).  `_certified` builds
-the grid and the tail of all eight.  The certificate covers the formula
+the grid and the tail of all eleven.  The certificate covers the formula
 the code evaluates on the grid, not the code: the code clears
 denominators, takes gcds and branches, so the grid values have distinct
 denominators and both signs to run those paths, and the tail covers what
@@ -69,8 +76,8 @@ variable of degree 4), and sample the other half:
 - the rank-1 idempotent characterization, on the two charts of
   `_idempotent_charts`: degree 4 in s and 2 in t, 15 points, and 2 in u,
   3 points;
-- the nilpotent characterization, on k (p, q)^T (q, -p): degree 2 in k
-  and 4 in p and in q, 75 points;
+- the nilpotent characterization, on the 75 points of the nilpotent
+  chart;
 - the order check's below half, x = e y for every rank-1 idempotent e on
   the same charts, at each sampled invertible y of one stratum: 18 points
   per y.
@@ -94,7 +101,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from functools import partial
 from itertools import chain, product
-from math import gcd, prod
+from math import prod
 from typing import NamedTuple
 
 from greenquadrics import green, quadrics
@@ -110,7 +117,6 @@ from greenquadrics.sampling import (
     rand_idempotent_rank1,
     rand_invertible,
     rand_mat,
-    rand_nilpotent,
     rand_nonzero_rational,
     rand_rank1,
     rand_rational,
@@ -313,15 +319,6 @@ _chart_coord = partial(rand_rational, span=6, max_den=4)
 # --- exact ---------------------------------------------------------------
 
 
-def check_rational_canonical(seed, trials=2000):
-    def holds(a, b):
-        results = (a + b, a - b, a * b, a / b)
-        return all(v.denominator > 0 and gcd(abs(v.numerator), v.denominator) == 1 for v in results)
-
-    cases = _draws(seed, trials, rand_rational, rand_nonzero_rational)
-    return _tally("exact", "rational_canonical_form", cases, holds)
-
-
 def quadext_field_holds(p, q, r) -> bool:
     """(pq)r = p(qr), p(q + r) = pq + pr and p p^-1 = 1 for p != 0: degree
     at most 2 in each rational part of p (p p^-1 = 1 once the norm of p is
@@ -415,11 +412,12 @@ def check_inner_vs_trace(seed, trials=_TAIL):
     return _identity_check("core", "inner_product_equals_trace_form", inner_is_trace_form, variables, seed, trials)
 
 
-def check_traceless_singular_squares_to_zero(seed, trials=2000):
-    def holds(x):
+def check_traceless_singular_squares_to_zero(seed, trials=_TAIL):
+    def holds(k, p, q):
+        x = _nilpotent_point(k, p, q)
         return x.trace() == 0 and x.det() == 0 and (x @ x).is_zero()
 
-    return _tally("core", "traceless_singular_is_square_zero", _draws(seed, trials, rand_nilpotent), holds)
+    return _identity_check("core", "traceless_singular_is_square_zero", holds, _NILPOTENT_CHART, seed, trials)
 
 
 # --- green ---------------------------------------------------------------
@@ -500,12 +498,19 @@ def _idempotent_charts() -> tuple:
     return (*first, *(Mat2(0, 0, u, 1) for u in quadratic))
 
 
+# The nilpotent chart: every nonzero nilpotent is k (p, q)^T (q, -p) =
+# k [[pq, -p^2], [q^2, -pq]] for some rationals k, p, q.  x^2, tr x, det x
+# and the cone identity have degree at most 2 in k and 4 in p and in q.
+_NILPOTENT_CHART = (_scalar(2), _scalar(4), _scalar(4))
+
+
+def _nilpotent_point(k, p, q) -> Mat2:
+    return Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q)
+
+
 def _nilpotent_chart() -> tuple:
-    """Every nilpotent is k (p, q)^T (q, -p) = k [[pq, -p^2], [q^2, -pq]];
-    x^2, tr x and det x have degree at most 2 in k and 4 in p and in q."""
-    quartic = CERTIFICATE_VALUES[4]
-    points = product(CERTIFICATE_VALUES[2], quartic, quartic)
-    return tuple(Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q) for k, p, q in points)
+    """The 75 grid points of `_NILPOTENT_CHART`."""
+    return tuple(_nilpotent_point(*v) for v in _certified(_NILPOTENT_CHART, ()))
 
 
 def idempotent_characterization_holds(x) -> bool:
@@ -723,9 +728,11 @@ def nilpotent_cone_holds(x) -> bool:
     return (x.x2 - x.x3) ** 2 == x.norm_sq()
 
 
-def check_nilpotent_cone_identity(seed, trials=2000):
-    cases = _draws(seed, trials, rand_nilpotent)
-    return _tally("sets", "nilpotent_cone_45_degree_identity", cases, nilpotent_cone_holds)
+def check_nilpotent_cone_identity(seed, trials=_TAIL):
+    def holds(k, p, q):
+        return nilpotent_cone_holds(_nilpotent_point(k, p, q))
+
+    return _identity_check("sets", "nilpotent_cone_45_degree_identity", holds, _NILPOTENT_CHART, seed, trials)
 
 
 def check_order_section_reports(seed, trials=10):
@@ -922,23 +929,18 @@ def check_inverse_image_law(seed, trials=500):
     return _tally("sections", "section_is_inverse_image_of_idempotents", cases(), holds)
 
 
-def check_symmetric_slice(seed, trials=500):
-    """u u^T / |u|^2 for rational u != 0, whose entries mostly have different denominators."""
+def check_symmetric_slice(seed, trials=_TAIL):
+    """u u^T / |u|^2 for u on the degree-4 values, all nonzero and with mixed
+    denominators, then `trials` 64-bit u."""
     center = hyperboloid_metrics(Rational(1)).center
 
-    def cases():
-        for rng in _streams(seed, trials):
-            u = (0, 0)
-            while not any(u):  # a redraw, not a skipped trial
-                u = rand_rational(rng, 5, 4), rand_rational(rng, 5, 4)
-            yield (u,)
-
-    def holds(u):
-        x = outer(u, u) / (u[0] * u[0] + u[1] * u[1])
+    def holds(u1, u2):
+        x = outer((u1, u2), (u1, u2)) / (u1 * u1 + u2 * u2)
         d = x - center
         return inner(d, d) == _HALF and to_bell(x, Rational(1)).Z == QuadExt(0)
 
-    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases(), holds)
+    variables = (_scalar(4),) * 2
+    return _identity_check("sections", "symmetric_idempotents_form_radius_circle", holds, variables, seed, trials)
 
 
 def check_metrics_family(seed, trials=0):
@@ -953,7 +955,7 @@ def check_metrics_family(seed, trials=0):
 
 
 SUITES: dict[str, list] = {
-    "exact": [check_rational_canonical, check_quadext_field, check_quadext_sign],
+    "exact": [check_quadext_field, check_quadext_sign],
     "core": [
         check_cayley_hamilton,
         check_det_trace_laws,

@@ -58,7 +58,6 @@ __all__ = [
     "rand_invertible",
     "rand_rank1",
     "rand_idempotent_rank1",
-    "rand_nilpotent",
     "rand_singular_with_trace",
     "rand_wide_rational",
     "rand_wide_mat",
@@ -384,16 +383,11 @@ def rand_idempotent_rank1(rng: Stream, span: int = 5) -> Mat2:
     return _draw(rng, _idempotent_rank1_form(span))
 
 
-def rand_nilpotent(rng: Stream, span: int = 5) -> Mat2:
-    """Random nonzero square-zero matrix c . r^T * n/d with r = (-c2, c1):
-    c a nonzero integer vector in [-span, span]^2, 0 < |n| <= span and
-    d in [1, span]."""
-    return _draw(rng, _nilpotent_form(span))
-
-
 def rand_singular_with_trace(rng: Stream, lam, span: int = 5) -> Mat2:
-    """Random nonzero singular matrix with trace exactly `lam`: a nilpotent
-    at level zero, otherwise `lam` times a rank-1 idempotent."""
+    """Random nonzero singular matrix with trace exactly `lam`: `lam` times a
+    rank-1 idempotent, or at lam = 0 the nilpotent c . r^T * n/d with
+    r = (-c2, c1), c a nonzero integer vector in [-span, span]^2,
+    0 < |n| <= span and d in [1, span]."""
     return _draw(rng, _singular_with_trace_form(lam, span))
 
 
@@ -456,7 +450,6 @@ _FORMS = {
     rand_invertible: _invertible_form,
     rand_rank1: _rank1_form,
     rand_idempotent_rank1: _idempotent_rank1_form,
-    rand_nilpotent: _nilpotent_form,
     rand_singular_with_trace: _singular_with_trace_form,
     rand_wide_rational: _wide_rational_form,
     rand_wide_mat: _wide_mat_form,

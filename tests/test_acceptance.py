@@ -2,7 +2,9 @@
 
 Criteria 1-7 call the property checks of `greenquadrics.checks`, the same
 functions `gq check` runs, with this module's seeds and trial counts at
-least as large as the criterion needs, and assert that each passed:
+least as large as the criterion needs, and assert that each passed.  A
+certified check runs its whole grid at any trial count, and the count
+sizes its tail of 64-bit points:
 
     1  check_bell_identity
     2  check_classifier_agreement (1200 stratified trials)
@@ -169,8 +171,9 @@ def test_criterion_5_nilpotent_cone():
         5,
         f"x^2=0 iff tr=0 and det=0 on the exhaustive grid, 10000 random matrices and "
         f"the 75-point grid that certifies it on the nilpotent chart k(p,q)^T(q,-p); "
-        f"45-degree cone identity (x2-x3)^2 = |x|^2 exact on the {grid_nilpotents} "
-        f"nonzero grid nilpotents and 2000 random ones",
+        f"45-degree cone identity (x2-x3)^2 = |x|^2 certified on the same 75-point grid, "
+        f"then exact on 2000 chart points at 64 bits and on the {grid_nilpotents} nonzero "
+        f"grid nilpotents",
         results,
         ok=grid_nilpotents > 0 and ident_bad == 0,
     )

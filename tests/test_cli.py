@@ -244,18 +244,19 @@ class TestCheckAndExportCli:
     def test_check_suite_runs(self):
         code, text = run(["check", "--seed", "1", "--suite", "exact", "--trials", "50"])
         assert code == 0
-        assert text.count("[pass]") == 3
+        assert text.count("[pass]") == 2
 
     def test_check_json_schema(self):
         payload = run_json(["check", "--seed", "1", "--suite", "exact", "--trials", "20"])
-        assert payload["passed"] == payload["total"] == 3
+        assert payload["passed"] == payload["total"] == 2
 
     def test_check_json_counts_certified_points(self):
         # per suite: each result's grid points, and which result's line to read
         for suite, certified, first in [
-            ("exact", [0, 144, 0], 1),
-            ("core", [81, 256, 256, 0], 0),
-            ("sections", [81, 32, 0, 270, 0, 0, 0, 0], 1),
+            ("exact", [144, 0], 0),
+            ("core", [81, 256, 256, 75], 3),
+            ("sets", [18, 75, 45, 0, 0, 0, 0, 18, 75, 0], 8),
+            ("sections", [81, 32, 0, 270, 0, 0, 25, 0], 6),
         ]:
             payload = run_json(["check", "--seed", "1", "--suite", suite, "--trials", "5"])
             assert [r["certified"] for r in payload["results"]] == certified, suite
@@ -397,4 +398,5 @@ class TestCheckAndExportCli:
         env = dict(os.environ, GQ_DEFAULT_TRIALS="25")
         proc = run_gq(["check", "--seed", "1", "--suite", "exact"], env=env)
         assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.startswith("[pass] exact/rational_canonical_form: 2000/2000 trials ok\n")
+        line = "[pass] exact/quadext_field_axioms: 344/344 trials ok; 144 grid points certify the identity, 200 sampled at 64 bits\n"
+        assert proc.stdout.startswith(line)

@@ -25,7 +25,6 @@ from greenquadrics.sampling import (
     rand_idempotent_rank1,
     rand_invertible,
     rand_mat,
-    rand_nilpotent,
     rand_nonzero_rational,
     rand_rank1,
     rand_rational,
@@ -44,7 +43,7 @@ SAMPLERS = {
     "rand_invertible": rand_invertible,
     "rand_rank1": rand_rank1,
     "rand_idempotent_rank1": rand_idempotent_rank1,
-    "rand_nilpotent": rand_nilpotent,
+    "rand_singular_with_trace(lam=0)": partial(rand_singular_with_trace, lam=Rational(0)),
     "rand_singular_with_trace(lam=3/2)": partial(rand_singular_with_trace, lam=Rational(3, 2)),
     "rand_wide_rational": rand_wide_rational,
     "rand_wide_mat": rand_wide_mat,

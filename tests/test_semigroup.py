@@ -26,6 +26,7 @@ from greenquadrics.sampling import (
     rand_nonzero_rational,
     rand_rank1,
     rand_rational,
+    rand_singular_with_trace,
     rng_for,
 )
 from greenquadrics.semigroup import (
@@ -298,9 +299,7 @@ class TestOrderSectionReport:
 class TestNilpotentCone:
     def test_cone_identity(self):
         for i in range(300):
-            from greenquadrics.sampling import rand_nilpotent
-
-            x = rand_nilpotent(rng_for(71, i))
+            x = rand_singular_with_trace(rng_for(71, i), Fraction(0))
             assert (x.x2 - x.x3) ** 2 == inner(x, x)
 
 

@@ -292,12 +292,12 @@ def test_counting_sees_each_form(src, expected):
 
 
 def test_checks_count_only_in_the_tally():
-    # one count per case is a rule of `_tally`, not of 29 loops: a check
+    # one count per case is a rule of `_tally`, not of 28 loops: a check
     # yields its cases and a predicate, and keys no stream itself
     tree = ast.parse((PACKAGE / "checks.py").read_text(encoding="utf-8"))
     counting = {n.name: _counting(n) for n in tree.body if isinstance(n, ast.FunctionDef)}
     names = [name for name in counting if name.startswith("check_")]
-    assert len(names) == 29
+    assert len(names) == 28
     for name in names:
         assert not counting[name], f"checks.{name}: {sorted(counting[name])}"
     assert {name for name, used in counting.items() if used} == {"_tally", "_streams"}
