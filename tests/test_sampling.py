@@ -229,6 +229,8 @@ LANE_CASES = {
     "rand_invertible": (rand_invertible,),
     "rand_rank1": (rand_rank1,),
     "rand_idempotent_rank1": (rand_idempotent_rank1,),
+    # the nilpotent draw, at a span other than the default
+    "rand_nilpotent": (partial(rand_singular_with_trace, lam=Fraction(0), span=3),),
     "rand_singular_with_trace(0)": (partial(rand_singular_with_trace, lam=Fraction(0)),),
     "rand_singular_with_trace(-3/2)": (partial(rand_singular_with_trace, lam=Fraction(-3, 2)),),
     "rand_wide_rational": (rand_wide_rational,),
