@@ -94,6 +94,10 @@ stays sampled.
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
 compared with an independent one (`is_inverse_pair`, the idempotent test).
+Those predicates, and the trace and det sides of the two
+characterizations, are decided on integer content by cross-multiplying:
+they compare values, not storage, so the chart check also tests that each
+chart point is in lowest terms.
 """
 
 from __future__ import annotations
@@ -101,7 +105,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from functools import partial
 from itertools import chain, product
-from math import prod
+from math import gcd, prod
 from typing import NamedTuple
 
 from greenquadrics import green, quadrics
@@ -514,13 +518,17 @@ def _nilpotent_chart() -> tuple:
 
 
 def idempotent_characterization_holds(x) -> bool:
-    """x is a rank-1 idempotent exactly when tr x = 1 and det x = 0."""
-    return (is_idempotent(x) and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
+    """x is a rank-1 idempotent exactly when tr x = 1 and det x = 0, read
+    on the content x = X / d as X1 + X4 = d and X1 X4 = X2 X3."""
+    n1, n2, n3, n4 = x._n
+    return (is_idempotent(x) and x.rank() == 1) == (n1 + n4 == x._d and n1 * n4 == n2 * n3)
 
 
 def nilpotent_characterization_holds(x) -> bool:
-    """x is nilpotent exactly when tr x = 0 and det x = 0."""
-    return is_nilpotent(x) == (x.trace() == 0 and x.det() == 0)
+    """x is nilpotent exactly when tr x = 0 and det x = 0, read on the
+    content x = X / d as X1 + X4 = 0 and X1 X4 = X2 X3."""
+    n1, n2, n3, n4 = x._n
+    return is_nilpotent(x) == (n1 + n4 == 0 and n1 * n4 == n2 * n3)
 
 
 # The results of a pass that several checks share, kept for the `run_checks`
@@ -594,6 +602,10 @@ def check_inverse_set_theorem(seed, trials=500):
 
     def holds(a, chart, read_s, read_t, s, t):
         x = chart_eval(chart, s, t)
+        # the predicates decide values on content, so the storage form of
+        # the point (lowest terms) is tested here
+        if gcd(*x._n, x._d) != 1:
+            return False
         return is_inverse_pair(a, x) and inverse_membership(a, x) and inner(x, read_s) == s and inner(x, read_t) == t
 
     points = _grid_size(variables) * trials
@@ -839,8 +851,12 @@ def restriction_holds(aq, pivot, t) -> bool:
     its det is the restricted quadric at t: degree at most 2 in each chart
     coordinate, since det is a product of two affine forms in each."""
     x = aq.point(t)
-    free = tuple(v for k, v in enumerate((x - aq.origin).entries) if k != pivot)
-    return free == tuple(t) and x.det() == aq.evaluate(t)
+    origin = aq.origin
+    # entry k of x - origin over dx do, cross-multiplied against t_i = tn / td
+    dx, do = x._d, origin._d
+    free = (xk * do - ok * dx for k, (xk, ok) in enumerate(zip(x._n, origin._n)) if k != pivot)
+    moved = all(v * ti.denominator == ti.numerator * dx * do for v, ti in zip(free, t))
+    return moved and x.det() == aq.evaluate(t)
 
 
 def check_restriction_identity(seed, trials=100):

@@ -7,6 +7,16 @@ factorization a = c . r^T, the inverses are exactly the products
 (d0 + s d1)(q0 + t q1)^T with r.d0 = q0.c = 1 and r.d1 = q1.c = 0, one per
 parameter pair (s, t).
 
+The predicates decide values on content, cross-multiplied (Knuth, TAOCP
+Vol. 2, 4.5.1): with x = X / d, x x = x is X X = d X and x x = 0 is X X = 0;
+with a = A / da, a x a = a and x a x = x are A X A = da dx A and
+X A X = da dx X, and the section test tr(a x) = 1, det x = 0 is
+tr(A X) = da dx, det X = 0.  They build no `Mat2` product, no canonical
+form and no `Fraction`, so they see values, not storage: a matrix in the
+right value but not in lowest terms passes them, and the chart check of
+`gq check` tests the lowest terms of each chart point itself.
+`order_section_report` reads its two section columns in the same form.
+
 The order, chart and line paths compute on the integer content of a
 `Mat2` (`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X
 factors through its pivot P = X[i][j], the first nonzero entry of its
@@ -70,28 +80,57 @@ __all__ = [
 
 
 def is_idempotent(x: Mat2) -> bool:
-    return x @ x == x
+    """x x = x, decided as X X = d X on the content x = X / d."""
+    x1, x2, x3, x4 = x._n
+    d = x._d
+    t = x1 + x4
+    return x1 * x1 + x2 * x3 == d * x1 and x2 * t == d * x2 and x3 * t == d * x3 and x2 * x3 + x4 * x4 == d * x4
 
 
 def is_nilpotent(x: Mat2) -> bool:
-    return (x @ x).is_zero()
+    """x x = 0, decided as X X = 0 on the content x = X / d."""
+    x1, x2, x3, x4 = x._n
+    t = x1 + x4
+    return x1 * x1 + x2 * x3 == 0 and x2 * t == 0 and x3 * t == 0 and x2 * x3 + x4 * x4 == 0
 
 
 def is_inverse_pair(a: Mat2, x: Mat2) -> bool:
-    """Semigroup inverses: a x a = a and x a x = x."""
-    ax = a @ x
-    return ax @ a == a and x @ ax == x
+    """Semigroup inverses: a x a = a and x a x = x.
+
+    On the content a = A / da and x = X / dx these read A X A = k A and
+    X A X = k X with k = da dx, both off the integer product P = A X.
+    """
+    a1, a2, a3, a4 = a._n
+    x1, x2, x3, x4 = x._n
+    k = a._d * x._d
+    p1, p2, p3, p4 = a1 * x1 + a2 * x3, a1 * x2 + a2 * x4, a3 * x1 + a4 * x3, a3 * x2 + a4 * x4
+    if not (
+        p1 * a1 + p2 * a3 == k * a1
+        and p1 * a2 + p2 * a4 == k * a2
+        and p3 * a1 + p4 * a3 == k * a3
+        and p3 * a2 + p4 * a4 == k * a4
+    ):
+        return False
+    return (
+        x1 * p1 + x2 * p3 == k * x1
+        and x1 * p2 + x2 * p4 == k * x2
+        and x3 * p1 + x4 * p3 == k * x3
+        and x3 * p2 + x4 * p4 == k * x4
+    )
 
 
 def inverse_membership(a: Mat2, x: Mat2) -> bool:
     """Section test tr(a x) = 1 and det(x) = 0 for rank-1 `a`.
 
+    On the content a = A / da and x = X / dx: tr(A X) = da dx and det X = 0.
     Equivalent to `is_inverse_pair(a, x)`; the equivalence is a tested
     theorem, not assumed here.
     """
     if a.rank() != 1:
         raise NotRankOneError("inverse-set membership is for rank-1 matrices")
-    return (a @ x).trace() == 1 and x.det() == 0
+    a1, a2, a3, a4 = a._n
+    x1, x2, x3, x4 = x._n
+    return a1 * x1 + a2 * x3 + a3 * x2 + a4 * x4 == a._d * x._d and x1 * x4 == x2 * x3
 
 
 def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:
@@ -354,9 +393,12 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
     (inv(a) times an idempotent) and points of SP(inv(a);1) (a times an
     idempotent), so both section columns are exercised.
     """
-    if a.det() == 0:
+    if a.rank() != 2:
         raise SingularMatrixError("order/section report needs a nonsingular a")
     ainv = inverse_mat(a)
+    # x in SP(m; 1) reads tr(M X) = dm dx and det X = 0 on content
+    a1, a2, a3, a4 = a._n
+    b1, b2, b3, b4 = ainv._n
     agree_inv = agree = 0
     counterexamples = []
     for i in range(trials):
@@ -369,8 +411,10 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
         else:
             x = a @ rand_idempotent_rank1(rng)
         le = natural_le(x, a)
-        in_section = (a @ x).trace() == 1 and x.det() == 0
-        in_inv_section = (ainv @ x).trace() == 1 and x.det() == 0
+        x1, x2, x3, x4 = x._n
+        singular = x1 * x4 == x2 * x3
+        in_section = singular and a1 * x1 + a2 * x3 + a3 * x2 + a4 * x4 == a._d * x._d
+        in_inv_section = singular and b1 * x1 + b2 * x3 + b3 * x2 + b4 * x4 == ainv._d * x._d
         if le == in_inv_section:
             agree_inv += 1
         elif len(counterexamples) < 10:

@@ -67,6 +67,13 @@ _NORM = (
     (("check_nilpotent_cone_identity", None), ("check_inverse_set_theorem", None)),
     ("nilpotent_cone_45_degree_identity", "chart_points_are_inverses"),
 )
+_MEMBERSHIP = (("check_inverse_set_theorem", None), ("check_membership_equals_triple_products", None)), (
+    "chart_points_are_inverses",
+    "section_membership_iff_inverse_pair",
+)
+# the integer forms of x x = x and x x = 0, each a whole return line
+_SQUARE_IS_X = "return x1 * x1 + x2 * x3 == d * x1 and x2 * t == d * x2 and x3 * t == d * x3 and x2 * x3 + x4 * x4 == d * x4"
+_SQUARE_IS_ZERO = "return x1 * x1 + x2 * x3 == 0 and x2 * t == 0 and x3 * t == 0 and x2 * x3 + x4 * x4 == 0"
 # (check, result) of the checks that read row and column spaces, in the
 # order in which the faults of `green` reach more of them
 _SPACE_CHECKS = (
@@ -102,14 +109,30 @@ FAULTS = [
     *_rows("mat2._polar", *_ORDER,
         ("minus-le-polar-sign", "- x2 * y3 - y2 * x3", "+ x2 * y3 - y2 * x3", "the polar form of the det identity")),
     *_rows("semigroup.is_idempotent", *_IDEMPOTENTS,
-        ("idempotent-trace-only", "return x @ x == x", "return (x @ x).trace() == x.trace()", "x^2, x equal in trace"),
-        ("idempotent-times-trace", "return x @ x == x", "return x @ x == x * x.trace()", "x^2 = tr(x) x at rank 1")),
+        ("idempotent-trace-only", _SQUARE_IS_X, "return x1 * x1 + 2 * x2 * x3 + x4 * x4 == d * t",
+         "x^2, x equal in trace"),
+        ("idempotent-times-trace", "d = x._d", "d = x1 + x4", "x^2 = tr(x) x at rank 1")),
     *_rows("semigroup.is_nilpotent", *_NILPOTENTS,
-        ("nilpotent-trace-only", "return (x @ x).is_zero()", "return (x @ x).trace() == 0", "x^2 traceless only"),
-        ("nilpotent-det-only", "return (x @ x).is_zero()", "return x.det() == 0", "singular is not nilpotent")),
+        ("nilpotent-trace-only", _SQUARE_IS_ZERO, "return x1 * x1 + 2 * x2 * x3 + x4 * x4 == 0", "x^2 traceless only"),
+        ("nilpotent-det-only", _SQUARE_IS_ZERO, "return x1 * x4 == x2 * x3", "singular is not nilpotent")),
     *_rows("checks.idempotent_characterization_holds", *_IDEMPOTENTS,
         ("rank-at-most-1", "x.rank() == 1", "x.rank() <= 1", "the zero matrix is idempotent of rank 0"),
-        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped")),
+        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped"),
+        ("characterization-trace-against-one", "n1 + n4 == x._d", "n1 + n4 == 1",
+         "the trace test against 1 on content: right on integer matrices")),
+    *_rows("semigroup.inverse_membership", *_MEMBERSHIP,
+        ("membership-one-denominator", "== a._d * x._d", "== x._d",
+         "tr(a x) = 1 over dx only: right whenever a has integer entries")),
+    *_rows("semigroup.is_inverse_pair", _MEMBERSHIP[0], ("section_membership_iff_inverse_pair",),
+        ("inverse-pair-xax-optional", "    return (\n        x1 * p1", "    return True or (\n        x1 * p1",
+         "a x a = a alone: true of an invertible x whenever a is rank 1 and tr(a x) = 1")),
+    *_rows("semigroup.is_inverse_pair", *_CHART,
+        ("inverse-pair-scale-no-dx", "k = a._d * x._d", "k = a._d",
+         "both products scaled by da only: right whenever x has integer entries")),
+    *_rows("semigroup.order_section_report", (("check_order_section_reports", None),),
+        ("order_below_a_is_inverse_section",),
+        ("report-inverse-section-one-denominator", "== ainv._d * x._d", "== x._d",
+         "the inverse section's trace test over dx only: right whenever inv(a) has integer entries")),
     *_rows("semigroup.chart_eval", *_CHART,
         ("chart-swapped-denominators", "sn, sd = _parts(s)\n    tn, td = _parts(t)",
          "sn, td = _parts(s)\n    tn, sd = _parts(t)",

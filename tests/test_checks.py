@@ -2,6 +2,7 @@ import inspect
 import sys
 import tracemalloc
 from functools import partial
+from itertools import product
 
 import pytest
 from faults import BY_ID, FAULTS, _resolve, install
@@ -16,7 +17,10 @@ from greenquadrics.sampling import (
     rand_mat,
     rand_nonzero_rational,
     rand_rational,
+    rand_wide_rational,
+    rng_for,
 )
+from greenquadrics.sections import restrict_quadric
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -223,6 +227,28 @@ def test_restriction_check_sees_a_constant_term_slip(monkeypatch):
     assert r.detail.startswith("3000/5600 trials ok"), r.line()
 
 
+def restriction_holds_by_difference(aq, pivot, t):
+    """`restriction_holds` with the moved entries read as the `Fraction`s of x - origin."""
+    x = aq.point(t)
+    free = tuple(v for k, v in enumerate((x - aq.origin).entries) if k != pivot)
+    return free == tuple(t) and x.det() == aq.evaluate(t)
+
+
+def test_restriction_holds_matches_the_difference():
+    # every pivot, so the wrong ones give False cases; small and 64-bit t
+    seen = set()
+    for i in range(40):
+        rng = rng_for(271, i)
+        aq = restrict_quadric(checks._random_hyperplane_nonzero_a(rng, i))
+        wide = tuple(rand_wide_rational(rng) for _ in range(3))
+        for t in (*product(CERTIFICATE_VALUES[2][:2], repeat=3), (0, 1, -2), wide):
+            for pivot in range(4):
+                got = checks.restriction_holds(aq, pivot, t)
+                assert got == restriction_holds_by_difference(aq, pivot, t), (i, pivot, t)
+                seen.add(got)
+    assert seen == {True, False}
+
+
 def test_newly_certified_checks_pass_across_seeds():
     for seed in range(6):
         for check in (
@@ -250,11 +276,12 @@ def test_a_fail_line_names_its_first_failing_case(monkeypatch):
 def test_a_check_that_raises_is_its_own_fail_line(monkeypatch):
     # an unreduced zero determinant lets a singular draw through
     # `rand_invertible`, and `inverse_mat` raises on it; the other checks
-    # that see the fault still print their lines
+    # that see the fault still print their lines (the semigroup predicates
+    # decide on content and call no `det`, so 7 checks see it)
     install(monkeypatch, BY_ID["det-skipped-second-gcd"])
     code, text = cli.run(["check", "--seed", "42"])
     lines = text.splitlines()
-    assert code == 2 and len(lines) == 29 and lines[-1] == "17/28 checks passed", text
+    assert code == 2 and len(lines) == 29 and lines[-1] == "21/28 checks passed", text
     (line,) = (line for line in lines if "/section_is_inverse_image_of_idempotents:" in line)
     assert line.startswith("[FAIL]") and line.endswith("; case 4 raised SingularMatrixError"), line
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 from math import gcd, lcm
 
 import pytest
@@ -8,7 +9,7 @@ from draws import wide
 from test_linear import reference_solve
 from test_mat2 import REACH, SMOOTH, assert_canonical
 
-from greenquadrics import semigroup
+from greenquadrics import checks, semigroup
 from greenquadrics.errors import (
     DegeneratePairingError,
     NotRankOneError,
@@ -19,6 +20,7 @@ from greenquadrics.exact import Rational
 from greenquadrics.green import ProjLine, colspace, rowspace
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat, outer
 from greenquadrics.sampling import (
+    CERTIFICATE_VALUES,
     grid_matrices,
     grid_values,
     rand_idempotent_rank1,
@@ -27,6 +29,8 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
+    rand_wide_mat,
+    rand_wide_rational,
     rng_for,
 )
 from greenquadrics.semigroup import (
@@ -690,3 +694,152 @@ class TestMinusOrderOnIntegerContent:
                 assert got == minus_le_by_difference(x, y), (x, y)
                 outcomes.add((y.rank(), got))
         assert outcomes == {(2, True), (2, False), (1, False)}
+
+
+# --- the content predicates against their definitions ---------------------
+
+
+def is_idempotent_by_product(x):
+    return x @ x == x
+
+
+def is_nilpotent_by_product(x):
+    return (x @ x).is_zero()
+
+
+def is_inverse_pair_by_products(a, x):
+    ax = a @ x
+    return ax @ a == a and x @ ax == x
+
+
+def inverse_membership_by_trace(a, x):
+    return (a @ x).trace() == 1 and x.det() == 0
+
+
+def order_section_report_by_trace(a, trials, seed):
+    """`order_section_report` with its section columns read as tr(m x) = 1
+    and det x = 0 through `@`, `trace()` and `det()`."""
+    ainv = inverse_mat(a)
+    agree_inv = agree = 0
+    counterexamples = []
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        if i % 3 == 0:
+            x = rand_rank1(rng)
+        else:
+            x = (ainv if i % 3 == 1 else a) @ rand_idempotent_rank1(rng)
+        le = natural_le(x, a)
+        in_section = (a @ x).trace() == 1 and x.det() == 0
+        in_inv_section = (ainv @ x).trace() == 1 and x.det() == 0
+        if le == in_inv_section:
+            agree_inv += 1
+        elif len(counterexamples) < 10:
+            counterexamples.append({"x": x, "natural_le": le, "in_section": in_section, "in_inv_section": in_inv_section})
+        agree += le == in_section
+    return semigroup.OrderSectionReport(a, trials, seed, agree_inv, agree, counterexamples)
+
+
+HALF_GRID = tuple(grid_matrices(grid_values(span=2, dens=(1, 2))))
+
+
+def _near_misses(x, step):
+    """`x` with one entry moved by +-step, for each of its four entries."""
+    e = x.entries
+    return [Mat2(*(v + s if j == k else v for j, v in enumerate(e))) for k in range(4) for s in (step, -step)]
+
+
+def _and_near_misses(points, step):
+    return [y for x in points for y in (x, *_near_misses(x, step))]
+
+
+def _wide_draws(bits, count=30):
+    """(idempotent, nilpotent, rank-1 a, a point of the inverse chart of a,
+    unrelated matrix) per draw, with `bits`-bit entries: `rand_wide_*` at 64
+    bits, `draws.wide` at 256."""
+    for i in range(count):
+        rng = rng_for(251, i)
+        scalar = rand_wide_rational if bits == 64 else partial(wide, bits=bits)
+        u, v, c, r = ((scalar(rng), scalar(rng)) for _ in range(4))
+        k, p, q, s, t = (scalar(rng) for _ in range(5))
+        e = outer(u, v) / (u[0] * v[0] + u[1] * v[1])
+        n = Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q)
+        a = outer(c, r)
+        other = rand_wide_mat(rng) if bits == 64 else Mat2(*(scalar(rng) for _ in range(4)))
+        yield e, n, a, chart_eval(inverse_chart(a), s, t), other
+
+
+def _assert_singles_match(points):
+    """Both single-matrix predicates and both characterizations equal their
+    definitions at every point; return the outcomes seen."""
+    seen = set()
+    for x in points:
+        idem, nil = is_idempotent_by_product(x), is_nilpotent_by_product(x)
+        assert is_idempotent(x) == idem and is_nilpotent(x) == nil, x
+        assert checks.idempotent_characterization_holds(x) == (
+            (idem and x.rank() == 1) == (x.trace() == 1 and x.det() == 0)
+        ), x
+        assert checks.nilpotent_characterization_holds(x) == (nil == (x.trace() == 0 and x.det() == 0)), x
+        seen.add((idem, nil))
+    return seen
+
+
+def _assert_pairs_match(pairs):
+    """Both pair predicates equal their definitions at every (a, x), a of
+    rank 1 for the membership test; return the outcomes seen."""
+    seen = set()
+    for a, x in pairs:
+        pair = is_inverse_pair_by_products(a, x)
+        assert is_inverse_pair(a, x) == pair, (a, x)
+        if a.rank() == 1:
+            member = inverse_membership_by_trace(a, x)
+            assert inverse_membership(a, x) == member, (a, x)
+            seen.add(("member", member))
+        seen.add(("pair", pair))
+    return seen
+
+
+class TestContentPredicatesMatchDefinitions:
+    """Each predicate decided on content equals its definition through `@`,
+    `trace()` and `det()`: on the span-2 grid with denominators (1, 2), on
+    the idempotent, nilpotent and inverse charts and their one-entry near
+    misses, and on 64- and 256-bit draws."""
+
+    def test_half_grid(self):
+        assert len(HALF_GRID) == 7**4
+        assert _assert_singles_match(HALF_GRID) == {(True, False), (False, True), (False, False), (True, True)}
+        # every 37th grid matrix as a, with 0, E and N, against the whole grid
+        sample = (*HALF_GRID[::37], ZERO, E, N, Mat2(HALF, 1, HALF, 1))
+        assert {a.rank() for a in sample} == {0, 1, 2}
+        seen = _assert_pairs_match((a, x) for a in sample for x in HALF_GRID)
+        assert seen == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+
+    def test_charts_and_near_misses(self):
+        idempotents, nilpotents = checks._idempotent_charts(), checks._nilpotent_chart()
+        singles = _and_near_misses((*idempotents, *nilpotents), HALF) + _near_misses(ZERO, 1)
+        assert _assert_singles_match(singles) >= {(True, False), (False, True), (False, False)}
+        pairs = []
+        for i in range(12):
+            a = rand_rank1(rng_for(257, i))
+            chart = inverse_chart(a)
+            points = [chart_eval(chart, s, t) for s in CERTIFICATE_VALUES[2] for t in CERTIFICATE_VALUES[2]]
+            pairs += [(a, x) for x in _and_near_misses(points, HALF)]
+            pairs += [(x, a) for x in points]  # the pair relation is symmetric
+            pairs += [(a, x) for x in idempotents[::7]]
+        seen = _assert_pairs_match(pairs)
+        assert seen == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+
+    @pytest.mark.parametrize("bits", [64, 256])
+    def test_wide_draws(self, bits):
+        seen_singles, seen_pairs = set(), set()
+        for e, n, a, x, other in _wide_draws(bits):
+            assert e.rank() == a.rank() == 1 and max(v.bit_length() for v in x._n) > bits
+            seen_singles |= _assert_singles_match((e, n, other, *_near_misses(e, 1), *_near_misses(n, 1)))
+            pairs = [(a, x), (x, a), (a, other), (other, a), (a, e), (e, e)]
+            seen_pairs |= _assert_pairs_match(pairs + [(a, y) for y in _near_misses(x, 1)])
+        assert seen_singles == {(True, False), (False, True), (False, False)}
+        assert seen_pairs == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+
+    def test_order_section_report(self):
+        draws = [rand_invertible(rng_for(263, i)) for i in range(4)]
+        for a in (IDENTITY, Mat2(2, 1, 1, 3), *draws):
+            assert order_section_report(a, 60, 5) == order_section_report_by_trace(a, 60, 5), a

@@ -19,8 +19,10 @@ the minus order forms no difference y - x, and SplitMix64 is mixed in
 `Stream.offsets` and the lane helper `_lane_offsets` only.  One table, `NAME_GUARDS`,
 lists the names a function or module may not use: the natural order and
 the meet of two lines are decided by minors, not by a solve, the inverse
-chart builds no `Fraction`, and neither the lane helper, `uniform_rows`
-nor export builds a `Stream`.  In the check suites only one helper counts trials and only
+chart builds no `Fraction`, the semigroup predicates, the order report and
+the two characterizations read no trace, det, canonical product or
+`Fraction` (and the predicates multiply no `Mat2`), and neither the lane
+helper, `uniform_rows` nor export builds a `Stream`.  In the check suites only one helper counts trials and only
 one keys a seeded stream.  Every module-level `def` and `class` is named
 by some package code: a name that only tests reach is deleted, not kept
 as a second door.
@@ -227,6 +229,17 @@ def test_quadrics_solve_no_linear_system():
     assert not any("_linear" in name.split(".") for name in names), sorted(names)
 
 
+# the predicates that decide products, traces and determinants on content
+CONTENT_PREDICATES = [
+    ("semigroup", "is_idempotent"),
+    ("semigroup", "is_nilpotent"),
+    ("semigroup", "is_inverse_pair"),
+    ("semigroup", "inverse_membership"),
+    ("checks", "idempotent_characterization_holds"),
+    ("checks", "nilpotent_characterization_holds"),
+]
+CONTENT_TESTS = {"trace", "det", "_canon", "_from_ints", "Rational"}
+
 # (module, function, names its body may not use); function None is the
 # whole module
 NAME_GUARDS = [
@@ -244,7 +257,22 @@ NAME_GUARDS = [
     ("surfaces", None, {"Stream", "rng_for"}),
     # the chart's Fraction vectors are built on first read, not by the chart
     ("semigroup", "inverse_chart", {"_from_ints", "Rational"}),
+    # the semigroup predicates cross-multiply content: no trace, det or
+    # canonical product, and no `Fraction`
+    *((module, func, CONTENT_TESTS) for module, func in CONTENT_PREDICATES),
+    # the report's two section columns are the same integer form; its `@`
+    # only builds the sampled x
+    ("semigroup", "order_section_report", CONTENT_TESTS),
+    # the restriction's moved entries are cross-multiplied against t, not read
+    # as `Fraction`s of a difference
+    ("checks", "restriction_holds", {"entries", "_from_ints", "Rational"}),
 ]
+
+
+@pytest.mark.parametrize("module,func", CONTENT_PREDICATES, ids=lambda v: v)
+def test_content_predicates_multiply_no_mat2(module, func):
+    # a product of matrices would be a `Mat2` reduced by `_canon`
+    assert not any(isinstance(n, ast.MatMult) for n in ast.walk(_function(module, func))), f"{module}.{func} uses @"
 
 
 @pytest.mark.parametrize("module,func,forbidden", NAME_GUARDS, ids=[f"{m}-{f or 'module'}" for m, f, _ in NAME_GUARDS])
