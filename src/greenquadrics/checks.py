@@ -97,7 +97,12 @@ compared with an independent one (`is_inverse_pair`, the idempotent test).
 Those predicates, and the trace and det sides of the two
 characterizations, are decided on integer content by cross-multiplying:
 they compare values, not storage, so the chart check also tests that each
-chart point is in lowest terms.
+chart point is in lowest terms.  So are the comparisons of the restriction
+identity, the frame identity and the chart check's read-back of s and t
+(`_det_is`, `_trace_is`, `_inner_is`), each against the value the map under
+test returns (`evaluate`, `bell_residual`, the parameter itself); the
+public `det`, `trace` and `inner` are left to the checks that test them.
+The nilpotent chart's points are built from the ints of k, p and q.
 """
 
 from __future__ import annotations
@@ -110,9 +115,9 @@ from typing import NamedTuple
 
 from greenquadrics import green, quadrics
 from greenquadrics.errors import DegeneratePairingError
-from greenquadrics.exact import QuadExt, Rational, rational_sign, to_float
+from greenquadrics.exact import QuadExt, Rational, _parts, rational_sign, to_float
 from greenquadrics.green import class_plane, classify_plane, green_eq
-from greenquadrics.mat2 import IDENTITY, Mat2, inner, inverse_mat, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
@@ -320,6 +325,31 @@ def _identity_check(suite, name, holds, variables, seed, trials):
 _chart_coord = partial(rand_rational, span=6, max_den=4)
 
 
+# The comparisons of the certified identities with a rational num / den,
+# den != 0, decided on the integer content of x = X / dx by cross-multiplying:
+# no `Fraction` is built.  The value compared is still the one the map under
+# test returns (`evaluate`, `bell_residual`, a chart parameter read back).
+
+
+def _det_is(x, num, den) -> bool:
+    """det x == num / den: (X1 X4 - X2 X3) den == num dx^2."""
+    n1, n2, n3, n4 = x._n
+    return (n1 * n4 - n2 * n3) * den == num * x._d * x._d
+
+
+def _trace_is(x, num, den) -> bool:
+    """tr x == num / den: (X1 + X4) den == num dx."""
+    n = x._n
+    return (n[0] + n[3]) * den == num * x._d
+
+
+def _inner_is(x, m, num, den) -> bool:
+    """<x, m> == num / den for m = M / dm: (X . M) den == num dx dm."""
+    x1, x2, x3, x4 = x._n
+    m1, m2, m3, m4 = m._n
+    return (x1 * m1 + x2 * m2 + x3 * m3 + x4 * m4) * den == num * x._d * m._d
+
+
 # --- exact ---------------------------------------------------------------
 
 
@@ -509,7 +539,15 @@ _NILPOTENT_CHART = (_scalar(2), _scalar(4), _scalar(4))
 
 
 def _nilpotent_point(k, p, q) -> Mat2:
-    return Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q)
+    """k (pq, -p^2, q^2, -pq) from the ints of k, p and q: with p = a / e and
+    q = b / e over e = pd qd, it is k (ab, -a^2, b^2, -ab) / e^2, reduced by
+    the one gcd of `_canon`."""
+    kn, kd = _parts(k)
+    pn, pd = _parts(p)
+    qn, qd = _parts(q)
+    a, b, e = pn * qd, qn * pd, pd * qd
+    kab = kn * a * b
+    return _canon(kab, -kn * a * a, kn * b * b, -kab, kd * e * e)
 
 
 def _nilpotent_chart() -> tuple:
@@ -606,7 +644,12 @@ def check_inverse_set_theorem(seed, trials=500):
         # the point (lowest terms) is tested here
         if gcd(*x._n, x._d) != 1:
             return False
-        return is_inverse_pair(a, x) and inverse_membership(a, x) and inner(x, read_s) == s and inner(x, read_t) == t
+        return (
+            is_inverse_pair(a, x)
+            and inverse_membership(a, x)
+            and _inner_is(x, read_s, *_parts(s))
+            and _inner_is(x, read_t, *_parts(t))
+        )
 
     points = _grid_size(variables) * trials
     note = f"{_note(points, _CHART_TAIL * trials)}; the grid covers every (s, t) of each of {trials} sampled a"
@@ -776,8 +819,10 @@ def check_order_section_reports(seed, trials=10):
 
 def frame_residual_holds(x) -> bool:
     """bell_residual(x) = -2 det x: degree 2 in each entry.  Comparing values,
-    not zeros, sees a scale slip that the singular slices cannot."""
-    return bell_residual(x) == -2 * x.det()
+    not zeros, sees a scale slip that the singular slices cannot.  With the
+    residual r / e, det x is -r / 2e."""
+    rn, rd = _parts(bell_residual(x))
+    return _det_is(x, -rn, 2 * rd)
 
 
 def check_bell_identity(seed, trials=1000):
@@ -793,7 +838,7 @@ def check_bell_identity(seed, trials=1000):
     def holds(x, lam=None):
         if lam is None:
             return frame_residual_holds(x)
-        return x.trace() == lam and bell_residual(x) == 0
+        return _trace_is(x, *_parts(lam)) and not bell_residual(x)
 
     variables, sampled, tail = (_matrix(2),), len(_BELL_LEVELS) * trials, min(trials, _TAIL)
     points = _grid_size(variables)
@@ -855,8 +900,8 @@ def restriction_holds(aq, pivot, t) -> bool:
     # entry k of x - origin over dx do, cross-multiplied against t_i = tn / td
     dx, do = x._d, origin._d
     free = (xk * do - ok * dx for k, (xk, ok) in enumerate(zip(x._n, origin._n)) if k != pivot)
-    moved = all(v * ti.denominator == ti.numerator * dx * do for v, ti in zip(free, t))
-    return moved and x.det() == aq.evaluate(t)
+    moved = all(v * td == tn * dx * do for v, (tn, td) in zip(free, map(_parts, t)))
+    return moved and _det_is(x, *_parts(aq.evaluate(t)))
 
 
 def check_restriction_identity(seed, trials=100):

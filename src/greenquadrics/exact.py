@@ -60,7 +60,13 @@ def _as_rational(x) -> Rational:
 
 
 def _parts(x) -> tuple[int, int]:
-    """(numerator, denominator) of an exact scalar; same inputs as `_as_rational`."""
+    """(numerator, denominator) of an exact scalar; same inputs as `_as_rational`.
+
+    A plain `Fraction` is read from its two slots, the contract `_from_ints`
+    fills, which skips the `numerator`/`denominator` properties; an `int`, a
+    `bool` or a `Fraction` subclass takes the general path."""
+    if type(x) is Fraction:
+        return x._numerator, x._denominator
     if isinstance(x, int):
         return x, 1
     x = _as_rational(x)

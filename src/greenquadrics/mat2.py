@@ -18,7 +18,8 @@ the other maps are written out on the ints, and the polar form of det once
 (`_polar`, which `det_polar`, `semigroup.minus_le` and
 `sections.quadric_on_chart` read); `Fraction`s are built only at the
 accessors (`entries`, `x1`..`x4`) and for the rational scalars a map
-returns.  Entries and scalars are `int` or `Fraction`; anything else (a
+returns.  Entries and scalars are `int` or `Fraction`, read through
+`exact._parts` (a plain `Fraction` from its two slots); anything else (a
 float, a string, a `Decimal`) raises `TypeError`.
 """
 
@@ -28,7 +29,6 @@ from math import gcd, lcm
 
 from greenquadrics.errors import LiteralParseError, SingularMatrixError
 from greenquadrics.exact import Rational, format_rational, parse_rational
-from greenquadrics.exact import _as_rational as _coerce
 from greenquadrics.exact import _from_ints as _Q
 from greenquadrics.exact import _from_lowest
 from greenquadrics.exact import _parts
@@ -68,16 +68,10 @@ class Mat2:
     __slots__ = ("_n", "_d")
 
     def __init__(self, x1, x2, x3, x4):
-        x1, x2, x3, x4 = [x if isinstance(x, int) else _coerce(x) for x in (x1, x2, x3, x4)]
-        q1, q2, q3, q4 = x1.denominator, x2.denominator, x3.denominator, x4.denominator
+        (p1, q1), (p2, q2), (p3, q3), (p4, q4) = _parts(x1), _parts(x2), _parts(x3), _parts(x4)
         d = lcm(q1, q2, q3, q4)
         # each entry is in lowest terms, so content over the lcm has gcd 1
-        self._n = (
-            x1.numerator * (d // q1),
-            x2.numerator * (d // q2),
-            x3.numerator * (d // q3),
-            x4.numerator * (d // q4),
-        )
+        self._n = (p1 * (d // q1), p2 * (d // q2), p3 * (d // q3), p4 * (d // q4))
         self._d = d
 
     @property

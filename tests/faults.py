@@ -180,6 +180,20 @@ FAULTS = [
         ("bell-dropped-half", "2 * x._d * x._d", "x._d * x._d",
          "twice the residual is zero on every singular slice: only -2 det x sees it"),
         ("bell-scale-slip", "2 * x._d * x._d", "2 * x._d", "a residual over 2d is still zero on the variety")),
+    *_rows("checks._det_is", (_RESTRICTION[0][0], _FRAME[0][0]), (_RESTRICTION[1][0], _FRAME[1][0]),
+        ("det-is-one-denominator", "num * x._d * x._d", "num * x._d", "det x over dx, not dx^2: right on integer x")),
+    *_rows("checks.frame_residual_holds", *_FRAME,
+        ("frame-residual-no-factor-two", "2 * rd", "rd", "the residual against -det x: zero on the singular slices")),
+    *_rows("checks._trace_is", *_FRAME,
+        ("trace-is-one-denominator", "num * x._d", "num", "tr x against lam over 1, not dx: right on integer x")),
+    *_rows("checks._inner_is", *_CHART,
+        ("chart-read-one-denominator", "num * x._d * m._d", "num * x._d",
+         "the read-back of s and t without m's denominator: right whenever |m|^2 divides m")),
+    *_rows("checks._nilpotent_point",
+        (("check_traceless_singular_squares_to_zero", None), ("check_nilpotent_cone_identity", None)),
+        ("traceless_singular_is_square_zero", "nilpotent_cone_45_degree_identity"),
+        ("nilpotent-point-one-pd", "kn * b * b", "kn * b * qn",
+         "the q^2 entry over pd, not pd^2: right whenever p is an integer")),
     *_rows("sections.to_bell", *_ROUNDTRIP,
         ("to-bell-swapped-coordinate", "Y=_quadext(0, n2 + n3", "Y=_quadext(0, n2 - n3",
          "Y from x2 - x3 is still rational, and right whenever x3 = 0")),

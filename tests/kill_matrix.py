@@ -3,9 +3,11 @@
 For each row of `faults.FAULTS`, install the row's mutant, run
 `checks.run_checks(seed=42)` (every check of `gq check --seed 42`, not
 only the row's own), undo the mutant, and print the mutant's call count
-and the names of the results that FAIL.  Exit 1 if some row survives (no
-result fails) or its mutant never ran: a mutant that no run reaches is not
-a kill.  The name does not start with `test_`, so pytest does not collect
+and the names of the results that FAIL.  After the rows, print for each
+check how many rows it kills and how many it alone kills, and list the
+rows with exactly one killer.  Exit 1 if some row survives (no result
+fails) or its mutant never ran: a mutant that no run reaches is not a
+kill.  The name does not start with `test_`, so pytest does not collect
 it.  Run from the root of the repository:
 
     PYTHONPATH=src:tests python tests/kill_matrix.py
@@ -35,6 +37,8 @@ class UndoList(list):
 def main() -> int:
     start = time.perf_counter()
     kills = {r.name: 0 for r in checks.run_checks(seed=42)}
+    alone = dict.fromkeys(kills, 0)
+    single = []  # "row (its one killer)"
     bad = []
     for fault in FAULTS:
         undo = UndoList()
@@ -45,11 +49,18 @@ def main() -> int:
             undo.undo()
         for name in failed:
             kills[name] += 1
+        if len(failed) == 1:
+            alone[failed[0]] += 1
+            single.append(f"{fault.id} ({failed[0]})")
         if not failed or not calls[0]:
             bad.append(fault.id)
         print(f"{fault.id}: {calls[0]} calls; FAIL {', '.join(failed) or '(none: survived)'}")
     print(f"{len(FAULTS)} rows, {len(FAULTS) - len(bad)} killed by a mutant that ran, in {time.perf_counter() - start:.1f} s")
     print(f"checks that kill no row: {', '.join(name for name, n in kills.items() if not n) or '(none)'}")
+    print("rows killed by each check (of them, killed by it alone):")
+    for name, n in kills.items():
+        print(f"  {name}: {n} ({alone[name]})")
+    print(f"{len(single)} rows with one killer: {', '.join(single) or '(none)'}")
     if bad:
         print(f"survived or never ran: {', '.join(bad)}")
     return 1 if bad else 0

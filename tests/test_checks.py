@@ -5,11 +5,12 @@ from functools import partial
 from itertools import product
 
 import pytest
+from draws import wide
 from faults import BY_ID, FAULTS, _resolve, install
 
 from greenquadrics import checks, cli, semigroup
-from greenquadrics.exact import rational_sign
-from greenquadrics.mat2 import Mat2
+from greenquadrics.exact import Rational, _parts, rational_sign
+from greenquadrics.mat2 import Mat2, inner
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
@@ -17,10 +18,11 @@ from greenquadrics.sampling import (
     rand_mat,
     rand_nonzero_rational,
     rand_rational,
+    rand_wide_mat,
     rand_wide_rational,
     rng_for,
 )
-from greenquadrics.sections import restrict_quadric
+from greenquadrics.sections import bell_residual, restrict_quadric
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -249,6 +251,107 @@ def test_restriction_holds_matches_the_difference():
     assert seen == {True, False}
 
 
+# --- the content comparisons of the certified identities --------------------
+
+_THIRD = Rational(1, 3)
+
+
+def _near_misses(x):
+    """`x` with one entry moved by +-1/3, for each of its four entries."""
+    e = x.entries
+    return [Mat2(*(v + s if j == k else v for j, v in enumerate(e))) for k in range(4) for s in (_THIRD, -_THIRD)]
+
+
+def _comparison_bases():
+    """The 81 matrices of the degree-2 certificate grid, 20 `rand_wide_mat`
+    draws at 64 bits and 5 matrices of `draws.wide` at 256 bits."""
+    wide64 = [rand_wide_mat(rng_for(337, i)) for i in range(20)]
+    wide256 = [Mat2(*(wide(rng) for _ in range(4))) for rng in (rng_for(347, i) for i in range(5))]
+    return [*grid_matrices(CERTIFICATE_VALUES[2]), *wide64, *wide256]
+
+
+# name -> (the comparison on content, its `Fraction` definition, the value
+# of the definition at (x, m)); each is asked about x against the value at x
+# and at each one-entry near miss of x
+_COMPARISONS = {
+    "det": (
+        lambda x, m, v: checks._det_is(x, *_parts(v)),
+        lambda x, m, v: x.det() == v,
+        lambda x, m: x.det(),
+    ),
+    "trace": (
+        lambda x, m, v: checks._trace_is(x, *_parts(v)),
+        lambda x, m, v: x.trace() == v,
+        lambda x, m: x.trace(),
+    ),
+    "inner": (
+        lambda x, m, v: checks._inner_is(x, m, *_parts(v)),
+        lambda x, m, v: inner(x, m) == v,
+        lambda x, m: inner(x, m),
+    ),
+}
+
+
+def _nilpotent_points():
+    """(k, p, q) on the grid of the nilpotent chart, with a zero k, p or q,
+    then 20 triples at 64 bits and 5 of `draws.wide` at 256 bits."""
+    yield from checks._certified(checks._NILPOTENT_CHART, ())
+    yield from ((0, _THIRD, 2), (Rational(5, 7), 0, _THIRD), (-2, Rational(6, 5), 0), (3, 2, -1))
+    for i in range(20):
+        rng = rng_for(349, i)
+        yield tuple(rand_wide_rational(rng) for _ in range(3))
+    for i in range(5):
+        rng = rng_for(353, i)
+        yield tuple(wide(rng) for _ in range(3))
+
+
+def _disagreements():
+    """(the comparisons that differ from their definition at some case, the
+    (name, outcome) pairs seen)."""
+    differ, seen = set(), set()
+    bases = _comparison_bases()
+    for i, base in enumerate(bases):
+        m = bases[(i + 1) % len(bases)]
+        moved = _near_misses(base)
+        for name, (content, definition, value) in _COMPARISONS.items():
+            for x in (base, *moved):
+                for v in (value(x, m), *(value(y, m) for y in moved[::3])):
+                    want = definition(x, m, v)
+                    if content(x, m, v) != want:
+                        differ.add(name)
+                    seen.add((name, want))
+        for x in (base, *moved):
+            if checks.frame_residual_holds(x) != (bell_residual(x) == -2 * x.det()):
+                differ.add("frame")
+    for k, p, q in _nilpotent_points():
+        if checks._nilpotent_point(k, p, q) != Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q):
+            differ.add("nilpotent point")
+    return differ, seen
+
+
+def test_content_comparisons_equal_their_definitions():
+    differ, seen = _disagreements()
+    assert not differ, differ
+    assert seen == {(name, outcome) for name in _COMPARISONS for outcome in (True, False)}
+
+
+# each row of the fault table aimed at a content comparison, and the
+# comparison of `_disagreements` it moves
+_COMPARISON_ROWS = {
+    "det-is-one-denominator": "det",
+    "trace-is-one-denominator": "trace",
+    "chart-read-one-denominator": "inner",
+    "frame-residual-no-factor-two": "frame",
+    "nilpotent-point-one-pd": "nilpotent point",
+}
+
+
+@pytest.mark.parametrize("row", _COMPARISON_ROWS)
+def test_content_comparison_rows_are_caught(monkeypatch, row):
+    install(monkeypatch, BY_ID[row])
+    assert _COMPARISON_ROWS[row] in _disagreements()[0]
+
+
 def test_newly_certified_checks_pass_across_seeds():
     for seed in range(6):
         for check in (
@@ -277,11 +380,12 @@ def test_a_check_that_raises_is_its_own_fail_line(monkeypatch):
     # an unreduced zero determinant lets a singular draw through
     # `rand_invertible`, and `inverse_mat` raises on it; the other checks
     # that see the fault still print their lines (the semigroup predicates
-    # decide on content and call no `det`, so 7 checks see it)
+    # and the certified identities' comparisons decide on content and call
+    # no `det`, so 5 checks see it)
     install(monkeypatch, BY_ID["det-skipped-second-gcd"])
     code, text = cli.run(["check", "--seed", "42"])
     lines = text.splitlines()
-    assert code == 2 and len(lines) == 29 and lines[-1] == "21/28 checks passed", text
+    assert code == 2 and len(lines) == 29 and lines[-1] == "23/28 checks passed", text
     (line,) = (line for line in lines if "/section_is_inverse_image_of_idempotents:" in line)
     assert line.startswith("[FAIL]") and line.endswith("; case 4 raised SingularMatrixError"), line
 

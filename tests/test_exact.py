@@ -18,7 +18,8 @@ from greenquadrics.exact import (
     parse_rational,
     to_float,
 )
-from greenquadrics.exact import _from_ints, _from_lowest
+from greenquadrics.exact import _from_ints, _from_lowest, _parts
+from greenquadrics.mat2 import Mat2
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(
     lambda f: Rational(f.numerator, f.denominator)
@@ -164,6 +165,33 @@ class TestFromLowest:
         assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
         assert got == want and hash(got) == hash(want)
         assert got + 1 == want + 1 and format_rational(got) == format_rational(want)
+
+
+class _Subfraction(Fraction):
+    pass
+
+
+class TestParts:
+    """`_parts` reads a plain `Fraction` from its slots and everything else
+    through the public properties; both give (numerator, denominator)."""
+
+    @pytest.mark.parametrize(
+        "x",
+        [7, -3, True, False, Fraction(-22, 7), Fraction(-(10**299 + 7), 3**620), _Subfraction(-5, 6)],
+        ids=["int", "negative-int", "true", "false", "negative", "300-digit", "subclass"],
+    )
+    def test_matches_the_properties(self, x):
+        assert _parts(x) == (x.numerator, x.denominator)
+
+    @pytest.mark.parametrize("bad", [0.5, "1/3", Decimal("0.5")], ids=repr)
+    def test_rejects_inexact(self, bad):
+        with pytest.raises(TypeError):
+            _parts(bad)
+
+    def test_mixed_entries_keep_their_content(self):
+        x = Mat2(Fraction(1, 3), 2, True, Fraction(-5, 6))
+        assert (x._n, x._d) == ((2, 12, 6, -5), 6)
+        assert all(type(v) is int for v in (*x._n, x._d))
 
 
 class TestRationalText:

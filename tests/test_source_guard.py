@@ -21,9 +21,13 @@ lists the names a function or module may not use: the natural order and
 the meet of two lines are decided by minors, not by a solve, the inverse
 chart builds no `Fraction`, the semigroup predicates, the order report and
 the two characterizations read no trace, det, canonical product or
-`Fraction` (and the predicates multiply no `Mat2`), and neither the lane
-helper, `uniform_rows` nor export builds a `Stream`.  In the check suites only one helper counts trials and only
-one keys a seeded stream.  Every module-level `def` and `class` is named
+`Fraction` (and the predicates multiply no `Mat2`), the comparisons of the
+certified identities read no det, trace, inner or `Fraction`, and neither
+the lane helper, `uniform_rows` nor export builds a `Stream`.  Each certified
+identity still calls the map it certifies (`CERTIFIED_MAPS`), and the
+nilpotent chart point does no arithmetic on its `Fraction` parameters.  In
+the check suites only one helper counts trials and only one keys a seeded
+stream.  Every module-level `def` and `class` is named
 by some package code: a name that only tests reach is deleted, not kept
 as a second door.
 """
@@ -80,8 +84,12 @@ def _imported_names(tree):
 
 
 def _function(module, name):
-    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
-    return next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+    """The `def` of `name` in `module`; a dotted name reaches a nested `def`,
+    such as `check_bell_identity.holds`."""
+    node = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    for part in name.split("."):
+        node = next(n for n in node.body if isinstance(n, ast.FunctionDef) and n.name == part)
+    return node
 
 
 def test_package_has_modules():
@@ -239,6 +247,17 @@ CONTENT_PREDICATES = [
     ("checks", "nilpotent_characterization_holds"),
 ]
 CONTENT_TESTS = {"trace", "det", "_canon", "_from_ints", "Rational"}
+# the comparisons of the certified identities and their content helpers
+IDENTITY_COMPARISONS = [
+    "restriction_holds",
+    "frame_residual_holds",
+    "check_bell_identity.holds",
+    "check_inverse_set_theorem.holds",
+    "_det_is",
+    "_trace_is",
+    "_inner_is",
+]
+IDENTITY_TESTS = {"det", "trace", "inner", "entries", "_from_ints", "Rational"}
 
 # (module, function, names its body may not use); function None is the
 # whole module
@@ -263,10 +282,55 @@ NAME_GUARDS = [
     # the report's two section columns are the same integer form; its `@`
     # only builds the sampled x
     ("semigroup", "order_section_report", CONTENT_TESTS),
-    # the restriction's moved entries are cross-multiplied against t, not read
-    # as `Fraction`s of a difference
-    ("checks", "restriction_holds", {"entries", "_from_ints", "Rational"}),
+    # the certified identities compare on content: the public det, trace and
+    # inner have checks of their own, no `Fraction` is built, and the
+    # restriction's moved entries are cross-multiplied against t, not read as
+    # the `entries` of a difference
+    *(("checks", func, IDENTITY_TESTS) for func in IDENTITY_COMPARISONS),
+    ("checks", "_nilpotent_point", {"_from_ints", "Rational"}),
 ]
+
+# (function of `checks`, the maps it must call): a certified identity keeps
+# calling the map it certifies, so a comparison on content cannot stand in
+# for the map with a copy of its formula
+CERTIFIED_MAPS = [
+    ("restriction_holds", {"point", "evaluate"}),
+    ("frame_residual_holds", {"bell_residual"}),
+    ("check_bell_identity.holds", {"bell_residual"}),
+    ("nilpotent_cone_holds", {"norm_sq"}),
+    ("check_inverse_set_theorem.holds", {"chart_eval"}),
+]
+
+
+def _calls(body) -> set[str]:
+    """The names a function body calls, bare or as an attribute."""
+    return {_spelled(n.func) for n in ast.walk(body) if isinstance(n, ast.Call)}
+
+
+def test_calls_sees_each_form():
+    src = "def f(aq, t): return aq.point(t), bell_residual(x), norm_sq"
+    assert _calls(ast.parse(src).body[0]) == {"point", "bell_residual"}
+
+
+def test_nilpotent_point_builds_no_fraction():
+    # the chart point is built from the ints of k, p and q: arithmetic on the
+    # parameters themselves, or a `Mat2` of it, would build `Fraction`s
+    body = _function("checks", "_nilpotent_point")
+    params = {a.arg for a in body.args.args}
+    operands = (
+        operand
+        for n in ast.walk(body)
+        if isinstance(n, (ast.BinOp, ast.UnaryOp))
+        for operand in ((n.left, n.right) if isinstance(n, ast.BinOp) else (n.operand,))
+    )
+    assert not {_spelled(operand) for operand in operands} & params
+    assert "Mat2" not in _calls(body)
+
+
+@pytest.mark.parametrize("func,maps", CERTIFIED_MAPS, ids=[f for f, _ in CERTIFIED_MAPS])
+def test_certified_identity_calls_its_map(func, maps):
+    missing = maps - _calls(_function("checks", func))
+    assert not missing, f"checks.{func} no longer calls {sorted(missing)}"
 
 
 @pytest.mark.parametrize("module,func", CONTENT_PREDICATES, ids=lambda v: v)
