@@ -94,15 +94,16 @@ stays sampled.
 Membership in an inverse set or a hyperplane section is always decided by
 the shipped predicates (`inverse_membership`, `section_membership`) and
 compared with an independent one (`is_inverse_pair`, the idempotent test).
-Those predicates, and the trace and det sides of the two
-characterizations, are decided on integer content by cross-multiplying:
-they compare values, not storage, so the chart check also tests that each
-chart point is in lowest terms.  So are the comparisons of the restriction
-identity, the frame identity and the chart check's read-back of s and t
-(`_det_is`, `_trace_is`, `_inner_is`), each against the value the map under
-test returns (`evaluate`, `bell_residual`, the parameter itself); the
-public `det`, `trace` and `inner` are left to the checks that test them.
-The nilpotent chart's points are built from the ints of k, p and q.
+Those predicates, the trace and det sides of the two characterizations
+and the comparisons of the restriction identity, the frame identity and
+the read-backs of the two charts call the content comparisons of `mat2`
+(`_det_is`, `_trace_is`, `_inner_is`, `_trace_of_product_is`), each
+against the value the map under test returns (`evaluate`, `bell_residual`,
+a chart parameter): they compare values, not storage, so the chart check
+also tests that each chart point is in lowest terms, and the public `det`,
+`trace` and `inner` are left to the checks that test them.  The nilpotent
+chart's points are built from the ints of k, p and q, and the square-zero
+check reads x3 = k q^2 back, since its other tests hold for every multiple.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ from greenquadrics import green, quadrics
 from greenquadrics.errors import DegeneratePairingError
 from greenquadrics.exact import QuadExt, Rational, _parts, rational_sign, to_float
 from greenquadrics.green import class_plane, classify_plane, green_eq
-from greenquadrics.mat2 import IDENTITY, Mat2, _canon, inner, inverse_mat, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _det_is, _inner_is, _trace_is, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
@@ -325,31 +326,6 @@ def _identity_check(suite, name, holds, variables, seed, trials):
 _chart_coord = partial(rand_rational, span=6, max_den=4)
 
 
-# The comparisons of the certified identities with a rational num / den,
-# den != 0, decided on the integer content of x = X / dx by cross-multiplying:
-# no `Fraction` is built.  The value compared is still the one the map under
-# test returns (`evaluate`, `bell_residual`, a chart parameter read back).
-
-
-def _det_is(x, num, den) -> bool:
-    """det x == num / den: (X1 X4 - X2 X3) den == num dx^2."""
-    n1, n2, n3, n4 = x._n
-    return (n1 * n4 - n2 * n3) * den == num * x._d * x._d
-
-
-def _trace_is(x, num, den) -> bool:
-    """tr x == num / den: (X1 + X4) den == num dx."""
-    n = x._n
-    return (n[0] + n[3]) * den == num * x._d
-
-
-def _inner_is(x, m, num, den) -> bool:
-    """<x, m> == num / den for m = M / dm: (X . M) den == num dx dm."""
-    x1, x2, x3, x4 = x._n
-    m1, m2, m3, m4 = m._n
-    return (x1 * m1 + x2 * m2 + x3 * m3 + x4 * m4) * den == num * x._d * m._d
-
-
 # --- exact ---------------------------------------------------------------
 
 
@@ -446,10 +422,14 @@ def check_inner_vs_trace(seed, trials=_TAIL):
     return _identity_check("core", "inner_product_equals_trace_form", inner_is_trace_form, variables, seed, trials)
 
 
+_E3 = Mat2(0, 0, 1, 0)  # x3 = <x, E3>
+
+
 def check_traceless_singular_squares_to_zero(seed, trials=_TAIL):
     def holds(k, p, q):
         x = _nilpotent_point(k, p, q)
-        return x.trace() == 0 and x.det() == 0 and (x @ x).is_zero()
+        # the other tests hold for every multiple of x: x3 = k q^2 pins its scale
+        return x.trace() == 0 and x.det() == 0 and (x @ x).is_zero() and _inner_is(x, _E3, *_parts(k * q * q))
 
     return _identity_check("core", "traceless_singular_is_square_zero", holds, _NILPOTENT_CHART, seed, trials)
 
@@ -556,17 +536,13 @@ def _nilpotent_chart() -> tuple:
 
 
 def idempotent_characterization_holds(x) -> bool:
-    """x is a rank-1 idempotent exactly when tr x = 1 and det x = 0, read
-    on the content x = X / d as X1 + X4 = d and X1 X4 = X2 X3."""
-    n1, n2, n3, n4 = x._n
-    return (is_idempotent(x) and x.rank() == 1) == (n1 + n4 == x._d and n1 * n4 == n2 * n3)
+    """x is a rank-1 idempotent exactly when tr x = 1 and det x = 0."""
+    return (is_idempotent(x) and x.rank() == 1) == (_trace_is(x, 1, 1) and _det_is(x, 0, 1))
 
 
 def nilpotent_characterization_holds(x) -> bool:
-    """x is nilpotent exactly when tr x = 0 and det x = 0, read on the
-    content x = X / d as X1 + X4 = 0 and X1 X4 = X2 X3."""
-    n1, n2, n3, n4 = x._n
-    return is_nilpotent(x) == (n1 + n4 == 0 and n1 * n4 == n2 * n3)
+    """x is nilpotent exactly when tr x = 0 and det x = 0."""
+    return is_nilpotent(x) == (_trace_is(x, 0, 1) and _det_is(x, 0, 1))
 
 
 # The results of a pass that several checks share, kept for the `run_checks`

@@ -16,11 +16,13 @@ and `det` here, the chart points of `semigroup`.  Each such gcd runs on
 numbers half the size of the product's.  Arithmetic, `det`, `rank` and
 the other maps are written out on the ints, and the polar form of det once
 (`_polar`, which `det_polar`, `semigroup.minus_le` and
-`sections.quadric_on_chart` read); `Fraction`s are built only at the
-accessors (`entries`, `x1`..`x4`) and for the rational scalars a map
-returns.  Entries and scalars are `int` or `Fraction`, read through
-`exact._parts` (a plain `Fraction` from its two slots); anything else (a
-float, a string, a `Decimal`) raises `TypeError`.
+`sections.quadric_on_chart` read), and each comparison of det x, tr x,
+<x, m> and tr(a x) with a rational num / den once, cross-multiplied on the
+content (`_det_is`, `_trace_is`, `_inner_is`, `_trace_of_product_is`).
+`Fraction`s are built only at the accessors (`entries`, `x1`..`x4`) and
+for the rational scalars a map returns.  Entries and scalars are `int` or
+`Fraction`, read through `exact._parts` (a plain `Fraction` from its two
+slots); anything else (a float, a string, a `Decimal`) raises `TypeError`.
 """
 
 from __future__ import annotations
@@ -217,6 +219,31 @@ def _polar(x: tuple, y: tuple) -> int:
     x1, x2, x3, x4 = x
     y1, y2, y3, y4 = y
     return x1 * y4 + y1 * x4 - x2 * y3 - y2 * x3
+
+
+def _det_is(x: Mat2, num: int, den: int) -> bool:
+    """det x == num / den: (X1 X4 - X2 X3) den == num dx^2."""
+    n1, n2, n3, n4 = x._n
+    return (n1 * n4 - n2 * n3) * den == num * x._d * x._d
+
+
+def _trace_is(x: Mat2, num: int, den: int) -> bool:
+    """tr x == num / den: (X1 + X4) den == num dx."""
+    return (x._n[0] + x._n[3]) * den == num * x._d
+
+
+def _inner_is(x: Mat2, m: Mat2, num: int, den: int) -> bool:
+    """<x, m> == num / den for m = M / dm: (X . M) den == num dx dm."""
+    x1, x2, x3, x4 = x._n
+    m1, m2, m3, m4 = m._n
+    return (x1 * m1 + x2 * m2 + x3 * m3 + x4 * m4) * den == num * x._d * m._d
+
+
+def _trace_of_product_is(a: Mat2, x: Mat2, num: int, den: int) -> bool:
+    """tr(a x) == num / den for a = A / da: (A1 X1 + A2 X3 + A3 X2 + A4 X4) den == num da dx."""
+    a1, a2, a3, a4 = a._n
+    x1, x2, x3, x4 = x._n
+    return (a1 * x1 + a2 * x3 + a3 * x2 + a4 * x4) * den == num * a._d * x._d
 
 
 def det_polar(x: Mat2, y: Mat2) -> Rational:

@@ -5,7 +5,8 @@ is a quadric surface whose affine type depends only on the rank of `a` and
 whether lam vanishes.  Two classification routes are provided: the
 theorem-level table (`classify_section`) and the generic pipeline
 (`restrict_quadric` + `classify_affine_quadric`), and the test suite pins
-their agreement.
+their agreement.  `membership`, `section_membership` and the level test of
+`to_bell` call the content comparisons of `mat2` (no product, no `Fraction`).
 
 Inside P(I; lam) the orthonormal frame with origin (lam/2) I turns the
 slice into X^2 + Y^2 - Z^2 = lam^2 / 2; those coordinates live in Q(sqrt 2)
@@ -36,7 +37,7 @@ from typing import NamedTuple
 from greenquadrics.errors import NotOnHyperplaneError, ZeroCoefficientError
 from greenquadrics.exact import QuadExt, Rational, SQRT2, _as_rational, _from_ints, _parts, _quadext
 from greenquadrics.green import colspace, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _polar, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _det_is, _polar, _trace_is, _trace_of_product_is, outer
 from greenquadrics.quadrics import QuadricClass, classify_content
 
 __all__ = [
@@ -93,11 +94,11 @@ class Hyperplane:
 
 
 def membership(h: Hyperplane, x: Mat2) -> bool:
-    return (h.a @ x).trace() == h.lam
+    return _trace_of_product_is(h.a, x, *_parts(h.lam))
 
 
 def section_membership(h: Hyperplane, x: Mat2) -> bool:
-    return x.det() == 0 and membership(h, x)
+    return _det_is(x, 0, 1) and membership(h, x)
 
 
 class BellPoint(NamedTuple):
@@ -137,12 +138,11 @@ def to_bell(x, lam) -> BellPoint:
     """
     lam = _as_rational(lam)
     if isinstance(x, Mat2):
+        if not _trace_is(x, *_parts(lam)):
+            raise NotOnHyperplaneError("trace differs from the frame level")
         # (x1 - x4)/sqrt2 = ((n1 - n4) / 2d) sqrt2, and likewise Y and Z
         n1, n2, n3, n4 = x._n
-        d = x._d
-        if (n1 + n4) * lam.denominator != lam.numerator * d:
-            raise NotOnHyperplaneError("trace differs from the frame level")
-        d2 = 2 * d
+        d2 = 2 * x._d
         return BellPoint(
             X=_quadext(0, n1 - n4, d2),
             Y=_quadext(0, n2 + n3, d2),

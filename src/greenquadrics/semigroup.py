@@ -10,12 +10,13 @@ parameter pair (s, t).
 The predicates decide values on content, cross-multiplied (Knuth, TAOCP
 Vol. 2, 4.5.1): with x = X / d, x x = x is X X = d X and x x = 0 is X X = 0;
 with a = A / da, a x a = a and x a x = x are A X A = da dx A and
-X A X = da dx X, and the section test tr(a x) = 1, det x = 0 is
-tr(A X) = da dx, det X = 0.  They build no `Mat2` product, no canonical
-form and no `Fraction`, so they see values, not storage: a matrix in the
-right value but not in lowest terms passes them, and the chart check of
-`gq check` tests the lowest terms of each chart point itself.
-`order_section_report` reads its two section columns in the same form.
+X A X = da dx X.  The section test tr(a x) = 1, det x = 0 of
+`inverse_membership` and of both columns of `order_section_report` calls
+`mat2._trace_of_product_is` and `mat2._det_is`; the oracles (the
+predicates above and the two orders) call neither.  None builds a `Mat2` product, a canonical form or a `Fraction`,
+so they see values, not storage: a matrix in the right value but not in
+lowest terms passes them, and the chart check of `gq check` tests the
+lowest terms of each chart point itself.
 
 The order, chart and line paths compute on the integer content of a
 `Mat2` (`_n` over `_d`), not on `Fraction` entries.  A rank-1 content X
@@ -51,8 +52,10 @@ from greenquadrics.green import ProjLine
 from greenquadrics.mat2 import (
     IDENTITY,
     Mat2,
+    _det_is,
     _polar,
     _raw,
+    _trace_of_product_is,
     inverse_mat,
     outer,
     primitive_direction,
@@ -122,15 +125,12 @@ def is_inverse_pair(a: Mat2, x: Mat2) -> bool:
 def inverse_membership(a: Mat2, x: Mat2) -> bool:
     """Section test tr(a x) = 1 and det(x) = 0 for rank-1 `a`.
 
-    On the content a = A / da and x = X / dx: tr(A X) = da dx and det X = 0.
     Equivalent to `is_inverse_pair(a, x)`; the equivalence is a tested
     theorem, not assumed here.
     """
     if a.rank() != 1:
         raise NotRankOneError("inverse-set membership is for rank-1 matrices")
-    a1, a2, a3, a4 = a._n
-    x1, x2, x3, x4 = x._n
-    return a1 * x1 + a2 * x3 + a3 * x2 + a4 * x4 == a._d * x._d and x1 * x4 == x2 * x3
+    return _trace_of_product_is(a, x, 1, 1) and _det_is(x, 0, 1)
 
 
 def _factor(n: tuple) -> tuple[tuple[int, int], tuple[int, int], int]:
@@ -396,9 +396,6 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
     if a.rank() != 2:
         raise SingularMatrixError("order/section report needs a nonsingular a")
     ainv = inverse_mat(a)
-    # x in SP(m; 1) reads tr(M X) = dm dx and det X = 0 on content
-    a1, a2, a3, a4 = a._n
-    b1, b2, b3, b4 = ainv._n
     agree_inv = agree = 0
     counterexamples = []
     for i in range(trials):
@@ -411,10 +408,9 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
         else:
             x = a @ rand_idempotent_rank1(rng)
         le = natural_le(x, a)
-        x1, x2, x3, x4 = x._n
-        singular = x1 * x4 == x2 * x3
-        in_section = singular and a1 * x1 + a2 * x3 + a3 * x2 + a4 * x4 == a._d * x._d
-        in_inv_section = singular and b1 * x1 + b2 * x3 + b3 * x2 + b4 * x4 == ainv._d * x._d
+        singular = _det_is(x, 0, 1)
+        in_section = singular and _trace_of_product_is(a, x, 1, 1)
+        in_inv_section = singular and _trace_of_product_is(ainv, x, 1, 1)
         if le == in_inv_section:
             agree_inv += 1
         elif len(counterexamples) < 10:

@@ -60,6 +60,10 @@ _INVERSE_IMAGE = (("check_inverse_image_law", None),), ("section_is_inverse_imag
 _RESTRICTION = (("check_restriction_identity", None),), ("restriction_identity",)
 _CLEAR = (("check_restriction_identity", 8),), ("restriction_identity",)
 _FRAME = (("check_bell_identity", None),), ("frame_identity_exact",)
+_TRACE = (("check_bell_identity", None), ("check_rank1_idempotent_characterization", None)), (
+    "frame_identity_exact",
+    "rank1_idempotent_iff_trace1_det0",
+)
 _ROUNDTRIP = (("check_bell_roundtrip", None),), ("frame_roundtrip_exact",)
 _FIELD = (("check_quadext_field", None),), ("quadext_field_axioms",)
 _SIGN = (("check_quadext_sign", None),), ("quadext_sign_float_bridge",)
@@ -117,22 +121,18 @@ FAULTS = [
         ("nilpotent-det-only", _SQUARE_IS_ZERO, "return x1 * x4 == x2 * x3", "singular is not nilpotent")),
     *_rows("checks.idempotent_characterization_holds", *_IDEMPOTENTS,
         ("rank-at-most-1", "x.rank() == 1", "x.rank() <= 1", "the zero matrix is idempotent of rank 0"),
-        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped"),
-        ("characterization-trace-against-one", "n1 + n4 == x._d", "n1 + n4 == 1",
-         "the trace test against 1 on content: right on integer matrices")),
-    *_rows("semigroup.inverse_membership", *_MEMBERSHIP,
-        ("membership-one-denominator", "== a._d * x._d", "== x._d",
-         "tr(a x) = 1 over dx only: right whenever a has integer entries")),
+        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped")),
+    *_rows("mat2._trace_of_product_is",
+        (*_MEMBERSHIP[0], ("check_order_section_reports", None)),
+        (*_MEMBERSHIP[1], "order_below_a_is_inverse_section"),
+        ("membership-one-denominator", "num * a._d * x._d", "num * x._d",
+         "tr(a x) over dx only, in the inverse-set test and both report columns: right whenever a has integer entries")),
     *_rows("semigroup.is_inverse_pair", _MEMBERSHIP[0], ("section_membership_iff_inverse_pair",),
         ("inverse-pair-xax-optional", "    return (\n        x1 * p1", "    return True or (\n        x1 * p1",
          "a x a = a alone: true of an invertible x whenever a is rank 1 and tr(a x) = 1")),
     *_rows("semigroup.is_inverse_pair", *_CHART,
         ("inverse-pair-scale-no-dx", "k = a._d * x._d", "k = a._d",
          "both products scaled by da only: right whenever x has integer entries")),
-    *_rows("semigroup.order_section_report", (("check_order_section_reports", None),),
-        ("order_below_a_is_inverse_section",),
-        ("report-inverse-section-one-denominator", "== ainv._d * x._d", "== x._d",
-         "the inverse section's trace test over dx only: right whenever inv(a) has integer entries")),
     *_rows("semigroup.chart_eval", *_CHART,
         ("chart-swapped-denominators", "sn, sd = _parts(s)\n    tn, td = _parts(t)",
          "sn, td = _parts(s)\n    tn, sd = _parts(t)",
@@ -167,7 +167,7 @@ FAULTS = [
     *_rows("mat2.inverse_mat", *_INVERSE_IMAGE,
         ("inverse-off-by-content", "c * det)", "det)", "c inv(a) is still an inverse's direction: a x == y sees it")),
     *_rows("sections.section_membership", *_INVERSE_IMAGE,
-        ("section-membership-no-det", "x.det() == 0 and ", "", "without det = 0 the section is the whole plane")),
+        ("section-membership-no-det", "_det_is(x, 0, 1) and ", "", "without det = 0 the section is the whole plane")),
     *_rows("sections.AffineQuadric3.evaluate", *_RESTRICTION,
         ("evaluate-linear-term", "+ dd * (b1 * u1", "+ (b1 * u1", "the linear term over D^2: integer points hide it"),
         ("evaluate-no-s12", "s11 * u1 + s12 * u2 + s13 * u3", "s11 * u1 + s13 * u3", "one cross term dropped"),
@@ -180,13 +180,14 @@ FAULTS = [
         ("bell-dropped-half", "2 * x._d * x._d", "x._d * x._d",
          "twice the residual is zero on every singular slice: only -2 det x sees it"),
         ("bell-scale-slip", "2 * x._d * x._d", "2 * x._d", "a residual over 2d is still zero on the variety")),
-    *_rows("checks._det_is", (_RESTRICTION[0][0], _FRAME[0][0]), (_RESTRICTION[1][0], _FRAME[1][0]),
+    *_rows("mat2._det_is", (_RESTRICTION[0][0], _FRAME[0][0]), (_RESTRICTION[1][0], _FRAME[1][0]),
         ("det-is-one-denominator", "num * x._d * x._d", "num * x._d", "det x over dx, not dx^2: right on integer x")),
     *_rows("checks.frame_residual_holds", *_FRAME,
         ("frame-residual-no-factor-two", "2 * rd", "rd", "the residual against -det x: zero on the singular slices")),
-    *_rows("checks._trace_is", *_FRAME,
-        ("trace-is-one-denominator", "num * x._d", "num", "tr x against lam over 1, not dx: right on integer x")),
-    *_rows("checks._inner_is", *_CHART,
+    *_rows("mat2._trace_is", *_TRACE,
+        ("trace-is-one-denominator", "num * x._d", "num",
+         "tr x against lam or the characterization's 1 over 1, not dx: right on integer x")),
+    *_rows("mat2._inner_is", *_CHART,
         ("chart-read-one-denominator", "num * x._d * m._d", "num * x._d",
          "the read-back of s and t without m's denominator: right whenever |m|^2 divides m")),
     *_rows("checks._nilpotent_point",
@@ -194,6 +195,19 @@ FAULTS = [
         ("traceless_singular_is_square_zero", "nilpotent_cone_45_degree_identity"),
         ("nilpotent-point-one-pd", "kn * b * b", "kn * b * qn",
          "the q^2 entry over pd, not pd^2: right whenever p is an integer")),
+    *_rows("checks._nilpotent_point",
+        (("check_traceless_singular_squares_to_zero", None), ("check_nilpotent_cone_identity", None)),
+        ("traceless_singular_is_square_zero",),
+        ("nilpotent-point-scaled", "kd * e * e", "kd * e",
+         "every point times pd qd: x^2 = 0, tr = det = 0 and the cone hold for every multiple of x")),
+    *_rows("sections.hyperboloid_metrics",
+        (("check_symmetric_slice", None), ("check_metrics_family", None)),
+        ("symmetric_idempotents_form_radius_circle", "metrics_family_shares_axis_and_cone"),
+        ("metrics-center-no-half", "center=IDENTITY * (lam * _HALF)", "center=IDENTITY * lam",
+         "the centre lam I on the scalar line, off the centre of the slice")),
+    *_rows("sections.hyperboloid_metrics", (("check_metrics_family", None),), ("metrics_family_shares_axis_and_cone",),
+        ("metrics-radius-no-lam-squared", "lam * lam * _HALF", "lam * _HALF",
+         "a radius^2 of lam / 2: right at lam = 0 and 1")),
     *_rows("sections.to_bell", *_ROUNDTRIP,
         ("to-bell-swapped-coordinate", "Y=_quadext(0, n2 + n3", "Y=_quadext(0, n2 - n3",
          "Y from x2 - x3 is still rational, and right whenever x3 = 0")),

@@ -8,7 +8,7 @@ import pytest
 from draws import wide
 from faults import BY_ID, FAULTS, _resolve, install
 
-from greenquadrics import checks, cli, semigroup
+from greenquadrics import checks, cli, mat2, sections, semigroup
 from greenquadrics.exact import Rational, _parts, rational_sign
 from greenquadrics.mat2 import Mat2, inner
 from greenquadrics.sampling import (
@@ -22,7 +22,7 @@ from greenquadrics.sampling import (
     rand_wide_rational,
     rng_for,
 )
-from greenquadrics.sections import bell_residual, restrict_quadric
+from greenquadrics.sections import Hyperplane, bell_residual, restrict_quadric
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -271,25 +271,43 @@ def _comparison_bases():
 
 
 # name -> (the comparison on content, its `Fraction` definition, the value
-# of the definition at (x, m)); each is asked about x against the value at x
-# and at each one-entry near miss of x
+# of the definition at (x, m)); each is asked about x against the value at x,
+# at each one-entry near miss of x and at each of `_LEVELS`.  The sections
+# are P(m; v), so `membership` and `section_membership` run at the levels
+# 0, 1, -3/2 and one 64-bit level too
 _COMPARISONS = {
     "det": (
-        lambda x, m, v: checks._det_is(x, *_parts(v)),
+        lambda x, m, v: mat2._det_is(x, *_parts(v)),
         lambda x, m, v: x.det() == v,
         lambda x, m: x.det(),
     ),
     "trace": (
-        lambda x, m, v: checks._trace_is(x, *_parts(v)),
+        lambda x, m, v: mat2._trace_is(x, *_parts(v)),
         lambda x, m, v: x.trace() == v,
         lambda x, m: x.trace(),
     ),
     "inner": (
-        lambda x, m, v: checks._inner_is(x, m, *_parts(v)),
+        lambda x, m, v: mat2._inner_is(x, m, *_parts(v)),
         lambda x, m, v: inner(x, m) == v,
         lambda x, m: inner(x, m),
     ),
+    "trace of product": (
+        lambda x, m, v: mat2._trace_of_product_is(m, x, *_parts(v)),
+        lambda x, m, v: (m @ x).trace() == v,
+        lambda x, m: (m @ x).trace(),
+    ),
+    "membership": (
+        lambda x, m, v: sections.membership(Hyperplane(m, v), x),
+        lambda x, m, v: (m @ x).trace() == v,
+        lambda x, m: (m @ x).trace(),
+    ),
+    "section membership": (
+        lambda x, m, v: sections.section_membership(Hyperplane(m, v), x),
+        lambda x, m, v: (m @ x).trace() == v and x.det() == 0,
+        lambda x, m: (m @ x).trace(),
+    ),
 }
+_LEVELS = (Rational(0), Rational(1), Rational(-3, 2), rand_wide_rational(rng_for(359, 0)))
 
 
 def _nilpotent_points():
@@ -315,7 +333,7 @@ def _disagreements():
         moved = _near_misses(base)
         for name, (content, definition, value) in _COMPARISONS.items():
             for x in (base, *moved):
-                for v in (value(x, m), *(value(y, m) for y in moved[::3])):
+                for v in (value(x, m), *(value(y, m) for y in moved[::3]), *_LEVELS):
                     want = definition(x, m, v)
                     if content(x, m, v) != want:
                         differ.add(name)
@@ -341,8 +359,11 @@ _COMPARISON_ROWS = {
     "det-is-one-denominator": "det",
     "trace-is-one-denominator": "trace",
     "chart-read-one-denominator": "inner",
+    "membership-one-denominator": "trace of product",
+    "section-membership-no-det": "section membership",
     "frame-residual-no-factor-two": "frame",
     "nilpotent-point-one-pd": "nilpotent point",
+    "nilpotent-point-scaled": "nilpotent point",
 }
 
 

@@ -18,7 +18,7 @@ from greenquadrics.errors import (
 )
 from greenquadrics.exact import Rational
 from greenquadrics.green import ProjLine, colspace, rowspace
-from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, inner, inverse_mat, outer
+from greenquadrics.mat2 import IDENTITY, Mat2, ZERO, _trace_of_product_is, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
@@ -33,6 +33,7 @@ from greenquadrics.sampling import (
     rand_wide_rational,
     rng_for,
 )
+from greenquadrics.sections import Hyperplane, membership, section_membership
 from greenquadrics.semigroup import (
     GeneratorLine,
     InverseChart,
@@ -798,11 +799,39 @@ def _assert_pairs_match(pairs):
     return seen
 
 
+# the levels of the sections P(a; lam) of `_assert_sections_match`
+LEVELS = (Rational(0), Rational(1), Rational(-3, 2), rand_wide_rational(rng_for(269, 0)))
+
+
+def _assert_sections_match(pairs):
+    """`_trace_of_product_is`, `membership` and `section_membership` equal
+    tr(a x) == lam through `@` and `trace()`, and det x == 0 through `det()`,
+    at each of `LEVELS`: at x, and at x scaled onto P(a; lam) where
+    tr(a x) != 0.  Return the (lam, on the plane, in the section) seen."""
+    seen = set()
+    for a, x in pairs:
+        t = (a @ x).trace()
+        for lam in LEVELS:
+            h = Hyperplane(a, lam)
+            for y in (x, x * (lam / t)) if t else (x,):
+                on = (a @ y).trace() == lam
+                member = on and y.det() == 0
+                assert _trace_of_product_is(a, y, lam.numerator, lam.denominator) == on, (a, y, lam)
+                assert membership(h, y) == on and section_membership(h, y) == member, (a, y, lam)
+                seen.add((lam, on, member))
+    return seen
+
+
+# every level sees a point off its plane, and points on it in and off the section
+EVERY_LEVEL = {(lam, on, member) for lam in LEVELS for on, member in ((True, True), (True, False), (False, False))}
+
+
 class TestContentPredicatesMatchDefinitions:
     """Each predicate decided on content equals its definition through `@`,
     `trace()` and `det()`: on the span-2 grid with denominators (1, 2), on
     the idempotent, nilpotent and inverse charts and their one-entry near
-    misses, and on 64- and 256-bit draws."""
+    misses, and on 64- and 256-bit draws.  The section tests of `mat2` and
+    `sections` are asked at the levels 0, 1, -3/2 and one 64-bit level."""
 
     def test_half_grid(self):
         assert len(HALF_GRID) == 7**4
@@ -812,6 +841,7 @@ class TestContentPredicatesMatchDefinitions:
         assert {a.rank() for a in sample} == {0, 1, 2}
         seen = _assert_pairs_match((a, x) for a in sample for x in HALF_GRID)
         assert seen == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+        assert _assert_sections_match((a, x) for a in sample[::3] for x in HALF_GRID[::7]) == EVERY_LEVEL
 
     def test_charts_and_near_misses(self):
         idempotents, nilpotents = checks._idempotent_charts(), checks._nilpotent_chart()
@@ -827,17 +857,21 @@ class TestContentPredicatesMatchDefinitions:
             pairs += [(a, x) for x in idempotents[::7]]
         seen = _assert_pairs_match(pairs)
         assert seen == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+        assert _assert_sections_match(pairs[::5]) == EVERY_LEVEL
 
     @pytest.mark.parametrize("bits", [64, 256])
     def test_wide_draws(self, bits):
-        seen_singles, seen_pairs = set(), set()
+        seen_singles, seen_pairs, seen_sections = set(), set(), set()
         for e, n, a, x, other in _wide_draws(bits):
             assert e.rank() == a.rank() == 1 and max(v.bit_length() for v in x._n) > bits
             seen_singles |= _assert_singles_match((e, n, other, *_near_misses(e, 1), *_near_misses(n, 1)))
             pairs = [(a, x), (x, a), (a, other), (other, a), (a, e), (e, e)]
             seen_pairs |= _assert_pairs_match(pairs + [(a, y) for y in _near_misses(x, 1)])
+            # tr(a x) = 1, so other - tr(a other) x is a point of P(a; 0), nonsingular as a rule
+            seen_sections |= _assert_sections_match(pairs + [(a, other - x * (a @ other).trace())])
         assert seen_singles == {(True, False), (False, True), (False, False)}
         assert seen_pairs == {("pair", True), ("pair", False), ("member", True), ("member", False)}
+        assert seen_sections == EVERY_LEVEL
 
     def test_order_section_report(self):
         draws = [rand_invertible(rng_for(263, i)) for i in range(4)]

@@ -19,11 +19,14 @@ the minus order forms no difference y - x, and SplitMix64 is mixed in
 `Stream.offsets` and the lane helper `_lane_offsets` only.  One table, `NAME_GUARDS`,
 lists the names a function or module may not use: the natural order and
 the meet of two lines are decided by minors, not by a solve, the inverse
-chart builds no `Fraction`, the semigroup predicates, the order report and
-the two characterizations read no trace, det, canonical product or
-`Fraction` (and the predicates multiply no `Mat2`), the comparisons of the
-certified identities read no det, trace, inner or `Fraction`, and neither
-the lane helper, `uniform_rows` nor export builds a `Stream`.  Each certified
+chart builds no `Fraction`, the semigroup predicates, the section tests,
+the order report and the two characterizations read no trace, det,
+canonical product or `Fraction` (and the predicates multiply no `Mat2`),
+the comparisons of the certified identities and the content comparisons of
+`mat2` read no det, trace, inner or `Fraction`, and neither the lane
+helper, `uniform_rows` nor export builds a `Stream`.  The five oracles
+(`is_idempotent`, `is_nilpotent`, `is_inverse_pair`, `natural_le`,
+`minus_le`) read none of those content comparisons.  Each certified
 identity still calls the map it certifies (`CERTIFIED_MAPS`), and the
 nilpotent chart point does no arithmetic on its `Fraction` parameters.  In
 the check suites only one helper counts trials and only one keys a seeded
@@ -245,19 +248,28 @@ CONTENT_PREDICATES = [
     ("semigroup", "inverse_membership"),
     ("checks", "idempotent_characterization_holds"),
     ("checks", "nilpotent_characterization_holds"),
+    ("sections", "membership"),
+    ("sections", "section_membership"),
 ]
 CONTENT_TESTS = {"trace", "det", "_canon", "_from_ints", "Rational"}
-# the comparisons of the certified identities and their content helpers
+# the comparisons of the certified identities and the content comparisons
+# of `mat2` they share with the section tests
 IDENTITY_COMPARISONS = [
-    "restriction_holds",
-    "frame_residual_holds",
-    "check_bell_identity.holds",
-    "check_inverse_set_theorem.holds",
-    "_det_is",
-    "_trace_is",
-    "_inner_is",
+    ("checks", "restriction_holds"),
+    ("checks", "frame_residual_holds"),
+    ("checks", "check_bell_identity.holds"),
+    ("checks", "check_inverse_set_theorem.holds"),
+    ("mat2", "_det_is"),
+    ("mat2", "_trace_is"),
+    ("mat2", "_inner_is"),
+    ("mat2", "_trace_of_product_is"),
 ]
 IDENTITY_TESTS = {"det", "trace", "inner", "entries", "_from_ints", "Rational"}
+# the independent oracles that `gq check` compares the section tests and the
+# characterizations with: an oracle that read a content comparison of `mat2`
+# would compare that comparison with itself
+ORACLES = ["is_idempotent", "is_nilpotent", "is_inverse_pair", "natural_le", "minus_le"]
+CONTENT_COMPARISONS = {"_det_is", "_trace_is", "_inner_is", "_trace_of_product_is"}
 
 # (module, function, names its body may not use); function None is the
 # whole module
@@ -286,7 +298,7 @@ NAME_GUARDS = [
     # inner have checks of their own, no `Fraction` is built, and the
     # restriction's moved entries are cross-multiplied against t, not read as
     # the `entries` of a difference
-    *(("checks", func, IDENTITY_TESTS) for func in IDENTITY_COMPARISONS),
+    *((module, func, IDENTITY_TESTS) for module, func in IDENTITY_COMPARISONS),
     ("checks", "_nilpotent_point", {"_from_ints", "Rational"}),
 ]
 
@@ -337,6 +349,12 @@ def test_certified_identity_calls_its_map(func, maps):
 def test_content_predicates_multiply_no_mat2(module, func):
     # a product of matrices would be a `Mat2` reduced by `_canon`
     assert not any(isinstance(n, ast.MatMult) for n in ast.walk(_function(module, func))), f"{module}.{func} uses @"
+
+
+@pytest.mark.parametrize("func", ORACLES)
+def test_oracles_read_no_content_comparison(func):
+    used = {_spelled(n) for n in ast.walk(_function("semigroup", func))} & CONTENT_COMPARISONS
+    assert not used, f"semigroup.{func} uses {sorted(used)}"
 
 
 @pytest.mark.parametrize("module,func,forbidden", NAME_GUARDS, ids=[f"{m}-{f or 'module'}" for m, f, _ in NAME_GUARDS])
