@@ -121,7 +121,9 @@ FAULTS = [
         ("nilpotent-det-only", _SQUARE_IS_ZERO, "return x1 * x4 == x2 * x3", "singular is not nilpotent")),
     *_rows("checks.idempotent_characterization_holds", *_IDEMPOTENTS,
         ("rank-at-most-1", "x.rank() == 1", "x.rank() <= 1", "the zero matrix is idempotent of rank 0"),
-        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped")),
+        ("no-rank-test", " and x.rank() == 1", "", "the rank test of the characterization dropped"),
+        ("characterization-trace-against-one", "_trace_is(x, 1, 1)", "_trace_is(x, 1, x._d)",
+         "the trace's numerator sum against 1: right on integer matrices")),
     *_rows("mat2._trace_of_product_is",
         (*_MEMBERSHIP[0], ("check_order_section_reports", None)),
         (*_MEMBERSHIP[1], "order_below_a_is_inverse_section"),
@@ -133,6 +135,11 @@ FAULTS = [
     *_rows("semigroup.is_inverse_pair", *_CHART,
         ("inverse-pair-scale-no-dx", "k = a._d * x._d", "k = a._d",
          "both products scaled by da only: right whenever x has integer entries")),
+    *_rows("semigroup.order_section_report", (("check_order_section_reports", None),),
+        ("order_below_a_is_inverse_section",),
+        ("report-inverse-section-one-denominator", "_trace_of_product_is(ainv, x, 1, 1)",
+         "_trace_of_product_is(ainv, x, 1, ainv._d)",
+         "the inverse section's trace test over dx only: right whenever inv(a) has integer entries")),
     *_rows("semigroup.chart_eval", *_CHART,
         ("chart-swapped-denominators", "sn, sd = _parts(s)\n    tn, td = _parts(t)",
          "sn, td = _parts(s)\n    tn, sd = _parts(t)",
