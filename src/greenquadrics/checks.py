@@ -16,12 +16,18 @@ a trial.  The cases draw from the streams keyed by (seed, index); the
 predicates draw nothing.  A trial that draws a fixed tuple of samplers
 takes it from `_draws`, which mixes the streams of 512 trials at once
 (`sampling.lane_draws`) and falls back to each trial's own stream when a
-first attempt is rejected or a sampler has no lane form; the stratified
-loops, which choose their samplers by trial, take `_streams`.  An
-exception raised while a case is drawn or decided fails that check
-alone, on its own line, and the run goes on; so a check draws and builds
-in its case stream, not before it (the lanes build each trial's values
-as it is yielded).
+first attempt is rejected or a sampler has no lane form.  The stratified
+loops, which choose their samplers by trial or redraw inside a trial,
+take the first attempt of each trial from `sampling.strata_draws`, one
+strided run of lanes per stratum, and build their cases from it; a trial
+that needs any draw after its first attempt (a rejected attempt, a zero
+point of a class plane, a singular change of basis or of chart, a second
+idempotent equal to the first) is drawn whole on its own stream, by the
+check's scalar code where the check redraws.  An exception raised while
+a case is drawn or decided fails that check alone, on its own line, and
+the run goes on; so a check draws and builds in its case stream, not
+before it, the charts and metrics it reads included (the lanes build
+each trial's values as it is yielded).
 
 Eleven checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -121,6 +127,7 @@ from greenquadrics.green import class_plane, classify_plane, green_eq
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _det_is, _inner_is, _trace_is, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
+    _draw,
     grid_matrices,
     grid_values,
     lane_draws,
@@ -133,7 +140,7 @@ from greenquadrics.sampling import (
     rand_singular_with_trace,
     rand_wide_mat,
     rand_wide_rational,
-    rng_for,
+    strata_draws,
 )
 from greenquadrics.sections import (
     Hyperplane,
@@ -218,11 +225,6 @@ class CheckResult(NamedTuple):
     def line(self) -> str:
         mark = "pass" if self.ok else "FAIL"
         return f"[{mark}] {self.suite}/{self.name}: {self.detail}"
-
-
-def _streams(seed, trials):
-    """The stream keyed (seed, i) for each trial i."""
-    return (rng_for(seed, i) for i in range(trials))
 
 
 def _draws(seed, trials, *samplers, first=0):
@@ -310,9 +312,15 @@ def _wide_draws(variables, seed, trials, first=0):
     return _draws(seed, trials, *(draw for _, draw in variables), first=first)
 
 
-def _wide_points(variables, rng, count):
-    """`count` 64-bit points of `variables` drawn in turn from `rng`."""
-    return (tuple(draw(rng) for _, draw in variables) for _ in range(count))
+def _tail_samplers(variables, count):
+    """The samplers of `count` 64-bit points of `variables`, in turn."""
+    return tuple(draw for _, draw in variables) * count
+
+
+def _tail_points(variables, values):
+    """The points of `variables` that the values of `_tail_samplers` make."""
+    values = iter(values)
+    return zip(*[values] * len(variables))
 
 
 def _identity_check(suite, name, holds, variables, seed, trials):
@@ -360,33 +368,36 @@ def _root2_sign(a, b) -> int:
     return sa if a * a > 2 * b * b else sb
 
 
-def _near_root2(rng):
+def _near_root2(offsets):
     """(a, b) = +-(p/q, -1) for one of the convergents p/q of sqrt2 from 1393/985
-    on, which lie on both sides of sqrt2: |a + b sqrt2| < 4e-7."""
-    k, s = rng.offsets(4, 2)
+    on, which lie on both sides of sqrt2: |a + b sqrt2| < 4e-7.  The offsets
+    (k, s) are those of one `offsets(4, 2)` call."""
+    k, s = offsets
     p, q = 1393, 985
     for _ in range(k):
         p, q = p + 2 * q, p + q
     return (Rational(p, q), Rational(-1)) if s else (Rational(-p, q), Rational(1))
 
 
+# the sampler of a near-miss pair, whose lane form is `_near_root2` itself
+_NEAR_ROOT2 = partial(_draw, form=((4, 2), _near_root2))
+
+
 def check_quadext_sign(seed, trials=2000):
     """Every trial compares `sign()` with an expected sign: the float's away
     from zero, and an exact decision on the parts within 1e-6 of it (zero
     included, which must give 0).  Small parts come that near only at 0, so
-    every eighth trial is a near-miss of `_near_root2`, of opposite parts."""
+    every eighth trial is a near-miss of `_near_root2`, of opposite parts.
+    A rational value's float must also be `float` of it, the nearest double."""
 
     def holds(a, b):
         p = QuadExt(a, b)
         f = to_float(p)
         expected = (1 if f > 0 else -1) if abs(f) > 1e-6 else _root2_sign(a, b)
-        return p.sign() == expected
+        return p.sign() == expected and (b != 0 or f == float(a))
 
-    def cases():
-        for i, rng in enumerate(_streams(seed, trials)):
-            yield _near_root2(rng) if i % 8 == 0 else (rand_rational(rng), rand_rational(rng))
-
-    return _tally("exact", "quadext_sign_float_bridge", cases(), holds)
+    strata = [((_NEAR_ROOT2,), lambda pair: pair)] + [((rand_rational, rand_rational), lambda a, b: (a, b))] * 7
+    return _tally("exact", "quadext_sign_float_bridge", strata_draws(seed, trials, strata), holds)
 
 
 # --- core ----------------------------------------------------------------
@@ -438,25 +449,30 @@ def check_traceless_singular_squares_to_zero(seed, trials=_TAIL):
 
 
 def check_class_plane_membership(seed, trials=1000):
-    def cases():
-        for rng in _streams(seed, trials):
-            a = rand_rank1(rng)
-            points = []
-            for rel in ("L", "R"):
-                b1, b2 = class_plane(rel, a)
-                # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
-                while True:
-                    s, t = rand_rational(rng), rand_rational(rng)
-                    x = b1 * s + b2 * t
-                    if not x.is_zero():
-                        break
-                points.append(x)
-            yield a, *points
+    def first(a, s_l, t_l, s_r, t_r):
+        (l1, l2), (r1, r2) = class_plane("L", a), class_plane("R", a)
+        x_l, x_r = l1 * s_l + l2 * t_l, r1 * s_r + r2 * t_r
+        return None if x_l.is_zero() or x_r.is_zero() else (a, x_l, x_r)
+
+    def scalar(rng, i):
+        a = rand_rank1(rng)
+        points = []
+        for rel in ("L", "R"):
+            b1, b2 = class_plane(rel, a)
+            # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
+            while True:
+                s, t = rand_rational(rng), rand_rational(rng)
+                x = b1 * s + b2 * t
+                if not x.is_zero():
+                    break
+            points.append(x)
+        return a, *points
 
     def holds(a, x_l, x_r):
         return green_eq("L", x_l, a) and green_eq("R", x_r, a)
 
-    return _tally("green", "class_plane_points_stay_in_class", cases(), holds)
+    cases = strata_draws(seed, trials, [((rand_rank1,) + (rand_rational,) * 4, first)], scalar)
+    return _tally("green", "class_plane_points_stay_in_class", cases, holds)
 
 
 def check_d_is_rank(seed, trials=2000):
@@ -469,23 +485,30 @@ def check_d_is_rank(seed, trials=2000):
 
 
 def check_plane_classification_roundtrip(seed, trials=500):
-    def cases():
-        for i, rng in enumerate(_streams(seed, trials)):
-            a = rand_rank1(rng)
-            rel = "L" if i % 2 == 0 else "R"
-            b1, b2 = class_plane(rel, a)
-            # random invertible change of basis inside the plane
-            while True:
-                al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
-                if al * de - be * ga != 0:
-                    break
-            yield a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
+    def first(rel, a, al, be, ga, de):
+        if al * de - be * ga == 0:
+            return None
+        b1, b2 = class_plane(rel, a)
+        return a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
+
+    def scalar(rng, i):
+        a = rand_rank1(rng)
+        rel = "L" if i % 2 == 0 else "R"
+        b1, b2 = class_plane(rel, a)
+        # random invertible change of basis inside the plane
+        while True:
+            al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
+            if al * de - be * ga != 0:
+                break
+        return a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
 
     def holds(a, rel, v1, v2):
         verdict = classify_plane(v1, v2)
         return verdict.kind == rel and green_eq(rel, verdict.rep, a)
 
-    return _tally("green", "plane_classification_roundtrip", cases(), holds)
+    samplers = (rand_rank1,) + (partial(rand_rational, span=4, max_den=3),) * 4
+    cases = strata_draws(seed, trials, [(samplers, partial(first, rel)) for rel in "LR"], scalar)
+    return _tally("green", "plane_classification_roundtrip", cases, holds)
 
 
 def check_h_class_is_punctured_line(seed, trials=500):
@@ -510,6 +533,10 @@ def _idempotent_charts() -> tuple:
     quartic, quadratic = CERTIFICATE_VALUES[4], CERTIFICATE_VALUES[2]
     first = (Mat2(1 - s * t, t, s * (1 - s * t), s * t) for s, t in product(quartic, quadratic))
     return (*first, *(Mat2(0, 0, u, 1) for u in quadratic))
+
+
+# the number of points of `_idempotent_charts`, known before they are built
+_IDEMPOTENT_CHART_POINTS = (len(CERTIFICATE_VALUES[4]) + 1) * len(CERTIFICATE_VALUES[2])
 
 
 # The nilpotent chart: every nonzero nilpotent is k (p, q)^T (q, -p) =
@@ -568,20 +595,24 @@ def _characterizations(seed, trials):
     memo = _shared_passes.get()
     if memo is not None and (seed, trials) in memo:
         return memo[seed, trials]
-    idempotents, nilpotents = _idempotent_charts(), _nilpotent_chart()
-    grid = grid_matrices(grid_values(span=2, dens=(1, 2)))
-    draws = _draws(seed, trials, partial(rand_mat, span=4, max_den=4))
-    cases = chain(((x,) for x in grid), draws, ((x,) for x in chain(idempotents, nilpotents)))
+
+    def cases():
+        charts = chain(_idempotent_charts(), _nilpotent_chart())
+        yield from ((x,) for x in grid_matrices(grid_values(span=2, dens=(1, 2))))
+        yield from _draws(seed, trials, partial(rand_mat, span=4, max_den=4))
+        yield from ((x,) for x in charts)
+
+    idempotents, nilpotents = _IDEMPOTENT_CHART_POINTS, _grid_size(_NILPOTENT_CHART)
     results = _tally(
         "sets",
         ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0"),
-        cases,
+        cases(),
         (idempotent_characterization_holds, nilpotent_characterization_holds),
         (
-            f"{len(idempotents)} grid points certify the rank-1 idempotents on two charts",
-            f"{len(nilpotents)} grid points certify the nilpotents on one chart",
+            f"{idempotents} grid points certify the rank-1 idempotents on two charts",
+            f"{nilpotents} grid points certify the nilpotents on one chart",
         ),
-        (len(idempotents), len(nilpotents)),
+        (idempotents, nilpotents),
     )
     if memo is not None:
         memo[seed, trials] = results
@@ -602,17 +633,15 @@ def check_inverse_set_theorem(seed, trials=500):
     every (s, t); then `_CHART_TAIL` 64-bit points from the stream of a."""
     variables = (_scalar(2),) * 2
 
-    def cases():
-        for rng in _streams(seed, trials):
-            a = rand_rank1(rng)
-            chart = inverse_chart(a)
-            # (s, t) read back from the point, by the chart's public vectors: x c =
-            # d0 + s d1 and r^T x = q0 + t q1 for c = q0 / |q0|^2, r = d0 / |d0|^2,
-            # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
-            # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
-            read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
-            for s, t in _certified(variables, _wide_points(variables, rng, _CHART_TAIL)):
-                yield a, chart, read_s, read_t, s, t
+    def chart_points(a, *tail):
+        chart = inverse_chart(a)
+        # (s, t) read back from the point, by the chart's public vectors: x c =
+        # d0 + s d1 and r^T x = q0 + t q1 for c = q0 / |q0|^2, r = d0 / |d0|^2,
+        # with d1 orthogonal to d0 and q1 to q0, so s = <x, m> / |m|^2 for
+        # m = d1 q0^T and t likewise for m = d0 q1^T (|u v^T|^2 = |u|^2 |v|^2)
+        read_s, read_t = (m / m.norm_sq() for m in (outer(chart.d1, chart.q0), outer(chart.d0, chart.q1)))
+        for s, t in _certified(variables, _tail_points(variables, tail)):
+            yield a, chart, read_s, read_t, s, t
 
     def holds(a, chart, read_s, read_t, s, t):
         x = chart_eval(chart, s, t)
@@ -627,9 +656,11 @@ def check_inverse_set_theorem(seed, trials=500):
             and _inner_is(x, read_t, *_parts(t))
         )
 
+    strata = [((rand_rank1, *_tail_samplers(variables, _CHART_TAIL)), chart_points)]
+    cases = chain.from_iterable(strata_draws(seed, trials, strata))
     points = _grid_size(variables) * trials
     note = f"{_note(points, _CHART_TAIL * trials)}; the grid covers every (s, t) of each of {trials} sampled a"
-    return _tally("sets", "chart_points_are_inverses", cases(), holds, note, points)
+    return _tally("sets", "chart_points_are_inverses", cases, holds, note, points)
 
 
 _MEMBERSHIP_CAP = 200
@@ -671,13 +702,12 @@ def check_generator_lines(seed, trials=500):
 
 
 def check_line_combinatorics(seed, trials=50):
-    def cases():
-        for rng in _streams(seed, trials):
-            e = rand_idempotent_rank1(rng)
+    def scalar(rng, i):
+        e = rand_idempotent_rank1(rng)
+        f = rand_idempotent_rank1(rng)
+        while f == e:  # a redraw, not a skipped trial
             f = rand_idempotent_rank1(rng)
-            while f == e:  # a redraw, not a skipped trial
-                f = rand_idempotent_rank1(rng)
-            yield e, f
+        return e, f
 
     def holds(e, f):
         # same family: the lines coincide (e, f in one class) or miss, never a unique meet
@@ -692,7 +722,8 @@ def check_line_combinatorics(seed, trials=50):
             expected = None
         return cross == expected and (cross is None or (is_idempotent(cross) and cross.rank() == 1))
 
-    return _tally("sets", "generator_line_combinatorics", cases(), holds)
+    strata = [((rand_idempotent_rank1,) * 2, lambda e, f: None if f == e else (e, f))]
+    return _tally("sets", "generator_line_combinatorics", strata_draws(seed, trials, strata, scalar), holds)
 
 
 def check_natural_order_equivalence(seed, trials=1000):
@@ -725,33 +756,32 @@ def check_natural_order_equivalence(seed, trials=1000):
       zero first column, which the pairs of the small grid and the sampled
       pairs reach.
     """
-    charts = _idempotent_charts()
+    narrow, scale = partial(rand_mat, span=3, max_den=2), partial(rand_rational, span=3, max_den=2)
 
-    def draws():
-        for i, rng in enumerate(_streams(seed, trials)):
-            mode = i % 4
-            if mode == 0:
-                yield rand_mat(rng, 3, 2), rand_mat(rng, 3, 2)
-            elif mode == 1:
-                yield rand_rank1(rng), rand_invertible(rng)
-            elif mode == 2:
-                y = rand_invertible(rng)
-                yield rand_idempotent_rank1(rng) @ y * rand_rational(rng, 3, 2), y
-                for e in charts:
-                    yield e @ y, y
-            else:
-                y = rand_rank1(rng)
-                yield y * rand_rational(rng, 3, 2), y
+    def cases():
+        charts = _idempotent_charts()
+        grid = list(grid_matrices(grid_values(span=1)))
+        yield from product(grid, grid)
+
+        def below(y, e, lam):
+            return chain([(e @ y * lam, y)], ((c @ y, y) for c in charts))
+
+        strata = [
+            ((narrow, narrow), lambda x, y: [(x, y)]),
+            ((rand_rank1, rand_invertible), lambda x, y: [(x, y)]),
+            ((rand_invertible, rand_idempotent_rank1, scale), below),
+            ((rand_rank1, scale), lambda y, lam: [(y * lam, y)]),
+        ]
+        for pairs in strata_draws(seed, trials, strata):
+            yield from pairs
 
     def holds(x, y):
         return natural_le(x, y) == minus_le(x, y)
 
-    grid = list(grid_matrices(grid_values(span=1)))
-    cases = chain(product(grid, grid), draws())
     below = (trials + 1) // 4  # trials of stratum 2
-    points = len(charts) * below
+    points = _IDEMPOTENT_CHART_POINTS * below
     note = f"{points} grid points certify e y <= y for every rank-1 idempotent e at each of {below} sampled invertible y"
-    return _tally("sets", "natural_order_equals_minus_order", cases, holds, note, points)
+    return _tally("sets", "natural_order_equals_minus_order", cases(), holds, note, points)
 
 
 def nilpotent_cone_holds(x) -> bool:
@@ -837,17 +867,29 @@ def check_bell_roundtrip(seed, trials=_TAIL):
     return _identity_check("sections", "frame_roundtrip_exact", frame_roundtrip_holds, variables, seed, trials)
 
 
-def _random_hyperplane(rng, stratum) -> Hyperplane:
-    rank = stratum % 3
-    zero_level = (stratum // 3) % 2 == 0
-    lam = Rational(0) if zero_level else rand_nonzero_rational(rng, 4, 3)
-    if rank == 0:
-        a = Mat2(0, 0, 0, 0)
-    elif rank == 1:
-        a = rand_rank1(rng)
-    else:
-        a = rand_invertible(rng)
-    return Hyperplane(a, lam)
+# The strata of a random hyperplane are 0 to 5: rank a = stratum % 3, and
+# level lam = 0 when stratum // 3 is even.  These four have a != 0.
+_NONZERO_A_STRATA = (1, 2, 4, 5)
+
+
+def _hyperplane_samplers(stratum) -> tuple:
+    """The samplers of a hyperplane of `stratum`, in turn: a nonzero level
+    unless it is 0, then an a of rank 1 or 2 unless it is 0."""
+    level = () if (stratum // 3) % 2 == 0 else (partial(rand_nonzero_rational, span=4, max_den=3),)
+    return level + ((), (rand_rank1,), (rand_invertible,))[stratum % 3]
+
+
+def _hyperplane(stratum, values) -> Hyperplane:
+    """The hyperplane of `stratum` from the next values of the iterator
+    `values`, drawn by `_hyperplane_samplers(stratum)`."""
+    lam = Rational(0) if (stratum // 3) % 2 == 0 else next(values)
+    return Hyperplane(next(values) if stratum % 3 else Mat2(0, 0, 0, 0), lam)
+
+
+def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
+    # cycle rank 1/2 crossed with zero/nonzero level
+    stratum = _NONZERO_A_STRATA[i % 4]
+    return _hyperplane(stratum, (draw(rng) for draw in _hyperplane_samplers(stratum)))
 
 
 def check_classifier_agreement(seed, trials=1000):
@@ -858,13 +900,11 @@ def check_classifier_agreement(seed, trials=1000):
         return rank == 0 or _SECTION_TO_QUADRIC.get(verdict.kind) == classify_affine_quadric(restrict_quadric(h))
 
     # the rank comes from the stratum: classify_section reads a.rank() itself
-    cases = ((_random_hyperplane(rng, i), i % 3) for i, rng in enumerate(_streams(seed, trials)))
-    return _tally("sections", "table_matches_generic_classifier", cases, holds)
+    def first(stratum, *values):
+        return _hyperplane(stratum, iter(values)), stratum % 3
 
-
-def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
-    # cycle rank 1/2 crossed with zero/nonzero level
-    return _random_hyperplane(rng, (1, 2, 4, 5)[i % 4])
+    strata = [(_hyperplane_samplers(k), partial(first, k)) for k in range(6)]
+    return _tally("sections", "table_matches_generic_classifier", strata_draws(seed, trials, strata), holds)
 
 
 def restriction_holds(aq, pivot, t) -> bool:
@@ -889,40 +929,52 @@ def check_restriction_identity(seed, trials=100):
     variables = (_scalar(2),) * 3
     grid = tuple(_certified(variables, ()))
 
-    def cases():
-        for i, rng in enumerate(_streams(seed, trials)):
-            h = _random_hyperplane_nonzero_a(rng, i)
-            aq = restrict_quadric(h)
-            pivot = chart_pivot(h.a)
-            for t in _certified(variables, _wide_points(variables, rng, _PLANE_TAIL)):
-                yield aq, pivot, t
-            # det vanishes on no hyperplane, so by the certificate it is
-            # nonzero at some point of the grid
-            origin = next(x for x in map(aq.point, grid) if x.det())
-            recentred = quadric_on_chart(origin, aq.basis)
-            for t in grid:
-                yield recentred, pivot, t
+    def plane(stratum, *values):
+        values = iter(values)
+        h = _hyperplane(stratum, values)
+        aq = restrict_quadric(h)
+        pivot = chart_pivot(h.a)
+        for t in _certified(variables, _tail_points(variables, values)):
+            yield aq, pivot, t
+        # det vanishes on no hyperplane, so by the certificate it is
+        # nonzero at some point of the grid
+        origin = next(x for x in map(aq.point, grid) if x.det())
+        recentred = quadric_on_chart(origin, aq.basis)
+        for t in grid:
+            yield recentred, pivot, t
 
+    tail = _tail_samplers(variables, _PLANE_TAIL)
+    strata = [(_hyperplane_samplers(k) + tail, partial(plane, k)) for k in _NONZERO_A_STRATA]
     points = 2 * len(grid) * trials
     note = f"{_note(points, _PLANE_TAIL * trials)}; two charts per plane, one with a nonzero constant term"
-    return _tally("sections", "restriction_identity", cases(), restriction_holds, note, points)
+    cases = chain.from_iterable(strata_draws(seed, trials, strata))
+    return _tally("sections", "restriction_identity", cases, restriction_holds, note, points)
+
+
+def _det3(T):
+    """det of the 3x3 matrix T, a list of rows."""
+    return (
+        T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
+        - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
+        + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
+    )
 
 
 def check_affine_invariance(seed, trials=200):
-    def cases():
-        for i, rng in enumerate(_streams(seed, trials)):
-            h = _random_hyperplane_nonzero_a(rng, i)
-            # rechart: new origin on the plane, new basis an invertible mix
-            while True:
-                T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
-                det3 = (
-                    T[0][0] * (T[1][1] * T[2][2] - T[1][2] * T[2][1])
-                    - T[0][1] * (T[1][0] * T[2][2] - T[1][2] * T[2][0])
-                    + T[0][2] * (T[1][0] * T[2][1] - T[1][1] * T[2][0])
-                )
-                if det3 != 0:
-                    break
-            yield h, T, [rand_rational(rng, 2, 2) for _ in range(3)]
+    def first(stratum, *values):
+        values = iter(values)
+        h = _hyperplane(stratum, values)
+        T = [[next(values) for _ in range(3)] for _ in range(3)]
+        return None if _det3(T) == 0 else (h, T, list(values))
+
+    def scalar(rng, i):
+        h = _random_hyperplane_nonzero_a(rng, i)
+        # rechart: new origin on the plane, new basis an invertible mix
+        while True:
+            T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
+            if _det3(T) != 0:
+                break
+        return h, T, [rand_rational(rng, 2, 2) for _ in range(3)]
 
     def holds(h, T, shift):
         aq = restrict_quadric(h)
@@ -935,27 +987,27 @@ def check_affine_invariance(seed, trials=200):
         recharted = quadric_on_chart(aq.point(shift), new_basis)
         return base_class == table_class and classify_affine_quadric(recharted) == base_class
 
-    return _tally("sections", "affine_invariance_of_class", cases(), holds)
+    mix = (partial(rand_rational, span=2, max_den=2),) * 12  # T, then the shift
+    strata = [(_hyperplane_samplers(k) + mix, partial(first, k)) for k in _NONZERO_A_STRATA]
+    return _tally("sections", "affine_invariance_of_class", strata_draws(seed, trials, strata, scalar), holds)
 
 
 def check_inverse_image_law(seed, trials=500):
     # the two built strata are x = inv(a) y for a known y; the check also
     # asks a x == y, so an inverse that is off by a factor cannot move them
     # off the section unseen
-    def cases():
-        for i, rng in enumerate(_streams(seed, trials)):
-            a = rand_invertible(rng)
-            mode = i % 3
-            if mode == 0:
-                yield a, rand_rank1(rng), None
-                continue
-            if mode == 1:
-                y = rand_idempotent_rank1(rng)
-            else:
-                # tr(a x) = 1 with x almost always nonsingular: only det rules x out
-                y = rand_mat(rng, 4, 3)
-                y = y + IDENTITY * ((1 - y.trace()) * _HALF)
-            yield a, inverse_mat(a) @ y, y
+    def built(a, y):
+        return a, inverse_mat(a) @ y, y
+
+    def traced(a, y):
+        # tr(a x) = 1 with x almost always nonsingular: only det rules x out
+        return built(a, y + IDENTITY * ((1 - y.trace()) * _HALF))
+
+    strata = [
+        ((rand_invertible, rand_rank1), lambda a, x: (a, x, None)),
+        ((rand_invertible, rand_idempotent_rank1), built),
+        ((rand_invertible, partial(rand_mat, span=4, max_den=3)), traced),
+    ]
 
     def holds(a, x, y):
         ax = a @ x
@@ -963,32 +1015,42 @@ def check_inverse_image_law(seed, trials=500):
             return False
         return section_membership(Hyperplane(a, 1), x) == (is_idempotent(ax) and ax.rank() == 1)
 
-    return _tally("sections", "section_is_inverse_image_of_idempotents", cases(), holds)
+    return _tally("sections", "section_is_inverse_image_of_idempotents", strata_draws(seed, trials, strata), holds)
 
 
 def check_symmetric_slice(seed, trials=_TAIL):
     """u u^T / |u|^2 for u on the degree-4 values, all nonzero and with mixed
     denominators, then `trials` 64-bit u."""
-    center = hyperboloid_metrics(Rational(1)).center
+    variables = (_scalar(4),) * 2
 
-    def holds(u1, u2):
+    def cases():
+        center = hyperboloid_metrics(Rational(1)).center
+        for u in _certified(variables, _wide_draws(variables, seed, trials)):
+            yield *u, center
+
+    def holds(u1, u2, center):
         x = outer((u1, u2), (u1, u2)) / (u1 * u1 + u2 * u2)
         d = x - center
         return inner(d, d) == _HALF and to_bell(x, Rational(1)).Z == QuadExt(0)
 
-    variables = (_scalar(4),) * 2
-    return _identity_check("sections", "symmetric_idempotents_form_radius_circle", holds, variables, seed, trials)
+    points = _grid_size(variables)
+    note = _note(points, trials)
+    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases(), holds, note, points)
 
 
 def check_metrics_family(seed, trials=0):
     levels = [Rational(0), Rational(1), Rational(3), Rational(5), Rational(-7, 2)]
-    base = hyperboloid_metrics(levels[0]).asymptotic_form
 
-    def holds(lam):
+    def cases():
+        base = hyperboloid_metrics(levels[0]).asymptotic_form
+        for lam in levels:
+            yield lam, base
+
+    def holds(lam, base):
         m = hyperboloid_metrics(lam)
         return m.asymptotic_form == base and m.center == IDENTITY * (lam * _HALF) and m.radius_sq == lam * lam * _HALF
 
-    return _tally("sections", "metrics_family_shares_axis_and_cone", ((lam,) for lam in levels), holds)
+    return _tally("sections", "metrics_family_shares_axis_and_cone", cases(), holds)
 
 
 SUITES: dict[str, list] = {

@@ -46,8 +46,8 @@ Rational = Fraction
 _ZERO = Rational(0)
 _ONE = Rational(1)
 
-# sqrt(2) to 50 digits; only to_float consumes this
-_SQRT2_APPROX = Fraction(isqrt(2 * 10**100), 10**50)
+# sqrt(2) to 50 digits, N / D; only to_float consumes this
+_SQRT2_N, _SQRT2_D = isqrt(2 * 10**100), 10**50
 
 
 def _as_rational(x) -> Rational:
@@ -379,13 +379,14 @@ def parse_quadext(text: str) -> QuadExt:
 
 
 def to_float(x) -> float:
-    """Nearest double for rationals; sqrt2 terms use a 50-digit convergent."""
-    if isinstance(x, QuadExt):
-        if x._q == 0:
-            x = x.rat_part
-        else:
-            x = (x._p + x._q * _SQRT2_APPROX) / x._d
+    """Nearest double for rationals; sqrt2 terms use a 50-digit convergent.
+
+    (p + q sqrt2) / d is read as (p D + q N) / (d D) for sqrt2 ~ N / D, and
+    int / int division rounds correctly, so no `Fraction` is built and the
+    double is the one of that rational in any form."""
     try:
+        if isinstance(x, QuadExt):
+            return (x._p * _SQRT2_D + x._q * _SQRT2_N) / (x._d * _SQRT2_D)
         if isinstance(x, (int, float)):
             return float(x)
         return x.numerator / x.denominator

@@ -16,18 +16,20 @@ batch from a `Stream`.
 
 The mix is written twice: in `Stream.offsets`, for scalar draws, and in
 `_lane_offsets`, which draws the same outputs without building a
-`Stream`.  There the keys of up to `_LANES` consecutive indices sit in
+`Stream`.  There the keys of up to `_LANES` indices of one stride sit in
 the 128-bit lanes of one int (a SWAR layout; Lamport, CACM 18(8), 1975),
 each step of SplitMix64 is one big-int operation over all the lanes, and
 each offset a lane-wise multiply-high.  Every lane value and multiplier
 is below 2**64, so no product carries into the next lane, and the
-offsets are bit-identical to those of `Stream.offsets`.  Two readers
-share it: `uniform_rows` draws the float rows of export, and
-`lane_draws` the tuples of samplers that most checks draw per trial.  An
-index whose first attempt some builder rejects, and every index of a
-tuple with a sampler that has no lane form (a lambda, a replaced
-sampler), is drawn by the samplers themselves on its own `Stream`, so a
-tuple is the scalar one either way.
+offsets are bit-identical to those of `Stream.offsets`.  Three readers
+share it: `uniform_rows` draws the float rows of export, `lane_draws`
+the tuples of samplers that most checks draw per trial, and
+`strata_draws` the first attempts of the checks whose trials pick their
+samplers by stratum, one strided run per stratum.  An index whose first
+attempt some builder rejects, and every index of a tuple with a sampler
+that has no lane form (a lambda, a replaced sampler), is drawn on its
+own `Stream`, by the samplers themselves or by the caller's scalar code
+for the whole trial, so a case is the scalar one either way.
 
 The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
 trials of the certified checks: numerators of a random sign and
@@ -41,7 +43,7 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache, partial
-from itertools import accumulate, product
+from itertools import accumulate, chain, product, repeat, zip_longest
 
 from greenquadrics.exact import Rational, _as_rational, _from_ints
 from greenquadrics.mat2 import Mat2, _canon
@@ -52,6 +54,7 @@ __all__ = [
     "rng_for",
     "uniform_rows",
     "lane_draws",
+    "strata_draws",
     "rand_rational",
     "rand_nonzero_rational",
     "rand_mat",
@@ -159,18 +162,20 @@ def _low_words(lanes: int, m: int) -> array:
     return words[::2]
 
 
-def _lane_offsets(seed: int, first: int, n: int, calls):
-    """Yield, for each block of up to `_LANES` consecutive indices from
-    `first` to `first + n`, the offsets that `rng_for(seed, index)` returns
-    for the calls `offsets(*sizes)`, one per `sizes` of `calls`, in turn:
-    one array per offset, item i for index i of the block.
+def _lane_offsets(seed: int, first: int, n: int, calls, stride: int = 1):
+    """Yield, for each block of up to `_LANES` of the `n` indices `first`,
+    `first + stride`, `first + 2*stride`, ..., the offsets that
+    `rng_for(seed, index)` returns for the calls `offsets(*sizes)`, one per
+    `sizes` of `calls`, in turn: one array per offset, item i for index i
+    of the block.
 
     The outputs follow `Stream.offsets`' rule, which depends on the sizes
     alone: each call starts a fresh output, and so does a size whose
     product with the sizes already drawn from the current output would
     pass 2**64.  Lane i of one int (bits 128i to 128i + 127) holds the key
     of index i of the block, which is the key of its first index plus
-    i*_MIX_B (mod 2**63), below 2**72 before its mask.  Each lane value is
+    i*step for step = stride*_MIX_B mod 2**63 (`derive_seed` is affine in
+    the index), below 2**73 before its mask.  Each lane value is
     masked below 2**64 before it is multiplied by `_C1` or `_C2` (both
     below 2**64) or by a size (at most 2**64), so a product fits its lane;
     that mask also drops the bits that each xor-shift brought down from
@@ -190,11 +195,12 @@ def _lane_offsets(seed: int, first: int, n: int, calls):
             room //= size
             plan[-1][1].append(size)
     key = derive_seed(seed, first)
+    step = stride * _MIX_B & _MASK
     while n > 0:
         m = min(n, _LANES)
         ones = _ONES >> (_LANE_BITS * (_LANES - m))
         m64 = _M64 * ones
-        keys = (key * ones + _MIX_B * (_RAMP & m64)) & (_MASK * ones)
+        keys = (key * ones + step * (_RAMP & m64)) & (_MASK * ones)
         gamma = _GAMMA * ones
         columns = []
         for j, sizes in plan:
@@ -206,7 +212,7 @@ def _lane_offsets(seed: int, first: int, n: int, calls):
                 z = (z & m64) * size
                 columns.append(_low_words(z >> 64, m))
         yield columns
-        key = (key + m * _MIX_B) & _MASK
+        key = (key + m * step) & _MASK
         n -= m
 
 
@@ -453,12 +459,15 @@ _FORMS = {
     rand_singular_with_trace: _singular_with_trace_form,
     rand_wide_rational: _wide_rational_form,
     rand_wide_mat: _wide_mat_form,
+    # a sampler `partial(_draw, form=form)` carries its own lane form
+    _draw: lambda form: form,
 }
 
 
 def _lane_form(sampler):
     """The lane form of `sampler` called on a stream alone: a sampler of
-    this module or a `partial` of one; None for any other callable."""
+    this module or a `partial` of one, `partial(_draw, form=form)`
+    included; None for any other callable."""
     args, kwargs = (), {}
     if isinstance(sampler, partial):
         sampler, args, kwargs = sampler.func, sampler.args, sampler.keywords
@@ -466,37 +475,73 @@ def _lane_form(sampler):
     return None if factory is None else factory(*args, **kwargs)
 
 
-def lane_draws(seed: int, first: int, n: int, samplers):
-    """Yield, for each index in [first, first + n), the tuple of the values
-    of `samplers` drawn in turn from one stream `rng_for(seed, index)`.
-
-    When every sampler has a lane form, each block of `_LANES` indices draws
-    the first attempt of every sampler through `_lane_offsets` and builds
-    the values of one index as it is yielded.  An index whose first attempt
-    some builder rejects, and every index when some sampler has no lane
-    form (a lambda, a replaced or wrapped sampler), is drawn by the samplers
-    themselves on its own stream, so every tuple is the scalar one."""
+def _first_attempts(seed: int, first: int, n: int, samplers, stride: int = 1):
+    """Yield, for each of the `n` indices `first`, `first + stride`, ...,
+    the tuple of the values of the first attempts of `samplers`, drawn in
+    turn from the stream `rng_for(seed, index)` through `_lane_offsets`
+    and built as the tuple is yielded; None for an index whose first
+    attempt some builder rejects, and for every index when some sampler
+    has no lane form (a lambda, a replaced or wrapped sampler)."""
     forms = [_lane_form(s) for s in samplers]
-
-    def scalar(index):
-        rng = rng_for(seed, index)
-        return tuple(s(rng) for s in samplers)
-
     if None in forms:
-        yield from map(scalar, range(first, first + n))
+        yield from repeat(None, n)
         return
     ends = list(accumulate(len(sizes) for sizes, _ in forms))
     cuts = list(zip(forms, [0, *ends], ends))
-    index = first
-    for columns in _lane_offsets(seed, first, n, [sizes for sizes, _ in forms]):
+    for columns in _lane_offsets(seed, first, n, [sizes for sizes, _ in forms], stride):
         # lazy maps: the values of an index are built as it is yielded
         for case in zip(*(map(build, zip(*columns[a:b])) for (_, build), a, b in cuts)):
             for value in case:
                 if value is None:
-                    case = scalar(index)
+                    case = None
                     break
             yield case
-            index += 1
+
+
+def lane_draws(seed: int, first: int, n: int, samplers):
+    """Yield, for each index in [first, first + n), the tuple of the values
+    of `samplers` drawn in turn from one stream `rng_for(seed, index)`.
+
+    Each block of `_LANES` indices draws the first attempt of every
+    sampler through `_lane_offsets` (`_first_attempts`), and the values of
+    one index are built as it is yielded.  An index whose first attempt
+    some builder rejects, and every index when some sampler has no lane
+    form, is drawn by the samplers themselves on its own stream, so every
+    tuple is the scalar one."""
+    for index, case in enumerate(_first_attempts(seed, first, n, samplers), first):
+        if case is None:
+            rng = rng_for(seed, index)
+            case = tuple(s(rng) for s in samplers)
+        yield case
+
+
+def strata_draws(seed: int, trials: int, strata, scalar=None):
+    """Yield one case per trial i in [0, trials): `build(*values)` of the
+    stratum (samplers, build) = `strata[i % k]`, k = len(strata), where
+    `values` are the first attempts of its samplers on the stream
+    `rng_for(seed, i)`.
+
+    Stratum r draws its trials range(r, trials, k) as one strided run of
+    `_first_attempts`, so every trial's first attempt comes from the lanes
+    of `_lane_offsets`, and the k runs are interleaved back into trial
+    order; each run holds one block of `_LANES` trials at a time.  A trial
+    that needs any draw after its first attempt is drawn whole on its own
+    stream: `scalar(rng_for(seed, i), i)`, the trial's own scalar code,
+    when the stratum's first attempt is rejected, a sampler has no lane
+    form or `build` returns None (a redraw of the caller's own, which only
+    a caller with `scalar` may ask for); without `scalar`, the samplers
+    themselves in turn on that stream and then `build`.  Every case is
+    the scalar one."""
+    k = len(strata)
+    runs = [_first_attempts(seed, r, len(range(r, trials, k)), samplers, k) for r, (samplers, _) in enumerate(strata)]
+    # zip_longest pads only after the last trial, which range(trials) stops before
+    for i, values in zip(range(trials), chain.from_iterable(zip_longest(*runs))):
+        samplers, build = strata[i % k]
+        case = None if values is None else build(*values)
+        if case is None:
+            rng = rng_for(seed, i)
+            case = build(*(s(rng) for s in samplers)) if scalar is None else scalar(rng, i)
+        yield case
 
 
 # Values per variable of a certificate grid, by the degree of the identity in

@@ -61,7 +61,7 @@ from greenquadrics.mat2 import (
     primitive_direction,
     proportional,
 )
-from greenquadrics.sampling import rand_idempotent_rank1, rand_rank1, rng_for
+from greenquadrics.sampling import rand_idempotent_rank1, rand_rank1, strata_draws
 
 __all__ = [
     "is_idempotent",
@@ -389,24 +389,23 @@ def order_section_report(a: Mat2, trials: int, seed: int) -> OrderSectionReport:
     """Sample nonzero singular x and tabulate natural_le(x, a) against the
     memberships x in SP(a;1) and x in SP(inv(a);1).
 
-    Trials are stratified: unconstrained rank-1 draws, points of SP(a;1)
-    (inv(a) times an idempotent) and points of SP(inv(a);1) (a times an
-    idempotent), so both section columns are exercised.
+    Trials are stratified by i % 3: unconstrained rank-1 draws, points of
+    SP(a;1) (inv(a) times an idempotent) and points of SP(inv(a);1) (a
+    times an idempotent), so both section columns are exercised.  Trial i
+    draws from the stream keyed (seed, i), through the lanes of
+    `sampling.strata_draws`.
     """
     if a.rank() != 2:
         raise SingularMatrixError("order/section report needs a nonsingular a")
     ainv = inverse_mat(a)
     agree_inv = agree = 0
     counterexamples = []
-    for i in range(trials):
-        rng = rng_for(seed, i)
-        stratum = i % 3
-        if stratum == 0:
-            x = rand_rank1(rng)
-        elif stratum == 1:
-            x = ainv @ rand_idempotent_rank1(rng)
-        else:
-            x = a @ rand_idempotent_rank1(rng)
+    strata = (
+        ((rand_rank1,), lambda x: x),
+        ((rand_idempotent_rank1,), lambda e: ainv @ e),
+        ((rand_idempotent_rank1,), lambda e: a @ e),
+    )
+    for x in strata_draws(seed, trials, strata):
         le = natural_le(x, a)
         singular = _det_is(x, 0, 1)
         in_section = singular and _trace_of_product_is(a, x, 1, 1)

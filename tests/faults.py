@@ -223,6 +223,9 @@ FAULTS = [
     *_rows("exact.QuadExt.sign", *_SIGN,
         ("sign-zero-positive", "return sp\n", "return sp or 1\n", "zero called positive"),
         ("sign-p2-vs-q2", "> 2 * self._q * self._q", "> self._q * self._q", "|p| against |q| instead of |q| sqrt 2")),
+    *_rows("exact.to_float", *_SIGN,
+        ("to-float-no-root2-denominator", "/ (x._d * _SQRT2_D)", "/ x._d",
+         "every float 10**50 times too large: each sign stays right, so only a rational value's float sees it")),
     *_rows("exact._divide", (("check_bell_roundtrip", None), ("check_quadext_field", None)),
         ("frame_roundtrip_exact", "quadext_field_axioms"),
         ("divide-no-sign-flip", "e, norm = -e, -norm", "norm = -norm", "a negative norm made positive, its sign lost")),

@@ -8,15 +8,17 @@ import pytest
 from draws import wide
 from faults import BY_ID, FAULTS, _resolve, install
 
-from greenquadrics import checks, cli, mat2, sections, semigroup
+from greenquadrics import checks, cli, mat2, sampling, sections, semigroup
 from greenquadrics.exact import Rational, _parts, rational_sign
 from greenquadrics.mat2 import Mat2, inner
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
     grid_matrices,
     grid_values,
+    rand_idempotent_rank1,
     rand_mat,
     rand_nonzero_rational,
+    rand_rank1,
     rand_rational,
     rand_wide_mat,
     rand_wide_rational,
@@ -94,7 +96,8 @@ def test_shared_pass_equals_each_check_alone(monkeypatch):
 
 def test_chart_grids_lie_on_their_varieties():
     idempotents, nilpotents = checks._idempotent_charts(), checks._nilpotent_chart()
-    assert len(idempotents) == 5 * 3 + 3 and len(nilpotents) == 3 * 5 * 5
+    assert len(idempotents) == 5 * 3 + 3 == checks._IDEMPOTENT_CHART_POINTS
+    assert len(nilpotents) == 3 * 5 * 5
     assert all(semigroup.is_idempotent(e) and e.rank() == 1 for e in idempotents)
     # the second chart holds the idempotents whose column space is the x2 axis
     assert [e.x1 == e.x2 == 0 for e in idempotents].count(True) == 3
@@ -432,3 +435,152 @@ def test_a_raise_uncounts_the_failures_of_its_case():
     fails, raises = checks._tally("s", ("a", "b"), cases, (lambda x: x != 1, second), ("", ""), (0, 0))
     assert fails.line() == "[FAIL] s/a: 1/1 trials ok; case 1 raised ZeroDivisionError"
     assert raises.line() == "[FAIL] s/b: 1/1 trials ok; case 1 raised ZeroDivisionError"
+
+
+# --- the lanes of the stratified loops ----------------------------------------
+
+# the checks whose trials pick their samplers by stratum or redraw inside a
+# trial, and draw their first attempts through `sampling.strata_draws`
+STRATIFIED = [
+    "check_quadext_sign",
+    "check_class_plane_membership",
+    "check_plane_classification_roundtrip",
+    "check_line_combinatorics",
+    "check_natural_order_equivalence",
+    "check_classifier_agreement",
+    "check_restriction_identity",
+    "check_affine_invariance",
+    "check_inverse_image_law",
+    "check_inverse_set_theorem",
+]
+
+
+def _plain(x):
+    """`x` with each `AffineQuadric3`, which has no `==`, read as its content."""
+    if isinstance(x, sections.AffineQuadric3):
+        return x._poly, x._chart
+    if isinstance(x, (tuple, list)):
+        return [_plain(v) for v in x]
+    return x
+
+
+def _cases(monkeypatch, check, seed, trials, lanes=True):
+    """Every case that `check(seed, trials)` hands to `_tally`; with `lanes`
+    False no sampler has a lane form, so every trial is drawn whole on its
+    own stream by the scalar path."""
+    got = []
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_tally", lambda suite, name, cases, *rest: got.extend(map(_plain, cases)))
+        if not lanes:
+            m.setattr(sampling, "_lane_form", lambda sampler: None)
+        getattr(checks, check)(seed, trials)
+    return got
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2026])
+@pytest.mark.parametrize("check", STRATIFIED)
+def test_lane_cases_are_the_scalar_trials(monkeypatch, check, seed):
+    lane = _cases(monkeypatch, check, seed, 1300)
+    assert lane and None not in lane
+    assert lane == _cases(monkeypatch, check, seed, 1300, lanes=False)
+
+
+@pytest.mark.parametrize("seed", [0, 42, 2026])
+def test_report_lanes_are_the_scalar_trials(monkeypatch, seed):
+    a = Mat2(2, 1, 1, 1)
+    lane = semigroup.order_section_report(a, 1300, seed)
+    monkeypatch.setattr(sampling, "_lane_form", lambda sampler: None)
+    assert lane == semigroup.order_section_report(a, 1300, seed)
+
+
+# The first attempt of a trial that the check's own loop redraws, read on
+# the trial's stream: a zero point of a class plane, a singular change of
+# basis inside a plane, a singular mix of a hyperplane's chart, and a second
+# idempotent equal to the first.
+def _zero_plane_point(rng, i):
+    rand_rank1(rng)
+    s_l, t_l, s_r, t_r = (rand_rational(rng) for _ in range(4))
+    return not (s_l or t_l) or not (s_r or t_r)
+
+
+def _singular_basis_change(rng, i):
+    rand_rank1(rng)
+    al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
+    return al * de == be * ga
+
+
+def _singular_mix(rng, i):
+    for draw in checks._hyperplane_samplers(checks._NONZERO_A_STRATA[i % 4]):
+        draw(rng)
+    return checks._det3([[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]) == 0
+
+
+def _equal_idempotents(rng, i):
+    return rand_idempotent_rank1(rng) == rand_idempotent_rank1(rng)
+
+
+REDRAWS = {
+    "check_class_plane_membership": _zero_plane_point,
+    "check_plane_classification_roundtrip": _singular_basis_change,
+    "check_affine_invariance": _singular_mix,
+    "check_line_combinatorics": _equal_idempotents,
+}
+
+
+@pytest.mark.parametrize("check", REDRAWS)
+def test_each_composite_redraw_fires(monkeypatch, check):
+    # the first trial whose first attempt the check's loop redraws is drawn
+    # whole on its own stream, and its case is the scalar one
+    index = next(i for i in range(100_000) if REDRAWS[check](rng_for(42, i), i))
+    redrawn, keyed = [], sampling.rng_for
+
+    def recorded(seed, i):
+        redrawn.append(i)
+        return keyed(seed, i)
+
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "rng_for", recorded)
+        lane = _cases(monkeypatch, check, 42, index + 1)
+    assert index in redrawn and None not in lane
+    assert lane == _cases(monkeypatch, check, 42, index + 1, lanes=False)
+
+
+def test_a_check_run_draws_on_scalar_streams_only_to_redraw(monkeypatch):
+    # every first attempt of a seed-42 run comes from the lanes, so the
+    # scalar `Stream.offsets` calls are those of the trials drawn whole on
+    # their own streams: 24 386 calls while the stratified loops drew every
+    # trial on its own stream, 2 451 since they take the lanes
+    calls, offsets = [0], sampling.Stream.offsets
+
+    def counted(self, *sizes):
+        calls[0] += 1
+        return offsets(self, *sizes)
+
+    monkeypatch.setattr(sampling.Stream, "offsets", counted)
+    assert all(r.ok for r in checks.run_checks(seed=42))
+    assert 0 < calls[0] <= 2451, calls[0]
+
+
+@pytest.mark.parametrize(
+    "builder,affected",
+    [
+        ("hyperboloid_metrics", ("symmetric_idempotents_form_radius_circle", "metrics_family_shares_axis_and_cone")),
+        (
+            "_idempotent_charts",
+            ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0", "natural_order_equals_minus_order"),
+        ),
+        ("_nilpotent_chart", ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0")),
+    ],
+)
+def test_a_builder_that_raises_fails_only_the_checks_that_read_it(monkeypatch, builder, affected):
+    # each check builds what it reads in its case stream, so a raise there is
+    # that check's own line at case 0, and the run goes on
+    def raising(*args):
+        raise ArithmeticError
+
+    monkeypatch.setattr(checks, builder, raising)
+    results = checks.run_checks(seed=42)
+    assert len(results) == 28
+    assert {r.name for r in results if not r.ok} == set(affected)
+    for r in results:
+        assert r.ok or r.detail.endswith("; case 0 raised ArithmeticError"), r.line()

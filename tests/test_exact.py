@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from draws import randint
+
 from greenquadrics import checks
-from greenquadrics.errors import LiteralParseError
+from greenquadrics.errors import LiteralParseError, RenderLimitError
 from greenquadrics.exact import (
     QuadExt,
     Rational,
@@ -20,6 +22,7 @@ from greenquadrics.exact import (
 )
 from greenquadrics.exact import _from_ints, _from_lowest, _parts
 from greenquadrics.mat2 import Mat2
+from greenquadrics.sampling import rng_for
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).map(
     lambda f: Rational(f.numerator, f.denominator)
@@ -298,3 +301,58 @@ class TestToFloat:
     @given(rationals)
     def test_rational_nearest(self, r):
         assert to_float(r) == r.numerator / r.denominator
+
+
+def _fraction_float(p, q, d):
+    """The float of (p + q sqrt2) / d by one `Fraction` of the 50-digit
+    approximation of sqrt2, or RenderLimitError past the float range."""
+    value = (p + q * Fraction(isqrt(2 * 10**100), 10**50)) / d
+    try:
+        return value.numerator / value.denominator
+    except OverflowError:
+        return RenderLimitError
+
+
+def _to_float_or_error(p, q, d):
+    try:
+        return to_float(QuadExt(Fraction(p, d), Fraction(q, d)))
+    except RenderLimitError:
+        return RenderLimitError
+
+
+@pytest.mark.parametrize(
+    "p,q,d",
+    [
+        (0, 1, 1),
+        (1393, -985, 985),
+        (-(2**1023), 2**1022, 1),  # 2**1023 (sqrt2 / 2 - 1): a normal double
+        (2**1023, 2**1023, 1),  # past the largest double
+        (-(2**1024), 0, 1),
+        (1, 1, 2**1074),  # a subnormal double
+        (1, 0, 2**1075),  # half the smallest subnormal: rounds to even, 0.0
+        (3, -2, 2**1080),  # below the smallest subnormal
+    ],
+)
+def test_to_float_at_the_edges_of_the_float_range(p, q, d):
+    assert _to_float_or_error(p, q, d) == _fraction_float(p, q, d)
+
+
+def test_to_float_is_the_fraction_formula_at_every_width():
+    # the integer formula (p D + q N) / (d D) and the `Fraction` one divide
+    # the same rational, each division rounded correctly: the same double
+    # from 1-bit to 1100-bit parts, tiny, huge and past the float range
+    kinds = set()
+    for i in range(3000):
+        rng = rng_for(61, i)
+        p, q, d = (randint(rng, -1, 1) * randint(rng, 1, 2 ** randint(rng, 1, 1100)) for _ in range(3))
+        if not d:
+            continue
+        if d < 0:
+            p, q, d = -p, -q, -d
+        got = _to_float_or_error(p, q, d)
+        assert got == _fraction_float(p, q, d), (p, q, d)
+        if got is RenderLimitError:
+            kinds.add("overflow")
+        else:
+            kinds.add("zero" if got == 0 else "tiny" if abs(got) < 1e-300 else "finite")
+    assert kinds == {"overflow", "zero", "tiny", "finite"}

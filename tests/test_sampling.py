@@ -13,6 +13,7 @@ from greenquadrics.sampling import (
     _LANES,
     Stream,
     _lane_form,
+    _lane_offsets,
     _wide_parts,
     grid_matrices,
     lane_draws,
@@ -26,6 +27,7 @@ from greenquadrics.sampling import (
     rand_wide_mat,
     rand_wide_rational,
     rng_for,
+    strata_draws,
     uniform_rows,
 )
 
@@ -243,6 +245,8 @@ LANE_CASES = {
     "quadext_field_axioms": (rand_wide_rational,) * 6,
     "det_multiplicative_trace_commutes": (rand_wide_mat, rand_wide_mat),
     "frame_roundtrip_exact": (rand_wide_rational, rand_wide_mat),
+    # a sampler `partial(_draw, form=...)` that carries its own lane form
+    "quadext_sign_near_root2": (checks._NEAR_ROOT2, rand_rational),
     # no lane form: every index takes the scalar path
     "lambda": (lambda rng: rand_mat(rng, 4, 3),),
     "lambda-in-a-tuple": (rand_rank1, lambda rng: rand_rational(rng, 2, 2)),
@@ -304,3 +308,82 @@ def test_lane_draws_follow_a_replaced_sampler():
 
 def test_lane_draws_of_no_indices_are_empty():
     assert list(lane_draws(5, 0, 0, (rand_mat,))) == []
+
+
+# --- strided lanes and strata -------------------------------------------------
+
+# one call inside one output, one of two whole outputs, one that takes a
+# fresh output partway through
+STRIDED_CALLS = [(19, 9) * 4, (1 << 64, 1 << 64), (274177, 67280421310721, 5)]
+
+
+@pytest.mark.parametrize("stride", range(2, 9))
+@pytest.mark.parametrize("first", [3, 40_001, 2**64 - 5])
+def test_strided_lane_offsets_are_the_scalar_offsets(stride, first):
+    n_max = max(LANE_COUNTS)
+    want = []
+    for i in range(n_max):
+        rng = rng_for(7, first + stride * i)
+        want.append(tuple(x for sizes in STRIDED_CALLS for x in rng.offsets(*sizes)))
+    for n in LANE_COUNTS:
+        got = [case for columns in _lane_offsets(7, first, n, STRIDED_CALLS, stride) for case in zip(*columns)]
+        assert got == want[:n], (stride, n)
+
+
+def _pack(*values):
+    return values
+
+
+# stratum by stratum: rejecting samplers, a form of its own, and a stratum
+# without a lane form, whose trials all take the scalar path
+STRATA = [
+    ((rand_rank1, rand_rational), _pack),
+    ((rand_invertible,), _pack),
+    ((checks._NEAR_ROOT2,), _pack),
+    ((rand_idempotent_rank1, partial(rand_singular_with_trace, lam=Fraction(0))), _pack),
+    ((lambda rng: rand_mat(rng, 4, 3),), _pack),
+    ((partial(rand_mat, span=3, max_den=2),) * 2, _pack),
+    ((rand_wide_rational,), _pack),
+    ((rand_nonzero_rational, rand_rank1), _pack),
+]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 8])
+def test_strata_draws_are_the_scalar_draws(k):
+    strata = STRATA[:k]
+    trials = max(LANE_COUNTS) + 3
+    want = _scalar_draws_by_stratum(11, trials, strata)
+    for n in (0, 1, k - 1, k + 1, *LANE_COUNTS, trials):
+        assert list(strata_draws(11, n, strata)) == want[:n], n
+
+
+def _scalar_draws_by_stratum(seed, trials, strata):
+    cases = []
+    for i in range(trials):
+        rng = rng_for(seed, i)
+        samplers, build = strata[i % len(strata)]
+        cases.append(build(*(s(rng) for s in samplers)))
+    return cases
+
+
+def test_strata_draws_redraw_a_trial_whole_with_its_scalar_code():
+    # a build that asks for a redraw, and a rejected first attempt, both hand
+    # the trial's own fresh stream to `scalar`
+    sizes, build = _lane_form(rand_rank1)
+    rejected = next(i for i in range(0, 100_000, 2) if build(rng_for(5, i).offsets(*sizes)) is None)
+    trials = rejected + 40
+    calls = []
+
+    def scalar(rng, i):
+        calls.append(i)
+        return "scalar", i, rand_rational(rng)
+
+    strata = [((rand_rank1,), lambda a: (a,)), ((rand_rational,), lambda r: None if r == 0 else (r,))]
+    got = list(strata_draws(5, trials, strata, scalar))
+    zeros = [i for i in range(1, trials, 2) if rand_rational(rng_for(5, i)) == 0]
+    assert zeros and calls == sorted([rejected, *zeros])
+    for i, case in enumerate(got):
+        if i in calls:
+            assert case == ("scalar", i, rand_rational(rng_for(5, i)))
+        else:
+            assert case == ((rand_rank1 if i % 2 == 0 else rand_rational)(rng_for(5, i)),)

@@ -371,8 +371,8 @@ COUNTERS = {"failures", "total"}
 
 
 def _counting(body) -> set[str]:
-    """What a function body does that only the trial counter and the stream
-    helper may: augment or bind a counter, call `_result` or `rng_for`."""
+    """What a function body does that only the trial counter may: augment
+    or bind a counter, call `_result` or `rng_for`."""
     found = set()
     for n in ast.walk(body):
         if isinstance(n, ast.AugAssign):
@@ -410,7 +410,7 @@ def test_checks_count_only_in_the_tally():
     assert len(names) == 28
     for name in names:
         assert not counting[name], f"checks.{name}: {sorted(counting[name])}"
-    assert {name for name, used in counting.items() if used} == {"_tally", "_streams"}
+    assert {name for name, used in counting.items() if used} == {"_tally"}
 
 
 def _subtracts(body, left: str, right: str) -> bool:
