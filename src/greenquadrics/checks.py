@@ -18,16 +18,17 @@ takes it from `_draws`, which mixes the streams of 512 trials at once
 (`sampling.lane_draws`) and falls back to each trial's own stream when a
 first attempt is rejected or a sampler has no lane form.  The stratified
 loops, which choose their samplers by trial or redraw inside a trial,
-take the first attempt of each trial from `sampling.strata_draws`, one
-strided run of lanes per stratum, and build their cases from it; a trial
-that needs any draw after its first attempt (a rejected attempt, a zero
-point of a class plane, a singular change of basis or of chart, a second
-idempotent equal to the first) is drawn whole on its own stream, by the
-check's scalar code where the check redraws.  An exception raised while
-a case is drawn or decided fails that check alone, on its own line, and
-the run goes on; so a check draws and builds in its case stream, not
-before it, the charts and metrics it reads included (the lanes build
-each trial's values as it is yielded).
+hand `sampling.strata_draws` each stratum's samplers and a `build` from
+their values to the case, or to None for a trial to redraw (a zero point
+of a class plane, a singular change of basis or of chart, a second
+idempotent equal to the first).  Every first attempt comes from one
+strided run of lanes per stratum, and a trial that needs any draw after
+it is drawn whole on its own stream by the same samplers and `build`, so
+each trial is written once.  An exception raised while a case is drawn
+or decided fails that check alone, on its own line, and the run goes on;
+so a check draws and builds in its case stream, not before it, the
+grids, charts and metrics it reads included (the lanes build each
+trial's values as it is yielded).
 
 Eleven checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -117,7 +118,7 @@ from __future__ import annotations
 from contextvars import ContextVar
 from functools import partial
 from itertools import chain, product
-from math import gcd, prod
+from math import gcd, inf, nextafter, prod
 from typing import NamedTuple
 
 from greenquadrics import green, quadrics
@@ -291,10 +292,24 @@ def _scalar(degree):
     return CERTIFICATE_VALUES[degree], rand_wide_rational
 
 
+class _Matrices:
+    """Every Mat2 with entries in `values`: counted without building one,
+    and built each time it is iterated, so in the case stream that reads it."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def __len__(self):
+        return len(self.values) ** 4
+
+    def __iter__(self):
+        return grid_matrices(self.values)
+
+
 def _matrix(degree):
     """A matrix variable of an identity of `degree` in each entry: every
     matrix on its grid values, and its 64-bit sampler."""
-    return tuple(grid_matrices(CERTIFICATE_VALUES[degree])), rand_wide_mat
+    return _Matrices(CERTIFICATE_VALUES[degree]), rand_wide_mat
 
 
 def _grid_size(variables) -> int:
@@ -303,8 +318,10 @@ def _grid_size(variables) -> int:
 
 def _certified(variables, tail):
     """The cases of a certificate: every point of the grid of `variables`
-    (one value per variable), then the 64-bit points of `tail`."""
-    return chain(product(*(values for values, _ in variables)), tail)
+    (one value per variable), built as its first point is drawn, then the
+    64-bit points of `tail`."""
+    yield from product(*(values for values, _ in variables))
+    yield from tail
 
 
 def _wide_draws(variables, seed, trials, first=0):
@@ -348,11 +365,16 @@ def quadext_field_holds(p, q, r) -> bool:
 
 def check_quadext_field(seed, trials=_TAIL):
     """The parts of p on the degree-2 values, those of q and r on the
-    degree-1 values: 9 x 16 grid points, then `trials` 64-bit triples."""
+    degree-1 values: 9 x 16 grid points, then `trials` 64-bit triples.
+    Each p and the element a are also compared with rationals: p equals a
+    exactly when b = 0, the element a equals a, and neither equals a + 1."""
     variables = (_scalar(2),) * 2 + (_scalar(1),) * 4
 
     def holds(a, b, c, d, e, f):
-        return quadext_field_holds(QuadExt(a, b), QuadExt(c, d), QuadExt(e, f))
+        p, r, other = QuadExt(a, b), QuadExt(a), a + 1
+        if (p == a) != (b == 0) or p == other or r != a or r == other:
+            return False
+        return quadext_field_holds(p, QuadExt(c, d), QuadExt(e, f))
 
     return _identity_check("exact", "quadext_field_axioms", holds, variables, seed, trials)
 
@@ -388,13 +410,24 @@ def check_quadext_sign(seed, trials=2000):
     from zero, and an exact decision on the parts within 1e-6 of it (zero
     included, which must give 0).  Small parts come that near only at 0, so
     every eighth trial is a near-miss of `_near_root2`, of opposite parts.
-    A rational value's float must also be `float` of it, the nearest double."""
+    A rational value's float must also be `float` of it, the nearest double,
+    and an irrational value must lie strictly between the doubles next to
+    its float, decided on the parts."""
 
     def holds(a, b):
         p = QuadExt(a, b)
         f = to_float(p)
         expected = (1 if f > 0 else -1) if abs(f) > 1e-6 else _root2_sign(a, b)
-        return p.sign() == expected and (b != 0 or f == float(a))
+        if b == 0:
+            return p.sign() == expected and f == float(a)
+        (an, ad), (bn, bd) = _parts(a), _parts(b)
+
+        def above(g):
+            # the sign of a + b sqrt2 - g for a double g = gn / gd, times ad gd bd > 0
+            gn, gd = g.as_integer_ratio()
+            return _root2_sign((an * gd - gn * ad) * bd, bn * ad * gd)
+
+        return p.sign() == expected and above(nextafter(f, -inf)) == 1 and above(nextafter(f, inf)) == -1
 
     strata = [((_NEAR_ROOT2,), lambda pair: pair)] + [((rand_rational, rand_rational), lambda a, b: (a, b))] * 7
     return _tally("exact", "quadext_sign_float_bridge", strata_draws(seed, trials, strata), holds)
@@ -449,29 +482,16 @@ def check_traceless_singular_squares_to_zero(seed, trials=_TAIL):
 
 
 def check_class_plane_membership(seed, trials=1000):
-    def first(a, s_l, t_l, s_r, t_r):
+    def build(a, s_l, t_l, s_r, t_r):
         (l1, l2), (r1, r2) = class_plane("L", a), class_plane("R", a)
         x_l, x_r = l1 * s_l + l2 * t_l, r1 * s_r + r2 * t_r
+        # each basis is independent: redraw (s, t) = (0, 0), never skip the test
         return None if x_l.is_zero() or x_r.is_zero() else (a, x_l, x_r)
-
-    def scalar(rng, i):
-        a = rand_rank1(rng)
-        points = []
-        for rel in ("L", "R"):
-            b1, b2 = class_plane(rel, a)
-            # b1, b2 are independent: redraw (s, t) = (0, 0), never skip the test
-            while True:
-                s, t = rand_rational(rng), rand_rational(rng)
-                x = b1 * s + b2 * t
-                if not x.is_zero():
-                    break
-            points.append(x)
-        return a, *points
 
     def holds(a, x_l, x_r):
         return green_eq("L", x_l, a) and green_eq("R", x_r, a)
 
-    cases = strata_draws(seed, trials, [((rand_rank1,) + (rand_rational,) * 4, first)], scalar)
+    cases = strata_draws(seed, trials, [((rand_rank1,) + (rand_rational,) * 4, build)])
     return _tally("green", "class_plane_points_stay_in_class", cases, holds)
 
 
@@ -485,21 +505,11 @@ def check_d_is_rank(seed, trials=2000):
 
 
 def check_plane_classification_roundtrip(seed, trials=500):
-    def first(rel, a, al, be, ga, de):
+    def build(rel, a, al, be, ga, de):
+        # a random invertible change of basis inside the plane
         if al * de - be * ga == 0:
             return None
         b1, b2 = class_plane(rel, a)
-        return a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
-
-    def scalar(rng, i):
-        a = rand_rank1(rng)
-        rel = "L" if i % 2 == 0 else "R"
-        b1, b2 = class_plane(rel, a)
-        # random invertible change of basis inside the plane
-        while True:
-            al, be, ga, de = (rand_rational(rng, 4, 3) for _ in range(4))
-            if al * de - be * ga != 0:
-                break
         return a, rel, b1 * al + b2 * be, b1 * ga + b2 * de
 
     def holds(a, rel, v1, v2):
@@ -507,7 +517,7 @@ def check_plane_classification_roundtrip(seed, trials=500):
         return verdict.kind == rel and green_eq(rel, verdict.rep, a)
 
     samplers = (rand_rank1,) + (partial(rand_rational, span=4, max_den=3),) * 4
-    cases = strata_draws(seed, trials, [(samplers, partial(first, rel)) for rel in "LR"], scalar)
+    cases = strata_draws(seed, trials, [(samplers, partial(build, rel)) for rel in "LR"])
     return _tally("green", "plane_classification_roundtrip", cases, holds)
 
 
@@ -671,14 +681,18 @@ def check_membership_equals_triple_products(seed, trials=20):
     if trials > _MEMBERSHIP_CAP:  # each trial sweeps the full 5^4 grid
         extra = f"random a capped at {_MEMBERSHIP_CAP} of {trials}"
         trials = _MEMBERSHIP_CAP
-    grid = tuple(grid_matrices(grid_values(span=2)))
-    draws = (a for (a,) in _draws(seed, trials, rand_rank1, first=10_000))
+
+    def cases():
+        grid = tuple(grid_matrices(grid_values(span=2)))
+        draws = (a for (a,) in _draws(seed, trials, rand_rank1, first=10_000))
+        for a in chain([Mat2(1, 0, 0, 0)], draws):
+            for x in grid:
+                yield a, x
 
     def holds(a, x):
         return inverse_membership(a, x) == is_inverse_pair(a, x)
 
-    cases = ((a, x) for a in chain([Mat2(1, 0, 0, 0)], draws) for x in grid)
-    return _tally("sets", "section_membership_iff_inverse_pair", cases, holds, extra)
+    return _tally("sets", "section_membership_iff_inverse_pair", cases(), holds, extra)
 
 
 def check_chart_bijectivity(seed, trials=500):
@@ -702,13 +716,6 @@ def check_generator_lines(seed, trials=500):
 
 
 def check_line_combinatorics(seed, trials=50):
-    def scalar(rng, i):
-        e = rand_idempotent_rank1(rng)
-        f = rand_idempotent_rank1(rng)
-        while f == e:  # a redraw, not a skipped trial
-            f = rand_idempotent_rank1(rng)
-        return e, f
-
     def holds(e, f):
         # same family: the lines coincide (e, f in one class) or miss, never a unique meet
         for family in ("L1", "L2"):
@@ -722,8 +729,9 @@ def check_line_combinatorics(seed, trials=50):
             expected = None
         return cross == expected and (cross is None or (is_idempotent(cross) and cross.rank() == 1))
 
+    # f == e is a redraw, not a skipped trial
     strata = [((rand_idempotent_rank1,) * 2, lambda e, f: None if f == e else (e, f))]
-    return _tally("sets", "generator_line_combinatorics", strata_draws(seed, trials, strata, scalar), holds)
+    return _tally("sets", "generator_line_combinatorics", strata_draws(seed, trials, strata), holds)
 
 
 def check_natural_order_equivalence(seed, trials=1000):
@@ -886,12 +894,6 @@ def _hyperplane(stratum, values) -> Hyperplane:
     return Hyperplane(next(values) if stratum % 3 else Mat2(0, 0, 0, 0), lam)
 
 
-def _random_hyperplane_nonzero_a(rng, i) -> Hyperplane:
-    # cycle rank 1/2 crossed with zero/nonzero level
-    stratum = _NONZERO_A_STRATA[i % 4]
-    return _hyperplane(stratum, (draw(rng) for draw in _hyperplane_samplers(stratum)))
-
-
 def check_classifier_agreement(seed, trials=1000):
     def holds(h, rank):
         verdict = classify_section(h.a, h.lam)
@@ -900,10 +902,10 @@ def check_classifier_agreement(seed, trials=1000):
         return rank == 0 or _SECTION_TO_QUADRIC.get(verdict.kind) == classify_affine_quadric(restrict_quadric(h))
 
     # the rank comes from the stratum: classify_section reads a.rank() itself
-    def first(stratum, *values):
+    def build(stratum, *values):
         return _hyperplane(stratum, iter(values)), stratum % 3
 
-    strata = [(_hyperplane_samplers(k), partial(first, k)) for k in range(6)]
+    strata = [(_hyperplane_samplers(k), partial(build, k)) for k in range(6)]
     return _tally("sections", "table_matches_generic_classifier", strata_draws(seed, trials, strata), holds)
 
 
@@ -927,7 +929,6 @@ def check_restriction_identity(seed, trials=100):
     recentred at the first grid point off det = 0 has a nonzero constant
     term, so its 27-point grid certifies that term too."""
     variables = (_scalar(2),) * 3
-    grid = tuple(_certified(variables, ()))
 
     def plane(stratum, *values):
         values = iter(values)
@@ -938,14 +939,14 @@ def check_restriction_identity(seed, trials=100):
             yield aq, pivot, t
         # det vanishes on no hyperplane, so by the certificate it is
         # nonzero at some point of the grid
-        origin = next(x for x in map(aq.point, grid) if x.det())
+        origin = next(x for x in map(aq.point, _certified(variables, ())) if x.det())
         recentred = quadric_on_chart(origin, aq.basis)
-        for t in grid:
+        for t in _certified(variables, ()):
             yield recentred, pivot, t
 
     tail = _tail_samplers(variables, _PLANE_TAIL)
     strata = [(_hyperplane_samplers(k) + tail, partial(plane, k)) for k in _NONZERO_A_STRATA]
-    points = 2 * len(grid) * trials
+    points = 2 * _grid_size(variables) * trials
     note = f"{_note(points, _PLANE_TAIL * trials)}; two charts per plane, one with a nonzero constant term"
     cases = chain.from_iterable(strata_draws(seed, trials, strata))
     return _tally("sections", "restriction_identity", cases, restriction_holds, note, points)
@@ -961,20 +962,12 @@ def _det3(T):
 
 
 def check_affine_invariance(seed, trials=200):
-    def first(stratum, *values):
+    def build(stratum, *values):
+        # rechart: new origin on the plane, new basis an invertible mix T
         values = iter(values)
         h = _hyperplane(stratum, values)
         T = [[next(values) for _ in range(3)] for _ in range(3)]
         return None if _det3(T) == 0 else (h, T, list(values))
-
-    def scalar(rng, i):
-        h = _random_hyperplane_nonzero_a(rng, i)
-        # rechart: new origin on the plane, new basis an invertible mix
-        while True:
-            T = [[rand_rational(rng, 2, 2) for _ in range(3)] for _ in range(3)]
-            if _det3(T) != 0:
-                break
-        return h, T, [rand_rational(rng, 2, 2) for _ in range(3)]
 
     def holds(h, T, shift):
         aq = restrict_quadric(h)
@@ -988,8 +981,8 @@ def check_affine_invariance(seed, trials=200):
         return base_class == table_class and classify_affine_quadric(recharted) == base_class
 
     mix = (partial(rand_rational, span=2, max_den=2),) * 12  # T, then the shift
-    strata = [(_hyperplane_samplers(k) + mix, partial(first, k)) for k in _NONZERO_A_STRATA]
-    return _tally("sections", "affine_invariance_of_class", strata_draws(seed, trials, strata, scalar), holds)
+    strata = [(_hyperplane_samplers(k) + mix, partial(build, k)) for k in _NONZERO_A_STRATA]
+    return _tally("sections", "affine_invariance_of_class", strata_draws(seed, trials, strata), holds)
 
 
 def check_inverse_image_law(seed, trials=500):

@@ -26,10 +26,12 @@ share it: `uniform_rows` draws the float rows of export, `lane_draws`
 the tuples of samplers that most checks draw per trial, and
 `strata_draws` the first attempts of the checks whose trials pick their
 samplers by stratum, one strided run per stratum.  An index whose first
-attempt some builder rejects, and every index of a tuple with a sampler
-that has no lane form (a lambda, a replaced sampler), is drawn on its
-own `Stream`, by the samplers themselves or by the caller's scalar code
-for the whole trial, so a case is the scalar one either way.
+attempt some builder rejects, whose case the caller's `build` of
+`strata_draws` rejects, or whose tuple has a sampler without a lane form
+(a lambda, a replaced sampler) is drawn whole on its own `Stream`: the
+samplers in turn, each redrawing its own rejected attempts, and in
+`strata_draws` the samplers and `build` again until `build` accepts.  So
+a case is the one of its index's stream either way.
 
 The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
 trials of the certified checks: numerators of a random sign and
@@ -515,23 +517,20 @@ def lane_draws(seed: int, first: int, n: int, samplers):
         yield case
 
 
-def strata_draws(seed: int, trials: int, strata, scalar=None):
+def strata_draws(seed: int, trials: int, strata):
     """Yield one case per trial i in [0, trials): `build(*values)` of the
     stratum (samplers, build) = `strata[i % k]`, k = len(strata), where
-    `values` are the first attempts of its samplers on the stream
-    `rng_for(seed, i)`.
+    `values` are the values of its samplers drawn in turn from the stream
+    `rng_for(seed, i)`, and `build` returns None to ask for a redraw.
 
     Stratum r draws its trials range(r, trials, k) as one strided run of
     `_first_attempts`, so every trial's first attempt comes from the lanes
     of `_lane_offsets`, and the k runs are interleaved back into trial
     order; each run holds one block of `_LANES` trials at a time.  A trial
-    that needs any draw after its first attempt is drawn whole on its own
-    stream: `scalar(rng_for(seed, i), i)`, the trial's own scalar code,
-    when the stratum's first attempt is rejected, a sampler has no lane
-    form or `build` returns None (a redraw of the caller's own, which only
-    a caller with `scalar` may ask for); without `scalar`, the samplers
-    themselves in turn on that stream and then `build`.  Every case is
-    the scalar one."""
+    whose first attempt some sampler rejects, whose stratum has a sampler
+    without a lane form, or whose `build` returns None is drawn whole on
+    its own stream: the samplers in turn, then `build`, until `build`
+    returns a case.  So every case is the one of the trial's stream."""
     k = len(strata)
     runs = [_first_attempts(seed, r, len(range(r, trials, k)), samplers, k) for r, (samplers, _) in enumerate(strata)]
     # zip_longest pads only after the last trial, which range(trials) stops before
@@ -540,7 +539,8 @@ def strata_draws(seed: int, trials: int, strata, scalar=None):
         case = None if values is None else build(*values)
         if case is None:
             rng = rng_for(seed, i)
-            case = build(*(s(rng) for s in samplers)) if scalar is None else scalar(rng, i)
+            while (case := build(*(s(rng) for s in samplers))) is None:
+                pass
         yield case
 
 

@@ -223,9 +223,15 @@ FAULTS = [
     *_rows("exact.QuadExt.sign", *_SIGN,
         ("sign-zero-positive", "return sp\n", "return sp or 1\n", "zero called positive"),
         ("sign-p2-vs-q2", "> 2 * self._q * self._q", "> self._q * self._q", "|p| against |q| instead of |q| sqrt 2")),
+    *_rows("exact.QuadExt.__eq__", *_FIELD,
+        ("quadext-eq-rational-or", "return self._q == 0 and self._d == other.denominator",
+         "return self._q == 0 or self._d == other.denominator",
+         "every rational element equal to every Fraction: only a comparison with an unequal rational sees it")),
     *_rows("exact.to_float", *_SIGN,
         ("to-float-no-root2-denominator", "/ (x._d * _SQRT2_D)", "/ x._d",
-         "every float 10**50 times too large: each sign stays right, so only a rational value's float sees it")),
+         "every float 10**50 times too large: each sign stays right, so only a rational value's float sees it"),
+        ("to-float-scales-irrational", "/ (x._d * _SQRT2_D)", "/ (x._d * _SQRT2_D) * (3 if x._q else 1)",
+         "every irrational value's float times 3: each sign stays right, so only its value sees it")),
     *_rows("exact._divide", (("check_bell_roundtrip", None), ("check_quadext_field", None)),
         ("frame_roundtrip_exact", "quadext_field_axioms"),
         ("divide-no-sign-flip", "e, norm = -e, -norm", "norm = -norm", "a negative norm made positive, its sign lost")),

@@ -198,13 +198,20 @@ def test_install_leaves_no_binding_of_its_target(monkeypatch):
 
 def test_sign_check_decides_opposite_parts_exactly(monkeypatch):
     # small parts come within 1e-6 of 0 only at 0; the near-misses of
-    # `_near_root2` reach the a^2 vs 2 b^2 branch
-    root2_sign, opposite = checks._root2_sign, []
+    # `_near_root2` reach the a^2 vs 2 b^2 branch.  Only the decisions on a
+    # trial's own parts count, not those on the doubles next to its float.
+    root2_sign, to_float, parts, opposite = checks._root2_sign, checks.to_float, [], []
+
+    def read(p):
+        parts.append((p.rat_part, p.root2_part))
+        return to_float(p)
 
     def counted(a, b):
-        opposite.append(rational_sign(a) * rational_sign(b) < 0)
+        if (a, b) == parts[-1]:
+            opposite.append(rational_sign(a) * rational_sign(b) < 0)
         return root2_sign(a, b)
 
+    monkeypatch.setattr(checks, "to_float", read)
     monkeypatch.setattr(checks, "_root2_sign", counted)
     assert checks.check_quadext_sign(42).ok
     assert sum(opposite) == 2000 // 8
@@ -244,7 +251,8 @@ def test_restriction_holds_matches_the_difference():
     seen = set()
     for i in range(40):
         rng = rng_for(271, i)
-        aq = restrict_quadric(checks._random_hyperplane_nonzero_a(rng, i))
+        stratum = checks._NONZERO_A_STRATA[i % 4]
+        aq = restrict_quadric(checks._hyperplane(stratum, (draw(rng) for draw in checks._hyperplane_samplers(stratum))))
         wide = tuple(rand_wide_rational(rng) for _ in range(3))
         for t in (*product(CERTIFICATE_VALUES[2][:2], repeat=3), (0, 1, -2), wide):
             for pivot in range(4):
@@ -546,19 +554,25 @@ def test_each_composite_redraw_fires(monkeypatch, check):
 
 
 def test_a_check_run_draws_on_scalar_streams_only_to_redraw(monkeypatch):
-    # every first attempt of a seed-42 run comes from the lanes, so the
-    # scalar `Stream.offsets` calls are those of the trials drawn whole on
-    # their own streams: 24 386 calls while the stratified loops drew every
-    # trial on its own stream, 2 451 since they take the lanes
-    calls, offsets = [0], sampling.Stream.offsets
+    # every first attempt of a seed-42 run comes from the lanes, so a trial
+    # gets a stream of its own only to be redrawn, and every scalar
+    # `Stream.offsets` call is made on the stream of such a trial
+    streams, keyed, offsets = [], sampling.rng_for, sampling.Stream.offsets
+    on_redrawn = []  # per scalar call, whether its stream is a redrawn trial's
+
+    def recorded(seed, i):
+        streams.append(keyed(seed, i))
+        return streams[-1]
 
     def counted(self, *sizes):
-        calls[0] += 1
+        on_redrawn.append(any(self is rng for rng in streams))
         return offsets(self, *sizes)
 
+    monkeypatch.setattr(sampling, "rng_for", recorded)
     monkeypatch.setattr(sampling.Stream, "offsets", counted)
     assert all(r.ok for r in checks.run_checks(seed=42))
-    assert 0 < calls[0] <= 2451, calls[0]
+    assert len(streams) == 799
+    assert on_redrawn and all(on_redrawn)
 
 
 @pytest.mark.parametrize(
@@ -570,6 +584,20 @@ def test_a_check_run_draws_on_scalar_streams_only_to_redraw(monkeypatch):
             ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0", "natural_order_equals_minus_order"),
         ),
         ("_nilpotent_chart", ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0")),
+        (
+            "grid_matrices",
+            (
+                "cayley_hamilton",
+                "det_multiplicative_trace_commutes",
+                "inner_product_equals_trace_form",
+                "rank1_idempotent_iff_trace1_det0",
+                "nilpotent_iff_trace0_det0",
+                "section_membership_iff_inverse_pair",
+                "natural_order_equals_minus_order",
+                "frame_identity_exact",
+                "frame_roundtrip_exact",
+            ),
+        ),
     ],
 )
 def test_a_builder_that_raises_fails_only_the_checks_that_read_it(monkeypatch, builder, affected):

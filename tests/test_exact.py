@@ -133,6 +133,11 @@ class TestQuadExtCanonical:
             assert hash(QuadExt(v) + SQRT2 - SQRT2) == hash(v)
         assert len({QuadExt(x), x}) == 1
 
+    def test_unequal_rationals_compare_unequal(self):
+        # an irrational element, and a rational one of another value
+        assert SQRT2 != Fraction(3)
+        assert QuadExt(Fraction(1, 2)) != Fraction(3, 2)
+
     @given(rationals, rationals)
     def test_parts_match_the_reference(self, a, b):
         p = QuadExt(a, b)

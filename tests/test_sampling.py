@@ -358,32 +358,45 @@ def test_strata_draws_are_the_scalar_draws(k):
 
 
 def _scalar_draws_by_stratum(seed, trials, strata):
+    """The reference loop: each trial drawn whole on its own stream, the
+    stratum's samplers in turn and then its build, until the build accepts."""
     cases = []
     for i in range(trials):
         rng = rng_for(seed, i)
         samplers, build = strata[i % len(strata)]
-        cases.append(build(*(s(rng) for s in samplers)))
+        while (case := build(*(s(rng) for s in samplers))) is None:
+            pass
+        cases.append(case)
     return cases
 
 
-def test_strata_draws_redraw_a_trial_whole_with_its_scalar_code():
-    # a build that asks for a redraw, and a rejected first attempt, both hand
-    # the trial's own fresh stream to `scalar`
+def _rounds(rng, samplers, build):
+    """How many times the reference loop draws the samplers on `rng`."""
+    rounds = 1
+    while build(*(s(rng) for s in samplers)) is None:
+        rounds += 1
+    return rounds
+
+
+def test_strata_draws_redraw_a_trial_whole_until_its_build_accepts(monkeypatch):
+    # a rejected first attempt, and a build that asks for a redraw, both draw
+    # the trial whole again on its own stream: samplers, then build
     sizes, build = _lane_form(rand_rank1)
     rejected = next(i for i in range(0, 100_000, 2) if build(rng_for(5, i).offsets(*sizes)) is None)
     trials = rejected + 40
-    calls = []
+    ordered = ((rand_rational, rand_rational), lambda r, s: None if r >= s else (r, s))
+    strata = [((rand_rank1,), lambda a: (a,)), ordered]
+    redrawn = []
 
-    def scalar(rng, i):
-        calls.append(i)
-        return "scalar", i, rand_rational(rng)
+    def recorded(seed, i):
+        redrawn.append(i)
+        return rng_for(seed, i)
 
-    strata = [((rand_rank1,), lambda a: (a,)), ((rand_rational,), lambda r: None if r == 0 else (r,))]
-    got = list(strata_draws(5, trials, strata, scalar))
-    zeros = [i for i in range(1, trials, 2) if rand_rational(rng_for(5, i)) == 0]
-    assert zeros and calls == sorted([rejected, *zeros])
-    for i, case in enumerate(got):
-        if i in calls:
-            assert case == ("scalar", i, rand_rational(rng_for(5, i)))
-        else:
-            assert case == ((rand_rank1 if i % 2 == 0 else rand_rational)(rng_for(5, i)),)
+    with monkeypatch.context() as m:
+        m.setattr(sampling, "rng_for", recorded)
+        got = list(strata_draws(5, trials, strata))
+    assert got == _scalar_draws_by_stratum(5, trials, strata)
+    rounds = {i: _rounds(rng_for(5, i), *ordered) for i in range(1, trials, 2)}
+    assert redrawn == sorted([rejected, *(i for i, n in rounds.items() if n > 1)])
+    # some trial's build rejects its first redraw too
+    assert max(rounds.values()) > 2
