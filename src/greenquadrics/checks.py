@@ -14,9 +14,9 @@ one failure per case at most.  A case is one seeded trial, one point of a
 trial, or one point of an exhaustive grid; a redraw inside a trial is not
 a trial.  The cases draw from the streams keyed by (seed, index); the
 predicates draw nothing.  A trial that draws a fixed tuple of samplers
-takes it from `_draws`, which mixes the streams of 512 trials at once
-(`sampling.lane_draws`) and falls back to each trial's own stream when a
-first attempt is rejected or a sampler has no lane form.  The stratified
+takes it from `sampling.lane_draws`, which mixes the streams of 512
+trials at once and falls back to each trial's own stream when a first
+attempt is rejected or a sampler has no lane form.  The stratified
 loops, which choose their samplers by trial or redraw inside a trial,
 hand `sampling.strata_draws` each stratum's samplers and a `build` from
 their values to the case, or to None for a trial to redraw (a zero point
@@ -59,10 +59,12 @@ The last two certify every chart point of each sampled hyperplane or a,
 not every hyperplane or a: those stay sampled.  By the Combinatorial
 Nullstellensatz (Alon, Combin. Probab. Comput. 8, 1999), a polynomial of
 degree at most t_i in each variable x_i that vanishes on a grid
-S_1 x ... x S_n with |S_i| > t_i is zero.  Each check runs such a grid in
-full (`sampling.CERTIFICATE_VALUES`: 5 values per variable of degree 4,
-3 per variable of degree 2, 2 per variable of degree 1), then a seeded
-tail of draws with 64-bit numerators and denominators, which a fault of
+S_1 x ... x S_n with |S_i| > t_i is zero.  A variable is its tuple of
+grid values, and a matrix is four variables, its entries row-major.
+Each check runs such a grid in full (`sampling.CERTIFICATE_VALUES`: 5
+values per variable of degree 4, 3 per variable of degree 2, 2 per
+variable of degree 1), then a seeded tail of `rand_wide_rational` draws,
+one per variable, with 64-bit numerators and denominators, which a fault of
 low degree d escapes with probability of order d / 2**63 per draw (Schwartz, J. ACM 27(4), 1980;
 DeMillo & Lipton, Inf. Process. Lett. 7(4), 1978).  `_certified` builds
 the grid and the tail of all eleven.  The certificate covers the formula
@@ -139,7 +141,6 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
-    rand_wide_mat,
     rand_wide_rational,
     strata_draws,
 )
@@ -228,14 +229,6 @@ class CheckResult(NamedTuple):
         return f"[{mark}] {self.suite}/{self.name}: {self.detail}"
 
 
-def _draws(seed, trials, *samplers, first=0):
-    """One case per trial: each sampler's value, drawn in order from the
-    stream keyed (seed, first + i) of trial i, through the lanes of
-    `lane_draws` (a sampler without a lane form draws on the trial's
-    stream itself)."""
-    return lane_draws(seed, first, trials, samplers)
-
-
 def _tally(suite, name, cases, holds, extra="", certified=0):
     """The one trial counter: one count per case, one failure per case at
     most.  A check that ran no case fails; a failing one names the index of
@@ -286,52 +279,26 @@ def _note(points, wide) -> str:
     return f"{points} grid points certify the identity, {wide} sampled at 64 bits"
 
 
-def _scalar(degree):
-    """A rational variable of an identity of `degree` in it: its grid values
-    and its 64-bit sampler."""
-    return CERTIFICATE_VALUES[degree], rand_wide_rational
-
-
-class _Matrices:
-    """Every Mat2 with entries in `values`: counted without building one,
-    and built each time it is iterated, so in the case stream that reads it."""
-
-    def __init__(self, values):
-        self.values = values
-
-    def __len__(self):
-        return len(self.values) ** 4
-
-    def __iter__(self):
-        return grid_matrices(self.values)
-
-
-def _matrix(degree):
-    """A matrix variable of an identity of `degree` in each entry: every
-    matrix on its grid values, and its 64-bit sampler."""
-    return _Matrices(CERTIFICATE_VALUES[degree]), rand_wide_mat
-
-
 def _grid_size(variables) -> int:
-    return prod(len(values) for values, _ in variables)
+    return prod(map(len, variables))
 
 
 def _certified(variables, tail):
     """The cases of a certificate: every point of the grid of `variables`
-    (one value per variable), built as its first point is drawn, then the
-    64-bit points of `tail`."""
-    yield from product(*(values for values, _ in variables))
+    (one grid value per variable), built as its first point is drawn, then
+    the 64-bit points of `tail`."""
+    yield from product(*variables)
     yield from tail
-
-
-def _wide_draws(variables, seed, trials, first=0):
-    """One 64-bit point of `variables` per trial, each from the trial's stream."""
-    return _draws(seed, trials, *(draw for _, draw in variables), first=first)
 
 
 def _tail_samplers(variables, count):
     """The samplers of `count` 64-bit points of `variables`, in turn."""
-    return tuple(draw for _, draw in variables) * count
+    return (rand_wide_rational,) * (len(variables) * count)
+
+
+def _wide_draws(variables, seed, trials, first=0):
+    """One 64-bit point of `variables` per trial, each from the trial's stream."""
+    return lane_draws(seed, first, trials, _tail_samplers(variables, 1))
 
 
 def _tail_points(variables, values):
@@ -368,7 +335,7 @@ def check_quadext_field(seed, trials=_TAIL):
     degree-1 values: 9 x 16 grid points, then `trials` 64-bit triples.
     Each p and the element a are also compared with rationals: p equals a
     exactly when b = 0, the element a equals a, and neither equals a + 1."""
-    variables = (_scalar(2),) * 2 + (_scalar(1),) * 4
+    variables = (CERTIFICATE_VALUES[2],) * 2 + (CERTIFICATE_VALUES[1],) * 4
 
     def holds(a, b, c, d, e, f):
         p, r, other = QuadExt(a, b), QuadExt(a), a + 1
@@ -453,17 +420,27 @@ def inner_is_trace_form(x, y) -> bool:
 
 
 def check_cayley_hamilton(seed, trials=_TAIL):
-    return _identity_check("core", "cayley_hamilton", cayley_hamilton_holds, (_matrix(2),), seed, trials)
+    def holds(*a):
+        return cayley_hamilton_holds(Mat2(*a))
+
+    variables = (CERTIFICATE_VALUES[2],) * 4
+    return _identity_check("core", "cayley_hamilton", holds, variables, seed, trials)
 
 
 def check_det_trace_laws(seed, trials=_TAIL):
-    variables = (_matrix(1),) * 2
-    return _identity_check("core", "det_multiplicative_trace_commutes", det_trace_laws_hold, variables, seed, trials)
+    def holds(*ab):
+        return det_trace_laws_hold(Mat2(*ab[:4]), Mat2(*ab[4:]))
+
+    variables = (CERTIFICATE_VALUES[1],) * 8
+    return _identity_check("core", "det_multiplicative_trace_commutes", holds, variables, seed, trials)
 
 
 def check_inner_vs_trace(seed, trials=_TAIL):
-    variables = (_matrix(1),) * 2
-    return _identity_check("core", "inner_product_equals_trace_form", inner_is_trace_form, variables, seed, trials)
+    def holds(*xy):
+        return inner_is_trace_form(Mat2(*xy[:4]), Mat2(*xy[4:]))
+
+    variables = (CERTIFICATE_VALUES[1],) * 8
+    return _identity_check("core", "inner_product_equals_trace_form", holds, variables, seed, trials)
 
 
 _E3 = Mat2(0, 0, 1, 0)  # x3 = <x, E3>
@@ -501,7 +478,7 @@ def check_d_is_rank(seed, trials=2000):
         return d == (a.rank() == b.rank()) and green_eq("J", a, b) == d
 
     narrow = partial(rand_mat, span=3)
-    return _tally("green", "d_class_is_rank_class", _draws(seed, trials, narrow, narrow), holds)
+    return _tally("green", "d_class_is_rank_class", lane_draws(seed, 0, trials, (narrow, narrow)), holds)
 
 
 def check_plane_classification_roundtrip(seed, trials=500):
@@ -526,7 +503,7 @@ def check_h_class_is_punctured_line(seed, trials=500):
         line = green.h_class_line(a)
         return green_eq("H", line.point(t), a) and green_eq("H", b, a) == line.contains(b)
 
-    cases = _draws(seed, trials, rand_rank1, rand_nonzero_rational, rand_rank1)
+    cases = lane_draws(seed, 0, trials, (rand_rank1, rand_nonzero_rational, rand_rank1))
     return _tally("green", "h_class_is_punctured_line", cases, holds)
 
 
@@ -552,7 +529,7 @@ _IDEMPOTENT_CHART_POINTS = (len(CERTIFICATE_VALUES[4]) + 1) * len(CERTIFICATE_VA
 # The nilpotent chart: every nonzero nilpotent is k (p, q)^T (q, -p) =
 # k [[pq, -p^2], [q^2, -pq]] for some rationals k, p, q.  x^2, tr x, det x
 # and the cone identity have degree at most 2 in k and 4 in p and in q.
-_NILPOTENT_CHART = (_scalar(2), _scalar(4), _scalar(4))
+_NILPOTENT_CHART = (CERTIFICATE_VALUES[2], CERTIFICATE_VALUES[4], CERTIFICATE_VALUES[4])
 
 
 def _nilpotent_point(k, p, q) -> Mat2:
@@ -609,7 +586,7 @@ def _characterizations(seed, trials):
     def cases():
         charts = chain(_idempotent_charts(), _nilpotent_chart())
         yield from ((x,) for x in grid_matrices(grid_values(span=2, dens=(1, 2))))
-        yield from _draws(seed, trials, partial(rand_mat, span=4, max_den=4))
+        yield from lane_draws(seed, 0, trials, (partial(rand_mat, span=4, max_den=4),))
         yield from ((x,) for x in charts)
 
     idempotents, nilpotents = _IDEMPOTENT_CHART_POINTS, _grid_size(_NILPOTENT_CHART)
@@ -641,7 +618,7 @@ def check_inverse_set_theorem(seed, trials=500):
     """`trials` sampled rank-1 a.  Each test of a chart point has degree at
     most 2 in s and in t, so per a the 3 x 3 (s, t) grid certifies it for
     every (s, t); then `_CHART_TAIL` 64-bit points from the stream of a."""
-    variables = (_scalar(2),) * 2
+    variables = (CERTIFICATE_VALUES[2],) * 2
 
     def chart_points(a, *tail):
         chart = inverse_chart(a)
@@ -684,7 +661,7 @@ def check_membership_equals_triple_products(seed, trials=20):
 
     def cases():
         grid = tuple(grid_matrices(grid_values(span=2)))
-        draws = (a for (a,) in _draws(seed, trials, rand_rank1, first=10_000))
+        draws = (a for (a,) in lane_draws(seed, 10_000, trials, (rand_rank1,)))
         for a in chain([Mat2(1, 0, 0, 0)], draws):
             for x in grid:
                 yield a, x
@@ -701,7 +678,7 @@ def check_chart_bijectivity(seed, trials=500):
         same_point = chart_eval(chart, s1, t1) == chart_eval(chart, s2, t2)
         return same_point == ((s1, t1) == (s2, t2))
 
-    cases = _draws(seed, trials, rand_rank1, _chart_coord, _chart_coord, _chart_coord, _chart_coord)
+    cases = lane_draws(seed, 0, trials, (rand_rank1, _chart_coord, _chart_coord, _chart_coord, _chart_coord))
     return _tally("sets", "chart_is_injective", cases, holds)
 
 
@@ -711,7 +688,7 @@ def check_generator_lines(seed, trials=500):
         on_surface = all(is_idempotent(p) and p.rank() == 1 for p in (p1, p2))
         return on_surface and green_eq("L", p1, e) and green_eq("R", p2, e)
 
-    cases = _draws(seed, trials, rand_idempotent_rank1, _chart_coord)
+    cases = lane_draws(seed, 0, trials, (rand_idempotent_rank1, _chart_coord))
     return _tally("sets", "generator_lines_lie_on_surface", cases, holds)
 
 
@@ -810,7 +787,7 @@ def check_order_section_reports(seed, trials=10):
     gaps = []  # whether the literal section disagrees, per generic a
 
     def cases():
-        for i, (a,) in enumerate(_draws(seed, trials, rand_invertible, first=40_000)):
+        for i, (a,) in enumerate(lane_draws(seed, 40_000, trials, (rand_invertible,))):
             report = order_section_report(a, _REPORT_TRIALS, seed + i)
             gaps.append(report.agree_le_vs_section != _REPORT_TRIALS)
             yield report, False
@@ -846,7 +823,7 @@ def check_bell_identity(seed, trials=1000):
 
     def singular():
         for li, lam in enumerate(_BELL_LEVELS):
-            for (x,) in _draws(seed, trials, partial(rand_singular_with_trace, lam=lam), first=li * trials):
+            for (x,) in lane_draws(seed, li * trials, trials, (partial(rand_singular_with_trace, lam=lam),)):
                 yield x, lam
 
     def holds(x, lam=None):
@@ -854,9 +831,10 @@ def check_bell_identity(seed, trials=1000):
             return frame_residual_holds(x)
         return _trace_is(x, *_parts(lam)) and not bell_residual(x)
 
-    variables, sampled, tail = (_matrix(2),), len(_BELL_LEVELS) * trials, min(trials, _TAIL)
+    variables, sampled, tail = (CERTIFICATE_VALUES[2],) * 4, len(_BELL_LEVELS) * trials, min(trials, _TAIL)
     points = _grid_size(variables)
-    cases = chain(_certified(variables, _wide_draws(variables, seed, tail, sampled)), singular())
+    certified = ((Mat2(*x),) for x in _certified(variables, _wide_draws(variables, seed, tail, sampled)))
+    cases = chain(certified, singular())
     note = f"{_note(points, tail)}, {sampled} at the default width"
     return _tally("sections", "frame_identity_exact", cases, holds, note, points)
 
@@ -871,8 +849,11 @@ def frame_roundtrip_holds(lam, x) -> bool:
 
 
 def check_bell_roundtrip(seed, trials=_TAIL):
-    variables = (_scalar(1), _matrix(1))
-    return _identity_check("sections", "frame_roundtrip_exact", frame_roundtrip_holds, variables, seed, trials)
+    def holds(lam, *x):
+        return frame_roundtrip_holds(lam, Mat2(*x))
+
+    variables = (CERTIFICATE_VALUES[1],) * 5  # lam, then the entries of x
+    return _identity_check("sections", "frame_roundtrip_exact", holds, variables, seed, trials)
 
 
 # The strata of a random hyperplane are 0 to 5: rank a = stratum % 3, and
@@ -928,7 +909,7 @@ def check_restriction_identity(seed, trials=100):
     `_PLANE_TAIL` 64-bit points drawn from the plane's stream.  The same basis
     recentred at the first grid point off det = 0 has a nonzero constant
     term, so its 27-point grid certifies that term too."""
-    variables = (_scalar(2),) * 3
+    variables = (CERTIFICATE_VALUES[2],) * 3
 
     def plane(stratum, *values):
         values = iter(values)
@@ -1014,7 +995,7 @@ def check_inverse_image_law(seed, trials=500):
 def check_symmetric_slice(seed, trials=_TAIL):
     """u u^T / |u|^2 for u on the degree-4 values, all nonzero and with mixed
     denominators, then `trials` 64-bit u."""
-    variables = (_scalar(4),) * 2
+    variables = (CERTIFICATE_VALUES[4],) * 2
 
     def cases():
         center = hyperboloid_metrics(Rational(1)).center

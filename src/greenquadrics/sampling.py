@@ -33,11 +33,12 @@ samplers in turn, each redrawing its own rejected attempts, and in
 `strata_draws` the samplers and `build` again until `build` accepts.  So
 a case is the one of its index's stream either way.
 
-The wide samplers (`rand_wide_rational`, `rand_wide_mat`) draw the tail
-trials of the certified checks: numerators of a random sign and
-denominators of exactly 64 bits each, one output per integer.
-`CERTIFICATE_VALUES` holds the values per variable of those checks'
-exhaustive grids, sized by the degree of the identity in each variable.
+The wide sampler `rand_wide_rational` draws the tail trials of the
+certified checks: a numerator of a random sign and a denominator of
+exactly 64 bits, one output per integer.  Those checks draw a matrix as
+its four entries in turn, row-major.  `CERTIFICATE_VALUES` holds the
+values per variable of their exhaustive grids, sized by the degree of
+the identity in each variable.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ __all__ = [
     "rand_idempotent_rank1",
     "rand_singular_with_trace",
     "rand_wide_rational",
-    "rand_wide_mat",
     "grid_values",
     "grid_matrices",
     "CERTIFICATE_VALUES",
@@ -234,8 +234,7 @@ def uniform_rows(seed: int, start: int, n: int, bounds):
 # value, or None when the attempt is rejected.  Each factory below takes
 # its sampler's parameters after `rng`, with the same defaults, and the
 # scalar sampler is `_draw` of its form (`rand_invertible` loops over
-# `rand_mat`, and the wide samplers read their outputs through
-# `_wide_parts`), so both paths share one decoding.
+# `rand_mat`), so both paths share one decoding.
 # A form is built once per parameters; `typed` keeps 1, 1.0 and True
 # apart, so a float parameter still fails as it would uncached.
 _cached = lru_cache(maxsize=256, typed=True)
@@ -354,6 +353,22 @@ def _singular_with_trace_form(lam, span: int = 5):
     return sizes, build
 
 
+_WIDE_TOP = 1 << 63  # the top bit of one output
+
+
+def _wide_pair(n: int, d: int) -> tuple[int, int]:
+    """(numerator, denominator) of exactly 64 bits each from two outputs:
+    the top bit of the first is the sign and is then set, and the top bit
+    of the second is set."""
+    return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), d | _WIDE_TOP
+
+
+@_cached
+def _wide_rational_form():
+    # a size of 2**64 takes a whole output
+    return (_TWO64, _TWO64), lambda offsets: _from_ints(*_wide_pair(*offsets))
+
+
 def rand_rational(rng: Stream, span: int = 9, max_den: int = 9) -> Rational:
     """num/den with num in [-span, span] and den in [1, max_den]."""
     return _draw(rng, _rational_form(span, max_den))
@@ -399,6 +414,11 @@ def rand_singular_with_trace(rng: Stream, lam, span: int = 5) -> Mat2:
     return _draw(rng, _singular_with_trace_form(lam, span))
 
 
+def rand_wide_rational(rng: Stream) -> Rational:
+    """A random-sign numerator over a denominator, each of exactly 64 bits, reduced."""
+    return _draw(rng, _wide_rational_form())
+
+
 def grid_values(span: int = 2, dens: tuple[int, ...] = (1,)) -> list[Rational]:
     """All fractions num/den with |num| <= span and den in `dens`, deduplicated."""
     vals = {Rational(n, d) for n in range(-span, span + 1) for d in dens}
@@ -410,47 +430,6 @@ def grid_matrices(values):
     return (Mat2(*combo) for combo in product(values, repeat=4))
 
 
-_WIDE_TOP = 1 << 63  # the top bit of one output
-
-
-def _wide_pair(n: int, d: int) -> tuple[int, int]:
-    """(numerator, denominator) of exactly 64 bits each from two outputs:
-    the top bit of the first is the sign and is then set, and the top bit
-    of the second is set."""
-    return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), d | _WIDE_TOP
-
-
-def _wide_parts(rng: Stream) -> tuple[int, int]:
-    """`_wide_pair` of the next two outputs of `rng`."""
-    return _wide_pair(*rng.offsets(_TWO64, _TWO64))
-
-
-def _wide_mat(parts) -> Mat2:
-    (n1, d1), (n2, d2), (n3, d3), (n4, d4) = parts
-    d12, d34 = d1 * d2, d3 * d4
-    return _canon(n1 * d2 * d34, n2 * d1 * d34, n3 * d4 * d12, n4 * d3 * d12, d12 * d34)
-
-
-def rand_wide_rational(rng: Stream) -> Rational:
-    """A random-sign numerator over a denominator, each of exactly 64 bits, reduced."""
-    return _from_ints(*_wide_parts(rng))
-
-
-def rand_wide_mat(rng: Stream) -> Mat2:
-    """Four entries with the law of `rand_wide_rational`, row-major."""
-    return _wide_mat([_wide_parts(rng) for _ in range(4)])
-
-
-# A size of 2**64 takes a whole output, so the outputs of the wide samplers'
-# calls are those of one call with all their sizes.
-def _wide_rational_form():
-    return (_TWO64,) * 2, lambda offsets: _from_ints(*_wide_pair(*offsets))
-
-
-def _wide_mat_form():
-    return (_TWO64,) * 8, lambda o: _wide_mat([_wide_pair(o[k], o[k + 1]) for k in range(0, 8, 2)])
-
-
 _FORMS = {
     rand_rational: _rational_form,
     rand_nonzero_rational: _nonzero_rational_form,
@@ -460,7 +439,6 @@ _FORMS = {
     rand_idempotent_rank1: _idempotent_rank1_form,
     rand_singular_with_trace: _singular_with_trace_form,
     rand_wide_rational: _wide_rational_form,
-    rand_wide_mat: _wide_mat_form,
     # a sampler `partial(_draw, form=form)` carries its own lane form
     _draw: lambda form: form,
 }

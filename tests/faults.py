@@ -226,7 +226,10 @@ FAULTS = [
     *_rows("exact.QuadExt.__eq__", *_FIELD,
         ("quadext-eq-rational-or", "return self._q == 0 and self._d == other.denominator",
          "return self._q == 0 or self._d == other.denominator",
-         "every rational element equal to every Fraction: only a comparison with an unequal rational sees it")),
+         "every rational element equal to every Fraction: only a comparison with an unequal rational sees it"),
+        ("quadext-eq-rational-false", "return self._q == 0 and self._d == other.denominator and self._p == other.numerator",
+         "return False",
+         "no element equal to any Fraction: only a comparison of an element with the rational it equals sees it")),
     *_rows("exact.to_float", *_SIGN,
         ("to-float-no-root2-denominator", "/ (x._d * _SQRT2_D)", "/ x._d",
          "every float 10**50 times too large: each sign stays right, so only a rational value's float sees it"),

@@ -14,7 +14,7 @@ from greenquadrics.sampling import (
     Stream,
     _lane_form,
     _lane_offsets,
-    _wide_parts,
+    _wide_pair,
     grid_matrices,
     lane_draws,
     rand_idempotent_rank1,
@@ -24,7 +24,6 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
-    rand_wide_mat,
     rand_wide_rational,
     rng_for,
     strata_draws,
@@ -179,7 +178,7 @@ def test_uniform_rows_of_no_indices_is_empty():
 
 
 def test_wide_parts_have_exact_widths_and_both_signs():
-    parts = [_wide_parts(rng_for(19, i)) for i in range(300)]
+    parts = [_wide_pair(*rng_for(19, i).offsets(1 << 64, 1 << 64)) for i in range(300)]
     assert all(abs(n).bit_length() == 64 and d.bit_length() == 64 for n, d in parts)
     assert {n > 0 for n, _ in parts} == {True, False}
 
@@ -187,26 +186,28 @@ def test_wide_parts_have_exact_widths_and_both_signs():
 def test_wide_parts_take_one_getrandbits_per_integer():
     # one 64-bit output per integer, the numerator's first
     rng, twin = rng_for(23, 4), rng_for(23, 4)
-    n, d = _wide_parts(rng)
+    value = rand_wide_rational(rng)
     raw_n, raw_d = twin.offsets(1 << 64, 1 << 64)
     top = 1 << 63
+    n, d = _wide_pair(raw_n, raw_d)
     assert abs(n) == raw_n | top and (n > 0) == bool(raw_n & top) and d == raw_d | top
+    assert value == Fraction(n, d)
     assert rng.offsets(1 << 64) == twin.offsets(1 << 64)
 
 
 def test_wide_draws_replay_from_seed_and_index():
     def draws(seed, i):
         rng = rng_for(seed, i)
-        return rand_wide_mat(rng), rand_wide_rational(rng)
+        return tuple(rand_wide_rational(rng) for _ in range(5))
 
     alone = draws(42, 7)
     for j in (0, 6, 8):
         draws(42, j)
     assert draws(42, 7) == alone
     assert draws(42, 8) != alone and draws(43, 7) != alone
-    # the matrix is the four rationals of the same draws, row-major
-    rng = rng_for(42, 7)
-    assert alone[0] == Mat2(*(Fraction(*_wide_parts(rng)) for _ in range(4)))
+    # each draw is the pair of the next two outputs of the stream
+    raw = rng_for(42, 7).offsets(*(1 << 64,) * 10)
+    assert alone == tuple(Fraction(*_wide_pair(*raw[k : k + 2])) for k in range(0, 10, 2))
 
 
 @pytest.mark.parametrize("degree,count", [(1, 1), (1, 2), (2, 1), (4, 1)])
@@ -236,15 +237,16 @@ LANE_CASES = {
     "rand_singular_with_trace(0)": (partial(rand_singular_with_trace, lam=Fraction(0)),),
     "rand_singular_with_trace(-3/2)": (partial(rand_singular_with_trace, lam=Fraction(-3, 2)),),
     "rand_wide_rational": (rand_wide_rational,),
-    "rand_wide_mat": (rand_wide_mat,),
+    # a matrix of a certified check: its four entries, row-major
+    "rand_wide_mat": (rand_wide_rational,) * 4,
     "rational_canonical_form": (rand_rational, rand_nonzero_rational),
     "d_class_is_rank_class": (partial(rand_mat, span=3),) * 2,
     "h_class_is_punctured_line": (rand_rank1, rand_nonzero_rational, rand_rank1),
     "chart_is_injective": (rand_rank1, _COORD, _COORD, _COORD, _COORD),
     "generator_lines_lie_on_surface": (rand_idempotent_rank1, _COORD),
     "quadext_field_axioms": (rand_wide_rational,) * 6,
-    "det_multiplicative_trace_commutes": (rand_wide_mat, rand_wide_mat),
-    "frame_roundtrip_exact": (rand_wide_rational, rand_wide_mat),
+    "det_multiplicative_trace_commutes": (rand_wide_rational,) * 8,
+    "frame_roundtrip_exact": (rand_wide_rational,) * (1 + 4),
     # a sampler `partial(_draw, form=...)` that carries its own lane form
     "quadext_sign_near_root2": (checks._NEAR_ROOT2, rand_rational),
     # no lane form: every index takes the scalar path

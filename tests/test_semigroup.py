@@ -29,7 +29,6 @@ from greenquadrics.sampling import (
     rand_rank1,
     rand_rational,
     rand_singular_with_trace,
-    rand_wide_mat,
     rand_wide_rational,
     rng_for,
 )
@@ -755,8 +754,8 @@ def _and_near_misses(points, step):
 
 def _wide_draws(bits, count=30):
     """(idempotent, nilpotent, rank-1 a, a point of the inverse chart of a,
-    unrelated matrix) per draw, with `bits`-bit entries: `rand_wide_*` at 64
-    bits, `draws.wide` at 256."""
+    unrelated matrix) per draw, with `bits`-bit entries: `rand_wide_rational`
+    at 64 bits, `draws.wide` at 256."""
     for i in range(count):
         rng = rng_for(251, i)
         scalar = rand_wide_rational if bits == 64 else partial(wide, bits=bits)
@@ -765,7 +764,7 @@ def _wide_draws(bits, count=30):
         e = outer(u, v) / (u[0] * v[0] + u[1] * v[1])
         n = Mat2(k * p * q, -k * p * p, k * q * q, -k * p * q)
         a = outer(c, r)
-        other = rand_wide_mat(rng) if bits == 64 else Mat2(*(scalar(rng) for _ in range(4)))
+        other = Mat2(*(scalar(rng) for _ in range(4)))
         yield e, n, a, chart_eval(inverse_chart(a), s, t), other
 
 

@@ -393,7 +393,7 @@ def _counting(body) -> set[str]:
         ("def f(n): n += 1", {"augmented assignment"}),
         ("def f(): return sampling.rng_for(0, 1)", {"rng_for"}),
         ("def f(): return _result('s', 'n', 0, 1)", {"_result"}),
-        ("def f(seed): return _tally('s', 'n', _draws(seed, 3, rand_mat), holds)", set()),
+        ("def f(seed): return _tally('s', 'n', lane_draws(seed, 0, 3, (rand_mat,)), holds)", set()),
     ],
     ids=["counter", "augmented", "stream", "result", "tally"],
 )
