@@ -2,13 +2,15 @@
 
 tests/data/export_golden.sha256 holds one line `argv → sha256` per case:
 each surface kind in CSV and OBJ, `--z-range`, and every `section`
-sampler branch, all at `--samples 257 --seed 11` (odd, so the two
-generator lines get unequal point counts), and an idempotents CSV and a
-generator-lines OBJ at `--samples 2500`, past one chunk of
-`sampling.uniform_rows`' lanes.  The test re-runs each argv with `--out`
-in a temporary directory and compares the file's hash.  A case is named
-by its kind, its sampler branch, its sample count when that is not 257,
-and its format, for example `section-two-planes-csv`.
+sampler branch, the `a = I` section (the one section that writes frame
+columns) among them, all at `--samples 257 --seed 11` (odd, so the two
+generator lines get unequal point counts) and again at `--samples 1201`,
+which crosses two block boundaries of the lanes (`sampling._LANES` = 512
+indices a block), and an idempotents CSV and a generator-lines OBJ at
+`--samples 2500`.  The test re-runs each argv with `--out` in a
+temporary directory and compares the file's hash.  A case is named by its
+kind, its sampler branch, `identity` for `a = I`, its sample count when
+that is not 257, and its format, for example `section-two-planes-csv`.
 """
 
 import hashlib
@@ -17,7 +19,7 @@ import pathlib
 import pytest
 
 from greenquadrics.cli import run
-from greenquadrics.mat2 import parse_mat2
+from greenquadrics.mat2 import IDENTITY, parse_mat2
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "data" / "export_golden.sha256"
 CASES = [line.split(" → ") for line in GOLDEN.read_text(encoding="utf-8").splitlines()]
@@ -36,6 +38,8 @@ def _case_id(argv: str) -> str:
             parts.append("inverse-set" if opts["lambda"] != "0" else "two-planes")
         else:
             parts.append("invertible" if rank == 2 else "full-variety")
+        if parse_mat2(opts["a"]) == IDENTITY:
+            parts.append("identity")
     if "z-range" in opts:
         parts.append("z-range")
     if opts["samples"] != "257":
