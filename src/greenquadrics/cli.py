@@ -46,7 +46,6 @@ _RELS = ("L", "R", "H", "D", "J")
 # the keys of `checks.SUITES`, spelled out so that parsing loads no check
 _SUITES = ("exact", "core", "green", "sets", "sections")
 _KINDS = ("idempotents", "nilpotents", "section", "generator-lines")
-_Z_LIMIT = 1e150  # largest --z-range magnitude: z*z and HI - LO stay finite
 
 
 class _UsageError(Exception):
@@ -345,7 +344,7 @@ def _run_metrics(ns):
 def _run_export(ns):
     from greenquadrics.exact import parse_rational
     from greenquadrics.mat2 import parse_mat2
-    from greenquadrics.surfaces import sample_surface, write_csv, write_obj
+    from greenquadrics.surfaces import _FLOAT_LIMIT, sample_surface, write_csv, write_obj
 
     if os.path.isdir(ns.out) or ns.out.endswith(("/", os.sep)):
         raise _UsageError(f"cannot write {_shown(ns.out)}: it names a directory")
@@ -374,7 +373,7 @@ def _run_export(ns):
             lo_f, hi_f = float(lo), float(hi)
         except ValueError as exc:
             raise _UsageError(f"bad --z-range: {exc}") from None
-        if not all(math.isfinite(v) and abs(v) <= _Z_LIMIT for v in (lo_f, hi_f)):
+        if not all(math.isfinite(v) and abs(v) <= _FLOAT_LIMIT for v in (lo_f, hi_f)):
             raise _UsageError("--z-range bounds must be finite and at most 1e150 in magnitude")
         if not lo_f < hi_f:
             raise _UsageError("--z-range needs LO < HI")

@@ -22,8 +22,9 @@ each step of SplitMix64 is one big-int operation over all the lanes, and
 each offset a lane-wise multiply-high.  Every lane value and multiplier
 is below 2**64, so no product carries into the next lane, and the
 offsets are bit-identical to those of `Stream.offsets`.  Three readers
-share it: `uniform_rows` draws the float rows of export, `lane_draws`
-the tuples of samplers that most checks draw per trial, and
+share it: `uniform_columns` draws the float columns of export, one list
+per bound for each block of indices, `lane_draws` the tuples of samplers
+that most checks draw per trial, and
 `strata_draws` the first attempts of the checks whose trials pick their
 samplers by stratum, one strided run per stratum.  An index whose first
 attempt some builder rejects, whose case the caller's `build` of
@@ -55,7 +56,7 @@ __all__ = [
     "Stream",
     "derive_seed",
     "rng_for",
-    "uniform_rows",
+    "uniform_columns",
     "lane_draws",
     "strata_draws",
     "rand_rational",
@@ -218,15 +219,15 @@ def _lane_offsets(seed: int, first: int, n: int, calls, stride: int = 1):
         n -= m
 
 
-def uniform_rows(seed: int, start: int, n: int, bounds):
-    """Yield, for each index in [start, start + n), the tuple of draws
-    `rng_for(seed, index).uniform(lo, hi)` for each of the one or more
-    (lo, hi) in `bounds`: one offset of 2**53 per draw, from the lanes of
-    `_lane_offsets`, each draw keeping `Stream.uniform`'s expression
-    a + (b - a) * (k * 2**-53)."""
+def uniform_columns(seed: int, start: int, n: int, bounds):
+    """Yield, for each block of up to `_LANES` indices of [start, start + n),
+    one list per (lo, hi) of `bounds` (one or more): item i of a list is
+    the draw `rng_for(seed, index).uniform(lo, hi)` of index i of the
+    block, one offset of 2**53 per draw from the lanes of `_lane_offsets`,
+    keeping `Stream.uniform`'s expression a + (b - a) * (k * 2**-53)."""
     spans = [(lo, hi - lo) for lo, hi in bounds]
     for columns in _lane_offsets(seed, start, n, [(1 << 53,)] * len(spans)):
-        yield from zip(*([lo + width * (k * 2.0**-53) for k in ks] for (lo, width), ks in zip(spans, columns)))
+        yield [[lo + width * (k * 2.0**-53) for k in ks] for (lo, width), ks in zip(spans, columns)]
 
 
 # The lane form of a sampler is (sizes, build): the sizes of the one

@@ -342,6 +342,36 @@ class TestCheckAndExportCli:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
+        "kind,fmt",
+        [
+            (["--kind=section", "--a=[1,0;0,1]", "--lambda=1" + "0" * 160], "csv"),
+            (["--kind=section", "--a=[1/1" + "0" * 300 + ",0;0,1/1" + "0" * 300 + "]", "--lambda=10000000000"], "obj"),
+            (["--kind=section", "--a=[1,0;0,1]", "--lambda=1" + "0" * 151], "csv"),
+            (["--kind=section", "--a=[1/1" + "0" * 200 + ",0;0,1]", "--lambda=1"], "csv"),
+            (["--kind=section", "--a=[1,0;0,0]", "--lambda=1" + "0" * 160], "obj"),
+            (["--kind=generator-lines", "--e=[1,1" + "0" * 160 + ";0,0]"], "csv"),
+        ],
+        ids=["level-overflows", "inverse-overflows", "level", "inverse", "inverse-chart", "generator-line"],
+    )
+    def test_export_refuses_a_coefficient_past_1e150(self, tmp_path, kind, fmt):
+        # lam*lam/2 overflows past about 1.34e154 and the inverse of a
+        # 10^-300 diagonal is 10^300: the first two wrote nan and inf rows.
+        # Each coefficient past 1e150 is refused before any row is drawn
+        out = tmp_path / f"x.{fmt}"
+        code, text = run(["export", *kind, "--samples=3", f"--format={fmt}", f"--out={out}"])
+        assert (code, text) == (
+            1, "usage error: a surface coefficient exceeds 1e150 in magnitude: its points could overflow a double"
+        )
+        assert list(tmp_path.iterdir()) == []
+
+    def test_export_at_coefficient_1e150_is_finite(self, tmp_path):
+        out = tmp_path / "x.csv"
+        code, _ = run(["export", "--kind=section", "--a=[1,0;0,1]", "--lambda=1" + "0" * 150, "--z-range=-1e150:1e150",
+                       "--samples=50", f"--out={out}"])
+        assert code == 0
+        assert all(math.isfinite(v) for x in read_csv_points(out) for v in x)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["bell", "--lambda=1", "--point=[1,1/1" + "0" * 400 + ";0,0]", "--float"],

@@ -27,7 +27,7 @@ from greenquadrics.sampling import (
     rand_wide_rational,
     rng_for,
     strata_draws,
-    uniform_rows,
+    uniform_columns,
 )
 
 
@@ -146,9 +146,9 @@ def test_trial_draws_do_not_depend_on_other_trials():
     assert draws(rng_for(11, 6)) != alone and draws(rng_for(12, 5)) != alone
 
 
-# Row counts on both sides of one and two chunks of lanes.  Keys wrap past
+# Row counts on both sides of one and two blocks of lanes.  Keys wrap past
 # 2**63 about every 6.4 rows (_MIX_B is about 0.16 * 2**63); the start
-# 2**64 - 5 also runs the index itself past 2**64 inside the first chunk.
+# 2**64 - 5 also runs the index itself past 2**64 inside the first block.
 ROW_COUNTS = (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3)
 
 
@@ -165,16 +165,24 @@ ROW_COUNTS = (0, 1, _LANES - 1, _LANES, _LANES + 1, 2 * _LANES + 3)
     ids=["angle-and-span", "three", "quarter", "two-angles-and-scale"],
 )
 def test_uniform_rows_are_the_per_index_stream_draws(seed, start, bounds):
+    # the rows of `uniform_columns`: its blocks flattened back into one
+    # tuple of draws per index
     want = []
     for i in range(start, start + max(ROW_COUNTS)):
         rng = rng_for(seed, i)
         want.append(tuple(rng.uniform(lo, hi) for lo, hi in bounds))
     for n in ROW_COUNTS:
-        assert list(uniform_rows(seed, start, n, bounds)) == want[:n], n
+        blocks = list(uniform_columns(seed, start, n, bounds))
+        # one column per bound, all of one block's length, and every block
+        # but the last a full one of `_LANES` indices
+        assert all(len(columns) == len(bounds) for columns in blocks), n
+        assert all(len(column) == len(columns[0]) for columns in blocks for column in columns), n
+        assert all(len(columns[0]) == _LANES for columns in blocks[:-1]), n
+        assert [row for columns in blocks for row in zip(*columns)] == want[:n], n
 
 
 def test_uniform_rows_of_no_indices_is_empty():
-    assert list(uniform_rows(5, 0, 0, ((-3.0, 3.0),))) == []
+    assert list(uniform_columns(5, 0, 0, ((-3.0, 3.0),))) == []
 
 
 def test_wide_parts_have_exact_widths_and_both_signs():

@@ -24,7 +24,7 @@ the order report and the two characterizations read no trace, det,
 canonical product or `Fraction` (and the predicates multiply no `Mat2`),
 the comparisons of the certified identities and the content comparisons of
 `mat2` read no det, trace, inner or `Fraction`, and neither the lane
-helper, `uniform_rows` nor export builds a `Stream`.  The five oracles
+helper, `uniform_columns` nor export builds a `Stream`.  The five oracles
 (`is_idempotent`, `is_nilpotent`, `is_inverse_pair`, `natural_le`,
 `minus_le`) read none of those content comparisons.  Each certified
 identity still calls the map it certifies (`CERTIFIED_MAPS`), and the
@@ -283,8 +283,8 @@ NAME_GUARDS = [
     # lanes mix many keys per big int; a `Stream` per row would bring back
     # the scalar loop as a second path to the same draws
     ("sampling", "_lane_offsets", {"Stream", "rng_for"}),
-    ("sampling", "uniform_rows", {"Stream", "rng_for"}),
-    # every export draw goes through the lanes of `uniform_rows`
+    ("sampling", "uniform_columns", {"Stream", "rng_for"}),
+    # every export draw goes through the lanes of `uniform_columns`
     ("surfaces", None, {"Stream", "rng_for"}),
     # the chart's Fraction vectors are built on first read, not by the chart
     ("semigroup", "inverse_chart", {"_from_ints", "Rational"}),
@@ -439,7 +439,7 @@ def test_minus_le_forms_no_difference():
 
 def test_splitmix64_is_written_twice():
     # the scalar mix of `Stream.offsets`, which every scalar draw goes
-    # through, and the lane mix of `_lane_offsets`, which `uniform_rows` and
+    # through, and the lane mix of `_lane_offsets`, which `uniform_columns` and
     # `lane_draws` share: a third copy would have to be kept bit-identical
     # to them by hand
     tree = ast.parse((PACKAGE / "sampling.py").read_text(encoding="utf-8"))

@@ -7,15 +7,35 @@ import pytest
 from greenquadrics.errors import DomainError, UnknownKindError
 from greenquadrics.exact import Rational
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO
-from greenquadrics.sampling import rng_for
+from greenquadrics.sampling import _LANES, rng_for
 from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 from surface_csv import read_csv_points
 
 E = Mat2(1, 0, 0, 0)
 
 
+def rows(sample):
+    """(point, frame, chart) per sample, flattened from the column blocks:
+    the ambient 4-tuple, the frame 3-tuple or None, the chart 3-tuple or None."""
+    out = []
+    for pts, frame, chart in sample.blocks():
+        n = len(pts[0])
+        assert all(len(col) == n for col in (*pts, *(frame or ()), *(chart or ()))), "ragged block"
+        out += zip(
+            zip(*pts),
+            zip(*frame) if frame is not None else [None] * n,
+            zip(*chart) if chart is not None else [None] * n,
+        )
+    return out
+
+
 def points(sample):
-    return [pt for pt, _, _ in sample.rows()]
+    return [pt for pt, _, _ in rows(sample)]
+
+
+def segments(sample):
+    """(i, j) pairs of the points each segment joins, from the blocks of `segments()`."""
+    return [(i, i + 1) for starts in sample.segments() for i in starts]
 
 
 def det_rel(pt):
@@ -27,17 +47,17 @@ def det_rel(pt):
 def line_ts(sample):
     """Each generator line's `t`, read off its points: through E = [1,0;0,0],
     L1 is E + t*[0,0;1,0] and L2 is E + t*[0,1;0,0]."""
-    rows = points(sample)
+    pts = points(sample)
     first = sample.line_counts[0]
-    return [[pt[2] for pt in rows[:first]], [pt[1] for pt in rows[first:]]]
+    return [[pt[2] for pt in pts[:first]], [pt[1] for pt in pts[first:]]]
 
 
 class TestSampling:
     def test_idempotents(self):
         s = sample_surface("idempotents", 300, seed=5)
-        rows = list(s.rows())
-        assert len(rows) == 300
-        for pt, fr, _ in rows:
+        got = rows(s)
+        assert len(got) == 300
+        for pt, fr, _ in got:
             assert abs(pt[0] + pt[3] - 1.0) < 1e-12
             assert det_rel(pt) < 1e-12
             X, Y, Z = fr
@@ -71,7 +91,7 @@ class TestSampling:
     def test_section_rank1_paraboloid(self):
         a = Mat2(1, 2, 1, 2)
         s = sample_surface("section", 150, seed=8, a=a, lam=Rational(1))
-        for pt, _, ch in s.rows():
+        for pt, _, ch in rows(s):
             tr = pt[0] + pt[2] * 2 + pt[1] * 1 + pt[3] * 2
             assert abs(tr - 1.0) < 1e-9
             assert det_rel(pt) < 1e-12
@@ -94,21 +114,24 @@ class TestSampling:
     def test_generator_lines(self):
         s = sample_surface("generator-lines", 40, seed=13, e=E)
         assert len(points(s)) == 40
-        assert len(list(s.segments())) == 38  # two polylines
+        assert len(segments(s)) == 38  # two polylines
         for pt in points(s):
             assert abs(pt[0] + pt[3] - 1.0) < 1e-12
             assert det_rel(pt) < 1e-12
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 257])
+    @pytest.mark.parametrize("n", [1, 2, 3, 257, 2051])
     def test_generator_lines_come_in_order(self, n):
         s = sample_surface("generator-lines", n, seed=22, e=E)
         assert s.line_counts == (n - n // 2, n // 2)
-        assert len(list(s.segments())) == max(n - 2, 0)
-        rows = points(s)
-        assert rows == points(sample_surface("generator-lines", n, seed=22, e=E))
+        # consecutive points of each line, whatever blocks they fall in
+        first = n - n // 2
+        assert segments(s) == [(j - 1, j) for j in [*range(1, first), *range(first + 1, n)]]
+        assert all(len(starts) <= _LANES for starts in s.segments())
+        pts = points(s)
+        assert pts == points(sample_surface("generator-lines", n, seed=22, e=E))
         for ts in line_ts(s):
             assert all(-3.0 <= a <= b <= 3.0 for a, b in zip(ts, ts[1:] + [3.0]))
-        assert all(det_rel(pt) < 1e-12 for pt in rows)
+        assert all(det_rel(pt) < 1e-12 for pt in pts)
 
     def test_generator_lines_draw_keys(self):
         # row i of a line takes its u from (seed, first row of the line + i)
@@ -132,7 +155,7 @@ class TestSampling:
 
     def test_z_span(self):
         s = sample_surface("nilpotents", 100, seed=14, z_span=(-0.25, 0.25))
-        for _, fr, _ in s.rows():
+        for _, fr, _ in rows(s):
             assert -0.25 <= fr[2] <= 0.25
 
     def test_domain_errors(self):
