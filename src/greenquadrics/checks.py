@@ -130,7 +130,6 @@ from greenquadrics.green import class_plane, classify_plane, green_eq
 from greenquadrics.mat2 import IDENTITY, Mat2, _canon, _det_is, _inner_is, _trace_is, inner, inverse_mat, outer
 from greenquadrics.sampling import (
     CERTIFICATE_VALUES,
-    _draw,
     grid_matrices,
     grid_values,
     lane_draws,
@@ -357,19 +356,17 @@ def _root2_sign(a, b) -> int:
     return sa if a * a > 2 * b * b else sb
 
 
-def _near_root2(offsets):
-    """(a, b) = +-(p/q, -1) for one of the convergents p/q of sqrt2 from 1393/985
-    on, which lie on both sides of sqrt2: |a + b sqrt2| < 4e-7.  The offsets
-    (k, s) are those of one `offsets(4, 2)` call."""
-    k, s = offsets
+def _near_root2(v):
+    """(a, b) = +-(p/q, -1), of the sign of v, for the convergent p/q of sqrt2
+    |v| - 1 steps past 1393/985 (v a `_NEAR_ROOT2` draw, 0 < |v| <= 4, so
+    each pair is 1 in 8): on both sides of sqrt2, |a + b sqrt2| < 4e-7."""
     p, q = 1393, 985
-    for _ in range(k):
+    for _ in range(abs(v.numerator) - 1):
         p, q = p + 2 * q, p + q
-    return (Rational(p, q), Rational(-1)) if s else (Rational(-p, q), Rational(1))
+    return (Rational(p, q), Rational(-1)) if v > 0 else (Rational(-p, q), Rational(1))
 
 
-# the sampler of a near-miss pair, whose lane form is `_near_root2` itself
-_NEAR_ROOT2 = partial(_draw, form=((4, 2), _near_root2))
+_NEAR_ROOT2 = partial(rand_nonzero_rational, span=4, max_den=1)
 
 
 def check_quadext_sign(seed, trials=2000):
@@ -396,7 +393,7 @@ def check_quadext_sign(seed, trials=2000):
 
         return p.sign() == expected and above(nextafter(f, -inf)) == 1 and above(nextafter(f, inf)) == -1
 
-    strata = [((_NEAR_ROOT2,), lambda pair: pair)] + [((rand_rational, rand_rational), lambda a, b: (a, b))] * 7
+    strata = [((_NEAR_ROOT2,), _near_root2)] + [((rand_rational, rand_rational), lambda a, b: (a, b))] * 7
     return _tally("exact", "quadext_sign_float_bridge", strata_draws(seed, trials, strata), holds)
 
 

@@ -12,7 +12,8 @@ vector, a zero pairing) redraws the whole batch, which keeps the result
 uniform over the accepted draws.  That batch is the sampler's lane form:
 the sizes of its one `offsets` call, and a builder from those offsets to
 the value (None for a rejected attempt); the scalar call draws the same
-batch from a `Stream`.
+batch from a `Stream`.  The forms stay inside this module: a caller
+passes samplers, or `partial`s of them, and shapes their values itself.
 
 The mix is written twice: in `Stream.offsets`, for scalar draws, and in
 `_lane_offsets`, which draws the same outputs without building a
@@ -440,15 +441,13 @@ _FORMS = {
     rand_idempotent_rank1: _idempotent_rank1_form,
     rand_singular_with_trace: _singular_with_trace_form,
     rand_wide_rational: _wide_rational_form,
-    # a sampler `partial(_draw, form=form)` carries its own lane form
-    _draw: lambda form: form,
 }
 
 
 def _lane_form(sampler):
-    """The lane form of `sampler` called on a stream alone: a sampler of
-    this module or a `partial` of one, `partial(_draw, form=form)`
-    included; None for any other callable."""
+    """The lane form of `sampler` called on a stream alone: a public
+    sampler of this module or a `partial` of one; None for any other
+    callable."""
     args, kwargs = (), {}
     if isinstance(sampler, partial):
         sampler, args, kwargs = sampler.func, sampler.args, sampler.keywords

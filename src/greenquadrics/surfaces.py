@@ -9,19 +9,19 @@ whenever the coefficient matrix is nonzero, which is what the OBJ writer
 uses.
 
 A sample holds no points.  `sample_surface` does the exact work (inverse,
-chart, class planes, generator lines) up front and refuses a surface
-whose float coefficients pass `_FLOAT_LIMIT` in magnitude, so that no
-point of it overflows.  `SurfaceSample.blocks()` regenerates the floats
-from `(seed, index)` on every pass, one block of at most
-`sampling._LANES` indices at a time, as columns: every kind draws its
-columns through `sampling.uniform_columns` and computes each coordinate
-as one list over the block, keeping each point as drawn (none is
-redrawn).  The writers format a whole block into one string and write it
-with one call, so export memory does not grow with the sample count for
-any kind, generator lines (drawn in order) included: one block of draws,
-of coordinate columns and of formatted rows and their joined string is
-held, whatever the sample count (a `tracemalloc` peak of 0.34 to 0.42 MB
-per export).
+chart, class planes, generator lines) up front and refuses, for every
+caller, a `z_span` bound or a float coefficient that is not finite or
+passes `_FLOAT_LIMIT` in magnitude, so that no point overflows.
+`SurfaceSample.blocks()` regenerates the floats from `(seed, index)` on
+every pass, one block of at most `sampling._LANES` indices at a time, as
+columns: every kind draws its columns through `sampling.uniform_columns`
+and computes each coordinate as one list over the block, keeping each
+point as drawn (none is redrawn).  The writers format a whole block into
+one string and write it with one call, so export memory does not grow
+with the sample count for any kind, generator lines (drawn in order)
+included: one block of draws, of coordinate columns and of formatted rows
+and their joined string is held, whatever the sample count (a
+`tracemalloc` peak of 0.34 to 0.42 MB per export).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from greenquadrics.semigroup import generator_line, inverse_chart
 __all__ = ["SurfaceSample", "sample_surface", "write_csv", "write_obj"]
 
 _SQRT2 = math.sqrt(2.0)
-# largest float coefficient of a surface, and largest --z-range bound:
+# largest float coefficient of a surface, and largest z bound:
 # every coordinate is then at most a sum of two products of values below
 # about 4e150 (a coefficient, a frame value, a chart factor d0 + s*d1),
 # so it stays finite
@@ -141,11 +141,13 @@ def sample_surface(
     kind: "idempotents", "nilpotents", "section" (needs a, lam) or
     "generator-lines" (needs a rank-1 idempotent e).  Deterministic per
     (seed, index); generator lines also have polyline segments.  Input
-    errors raise here, a float coefficient past 1e150 in magnitude among
-    them; the points are computed only when iterated.
+    errors raise here, a `z_span` bound or float coefficient not finite or
+    past 1e150 in magnitude among them; points are computed only when iterated.
     """
     if n < 1:
         raise DomainError("need at least one sample")
+    if z_span is not None and any(not abs(v) <= _FLOAT_LIMIT for v in z_span):
+        raise RenderLimitError("z bounds must be finite and at most 1e150 in magnitude")
     if kind == "idempotents":
         return _identity_section(kind, 1.0, n, seed, z_span)
     if kind == "nilpotents":

@@ -255,7 +255,7 @@ LANE_CASES = {
     "quadext_field_axioms": (rand_wide_rational,) * 6,
     "det_multiplicative_trace_commutes": (rand_wide_rational,) * 8,
     "frame_roundtrip_exact": (rand_wide_rational,) * (1 + 4),
-    # a sampler `partial(_draw, form=...)` that carries its own lane form
+    # the near-miss stratum of `check_quadext_sign`: a nonzero integer in [-4, 4]
     "quadext_sign_near_root2": (checks._NEAR_ROOT2, rand_rational),
     # no lane form: every index takes the scalar path
     "lambda": (lambda rng: rand_mat(rng, 4, 3),),
@@ -344,8 +344,8 @@ def _pack(*values):
     return values
 
 
-# stratum by stratum: rejecting samplers, a form of its own, and a stratum
-# without a lane form, whose trials all take the scalar path
+# stratum by stratum: rejecting samplers, the near-miss sampler, and a
+# stratum without a lane form, whose trials all take the scalar path
 STRATA = [
     ((rand_rank1, rand_rational), _pack),
     ((rand_invertible,), _pack),

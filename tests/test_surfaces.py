@@ -4,7 +4,7 @@ import tracemalloc
 
 import pytest
 
-from greenquadrics.errors import DomainError, UnknownKindError
+from greenquadrics.errors import DomainError, RenderLimitError, UnknownKindError
 from greenquadrics.exact import Rational
 from greenquadrics.mat2 import IDENTITY, Mat2, ZERO
 from greenquadrics.sampling import _LANES, rng_for
@@ -12,6 +12,8 @@ from greenquadrics.surfaces import sample_surface, write_csv, write_obj
 from surface_csv import read_csv_points
 
 E = Mat2(1, 0, 0, 0)
+# every kind whose points draw z: the two identity slices and an invertible section
+Z_KINDS = [("idempotents", {}), ("nilpotents", {}), ("section", {"a": Mat2(2, 0, 0, 1), "lam": 1})]
 
 
 def rows(sample):
@@ -157,6 +159,19 @@ class TestSampling:
         s = sample_surface("nilpotents", 100, seed=14, z_span=(-0.25, 0.25))
         for _, fr, _ in rows(s):
             assert -0.25 <= fr[2] <= 0.25
+
+    @pytest.mark.parametrize("z_span", [(-1e300, 1e300), (math.nan, 1.0), (0.0, math.inf)], ids=["1e300", "nan", "inf"])
+    @pytest.mark.parametrize("kind,kwargs", Z_KINDS, ids=[kind for kind, _ in Z_KINDS])
+    def test_z_span_past_1e150_is_refused(self, kind, kwargs, z_span):
+        # the library refuses the bound itself, before any block is drawn
+        with pytest.raises(RenderLimitError, match="z bounds must be finite and at most 1e150"):
+            sample_surface(kind, 3, seed=0, z_span=z_span, **kwargs)
+
+    @pytest.mark.parametrize("kind,kwargs", Z_KINDS, ids=[kind for kind, _ in Z_KINDS])
+    def test_z_span_at_1e150_is_finite(self, kind, kwargs):
+        got = rows(sample_surface(kind, 50, seed=0, z_span=(-1e150, 1e150), **kwargs))
+        assert len(got) == 50
+        assert all(math.isfinite(v) for row in got for part in row if part is not None for v in part)
 
     def test_domain_errors(self):
         with pytest.raises(UnknownKindError):
