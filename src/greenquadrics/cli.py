@@ -28,8 +28,9 @@ non-positive or non-integer --trials/--samples/--grid, a non-integer
 --seed, an unwritable --out path, a result too large to print (beyond
 Python's int-to-str digit limit, or beyond the float range under
 --float) or nonzero and too small for a double under --float, and an
-export whose --z-range bound or surface coefficient `sample_surface`
-refuses (not finite, or past 1e150 in magnitude); 2 domain errors (and
+export whose --z-range or surface coefficient `sample_surface` refuses
+(not LO < HI, or a bound or coefficient not finite or past 1e150 in
+magnitude); 2 domain errors (and
 failed `check` runs).  An error is one line: a path in it shows each
 character that does not print as its escape.
 """
@@ -371,12 +372,9 @@ def _run_export(ns):
         if not sep:
             raise _UsageError("--z-range must look like LO:HI")
         try:
-            lo_f, hi_f = float(lo), float(hi)
+            kwargs["z_span"] = (float(lo), float(hi))
         except ValueError as exc:
             raise _UsageError(f"bad --z-range: {exc}") from None
-        if not lo_f < hi_f:
-            raise _UsageError("--z-range needs LO < HI")
-        kwargs["z_span"] = (lo_f, hi_f)
     sample = sample_surface(ns.kind, ns.samples, ns.seed, **kwargs)
     write = write_csv if ns.fmt == "csv" else write_obj
     try:

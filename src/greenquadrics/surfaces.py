@@ -10,8 +10,9 @@ uses.
 
 A sample holds no points.  `sample_surface` does the exact work (inverse,
 chart, class planes, generator lines) up front and refuses, for every
-caller, a `z_span` bound or a float coefficient that is not finite or
-passes `_FLOAT_LIMIT` in magnitude, so that no point overflows.
+caller, a `z_span` that is not two bounds LO < HI, and a `z_span` bound or
+a float coefficient that is not finite or passes `_FLOAT_LIMIT` in
+magnitude, so that no point overflows.
 `SurfaceSample.blocks()` regenerates the floats from `(seed, index)` on
 every pass, one block of at most `sampling._LANES` indices at a time, as
 columns: every kind draws its columns through `sampling.uniform_columns`
@@ -141,13 +142,14 @@ def sample_surface(
     kind: "idempotents", "nilpotents", "section" (needs a, lam) or
     "generator-lines" (needs a rank-1 idempotent e).  Deterministic per
     (seed, index); generator lines also have polyline segments.  Input
-    errors raise here, a `z_span` bound or float coefficient not finite or
-    past 1e150 in magnitude among them; points are computed only when iterated.
+    errors raise here, among them a `z_span` that is not two bounds LO < HI,
+    and a bound or float coefficient not finite or past 1e150 in magnitude;
+    points are computed only when iterated.
     """
     if n < 1:
         raise DomainError("need at least one sample")
-    if z_span is not None and any(not abs(v) <= _FLOAT_LIMIT for v in z_span):
-        raise RenderLimitError("z bounds must be finite and at most 1e150 in magnitude")
+    if z_span is not None and not (len(z_span) == 2 and -_FLOAT_LIMIT <= z_span[0] < z_span[1] <= _FLOAT_LIMIT):
+        raise RenderLimitError("z bounds must be finite and at most 1e150 in magnitude, two of them with LO < HI")
     if kind == "idempotents":
         return _identity_section(kind, 1.0, n, seed, z_span)
     if kind == "nilpotents":

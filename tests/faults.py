@@ -220,6 +220,10 @@ FAULTS = [
          "Y from x2 - x3 is still rational, and right whenever x3 = 0")),
     *_rows("exact.QuadExt.__add__", *_FIELD,
         ("quadext-sum-one-denominator", "o._q * d1, d1 * d2)", "o._q * d1, d1)", "right whenever d2 = 1")),
+    *_rows("exact.QuadExt.__sub__", *_ROUNDTRIP,
+        ("quadext-difference-adds-root2-parts", "self._q * d2 - o._q * d1", "self._q * d2 + o._q * d1",
+         "the sqrt 2 parts added when the denominators differ: of the generated mutants, the one that only a tail "
+         "point kills (the third 64-bit point of the frame round trip)")),
     *_rows("exact.QuadExt.sign", *_SIGN,
         ("sign-zero-positive", "return sp\n", "return sp or 1\n", "zero called positive"),
         ("sign-p2-vs-q2", "> 2 * self._q * self._q", "> self._q * self._q", "|p| against |q| instead of |q| sqrt 2")),
@@ -297,17 +301,39 @@ def _holders(target):
     return [(owner, name) for owner in owners for name, value in vars(owner).items() if value is target]
 
 
-def install(monkeypatch, fault):
-    """Put the mutant of `fault` at every attribute that holds its target;
-    return its call count, a one-item list."""
-    target = getattr(*_resolve(fault.target))
-    mutant = _mutant(target, fault.old, fault.new)
+def bind(monkeypatch, target, mutant):
+    """Put `mutant`, behind a call counter, at every attribute that holds
+    `target`; return the call count, a one-item list.  A `property` or
+    `staticmethod` target is replaced by one of the same kind around the
+    counter, and `mutant` is its plain function."""
     calls = [0]
 
     def counted(*args, **kwargs):
         calls[0] += 1
         return mutant(*args, **kwargs)
 
+    value = type(target)(counted) if isinstance(target, (property, staticmethod)) else counted
     for owner, name in _holders(target):
-        monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, value)
     return calls
+
+
+def install(monkeypatch, fault):
+    """Put the mutant of `fault` at every attribute that holds its target;
+    return its call count, a one-item list."""
+    target = getattr(*_resolve(fault.target))
+    return bind(monkeypatch, target, _mutant(target, fault.old, fault.new))
+
+
+class Undo(list):
+    """The one method of pytest's `monkeypatch` that `install` and `bind`
+    call, with each replaced attribute kept in a plain list for `undo`:
+    the runners outside pytest (`kill_matrix.py`, `mutants.py`) pass one."""
+
+    def setattr(self, owner, name, value):
+        self.append((owner, name, vars(owner)[name]))
+        setattr(owner, name, value)
+
+    def undo(self):
+        while self:
+            setattr(*self.pop())

@@ -18,22 +18,9 @@ repository:
 import sys
 import time
 
-from faults import FAULTS, install
+from faults import FAULTS, Undo, install
 
 from greenquadrics import checks
-
-
-class UndoList(list):
-    """The one method of pytest's `monkeypatch` that `install` calls, with
-    each replaced attribute kept in a plain list for `undo`."""
-
-    def setattr(self, owner, name, value):
-        self.append((owner, name, vars(owner)[name]))
-        setattr(owner, name, value)
-
-    def undo(self):
-        while self:
-            setattr(*self.pop())
 
 
 def main() -> int:
@@ -43,7 +30,7 @@ def main() -> int:
     single = []  # "row (its one killer)"
     bad = []
     for fault in FAULTS:
-        undo = UndoList()
+        undo = Undo()
         try:
             calls = install(undo, fault)
             failed = [r.name for r in checks.run_checks(seed=42) if not r.ok]

@@ -150,13 +150,16 @@ class TestExitCodes:
             (["export", "--kind", "idempotents", "--z-range=1", "--out", "x.csv"], 1,
              "usage error: --z-range must look like LO:HI"),
             (["export", "--kind", "idempotents", "--z-range=1:1", "--out", "x.csv"], 1,
-             "usage error: --z-range needs LO < HI"),
+             "usage error: z bounds must be finite and at most 1e150 in magnitude, two of them with LO < HI"),
+            (["export", "--kind", "idempotents", "--z-range=nan:1", "--out", "x.csv"], 1,
+             "usage error: z bounds must be finite and at most 1e150 in magnitude, two of them with LO < HI"),
             (["plane", "[1,0;0,1]", "[0,1;0,0]"], 0, "not contained in the singular variety"),
             (["bell", "--lambda", "1", "--from", "sqrt2+2*sqrt2,0,0"], 1,
              "parse error: two sqrt2 terms in 'sqrt2+2*sqrt2'"),
             (["bell", "--lambda", "1", "--from", "1+2,0,0"], 1, "parse error: two rational terms in '1+2'"),
         ],
         ids=["report-of-none", "report-of-two", "lines-without-e", "z-range-without-colon", "z-range-empty",
+             "z-range-nan",
              "plane-off-the-variety", "two-sqrt2-terms", "two-rational-terms"],
     )
     def test_one_line_of_each_branch(self, argv, code, text):
@@ -428,5 +431,5 @@ class TestCheckAndExportCli:
         env = dict(os.environ, GQ_DEFAULT_TRIALS="25")
         proc = run_gq(["check", "--seed", "1", "--suite", "exact"], env=env)
         assert proc.returncode == 0 and proc.stderr == ""
-        line = "[pass] exact/quadext_field_axioms: 344/344 trials ok; 144 grid points certify the identity, 200 sampled at 64 bits\n"
+        line = "[pass] exact/quadext_field_axioms: 167/167 trials ok; 144 grid points certify the identity, 23 sampled at 64 bits\n"
         assert proc.stdout.startswith(line)

@@ -137,6 +137,12 @@ class TestQuadExtCanonical:
         # an irrational element, and a rational one of another value
         assert SQRT2 != Fraction(3)
         assert QuadExt(Fraction(1, 2)) != Fraction(3, 2)
+        # and each other part of an element, against an int or an element
+        assert QuadExt(Fraction(1, 2)) != 3 and QuadExt(3, 1) != 3
+        assert QuadExt(1, 1) != QuadExt(1, 2) and QuadExt(1, 1) != QuadExt(2, 1)
+
+    def test_default_parts_are_zero(self):
+        assert QuadExt() == 0 and QuadExt(root2_part=1) == SQRT2
 
     @given(rationals, rationals)
     def test_parts_match_the_reference(self, a, b):

@@ -344,6 +344,12 @@ class TestRestriction:
             np_, nm, nz = eigen_sign_counts(_form(aq))
             assert nz == 0 and {np_, nm} == {1, 2}
 
+    def test_chart_at_a_unit_pivot_is_in_lowest_terms(self):
+        # W_p = 1 at a = I: the chart's denominator stays positive
+        aq = restrict_quadric(Hyperplane(IDENTITY, R(1)))
+        assert aq.origin == Mat2(1, 0, 0, 0)
+        assert aq.basis == (Mat2(0, 1, 0, 0), Mat2(0, 0, 1, 0), Mat2(-1, 0, 0, 1))
+
     def test_rank1_level1_is_paraboloid_chart(self):
         aq = restrict_quadric(Hyperplane(E, R(1)))
         np_, nm, nz = eigen_sign_counts(_form(aq))

@@ -167,6 +167,14 @@ class TestSampling:
         with pytest.raises(RenderLimitError, match="z bounds must be finite and at most 1e150"):
             sample_surface(kind, 3, seed=0, z_span=z_span, **kwargs)
 
+    @pytest.mark.parametrize("z_span", [(0.0, 1.0, 2.0), (1.0, -1.0), (0.0, 0.0), (1.0,)],
+                             ids=["three-bounds", "reversed", "empty", "one-bound"])
+    @pytest.mark.parametrize("kind,kwargs", Z_KINDS, ids=[kind for kind, _ in Z_KINDS])
+    def test_z_span_that_is_not_lo_below_hi_is_refused(self, kind, kwargs, z_span):
+        # refused at the call, not when the first block is drawn
+        with pytest.raises(RenderLimitError, match="two of them with LO < HI"):
+            sample_surface(kind, 3, seed=0, z_span=z_span, **kwargs)
+
     @pytest.mark.parametrize("kind,kwargs", Z_KINDS, ids=[kind for kind, _ in Z_KINDS])
     def test_z_span_at_1e150_is_finite(self, kind, kwargs):
         got = rows(sample_surface(kind, 50, seed=0, z_span=(-1e150, 1e150), **kwargs))
