@@ -6,21 +6,27 @@ A row names its target as a module of the package and a qualified name,
 one exact-text patch `old -> new` of the target's source, the `check_*`
 functions to run with their trial counts (`None` for the default), the
 result names that must FAIL (and no other result of those runs), and why
-the fault is worth a row.  `install` recompiles the target with the patch
-in a copy of its module's namespace and puts it, behind a call counter,
-at every attribute that holds the target: the globals of each loaded
-module of the package (a `from ... import` copy of a name included) and
-the attributes of each class those modules define (an alias such as
-`QuadExt.__radd__ = __add__` included).  The scan cannot see a reference
-captured in a `partial`, a default argument or a container, nor a module
-loaded after `install`; the call counter shows a row whose runs never
-reach the mutant, so a binding it misses shows as a mutant that never
-ran, not as one killed.  Every row is killed: a fault that no check kills
-is a `FOUND:` line of CHANGES.md and a stronger check, and its row is
-never deleted.  `tests/kill_matrix.py` runs every row against every check
-of a full seed-42 run.
+the fault is worth a row.  Its mutant is the target's syntax tree parsed
+from the patched source; a generated site of `tests/mutants.py` is its
+function's syntax tree with one operator changed.  Both go through
+`compiled`, which compiles the tree without its decorators in a copy of
+the module's namespace (the module is untouched), and `bind`, which puts
+the mutant, behind a call counter, at every attribute that holds the
+target: the globals of each loaded module of the package (a `from ...
+import` copy of a name included) and the attributes of each class those
+modules define (an alias such as `QuadExt.__radd__ = __add__` included).
+The scan cannot see a reference captured in a `partial`, a default
+argument or a container, nor a module loaded after `bind`; the call
+counter shows a row whose runs never reach the mutant, so a binding it
+misses shows as a mutant that never ran, not as one killed.  Every row is
+killed: a fault that no check kills is a `FOUND:` line of CHANGES.md and a
+stronger check, and its row is never deleted.  `test_fault_is_killed` runs
+each row's own checks in tier-1; `tests/mutants.py` runs every row against
+every check of a full seed-42 run before its generated sites.
 """
 
+import __future__
+import ast
 import importlib
 import inspect
 import sys
@@ -36,6 +42,13 @@ class Fault(NamedTuple):
     runs: tuple  # (check function name, trials or None)
     fails: tuple  # result names that must FAIL
     why: str
+
+    def mutant(self):
+        """(the attribute value that holds the target, the mutant)."""
+        owner, name = _resolve(self.target)
+        src = textwrap.dedent(inspect.getsource(function(owner, name)))
+        assert src.count(self.old) == 1, f"{self.old!r} is not in {self.target} exactly once"
+        return vars(owner)[name], compiled(owner, name, ast.parse(src.replace(self.old, self.new)).body[0], self.id)
 
 
 def _rows(target, runs, fails, *patches):
@@ -281,14 +294,27 @@ def _resolve(path):
     return owner, names[-1]
 
 
-def _mutant(func, old, new):
-    """`func` recompiled from its source with the one text `old` replaced by
-    `new`, in a copy of its module's namespace (the module is untouched)."""
-    src = textwrap.dedent(inspect.getsource(func))
-    assert src.count(old) == 1, f"{old!r} is not in {func.__qualname__} exactly once"
-    namespace = dict(func.__globals__)
-    exec(compile(src.replace(old, new), f"<mutant of {func.__qualname__}>", "exec"), namespace)
-    return namespace[func.__name__]
+def function(owner, name):
+    """The plain function behind the attribute `name` of `owner`."""
+    value = vars(owner)[name]
+    return value.fget if isinstance(value, property) else getattr(value, "__func__", value)
+
+
+def compiled(owner, name, node, label):
+    """`node`, the syntax tree of the function behind `name` of `owner`
+    with a fault in it, compiled without its decorators in a copy of the
+    function's module namespace (the module is untouched)."""
+    node.decorator_list = []
+    code = compile(
+        ast.fix_missing_locations(ast.Module([node], [])),
+        f"<mutant {label}>",
+        "exec",
+        flags=__future__.annotations.compiler_flag,
+        dont_inherit=True,
+    )
+    namespace = dict(function(owner, name).__globals__)
+    exec(code, namespace)
+    return namespace[name]
 
 
 def _holders(target):
@@ -321,14 +347,13 @@ def bind(monkeypatch, target, mutant):
 def install(monkeypatch, fault):
     """Put the mutant of `fault` at every attribute that holds its target;
     return its call count, a one-item list."""
-    target = getattr(*_resolve(fault.target))
-    return bind(monkeypatch, target, _mutant(target, fault.old, fault.new))
+    return bind(monkeypatch, *fault.mutant())
 
 
 class Undo(list):
     """The one method of pytest's `monkeypatch` that `install` and `bind`
     call, with each replaced attribute kept in a plain list for `undo`:
-    the runners outside pytest (`kill_matrix.py`, `mutants.py`) pass one."""
+    `mutants.run`, the runner outside pytest, passes one."""
 
     def setattr(self, owner, name, value):
         self.append((owner, name, vars(owner)[name]))

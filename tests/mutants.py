@@ -1,4 +1,5 @@
-"""Generated mutants: one per operator site of the arithmetic modules,
+"""The mutation sweep: every row of the fault table of `tests/faults.py`,
+then one generated mutant per operator site of the arithmetic modules,
 each against a full seed-42 run (DeMillo, Lipton & Sayward, IEEE Computer
 11(4), 1978; Offutt et al., ACM TOSEM 5(2), 1996).
 
@@ -9,39 +10,46 @@ level of the module or of one of its classes: `+` and `-` swapped, `*` to
 swapped, `and` and `or` swapped, and an int constant below 10 in magnitude
 raised by one (augmented assignments and default arguments included,
 decorators not).  The sites of a function are numbered in source order,
-and a site's id is `module.qualname#k`.  Its mutant is the function
-recompiled from its own syntax tree with that one operator changed, in a
-copy of its module's namespace, and `faults.bind` puts it at every
-attribute that holds the function (a property or staticmethod as one of
-the same kind), with an `faults.Undo` list to take it out again.
+and a site's id is `module.qualname#k`.  Its mutant is the function's
+syntax tree with that one operator changed; a row's is its target's tree
+parsed from the patched source.  Both are compiled by `faults.compiled`
+and put by `faults.bind` at every attribute that holds the function, with
+a `faults.Undo` list to take them out again.
 
-Each mutant runs `checks.run_checks(seed=42)` under a 20 s alarm, and is
+`run` runs one mutant, a row or a site, through `checks.run_checks(seed=42)`
+under a 20 s alarm, and the mutant is
 
-- killed: some check fails or raises, or the run outlasts the alarm;
-- unreached: the mutant was never called;
+- unreached: it was never called;
+- killed: some check fails (its result is not ok; a check that raises or
+  runs no case fails too), or the run outlasts the alarm;
 - survived: otherwise.
 
 For every (mutant, check) pair the sweep records the passing and total
 cases, the calls of the mutant during that check and the index of the
-first failing case (`None` when the check passed).  Every survivor needs
-one label of `mutant_labels.LABELS`, and no mutant is left out: the sweep
-exits 1 on a survivor without a label (or with a label written for
-another operator), on a label of a site that did not survive, and when a
-clean run after the sweep differs from the one before it.  For the
-certified checks whose 64-bit tail is `checks._TAIL` draws it prints the
-largest tail index of a first failure: a tail of `_TAIL` draws is the
+first failing case (`None` when the check passed or failed on no case).
+After the rows it prints the kill matrix: for each check how many rows it
+kills and how many it alone kills, and the rows with exactly one killer.
+Every survivor of the sites needs one label of `mutant_labels.LABELS`, and
+no mutant is left out: the sweep exits 1 on a row that is not killed, on a
+check that kills no row (it shows nothing the table can fail), on a
+surviving site without a label (or with a label written for another
+operator), on a label of a site that did not survive, and when a clean run
+after the sweep differs from the one before it.  For the certified checks
+whose 64-bit tail is `checks._TAIL` draws it prints the largest tail index
+of a first failure of a row or a site: a tail of `_TAIL` draws is the
 prefix of a longer one (the draws are keyed by (seed, index)), so `_TAIL`
 keeps every kill of these checks when it is larger than that index.  The
-name does not start with `test_`, so pytest does not collect it.  Run
-from the root of the repository, in 6 to 8 minutes on one CPU:
+name does not start with `test_`, so pytest does not collect it.  Run from
+the root of the repository, in about 7 minutes on one CPU (the rows take
+about 25 s):
 
     PYTHONPATH=src:tests python tests/mutants.py [RECORD.json]
 
-and pass a path to write the record there (`tests/data/mutants_seed42.json`
-is the committed one).
+and pass a path to write the record there, the rows keyed by their ids and
+the sites by theirs (`tests/data/mutants_seed42.json` is the committed
+one).
 """
 
-import __future__
 import ast
 import copy
 import importlib
@@ -53,7 +61,7 @@ import sys
 import time
 from typing import NamedTuple
 
-from faults import Undo, bind
+from faults import FAULTS, Undo, bind, compiled, function
 from mutant_labels import LABELS
 
 from greenquadrics import checks
@@ -101,6 +109,18 @@ class Site(NamedTuple):
     line: int
     change: str  # for example "+ -> -" or "2 -> 3"
 
+    def mutant(self):
+        """(the attribute value that holds the function, the mutant)."""
+        node = copy.deepcopy(self.node)
+        op_node, (field, index), _, new = _operators(node)[self.k]
+        if field == "value":
+            op_node.value = new
+        elif index is None:
+            op_node.op = new()
+        else:
+            op_node.ops[index] = new()
+        return vars(self.owner)[self.name], compiled(self.owner, self.name, node, self.id)
+
 
 class Timeout(BaseException):
     """The alarm of one mutant's run: not an `Exception`, so that no
@@ -143,19 +163,13 @@ def _functions(module):
             yield from ((cls, s.name, s) for s in stmt.body if isinstance(s, ast.FunctionDef))
 
 
-def _function(owner, name):
-    """The plain function behind the attribute `name` of `owner`."""
-    value = vars(owner)[name]
-    return value.fget if isinstance(value, property) else getattr(value, "__func__", value)
-
-
 def sites() -> list[Site]:
     """Every site of `MODULES`, in module then source order."""
     found = []
     for module_name in MODULES:
         module = importlib.import_module(f"greenquadrics.{module_name}")
         for owner, name, node in _functions(module):
-            func = _function(owner, name)
+            func = function(owner, name)
             # a function the module defines, not one a later name rebinds
             assert func.__code__.co_filename == module.__file__, (module_name, name)
             qualname = f"{module_name}.{name}" if owner is module else f"{module_name}.{owner.__name__}.{name}"
@@ -165,56 +179,35 @@ def sites() -> list[Site]:
     return found
 
 
-def mutant(site: Site):
-    """The function of `site` with its one operator changed, compiled in a
-    copy of its module's namespace."""
-    func = _function(site.owner, site.name)
-    node = copy.deepcopy(site.node)
-    node.decorator_list = []
-    op_node, (field, index), _, new = _operators(node)[site.k]
-    if field == "value":
-        op_node.value = new
-    elif index is None:
-        op_node.op = new()
-    else:
-        op_node.ops[index] = new()
-    code = compile(
-        ast.fix_missing_locations(ast.Module([node], [])),
-        f"<mutant {site.id}>",
-        "exec",
-        flags=__future__.annotations.compiler_flag,
-        dont_inherit=True,
-    )
-    namespace = dict(func.__globals__)
-    exec(code, namespace)
-    return namespace[site.name]
-
-
 def _outcome(result, calls):
     """[passing, total, calls, first failing case or None] of one result."""
     ok, total = map(int, re.match(r"(\d+)/(\d+) trials ok", result.detail).groups())
     firsts = [int(i) for i in re.findall(r"first failure at case (\d+)", result.detail)]
     firsts += [int(i) for i in re.findall(r"case (\d+) raised", result.detail)]
-    return [ok, total, calls, None if result.ok else min(firsts)]
+    return [ok, total, calls, None if result.ok else min(firsts, default=None)]
 
 
 def _on_alarm(signum, frame):
     raise Timeout
 
 
-def run(site: Site, suites=None) -> dict:
-    """One mutant against `run_checks(suites, seed=42)`: its status, whether
-    the alarm ended it, and the outcome of each check that finished."""
+def run(mutation, suites=None) -> dict:
+    """One mutant, a `Site` or a `faults.Fault`, against `run_checks(suites,
+    seed=42)`: its status, whether the alarm ended it, the checks that
+    failed and the outcome of each check that finished; a site's entry
+    starts with its line and change."""
     undo = Undo()
-    outcomes = {}
+    outcomes, failed = {}, []
     try:
-        calls = bind(undo, vars(site.owner)[site.name], mutant(site))
+        calls = bind(undo, *mutation.mutant())
 
         def recorded(fn):
             def check(seed, *trials):
                 before = calls[0]
                 result = fn(seed, *trials)
                 outcomes[result.name] = _outcome(result, calls[0] - before)
+                if not result.ok:
+                    failed.append(result.name)
                 return result
 
             return check
@@ -232,11 +225,9 @@ def run(site: Site, suites=None) -> dict:
             signal.signal(signal.SIGALRM, previous)
     finally:
         undo.undo()
-    if timeout or any(first is not None for *_, first in outcomes.values()):
-        status = "killed"
-    else:
-        status = "survived" if calls[0] else "unreached"
-    return {"line": site.line, "change": site.change, "status": status, "timeout": timeout, "checks": outcomes}
+    status = "unreached" if not calls[0] else "killed" if timeout or failed else "survived"
+    where = {"line": mutation.line, "change": mutation.change} if isinstance(mutation, Site) else {}
+    return {**where, "status": status, "timeout": timeout, "failed": failed, "checks": outcomes}
 
 
 def label_problems(record: dict) -> list[str]:
@@ -264,34 +255,67 @@ def tail_index(record: dict, certified: dict) -> int:
     )
 
 
+def kill_matrix(rows: dict, names: list) -> list[str]:
+    """Print for each check how many rows it kills and how many it alone
+    kills, and the rows with one killer; return the rows that are not
+    killed and the checks that kill no row."""
+    kills = {name: sum(name in e["failed"] for e in rows.values()) for name in names}
+    single = [(row_id, e["failed"][0]) for row_id, e in rows.items() if len(e["failed"]) == 1]
+    idle = [name for name, n in kills.items() if not n]
+    print(f"checks that kill no row: {', '.join(idle) or '(none)'}")
+    print("rows killed by each check (of them, killed by it alone):")
+    for name, n in kills.items():
+        print(f"  {name}: {n} ({sum(killer == name for _, killer in single)})")
+    print(f"{len(single)} rows with one killer: {', '.join(f'{r} ({k})' for r, k in single) or '(none)'}")
+    bad = [row_id for row_id, e in rows.items() if e["status"] != "killed"]
+    return [f"row not killed by a mutant that ran: {row_id}" for row_id in bad] + [
+        f"check that kills no row: {name}" for name in idle
+    ]
+
+
+def _section(key, entries, names) -> str:
+    """The record's `key` section, one entry a line, its outcomes in the
+    order of `names`."""
+    lines = (
+        f"  {json.dumps(k)}: {json.dumps({**e, 'checks': [e['checks'].get(n) for n in names]}, separators=(',', ':'))}"
+        for k, e in entries.items()
+    )
+    return f' "{key}": {{\n' + ",\n".join(lines) + "\n }"
+
+
 def main(argv) -> int:
     start = time.perf_counter()
     clean = checks.run_checks(seed=SEED)
-    certified = {r.name: r.certified for r in clean}
+    names = [r.name for r in clean]
+    rows = {}
+    for fault in FAULTS:
+        rows[fault.id] = entry = run(fault)
+        calls = sum(calls for _, _, calls, _ in entry["checks"].values())
+        print(f"{fault.id}: {calls} calls; FAIL {', '.join(entry['failed']) or '(none: ' + entry['status'] + ')'}"
+              f"{' (alarm)' if entry['timeout'] else ''}", flush=True)
+    killed = sum(e["status"] == "killed" for e in rows.values())
+    print(f"{len(rows)} rows, {killed} killed by a mutant that ran, in {time.perf_counter() - start:.1f} s")
+    problems = kill_matrix(rows, names)
     record = {}
     for site in sites():
         record[site.id] = entry = run(site)
-        failed = [name for name, (*_, first) in entry["checks"].items() if first is not None]
-        print(f"{site.id} ({site.change}, line {site.line}): {entry['status']}"
-              f"{' (alarm)' if entry['timeout'] else ''}{'; FAIL ' + ', '.join(failed) if failed else ''}", flush=True)
+        print(f"{site.id} ({site.change}, line {site.line}): {entry['status']}{' (alarm)' if entry['timeout'] else ''}"
+              f"{'; FAIL ' + ', '.join(entry['failed']) if entry['failed'] else ''}", flush=True)
     elapsed = time.perf_counter() - start
     counts = {status: sum(e["status"] == status for e in record.values()) for status in ("killed", "unreached", "survived")}
     print(f"{len(record)} mutants: " + ", ".join(f"{n} {status}" for status, n in counts.items()) + f", in {elapsed:.0f} s")
-    index = tail_index(record, certified)
+    index = tail_index({**rows, **record}, {r.name: r.certified for r in clean})
     print(f"_TAIL = {checks._TAIL}; largest tail index of a first failure: {index}, so _TAIL keeps every kill above it")
-    problems = label_problems(record)
+    problems += label_problems(record)
     if [r.line() for r in checks.run_checks(seed=SEED)] != [r.line() for r in clean]:
         problems.append("a clean run after the sweep differs from the one before it")
     for problem in problems:
         print(problem)
     if argv:
-        names = list(certified)
         with open(argv[0], "w") as out:
             out.write(f'{{"seed": {SEED}, "tail": {checks._TAIL}, "seconds": {elapsed:.0f},\n "checks": {json.dumps(names)},\n')
-            out.write(' "fields": ["passing", "total", "calls", "first failing case"],\n "mutants": {\n')
-            rows = ({**e, "checks": [e["checks"].get(name) for name in names]} for e in record.values())
-            out.write(",\n".join(f"  {json.dumps(k)}: {json.dumps(v, separators=(',', ':'))}" for k, v in zip(record, rows)))
-            out.write("\n }\n}\n")
+            out.write(' "fields": ["passing", "total", "calls", "first failing case"],\n')
+            out.write(f"{_section('rows', rows, names)},\n{_section('mutants', record, names)}\n}}\n")
     return 1 if problems else 0
 
 

@@ -217,6 +217,11 @@ def test_sign_check_decides_opposite_parts_exactly(monkeypatch):
     assert sum(opposite) == 2000 // 8
 
 
+def test_root2_sign_of_a_pure_root2_part_is_its_sign():
+    assert (checks._root2_sign(0, 3), checks._root2_sign(0, -3)) == (1, -1)
+    assert checks._root2_sign(0, Rational(-1, 7)) == -1
+
+
 def test_every_check_takes_a_seed_and_a_trial_count():
     # one signature for every check: no third knob that only one check reads
     for fn in (fn for fns in checks.SUITES.values() for fn in fns):

@@ -241,6 +241,23 @@ class TestQuadExt:
         with pytest.raises(TypeError):
             QuadExt(1, bad)
 
+    def test_text(self):
+        assert str(QuadExt(Rational(1, 2), -3)) == "1/2 - 3*sqrt2"
+
+    @pytest.mark.parametrize(
+        "op",
+        [lambda x: x + 1.5, lambda x: 1.5 + x, lambda x: 1.5 - x, lambda x: x - 1.5, lambda x: x * 1.5,
+         lambda x: 1.5 * x, lambda x: x / 1.5, lambda x: 1.5 / x],
+        ids=["add", "radd", "rsub", "sub", "mul", "rmul", "truediv", "rtruediv"],
+    )
+    def test_a_float_operand_is_refused(self, op):
+        with pytest.raises(TypeError):
+            op(QuadExt(1))
+
+    def test_a_float_compares_unequal(self):
+        assert QuadExt(1) != 1.5 and not QuadExt(1) == 1.5
+        assert QuadExt(Rational(3, 2)) != 1.5
+
     def test_inverse_of_sqrt2(self):
         assert SQRT2.inverse() == QuadExt(0, Rational(1, 2))
         assert SQRT2 * SQRT2.inverse() == QuadExt(1)

@@ -43,6 +43,14 @@ class TestProjLine:
         with pytest.raises(ValueError):
             ProjLine(Rational(0), Rational(0))
 
+    def test_text_hash_and_foreign_operands(self):
+        line = ProjLine(Rational(2), Rational(-4))
+        assert (repr(line), str(line)) == ("ProjLine(1, -2)", "(1,-2)")
+        assert hash(line) == hash(ProjLine(Rational(-1, 3), Rational(2, 3)))
+        assert len({line, ProjLine(Rational(-1), Rational(2))}) == 1
+        # a line is not its direction tuple
+        assert line != (1, -2) and not line == (1, -2)
+
 
 def _rank1_fraction_entries(rng, bits, zero_row, zero_col):
     """Entries c_i r_j of a rank-1 matrix, computed on `Fraction`s."""

@@ -123,6 +123,10 @@ class TestArithmetic:
         assert a - a == a + -a
         assert (a * Rational(1, 2)).x4 == 2
 
+    def test_text(self):
+        a = Mat2(1, Rational(1, 2), 0, -3)
+        assert (str(a), repr(a)) == ("[1,1/2;0,-3]", "Mat2(1, 1/2, 0, -3)")
+
     def test_scalar_ops(self):
         a = Mat2(1, 2, 3, 4)
         assert 2 * a == Mat2(2, 4, 6, 8) == a * 2

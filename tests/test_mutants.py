@@ -1,9 +1,19 @@
-"""The generated-mutant sweep of `tests/mutants.py`, on three of its sites
-and one suite: a killed site, an unreached one and a labelled equivalent
-survivor."""
+"""The mutation sweep of `tests/mutants.py`, on three of its sites and one
+suite (a killed site, an unreached one and a labelled equivalent
+survivor), on one row of the fault table, and against its committed
+record."""
+
+import json
+import pathlib
 
 import mutants
+from faults import BY_ID, FAULTS, Undo, install
 from mutant_labels import LABELS
+
+from greenquadrics import checks, mat2
+from greenquadrics.checks import CheckResult
+
+RECORD = pathlib.Path(__file__).resolve().parent / "data" / "mutants_seed42.json"
 
 KILLED = "mat2.Mat2.__matmul__#0"
 UNREACHED = "exact.parse_rational#0"
@@ -38,10 +48,45 @@ def test_each_class_on_three_named_sites():
 
 
 def test_the_source_is_untouched_after_a_run():
-    from greenquadrics import checks, mat2
-
     site = next(s for s in mutants.sites() if s.id == KILLED)
     matmul = vars(mat2.Mat2)["__matmul__"]
     mutants.run(site, suites=["core"])
     assert vars(mat2.Mat2)["__matmul__"] is matmul
     assert all(r.ok for r in checks.run_checks(["core"], seed=42))
+
+
+def test_a_fault_row_runs_through_the_same_runner():
+    fault = BY_ID["sub-clearing-slip"]  # its runs lie in the core suite
+    sub = vars(mat2.Mat2)["__sub__"]
+    entry = mutants.run(fault, suites=["core"])
+    assert entry["status"] == "killed" and entry["failed"] == list(fault.fails)
+    # the FAIL set that `install` and the same run give
+    undo = Undo()
+    install(undo, fault)
+    try:
+        assert [r.name for r in checks.run_checks(["core"], seed=42) if not r.ok] == entry["failed"]
+    finally:
+        undo.undo()
+    assert entry["checks"]["cayley_hamilton"] == [77, 104, 104, 5]
+    assert vars(mat2.Mat2)["__sub__"] is sub
+
+
+def test_a_check_that_ran_no_case_is_a_kill_with_no_first_failing_case(monkeypatch):
+    # the mutant is reached, and the one check fails on no case
+    def empty(seed, trials=0):
+        mat2.IDENTITY @ mat2.IDENTITY
+        return CheckResult("empty", "no_case", False, "0/0 trials ok")
+
+    monkeypatch.setitem(checks.SUITES, "empty", [empty])
+    site = next(s for s in mutants.sites() if s.id == KILLED)
+    entry = mutants.run(site, suites=["empty"])
+    assert (entry["status"], entry["failed"], entry["checks"]) == ("killed", ["no_case"], {"no_case": [0, 0, 1, None]})
+
+
+def test_the_committed_record_names_the_current_sites_rows_and_labels():
+    # line numbers are left out: an edit of a docstring moves them, not a site
+    record = json.loads(RECORD.read_text())
+    changes = {s.id: s.change for s in mutants.sites()}
+    assert {site_id: entry["change"] for site_id, entry in record["mutants"].items()} == changes
+    assert {site_id: label[0] for site_id, label in LABELS.items()}.items() <= changes.items()
+    assert list(record["rows"]) == [fault.id for fault in FAULTS]
