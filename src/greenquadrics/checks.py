@@ -21,14 +21,14 @@ loops, which choose their samplers by trial or redraw inside a trial,
 hand `sampling.strata_draws` each stratum's samplers and a `build` from
 their values to the case, or to None for a trial to redraw (a zero point
 of a class plane, a singular change of basis or of chart, a second
-idempotent equal to the first).  Every first attempt comes from one
-strided run of lanes per stratum, and a trial that needs any draw after
-it is drawn whole on its own stream by the same samplers and `build`, so
-each trial is written once.  An exception raised while a case is drawn
-or decided fails that check alone, on its own line, and the run goes on;
-so a check draws and builds in its case stream, not before it, the
-grids, charts and metrics it reads included (the lanes build each
-trial's values as it is yielded).
+idempotent equal to the first, a partner whose own spaces pair to zero).
+Every first attempt comes from one strided run of lanes per stratum, and
+a trial that needs any draw after it is drawn whole on its own stream by
+the same samplers and `build`, so each trial is written once.  An
+exception raised while a case is drawn or decided fails that check
+alone, on its own line, and the run goes on; so a check draws and builds
+in its case stream, not before it, the grids, charts and metrics it
+reads included (the lanes build each trial's values as it is yielded).
 
 Eleven checks test polynomial identities, and they certify them on a grid
 instead of sampling them.  The degree in each variable sets the grid:
@@ -711,8 +711,18 @@ def check_line_combinatorics(seed, trials=50):
             expected = None
         return cross == expected and (cross is None or (is_idempotent(cross) and cross.rank() == 1))
 
-    # f == e is a redraw, not a skipped trial
-    strata = [((rand_idempotent_rank1,) * 2, lambda e, f: None if f == e else (e, f))]
+    def partner(e, g):
+        # f's column space is perpendicular to e's row space, so the pairing
+        # of e's and f's opposite-family lines is degenerate; a zero pairing
+        # of f's own spaces (g's row space is e's) is a redraw
+        try:
+            return e, idempotent_from_spaces(green.rowspace(e).perp(), green.rowspace(g))
+        except DegeneratePairingError:
+            return None
+
+    # f == e is a redraw, not a skipped trial; one trial in five is a partner
+    idempotents = (rand_idempotent_rank1,) * 2
+    strata = [(idempotents, lambda e, f: None if f == e else (e, f))] * 4 + [(idempotents, partner)]
     return _tally("sets", "generator_line_combinatorics", strata_draws(seed, trials, strata), holds)
 
 
@@ -1002,19 +1012,12 @@ def check_symmetric_slice(seed, trials=_TAIL):
     denominators, then `trials` 64-bit u."""
     variables = (CERTIFICATE_VALUES[4],) * 2
 
-    def cases():
-        center = hyperboloid_metrics(Rational(1)).center
-        for u in _certified(variables, _wide_draws(variables, seed, trials)):
-            yield *u, center
-
-    def holds(u1, u2, center):
+    def holds(u1, u2):
         x = outer((u1, u2), (u1, u2)) / (u1 * u1 + u2 * u2)
-        d = x - center
+        d = x - hyperboloid_metrics(Rational(1)).center
         return inner(d, d) == _HALF and to_bell(x, Rational(1)).Z == QuadExt(0)
 
-    points = _grid_size(variables)
-    note = _note(points, trials)
-    return _tally("sections", "symmetric_idempotents_form_radius_circle", cases(), holds, note, points)
+    return _identity_check("sections", "symmetric_idempotents_form_radius_circle", holds, variables, seed, trials)
 
 
 def check_metrics_family(seed, trials=0):

@@ -11,9 +11,11 @@ straight from integer content with one gcd.  A rejected attempt (a zero
 vector, a zero pairing) redraws the whole batch, which keeps the result
 uniform over the accepted draws.  That batch is the sampler's lane form:
 the sizes of its one `offsets` call, and a builder from those offsets to
-the value (None for a rejected attempt); the scalar call draws the same
-batch from a `Stream`.  The forms stay inside this module: a caller
-passes samplers, or `partial`s of them, and shapes their values itself.
+the value (None for a rejected attempt).  Each public sampler is that
+form drawn on a `Stream`, so the scalar call and the lanes decode a batch
+with one builder.  The forms stay inside this module, built where they are
+asked for: a caller passes samplers, or `partial`s of them, and shapes
+their values itself.
 
 The mix is written twice: in `Stream.offsets`, for scalar draws, and in
 `_lane_offsets`, which draws the same outputs without building a
@@ -47,7 +49,7 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache, partial
+from functools import partial
 from itertools import accumulate, chain, product, repeat, zip_longest
 
 from greenquadrics.exact import Rational, _as_rational, _from_ints
@@ -235,11 +237,7 @@ def uniform_columns(seed: int, start: int, n: int, bounds):
 # `offsets` call of an attempt, and a function from those offsets to the
 # value, or None when the attempt is rejected.  Each factory below takes
 # its sampler's parameters after `rng`, with the same defaults, and the
-# scalar sampler is `_draw` of its form (`rand_invertible` loops over
-# `rand_mat`), so both paths share one decoding.
-# A form is built once per parameters; `typed` keeps 1, 1.0 and True
-# apart, so a float parameter still fails as it would uncached.
-_cached = lru_cache(maxsize=256, typed=True)
+# scalar sampler is `_draw` of its form, so both paths share one decoding.
 
 
 def _draw(rng: Stream, form):
@@ -251,7 +249,6 @@ def _draw(rng: Stream, form):
     return value
 
 
-@_cached
 def _rational_form(span: int = 9, max_den: int = 9):
     def build(offsets):
         n, d = offsets
@@ -260,7 +257,6 @@ def _rational_form(span: int = 9, max_den: int = 9):
     return (2 * span + 1, max_den), build
 
 
-@_cached
 def _nonzero_rational_form(span: int = 9, max_den: int = 9):
     def build(offsets):
         k, d = offsets
@@ -269,7 +265,6 @@ def _nonzero_rational_form(span: int = 9, max_den: int = 9):
     return (2 * span, max_den), build
 
 
-@_cached
 def _mat_form(span: int = 9, max_den: int = 9):
     def build(offsets):
         n1, d1, n2, d2, n3, d3, n4, d4 = offsets
@@ -287,7 +282,6 @@ def _mat_form(span: int = 9, max_den: int = 9):
     return (w, max_den) * 4, build
 
 
-@_cached
 def _invertible_form(span: int = 9, max_den: int = 9):
     sizes, mat = _mat_form(span, max_den)
 
@@ -298,7 +292,6 @@ def _invertible_form(span: int = 9, max_den: int = 9):
     return sizes, build
 
 
-@_cached
 def _rank1_form(span: int = 5):
     def build(offsets):
         c1, c2, r1, r2, k, d = offsets
@@ -312,7 +305,6 @@ def _rank1_form(span: int = 5):
     return (w, w, w, w, 2 * span, span), build
 
 
-@_cached
 def _idempotent_rank1_form(span: int = 5):
     def build(offsets):
         u1, u2, v1, v2 = offsets
@@ -327,7 +319,6 @@ def _idempotent_rank1_form(span: int = 5):
     return (2 * span + 1,) * 4, build
 
 
-@_cached
 def _nilpotent_form(span: int = 5):
     def build(offsets):
         c1, c2, k, d = offsets
@@ -341,7 +332,6 @@ def _nilpotent_form(span: int = 5):
     return (w, w, 2 * span, span), build
 
 
-@_cached
 def _singular_with_trace_form(lam, span: int = 5):
     lam = _as_rational(lam)
     if lam == 0:
@@ -365,7 +355,6 @@ def _wide_pair(n: int, d: int) -> tuple[int, int]:
     return (n if n & _WIDE_TOP else -(n | _WIDE_TOP)), d | _WIDE_TOP
 
 
-@_cached
 def _wide_rational_form():
     # a size of 2**64 takes a whole output
     return (_TWO64, _TWO64), lambda offsets: _from_ints(*_wide_pair(*offsets))
@@ -388,12 +377,8 @@ def rand_mat(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
 
 
 def rand_invertible(rng: Stream, span: int = 9, max_den: int = 9) -> Mat2:
-    """`rand_mat`, redrawn while its det is 0 (a loop over `rand_mat` calls,
-    whose ratio `perfbench` reports as the acceptance rate)."""
-    while True:
-        m = rand_mat(rng, span, max_den)
-        if m.det() != 0:
-            return m
+    """The law of `rand_mat`, an attempt with det 0 redrawn."""
+    return _draw(rng, _invertible_form(span, max_den))
 
 
 def rand_rank1(rng: Stream, span: int = 5) -> Mat2:

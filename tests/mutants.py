@@ -163,20 +163,24 @@ def _functions(module):
             yield from ((cls, s.name, s) for s in stmt.body if isinstance(s, ast.FunctionDef))
 
 
+def module_sites(module_name) -> list[Site]:
+    """Every site of `greenquadrics.<module_name>`, in source order."""
+    module = importlib.import_module(f"greenquadrics.{module_name}")
+    found = []
+    for owner, name, node in _functions(module):
+        func = function(owner, name)
+        # a function the module defines, not one a later name rebinds
+        assert func.__code__.co_filename == module.__file__, (module_name, name)
+        qualname = f"{module_name}.{name}" if owner is module else f"{module_name}.{owner.__name__}.{name}"
+        for k, (op_node, _, old, new) in enumerate(_operators(node)):
+            change = f"{_symbol(old)} -> {_symbol(new)}"
+            found.append(Site(f"{qualname}#{k}", owner, name, node, k, op_node.lineno, change))
+    return found
+
+
 def sites() -> list[Site]:
     """Every site of `MODULES`, in module then source order."""
-    found = []
-    for module_name in MODULES:
-        module = importlib.import_module(f"greenquadrics.{module_name}")
-        for owner, name, node in _functions(module):
-            func = function(owner, name)
-            # a function the module defines, not one a later name rebinds
-            assert func.__code__.co_filename == module.__file__, (module_name, name)
-            qualname = f"{module_name}.{name}" if owner is module else f"{module_name}.{owner.__name__}.{name}"
-            for k, (op_node, _, old, new) in enumerate(_operators(node)):
-                change = f"{_symbol(old)} -> {_symbol(new)}"
-                found.append(Site(f"{qualname}#{k}", owner, name, node, k, op_node.lineno, change))
-    return found
+    return [site for module_name in MODULES for site in module_sites(module_name)]
 
 
 def _outcome(result, calls):

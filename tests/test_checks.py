@@ -8,7 +8,8 @@ import pytest
 from draws import wide
 from faults import BY_ID, FAULTS, _resolve, install
 
-from greenquadrics import checks, cli, mat2, sampling, sections, semigroup
+from greenquadrics import checks, cli, green, mat2, sampling, sections, semigroup
+from greenquadrics.errors import DegeneratePairingError
 from greenquadrics.exact import Rational, _parts, rational_sign
 from greenquadrics.mat2 import Mat2, inner
 from greenquadrics.sampling import (
@@ -509,7 +510,8 @@ def test_report_lanes_are_the_scalar_trials(monkeypatch, seed):
 # The first attempt of a trial that the check's own loop redraws, read on
 # the trial's stream: a zero point of a class plane, a singular change of
 # basis inside a plane, a singular mix of a hyperplane's chart, and a second
-# idempotent equal to the first.
+# idempotent equal to the first (in a partner trial, one in five, with the
+# row space of the first).
 def _zero_plane_point(rng, i):
     rand_rank1(rng)
     s_l, t_l, s_r, t_r = (rand_rational(rng) for _ in range(4))
@@ -529,7 +531,8 @@ def _singular_mix(rng, i):
 
 
 def _equal_idempotents(rng, i):
-    return rand_idempotent_rank1(rng) == rand_idempotent_rank1(rng)
+    e, g = rand_idempotent_rank1(rng), rand_idempotent_rank1(rng)
+    return green.rowspace(e) == green.rowspace(g) if i % 5 == 4 else e == g
 
 
 REDRAWS = {
@@ -576,8 +579,22 @@ def test_a_check_run_draws_on_scalar_streams_only_to_redraw(monkeypatch):
     monkeypatch.setattr(sampling, "rng_for", recorded)
     monkeypatch.setattr(sampling.Stream, "offsets", counted)
     assert all(r.ok for r in checks.run_checks(seed=42))
-    assert len(streams) == 799
+    assert len(streams) == 800
     assert on_redrawn and all(on_redrawn)
+
+
+def test_line_combinatorics_reaches_the_degenerate_pairing(monkeypatch):
+    # a partner trial's f has its column space perpendicular to e's row
+    # space, so the opposite-family lines of e and f meet in no idempotent
+    def degenerate(e, f):
+        try:
+            semigroup.idempotent_from_spaces(green.colspace(f), green.rowspace(e))
+        except DegeneratePairingError:
+            return True
+        return False
+
+    cases = _cases(monkeypatch, "check_line_combinatorics", 42, 50)
+    assert len(cases) == 50 and sum(degenerate(e, f) for e, f in cases) >= 1
 
 
 @pytest.mark.parametrize(

@@ -1,15 +1,18 @@
-"""The mutation sweep of `tests/mutants.py`, on three of its sites and one
-suite (a killed site, an unreached one and a labelled equivalent
-survivor), on one row of the fault table, and against its committed
-record."""
+"""The mutation sweep of `tests/mutants.py`, on the site list of every
+module of the package, on three of its sites and one suite (a killed
+site, an unreached one and a labelled equivalent survivor), on one row of
+the fault table, and against its committed record."""
 
 import json
 import pathlib
+import pkgutil
 
 import mutants
+import pytest
 from faults import BY_ID, FAULTS, Undo, install
 from mutant_labels import LABELS
 
+import greenquadrics
 from greenquadrics import checks, mat2
 from greenquadrics.checks import CheckResult
 
@@ -25,6 +28,15 @@ def test_the_sites_are_deterministic():
     assert [(s.id, s.line, s.change) for s in first] == [(s.id, s.line, s.change) for s in second]
     assert len({s.id for s in first}) == len(first)
     assert {s.id.partition(".")[0] for s in first} == set(mutants.MODULES)
+
+
+@pytest.mark.parametrize("module_name", [m.name for m in pkgutil.iter_modules(greenquadrics.__path__)])
+def test_every_module_lists_its_sites(module_name):
+    # a module joins `MODULES` by name alone: each one's functions carry their
+    # own code, so the sweep can list and number its sites
+    found = mutants.module_sites(module_name)
+    assert len({s.id for s in found}) == len(found)
+    assert all(s.id.startswith(f"{module_name}.") for s in found)
 
 
 def test_each_class_on_three_named_sites():
