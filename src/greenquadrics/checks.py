@@ -86,6 +86,26 @@ recentred off det = 0, where the constant term is not 0.  Ten of the predicates 
 and the nine after it in `__all__`), and the tier-1 tests call them on
 their own inputs.
 
+The sampled trials are sized the same way, by one margin rule over two
+mutant records, `tests/data/mutants_seed42.json` and
+`tests/data/mutants_seed7.json`, both made at the hand-set counts (10 000,
+2 000, 1 000, 500, ...; the sweep's `CEILINGS`) that the rule sizes down
+from.  The sweep's
+`case_layout` splits each check's cases into grid points, trials and tail
+draws (`locate`), and t is the latest trial that holds the first failing
+case of any generated mutant or fault row of either record; a trial of the
+frame identity is counted within its level.  The default is N = max(2 (t + 1),
+floor) trials, the floor 200, or 50 for a check each of whose trials is 10
+cases or more (the chart points, the restriction identity's planes),
+rounded up to a multiple of 50 and never above the hand-set count.  Every
+run of N trials is the prefix of a longer one, since the trials are keyed
+by (seed, index) and the frame identity keys level k at k * `_BELL_KEYS`
+whatever the count, so N keeps every recorded kill, each in the first half
+of the run.  The grids run in full at any count: every recorded kill of the
+characterizations lies in their 2 401-point grid, so they take the floor.
+`tests/mutants.py` prints t and N for each check and exits 1 when a default
+is below N, and a tier-1 test asserts the rule on both records.
+
 Three checks with rank branches certify only the half of their claim that
 lies on a variety, on grids of its polynomial charts (5 values per
 variable of degree 4), and sample the other half:
@@ -204,6 +224,7 @@ _CHART_TAIL = 1  # 64-bit chart points per sampled a
 _PLANE_TAIL = 2  # 64-bit chart points per sampled hyperplane
 _REPORT_TRIALS = 200  # sampled x of each order/section report
 _BELL_LEVELS = (Rational(0), Rational(1), Rational(-1), Rational(3, 2), Rational(-3, 2), Rational(7, 2))
+_BELL_KEYS = 1000  # stream keys of each level of the frame identity, at least
 
 # The theorem table: (rank a, lam == 0) -> type of the slice of det = 0.
 _THEOREM_TABLE = {
@@ -377,7 +398,7 @@ def _near_root2(v):
 _NEAR_ROOT2 = partial(rand_nonzero_rational, span=4, max_den=1)
 
 
-def check_quadext_sign(seed, trials=2000):
+def check_quadext_sign(seed, trials=200):
     """Every trial compares `sign()` with an expected sign: the float's away
     from zero, and an exact decision on the parts within 1e-6 of it (zero
     included, which must give 0).  Small parts come that near only at 0, so
@@ -463,7 +484,7 @@ def check_traceless_singular_squares_to_zero(seed, trials=_TAIL):
 # --- green ---------------------------------------------------------------
 
 
-def check_class_plane_membership(seed, trials=1000):
+def check_class_plane_membership(seed, trials=250):
     def build(a, s_l, t_l, s_r, t_r):
         (l1, l2), (r1, r2) = class_plane("L", a), class_plane("R", a)
         x_l, x_r = l1 * s_l + l2 * t_l, r1 * s_r + r2 * t_r
@@ -477,7 +498,7 @@ def check_class_plane_membership(seed, trials=1000):
     return _tally("green", "class_plane_points_stay_in_class", cases, holds)
 
 
-def check_d_is_rank(seed, trials=2000):
+def check_d_is_rank(seed, trials=1000):
     def holds(a, b):
         d = green_eq("D", a, b)
         return d == (a.rank() == b.rank()) and green_eq("J", a, b) == d
@@ -486,7 +507,7 @@ def check_d_is_rank(seed, trials=2000):
     return _tally("green", "d_class_is_rank_class", lane_draws(seed, 0, trials, (narrow, narrow)), holds)
 
 
-def check_plane_classification_roundtrip(seed, trials=500):
+def check_plane_classification_roundtrip(seed, trials=200):
     def build(rel, a, al, be, ga, de):
         # a random invertible change of basis inside the plane
         if al * de - be * ga == 0:
@@ -611,15 +632,15 @@ def _characterizations(seed, trials):
     return results
 
 
-def check_rank1_idempotent_characterization(seed, trials=10000):
+def check_rank1_idempotent_characterization(seed, trials=200):
     return _characterizations(seed, trials)[0]
 
 
-def check_nilpotent_characterization(seed, trials=10000):
+def check_nilpotent_characterization(seed, trials=200):
     return _characterizations(seed, trials)[1]
 
 
-def check_inverse_set_theorem(seed, trials=500):
+def check_inverse_set_theorem(seed, trials=50):
     """`trials` sampled rank-1 a.  Each test of a chart point has degree at
     most 2 in s and in t, so per a the 3 x 3 (s, t) grid certifies it for
     every (s, t); then `_CHART_TAIL` 64-bit points from the stream of a."""
@@ -687,7 +708,7 @@ def check_chart_bijectivity(seed, trials=500):
     return _tally("sets", "chart_is_injective", cases, holds)
 
 
-def check_generator_lines(seed, trials=500):
+def check_generator_lines(seed, trials=300):
     def holds(e, t):
         p1, p2 = generator_line("L1", e).point(t), generator_line("L2", e).point(t)
         on_surface = all(is_idempotent(p) and p.rank() == 1 for p in (p1, p2))
@@ -726,7 +747,7 @@ def check_line_combinatorics(seed, trials=50):
     return _tally("sets", "generator_line_combinatorics", strata_draws(seed, trials, strata), holds)
 
 
-def check_natural_order_equivalence(seed, trials=1000):
+def check_natural_order_equivalence(seed, trials=200):
     """The natural and minus orders agree on every pair of the 81 matrices
     with entries in {-1, 0, 1}, then on `trials` sampled pairs, one per
     trial in turn from four strata with denominators up to 9:
@@ -831,14 +852,19 @@ def frame_residual_holds(x) -> bool:
     return _det_is(x, -rn, 2 * rd)
 
 
-def check_bell_identity(seed, trials=1000):
+def check_bell_identity(seed, trials=200):
     """The frame residual certified on its grid, with a wide tail of at most
     the default `_TAIL` draws; and `trials` sampled singular matrices per
-    level, each the first draw of the stream keyed (seed, level * trials + i)."""
+    level, each the first draw of the stream keyed (seed, level * keys + i),
+    keys = max(trials, `_BELL_KEYS`).  The tail is keyed after the last
+    level's keys.  Up to `_BELL_KEYS` trials the keys do not move with the
+    count, so a run is the prefix of a longer one level by level, and no two
+    levels share a key at any count."""
+    keys = max(trials, _BELL_KEYS)
 
     def singular():
         for li, lam in enumerate(_BELL_LEVELS):
-            for (x,) in lane_draws(seed, li * trials, trials, (partial(rand_singular_with_trace, lam=lam),)):
+            for (x,) in lane_draws(seed, li * keys, trials, (partial(rand_singular_with_trace, lam=lam),)):
                 yield x, lam
 
     def holds(x, lam=None):
@@ -846,11 +872,11 @@ def check_bell_identity(seed, trials=1000):
             return frame_residual_holds(x)
         return _trace_is(x, *_parts(lam)) and not bell_residual(x)
 
-    variables, sampled, tail = (CERTIFICATE_VALUES[2],) * 4, len(_BELL_LEVELS) * trials, min(trials, _TAIL)
+    variables, tail = (CERTIFICATE_VALUES[2],) * 4, min(trials, _TAIL)
     points = _grid_size(variables)
-    certified = ((Mat2(*x),) for x in _certified(variables, _wide_draws(variables, seed, tail, sampled)))
-    cases = chain(certified, singular())
-    note = f"{_note(points, tail)}, {sampled} at the default width"
+    wide = _wide_draws(variables, seed, tail, len(_BELL_LEVELS) * keys)
+    cases = chain(((Mat2(*x),) for x in _certified(variables, wide)), singular())
+    note = f"{_note(points, tail)}, {len(_BELL_LEVELS) * trials} at the default width"
     return _tally("sections", "frame_identity_exact", cases, holds, note, points)
 
 
@@ -918,7 +944,7 @@ def restriction_holds(aq, pivot, t) -> bool:
     return moved and _det_is(x, *_parts(aq.evaluate(t)))
 
 
-def check_restriction_identity(seed, trials=100):
+def check_restriction_identity(seed, trials=50):
     """`trials` random hyperplanes, each in two charts.  The chart of
     `restrict_quadric` has constant term 0: its 27-point grid, then
     `_PLANE_TAIL` 64-bit points drawn from the plane's stream.  The same basis
@@ -1109,3 +1135,4 @@ def render_results(results) -> str:
     failed = sum(1 for r in results if not r.ok)
     lines.append(f"{len(results) - failed}/{len(results)} checks passed")
     return "\n".join(lines)
+

@@ -446,7 +446,11 @@ def _first_attempts(seed: int, first: int, n: int, samplers, stride: int = 1):
     turn from the stream `rng_for(seed, index)` through `_lane_offsets`
     and built as the tuple is yielded; None for an index whose first
     attempt some builder rejects, and for every index when some sampler
-    has no lane form (a lambda, a replaced or wrapped sampler)."""
+    has no lane form (a lambda, a replaced or wrapped sampler).  With no
+    samplers every first attempt is the empty tuple."""
+    if not samplers:
+        yield from repeat((), n)
+        return
     forms = [_lane_form(s) for s in samplers]
     if None in forms:
         yield from repeat(None, n)

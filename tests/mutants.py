@@ -1,7 +1,7 @@
 """The mutation sweep: every row of the fault table of `tests/faults.py`,
 then one generated mutant per operator site of the arithmetic modules,
-each against a full seed-42 run (DeMillo, Lipton & Sayward, IEEE Computer
-11(4), 1978; Offutt et al., ACM TOSEM 5(2), 1996).
+each against a full run of every check at one seed (DeMillo, Lipton &
+Sayward, IEEE Computer 11(4), 1978; Offutt et al., ACM TOSEM 5(2), 1996).
 
 A site is one operator of a function defined in the source file of
 `exact`, `mat2`, `semigroup`, `sections`, `green` or `quadrics`, at the top
@@ -16,7 +16,7 @@ parsed from the patched source.  Both are compiled by `faults.compiled`
 and put by `faults.bind` at every attribute that holds the function, with
 a `faults.Undo` list to take them out again.
 
-`run` runs one mutant, a row or a site, through `checks.run_checks(seed=42)`
+`run` runs one mutant, a row or a site, through `checks.run_checks(seed=seed)`
 under a 20 s alarm, and the mutant is
 
 - unreached: it was never called;
@@ -34,22 +34,34 @@ no mutant is left out: the sweep exits 1 on a row that is not killed, on a
 check that kills no row (it shows nothing the table can fail), on a
 surviving site without a label (or with a label written for another
 operator), on a label of a site that did not survive, and when a clean run
-after the sweep differs from the one before it.  For the certified checks
-whose 64-bit tail is `checks._TAIL` draws it prints the largest tail index
-of a first failure of a row or a site: a tail of `_TAIL` draws is the
-prefix of a longer one (the draws are keyed by (seed, index)), so `_TAIL`
-keeps every kill of these checks when it is larger than that index.  The
-name does not start with `test_`, so pytest does not collect it.  Run from
-the root of the repository, in about 7 minutes on one CPU (the rows take
-about 25 s):
+after the sweep differs from the one before it.
 
-    PYTHONPATH=src:tests python tests/mutants.py [RECORD.json]
+Each first failing case is read through `locate` as a grid point,
+a trial or a tail draw of its check's run.  For the certified checks with
+a 64-bit tail of `checks._TAIL` draws the sweep prints the largest tail
+index of a first failure of a row or a site: a tail of `_TAIL` draws is
+the prefix of a longer one (the draws are keyed by (seed, index)), so
+`_TAIL` keeps every kill of these checks when it is larger than that
+index.  For each check with sampled trials it prints the latest trial
+that holds a first failure and the count the margin rule of the `checks`
+docstring asks for (`margin_counts`), and it exits 1 when a default is
+below that count.  The name does not start with `test_`, so pytest does
+not collect it.  Run from the root of the repository:
 
-and pass a path to write the record there, the rows keyed by their ids and
-the sites by theirs (`tests/data/mutants_seed42.json` is the committed
-one).
+    PYTHONPATH=src:tests python tests/mutants.py [--seed N] [RECORD.json]
+
+at seed 42 unless `--seed` names another, and pass a path to write the
+record there: the default count of each check, then the rows keyed by
+their ids and the sites by theirs.  `tests/data/mutants_seed42.json` and
+`tests/data/mutants_seed7.json` are the committed records, both made at
+the hand-set counts of `CEILINGS`, and they size the defaults.  At the
+defaults a sweep takes about 5 minutes on one CPU (the rows 13-19 s):
+282-303 s at seed 42 and 271-294 s at seed 7 over two runs each, against
+404 s and 408 s at the hand-set counts (two sweeps side by side on a 2-CPU
+x86_64 machine).
 """
 
+import argparse
 import ast
 import copy
 import importlib
@@ -59,12 +71,14 @@ import re
 import signal
 import sys
 import time
+from bisect import bisect_right
+from itertools import accumulate, chain
 from typing import NamedTuple
 
 from faults import FAULTS, Undo, bind, compiled, function
 from mutant_labels import LABELS
 
-from greenquadrics import checks
+from greenquadrics import checks, sampling
 
 MODULES = ("exact", "mat2", "semigroup", "sections", "green", "quadrics")
 SEED = 42
@@ -85,19 +99,31 @@ _SWAPS = {
 }
 _SMALL = 10  # an int constant below this in magnitude is raised by one
 KINDS = ("equivalent", "tier-1 only", "hole")  # the labels of a survivor
-# the certified checks whose 64-bit tail is `checks._TAIL` draws (the frame
-# identity's at most that many), after their grids
-TAIL_CHECKS = (
-    "quadext_field_axioms",
-    "cayley_hamilton",
-    "det_multiplicative_trace_commutes",
-    "inner_product_equals_trace_form",
-    "traceless_singular_is_square_zero",
-    "nilpotent_cone_45_degree_identity",
-    "frame_identity_exact",
-    "frame_roundtrip_exact",
-    "symmetric_idempotents_form_radius_circle",
-)
+# The hand-set default of each check with sampled trials before the margin
+# rule of the `checks` docstring: the rule sizes a default down from it,
+# never up.
+CEILINGS = {
+    "quadext_sign_float_bridge": 2000,
+    "class_plane_points_stay_in_class": 1000,
+    "d_class_is_rank_class": 2000,
+    "plane_classification_roundtrip": 500,
+    "h_class_is_punctured_line": 500,
+    "rank1_idempotent_iff_trace1_det0": 10000,
+    "nilpotent_iff_trace0_det0": 10000,
+    "chart_points_are_inverses": 500,
+    "section_membership_iff_inverse_pair": 20,
+    "chart_is_injective": 500,
+    "generator_lines_lie_on_surface": 500,
+    "generator_line_combinatorics": 50,
+    "natural_order_equals_minus_order": 1000,
+    "order_below_a_is_inverse_section": 10,
+    "frame_identity_exact": 1000,
+    "table_matches_generic_classifier": 1000,
+    "restriction_identity": 100,
+    "affine_invariance_of_class": 200,
+    "section_is_inverse_image_of_idempotents": 500,
+}
+FLOOR, WIDE_FLOOR = 200, 50  # the least count, and that of a check whose trials are 10 cases or more
 
 
 class Site(NamedTuple):
@@ -195,9 +221,9 @@ def _on_alarm(signum, frame):
     raise Timeout
 
 
-def run(mutation, suites=None) -> dict:
+def run(mutation, suites=None, seed=SEED) -> dict:
     """One mutant, a `Site` or a `faults.Fault`, against `run_checks(suites,
-    seed=42)`: its status, whether the alarm ended it, the checks that
+    seed)`: its status, whether the alarm ended it, the checks that
     failed and the outcome of each check that finished; a site's entry
     starts with its line and change."""
     undo = Undo()
@@ -220,7 +246,7 @@ def run(mutation, suites=None) -> dict:
         previous = signal.signal(signal.SIGALRM, _on_alarm)
         signal.setitimer(signal.ITIMER_REAL, ALARM_S)
         try:
-            checks.run_checks(suites, seed=SEED)
+            checks.run_checks(suites, seed=seed)
             timeout = False
         except Timeout:
             timeout = True
@@ -232,6 +258,87 @@ def run(mutation, suites=None) -> dict:
     status = "unreached" if not calls[0] else "killed" if timeout or failed else "survived"
     where = {"line": mutation.line, "change": mutation.change} if isinstance(mutation, Site) else {}
     return {**where, "status": status, "timeout": timeout, "failed": failed, "checks": outcomes}
+
+
+class Segment(NamedTuple):
+    """A run of cases of one kind in a check's case stream: "grid" (points of
+    a grid, or fixed cases, that run in full at any count), "trial" (sampled
+    trials) or "tail" (a certificate's 64-bit draws).  Item i of the
+    segment is `cases[i % len(cases)]` consecutive cases."""
+
+    kind: str
+    items: int
+    cases: tuple = (1,)
+
+    def size(self) -> int:
+        cycles, rest = divmod(self.items, len(self.cases))
+        return cycles * sum(self.cases) + sum(self.cases[:rest])
+
+
+# the grid points of each check that is a certificate and a 64-bit tail
+IDENTITY_GRIDS = {
+    "quadext_field_axioms": 144,
+    "cayley_hamilton": 81,
+    "det_multiplicative_trace_commutes": 256,
+    "inner_product_equals_trace_form": 256,
+    "traceless_singular_is_square_zero": 75,
+    "nilpotent_cone_45_degree_identity": 75,
+    "frame_roundtrip_exact": 32,
+    "symmetric_idempotents_form_radius_circle": 25,
+}
+
+
+def case_layout(name: str, trials: int) -> tuple[Segment, ...]:
+    """The segments of the cases of the check whose result is `name`, run at
+    `trials`, in order.  The frame identity has one trial segment per level
+    after its tail; the characterizations and the natural order run their
+    small grids before their trials, and a trial of the natural order's
+    stratum 2 is its pair and the 18 points of its chart grids."""
+    trial = Segment("trial", trials)
+    if name in IDENTITY_GRIDS:
+        return Segment("grid", IDENTITY_GRIDS[name]), Segment("tail", trials)
+    if name == "frame_identity_exact":
+        return (Segment("grid", 81), Segment("tail", min(trials, checks._TAIL))) + (trial,) * len(checks._BELL_LEVELS)
+    if name in ("rank1_idempotent_iff_trace1_det0", "nilpotent_iff_trace0_det0"):
+        charts = checks._IDEMPOTENT_CHART_POINTS + checks._grid_size(checks._NILPOTENT_CHART)
+        return Segment("grid", len(sampling.grid_values(span=2, dens=(1, 2))) ** 4), trial, Segment("grid", charts)
+    if name == "natural_order_equals_minus_order":
+        below = 1 + checks._IDEMPOTENT_CHART_POINTS  # a trial of stratum 2
+        return Segment("grid", len(sampling.grid_values(span=1)) ** 8), Segment("trial", trials, (1, 1, below, 1))
+    if name == "chart_points_are_inverses":
+        return (Segment("trial", trials, (9 + checks._CHART_TAIL,)),)
+    if name == "restriction_identity":
+        return (Segment("trial", trials, (2 * 27 + checks._PLANE_TAIL,)),)
+    if name == "section_membership_iff_inverse_pair":
+        grid = len(sampling.grid_values(span=2)) ** 4  # the x of each a, after those of a fixed a
+        return Segment("grid", grid), Segment("trial", min(trials, checks._MEMBERSHIP_CAP), (grid,))
+    if name == "order_below_a_is_inverse_section":
+        return trial, Segment("grid", 1)  # then the report at a = I
+    if name == "metrics_family_shares_axis_and_cone":
+        return (Segment("grid", 5),)
+    return (trial,)
+
+
+def locate(name: str, trials: int, index: int) -> tuple[int, str, int] | None:
+    """Where case `index` of a run of check `name` at `trials` lies: (the
+    number of its segment in `case_layout`, the segment's kind, the item of
+    the segment that holds it), or None past the last case."""
+    layout = case_layout(name, trials)
+    starts = [0, *accumulate(s.size() for s in layout)]
+    number = bisect_right(starts, index) - 1  # the last segment to start at or before index
+    if number == len(layout):
+        return None
+    segment = layout[number]
+    cycles, offset = divmod(index - starts[number], sum(segment.cases))
+    return number, segment.kind, cycles * len(segment.cases) + bisect_right(list(accumulate(segment.cases)), offset)
+
+
+def default_trials(names) -> dict:
+    """The default `trials` of each check, keyed by the names of its results
+    (`names`, one per function of `checks.SUITES`, in order)."""
+    fns = list(chain.from_iterable(checks.SUITES.values()))
+    assert len(fns) == len(names), (len(fns), len(names))
+    return {name: inspect.signature(fn).parameters["trials"].default for name, fn in zip(names, fns)}
 
 
 def label_problems(record: dict) -> list[str]:
@@ -248,15 +355,42 @@ def label_problems(record: dict) -> list[str]:
     return problems
 
 
-def tail_index(record: dict, certified: dict) -> int:
-    """The largest tail index of a first failure of a tail check: one past
-    the grid is index 0.  -1 when every kill lies in the grids."""
-    tail = checks._TAIL
-    return max(
-        (first - certified[name] for entry in record.values() for name, (*_, first) in entry["checks"].items()
-         if name in TAIL_CHECKS and first is not None and certified[name] <= first < certified[name] + tail),
-        default=-1,
-    )
+def _kills(record: dict):
+    """(check name, `locate` of the first failing case) of every
+    (mutant, check) kill with a first failing case, rows and sites, of a
+    record as its file holds it."""
+    for entry in chain(record["rows"].values(), record["mutants"].values()):
+        for name, outcome in zip(record["checks"], entry["checks"]):
+            if outcome is not None and outcome[3] is not None:
+                yield name, locate(name, record["trials"][name], outcome[3])
+
+
+def tail_index(record: dict) -> int:
+    """The largest index in a certificate's 64-bit tail of a first failure;
+    -1 when every kill lies elsewhere."""
+    return max((item for _, (_, kind, item) in _kills(record) if kind == "tail"), default=-1)
+
+
+def margin_counts(records) -> dict:
+    """(latest, count) of each check with sampled trials over `records`: the
+    latest trial that holds a first failing case (a trial of the frame
+    identity counted within its level), -1 when none does, and the count the
+    margin rule asks for, max(2 (latest + 1), floor) rounded up to a
+    multiple of 50 and at most the check's ceiling."""
+    found = {}  # name -> [latest, the fewest cases of one of its trials]
+    for record in records:
+        for name, trials in record["trials"].items():
+            cases = [min(s.cases) for s in case_layout(name, trials) if s.kind == "trial"]
+            if cases:
+                found.setdefault(name, [-1, min(cases)])
+        for name, (_, kind, item) in _kills(record):
+            if kind == "trial":
+                found[name][0] = max(found[name][0], item)
+    counts = {}
+    for name, (latest, cases) in found.items():
+        need = max(2 * (latest + 1), WIDE_FLOOR if cases >= 10 else FLOOR)
+        counts[name] = latest, min(-(-need // 50) * 50, CEILINGS[name])
+    return counts
 
 
 def kill_matrix(rows: dict, names: list) -> list[str]:
@@ -288,12 +422,18 @@ def _section(key, entries, names) -> str:
 
 
 def main(argv) -> int:
+    parser = argparse.ArgumentParser(prog="mutants.py", description="the mutation sweep against a full run of gq check")
+    parser.add_argument("--seed", type=int, default=SEED, help=f"the seed of every run (default {SEED})")
+    parser.add_argument("record", nargs="?", help="write the record to this path")
+    args = parser.parse_args(argv)
+    seed = args.seed
     start = time.perf_counter()
-    clean = checks.run_checks(seed=SEED)
+    clean = checks.run_checks(seed=seed)
     names = [r.name for r in clean]
+    trials = default_trials(names)
     rows = {}
     for fault in FAULTS:
-        rows[fault.id] = entry = run(fault)
+        rows[fault.id] = entry = run(fault, seed=seed)
         calls = sum(calls for _, _, calls, _ in entry["checks"].values())
         print(f"{fault.id}: {calls} calls; FAIL {', '.join(entry['failed']) or '(none: ' + entry['status'] + ')'}"
               f"{' (alarm)' if entry['timeout'] else ''}", flush=True)
@@ -302,24 +442,32 @@ def main(argv) -> int:
     problems = kill_matrix(rows, names)
     record = {}
     for site in sites():
-        record[site.id] = entry = run(site)
+        record[site.id] = entry = run(site, seed=seed)
         print(f"{site.id} ({site.change}, line {site.line}): {entry['status']}{' (alarm)' if entry['timeout'] else ''}"
               f"{'; FAIL ' + ', '.join(entry['failed']) if entry['failed'] else ''}", flush=True)
     elapsed = time.perf_counter() - start
     counts = {status: sum(e["status"] == status for e in record.values()) for status in ("killed", "unreached", "survived")}
     print(f"{len(record)} mutants: " + ", ".join(f"{n} {status}" for status, n in counts.items()) + f", in {elapsed:.0f} s")
-    index = tail_index({**rows, **record}, {r.name: r.certified for r in clean})
+    text = (
+        f'{{"seed": {seed}, "tail": {checks._TAIL}, "seconds": {elapsed:.0f},\n "checks": {json.dumps(names)},\n'
+        f' "trials": {json.dumps(trials)},\n "fields": ["passing", "total", "calls", "first failing case"],\n'
+        f"{_section('rows', rows, names)},\n{_section('mutants', record, names)}\n}}\n"
+    )
+    sweep = json.loads(text)
+    index = tail_index(sweep)
     print(f"_TAIL = {checks._TAIL}; largest tail index of a first failure: {index}, so _TAIL keeps every kill above it")
+    for name, (latest, count) in margin_counts([sweep]).items():
+        print(f"{name}: latest first failing trial {latest}, so the margin rule asks for {count}; default {trials[name]}")
+        if trials[name] < count:
+            problems.append(f"default below the margin rule: {name} ({trials[name]} < {count})")
     problems += label_problems(record)
-    if [r.line() for r in checks.run_checks(seed=SEED)] != [r.line() for r in clean]:
+    if [r.line() for r in checks.run_checks(seed=seed)] != [r.line() for r in clean]:
         problems.append("a clean run after the sweep differs from the one before it")
     for problem in problems:
         print(problem)
-    if argv:
-        with open(argv[0], "w") as out:
-            out.write(f'{{"seed": {SEED}, "tail": {checks._TAIL}, "seconds": {elapsed:.0f},\n "checks": {json.dumps(names)},\n')
-            out.write(' "fields": ["passing", "total", "calls", "first failing case"],\n')
-            out.write(f"{_section('rows', rows, names)},\n{_section('mutants', record, names)}\n}}\n")
+    if args.record:
+        with open(args.record, "w") as out:
+            out.write(text)
     return 1 if problems else 0
 
 

@@ -4,6 +4,7 @@ import tracemalloc
 from functools import partial
 from itertools import product
 
+import mutants
 import pytest
 from draws import wide
 from faults import BY_ID, FAULTS, _resolve, install
@@ -26,6 +27,10 @@ from greenquadrics.sampling import (
     rng_for,
 )
 from greenquadrics.sections import Hyperplane, bell_residual, restrict_quadric
+
+
+def _default_trials(check) -> int:
+    return inspect.signature(check).parameters["trials"].default
 
 
 @pytest.mark.parametrize("suite", checks.available_suites())
@@ -215,7 +220,8 @@ def test_sign_check_decides_opposite_parts_exactly(monkeypatch):
     monkeypatch.setattr(checks, "to_float", read)
     monkeypatch.setattr(checks, "_root2_sign", counted)
     assert checks.check_quadext_sign(42).ok
-    assert sum(opposite) == 2000 // 8
+    # one near-miss of opposite parts every eighth trial of the default count
+    assert sum(opposite) == _default_trials(checks.check_quadext_sign) // 8
 
 
 def test_root2_sign_of_a_pure_root2_part_is_its_sign():
@@ -242,7 +248,9 @@ def test_restriction_check_sees_a_constant_term_slip(monkeypatch):
     # 26 of the 27 recentred grid points of each plane have a denominator
     install(monkeypatch, BY_ID["evaluate-constant-term"])
     r = checks.check_restriction_identity(42)
-    assert r.detail.startswith("3000/5600 trials ok"), r.line()
+    planes = _default_trials(checks.check_restriction_identity)
+    # 56 cases per plane, of which the 26 recentred points with a denominator fail
+    assert r.detail.startswith(f"{(56 - 26) * planes}/{56 * planes} trials ok"), r.line()
 
 
 def restriction_holds_by_difference(aq, pivot, t):
@@ -579,7 +587,7 @@ def test_a_check_run_draws_on_scalar_streams_only_to_redraw(monkeypatch):
     monkeypatch.setattr(sampling, "rng_for", recorded)
     monkeypatch.setattr(sampling.Stream, "offsets", counted)
     assert all(r.ok for r in checks.run_checks(seed=42))
-    assert len(streams) == 800
+    assert len(streams) == 314
     assert on_redrawn and all(on_redrawn)
 
 
@@ -629,3 +637,68 @@ def test_a_builder_that_raises_fails_only_the_checks_that_read_it(monkeypatch, b
     assert {r.name for r in results if not r.ok} == set(affected)
     for r in results:
         assert r.ok or r.detail.endswith("; case 0 raised ArithmeticError"), r.line()
+
+
+# --- runs of the sized counts -------------------------------------------------
+
+# the checks whose defaults the margin rule sized down from their hand-set counts
+RESIZED = [
+    checks.check_quadext_sign,
+    checks.check_class_plane_membership,
+    checks.check_d_is_rank,
+    checks.check_plane_classification_roundtrip,
+    checks.check_rank1_idempotent_characterization,
+    checks.check_nilpotent_characterization,
+    checks.check_inverse_set_theorem,
+    checks.check_generator_lines,
+    checks.check_natural_order_equivalence,
+    checks.check_bell_identity,
+    checks.check_restriction_identity,
+]
+
+
+def _segments(monkeypatch, check, trials) -> list:
+    """The cases of `check(42, trials)`, split into the segments of its layout."""
+    layout, got = mutants.case_layout(check(42, 0).name, trials), []
+
+    def tally(suite, name, cases, holds, *rest):
+        got.extend(map(_plain, cases))
+        return (None,) * len(holds) if type(holds) is tuple else None  # the shared pass
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "_tally", tally)
+        check(42, trials)
+    cases = iter(got)
+    segments = [(s.kind, [next(cases) for _ in range(s.size())]) for s in layout]
+    assert next(cases, None) is None
+    return segments
+
+
+@pytest.mark.parametrize("check", RESIZED, ids=lambda fn: fn.__name__)
+def test_a_run_is_the_prefix_of_a_run_at_twice_the_count(monkeypatch, check):
+    # so a record made at a larger count sizes a smaller one: its first
+    # failing cases below the smaller count are the smaller run's
+    n = _default_trials(check)
+    short, long = _segments(monkeypatch, check, n), _segments(monkeypatch, check, 2 * n)
+    assert [kind for kind, _ in short] == [kind for kind, _ in long]
+    assert any(kind == "trial" for kind, _ in short)
+    for (kind, a), (_, b) in zip(short, long):
+        assert a == (b if kind == "grid" else b[: len(a)]), kind
+
+
+@pytest.mark.parametrize("trials", [1, 200, 999, 1000, 1001, 2500])
+def test_frame_identity_levels_never_share_a_stream_key(monkeypatch, trials):
+    spans = []
+
+    def keyed(seed, first, n, samplers):
+        spans.append(range(first, first + n))
+        return iter(())
+
+    monkeypatch.setattr(checks, "lane_draws", keyed)
+    checks.check_bell_identity(42, trials)
+    *levels, tail = sorted(spans, key=lambda r: r.start)
+    assert len(levels) == len(checks._BELL_LEVELS) and len(tail) == min(trials, checks._TAIL)
+    assert all(len(set(a) & set(b)) == 0 for i, a in enumerate(spans) for b in spans[i + 1 :])
+    if trials <= checks._BELL_KEYS:  # the keys of every count up to `_BELL_KEYS` are the same
+        assert [r.start for r in levels] == [li * checks._BELL_KEYS for li in range(len(levels))]
+        assert tail.start == len(levels) * checks._BELL_KEYS

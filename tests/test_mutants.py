@@ -3,6 +3,7 @@ module of the package, on three of its sites and one suite (a killed
 site, an unreached one and a labelled equivalent survivor), on one row of
 the fault table, and against its committed record."""
 
+import inspect
 import json
 import pathlib
 import pkgutil
@@ -16,7 +17,8 @@ import greenquadrics
 from greenquadrics import checks, mat2
 from greenquadrics.checks import CheckResult
 
-RECORD = pathlib.Path(__file__).resolve().parent / "data" / "mutants_seed42.json"
+DATA = pathlib.Path(__file__).resolve().parent / "data"
+RECORDS = [DATA / "mutants_seed42.json", DATA / "mutants_seed7.json"]
 
 KILLED = "mat2.Mat2.__matmul__#0"
 UNREACHED = "exact.parse_rational#0"
@@ -97,8 +99,58 @@ def test_a_check_that_ran_no_case_is_a_kill_with_no_first_failing_case(monkeypat
 
 def test_the_committed_record_names_the_current_sites_rows_and_labels():
     # line numbers are left out: an edit of a docstring moves them, not a site
-    record = json.loads(RECORD.read_text())
     changes = {s.id: s.change for s in mutants.sites()}
-    assert {site_id: entry["change"] for site_id, entry in record["mutants"].items()} == changes
     assert {site_id: label[0] for site_id, label in LABELS.items()}.items() <= changes.items()
-    assert list(record["rows"]) == [fault.id for fault in FAULTS]
+    for path in RECORDS:
+        record = json.loads(path.read_text())
+        assert {site_id: entry["change"] for site_id, entry in record["mutants"].items()} == changes, path.name
+        assert list(record["rows"]) == [fault.id for fault in FAULTS], path.name
+
+
+def test_every_sampled_default_meets_the_margin_rule_of_both_records():
+    records = [json.loads(path.read_text()) for path in RECORDS]
+    assert [r["seed"] for r in records] == [42, 7]
+    names = [r.name for r in checks.run_checks(seed=0, trials=0)]
+    defaults = mutants.default_trials(names)
+    for record in records:
+        # made at the hand-set counts, each the ceiling of its check
+        assert record["checks"] == names
+        assert {name: record["trials"][name] for name in mutants.CEILINGS} == mutants.CEILINGS
+    counts = mutants.margin_counts(records)
+    assert counts.keys() == mutants.CEILINGS.keys()
+    for name, (latest, count) in counts.items():
+        assert defaults[name] >= count > latest, (name, latest, count, defaults[name])
+    # the rule sizes down: the characterizations' kills all lie in their grid
+    assert counts["rank1_idempotent_iff_trace1_det0"] == (-1, mutants.FLOOR)
+    assert sum(count < mutants.CEILINGS[name] for name, (_, count) in counts.items()) == 11
+
+
+_FUNCTIONS = [fn for fns in checks.SUITES.values() for fn in fns]
+
+
+@pytest.mark.parametrize("trials", [0, 1, 2, 5, 7, None], ids=lambda n: "default" if n is None else str(n))
+def test_case_layout_holds_every_case_of_a_run(trials):
+    results = checks.run_checks(seed=5, trials=trials)
+    assert len(results) == len(_FUNCTIONS)
+    for r, fn in zip(results, _FUNCTIONS):
+        n = inspect.signature(fn).parameters["trials"].default if trials is None else trials
+        total = mutants._outcome(r, 0)[1]
+        assert r.ok == (total > 0), r.line()
+        assert sum(s.size() for s in mutants.case_layout(r.name, n)) == total, r.line()
+        assert mutants.locate(r.name, n, total) is None
+        assert total == 0 or mutants.locate(r.name, n, total - 1) is not None
+
+
+def test_locate_reads_a_case_as_a_grid_point_a_trial_or_a_tail_draw():
+    # the grids before the trials, 19 cases in every fourth trial of the
+    # natural order, 56 per plane, and one trial segment per frame level
+    assert mutants.locate("natural_order_equals_minus_order", 1000, 6560) == (0, "grid", 6560)
+    assert mutants.locate("natural_order_equals_minus_order", 1000, 6564) == (1, "trial", 2)
+    assert mutants.locate("natural_order_equals_minus_order", 1000, 6561 + 22) == (1, "trial", 4)
+    assert mutants.locate("restriction_identity", 100, 1373) == (0, "trial", 24)
+    assert mutants.locate("chart_points_are_inverses", 500, 60) == (0, "trial", 6)
+    assert mutants.locate("frame_identity_exact", 1000, 103) == (1, "tail", 22)
+    assert mutants.locate("frame_identity_exact", 1000, 1103) == (2, "trial", 999)
+    assert mutants.locate("frame_identity_exact", 1000, 1105) == (3, "trial", 1)
+    assert mutants.locate("rank1_idempotent_iff_trace1_det0", 200, 2401 + 200) == (2, "grid", 0)
+    assert mutants.locate("section_membership_iff_inverse_pair", 20, 5474) == (1, "trial", 7)

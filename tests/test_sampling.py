@@ -367,6 +367,18 @@ def test_strata_draws_are_the_scalar_draws(k):
         assert list(strata_draws(11, n, strata)) == want[:n], n
 
 
+def test_a_stratum_without_samplers_draws_every_one_of_its_trials(monkeypatch):
+    # its first attempts are empty tuples, not no attempts: a run whose
+    # longest stratum draws nothing keeps its count, and draws no stream
+    strata = [((), lambda: "fixed"), ((rand_rational,), lambda a: a)]
+    keyed = []
+    monkeypatch.setattr(sampling, "rng_for", lambda seed, i: keyed.append(i) or rng_for(seed, i))
+    for trials in (1, 3, 7, 2 * _LANES + 1):
+        got = list(strata_draws(11, trials, strata))
+        assert got == _scalar_draws_by_stratum(11, trials, strata) and len(got) == trials, trials
+    assert keyed == []
+
+
 def _scalar_draws_by_stratum(seed, trials, strata):
     """The reference loop: each trial drawn whole on its own stream, the
     stratum's samplers in turn and then its build, until the build accepts."""
